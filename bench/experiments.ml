@@ -1272,7 +1272,7 @@ let e14 ~sink ~jobs ~quick =
   print_table ~sink ~name:"e14" t
 
 (* E15: model checker throughput — lib/mc explores the POR-reduced
-   schedule space exhaustively (DESIGN.md section 9).  Not a paper
+   schedule space exhaustively (DESIGN.md section 8).  Not a paper
    claim: reported so regressions in the replay-from-prefix engine are
    visible, and as a standing cross-check that the paper algorithms
    verify while every ablation yields a counterexample.  Rows run
@@ -1438,7 +1438,7 @@ let e16 ~sink ~quick =
 
 (* ------------------------------------------------------------------ *)
 (* E18: walk election by topology family — the general 2-edge-connected
-   election (lib/graph Gelection, DESIGN.md section 12) measured per
+   election (lib/graph Gelection, DESIGN.md section 11) measured per
    --topology family.  Pulse complexity is exactly walk * ID_max; the
    'overhead' column is walk/n, the factor the spanning-walk
    construction pays over Algorithm 1 on a ring of the same size
@@ -1461,7 +1461,7 @@ let e18_families =
 let e18 ~sink ~jobs ~quick =
   section
     "E18 Walk election on 2-edge-connected graphs  --  Gelection per\n\
-     topology family (DESIGN.md section 12).  Pulse complexity is\n\
+     topology family (DESIGN.md section 11).  Pulse complexity is\n\
      walk*ID_max exactly; 'overhead' = walk/n, the spanning-walk cost\n\
      over Algorithm 1 on a same-size ring.  elections/s is wall-clock.";
   let t =

@@ -911,14 +911,21 @@ let serve sched_name slots journal =
            incr bad;
            print_endline ("error: " ^ msg);
            flush stdout
-       | Ok (Some spec) ->
+       | Ok (Some spec) -> (
            (* One-job batches reuse this domain's warm flock cache, so
               the steady state of the loop allocates per-election
-              state only. *)
-           let o = Harness.Batch.run ~slots ?journal:emit ~sched [| spec |] in
-           if not (Election.ok o.Harness.Batch.reports.(0)) then incr bad;
-           print_endline (serve_result_line spec o.Harness.Batch.reports.(0));
-           flush stdout
+              state only.  A job that raises is answered like a bad
+              line, and the server keeps reading. *)
+           match Harness.Batch.run ~slots ?journal:emit ~sched [| spec |] with
+           | o ->
+               if not (Election.ok o.Harness.Batch.reports.(0)) then incr bad;
+               print_endline
+                 (serve_result_line spec o.Harness.Batch.reports.(0));
+               flush stdout
+           | exception e ->
+               incr bad;
+               print_endline ("error: " ^ Printexc.to_string e);
+               flush stdout)
      done
    with End_of_file -> ());
   Option.iter close_out journal_oc;

@@ -12,7 +12,18 @@
     cleared with the first payload ever pushed, so a queue retains at
     most that one payload beyond its live contents. *)
 
-type 'm t
+type 'm t = {
+  mutable payloads : 'm array;  (** Length 0 or a power of two. *)
+  mutable meta : int array;
+      (** Stride 3 per payload slot: seq, batch, depth. *)
+  mutable head : int;  (** Slot of the oldest envelope. *)
+  mutable len : int;
+  mutable filler : 'm array;
+      (** The value written over popped payload slots (see {!Ring.t}). *)
+}
+(** Concrete so that an engine's delivery path can read the head
+    envelope's stamps ([meta.(3 * head)], [+ 1], [+ 2]) and test
+    [len] in place; every mutation goes through the functions below. *)
 
 val create : unit -> 'm t
 (** An empty queue; no storage is allocated until the first push. *)

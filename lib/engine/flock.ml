@@ -114,9 +114,9 @@ type t = {
 (* ---------------------------------------------------------------- *)
 (* Hot path: the per-delivery functions below are registered in
    tools/lint/hot.sexp and mirror lib/engine/network.ml line for
-   line, with [Metrics]/[Sink.counters] dispatch replaced by inline
-   counter stores and every user-sink callback behind an
-   [observed]/[enabled] guard. *)
+   line — inline counter stores, then the user-sink callback behind
+   the non-null [observed] guard — with every per-instance field
+   indexed by slot. *)
 
 let mark_nonempty t s link =
   let lp = (s * t.links) + link in

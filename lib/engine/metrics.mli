@@ -5,7 +5,25 @@
     cross-check the two.  Message complexity in the paper counts *sent*
     pulses; {!sends} is the number the benches report. *)
 
-type t
+type t = {
+  mutable sends : int;
+  mutable sends_cw : int;
+  mutable deliveries : int;
+  mutable consumes : int;
+  mutable wakes : int;
+  mutable post_term : int;
+  ports : int;  (** Per-node port stride of [delivered] and [consumed]. *)
+  sends_by_node : int array;
+  sends_by_link : int array;
+  delivered : int array;  (** Indexed [node * ports + port_index]. *)
+  consumed : int array;  (** Same layout as [delivered]. *)
+}
+(** Concrete so that an engine can count inline: {!Network} writes
+    these fields directly on its delivery path (one store each instead
+    of an out-of-line [on_*] call), while {!Sink.counters} drives the
+    same record through the [on_*] functions below.  Either way the
+    field updates are exactly those of the [on_*] functions; readers
+    should use the accessors. *)
 
 val create : ?ports_per_node:int -> n_nodes:int -> n_links:int -> unit -> t
 (** [ports_per_node] sizes the per-port counter arrays (default [2],

@@ -66,17 +66,25 @@ type 'm t = {
   mutable apis : 'm api array;
   channels : 'm Envq.t array; (* by link id *)
   mailboxes : 'm Ring.t array; (* node * 2 + port *)
+  (* Per-link tables precomputed from [topo], so the delivery path
+     reads one array cell where it would call into [Topology]. *)
+  dst_node : int array;
+  dst_port : int array; (* port index at the destination *)
+  cw : bool array;
   outputs : Output.t array;
   term : bool array;
   mutable term_order_rev : int list;
+  (* The engine's own counters, written inline on the delivery path
+     (the same updates {!Sink.counters} makes through [Metrics.on_*]). *)
   metrics : Metrics.t;
-  (* The effective sink: the engine's own [Sink.counters] teed with
-     whatever the caller passed, so counting and user telemetry are a
-     single emission path.  [observed] remembers whether the caller's
-     sink is live — the guard that keeps snapshot emission (and any
-     other record that must allocate its payload) off the default
-     path. *)
+  (* The caller's sink, called directly after the counters move.
+     [live] is [not (sink == Sink.null)]: every per-event callback
+     sits behind it, so the default path makes no sink call at all,
+     while a non-null sink sees every event even when it is not
+     [enabled].  [observed] is [sink.enabled], the guard for records
+     that must allocate their payload (snapshots). *)
   sink : Sink.t;
+  live : bool;
   observed : bool;
   mutable next_seq : int;
   mutable next_batch : int;
@@ -109,7 +117,16 @@ type 'm t = {
   undo_ok : bool;
 }
 
-let slot v p = (v * 2) + Port.index p
+(* ------------------------------------------------------------------ *)
+(* Hot path: the per-delivery functions below are registered in
+   tools/lint/hot.sexp.  Dune's dev profile compiles with [-opaque],
+   so no call into another module is ever inlined; the only indirect
+   calls left per delivery are the scheduler's [pick], the program's
+   [wake] and its api closures — counters are inline stores, link
+   lookups are table reads, and queue stamps are read in place. *)
+
+let port_index p = match p with Port.P0 -> 0 | Port.P1 -> 1
+let slot v p = (v * 2) + port_index p
 
 let mark_nonempty t link =
   if t.link_pos.(link) < 0 then begin
@@ -119,7 +136,7 @@ let mark_nonempty t link =
   end
 
 let unmark_if_empty t link =
-  if Envq.is_empty t.channels.(link) then begin
+  if t.channels.(link).Envq.len = 0 then begin
     let pos = t.link_pos.(link) in
     let last = t.nonempty_count - 1 in
     let moved = t.nonempty.(last) in
@@ -133,8 +150,7 @@ let unmark_if_empty t link =
    envelopes with the batch convention of the current activation
    ([t.next_batch] is bumped at activation boundaries only).  Sink
    callbacks take immediate arguments only — no event value is
-   materialised — so the steady-state hot path stays allocation-free
-   under the default (counters-only) sink. *)
+   materialised — so the steady-state hot path allocates nothing. *)
 let enqueue t ~link ~node ~port m =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -142,55 +158,75 @@ let enqueue t ~link ~node ~port m =
   Envq.push t.channels.(link) m ~seq ~batch:t.next_batch
     ~depth:(t.local_clock.(node) + 1);
   t.in_flight <- t.in_flight + 1;
+  let c = t.metrics in
+  let cw = t.cw.(link) in
+  c.sends <- c.sends + 1;
+  if cw then c.sends_cw <- c.sends_cw + 1;
+  c.sends_by_node.(node) <- c.sends_by_node.(node) + 1;
+  c.sends_by_link.(link) <- c.sends_by_link.(link) + 1;
   if t.logging then ulog_send t.ulog link;
-  t.sink.Sink.on_send ~node ~port:(Port.index port) ~seq ~link
-    ~cw:(Topology.link_travels_cw t.topo link)
+  if t.live then t.sink.Sink.on_send ~node ~port ~seq ~link ~cw
+
+(* The wake's side of a mailbox read: [i] is the mailbox slot
+   ([node * 2 + port]), which is also the counter index. *)
+let consume t ~node ~port i =
+  t.mailbox_backlog <- t.mailbox_backlog - 1;
+  let c = t.metrics in
+  c.consumes <- c.consumes + 1;
+  c.consumed.(i) <- c.consumed.(i) + 1;
+  if t.live then t.sink.Sink.on_consume ~node ~port
 
 let make_api t v rng =
-  let consume v p =
-    t.mailbox_backlog <- t.mailbox_backlog - 1;
-    t.sink.Sink.on_consume ~node:v ~port:(Port.index p)
-  in
+  (* Mailboxes, their slots and the outgoing link ids, resolved once
+     per api instead of per call. *)
+  let i0 = v * 2 in
+  let mb0 = t.mailboxes.(i0) and mb1 = t.mailboxes.(i0 + 1) in
+  let l0 = Topology.link_id t.topo v Port.P0 in
+  let l1 = Topology.link_id t.topo v Port.P1 in
   let recv p =
-    let mb = t.mailboxes.(slot v p) in
-    if Ring.is_empty mb then None
+    let mb = match p with Port.P0 -> mb0 | Port.P1 -> mb1 in
+    if mb.Ring.len = 0 then None
     else begin
       let m = Ring.pop mb in
-      consume v p;
-      if t.logging then ulog_consume t.ulog (Port.index p) m;
+      let pi = port_index p in
+      consume t ~node:v ~port:pi (i0 + pi);
+      if t.logging then ulog_consume t.ulog pi m;
       Some m
     end
   in
   let recv_pulse p =
-    let mb = t.mailboxes.(slot v p) in
-    if Ring.is_empty mb then false
+    let mb = match p with Port.P0 -> mb0 | Port.P1 -> mb1 in
+    if mb.Ring.len = 0 then false
     else begin
       let m = Ring.pop mb in
-      consume v p;
-      if t.logging then ulog_consume t.ulog (Port.index p) m;
+      let pi = port_index p in
+      consume t ~node:v ~port:pi (i0 + pi);
+      if t.logging then ulog_consume t.ulog pi m;
       true
     end
   in
   let peek p =
-    let mb = t.mailboxes.(slot v p) in
-    if Ring.is_empty mb then None else Some (Ring.peek mb)
+    let mb = match p with Port.P0 -> mb0 | Port.P1 -> mb1 in
+    if mb.Ring.len = 0 then None else Some (Ring.peek mb)
   in
-  let pending p = Ring.length t.mailboxes.(slot v p) in
+  let pending p = Ring.length (match p with Port.P0 -> mb0 | Port.P1 -> mb1) in
   let send p m =
     if t.term.(v) then failwith "Network: send after terminate";
-    enqueue t ~link:(Topology.link_id t.topo v p) ~node:v ~port:p m
+    match p with
+    | Port.P0 -> enqueue t ~link:l0 ~node:v ~port:0 m
+    | Port.P1 -> enqueue t ~link:l1 ~node:v ~port:1 m
   in
   let set_output o =
     if not (Output.equal t.outputs.(v) o) then begin
       t.outputs.(v) <- o;
-      t.sink.Sink.on_decide ~node:v ~output:o
+      if t.live then t.sink.Sink.on_decide ~node:v ~output:o
     end
   in
   let terminate () =
     if not t.term.(v) then begin
       t.term.(v) <- true;
       t.term_order_rev <- v :: t.term_order_rev;
-      t.sink.Sink.on_terminate ~node:v
+      if t.live then t.sink.Sink.on_terminate ~node:v
     end
   in
   { node = v; recv; recv_pulse; peek; pending; send; set_output; terminate; rng }
@@ -200,10 +236,8 @@ let create ?(sink = Sink.null) ?(seed = 0) topo make_program =
   let n = Topology.n topo in
   let num_links = Topology.num_links topo in
   let programs = Array.init n make_program in
-  let metrics = Metrics.create ~n_nodes:n ~n_links:num_links () in
-  let user_sink = sink in
   let undo_ok =
-    (not user_sink.Sink.enabled)
+    (not sink.Sink.enabled)
     && Array.for_all (fun p -> Option.is_some p.snap) programs
   in
   let t =
@@ -213,12 +247,18 @@ let create ?(sink = Sink.null) ?(seed = 0) topo make_program =
       apis = [||];
       channels = Array.init num_links (fun _ -> Envq.create ());
       mailboxes = Array.init (n * 2) (fun _ -> Ring.create ());
+      dst_node = Array.init num_links (fun l -> fst (Topology.link_dst topo l));
+      dst_port =
+        Array.init num_links (fun l ->
+            Port.index (snd (Topology.link_dst topo l)));
+      cw = Array.init num_links (Topology.link_travels_cw topo);
       outputs = Array.make n Output.empty;
       term = Array.make n false;
       term_order_rev = [];
-      metrics;
-      sink = Sink.tee (Sink.counters metrics) user_sink;
-      observed = user_sink.Sink.enabled;
+      metrics = Metrics.create ~n_nodes:n ~n_links:num_links ();
+      sink;
+      live = not (sink == Sink.null);
+      observed = sink.Sink.enabled;
       next_seq = 0;
       next_batch = 0;
       in_flight = 0;
@@ -245,27 +285,33 @@ let create ?(sink = Sink.null) ?(seed = 0) topo make_program =
   in
   (* The reusable scheduler view: closures are built once here, and
      [nonempty] aliases the incrementally-maintained set, so refreshing
-     a view per step is two integer stores. *)
+     a view per step is two integer stores.  Schedulers only ask about
+     links in the non-empty set, so the head stamps are read in place. *)
   t.view <-
     {
       Scheduler.nonempty = t.nonempty;
       count = 0;
-      head_seq = (fun link -> Envq.head_seq t.channels.(link));
-      head_batch = (fun link -> Envq.head_batch t.channels.(link));
+      head_seq =
+        (fun link ->
+          let q = t.channels.(link) in
+          q.Envq.meta.(3 * q.Envq.head));
+      head_batch =
+        (fun link ->
+          let q = t.channels.(link) in
+          q.Envq.meta.((3 * q.Envq.head) + 1));
       travels_cw =
         (* Static [Some] constants: the per-pick closure must not
            allocate. *)
-        (fun link ->
-          if Topology.link_travels_cw t.topo link then Some true
-          else Some false);
-      dst_node = (fun link -> fst (Topology.link_dst t.topo link));
+        (fun link -> if t.cw.(link) then Some true else Some false);
+      dst_node = (fun link -> t.dst_node.(link));
       step = 0;
     };
   let root_rng = Rng.create ~seed in
   t.apis <- Array.init n (fun v -> make_api t v (Rng.split_at root_rng v));
   for v = 0 to n - 1 do
     t.next_batch <- t.next_batch + 1;
-    t.sink.Sink.on_wake ~node:v;
+    t.metrics.Metrics.wakes <- t.metrics.Metrics.wakes + 1;
+    if t.live then t.sink.Sink.on_wake ~node:v;
     t.programs.(v).start t.apis.(v)
   done;
   t
@@ -273,29 +319,39 @@ let create ?(sink = Sink.null) ?(seed = 0) topo make_program =
 let view t =
   let v = t.view in
   v.Scheduler.count <- t.nonempty_count;
-  v.Scheduler.step <- Metrics.deliveries t.metrics;
+  v.Scheduler.step <- t.metrics.Metrics.deliveries;
   v
 
 let deliver_from t link =
   let q = t.channels.(link) in
-  let seq = Envq.head_seq q in
-  let depth = Envq.head_depth q in
+  if q.Envq.len = 0 then invalid_arg "Network: delivery from an empty link";
+  let h = 3 * q.Envq.head in
+  let seq = q.Envq.meta.(h) in
+  let depth = q.Envq.meta.(h + 2) in
   let payload = Envq.pop q in
   unmark_if_empty t link;
   t.in_flight <- t.in_flight - 1;
-  let dst, dst_port = Topology.link_dst t.topo link in
-  if t.term.(dst) then
+  let dst = t.dst_node.(link) in
+  let port = t.dst_port.(link) in
+  let c = t.metrics in
+  if t.term.(dst) then begin
     (* Terminated nodes ignore pulses; each such arrival is a
        violation of quiescent termination, which tests assert away. *)
-    t.sink.Sink.on_drop ~node:dst ~port:(Port.index dst_port) ~seq
+    c.post_term <- c.post_term + 1;
+    if t.live then t.sink.Sink.on_drop ~node:dst ~port ~seq
+  end
   else begin
-    t.sink.Sink.on_deliver ~node:dst ~port:(Port.index dst_port) ~seq;
-    Ring.push t.mailboxes.(slot dst dst_port) payload;
+    let i = (dst * 2) + port in
+    c.deliveries <- c.deliveries + 1;
+    c.delivered.(i) <- c.delivered.(i) + 1;
+    if t.live then t.sink.Sink.on_deliver ~node:dst ~port ~seq;
+    Ring.push t.mailboxes.(i) payload;
     t.mailbox_backlog <- t.mailbox_backlog + 1;
     if depth > t.local_clock.(dst) then t.local_clock.(dst) <- depth;
     if depth > t.causal_span then t.causal_span <- depth;
     t.next_batch <- t.next_batch + 1;
-    t.sink.Sink.on_wake ~node:dst;
+    c.wakes <- c.wakes + 1;
+    if t.live then t.sink.Sink.on_wake ~node:dst;
     t.programs.(dst).wake t.apis.(dst)
   end
 
@@ -359,7 +415,7 @@ let force_step_undo t ~link =
   let u_batch = Envq.head_batch q in
   let u_depth = Envq.head_depth q in
   let u_payload = Envq.peek q in
-  let dst, dst_port = Topology.link_dst t.topo link in
+  let dst = t.dst_node.(link) in
   let dropped = t.term.(dst) in
   let u_snap =
     if dropped then [||]
@@ -386,7 +442,7 @@ let force_step_undo t ~link =
     u_batch;
     u_depth;
     u_dst = dst;
-    u_dst_port = Port.index dst_port;
+    u_dst_port = t.dst_port.(link);
     u_dropped = dropped;
     u_prev_output;
     u_became_term = (not dropped) && t.term.(dst);
@@ -410,8 +466,7 @@ let undo_step t u =
       ignore (Envq.pop_back t.channels.(l));
       unmark_if_empty t l;
       t.in_flight <- t.in_flight - 1;
-      Metrics.undo_send t.metrics ~link:l ~node:dst
-        ~cw:(Topology.link_travels_cw t.topo l)
+      Metrics.undo_send t.metrics ~link:l ~node:dst ~cw:t.cw.(l)
     done;
     (* Re-file the wake's consumed pulses, newest first: this restores
        the mailbox to its state just after the delivery pushed the
@@ -469,7 +524,8 @@ let channel_payloads t ~link = Envq.to_payload_array t.channels.(link)
 let mailbox_payloads t ~node ~port = Ring.to_array t.mailboxes.(slot node port)
 
 let inject t ~node ~port m =
-  enqueue t ~link:(Topology.link_id t.topo node port) ~node ~port m
+  enqueue t ~link:(Topology.link_id t.topo node port) ~node
+    ~port:(port_index port) m
 
 type run_result = Engine_intf.run_result = {
   sends : int;
@@ -486,27 +542,28 @@ let mailbox_backlog t = t.mailbox_backlog
 let is_quiescent t = t.in_flight = 0 && t.mailbox_backlog = 0
 
 let run ?(max_deliveries = 50_000_000) ?(snapshot_every = 0) ?probe t sched =
+  let c = t.metrics in
   let exhausted = ref false in
   let continue = ref true in
   while !continue do
-    if Metrics.deliveries t.metrics >= max_deliveries then begin
+    if c.Metrics.deliveries >= max_deliveries then begin
       exhausted := true;
       continue := false
     end
     else if not (step t sched) then continue := false
     else begin
       (if snapshot_every > 0 && t.observed then
-         let d = Metrics.deliveries t.metrics in
+         let d = c.Metrics.deliveries in
          if d mod snapshot_every = 0 then
-           t.sink.Sink.on_snapshot ~step:d (Metrics.to_assoc t.metrics));
+           t.sink.Sink.on_snapshot ~step:d (Metrics.to_assoc c));
       match probe with
       | None -> ()
-      | Some f -> f ~step:(Metrics.deliveries t.metrics)
+      | Some f -> f ~step:c.Metrics.deliveries
     end
   done;
   {
-    sends = Metrics.sends t.metrics;
-    deliveries = Metrics.deliveries t.metrics;
+    sends = c.Metrics.sends;
+    deliveries = c.Metrics.deliveries;
     quiescent = is_quiescent t;
     all_terminated = all_terminated t;
     exhausted = !exhausted;

@@ -71,9 +71,13 @@ val create :
     node's private {!Colring_stats.Rng.t} stream (default 0).
 
     [sink] observes every event of the run (default {!Sink.null}).
-    The engine tees its own {!Sink.counters} over [sink], so
-    {!metrics} is a by-product of the same emission path; with the
-    default null sink the steady-state hot path allocates nothing.
+    The engine counts into its own {!Metrics.t} inline, then calls
+    [sink]'s callback for the same event, so {!metrics} and what the
+    sink saw always agree.  Every sink other than {!Sink.null} gets
+    every event, even one whose [enabled] is [false]; [enabled] gates
+    only counter snapshots (and makes the network not
+    {!undo_capable}).  With the default null sink the delivery path
+    makes no sink call and allocates nothing.
     (The pre-sink [?record_trace] switch was removed on the DESIGN.md
     §6 timeline: pass [~sink:(Sink.memory ())] and read the buffer
     back with {!trace}.) *)

@@ -13,7 +13,17 @@
     value — and clearing is a plain store, so the hot path stays
     allocation-free. *)
 
-type 'a t
+type 'a t = {
+  mutable elems : 'a array;  (** Length 0 or a power of two. *)
+  mutable head : int;  (** Slot of the oldest element. *)
+  mutable len : int;
+  mutable filler : 'a array;
+      (** One element, the fill value for popped slots; empty until
+          the first push. *)
+}
+(** Concrete so that an engine's delivery path can test [len] and read
+    the head element in place; every mutation goes through the
+    functions below. *)
 
 val create : unit -> 'a t
 (** An empty ring; no storage is allocated until the first push. *)

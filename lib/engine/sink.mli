@@ -13,9 +13,11 @@
       steady-state hot path stays allocation-free under it.
     - {!memory}: records events into a {!Trace.t}, exposed via
       {!trace} — the lower-bound machinery's buffer.
-    - {!counters}: drives a {!Metrics.t}.  The engine composes one of
-      these over its own counters with {!tee}, so counting and user
-      telemetry are a single emission path.
+    - {!counters}: drives a {!Metrics.t}.  The graph engine tees one
+      under the user's sink; the ring engines ({!Network}, {!Flock})
+      count inline instead and call the user's sink directly, counters
+      first, so every engine keeps the same order: counters move,
+      then the sink sees the event.
     - {!jsonl}: writes one self-describing JSON object per
       event/record — the run journal behind [--journal FILE].
 
@@ -40,7 +42,9 @@ type t = {
       (** [false] only for {!null} (and tees of nulls).  Producers
           check this before building argument lists for the record
           callbacks ([on_run_start] and friends), so a null sink costs
-          one branch and zero allocation. *)
+          one branch and zero allocation.  Per-event callbacks do not
+          consult it: the engines skip them for {!null} itself
+          (physical equality) and call them on every other sink. *)
   on_send : node:int -> port:int -> seq:int -> link:int -> cw:bool -> unit;
       (** [node] emitted pulse [seq] from its local port (as an
           integer index — ring engines pass [Port.index], general
@@ -93,9 +97,9 @@ val memory : unit -> t
 val counters : Metrics.t -> t
 (** Routes events into a {!Metrics.t}: sends, deliveries, consumes,
     wakes, and post-termination drops update the corresponding
-    counters.  Lifecycle records are ignored.  This is the sink the
-    engine installs over its own counters, so a run's metrics are a
-    by-product of the same emission path user sinks observe. *)
+    counters.  Lifecycle records are ignored.  The graph engine tees
+    this under the user's sink; its updates are exactly the stores the
+    ring engines make inline. *)
 
 val jsonl : ?events:bool -> emit:(string -> unit) -> unit -> t
 (** [jsonl ~emit ()] formats every event/record as one self-describing

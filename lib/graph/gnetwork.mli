@@ -45,9 +45,9 @@ val create :
   (int -> 'm program) ->
   'm t
 (** [sink] observes every event of the run (default
-    {!Colring_engine.Sink.null}); the engine tees its own counters over
-    it exactly as the ring engine does, so {!metrics} is a by-product
-    of the same emission path.  Ports reach the sink as this engine's
+    {!Colring_engine.Sink.null}); the engine tees its own counters under
+    it, so {!metrics} moves before the sink sees each event, in the
+    same order as the ring engine.  Ports reach the sink as this engine's
     native integer port numbers; [cw] is always [false] (no global
     direction exists).  {!Colring_engine.Sink.memory} is ring-only —
     it raises on port indices above 1 — so use jsonl or custom sinks

@@ -19,6 +19,15 @@ let algorithm_of_name = function
   | "resample" -> Ok Election.Algo3_resample
   | other -> Error (Printf.sprintf "unknown algorithm %S" other)
 
+(* Past these, no Algorithm 2 election fits the engines' default
+   budget of 50M deliveries (it costs n(2·id_max+1) pulses, and
+   id_max >= n): a 4096-ring at id_max = n needs 33.6M, an 8192-ring
+   134M, and a 2-ring at id_max = 2^24 already 67M.  [max_n] also
+   bounds what one spec line can make a warm flock allocate (a
+   256-slot flock at n = 4096 is about 0.75 GB). *)
+let max_n = 4096
+let max_id_max = 1 lsl 24
+
 let parse_line line =
   let line =
     match String.index_opt line '#' with
@@ -48,7 +57,12 @@ let parse_line line =
             | _ -> Error "too many fields (want: algo n seed [id_max])"
           in
           if n < 2 then Error "n must be >= 2"
+          else if n > max_n then
+            Error (Printf.sprintf "n must be <= %d, got %d" max_n n)
           else if id_max < n then Error "id_max must be >= n"
+          else if id_max > max_id_max then
+            Error
+              (Printf.sprintf "id_max must be <= %d, got %d" max_id_max id_max)
           else Ok (Some { algorithm; n; seed; id_max })))
   | _ -> Error "too few fields (want: algo n seed [id_max])"
 
@@ -169,8 +183,15 @@ let run ?(jobs = 1) ?(mode = Pool.Static) ?(slots = 256) ?(events = false)
           Some (fun local _report -> latencies.(wave.w_idxs.(local)) <- f () -. t0)
     in
     let rs =
-      Election.run_flock ~flock:fl ?on_complete
-        ~topo:(Flock.topology fl) wjobs
+      try
+        Election.run_flock ~flock:fl ?on_complete
+          ~topo:(Flock.topology fl) wjobs
+      with e ->
+        (* A job that raised left this flock's slots running: drop it,
+           so the group's next wave starts on a fresh one. *)
+        Hashtbl.remove (Domain.DLS.get flock_cache)
+          (wave.w_oriented, wave.w_n);
+        raise e
     in
     Array.iteri (fun local r -> reports.(wave.w_idxs.(local)) <- Some r) rs
   in

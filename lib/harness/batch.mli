@@ -30,11 +30,22 @@ val algorithm_of_name :
 (** The [colring] algorithm names: algo1, algo2, algo3-doubled,
     algo3-improved, resample. *)
 
+val max_n : int
+(** The largest ring a spec line may ask for: 4096.  Past it not even
+    the cheapest Algorithm 2 election (id_max = n) fits the default
+    50M-delivery budget, and a warm flock's per-slot state grows with
+    [n]. *)
+
+val max_id_max : int
+(** The largest [id_max] a spec line may ask for: 2{^24}.  Past it not
+    even a 2-ring's Algorithm 2 election fits the default budget. *)
+
 val parse_line : string -> (spec option, string) result
 (** One spec-file line: [algo n seed \[id_max\]], fields separated by
     spaces, [#] starting a comment.  [Ok None] for blank/comment
-    lines.  [id_max] defaults to [2 * n]; [n >= 2] and [id_max >= n]
-    are enforced here so a bad line fails before any job runs. *)
+    lines.  [id_max] defaults to [2 * n]; [2 <= n <= max_n] and
+    [n <= id_max <= max_id_max] are enforced here so a bad line fails
+    before any job runs, with an error that names the field. *)
 
 val parse_spec : string -> (spec array, string) result
 (** A whole spec file; errors carry the 1-based line number. *)
@@ -79,7 +90,12 @@ val run :
     [now] (e.g. [Unix.gettimeofday]) timestamps completions for the
     latency percentiles; the harness takes it as a parameter so the
     library stays clock-free (the determinism lint patrols wall-clock
-    reads). *)
+    reads).
+
+    A job that raises (its scheduler or program, say) aborts the batch
+    with that exception.  The warm flock it ran on is dropped from the
+    domain's cache, so a later batch of the same group — the next
+    [colring serve] line — starts on a fresh one. *)
 
 val percentile : float array -> float -> float
 (** [percentile sorted p] with [p] in [0, 1]; [sorted] ascending.

@@ -168,7 +168,7 @@ module Make (N : Engine_intf.NETWORK) = struct
      send/delivery/drop counters: two states merge only when their
      whole observable configuration AND their progress counters agree,
      which keeps every safety monitor used here a function of the
-     state (see DESIGN.md section 9 for the soundness argument). *)
+     state (see DESIGN.md section 8 for the soundness argument). *)
   let state_key net =
     let m = N.metrics net in
     Printf.sprintf "%d/%d/%d#%s" (Metrics.sends m) (Metrics.deliveries m)
@@ -237,7 +237,7 @@ module Make (N : Engine_intf.NETWORK) = struct
      the deferred deliveries into other nodes can never enable a new
      conflicting delivery into [d].  The smallest eligible node is
      chosen canonically; with none eligible the full enabled set is
-     explored (sound fallback).  See DESIGN.md section 9. *)
+     explored (sound fallback).  See DESIGN.md section 8. *)
   let branch_links ctx links =
     match ctx.spec.reduction with
     | Sleep -> links

@@ -29,7 +29,7 @@
     against the exact remaining budget, reproducing sequential budget
     semantics independent of scheduling.
 
-    Three reductions keep the tree tractable (DESIGN.md section 9 has
+    Three reductions keep the tree tractable (DESIGN.md section 8 has
     the soundness arguments):
 
     - {b Sleep sets} (partial-order reduction): deliveries to distinct

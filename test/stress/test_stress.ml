@@ -1,5 +1,5 @@
 (* Adversarial multicore stress: the dynamic cross-check behind the
-   domain-safety static rules (DESIGN.md §8).  CI runs this suite on
+   domain-safety static rules (DESIGN.md §7).  CI runs this suite on
    a ThreadSanitizer compiler switch (ocaml-option-tsan), where any
    unsynchronized shared access the lint missed becomes a hard
    failure; locally it doubles as a correctness test.
