@@ -227,7 +227,7 @@ let print_case c =
     c.sched_ix c.seed c.id_max
 
 let network_and_flock_agree =
-  QCheck.Test.make ~name:"network report and event journal = 1-slot flock"
+  QCheck.Test.make ~name:"network = 1-slot flock"
     ~count:150
     (QCheck.make ~print:print_case gen_case)
     (fun c ->
@@ -401,7 +401,7 @@ let () =
           Alcotest.test_case "snapshot cadence and exhaustion" `Quick
             test_snapshot_cadence_and_exhaustion;
         ] );
-      ( "network vs flock",
+      ( "differential",
         [
           QCheck_alcotest.to_alcotest network_and_flock_agree;
           Alcotest.test_case "disabled sink sees every event" `Quick
