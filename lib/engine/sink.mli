@@ -13,11 +13,12 @@
       steady-state hot path stays allocation-free under it.
     - {!memory}: records events into a {!Trace.t}, exposed via
       {!trace} — the lower-bound machinery's buffer.
-    - {!counters}: drives a {!Metrics.t}.  The graph engine tees one
-      under the user's sink; the ring engines ({!Network}, {!Flock})
-      count inline instead and call the user's sink directly, counters
-      first, so every engine keeps the same order: counters move,
-      then the sink sees the event.
+    - {!counters}: drives a {!Metrics.t} through the [Metrics.on_*]
+      updates.  The engines ({!Network}, {!Flock} and the graph
+      engine) make the same updates inline and then call the user's
+      sink directly, so every engine keeps one order: counters move,
+      then the sink sees the event.  Tests pass a [counters] sink as
+      the user sink to check the inline counting against it.
     - {!jsonl}: writes one self-describing JSON object per
       event/record — the run journal behind [--journal FILE].
 

@@ -100,7 +100,11 @@ let rec walk_step plan ~v ~id rho (api : unit Gnetwork.api) p =
               and keeps it iff no later pulse comes. *)
            api.Gnetwork.set_output Output.leader
          else begin
-           api.Gnetwork.set_output Output.non_leader;
+           (* The output is a function of rho: undecided at 0, leader at
+              [id], non-leader otherwise, so it only changes to
+              non-leader when rho reaches 1 or passes [id]. *)
+           if !rho = 1 || !rho = id + 1 then
+             api.Gnetwork.set_output Output.non_leader;
            api.Gnetwork.send out ()
          end
        end

@@ -62,15 +62,29 @@ type 'm t = {
      undo needs ([push_front]/[pop_back]). *)
   channels : 'm Envq.t array; (* by link id *)
   mailboxes : 'm Ring.t array; (* by link id of the RECEIVING endpoint *)
+  (* Tables precomputed from [topo], so the delivery path reads one
+     array cell where it would call into [Gtopology]: the receiving
+     node and port of every link, and every node's
+     [Gtopology.first_link] — node [v]'s port [p] is link (and
+     mailbox) [offsets.(v) + p]. *)
+  dst_node : int array;
+  dst_port : int array;
+  offsets : int array;
   outputs : Output.t array;
   term : bool array;
   mutable term_order_rev : int list;
+  (* The engine's own counters, written inline on the delivery path
+     (the same updates {!Sink.counters} makes through [Metrics.on_*]),
+     with the per-port stride [metrics.ports] = the maximum degree. *)
   metrics : Metrics.t;
-  (* Same sink discipline as the ring engine: the engine's own
-     [Sink.counters] teed with the caller's sink, so counting and user
-     telemetry are one emission path and E14/E18 graph runs journal
-     through the same [colring journal] validator as ring runs. *)
+  (* The caller's sink, called directly after the counters move, as in
+     the ring engine: [live] is [not (sink == Sink.null)] and guards
+     every per-event callback, so a non-null sink sees every event
+     even when it is not [enabled]; [observed] is [sink.enabled], the
+     guard for snapshots.  Graph runs therefore journal through the
+     same [colring journal] validator as ring runs. *)
   sink : Sink.t;
+  live : bool;
   observed : bool;
   mutable next_seq : int;
   mutable next_batch : int;
@@ -92,6 +106,14 @@ type 'm t = {
   undo_ok : bool;
 }
 
+(* ------------------------------------------------------------------ *)
+(* Hot path, shaped like the ring engine's (see Network): the
+   per-delivery functions below are registered in tools/lint/hot.sexp,
+   counters are inline stores, link lookups are table reads and queue
+   stamps are read in place, so the only indirect calls per delivery
+   are the scheduler's [pick], the program's [wake] and its api
+   closures. *)
+
 let mark_nonempty t link =
   if t.link_pos.(link) < 0 then begin
     t.nonempty.(t.nonempty_count) <- link;
@@ -100,7 +122,7 @@ let mark_nonempty t link =
   end
 
 let unmark_if_empty t link =
-  if Envq.is_empty t.channels.(link) then begin
+  if t.channels.(link).Envq.len = 0 then begin
     let pos = t.link_pos.(link) in
     let last = t.nonempty_count - 1 in
     let moved = t.nonempty.(last) in
@@ -110,56 +132,69 @@ let unmark_if_empty t link =
     t.nonempty_count <- last
   end
 
+let enqueue t ~link ~node ~port m =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  Envq.push t.channels.(link) m ~seq ~batch:t.next_batch ~depth:0;
+  mark_nonempty t link;
+  t.in_flight <- t.in_flight + 1;
+  if t.logging then ulog_send t.ulog link;
+  (* No global direction exists on a general graph, so every send is
+     reported [cw:false]; [Metrics.sends_cw] stays 0. *)
+  let c = t.metrics in
+  c.sends <- c.sends + 1;
+  c.sends_by_node.(node) <- c.sends_by_node.(node) + 1;
+  c.sends_by_link.(link) <- c.sends_by_link.(link) + 1;
+  if t.live then t.sink.Sink.on_send ~node ~port ~seq ~link ~cw:false
+
+let consume t ~node ~port =
+  t.backlog <- t.backlog - 1;
+  let c = t.metrics in
+  let i = (node * c.Metrics.ports) + port in
+  c.consumes <- c.consumes + 1;
+  c.consumed.(i) <- c.consumed.(i) + 1;
+  if t.live then t.sink.Sink.on_consume ~node ~port
+
 let make_api t v rng =
-  let mailbox p = t.mailboxes.(Gtopology.link_id t.topo ~node:v ~port:p) in
+  (* The node's first link id, resolved once per api: its mailboxes
+     and outgoing links are [base + p].  Ports are range-checked here
+     because [base + p] alone would reach another node's links. *)
+  let base = t.offsets.(v) in
+  let degree = Gtopology.degree t.topo v in
   let recv p =
-    let mb = mailbox p in
-    if Ring.is_empty mb then None
+    if p < 0 || p >= degree then invalid_arg "Gnetwork.recv: bad port";
+    let mb = t.mailboxes.(base + p) in
+    if mb.Ring.len = 0 then None
     else begin
       let m = Ring.pop mb in
-      t.backlog <- t.backlog - 1;
+      consume t ~node:v ~port:p;
       if t.logging then ulog_consume t.ulog p m;
-      t.sink.Sink.on_consume ~node:v ~port:p;
       Some m
     end
   in
-  let pending p = Ring.length (mailbox p) in
+  let pending p =
+    if p < 0 || p >= degree then invalid_arg "Gnetwork.pending: bad port";
+    t.mailboxes.(base + p).Ring.len
+  in
   let send p m =
     if t.term.(v) then failwith "Gnetwork: send after terminate";
-    let link = Gtopology.link_id t.topo ~node:v ~port:p in
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    Envq.push t.channels.(link) m ~seq ~batch:t.next_batch ~depth:0;
-    mark_nonempty t link;
-    t.in_flight <- t.in_flight + 1;
-    if t.logging then ulog_send t.ulog link;
-    (* No global direction exists on a general graph, so every send is
-       reported [cw:false]; [Metrics.sends_cw] stays 0. *)
-    t.sink.Sink.on_send ~node:v ~port:p ~seq ~link ~cw:false
+    if p < 0 || p >= degree then invalid_arg "Gnetwork.send: bad port";
+    enqueue t ~link:(base + p) ~node:v ~port:p m
   in
   let set_output o =
     if not (Output.equal t.outputs.(v) o) then begin
       t.outputs.(v) <- o;
-      t.sink.Sink.on_decide ~node:v ~output:o
+      if t.live then t.sink.Sink.on_decide ~node:v ~output:o
     end
   in
   let terminate () =
     if not t.term.(v) then begin
       t.term.(v) <- true;
       t.term_order_rev <- v :: t.term_order_rev;
-      t.sink.Sink.on_terminate ~node:v
+      if t.live then t.sink.Sink.on_terminate ~node:v
     end
   in
-  {
-    node = v;
-    degree = Gtopology.degree t.topo v;
-    recv;
-    pending;
-    send;
-    set_output;
-    terminate;
-    rng;
-  }
+  { node = v; degree; recv; pending; send; set_output; terminate; rng }
 
 let max_degree topo =
   let d = ref 1 in
@@ -171,14 +206,9 @@ let max_degree topo =
 let create ?(sink = Sink.null) ?(seed = 0) topo make_program =
   let n = Gtopology.n topo in
   let links = Gtopology.num_links topo in
-  let metrics =
-    Metrics.create ~ports_per_node:(max_degree topo) ~n_nodes:n ~n_links:links
-      ()
-  in
-  let user_sink = sink in
   let programs = Array.init n make_program in
   let undo_ok =
-    (not user_sink.Sink.enabled)
+    (not sink.Sink.enabled)
     && Array.for_all (fun p -> Option.is_some p.snap) programs
   in
   let t =
@@ -188,12 +218,18 @@ let create ?(sink = Sink.null) ?(seed = 0) topo make_program =
       apis = [||];
       channels = Array.init links (fun _ -> Envq.create ());
       mailboxes = Array.init links (fun _ -> Ring.create ());
+      dst_node = Array.init links (fun l -> fst (Gtopology.link_dst topo l));
+      dst_port = Array.init links (fun l -> snd (Gtopology.link_dst topo l));
+      offsets = Array.init n (Gtopology.first_link topo);
       outputs = Array.make n Output.empty;
       term = Array.make n false;
       term_order_rev = [];
-      metrics;
-      sink = Sink.tee (Sink.counters metrics) user_sink;
-      observed = user_sink.Sink.enabled;
+      metrics =
+        Metrics.create ~ports_per_node:(max_degree topo) ~n_nodes:n
+          ~n_links:links ();
+      sink;
+      live = not (sink == Sink.null);
+      observed = sink.Sink.enabled;
       next_seq = 0;
       next_batch = 0;
       in_flight = 0;
@@ -216,23 +252,32 @@ let create ?(sink = Sink.null) ?(seed = 0) topo make_program =
         };
     }
   in
+  (* Schedulers only ask about links in the non-empty set, so the head
+     stamps are read in place. *)
   t.view <-
     {
       Scheduler.nonempty = t.nonempty;
       count = 0;
-      head_seq = (fun link -> Envq.head_seq t.channels.(link));
-      head_batch = (fun link -> Envq.head_batch t.channels.(link));
+      head_seq =
+        (fun link ->
+          let q = t.channels.(link) in
+          q.Envq.meta.(3 * q.Envq.head));
+      head_batch =
+        (fun link ->
+          let q = t.channels.(link) in
+          q.Envq.meta.((3 * q.Envq.head) + 1));
       (* General graphs have no global direction; direction-biased
          schedulers degrade gracefully on [None]. *)
       travels_cw = (fun _ -> None);
-      dst_node = (fun link -> fst (Gtopology.link_dst t.topo link));
+      dst_node = (fun link -> t.dst_node.(link));
       step = 0;
     };
   let root_rng = Rng.create ~seed in
   t.apis <- Array.init n (fun v -> make_api t v (Rng.split_at root_rng v));
   for v = 0 to n - 1 do
     t.next_batch <- t.next_batch + 1;
-    t.sink.Sink.on_wake ~node:v;
+    t.metrics.Metrics.wakes <- t.metrics.Metrics.wakes + 1;
+    if t.live then t.sink.Sink.on_wake ~node:v;
     t.programs.(v).start t.apis.(v)
   done;
   t
@@ -240,24 +285,33 @@ let create ?(sink = Sink.null) ?(seed = 0) topo make_program =
 let view t =
   let v = t.view in
   v.Scheduler.count <- t.nonempty_count;
-  v.Scheduler.step <- Metrics.deliveries t.metrics;
+  v.Scheduler.step <- t.metrics.Metrics.deliveries;
   v
 
 let deliver_from t link =
   let q = t.channels.(link) in
-  let seq = Envq.head_seq q in
+  if q.Envq.len = 0 then invalid_arg "Gnetwork: delivery from an empty link";
+  let seq = q.Envq.meta.(3 * q.Envq.head) in
   let payload = Envq.pop q in
   unmark_if_empty t link;
   t.in_flight <- t.in_flight - 1;
-  let dst, dst_port = Gtopology.link_dst t.topo link in
-  if t.term.(dst) then t.sink.Sink.on_drop ~node:dst ~port:dst_port ~seq
+  let dst = t.dst_node.(link) in
+  let port = t.dst_port.(link) in
+  let c = t.metrics in
+  if t.term.(dst) then begin
+    c.post_term <- c.post_term + 1;
+    if t.live then t.sink.Sink.on_drop ~node:dst ~port ~seq
+  end
   else begin
-    t.sink.Sink.on_deliver ~node:dst ~port:dst_port ~seq;
-    Ring.push t.mailboxes.(Gtopology.link_id t.topo ~node:dst ~port:dst_port)
-      payload;
+    let i = (dst * c.Metrics.ports) + port in
+    c.deliveries <- c.deliveries + 1;
+    c.delivered.(i) <- c.delivered.(i) + 1;
+    if t.live then t.sink.Sink.on_deliver ~node:dst ~port ~seq;
+    Ring.push t.mailboxes.(t.offsets.(dst) + port) payload;
     t.backlog <- t.backlog + 1;
     t.next_batch <- t.next_batch + 1;
-    t.sink.Sink.on_wake ~node:dst;
+    c.wakes <- c.wakes + 1;
+    if t.live then t.sink.Sink.on_wake ~node:dst;
     t.programs.(dst).wake t.apis.(dst)
   end
 
@@ -306,7 +360,7 @@ let force_step_undo t ~link =
   let u_seq = Envq.head_seq q in
   let u_batch = Envq.head_batch q in
   let u_payload = Envq.peek q in
-  let dst, dst_port = Gtopology.link_dst t.topo link in
+  let dst = t.dst_node.(link) in
   let dropped = t.term.(dst) in
   let u_snap =
     if dropped then [||]
@@ -330,7 +384,7 @@ let force_step_undo t ~link =
     u_seq;
     u_batch;
     u_dst = dst;
-    u_dst_port = dst_port;
+    u_dst_port = t.dst_port.(link);
     u_dropped = dropped;
     u_prev_output;
     u_became_term = (not dropped) && t.term.(dst);
@@ -356,14 +410,12 @@ let undo_step t u =
     for i = Array.length u.u_consumed_ports - 1 downto 0 do
       let p = u.u_consumed_ports.(i) in
       Ring.push_front
-        t.mailboxes.(Gtopology.link_id t.topo ~node:dst ~port:p)
+        t.mailboxes.(t.offsets.(dst) + p)
         u.u_consumed_payloads.(i);
       t.backlog <- t.backlog + 1;
       Metrics.undo_consume t.metrics ~node:dst ~port_index:p
     done;
-    ignore
-      (Ring.pop_back
-         t.mailboxes.(Gtopology.link_id t.topo ~node:dst ~port:u.u_dst_port));
+    ignore (Ring.pop_back t.mailboxes.(t.offsets.(dst) + u.u_dst_port));
     t.backlog <- t.backlog - 1;
     Metrics.undo_deliver t.metrics ~node:dst ~port_index:u.u_dst_port;
     Metrics.undo_wake t.metrics;
@@ -419,27 +471,28 @@ let mailbox_backlog t = t.backlog
 let is_quiescent t = t.in_flight = 0 && t.backlog = 0
 
 let run ?(max_deliveries = 50_000_000) ?(snapshot_every = 0) ?probe t sched =
+  let c = t.metrics in
   let exhausted = ref false in
   let continue = ref true in
   while !continue do
-    if Metrics.deliveries t.metrics >= max_deliveries then begin
+    if c.Metrics.deliveries >= max_deliveries then begin
       exhausted := true;
       continue := false
     end
     else if not (step t sched) then continue := false
     else begin
       (if snapshot_every > 0 && t.observed then
-         let d = Metrics.deliveries t.metrics in
+         let d = c.Metrics.deliveries in
          if d mod snapshot_every = 0 then
-           t.sink.Sink.on_snapshot ~step:d (Metrics.to_assoc t.metrics));
+           t.sink.Sink.on_snapshot ~step:d (Metrics.to_assoc c));
       match probe with
       | None -> ()
-      | Some f -> f ~step:(Metrics.deliveries t.metrics)
+      | Some f -> f ~step:c.Metrics.deliveries
     end
   done;
   {
-    sends = Metrics.sends t.metrics;
-    deliveries = Metrics.deliveries t.metrics;
+    sends = c.Metrics.sends;
+    deliveries = c.Metrics.deliveries;
     quiescent = is_quiescent t;
     all_terminated = all_terminated t;
     exhausted = !exhausted;

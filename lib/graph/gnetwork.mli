@@ -28,6 +28,9 @@ type 'm api = {
   terminate : unit -> unit;
   rng : Colring_stats.Rng.t;
 }
+(** A node's handle on the network.  [recv], [pending] and [send] take
+    a local port in [0, degree) and raise [Invalid_argument] (naming
+    [Gnetwork]) on any other. *)
 
 type 'm program = {
   start : 'm api -> unit;
@@ -45,13 +48,15 @@ val create :
   (int -> 'm program) ->
   'm t
 (** [sink] observes every event of the run (default
-    {!Colring_engine.Sink.null}); the engine tees its own counters under
-    it, so {!metrics} moves before the sink sees each event, in the
-    same order as the ring engine.  Ports reach the sink as this engine's
-    native integer port numbers; [cw] is always [false] (no global
-    direction exists).  {!Colring_engine.Sink.memory} is ring-only —
-    it raises on port indices above 1 — so use jsonl or custom sinks
-    here. *)
+    {!Colring_engine.Sink.null}).  The engine counts into its own
+    {!metrics} inline and then calls [sink] directly, so the counters
+    move before the sink sees each event, in the same order as the ring
+    engine; any sink other than {!Colring_engine.Sink.null} sees every
+    event, even one whose [enabled] is [false].  Ports reach the sink
+    as this engine's native integer port numbers; [cw] is always
+    [false] (no global direction exists).
+    {!Colring_engine.Sink.memory} is ring-only — it raises on port
+    indices above 1 — so use jsonl or custom sinks here. *)
 
 type run_result = Colring_engine.Engine_intf.run_result = {
   sends : int;

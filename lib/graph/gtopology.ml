@@ -18,6 +18,8 @@ let link_id t ~node ~port =
     invalid_arg "Gtopology.link_id: bad port";
   t.offsets.(node) + port
 
+let first_link t v = t.offsets.(v)
+
 let link_src t id =
   (* Binary search over offsets. *)
   let rec go lo hi =

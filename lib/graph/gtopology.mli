@@ -46,6 +46,13 @@ val num_links : t -> int
 (** Directed links = 2 × #edges. *)
 
 val link_id : t -> node:int -> port:int -> int
+
+val first_link : t -> int -> int
+(** The links leaving a node are numbered consecutively:
+    [link_id t ~node:v ~port:p = first_link t v + p] for every port
+    [0 <= p < degree t v].  Engines precompute this to resolve a
+    port without the range check of {!link_id}. *)
+
 val link_src : t -> int -> int * int
 val link_dst : t -> int -> int * int
 val peer : t -> node:int -> port:int -> int * int

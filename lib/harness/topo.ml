@@ -29,20 +29,29 @@ let parse s =
     | None -> err "--topology %s: %s %S is not an integer" s name v
   in
   let ( let* ) = Result.bind in
+  (* The cap of a batch spec line's n ({!Batch.max_n}): past it no
+     election fits the engines' default delivery budget, and building
+     the graph alone can take minutes and gigabytes. *)
+  let size_field name v =
+    let* n = int_field name v in
+    if n > Batch.max_n then
+      err "--topology %s: %s must be <= %d, got %d" s name Batch.max_n n
+    else Ok n
+  in
   match String.split_on_char ':' s with
   | [ "ring" ] -> Ok (Ring None)
   | [ "ring"; n ] ->
-      let* n = int_field "ring size" n in
+      let* n = size_field "ring size" n in
       if n >= 2 then Ok (Ring (Some n))
       else err "--topology %s: ring size must be at least 2" s
   | [ "theta"; n ] ->
-      let* n = int_field "node count" n in
+      let* n = size_field "node count" n in
       if n >= 4 then Ok (Theta n)
       else err "--topology %s: a theta graph needs at least 4 nodes" s
   | [ "k4" ] -> Ok K4
   | [ "bowtie" ] | [ "two-ear" ] -> Ok Bowtie
   | [ "random2ec"; n; seed ] ->
-      let* n = int_field "node count" n in
+      let* n = size_field "node count" n in
       let* seed = int_field "seed" seed in
       if n >= 4 then Ok (Random2ec { n; seed })
       else err "--topology %s: random2ec needs at least 4 nodes" s

@@ -20,8 +20,8 @@ type t =
 
 val parse : string -> (t, string) result
 (** Accepts [ring], [ring:N], [theta:N], [k4], [bowtie] (alias
-    [two-ear]), [random2ec:N:SEED]; errors name the flag and the
-    offending field. *)
+    [two-ear]), [random2ec:N:SEED], with [N] at most
+    {!Batch.max_n}; errors name the flag and the offending field. *)
 
 val to_string : t -> string
 (** Round-trips with {!parse}. *)

@@ -378,6 +378,174 @@ let test_gnetwork_per_node_rng () =
   ignore (Gnetwork.run net Scheduler.fifo);
   checki "distinct streams" 4 (List.length (List.sort_uniq compare !seen))
 
+(* The engine counts inline and hands the user's sink the same events,
+   so a [Sink.counters] passed as the user sink must end the run with
+   exactly the engine's own counters — the oracle for the inline
+   counting path. *)
+
+module Topo = Colring_harness.Topo
+
+type count_case = {
+  topo : Topo.t;
+  sched_ix : int; (* 0 = random, else a deterministic scheduler *)
+  seed : int;
+  spread : int;
+}
+
+let n_deterministic = List.length (Scheduler.all_deterministic ())
+
+let gen_count_case =
+  QCheck.Gen.(
+    let* n = int_range 4 24 in
+    let* seed = int_bound 100_000 in
+    let* topo =
+      oneofl
+        [ Topo.Theta n; Topo.K4; Topo.Bowtie; Topo.Random2ec { n; seed } ]
+    in
+    let* sched_ix = int_bound n_deterministic in
+    let* spread = int_bound 32 in
+    return { topo; sched_ix; seed; spread })
+
+let print_count_case c =
+  Printf.sprintf "%s sched=%d seed=%d spread=%d" (Topo.to_string c.topo)
+    c.sched_ix c.seed c.spread
+
+let first_mismatch ~what ~range a b =
+  let rec go i =
+    if i >= range then None
+    else if a i <> b i then
+      Some (Printf.sprintf "%s %d: engine %d, sink %d" what i (a i) (b i))
+    else go (i + 1)
+  in
+  go 0
+
+let prop_counting_split =
+  QCheck.Test.make ~name:"counters = user Sink.counters" ~count:120
+    (QCheck.make ~print:print_count_case gen_count_case)
+    (fun c ->
+      let g = Topo.materialize ~default_n:8 c.topo in
+      let n = Gtopology.n g in
+      let ports =
+        Array.fold_left max 1 (Array.init n (Gtopology.degree g))
+      in
+      let links = Gtopology.num_links g in
+      let ids =
+        Ids.distinct (Rng.create ~seed:c.seed) ~n ~id_max:(n + c.spread)
+      in
+      let sched =
+        if c.sched_ix = 0 then Scheduler.random (Rng.create ~seed:c.seed)
+        else List.nth (Scheduler.all_deterministic ()) (c.sched_ix - 1)
+      in
+      let m' =
+        Metrics.create ~ports_per_node:ports ~n_nodes:n ~n_links:links ()
+      in
+      let r, net =
+        Gelection.run ~seed:c.seed ~sink:(Sink.counters m') (Gelection.plan g)
+          ~ids ~sched
+      in
+      let m = Gnetwork.metrics net in
+      let port_counter f i = f ~node:(i / ports) ~port_index:(i mod ports) in
+      let mismatch =
+        List.find_map Fun.id
+          [
+            (if Metrics.to_assoc m = Metrics.to_assoc m' then None
+             else Some "to_assoc");
+            first_mismatch ~what:"sends_by node" ~range:n
+              (fun v -> Metrics.sends_by m ~node:v)
+              (fun v -> Metrics.sends_by m' ~node:v);
+            first_mismatch ~what:"sends_on_link" ~range:links
+              (fun l -> Metrics.sends_on_link m ~link:l)
+              (fun l -> Metrics.sends_on_link m' ~link:l);
+            first_mismatch ~what:"delivered_to slot" ~range:(n * ports)
+              (port_counter (Metrics.delivered_to m))
+              (port_counter (Metrics.delivered_to m'));
+            first_mismatch ~what:"consumed_by slot" ~range:(n * ports)
+              (port_counter (Metrics.consumed_by m))
+              (port_counter (Metrics.consumed_by m'));
+          ]
+      in
+      match mismatch with
+      | Some what -> QCheck.Test.fail_reportf "counters differ: %s" what
+      | None -> Gelection.ok r && Metrics.deliveries m > 0)
+
+(* A sink that is not [Sink.null] but reports [enabled = false] is
+   still a consumer: the engine must hand it every event (only
+   allocating records such as snapshots are gated on [enabled]). *)
+let test_disabled_sink_sees_every_event () =
+  let g = Gtopology.theta 2 3 4 in
+  let n = Gtopology.n g in
+  let ids = Ids.distinct (Rng.create ~seed:5) ~n ~id_max:(2 * n) in
+  let sends = ref 0 and delivers = ref 0 and consumes = ref 0
+  and wakes = ref 0 and decides = ref 0 in
+  let sink =
+    {
+      Sink.null with
+      name = "disabled-counter";
+      on_send = (fun ~node:_ ~port:_ ~seq:_ ~link:_ ~cw:_ -> incr sends);
+      on_deliver = (fun ~node:_ ~port:_ ~seq:_ -> incr delivers);
+      on_consume = (fun ~node:_ ~port:_ -> incr consumes);
+      on_wake = (fun ~node:_ -> incr wakes);
+      on_decide = (fun ~node:_ ~output:_ -> incr decides);
+    }
+  in
+  checkb "sink is disabled" false sink.Sink.enabled;
+  let r, net =
+    Gelection.run ~sink (Gelection.plan g) ~ids
+      ~sched:(Scheduler.random (Rng.create ~seed:5))
+  in
+  checkb "election ok" true (Gelection.ok r);
+  let m = Gnetwork.metrics net in
+  Alcotest.(check (list int))
+    "sends, deliveries, consumes, wakes"
+    [
+      Metrics.sends m;
+      Metrics.deliveries m;
+      Metrics.consumes m;
+      Metrics.wakes m;
+    ]
+    [ !sends; !delivers; !consumes; !wakes ];
+  (* Every node leaves [Undecided] once and the leader-to-be claims
+     leadership at least once. *)
+  checkb "decisions seen" true (!decides > n)
+
+(* Ports are range-checked by the api closures themselves: a port
+   outside [0, degree) raises [Invalid_argument] naming the engine and
+   leaves no trace in the network. *)
+let test_gnetwork_bad_port () =
+  let g = Gtopology.theta 1 1 1 in
+  let errors = ref [] in
+  let attempt f =
+    match f () with
+    | () -> errors := "no exception" :: !errors
+    | exception Invalid_argument msg -> errors := msg :: !errors
+  in
+  let net =
+    Gnetwork.create g (fun v ->
+        {
+          Gnetwork.snap = None;
+          start =
+            (fun api ->
+              if v = 0 then
+                List.iter
+                  (fun p ->
+                    attempt (fun () -> api.send p ());
+                    attempt (fun () -> ignore (api.recv p));
+                    attempt (fun () -> ignore (api.pending p)))
+                  [ -1; api.degree; max_int; min_int ]);
+          wake = (fun _ -> ());
+          inspect = (fun () -> []);
+        })
+  in
+  checki "every bad port rejected" 12 (List.length !errors);
+  List.iter
+    (fun msg ->
+      checkb (msg ^ " names Gnetwork") true
+        (String.starts_with ~prefix:"Gnetwork" msg))
+    !errors;
+  checki "nothing sent" 0 (Gnetwork.sends net);
+  checki "nothing in flight" 0 (Gnetwork.in_flight net);
+  checki "nothing consumed" 0 (Metrics.consumes (Gnetwork.metrics net))
+
 (* ------------------------------------------------------------------ *)
 (* Cross-validation: the ring algorithms on the graph simulator *)
 
@@ -551,6 +719,10 @@ let () =
         [
           Alcotest.test_case "fifo and drop" `Quick test_gnetwork_fifo_and_drop;
           Alcotest.test_case "per-node rng" `Quick test_gnetwork_per_node_rng;
+          Alcotest.test_case "bad ports rejected" `Quick test_gnetwork_bad_port;
+          QCheck_alcotest.to_alcotest prop_counting_split;
+          Alcotest.test_case "disabled sink sees every event" `Quick
+            test_disabled_sink_sees_every_event;
         ] );
       ( "cross-validation",
         [

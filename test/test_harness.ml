@@ -226,6 +226,33 @@ let test_topo_parse_round_trip () =
         | Ok _ -> false))
     [ "ring:1"; "theta:3"; "theta"; "random2ec:12"; "random2ec:3:5"; "k5"; "" ]
 
+(* Node counts are capped at the batch spec line's cap: past it a
+   topology would take minutes to build and could never finish its
+   election within the default budget. *)
+let test_topo_size_cap () =
+  let cap = Batch.max_n in
+  List.iter
+    (fun (s, field) ->
+      match Topo.parse s with
+      | Error msg ->
+          checkb (s ^ " error names the field") true (contains_sub msg field);
+          checkb (s ^ " error names the cap") true
+            (contains_sub msg (Printf.sprintf "must be <= %d" cap))
+      | Ok _ -> Alcotest.failf "%s accepted" s)
+    [
+      (Printf.sprintf "ring:%d" (cap + 1), "ring size");
+      ("theta:99999999", "node count");
+      ("random2ec:100000000:1", "node count");
+      (Printf.sprintf "theta:%d" max_int, "node count");
+    ];
+  List.iter
+    (fun s -> checkb (s ^ " accepted") true (Result.is_ok (Topo.parse s)))
+    [
+      Printf.sprintf "ring:%d" cap;
+      Printf.sprintf "theta:%d" cap;
+      Printf.sprintf "random2ec:%d:1" cap;
+    ]
+
 let test_topo_materialize () =
   let module G = Colring_graph.Gtopology in
   List.iter
@@ -284,6 +311,7 @@ let cli_tests =
     Alcotest.test_case "jobs default" `Quick test_cli_jobs_default;
     Alcotest.test_case "topology grammar" `Quick test_topo_parse_round_trip;
     Alcotest.test_case "topology materializer" `Quick test_topo_materialize;
+    Alcotest.test_case "topology size cap" `Quick test_topo_size_cap;
   ]
 
 let () =
