@@ -744,7 +744,7 @@ let spec_file_arg =
     & pos 0 string "-"
     & info [] ~docv:"SPEC"
         ~doc:
-          "Job spec file: one $(b,algo n seed \\[id_max\\]) line per \
+          "Job spec file: one $(b,algo n seed [id_max]) line per \
            election ($(b,#) comments). $(b,-) reads standard input.")
 
 let read_spec_file path =
@@ -935,7 +935,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Job server: read spec lines ($(b,algo n seed \\[id_max\\])) from \
+         "Job server: read spec lines ($(b,algo n seed [id_max])) from \
           standard input, run each election on a warm flock, answer one \
           result line per job.")
     Term.(const serve $ sched_arg $ slots_arg $ journal_arg)
@@ -1000,6 +1000,10 @@ let k_arg =
     & info [ "k" ] ~docv:"K" ~doc:"Number of assignable IDs (1..K).")
 
 let adversary n k =
+  let k =
+    Harness.Cli.exit_or ~cmd:"colring adversary"
+      (Harness.Cli.id_space ~flag:"-k" ~n k)
+  in
   let r = LB.Adversary.replay ~k ~n (fun ~id -> Algo2.program ~id) in
   Printf.printf
     "Theorem 20 adversary against Algorithm 2, k=%d assignable IDs, n=%d:\n"
@@ -1159,12 +1163,22 @@ let check_gspec n seed id_max ~ids_str jobs max_states journal
     ~ids_str ~n ~seed ~id_max ~jobs ~journal
     (GSpec.Gmc.check ~jobs ~max_states spec)
 
+(* Sleep sets are int masks: refuse a topology past the checker's
+   link limit up front, naming the flag that sized it. *)
+let within_link_budget ~flag ~value links =
+  ignore
+    (Harness.Cli.exit_or ~cmd:"colring check"
+       (Harness.Cli.link_budget ~flag ~value ~max:Mc.max_links links))
+
 let check n seed id_max target jobs max_states journal topology =
   let jobs = resolve_jobs jobs in
   if not (Harness.Topo.is_ring topology) then begin
     (* A non-ring topology: exhaustively verify the walk election on
        the materialized graph (distinct seeded ids, like elect). *)
     let g = Harness.Topo.materialize ~default_n:n topology in
+    within_link_budget ~flag:"--topology"
+      ~value:(Harness.Topo.to_string topology)
+      (Colring_graph.Gnetwork.num_links g);
     let gn = Colring_graph.Gtopology.n g in
     let id_max = Option.value ~default:gn id_max in
     let ids = Ids.distinct (Rng.create ~seed) ~n:gn ~id_max in
@@ -1188,6 +1202,13 @@ let check n seed id_max target jobs max_states journal topology =
       (GSpec.of_target target)
   else begin
     let n = Harness.Topo.node_count ~default_n:n topology in
+    let flag, value =
+      match topology with
+      | Harness.Topo.Ring (Some _) ->
+          ("--topology", Harness.Topo.to_string topology)
+      | _ -> ("-n", string_of_int n)
+    in
+    within_link_budget ~flag ~value (Network.num_links (Topology.oriented n));
     let id_max = Option.value ~default:n id_max in
     let ids = Ids.distinct (Rng.create ~seed) ~n ~id_max in
     match McSpec.of_target target ~ids ~topo_seed:(seed + 1) with

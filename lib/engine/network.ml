@@ -1,5 +1,7 @@
 module Rng = Colring_stats.Rng
 
+type topology = Topology.t
+
 type 'm api = {
   node : int;
   recv : Port.t -> 'm option;
@@ -26,6 +28,34 @@ let silent_program =
     inspect = (fun () -> []);
     snap = Some { Engine_intf.save = (fun () -> [||]); load = (fun _ -> ()) };
   }
+
+module Graph = struct
+  type 'm api = {
+    node : int;
+    degree : int;
+    recv : int -> 'm option;
+    pending : int -> int;
+    send : int -> 'm -> unit;
+    set_output : Output.t -> unit;
+    terminate : unit -> unit;
+    rng : Rng.t;
+  }
+
+  type 'm program = {
+    start : 'm api -> unit;
+    wake : 'm api -> unit;
+    inspect : unit -> (string * int) list;
+    snap : Engine_intf.snapshot option;
+  }
+end
+
+(* What the engine keeps of a node program, whichever api it sees. *)
+type 'a prog = {
+  p_start : 'a -> unit;
+  p_wake : 'a -> unit;
+  p_inspect : unit -> (string * int) list;
+  p_snap : Engine_intf.snapshot option;
+}
 
 (* Per-step journal scratch for [force_step_undo]: the wake's consumed
    pulses (port + payload) and sent links, in order.  One per network,
@@ -60,22 +90,32 @@ let ulog_consume g port m =
   g.cpayloads.(g.clen) <- m;
   g.clen <- g.clen + 1
 
-type 'm t = {
-  topo : Topology.t;
-  programs : 'm program array;
-  mutable apis : 'm api array;
+(* One engine for rings and graphs alike.  ['api] is the record the
+   node programs see (ring {!api} or {!Graph.api}) and ['topo] the
+   topology the caller passed in; the engine itself only reads the
+   flat link tables [create] derives from it. *)
+type ('m, 'api, 'topo) core = {
+  topo : 'topo;
+  programs : 'api prog array;
+  mutable apis : 'api array;
   channels : 'm Envq.t array; (* by link id *)
-  mailboxes : 'm Ring.t array; (* node * 2 + port *)
-  (* Per-link tables precomputed from [topo], so the delivery path
-     reads one array cell where it would call into [Topology]. *)
+  (* Node [v]'s port [p] sends on link [first_link.(v) + p] and reads
+     mailbox [first_link.(v) + p] (on a ring, [2v + p]). *)
+  mailboxes : 'm Ring.t array;
+  (* Per-link tables: the receiving node and port, and the direction
+     ([Some cw] on a ring, [None] on a graph, which has no global
+     direction); per-node tables: first link id and degree. *)
   dst_node : int array;
-  dst_port : int array; (* port index at the destination *)
-  cw : bool array;
+  dst_port : int array;
+  dir : bool option array;
+  first_link : int array;
+  degree : int array;
   outputs : Output.t array;
   term : bool array;
   mutable term_order_rev : int list;
   (* The engine's own counters, written inline on the delivery path
-     (the same updates {!Sink.counters} makes through [Metrics.on_*]). *)
+     (the same updates {!Sink.counters} makes through [Metrics.on_*]);
+     the per-port stride [metrics.ports] is the maximum degree. *)
   metrics : Metrics.t;
   (* The caller's sink, called directly after the counters move.
      [live] is [not (sink == Sink.null)]: every per-event callback
@@ -117,16 +157,20 @@ type 'm t = {
   undo_ok : bool;
 }
 
+type 'm t = ('m, 'm api, Topology.t) core
+
 (* ------------------------------------------------------------------ *)
 (* Hot path: the per-delivery functions below are registered in
    tools/lint/hot.sexp.  Dune's dev profile compiles with [-opaque],
    so no call into another module is ever inlined; the only indirect
    calls left per delivery are the scheduler's [pick], the program's
    [wake] and its api closures — counters are inline stores, link
-   lookups are table reads, and queue stamps are read in place. *)
+   lookups are table reads, and queue stamps are read in place.  The
+   api constructors live here for the same reason: their closures
+   reach [enqueue] and [take] as calls within this module. *)
 
 let port_index p = match p with Port.P0 -> 0 | Port.P1 -> 1
-let slot v p = (v * 2) + port_index p
+let is_cw t link = match t.dir.(link) with Some cw -> cw | None -> false
 
 let mark_nonempty t link =
   if t.link_pos.(link) < 0 then begin
@@ -159,7 +203,7 @@ let enqueue t ~link ~node ~port m =
     ~depth:(t.local_clock.(node) + 1);
   t.in_flight <- t.in_flight + 1;
   let c = t.metrics in
-  let cw = t.cw.(link) in
+  let cw = is_cw t link in
   c.sends <- c.sends + 1;
   if cw then c.sends_cw <- c.sends_cw + 1;
   c.sends_by_node.(node) <- c.sends_by_node.(node) + 1;
@@ -167,41 +211,48 @@ let enqueue t ~link ~node ~port m =
   if t.logging then ulog_send t.ulog link;
   if t.live then t.sink.Sink.on_send ~node ~port ~seq ~link ~cw
 
-(* The wake's side of a mailbox read: [i] is the mailbox slot
-   ([node * 2 + port]), which is also the counter index. *)
-let consume t ~node ~port i =
+(* The wake's side of a mailbox read: pop the oldest entry of [mb]
+   (node [node]'s mailbox at [port], known non-empty), count it and
+   journal it for undo. *)
+let take t ~node ~port mb =
+  let m = Ring.pop mb in
   t.mailbox_backlog <- t.mailbox_backlog - 1;
   let c = t.metrics in
+  let i = (node * c.Metrics.ports) + port in
   c.consumes <- c.consumes + 1;
   c.consumed.(i) <- c.consumed.(i) + 1;
-  if t.live then t.sink.Sink.on_consume ~node ~port
+  if t.live then t.sink.Sink.on_consume ~node ~port;
+  if t.logging then ulog_consume t.ulog port m;
+  m
 
-let make_api t v rng =
-  (* Mailboxes, their slots and the outgoing link ids, resolved once
-     per api instead of per call. *)
-  let i0 = v * 2 in
-  let mb0 = t.mailboxes.(i0) and mb1 = t.mailboxes.(i0 + 1) in
-  let l0 = Topology.link_id t.topo v Port.P0 in
-  let l1 = Topology.link_id t.topo v Port.P1 in
+let decide t v o =
+  if not (Output.equal t.outputs.(v) o) then begin
+    t.outputs.(v) <- o;
+    if t.live then t.sink.Sink.on_decide ~node:v ~output:o
+  end
+
+let halt t v =
+  if not t.term.(v) then begin
+    t.term.(v) <- true;
+    t.term_order_rev <- v :: t.term_order_rev;
+    if t.live then t.sink.Sink.on_terminate ~node:v
+  end
+
+let ring_api t v rng =
+  (* Mailboxes and outgoing link ids, resolved once per api instead of
+     per call. *)
+  let l0 = t.first_link.(v) in
+  let mb0 = t.mailboxes.(l0) and mb1 = t.mailboxes.(l0 + 1) in
   let recv p =
     let mb = match p with Port.P0 -> mb0 | Port.P1 -> mb1 in
     if mb.Ring.len = 0 then None
-    else begin
-      let m = Ring.pop mb in
-      let pi = port_index p in
-      consume t ~node:v ~port:pi (i0 + pi);
-      if t.logging then ulog_consume t.ulog pi m;
-      Some m
-    end
+    else Some (take t ~node:v ~port:(port_index p) mb)
   in
   let recv_pulse p =
     let mb = match p with Port.P0 -> mb0 | Port.P1 -> mb1 in
     if mb.Ring.len = 0 then false
     else begin
-      let m = Ring.pop mb in
-      let pi = port_index p in
-      consume t ~node:v ~port:pi (i0 + pi);
-      if t.logging then ulog_consume t.ulog pi m;
+      ignore (take t ~node:v ~port:(port_index p) mb);
       true
     end
   in
@@ -214,48 +265,62 @@ let make_api t v rng =
     if t.term.(v) then failwith "Network: send after terminate";
     match p with
     | Port.P0 -> enqueue t ~link:l0 ~node:v ~port:0 m
-    | Port.P1 -> enqueue t ~link:l1 ~node:v ~port:1 m
+    | Port.P1 -> enqueue t ~link:(l0 + 1) ~node:v ~port:1 m
   in
-  let set_output o =
-    if not (Output.equal t.outputs.(v) o) then begin
-      t.outputs.(v) <- o;
-      if t.live then t.sink.Sink.on_decide ~node:v ~output:o
-    end
-  in
-  let terminate () =
-    if not t.term.(v) then begin
-      t.term.(v) <- true;
-      t.term_order_rev <- v :: t.term_order_rev;
-      if t.live then t.sink.Sink.on_terminate ~node:v
-    end
-  in
+  let set_output o = decide t v o in
+  let terminate () = halt t v in
   { node = v; recv; recv_pulse; peek; pending; send; set_output; terminate; rng }
 
-let create ?(sink = Sink.null) ?(seed = 0) topo make_program =
-  Topology.check topo;
-  let n = Topology.n topo in
-  let num_links = Topology.num_links topo in
-  let programs = Array.init n make_program in
+let graph_api t v rng =
+  (* Ports are range-checked because [base + p] alone would reach
+     another node's links. *)
+  let base = t.first_link.(v) in
+  let degree = t.degree.(v) in
+  let recv p =
+    if p < 0 || p >= degree then invalid_arg "Gnetwork.recv: bad port";
+    let mb = t.mailboxes.(base + p) in
+    if mb.Ring.len = 0 then None else Some (take t ~node:v ~port:p mb)
+  in
+  let pending p =
+    if p < 0 || p >= degree then invalid_arg "Gnetwork.pending: bad port";
+    t.mailboxes.(base + p).Ring.len
+  in
+  let send p m =
+    if t.term.(v) then failwith "Gnetwork: send after terminate";
+    if p < 0 || p >= degree then invalid_arg "Gnetwork.send: bad port";
+    enqueue t ~link:(base + p) ~node:v ~port:p m
+  in
+  let set_output o = decide t v o in
+  let terminate () = halt t v in
+  { Graph.node = v; degree; recv; pending; send; set_output; terminate; rng }
+
+let make ?(sink = Sink.null) ?(seed = 0) ~api topo ~dst_node ~dst_port ~dir
+    ~first_link ~degree programs =
+  let n = Array.length first_link in
+  let links = Array.length dst_node in
   let undo_ok =
     (not sink.Sink.enabled)
-    && Array.for_all (fun p -> Option.is_some p.snap) programs
+    && Array.for_all (fun p -> Option.is_some p.p_snap) programs
   in
   let t =
     {
       topo;
       programs;
       apis = [||];
-      channels = Array.init num_links (fun _ -> Envq.create ());
-      mailboxes = Array.init (n * 2) (fun _ -> Ring.create ());
-      dst_node = Array.init num_links (fun l -> fst (Topology.link_dst topo l));
-      dst_port =
-        Array.init num_links (fun l ->
-            Port.index (snd (Topology.link_dst topo l)));
-      cw = Array.init num_links (Topology.link_travels_cw topo);
+      channels = Array.init links (fun _ -> Envq.create ());
+      mailboxes = Array.init links (fun _ -> Ring.create ());
+      dst_node;
+      dst_port;
+      dir;
+      first_link;
+      degree;
       outputs = Array.make n Output.empty;
       term = Array.make n false;
       term_order_rev = [];
-      metrics = Metrics.create ~n_nodes:n ~n_links:num_links ();
+      metrics =
+        Metrics.create
+          ~ports_per_node:(Array.fold_left max 1 degree)
+          ~n_nodes:n ~n_links:links ();
       sink;
       live = not (sink == Sink.null);
       observed = sink.Sink.enabled;
@@ -265,8 +330,8 @@ let create ?(sink = Sink.null) ?(seed = 0) topo make_program =
       mailbox_backlog = 0;
       local_clock = Array.make n 0;
       causal_span = 0;
-      nonempty = Array.make num_links 0;
-      link_pos = Array.make num_links (-1);
+      nonempty = Array.make links 0;
+      link_pos = Array.make links (-1);
       nonempty_count = 0;
       ulog = ulog_create ();
       logging = false;
@@ -299,22 +364,52 @@ let create ?(sink = Sink.null) ?(seed = 0) topo make_program =
         (fun link ->
           let q = t.channels.(link) in
           q.Envq.meta.((3 * q.Envq.head) + 1));
-      travels_cw =
-        (* Static [Some] constants: the per-pick closure must not
-           allocate. *)
-        (fun link -> if t.cw.(link) then Some true else Some false);
+      travels_cw = (fun link -> t.dir.(link));
       dst_node = (fun link -> t.dst_node.(link));
       step = 0;
     };
   let root_rng = Rng.create ~seed in
-  t.apis <- Array.init n (fun v -> make_api t v (Rng.split_at root_rng v));
+  t.apis <- Array.init n (fun v -> api t v (Rng.split_at root_rng v));
   for v = 0 to n - 1 do
     t.next_batch <- t.next_batch + 1;
     t.metrics.Metrics.wakes <- t.metrics.Metrics.wakes + 1;
     if t.live then t.sink.Sink.on_wake ~node:v;
-    t.programs.(v).start t.apis.(v)
+    t.programs.(v).p_start t.apis.(v)
   done;
   t
+
+let create ?sink ?seed topo make_program =
+  Topology.check topo;
+  let n = Topology.n topo in
+  let links = Topology.num_links topo in
+  let dst f = Array.init links (fun l -> f (Topology.link_dst topo l)) in
+  make ?sink ?seed ~api:ring_api topo ~dst_node:(dst fst)
+    ~dst_port:(dst (fun (_, p) -> Port.index p))
+    ~dir:(Array.init links (fun l -> Some (Topology.link_travels_cw topo l)))
+    ~first_link:(Array.init n (fun v -> Topology.link_id topo v Port.P0))
+    ~degree:(Array.make n 2)
+    (Array.init n (fun v ->
+         let p = make_program v in
+         {
+           p_start = p.start;
+           p_wake = p.wake;
+           p_inspect = p.inspect;
+           p_snap = p.snap;
+         }))
+
+let create_graph ?sink ?seed topo ~dst_node ~dst_port ~first_link ~degree
+    make_program =
+  make ?sink ?seed ~api:graph_api topo ~dst_node ~dst_port
+    ~dir:(Array.make (Array.length dst_node) None)
+    ~first_link ~degree
+    (Array.init (Array.length first_link) (fun v ->
+         let p : _ Graph.program = make_program v in
+         {
+           p_start = p.start;
+           p_wake = p.wake;
+           p_inspect = p.inspect;
+           p_snap = p.snap;
+         }))
 
 let view t =
   let v = t.view in
@@ -341,38 +436,19 @@ let deliver_from t link =
     if t.live then t.sink.Sink.on_drop ~node:dst ~port ~seq
   end
   else begin
-    let i = (dst * 2) + port in
+    let i = (dst * c.Metrics.ports) + port in
     c.deliveries <- c.deliveries + 1;
     c.delivered.(i) <- c.delivered.(i) + 1;
     if t.live then t.sink.Sink.on_deliver ~node:dst ~port ~seq;
-    Ring.push t.mailboxes.(i) payload;
+    Ring.push t.mailboxes.(t.first_link.(dst) + port) payload;
     t.mailbox_backlog <- t.mailbox_backlog + 1;
     if depth > t.local_clock.(dst) then t.local_clock.(dst) <- depth;
     if depth > t.causal_span then t.causal_span <- depth;
     t.next_batch <- t.next_batch + 1;
     c.wakes <- c.wakes + 1;
     if t.live then t.sink.Sink.on_wake ~node:dst;
-    t.programs.(dst).wake t.apis.(dst)
+    t.programs.(dst).p_wake t.apis.(dst)
   end
-
-let step t (sched : Scheduler.t) =
-  if t.in_flight = 0 then false
-  else begin
-    deliver_from t (sched.pick (view t));
-    true
-  end
-
-let active_links t =
-  let acc = ref [] in
-  for link = Array.length t.channels - 1 downto 0 do
-    if not (Envq.is_empty t.channels.(link)) then acc := link :: !acc
-  done;
-  !acc
-
-let force_step t ~link =
-  if Envq.is_empty t.channels.(link) then
-    invalid_arg "Network.force_step: empty link";
-  deliver_from t link
 
 (* ------------------------------------------------------------------ *)
 (* Incremental undo (Engine_intf.NETWORK contract).  One record per
@@ -403,130 +479,6 @@ type 'm undo = {
   u_sent_links : int array;
 }
 
-let undo_capable t = t.undo_ok
-
-let force_step_undo t ~link =
-  if Envq.is_empty t.channels.(link) then
-    invalid_arg "Network.force_step_undo: empty link";
-  if not t.undo_ok then
-    invalid_arg "Network.force_step_undo: network is not undo-capable";
-  let q = t.channels.(link) in
-  let u_seq = Envq.head_seq q in
-  let u_batch = Envq.head_batch q in
-  let u_depth = Envq.head_depth q in
-  let u_payload = Envq.peek q in
-  let dst = t.dst_node.(link) in
-  let dropped = t.term.(dst) in
-  let u_snap =
-    if dropped then [||]
-    else
-      match t.programs.(dst).snap with
-      | Some s -> s.Engine_intf.save ()
-      | None -> assert false (* undo_ok *)
-  in
-  let u_prev_output = t.outputs.(dst) in
-  let u_prev_clock = t.local_clock.(dst) in
-  let u_prev_span = t.causal_span in
-  let u_prev_next_seq = t.next_seq in
-  let u_prev_next_batch = t.next_batch in
-  let g = t.ulog in
-  g.clen <- 0;
-  g.slen <- 0;
-  t.logging <- true;
-  deliver_from t link;
-  t.logging <- false;
-  {
-    u_link = link;
-    u_payload;
-    u_seq;
-    u_batch;
-    u_depth;
-    u_dst = dst;
-    u_dst_port = t.dst_port.(link);
-    u_dropped = dropped;
-    u_prev_output;
-    u_became_term = (not dropped) && t.term.(dst);
-    u_prev_clock;
-    u_prev_span;
-    u_prev_next_seq;
-    u_prev_next_batch;
-    u_snap;
-    u_consumed_ports = Array.sub g.cports 0 g.clen;
-    u_consumed_payloads = Array.sub g.cpayloads 0 g.clen;
-    u_sent_links = Array.sub g.slinks 0 g.slen;
-  }
-
-let undo_step t u =
-  let dst = u.u_dst in
-  if u.u_dropped then Metrics.undo_post_termination_delivery t.metrics
-  else begin
-    (* Retract the wake's sends, newest first. *)
-    for i = Array.length u.u_sent_links - 1 downto 0 do
-      let l = u.u_sent_links.(i) in
-      ignore (Envq.pop_back t.channels.(l));
-      unmark_if_empty t l;
-      t.in_flight <- t.in_flight - 1;
-      Metrics.undo_send t.metrics ~link:l ~node:dst ~cw:t.cw.(l)
-    done;
-    (* Re-file the wake's consumed pulses, newest first: this restores
-       the mailbox to its state just after the delivery pushed the
-       incoming payload at the tail... *)
-    for i = Array.length u.u_consumed_ports - 1 downto 0 do
-      let p = u.u_consumed_ports.(i) in
-      Ring.push_front t.mailboxes.((dst * 2) + p) u.u_consumed_payloads.(i);
-      t.mailbox_backlog <- t.mailbox_backlog + 1;
-      Metrics.undo_consume t.metrics ~node:dst ~port_index:p
-    done;
-    (* ... so popping that tail element retracts the delivery. *)
-    ignore (Ring.pop_back t.mailboxes.((dst * 2) + u.u_dst_port));
-    t.mailbox_backlog <- t.mailbox_backlog - 1;
-    Metrics.undo_deliver t.metrics ~node:dst ~port_index:u.u_dst_port;
-    Metrics.undo_wake t.metrics;
-    (match t.programs.(dst).snap with
-    | Some s -> s.Engine_intf.load u.u_snap
-    | None -> assert false);
-    t.outputs.(dst) <- u.u_prev_output;
-    if u.u_became_term then begin
-      t.term.(dst) <- false;
-      t.term_order_rev <-
-        (match t.term_order_rev with _ :: rest -> rest | [] -> assert false)
-    end;
-    t.local_clock.(dst) <- u.u_prev_clock;
-    t.causal_span <- u.u_prev_span;
-    t.next_seq <- u.u_prev_next_seq;
-    t.next_batch <- u.u_prev_next_batch
-  end;
-  (* Put the envelope back at the head of its channel. *)
-  Envq.push_front t.channels.(u.u_link) u.u_payload ~seq:u.u_seq
-    ~batch:u.u_batch ~depth:u.u_depth;
-  mark_nonempty t u.u_link;
-  t.in_flight <- t.in_flight + 1
-
-let enabled_count t = t.nonempty_count
-
-(* Smallest non-empty link strictly greater than [link], by scanning
-   the unordered non-empty buffer; -1 when none.  Written as a
-   top-level tail recursion over immediate arguments so an enumeration
-   of the enabled set allocates nothing (the model checker calls this
-   in its innermost loop). *)
-let rec enabled_scan t link i best =
-  if i >= t.nonempty_count then best
-  else
-    let l = t.nonempty.(i) in
-    if l > link && (best < 0 || l < best) then enabled_scan t link (i + 1) l
-    else enabled_scan t link (i + 1) best
-
-let enabled_link t ~after = enabled_scan t after 0 (-1)
-
-let channel_length t ~link = Envq.length t.channels.(link)
-let mailbox_length t ~node ~port = Ring.length t.mailboxes.(slot node port)
-let channel_payloads t ~link = Envq.to_payload_array t.channels.(link)
-let mailbox_payloads t ~node ~port = Ring.to_array t.mailboxes.(slot node port)
-
-let inject t ~node ~port m =
-  enqueue t ~link:(Topology.link_id t.topo node port) ~node
-    ~port:(port_index port) m
-
 type run_result = Engine_intf.run_result = {
   sends : int;
   deliveries : int;
@@ -536,93 +488,251 @@ type run_result = Engine_intf.run_result = {
   termination_order : int list;
 }
 
-let all_terminated t = Array.for_all Fun.id t.term
-let in_flight t = t.in_flight
-let mailbox_backlog t = t.mailbox_backlog
-let is_quiescent t = t.in_flight = 0 && t.mailbox_backlog = 0
+(* ------------------------------------------------------------------ *)
+(* Everything that reads only the core, whichever api and topology it
+   was built for: rings use it through the [include] below and
+   Colring_graph.Gnetwork includes it as well. *)
 
-let run ?(max_deliveries = 50_000_000) ?(snapshot_every = 0) ?probe t sched =
-  let c = t.metrics in
-  let exhausted = ref false in
-  let continue = ref true in
-  while !continue do
-    if c.Metrics.deliveries >= max_deliveries then begin
-      exhausted := true;
-      continue := false
-    end
-    else if not (step t sched) then continue := false
+module Core = struct
+  let step t (sched : Scheduler.t) =
+    if t.in_flight = 0 then false
     else begin
-      (if snapshot_every > 0 && t.observed then
-         let d = c.Metrics.deliveries in
-         if d mod snapshot_every = 0 then
-           t.sink.Sink.on_snapshot ~step:d (Metrics.to_assoc c));
-      match probe with
-      | None -> ()
-      | Some f -> f ~step:c.Metrics.deliveries
+      deliver_from t (sched.pick (view t));
+      true
     end
-  done;
-  {
-    sends = c.Metrics.sends;
-    deliveries = c.Metrics.deliveries;
-    quiescent = is_quiescent t;
-    all_terminated = all_terminated t;
-    exhausted = !exhausted;
-    termination_order = List.rev t.term_order_rev;
-  }
 
-let causal_span t = t.causal_span
+  let active_links t =
+    let acc = ref [] in
+    for link = Array.length t.channels - 1 downto 0 do
+      if not (Envq.is_empty t.channels.(link)) then acc := link :: !acc
+    done;
+    !acc
 
-let topology t = t.topo
-let size t = Topology.n t.topo
-let output t v = t.outputs.(v)
-let outputs t = Array.copy t.outputs
-let terminated t v = t.term.(v)
-let termination_order t = List.rev t.term_order_rev
-let inspect t v = t.programs.(v).inspect ()
+  let force_step t ~link =
+    if Envq.is_empty t.channels.(link) then
+      invalid_arg "Network.force_step: empty link";
+    deliver_from t link
 
-let inspect_counter t v name =
-  match List.assoc_opt name (inspect t v) with
-  | Some x -> x
-  | None -> raise Not_found
+  let undo_capable t = t.undo_ok
 
-let metrics t = t.metrics
-let trace t = Sink.trace t.sink
+  let force_step_undo t ~link =
+    if Envq.is_empty t.channels.(link) then
+      invalid_arg "Network.force_step_undo: empty link";
+    if not t.undo_ok then
+      invalid_arg "Network.force_step_undo: network is not undo-capable";
+    let q = t.channels.(link) in
+    let u_seq = Envq.head_seq q in
+    let u_batch = Envq.head_batch q in
+    let u_depth = Envq.head_depth q in
+    let u_payload = Envq.peek q in
+    let dst = t.dst_node.(link) in
+    let dropped = t.term.(dst) in
+    let u_snap =
+      if dropped then [||]
+      else
+        match t.programs.(dst).p_snap with
+        | Some s -> s.Engine_intf.save ()
+        | None -> assert false (* undo_ok *)
+    in
+    let u_prev_output = t.outputs.(dst) in
+    let u_prev_clock = t.local_clock.(dst) in
+    let u_prev_span = t.causal_span in
+    let u_prev_next_seq = t.next_seq in
+    let u_prev_next_batch = t.next_batch in
+    let g = t.ulog in
+    g.clen <- 0;
+    g.slen <- 0;
+    t.logging <- true;
+    deliver_from t link;
+    t.logging <- false;
+    {
+      u_link = link;
+      u_payload;
+      u_seq;
+      u_batch;
+      u_depth;
+      u_dst = dst;
+      u_dst_port = t.dst_port.(link);
+      u_dropped = dropped;
+      u_prev_output;
+      u_became_term = (not dropped) && t.term.(dst);
+      u_prev_clock;
+      u_prev_span;
+      u_prev_next_seq;
+      u_prev_next_batch;
+      u_snap;
+      u_consumed_ports = Array.sub g.cports 0 g.clen;
+      u_consumed_payloads = Array.sub g.cpayloads 0 g.clen;
+      u_sent_links = Array.sub g.slinks 0 g.slen;
+    }
+
+  let undo_step t u =
+    let dst = u.u_dst in
+    if u.u_dropped then Metrics.undo_post_termination_delivery t.metrics
+    else begin
+      (* Retract the wake's sends, newest first. *)
+      for i = Array.length u.u_sent_links - 1 downto 0 do
+        let l = u.u_sent_links.(i) in
+        ignore (Envq.pop_back t.channels.(l));
+        unmark_if_empty t l;
+        t.in_flight <- t.in_flight - 1;
+        Metrics.undo_send t.metrics ~link:l ~node:dst ~cw:(is_cw t l)
+      done;
+      (* Re-file the wake's consumed pulses, newest first: this restores
+         the mailbox to its state just after the delivery pushed the
+         incoming payload at the tail... *)
+      let base = t.first_link.(dst) in
+      for i = Array.length u.u_consumed_ports - 1 downto 0 do
+        let p = u.u_consumed_ports.(i) in
+        Ring.push_front t.mailboxes.(base + p) u.u_consumed_payloads.(i);
+        t.mailbox_backlog <- t.mailbox_backlog + 1;
+        Metrics.undo_consume t.metrics ~node:dst ~port_index:p
+      done;
+      (* ... so popping that tail element retracts the delivery. *)
+      ignore (Ring.pop_back t.mailboxes.(base + u.u_dst_port));
+      t.mailbox_backlog <- t.mailbox_backlog - 1;
+      Metrics.undo_deliver t.metrics ~node:dst ~port_index:u.u_dst_port;
+      Metrics.undo_wake t.metrics;
+      (match t.programs.(dst).p_snap with
+      | Some s -> s.Engine_intf.load u.u_snap
+      | None -> assert false);
+      t.outputs.(dst) <- u.u_prev_output;
+      if u.u_became_term then begin
+        t.term.(dst) <- false;
+        t.term_order_rev <-
+          (match t.term_order_rev with _ :: rest -> rest | [] -> assert false)
+      end;
+      t.local_clock.(dst) <- u.u_prev_clock;
+      t.causal_span <- u.u_prev_span;
+      t.next_seq <- u.u_prev_next_seq;
+      t.next_batch <- u.u_prev_next_batch
+    end;
+    (* Put the envelope back at the head of its channel. *)
+    Envq.push_front t.channels.(u.u_link) u.u_payload ~seq:u.u_seq
+      ~batch:u.u_batch ~depth:u.u_depth;
+    mark_nonempty t u.u_link;
+    t.in_flight <- t.in_flight + 1
+
+  let enabled_count t = t.nonempty_count
+
+  (* Smallest non-empty link strictly greater than [link], by scanning
+     the unordered non-empty buffer; -1 when none.  Written as a
+     module-level tail recursion over immediate arguments so an enumeration
+     of the enabled set allocates nothing (the model checker calls this
+     in its innermost loop). *)
+  let rec enabled_scan t link i best =
+    if i >= t.nonempty_count then best
+    else
+      let l = t.nonempty.(i) in
+      if l > link && (best < 0 || l < best) then enabled_scan t link (i + 1) l
+      else enabled_scan t link (i + 1) best
+
+  let enabled_link t ~after = enabled_scan t after 0 (-1)
+  let channel_length t ~link = Envq.length t.channels.(link)
+  let channel_payloads t ~link = Envq.to_payload_array t.channels.(link)
+
+  let all_terminated t = Array.for_all Fun.id t.term
+  let in_flight t = t.in_flight
+  let mailbox_backlog t = t.mailbox_backlog
+  let is_quiescent t = t.in_flight = 0 && t.mailbox_backlog = 0
+
+  let run ?(max_deliveries = 50_000_000) ?(snapshot_every = 0) ?probe t
+      sched =
+    let c = t.metrics in
+    let exhausted = ref false in
+    let continue = ref true in
+    while !continue do
+      if c.Metrics.deliveries >= max_deliveries then begin
+        exhausted := true;
+        continue := false
+      end
+      else if not (step t sched) then continue := false
+      else begin
+        (if snapshot_every > 0 && t.observed then
+           let d = c.Metrics.deliveries in
+           if d mod snapshot_every = 0 then
+             t.sink.Sink.on_snapshot ~step:d (Metrics.to_assoc c));
+        match probe with
+        | None -> ()
+        | Some f -> f ~step:c.Metrics.deliveries
+      end
+    done;
+    {
+      sends = c.Metrics.sends;
+      deliveries = c.Metrics.deliveries;
+      quiescent = is_quiescent t;
+      all_terminated = all_terminated t;
+      exhausted = !exhausted;
+      termination_order = List.rev t.term_order_rev;
+    }
+
+  let causal_span t = t.causal_span
+
+  let topology t = t.topo
+  let size t = Array.length t.term
+  let output t v = t.outputs.(v)
+  let outputs t = Array.copy t.outputs
+  let terminated t v = t.term.(v)
+  let termination_order t = List.rev t.term_order_rev
+  let inspect t v = t.programs.(v).p_inspect ()
+
+  let inspect_counter t v name =
+    match List.assoc_opt name (inspect t v) with
+    | Some x -> x
+    | None -> raise Not_found
+
+  let metrics t = t.metrics
+  let trace t = Sink.trace t.sink
+
+  (* Canonical observable-state string; {!Explore.fingerprint} and the
+     model checker's dedup key delegate here.  Covers channel depths,
+     per-port mailbox depths, termination flags, outputs and inspect
+     counters — everything a monitor can see. *)
+  let fingerprint t =
+    let buf = Buffer.create 128 in
+    for link = 0 to Array.length t.channels - 1 do
+      Output.add_int buf (channel_length t ~link);
+      Buffer.add_char buf ','
+    done;
+    Buffer.add_char buf '|';
+    for v = 0 to size t - 1 do
+      for p = 0 to t.degree.(v) - 1 do
+        if p > 0 then Buffer.add_char buf ':';
+        Output.add_int buf (Ring.length t.mailboxes.(t.first_link.(v) + p))
+      done;
+      Buffer.add_char buf ';';
+      Buffer.add_string buf (if terminated t v then "T" else "t");
+      Output.add_compact buf (output t v);
+      (* Program state via the [inspect] counters, NOT the snapshot
+         codec: fingerprints must agree across implementation variants
+         that share observable counters but differ in internal layout
+         (e.g. the two Algorithm 2 engines in the differential tests). *)
+      List.iter
+        (fun (k, x) ->
+          Buffer.add_string buf k;
+          Buffer.add_char buf '=';
+          Output.add_int buf x;
+          Buffer.add_char buf ' ')
+        (inspect t v);
+      Buffer.add_char buf '|'
+    done;
+    Buffer.contents buf
+end
+
+include Core
+
+let mailbox t ~node ~port =
+  t.mailboxes.(t.first_link.(node) + port_index port)
+
+let mailbox_length t ~node ~port = Ring.length (mailbox t ~node ~port)
+let mailbox_payloads t ~node ~port = Ring.to_array (mailbox t ~node ~port)
+
+let inject t ~node ~port m =
+  let p = port_index port in
+  enqueue t ~link:(t.first_link.(node) + p) ~node ~port:p m
+
 let num_links topo = Topology.num_links topo
 let link_dst_node topo link = fst (Topology.link_dst topo link)
-
-(* Canonical observable-state string; {!Explore.fingerprint} and the
-   model checker's dedup key delegate here.  Covers channel depths,
-   per-port mailbox depths, termination flags, outputs and inspect
-   counters — everything a monitor can see. *)
-let fingerprint t =
-  let buf = Buffer.create 128 in
-  let n = size t in
-  for link = 0 to Topology.num_links t.topo - 1 do
-    Output.add_int buf (channel_length t ~link);
-    Buffer.add_char buf ','
-  done;
-  Buffer.add_char buf '|';
-  for v = 0 to n - 1 do
-    Output.add_int buf (mailbox_length t ~node:v ~port:Port.P0);
-    Buffer.add_char buf ':';
-    Output.add_int buf (mailbox_length t ~node:v ~port:Port.P1);
-    Buffer.add_char buf ';';
-    Buffer.add_string buf (if terminated t v then "T" else "t");
-    Output.add_compact buf (output t v);
-    (* Program state via the [inspect] counters, NOT the snapshot
-       codec: fingerprints must agree across implementation variants
-       that share observable counters but differ in internal layout
-       (e.g. the two Algorithm 2 engines in the differential tests). *)
-    List.iter
-      (fun (k, x) ->
-        Buffer.add_string buf k;
-        Buffer.add_char buf '=';
-        Output.add_int buf x;
-        Buffer.add_char buf ' ')
-      (inspect t v);
-    Buffer.add_char buf '|'
-  done;
-  Buffer.contents buf
 
 type pulse = unit
 

@@ -12,9 +12,18 @@
     The payload type ['m] is [unit] for content-oblivious algorithms
     (see {!pulse}); the classic baselines instantiate it with real
     message contents.  Nothing in the simulator lets a scheduler or a
-    program observe anything the model forbids. *)
+    program observe anything the model forbids.
 
-type 'm t
+    The same simulator runs general graphs: [Colring_graph.Gnetwork]
+    is this engine over a [Gtopology.t], whose node programs see
+    {!Graph.api} instead of {!api}.  A ring is the degree-2 case, so
+    every function in {!Core} works on either. *)
+
+type ('m, 'api, 'topo) core
+(** A network with payload ['m], whose programs see ['api], built from
+    a ['topo]. *)
+
+type topology = Topology.t
 
 (** {2 Node programs} *)
 
@@ -58,6 +67,8 @@ type 'm program = {
           then falls back to replay-from-prefix for this network. *)
 }
 
+type 'm t = ('m, 'm api, Topology.t) core
+
 val silent_program : 'm program
 (** A program that never sends, consumes or decides (and has a trivial
     snapshot, since it holds no state). *)
@@ -82,7 +93,48 @@ val create :
     §6 timeline: pass [~sink:(Sink.memory ())] and read the buffer
     back with {!trace}.) *)
 
-(** {2 Execution} *)
+(** The api and program records of graph node programs: ports are
+    integers in [0, degree).  [Colring_graph.Gnetwork] re-exports
+    them. *)
+module Graph : sig
+  type 'm api = {
+    node : int;
+    degree : int;
+    recv : int -> 'm option;  (** Consume from a port's mailbox. *)
+    pending : int -> int;
+    send : int -> 'm -> unit;
+    set_output : Output.t -> unit;
+    terminate : unit -> unit;
+    rng : Colring_stats.Rng.t;
+  }
+  (** [recv], [pending] and [send] raise [Invalid_argument] (naming
+      [Gnetwork]) on a port outside [0, degree). *)
+
+  type 'm program = {
+    start : 'm api -> unit;
+    wake : 'm api -> unit;
+    inspect : unit -> (string * int) list;
+    snap : Engine_intf.snapshot option;
+  }
+  (** As the ring {!program}, over {!api}. *)
+end
+
+val create_graph :
+  ?sink:Sink.t ->
+  ?seed:int ->
+  'topo ->
+  dst_node:int array ->
+  dst_port:int array ->
+  first_link:int array ->
+  degree:int array ->
+  (int -> 'm Graph.program) ->
+  ('m, 'm Graph.api, 'topo) core
+(** {!create} for a general graph given by its link tables: link [l]
+    arrives at port [dst_port.(l)] of node [dst_node.(l)], and node
+    [v]'s port [p] (for [p < degree.(v)]) sends on link
+    [first_link.(v) + p].  Every link's direction is [None].
+    [Colring_graph.Gnetwork.create] derives the tables from a
+    [Gtopology.t]. *)
 
 type run_result = Engine_intf.run_result = {
   sends : int;  (** Total pulses sent — the paper's message complexity. *)
@@ -96,81 +148,136 @@ type run_result = Engine_intf.run_result = {
 (** Re-export of {!Engine_intf.run_result}, the outcome record every
     engine shares. *)
 
-val run :
-  ?max_deliveries:int ->
-  ?snapshot_every:int ->
-  ?probe:(step:int -> unit) ->
-  'm t ->
-  Scheduler.t ->
-  run_result
-(** Deliver until no message is in flight (or [max_deliveries] is hit,
-    default [50_000_000]).  An exceeded budget is reported as
-    {!run_result.exhausted}, never raised — the same semantics (and
-    default) as [Colring_graph.Gnetwork.run]; only
-    [Colring_fastsim.Driver.run] intentionally deviates, raising
-    [Invalid_argument] because its closed-form resolution cannot stop
-    mid-pulse.  [probe] runs after every delivery-and-wake,
-    letting tests assert invariants at each reachable configuration.
-    [snapshot_every] (default 0 = off) emits a {!Sink.t.on_snapshot}
-    counter record every that many deliveries — only when a live sink
-    was passed at {!create}, so the default path never allocates the
-    counter list. *)
+type 'm undo
+(** A delivery's undo record (see {!Core.force_step_undo}). *)
 
-val step : 'm t -> Scheduler.t -> bool
-(** Deliver exactly one message; [false] when nothing was in flight. *)
+(** {2 The shared core}
 
-val active_links : 'm t -> int list
-(** Directed links that currently hold in-flight messages, ascending —
-    the choice points of the asynchronous adversary. *)
+    Everything in {!Core} works on a network of either engine: a
+    ring's ['m t] here, or a [Colring_graph.Gnetwork.t], which
+    includes {!Core}.  For rings it is included below. *)
 
-val force_step : 'm t -> link:int -> unit
-(** Deliver the oldest message of one specific link (bypassing any
-    scheduler); raises [Invalid_argument] if the link is empty.  Used
-    by the exhaustive explorer and the model checker. *)
+module Core : sig
+  (** {2 Execution} *)
 
-val enabled_count : 'm t -> int
-(** Number of links with messages in flight — the branching factor of
-    the asynchronous adversary at the current state.  O(1). *)
+  val run :
+    ?max_deliveries:int ->
+    ?snapshot_every:int ->
+    ?probe:(step:int -> unit) ->
+    (_, _, _) core ->
+    Scheduler.t ->
+    run_result
+  (** Deliver until no message is in flight (or [max_deliveries] is hit,
+      default [50_000_000]).  An exceeded budget is reported as
+      {!run_result.exhausted}, never raised; only
+      [Colring_fastsim.Driver.run] intentionally deviates, raising
+      [Invalid_argument] because its closed-form resolution cannot stop
+      mid-pulse.  [probe] runs after every delivery-and-wake,
+      letting tests assert invariants at each reachable configuration.
+      [snapshot_every] (default 0 = off) emits a {!Sink.t.on_snapshot}
+      counter record every that many deliveries — only when a live sink
+      was passed at {!create}, so the default path never allocates the
+      counter list. *)
 
-val enabled_link : 'm t -> after:int -> int
-(** [enabled_link t ~after] is the smallest non-empty link strictly
-    greater than [after], or [-1] when none; start with [~after:(-1)]
-    and feed each result back to enumerate the enabled set in
-    ascending link order without allocating.  O({!enabled_count}) per
-    call. *)
+  val step : (_, _, _) core -> Scheduler.t -> bool
+  (** Deliver exactly one message; [false] when nothing was in flight. *)
 
-val channel_length : 'm t -> link:int -> int
+  val active_links : (_, _, _) core -> int list
+  (** Directed links that currently hold in-flight messages, ascending —
+      the choice points of the asynchronous adversary. *)
+
+  val force_step : (_, _, _) core -> link:int -> unit
+  (** Deliver the oldest message of one specific link (bypassing any
+      scheduler); raises [Invalid_argument] if the link is empty.  Used
+      by the exhaustive explorer and the model checker. *)
+
+  val enabled_count : (_, _, _) core -> int
+  (** Number of links with messages in flight — the branching factor of
+      the asynchronous adversary at the current state.  O(1). *)
+
+  val enabled_link : (_, _, _) core -> after:int -> int
+  (** [enabled_link t ~after] is the smallest non-empty link strictly
+      greater than [after], or [-1] when none; start with [~after:(-1)]
+      and feed each result back to enumerate the enabled set in
+      ascending link order without allocating.  O({!enabled_count}) per
+      call. *)
+
+  val channel_length : (_, _, _) core -> link:int -> int
+  val channel_payloads : ('m, _, _) core -> link:int -> 'm array
+  (** In-flight payloads of one directed link, oldest first.  Allocates;
+      for invariant probes ({!Colring_mc.Inductive}), not the hot path. *)
+
+  (** {2 Incremental undo}
+
+      The {!Engine_intf.NETWORK} undo contract: [force_step_undo] is
+      {!force_step} plus a record of everything the delivery mutated;
+      [undo_step] restores the pre-delivery state exactly, including
+      metrics, clocks, mailbox/channel contents and the destination
+      program's state (via its [snap] codec).  Records must be undone in
+      LIFO order.  Only legal on an {!undo_capable} network: every
+      program carries a [snap] codec and no user sink observes the run
+      (events cannot be unemitted); programs must also not consume
+      [rng] randomness, which is not rolled back — the model checker
+      requires deterministic programs anyway. *)
+
+  val undo_capable : (_, _, _) core -> bool
+
+  val force_step_undo : ('m, _, _) core -> link:int -> 'm undo
+  (** Raises [Invalid_argument] when the link is empty or the network is
+      not undo-capable. *)
+
+  val undo_step : ('m, _, _) core -> 'm undo -> unit
+
+  (** {2 Observation} *)
+
+  val topology : (_, _, 'topo) core -> 'topo
+  val size : (_, _, _) core -> int
+  val output : (_, _, _) core -> int -> Output.t
+  val outputs : (_, _, _) core -> Output.t array
+  val terminated : (_, _, _) core -> int -> bool
+  val all_terminated : (_, _, _) core -> bool
+  val termination_order : (_, _, _) core -> int list
+  val inspect : (_, _, _) core -> int -> (string * int) list
+  val inspect_counter : (_, _, _) core -> int -> string -> int
+  (** Raises [Not_found] for an unknown counter name. *)
+
+  val metrics : (_, _, _) core -> Metrics.t
+
+  val fingerprint : (_, _, _) core -> string
+  (** Canonical observable-state string ({!Engine_intf.NETWORK}'s
+      contract): channel and mailbox depths, termination flags, outputs
+      and inspect counters.  Two states print equal iff no monitor can
+      tell them apart. *)
+
+  val trace : (_, _, _) core -> Trace.t option
+  (** The buffer of the memory sink attached to this network via [?sink],
+      if any. *)
+
+  val in_flight : (_, _, _) core -> int
+  (** Messages in channels (sent, not yet delivered). *)
+
+  val mailbox_backlog : (_, _, _) core -> int
+  (** Messages delivered but not yet consumed, over all nodes. *)
+
+  val is_quiescent : (_, _, _) core -> bool
+  (** [in_flight = 0] and [mailbox_backlog = 0]. *)
+
+  val causal_span : (_, _, _) core -> int
+  (** The asynchronous time of the run so far: the longest chain of
+      causally dependent deliveries, counting each message as one time
+      unit (a pulse sent by an activation carries depth one more than the
+      deepest pulse its node has received).  The paper analyses message
+      complexity only; this exposes the orthogonal time dimension. *)
+end
+
+include module type of Core
+
+(** {2 Ring-only} *)
+
 val mailbox_length : 'm t -> node:int -> port:Port.t -> int
-
-val channel_payloads : 'm t -> link:int -> 'm array
-(** In-flight payloads of one directed link, oldest first.  Allocates;
-    for invariant probes ({!Colring_mc.Inductive}), not the hot path. *)
 
 val mailbox_payloads : 'm t -> node:int -> port:Port.t -> 'm array
 (** Delivered-but-unconsumed payloads of one mailbox, oldest first. *)
-
-(** {2 Incremental undo}
-
-    The {!Engine_intf.NETWORK} undo contract: [force_step_undo] is
-    {!force_step} plus a record of everything the delivery mutated;
-    [undo_step] restores the pre-delivery state exactly, including
-    metrics, clocks, mailbox/channel contents and the destination
-    program's state (via its [snap] codec).  Records must be undone in
-    LIFO order.  Only legal on an {!undo_capable} network: every
-    program carries a [snap] codec and no user sink observes the run
-    (events cannot be unemitted); programs must also not consume
-    [rng] randomness, which is not rolled back — the model checker
-    requires deterministic programs anyway. *)
-
-type 'm undo
-
-val undo_capable : 'm t -> bool
-
-val force_step_undo : 'm t -> link:int -> 'm undo
-(** Raises [Invalid_argument] when the link is empty or the network is
-    not undo-capable. *)
-
-val undo_step : 'm t -> 'm undo -> unit
 
 val inject : 'm t -> node:int -> port:Port.t -> 'm -> unit
 (** Put a message in flight on [node]'s outgoing channel at [port] as
@@ -183,27 +290,6 @@ val inject : 'm t -> node:int -> port:Port.t -> 'm -> unit
     {!Metrics.sends} and stamped with the current batch number, exactly
     as if sent by the most recent activation. *)
 
-(** {2 Observation} *)
-
-val topology : 'm t -> Topology.t
-val size : 'm t -> int
-val output : 'm t -> int -> Output.t
-val outputs : 'm t -> Output.t array
-val terminated : 'm t -> int -> bool
-val all_terminated : 'm t -> bool
-val termination_order : 'm t -> int list
-val inspect : 'm t -> int -> (string * int) list
-val inspect_counter : 'm t -> int -> string -> int
-(** Raises [Not_found] for an unknown counter name. *)
-
-val metrics : 'm t -> Metrics.t
-
-val fingerprint : 'm t -> string
-(** Canonical observable-state string ({!Engine_intf.NETWORK}'s
-    contract): channel and mailbox depths, termination flags, outputs
-    and inspect counters.  Two states print equal iff no monitor can
-    tell them apart. *)
-
 val num_links : Topology.t -> int
 (** {!Topology.num_links}, re-exported so the ring engine satisfies
     {!Engine_intf.NETWORK} verbatim. *)
@@ -211,26 +297,6 @@ val num_links : Topology.t -> int
 val link_dst_node : Topology.t -> int -> int
 (** The destination node of a directed link (the node component of
     {!Topology.link_dst}). *)
-
-val trace : 'm t -> Trace.t option
-(** The buffer of the memory sink attached to this network via [?sink],
-    if any. *)
-
-val in_flight : 'm t -> int
-(** Messages in channels (sent, not yet delivered). *)
-
-val mailbox_backlog : 'm t -> int
-(** Messages delivered but not yet consumed, over all nodes. *)
-
-val is_quiescent : 'm t -> bool
-(** [in_flight = 0] and [mailbox_backlog = 0]. *)
-
-val causal_span : 'm t -> int
-(** The asynchronous time of the run so far: the longest chain of
-    causally dependent deliveries, counting each message as one time
-    unit (a pulse sent by an activation carries depth one more than the
-    deepest pulse its node has received).  The paper analyses message
-    complexity only; this exposes the orthogonal time dimension. *)
 
 (** {2 Pulses} *)
 

@@ -98,9 +98,9 @@ val memory : unit -> t
 val counters : Metrics.t -> t
 (** Routes events into a {!Metrics.t}: sends, deliveries, consumes,
     wakes, and post-termination drops update the corresponding
-    counters.  Lifecycle records are ignored.  The graph engine tees
-    this under the user's sink; its updates are exactly the stores the
-    ring engines make inline. *)
+    counters.  Lifecycle records are ignored.  Its updates are exactly
+    the stores the engines make inline, so a [counters] sink passed as
+    the user sink ends equal to the engine's own {!Metrics.t}. *)
 
 val jsonl : ?events:bool -> emit:(string -> unit) -> unit -> t
 (** [jsonl ~emit ()] formats every event/record as one self-describing

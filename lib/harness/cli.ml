@@ -15,6 +15,18 @@ let non_negative ~flag v =
 let ring_size ~flag v =
   if v >= 2 then Ok v else err flag v "ring size must be at least 2"
 
+let id_space ~flag ~n v =
+  if v >= n then Ok v
+  else err flag v (Printf.sprintf "needs at least n = %d assignable IDs" n)
+
+let link_budget ~flag ~value ~max links =
+  if links <= max then Ok links
+  else
+    Error
+      (Printf.sprintf
+         "%s %s: %d directed links, but the model checker handles at most %d"
+         flag value links max)
+
 let jobs ~flag = function
   | None -> Ok (Colring_runtime.Pool.default_jobs ())
   | Some v -> positive ~flag v

@@ -16,6 +16,17 @@ val non_negative : flag:string -> int -> (int, string) result
 val ring_size : flag:string -> int -> (int, string) result
 (** [>= 2] — a ring needs two nodes for its links to exist. *)
 
+val id_space : flag:string -> n:int -> int -> (int, string) result
+(** [>= n] — an ID space of [k] values gives [n] nodes distinct IDs
+    only when [k >= n]. *)
+
+val link_budget :
+  flag:string -> value:string -> max:int -> int -> (int, string) result
+(** [link_budget ~flag ~value ~max links] accepts a topology of at
+    most [max] directed links (the model checker's limit).  The error
+    names the flag and value that sized the topology, e.g.
+    ["-n 31: 62 directed links, …"]. *)
+
 val jobs : flag:string -> int option -> (int, string) result
 (** [None] resolves to {!Colring_runtime.Pool.default_jobs};
     [Some v] must be positive. *)

@@ -6,7 +6,7 @@ open Colring_graph
    graphs where the whole schedule space fits, and the bridge ablation
    whose failure the checker must exhibit. *)
 
-module Gmc = Mc.Make (Unified.Graph_network)
+module Gmc = Mc.Make (Gnetwork)
 
 let check_quiescent net =
   if Gnetwork.is_quiescent net then None

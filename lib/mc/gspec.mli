@@ -1,7 +1,7 @@
 (** Walk-election specs for the graph-engine checker.
 
-    {!Gmc} is {!Mc.Make} on the unified graph engine
-    ({!Colring_graph.Unified.Graph_network}); the builders here are
+    {!Gmc} is {!Mc.Make} on the graph engine
+    ({!Colring_graph.Gnetwork}); the builders here are
     the graph analogue of {!Spec}: exhaustive verdicts for the walk
     election of {!Colring_graph.Gelection} on graphs small enough to
     explore completely, plus the bridge ablation the checker must

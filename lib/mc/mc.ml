@@ -35,6 +35,7 @@ let zero_stats =
 (* ------------------------------------------------------------------ *)
 (* Sleep-set bit masks over link ids (hot leaves; see hot.sexp). *)
 
+let max_links = 60
 let bit l = 1 lsl l
 let subset m z = m land z = m
 
@@ -590,8 +591,10 @@ module Make (N : Engine_intf.NETWORK) = struct
     let probe = spec.make () in
     let topo = N.topology probe in
     let num_links = N.num_links topo in
-    if num_links > 60 then
-      invalid_arg "Mc.check: more than 60 links (sleep sets are int masks)";
+    if num_links > max_links then
+      invalid_arg
+        (Printf.sprintf
+           "Mc.check: more than %d links (sleep sets are int masks)" max_links);
     (* [indep.(l)]: links whose deliveries commute with a delivery on
        [l] — exactly those with a different destination node.  A
        delivery mutates only its destination's state, pops its own
@@ -686,4 +689,4 @@ end
 (* The historical ring-engine API: [Mc.check] and friends are the ring
    instantiation of the functor, included at top level so existing
    specs and callers compile unchanged. *)
-include Make (Unify.Ring_network)
+include Make (Network)

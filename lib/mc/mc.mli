@@ -65,9 +65,14 @@
     {!Colring_engine.Engine_intf.NETWORK} surface — {!Make} on any
     conforming engine yields the same algorithm; the toplevel
     [Mc.check] and friends are its ring instantiation
-    ({!Colring_engine.Unify.Ring_network}), so historical callers
-    compile unchanged, and [Gspec] instantiates it on the graph
-    engine. *)
+    ([Make (Colring_engine.Network)]), so historical callers compile
+    unchanged, and [Gspec] instantiates it on the graph engine
+    ([Make (Colring_graph.Gnetwork)]). *)
+
+val max_links : int
+(** 60: the most directed links a checked topology may have, since
+    sleep sets are [int] bit masks over link ids.  {!S.check} raises
+    [Invalid_argument] beyond it. *)
 
 type stats = {
   states : int;  (** States expanded (post-pruning). *)
@@ -200,4 +205,4 @@ module Make (N : Colring_engine.Engine_intf.NETWORK) :
 
 include S with type 'm net = 'm Colring_engine.Network.t
 (** The historical ring-engine API ([Mc.spec], [Mc.check], …):
-    {!Make} applied to {!Colring_engine.Unify.Ring_network}. *)
+    {!Make} applied to {!Colring_engine.Network}. *)

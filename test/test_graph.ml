@@ -259,40 +259,107 @@ let prop_gelection_random2ec =
       gelection_ok_on g ~seed)
 
 (* ------------------------------------------------------------------ *)
-(* Rings as the Topology special case of the unified API *)
+(* A cross-commit engine oracle *)
 
-(* One Algorithm 1 run on an oriented ring, journaled (events
-   included), driven either through the legacy [Network] module or
-   through the [Engine_intf.NETWORK] witness the unified API exposes
-   for rings. *)
-let ring_journal ~via_unified ~n ~seed =
+(* MD5 digests of fixed-seed journals and
+   model-checker rows, pinned to what the CLI printed before the ring
+   and graph engines were folded into one core.  Each output is built
+   exactly as the CLI builds it (same ids, scheduler, sink and row
+   fields), so e.g. [colring elect -n 6 --seed 4 --journal F] followed
+   by [md5sum F] reproduces the first digest.  Any behaviour change in
+   either engine's delivery, stamping or counting shows up here. *)
+
+let digest_of_sink f =
+  let buf = Buffer.create 4096 in
+  let sink = Sink.jsonl_buffer buf in
+  f sink;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* [colring elect -n N --seed S --algo A --journal F]. *)
+let ring_journal algo ~n ~seed =
   let ids = Ids.distinct (Rng.create ~seed) ~n ~id_max:(2 * n) in
-  let topo = Topology.oriented n in
-  let buf = Buffer.create 1024 in
-  let sink = Sink.jsonl_buffer ~events:true buf in
-  let sched = Scheduler.random (Rng.create ~seed:(seed + 7)) in
-  (if via_unified then begin
-     let module N = Unify.Ring_network in
-     let net = N.create ~sink topo (fun v -> Algo1.program ~id:ids.(v)) in
-     ignore (N.run net sched)
-   end
-   else begin
-     let net = Network.create ~sink topo (fun v -> Algo1.program ~id:ids.(v)) in
-     ignore (Network.run net sched)
-   end);
-  sink.Sink.flush ();
-  Buffer.contents buf
+  let topo =
+    match algo with
+    | Election.Algo1 | Election.Algo2 -> Topology.oriented n
+    | Election.Algo3 _ | Election.Algo3_resample ->
+        Topology.random_non_oriented (Rng.create ~seed:(seed + 1)) n
+  in
+  digest_of_sink (fun sink ->
+      ignore
+        (Election.run ~seed ~sink ~snapshot_every:10_000 algo ~topo ~ids
+           ~sched:(Scheduler.random (Rng.create ~seed))))
 
-let prop_ring_journal_byte_identity =
-  QCheck.Test.make
-    ~name:"ring journals byte-identical through the unified API" ~count:40
-    (QCheck.make
-       ~print:(fun (n, seed) -> Printf.sprintf "n=%d seed=%d" n seed)
-       QCheck.Gen.(pair (int_range 2 10) (int_range 0 10_000)))
-    (fun (n, seed) ->
-      String.equal
-        (ring_journal ~via_unified:false ~n ~seed)
-        (ring_journal ~via_unified:true ~n ~seed))
+(* [colring elect --topology T --seed S --journal F]. *)
+let graph_journal spec ~seed =
+  let t = Result.get_ok (Colring_harness.Topo.parse spec) in
+  let g = Colring_harness.Topo.materialize ~default_n:8 t in
+  let n = Gtopology.n g in
+  let ids = Ids.distinct (Rng.create ~seed) ~n ~id_max:(2 * n) in
+  digest_of_sink (fun sink ->
+      ignore
+        (Gelection.run ~seed ~sink ~snapshot_every:10_000
+           ~workload:(Colring_harness.Topo.to_string t) (Gelection.plan g)
+           ~ids ~sched:(Scheduler.random (Rng.create ~seed))))
+
+(* The row [colring check ... -j 1 --journal F] writes (seed 1). *)
+let check_row ~name ~n ~id_max (r : Colring_mc.Mc.result) =
+  let module Mc = Colring_mc.Mc in
+  let s = r.Mc.stats in
+  digest_of_sink (fun sink ->
+      sink.Sink.on_row ~table:"check"
+        [
+          ("target", Sink.String name);
+          ("n", Sink.Int n);
+          ("id_max", Sink.Int id_max);
+          ("seed", Sink.Int 1);
+          ("jobs", Sink.Int 1);
+          ("states", Sink.Int s.Mc.states);
+          ("schedules", Sink.Int s.Mc.schedules);
+          ("replayed_deliveries", Sink.Int s.Mc.replayed_deliveries);
+          ("undone_deliveries", Sink.Int s.Mc.undone_deliveries);
+          ("sleep_pruned", Sink.Int s.Mc.sleep_pruned);
+          ("dedup_pruned", Sink.Int s.Mc.dedup_pruned);
+          ("max_depth", Sink.Int s.Mc.max_depth_seen);
+          ("exhaustive", Sink.Bool (not s.Mc.truncated));
+          ("counterexample", Sink.String "-");
+          ("violation", Sink.String "-");
+        ])
+
+let test_pinned_digests () =
+  let ids n = Ids.distinct (Rng.create ~seed:1) ~n ~id_max:n in
+  let checks = Alcotest.(check string) in
+  checks "elect -n 6 --seed 4 (algo2)" "6378992c45ec39e5e23aea6a1776694e"
+    (ring_journal Election.Algo2 ~n:6 ~seed:4);
+  checks "elect -n 5 --seed 4 --algo algo3-improved"
+    "ba20609da4ffb952cd40be994cad6ce9"
+    (ring_journal (Election.Algo3 Algo3.Improved) ~n:5 ~seed:4);
+  List.iter
+    (fun (spec, digest) ->
+      checks ("elect --topology " ^ spec ^ " --seed 4") digest
+        (graph_journal spec ~seed:4))
+    [
+      ("theta:9", "370a91e5dd1bd920857937000015bbec");
+      ("k4", "b8955bc157116a96cc429c4c4f83b0c8");
+      ("bowtie", "d23c5860fac638cd949dd21108d817e8");
+      ("random2ec:12:3", "99fccb06801e24c36300f704b4674f17");
+    ];
+  (match
+     Colring_mc.Spec.of_target "algo2" ~ids:(ids 4) ~topo_seed:2
+   with
+  | Colring_mc.Spec.Packed spec ->
+      checks "check -n 4 --algo algo2 -j 1" "17c4a53ded792e98f944389636adf26f"
+        (check_row ~name:"algo2" ~n:4 ~id_max:4
+           (Colring_mc.Mc.check ~jobs:1 ~max_states:1_000_000 spec)));
+  let module Gspec = Colring_mc.Gspec in
+  let spec =
+    Gspec.walk_election ~name:"walk:k4" (Gtopology.complete 4) ~ids:(ids 4)
+  in
+  checks "check --topology k4 -j 1" "8bf21d9bb02771c892f475b5e613c420"
+    (check_row ~name:"walk:k4" ~n:4 ~id_max:4
+       (Gspec.Gmc.check ~jobs:1 ~max_states:1_000_000 spec))
+
+(* ------------------------------------------------------------------ *)
+(* Rings as the degree-2 special case *)
 
 (* The walk election on a ring IS Algorithm 1: the walk is the ring,
    so the send total matches the paper's Corollary 13 closed form and
@@ -711,10 +778,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_gelection_random2ec;
         ] );
       ( "ring special case",
-        [
-          QCheck_alcotest.to_alcotest prop_ring_journal_byte_identity;
-          QCheck_alcotest.to_alcotest prop_ring_walk_is_algo1;
-        ] );
+        [ QCheck_alcotest.to_alcotest prop_ring_walk_is_algo1 ] );
+      ( "engine oracle",
+        [ Alcotest.test_case "pinned digests" `Quick test_pinned_digests ] );
       ( "gnetwork",
         [
           Alcotest.test_case "fifo and drop" `Quick test_gnetwork_fifo_and_drop;

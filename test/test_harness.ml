@@ -46,6 +46,35 @@ let test_cli_jobs_default () =
   checkb "None resolves to default_jobs" true
     (Cli.jobs ~flag:"-j" None = Ok (Colring_runtime.Pool.default_jobs ()))
 
+(* colring adversary -n N -k K: the ID space must cover the ring. *)
+let test_cli_adversary_id_space () =
+  checkb "k = n accepted" true (Cli.id_space ~flag:"-k" ~n:5 5 = Ok 5);
+  checkb "k > n accepted" true (Cli.id_space ~flag:"-k" ~n:5 256 = Ok 256);
+  checkb "k < n names -k" true
+    (is_error ~flag:"-k 3" (Cli.id_space ~flag:"-k" ~n:5 3))
+
+(* colring check: a topology past the model checker's link limit is
+   refused by the flag that sized it, not by an exception from
+   Mc.check.  Link counts come from each engine's [num_links]. *)
+let test_cli_check_link_budget () =
+  let budget ~flag ~value links =
+    Cli.link_budget ~flag ~value ~max:Colring_mc.Mc.max_links links
+  in
+  let ring n = Network.num_links (Topology.oriented n) in
+  checkb "ring n = 30 fits" true
+    (budget ~flag:"-n" ~value:"30" (ring 30) = Ok 60);
+  let r = budget ~flag:"-n" ~value:"31" (ring 31) in
+  checkb "ring n = 31 refused by -n" true (is_error ~flag:"-n 31" r);
+  checkb "message gives the count and the limit" true
+    (is_error ~flag:"62 directed links" r && is_error ~flag:"at most 60" r);
+  let theta =
+    Colring_graph.Gnetwork.num_links
+      (Topo.materialize ~default_n:8 (Topo.Theta 40))
+  in
+  checkb "theta:40 refused by --topology" true
+    (is_error ~flag:"--topology theta:40"
+       (budget ~flag:"--topology" ~value:"theta:40" theta))
+
 let test_workload_shapes () =
   List.iter
     (fun (w : Workload.t) ->
@@ -312,6 +341,8 @@ let cli_tests =
     Alcotest.test_case "topology grammar" `Quick test_topo_parse_round_trip;
     Alcotest.test_case "topology materializer" `Quick test_topo_materialize;
     Alcotest.test_case "topology size cap" `Quick test_topo_size_cap;
+    Alcotest.test_case "adversary id space" `Quick test_cli_adversary_id_space;
+    Alcotest.test_case "check link budget" `Quick test_cli_check_link_budget;
   ]
 
 let () =

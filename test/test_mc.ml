@@ -188,9 +188,9 @@ let test_graph_check_jobs_independence () =
     [ "walk:k4"; "ablation:bridge" ]
 
 (* The functor applied to the ring engine IS the toplevel Mc API: a
-   ring spec checked through an explicit [Mc.Make (Unify.Ring_network)]
+   ring spec checked through an explicit [Mc.Make (Network)]
    instantiation agrees with [Mc.check] result-for-result. *)
-module Ring_mc = Mc.Make (Unify.Ring_network)
+module Ring_mc = Mc.Make (Network)
 
 let test_ring_instantiation_agrees_with_toplevel () =
   let spec = Spec.election Election.Algo2 ~ids:(ids 3) ~topo_seed:2 in
@@ -442,8 +442,8 @@ module Undo_prop (N : Engine_intf.NETWORK) = struct
     && String.equal (N.fingerprint replayed) fp0
 end
 
-module Ring_undo = Undo_prop (Unify.Ring_network)
-module Graph_undo = Undo_prop (Colring_graph.Unified.Graph_network)
+module Ring_undo = Undo_prop (Network)
+module Graph_undo = Undo_prop (Colring_graph.Gnetwork)
 
 let arb_undo =
   QCheck.make
