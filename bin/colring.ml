@@ -52,14 +52,25 @@ let id_max_arg =
     & info [ "id-max" ] ~docv:"MAX"
         ~doc:"Largest assignable ID (default: 2n). IDs are distinct, MAX is used.")
 
+(* The --scheduler flag yields the validated factory (seed -> fresh
+   scheduler); an unknown name exits 2 naming the flag and the valid
+   names before the subcommand runs. *)
 let sched_arg =
-  Arg.(
-    value
-    & opt string "random"
-    & info [ "scheduler" ] ~docv:"NAME"
-        ~doc:
-          "Delivery adversary: random, fifo, global-fifo, lifo, round-robin, \
-           bias-cw, bias-ccw.")
+  let name_arg =
+    Arg.(
+      value
+      & opt string "random"
+      & info [ "scheduler" ] ~docv:"NAME"
+          ~doc:
+            ("Delivery adversary: "
+            ^ String.concat ", " (List.map fst Harness.Cli.schedulers)
+            ^ "."))
+  in
+  Term.(
+    const (fun name ->
+        Harness.Cli.exit_or ~cmd:"colring"
+          (Harness.Cli.scheduler ~flag:"--scheduler" name))
+    $ name_arg)
 
 let trace_arg =
   Arg.(value & flag & info [ "trace" ] ~doc:"Print the full event trace.")
@@ -91,6 +102,11 @@ let with_journal path f =
   | None -> f Sink.null
   | Some p -> Sink.with_jsonl_channel p f
 
+(* An output file a flag names that cannot be opened is a usage error
+   (exit 2, naming the flag), refused before any job runs. *)
+let output_file ~flag path =
+  Harness.Cli.exit_or ~cmd:"colring" (Harness.Cli.output_file ~flag path)
+
 let diagram_arg =
   Arg.(
     value & flag
@@ -119,17 +135,6 @@ let topology_arg =
     value
     & opt topo_conv (Harness.Topo.Ring None)
     & info [ "topology" ] ~docv:"TOPO" ~doc:topology_doc)
-
-let scheduler_of_name name ~seed =
-  match name with
-  | "random" -> Scheduler.random (Rng.create ~seed)
-  | "fifo" -> Scheduler.fifo
-  | "global-fifo" -> Scheduler.global_fifo
-  | "lifo" -> Scheduler.lifo
-  | "round-robin" -> Scheduler.round_robin ()
-  | "bias-cw" -> Scheduler.bias_direction ~cw:true
-  | "bias-ccw" -> Scheduler.bias_direction ~cw:false
-  | other -> failwith (Printf.sprintf "unknown scheduler %S" other)
 
 let make_ids ~n ~id_max ~seed =
   let id_max = Option.value ~default:(2 * n) id_max in
@@ -267,13 +272,13 @@ let print_greport (r : Colring_graph.Gelection.report) =
    engine.  Only the direct simulator path exists here — the transport
    backends, fault injection and the trace/diagram renderers are ring
    machinery. *)
-let gelect topo_spec ~n ~seed ~id_max ~sched_name ~journal ~snapshot_every
+let gelect topo_spec ~n ~seed ~id_max ~sched_of ~journal ~snapshot_every
     ~max_deliveries =
   let g = Harness.Topo.materialize ~default_n:n topo_spec in
   let module G = Colring_graph.Gtopology in
   let n = G.n g in
   let ids = make_ids ~n ~id_max ~seed in
-  let sched = scheduler_of_name sched_name ~seed in
+  let sched = sched_of seed in
   let plan = Colring_graph.Gelection.plan g in
   Printf.printf "topology: %s (%d nodes, %d links)\n"
     (Harness.Topo.to_string topo_spec)
@@ -288,7 +293,7 @@ let gelect topo_spec ~n ~seed ~id_max ~sched_name ~journal ~snapshot_every
   print_output_array (Colring_graph.Gnetwork.outputs net);
   if Colring_graph.Gelection.ok report then 0 else 1
 
-let elect n seed id_max sched_name algo trace diagram journal snapshot_every
+let elect n seed id_max sched_of algo trace diagram journal snapshot_every
     backend latency jitter max_deliveries topology =
   if not (Harness.Topo.is_ring topology) then begin
     if backend <> Backend.Sim || latency <> 0 || jitter <> 0 || trace || diagram
@@ -299,7 +304,7 @@ let elect n seed id_max sched_name algo trace diagram journal snapshot_every
       2
     end
     else
-      gelect topology ~n ~seed ~id_max ~sched_name ~journal ~snapshot_every
+      gelect topology ~n ~seed ~id_max ~sched_of ~journal ~snapshot_every
         ~max_deliveries
   end
   else
@@ -311,7 +316,7 @@ let elect n seed id_max sched_name algo trace diagram journal snapshot_every
     | Election.Algo3 _ | Election.Algo3_resample ->
         Topology.random_non_oriented (Rng.create ~seed:(seed + 1)) n
   in
-  let sched = scheduler_of_name sched_name ~seed in
+  let sched = sched_of seed in
   let faults =
     if latency = 0 && jitter = 0 then Transport.no_fault
     else Transport.faults ~seed ~latency ~jitter ()
@@ -373,10 +378,10 @@ let elect_cmd =
 (* ------------------------------------------------------------------ *)
 (* orient *)
 
-let orient n seed id_max sched_name =
+let orient n seed id_max sched_of =
   let ids = make_ids ~n ~id_max ~seed in
   let topo = Topology.random_non_oriented (Rng.create ~seed:(seed + 1)) n in
-  let sched = scheduler_of_name sched_name ~seed in
+  let sched = sched_of seed in
   Format.printf "%a@." Topology.pp topo;
   let report, net =
     Election.run (Election.Algo3 Algo3.Improved) ~topo ~ids ~sched
@@ -409,7 +414,7 @@ let c_arg =
     value & opt float 1.0
     & info [ "c" ] ~docv:"C" ~doc:"Algorithm 4 confidence parameter (c > 0).")
 
-let anonymous n seed c sched_name =
+let anonymous n seed c sched_of =
   let rng = Rng.create ~seed in
   let ids = Sampling.sample_ring rng ~c ~n in
   Printf.printf "sampled ids: [%s]\n"
@@ -424,7 +429,7 @@ let anonymous n seed c sched_name =
   end
   else begin
     let topo = Topology.random_non_oriented rng n in
-    let sched = scheduler_of_name sched_name ~seed in
+    let sched = sched_of seed in
     let report, net =
       Election.run (Election.Algo3 Algo3.Improved) ~topo ~ids ~sched
     in
@@ -481,9 +486,9 @@ let app_arg =
     & info [ "app" ] ~docv:"APP"
         ~doc:"discovery | gather | sum | chang-roberts | broadcast.")
 
-let compose n seed id_max sched_name app =
+let compose n seed id_max sched_of app =
   let ids = make_ids ~n ~id_max ~seed in
-  let sched = scheduler_of_name sched_name ~seed in
+  let sched = sched_of seed in
   let mk_app v =
     match app with
     | "discovery" -> Compose.Corollary5.app_ring_discovery
@@ -531,10 +536,10 @@ let baseline_arg =
           "chang-roberts | lelann | hirschberg-sinclair | peterson | \
            franklin | itai-rodeh.")
 
-let baseline n seed sched_name algo journal snapshot_every =
+let baseline n seed sched_of algo journal snapshot_every =
   let ids = Ids.dense (Rng.create ~seed) ~n in
   let topo = Topology.oriented n in
-  let sched = scheduler_of_name sched_name ~seed in
+  let sched = sched_of seed in
   let r =
     with_journal journal (fun sink ->
         match algo with
@@ -589,9 +594,9 @@ let jobs_arg =
     & opt (some (positive_conv ~flag:"--jobs")) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the sweep. Defaults to $(b,COLRING_JOBS) if \
-           set, else the machine's recommended domain count. The results \
-           are bit-identical for every N.")
+          "Worker domains (the calling domain included). Defaults to \
+           $(b,COLRING_JOBS) if set, else the machine's recommended domain \
+           count. The results are bit-identical for every N.")
 
 let resolve_jobs jobs =
   Harness.Cli.exit_or ~cmd:"colring" (Harness.Cli.jobs ~flag:"--jobs" jobs)
@@ -609,14 +614,14 @@ let sweep_topology_arg =
 (* The graph sweep: topology × seed × scheduler cells of the walk
    election (rings included — here they run through the graph engine,
    the walk of a ring being the ring itself). *)
-let gsweep topos seed sched_name csv jobs journal =
-  let journal_oc = Option.map open_out journal in
+let gsweep topos seed sched_of csv jobs journal =
+  let journal_oc = Option.map (output_file ~flag:"--journal") journal in
   let ms =
     Harness.Sweep.gelection ~jobs
       ?journal:(Option.map (fun oc -> output_string oc) journal_oc)
       ~topologies:topos
       ~seeds:[ seed; seed + 1; seed + 2 ]
-      ~schedulers:[ (fun s -> scheduler_of_name sched_name ~seed:s) ]
+      ~schedulers:[ sched_of ]
       ()
   in
   Option.iter close_out journal_oc;
@@ -651,11 +656,11 @@ let gsweep topos seed sched_name csv jobs journal =
   if List.for_all (fun (m : Harness.Sweep.gmeasurement) -> m.g_ok) ms then 0
   else 1
 
-let sweep seed sched_name algo csv jobs journal topologies =
+let sweep seed sched_of algo csv jobs journal topologies =
   if topologies <> [] then
-    gsweep topologies seed sched_name csv (resolve_jobs jobs) journal
+    gsweep topologies seed sched_of csv (resolve_jobs jobs) journal
   else
-  let journal_oc = Option.map open_out journal in
+  let journal_oc = Option.map (output_file ~flag:"--journal") journal in
   let measurements =
     Harness.Sweep.election
       ~jobs:(resolve_jobs jobs)
@@ -671,7 +676,7 @@ let sweep seed sched_name algo csv jobs journal topologies =
             ])
       ~ns:[ 2; 4; 8; 16; 32; 64; 128 ]
       ~seeds:[ seed; seed + 1; seed + 2 ]
-      ~schedulers:[ (fun s -> scheduler_of_name sched_name ~seed:s) ]
+      ~schedulers:[ sched_of ]
       ()
   in
   Option.iter close_out journal_oc;
@@ -761,13 +766,14 @@ let read_spec_file path =
    job [i] lands in shard [i * shards / count], so shard contents
    depend only on the spec order — never on --jobs or --pool. *)
 let with_shards dir ~shards ~count f =
-  (match Sys.is_directory dir with
-  | true -> ()
-  | false -> failwith (Printf.sprintf "--journal-dir %s: not a directory" dir)
-  | exception Sys_error _ -> Sys.mkdir dir 0o755);
+  let flag = "--journal-dir" in
+  let dir =
+    Harness.Cli.exit_or ~cmd:"colring" (Harness.Cli.output_dir ~flag dir)
+  in
   let ocs =
     Array.init shards (fun s ->
-        open_out (Filename.concat dir (Printf.sprintf "shard-%04d.jsonl" s)))
+        output_file ~flag
+          (Filename.concat dir (Printf.sprintf "shard-%04d.jsonl" s)))
   in
   Fun.protect
     ~finally:(fun () -> Array.iter close_out ocs)
@@ -797,7 +803,7 @@ let print_batch_summary (o : Harness.Batch.outcome) =
    the single materialized graph (the line's seed draws the ids and
    the adversary; its algorithm and n fields are ring machinery and
    are ignored), fanned out job-per-job over the domain pool. *)
-let gbatch topo_spec specs sched_name jobs journal_dir shards events =
+let gbatch topo_spec specs sched_of jobs journal_dir shards events =
   let module GE = Colring_graph.Gelection in
   let g = Harness.Topo.materialize ~default_n:8 topo_spec in
   let plan = GE.plan g in
@@ -817,7 +823,7 @@ let gbatch topo_spec specs sched_name jobs journal_dir shards events =
           if want_journal then Sink.jsonl_buffer ~events buf else Sink.null
         in
         let r =
-          GE.run_report plan ~ids ~sched:(scheduler_of_name sched_name ~seed)
+          GE.run_report plan ~ids ~sched:(sched_of seed)
             ~sink ~seed
             ~workload:(Harness.Topo.to_string topo_spec)
         in
@@ -854,18 +860,17 @@ let gbatch topo_spec specs sched_name jobs journal_dir shards events =
   end;
   if ok = count then 0 else 1
 
-let batch spec_path sched_name jobs mode slots journal_dir shards events
+let batch spec_path sched jobs mode slots journal_dir shards events
     topology =
   match Harness.Batch.parse_spec (read_spec_file spec_path) with
   | Error msg ->
       prerr_endline ("colring batch: " ^ msg);
       2
   | Ok specs when not (Harness.Topo.is_ring topology) ->
-      gbatch topology specs sched_name (resolve_jobs jobs) journal_dir shards
+      gbatch topology specs sched (resolve_jobs jobs) journal_dir shards
         events
   | Ok specs ->
       let jobs = resolve_jobs jobs in
-      let sched seed = scheduler_of_name sched_name ~seed in
       let run journal =
         Harness.Batch.run ~jobs ~mode ~slots ~events ?journal
           ~now:Unix.gettimeofday ~sched specs
@@ -889,56 +894,38 @@ let batch_cmd =
       const batch $ spec_file_arg $ sched_arg $ jobs_arg $ pool_mode_arg
       $ slots_arg $ journal_dir_arg $ shards_arg $ events_arg $ topology_arg)
 
-(* One result line per job, in the serve loop's request order. *)
-let serve_result_line (s : Harness.Batch.spec) (r : Election.report) =
-  Printf.sprintf "%s algo=%s n=%d seed=%d leader=%s sends=%d deliveries=%d"
-    (if Election.ok r then "ok" else "FAIL")
-    r.Election.algorithm r.Election.n s.Harness.Batch.seed
-    (match r.Election.leader with Some v -> string_of_int v | None -> "none")
-    r.Election.sends r.Election.deliveries
-
-let serve sched_name slots journal =
-  let sched seed = scheduler_of_name sched_name ~seed in
-  let journal_oc = Option.map open_out journal in
-  let emit = Option.map (fun oc _i chunk -> output_string oc chunk) journal_oc in
-  let bad = ref 0 in
-  (try
-     while true do
-       let line = input_line stdin in
-       match Harness.Batch.parse_line line with
-       | Ok None -> ()
-       | Error msg ->
-           incr bad;
-           print_endline ("error: " ^ msg);
-           flush stdout
-       | Ok (Some spec) -> (
-           (* One-job batches reuse this domain's warm flock cache, so
-              the steady state of the loop allocates per-election
-              state only.  A job that raises is answered like a bad
-              line, and the server keeps reading. *)
-           match Harness.Batch.run ~slots ?journal:emit ~sched [| spec |] with
-           | o ->
-               if not (Election.ok o.Harness.Batch.reports.(0)) then incr bad;
-               print_endline
-                 (serve_result_line spec o.Harness.Batch.reports.(0));
-               flush stdout
-           | exception e ->
-               incr bad;
-               print_endline ("error: " ^ Printexc.to_string e);
-               flush stdout)
-     done
-   with End_of_file -> ());
+let serve sched jobs journal =
+  let jobs = resolve_jobs jobs in
+  let journal_oc = Option.map (output_file ~flag:"--journal") journal in
+  let pool = Colring_runtime.Pool.create ~jobs in
+  let code =
+    Fun.protect
+      ~finally:(fun () -> Colring_runtime.Pool.shutdown pool)
+      (fun () ->
+        Harness.Serve.run ~pool
+          ?journal:(Option.map output_string journal_oc)
+          ~sched ~read:(input stdin)
+          ~write:(fun replies ->
+            print_string replies;
+            flush stdout)
+          ())
+  in
   Option.iter close_out journal_oc;
-  if !bad = 0 then 0 else 1
+  code
 
 let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Job server: read spec lines ($(b,algo n seed [id_max])) from \
-          standard input, run each election on a warm flock, answer one \
-          result line per job.")
-    Term.(const serve $ sched_arg $ slots_arg $ journal_arg)
+          standard input and answer one result line per job, in input \
+          order. Input is served in waves: every complete line one read \
+          returns. A wave's elections run in parallel on $(b,--jobs) \
+          domains that live as long as the server, one election per warm \
+          single-slot flock, and the wave's replies are written together. \
+          Replies and journals are byte-identical for every $(b,--jobs) \
+          and however the input arrives.")
+    Term.(const serve $ sched_arg $ jobs_arg $ journal_arg)
 
 (* ------------------------------------------------------------------ *)
 (* journal: shape-validate a JSONL run journal *)

@@ -132,22 +132,23 @@ let waves_of_specs specs ~slots =
   Array.of_list (List.rev !waves)
 
 (* Flocks are single-domain state, so each domain keeps its own cache
-   of one warm flock per (oriented, n) group — the steady state of a
-   long batch or a job server reloads slots instead of allocating. *)
-let flock_cache : (bool * int, Flock.t) Hashtbl.t Domain.DLS.key =
+   of one warm flock per (oriented, n, slots) group — the steady state
+   of a long batch, or of a job server whose pool keeps its domains,
+   reloads slots instead of allocating. *)
+let flock_cache : (bool * int * int, Flock.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 4)
 
 let flock_for ~slots ~oriented ~n =
   let cache = Domain.DLS.get flock_cache in
-  match Hashtbl.find_opt cache (oriented, n) with
+  match Hashtbl.find_opt cache (oriented, n, slots) with
   | Some fl -> fl
   | None ->
       let fl = Flock.create ~slots (topology ~oriented ~n) in
-      Hashtbl.add cache (oriented, n) fl;
+      Hashtbl.add cache (oriented, n, slots) fl;
       fl
 
-let run ?(jobs = 1) ?(mode = Pool.Static) ?(slots = 256) ?(events = false)
-    ?journal ?now ~sched specs =
+let run ?(jobs = 1) ?pool ?(mode = Pool.Static) ?(slots = 256)
+    ?(events = false) ?journal ?now ~sched specs =
   let count = Array.length specs in
   let t0 = match now with Some f -> f () | None -> 0. in
   let reports = Array.make count None in
@@ -190,12 +191,14 @@ let run ?(jobs = 1) ?(mode = Pool.Static) ?(slots = 256) ?(events = false)
         (* A job that raised left this flock's slots running: drop it,
            so the group's next wave starts on a fresh one. *)
         Hashtbl.remove (Domain.DLS.get flock_cache)
-          (wave.w_oriented, wave.w_n);
+          (wave.w_oriented, wave.w_n, slots);
         raise e
     in
     Array.iteri (fun local r -> reports.(wave.w_idxs.(local)) <- Some r) rs
   in
-  Pool.run ~mode ~chunk:1 ~jobs (Array.length waves) run_wave;
+  (match pool with
+  | Some pool -> Pool.exec ~mode ~chunk:1 pool (Array.length waves) run_wave
+  | None -> Pool.run ~mode ~chunk:1 ~jobs (Array.length waves) run_wave);
   (match journal with
   | None -> ()
   | Some emit -> Array.iteri (fun i b -> emit i (Buffer.contents b)) buffers);

@@ -64,6 +64,7 @@ type outcome = {
 
 val run :
   ?jobs:int ->
+  ?pool:Colring_runtime.Pool.t ->
   ?mode:Colring_runtime.Pool.mode ->
   ?slots:int ->
   ?events:bool ->
@@ -77,8 +78,11 @@ val run :
     built fresh per job, as [colring elect] does).  [jobs] (default 1)
     and [mode] (default [Static]) configure the pool; waves are
     claimed [~chunk:1] since each is minutes of work relative to a
-    cursor pop.  [slots] (default 256) bounds instances per flock
-    wave.
+    cursor pop.  Given [pool], the waves run on that long-lived pool
+    instead and [jobs] is ignored; its domains keep their warm flocks
+    from call to call.  [slots] (default 256) bounds instances per
+    flock wave; each domain caches one warm flock per (orientation,
+    ring size, [slots]).
 
     [journal] receives each job's JSONL chunk (run_start, snapshots,
     run_end, plus per-event records when [events] — default [false] —

@@ -1,8 +1,9 @@
 (* Shared command-line validation.  Every colring entry point (the
-   cmdliner driver, the bench runner) funnels its numeric flags through
-   these checks so `-j 0`, `-n -3` and `--max-deliveries 0` fail the
-   same way everywhere: a one-line message naming the flag, not a
-   backtrace from deep inside a pool or topology constructor. *)
+   cmdliner driver, the bench runner) funnels its flags through these
+   checks so `-j 0`, `-n -3`, `--max-deliveries 0` or `--scheduler
+   bogus` fail the same way everywhere: a one-line message naming the
+   flag, not a backtrace from deep inside a pool or topology
+   constructor. *)
 
 let err flag v what = Error (Printf.sprintf "%s %d: %s" flag v what)
 
@@ -30,6 +31,42 @@ let link_budget ~flag ~value ~max links =
 let jobs ~flag = function
   | None -> Ok (Colring_runtime.Pool.default_jobs ())
   | Some v -> positive ~flag v
+
+let schedulers =
+  let open Colring_engine in
+  [
+    ("random", fun seed -> Scheduler.random (Colring_stats.Rng.create ~seed));
+    ("fifo", fun _ -> Scheduler.fifo);
+    ("global-fifo", fun _ -> Scheduler.global_fifo);
+    ("lifo", fun _ -> Scheduler.lifo);
+    ("round-robin", fun _ -> Scheduler.round_robin ());
+    ("bias-cw", fun _ -> Scheduler.bias_direction ~cw:true);
+    ("bias-ccw", fun _ -> Scheduler.bias_direction ~cw:false);
+  ]
+
+let scheduler ~flag name =
+  match List.assoc_opt name schedulers with
+  | Some make -> Ok make
+  | None ->
+      Error
+        (Printf.sprintf "%s %s: unknown scheduler, expected one of %s" flag
+           name
+           (String.concat ", " (List.map fst schedulers)))
+
+(* [Sys_error] messages already lead with the path. *)
+let output_file ~flag path =
+  match open_out path with
+  | oc -> Ok oc
+  | exception Sys_error msg -> Error (Printf.sprintf "%s %s" flag msg)
+
+let output_dir ~flag dir =
+  match Sys.is_directory dir with
+  | true -> Ok dir
+  | false -> Error (Printf.sprintf "%s %s: not a directory" flag dir)
+  | exception Sys_error _ -> (
+      match Sys.mkdir dir 0o755 with
+      | () -> Ok dir
+      | exception Sys_error msg -> Error (Printf.sprintf "%s %s" flag msg))
 
 let exit_or ~cmd = function
   | Ok v -> v

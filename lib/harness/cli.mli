@@ -3,9 +3,9 @@
     The cmdliner driver ([bin/colring.ml]) and the bench runner both
     parse numeric flags; these helpers give them one set of rules and
     one error shape ([Error "<flag> <value>: <reason>"]), so a bad
-    [-j], [-n] or [--max-deliveries] is rejected up front instead of
-    surfacing as a backtrace from whatever constructor first chokes on
-    it. *)
+    [-j], [-n], [--max-deliveries], [--scheduler] name or unopenable
+    [--journal] path is rejected up front instead of surfacing as a
+    backtrace from whatever constructor first chokes on it. *)
 
 val positive : flag:string -> int -> (int, string) result
 (** [>= 1] — worker counts, delivery budgets, cadences. *)
@@ -30,6 +30,24 @@ val link_budget :
 val jobs : flag:string -> int option -> (int, string) result
 (** [None] resolves to {!Colring_runtime.Pool.default_jobs};
     [Some v] must be positive. *)
+
+val schedulers : (string * (int -> Colring_engine.Scheduler.t)) list
+(** The [--scheduler] names with their factories, which take the run's
+    seed (only [random] draws from it); stateful schedulers are built
+    fresh per call. *)
+
+val scheduler :
+  flag:string -> string -> (int -> Colring_engine.Scheduler.t, string) result
+(** The factory of a {!schedulers} name; the error names the flag and
+    lists the valid names. *)
+
+val output_file : flag:string -> string -> (out_channel, string) result
+(** Open a journal file for writing; an unopenable path is an error
+    naming the flag instead of a [Sys_error]. *)
+
+val output_dir : flag:string -> string -> (string, string) result
+(** An existing directory, or one created here (its parent must
+    exist); anything else is an error naming the flag. *)
 
 val exit_or : cmd:string -> ('a, string) result -> 'a
 (** Unwrap, or print ["<cmd>: <msg>"] to stderr and [exit 2] — the

@@ -12,7 +12,7 @@ type mode = Static | Steal
 
 (* A failed job parks its exception in [failure] (first writer wins,
    which also fires the caller's [on_failure] hook exactly once) and
-   makes every worker stop claiming, so all domains reach their join
+   makes every worker stop claiming, so all of them leave the call
    quickly. *)
 let park ~failure ~on_failure e =
   if Atomic.compare_and_set failure None (Some e) then on_failure ()
@@ -123,63 +123,171 @@ let rec steal_loop ~deques ~remaining ~failure ~on_failure ~chunk ~me f =
     steal_loop ~deques ~remaining ~failure ~on_failure ~chunk ~me f
   end
 
+
 (* ---------------------------------------------------------------- *)
+(* The pool: [size - 1] worker domains parked on [wake] between calls.
+   A call publishes a fresh [task] under [lock] and bumps [generation];
+   every per-call cell (cursor or deques, [remaining], [failure]) lives
+   in the task's closure, so nothing a call claims from can leak into
+   the next one.  Workers [1 .. task.workers - 1] run the task's body
+   and decrement [busy] on the way out; the caller runs worker 0's
+   share and returns only once [busy] is back to zero, i.e. after
+   every worker has left the task. *)
 
-let spawn_all ~jobs ~failure ~on_failure body =
-  (* Spawn into a pre-sized option array: if [Domain.spawn] itself
-     raises mid-loop (OS domain limit), the failure is parked exactly
-     like a job's — workers already running stop claiming, every
-     domain that did spawn is joined below, and the spawn exception
-     is re-raised in the caller.  [Array.init] would leak the
-     already-spawned domains on the same failure. *)
-  let spawned = Array.make (jobs - 1) None in
+type task = { workers : int; body : int -> unit }
+
+type t = {
+  size : int;
+  lock : Mutex.t;
+  wake : Condition.t;  (** Workers: a new task, or shutdown. *)
+  idle : Condition.t;  (** The caller: the last worker left the task. *)
+  mutable generation : int;
+  mutable task : task;
+  mutable busy : int;
+  mutable running : bool;
+  mutable closed : bool;
+  mutable domains : unit Domain.t list;
+}
+
+(* A worker runs every task published after generation [seen] until
+   the pool closes.  A task published before [closed] was set still
+   runs: its caller is waiting on [busy]. *)
+let rec worker t me seen =
+  Mutex.lock t.lock;
+  while t.generation = seen && not t.closed do
+    Condition.wait t.wake t.lock
+  done;
+  let generation = t.generation and task = t.task in
+  Mutex.unlock t.lock;
+  if generation <> seen then begin
+    if me < task.workers then begin
+      task.body me;
+      Mutex.lock t.lock;
+      t.busy <- t.busy - 1;
+      if t.busy = 0 then Condition.signal t.idle;
+      Mutex.unlock t.lock
+    end;
+    worker t me generation
+  end
+
+let shutdown t =
+  Mutex.lock t.lock;
+  let domains = t.domains in
+  t.domains <- [];
+  t.closed <- true;
+  Condition.broadcast t.wake;
+  Mutex.unlock t.lock;
+  List.iter Domain.join domains
+
+let create ~jobs =
+  if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
+  let t =
+    {
+      size = jobs;
+      lock = Mutex.create ();
+      wake = Condition.create ();
+      idle = Condition.create ();
+      generation = 0;
+      task = { workers = 0; body = ignore };
+      busy = 0;
+      running = false;
+      closed = false;
+      domains = [];
+    }
+  in
+  (* If [Domain.spawn] raises mid-loop (OS domain limit), the workers
+     that did spawn are parked: close the pool, join them, re-raise. *)
   (try
-     for d = 0 to jobs - 2 do
-       spawned.(d) <- Some (Domain.spawn (fun () -> body (d + 1)))
+     for d = 1 to jobs - 1 do
+       t.domains <- Domain.spawn (fun () -> worker t d 0) :: t.domains
      done
-   with e -> park ~failure ~on_failure e);
-  body 0;
-  Array.iter (function Some d -> Domain.join d | None -> ()) spawned;
-  match Atomic.get failure with None -> () | Some e -> raise e
+   with e ->
+     shutdown t;
+     raise e);
+  t
 
-let run ?(mode = Static) ?chunk ?(on_failure = ignore) ~jobs n f =
-  if jobs < 1 then invalid_arg "Pool.run: jobs must be >= 1";
+let exec ?(mode = Static) ?chunk ?(on_failure = ignore) t n f =
   (match chunk with
-  | Some c when c < 1 -> invalid_arg "Pool.run: chunk must be >= 1"
+  | Some c when c < 1 -> invalid_arg "Pool: chunk must be >= 1"
   | _ -> ());
-  if n < 0 then invalid_arg "Pool.run: negative job count";
-  let jobs = min jobs (max n 1) in
+  if n < 0 then invalid_arg "Pool: negative job count";
+  let workers = min t.size (max n 1) in
   (* Unless the caller pins a chunk, size it so each worker claims ~8
      times over a balanced run — enough slack for imbalance without
      hammering the shared cursor once per index on huge [n]. *)
   let chunk =
-    match chunk with Some c -> c | None -> max 1 (n / (jobs * 8))
+    match chunk with Some c -> c | None -> max 1 (n / (workers * 8))
   in
-  if jobs = 1 then (
+  if mode = Steal && n > range_mask then
+    invalid_arg "Pool: Steal supports at most 2^31 - 1 jobs";
+  Mutex.lock t.lock;
+  let closed = t.closed and running = t.running in
+  if closed || running then begin
+    Mutex.unlock t.lock;
+    invalid_arg
+      (if closed then "Pool.exec: the pool is shut down"
+       else "Pool.exec: the pool is already running a call")
+  end;
+  if workers = 1 then begin
+    Mutex.unlock t.lock;
     try
       for i = 0 to n - 1 do
         f i
       done
     with e ->
       on_failure ();
-      raise e)
-  else
+      raise e
+  end
+  else begin
     let failure = Atomic.make None in
-    match mode with
-    | Static ->
-        let cursor = Atomic.make 0 in
-        spawn_all ~jobs ~failure ~on_failure (fun _me ->
-            static_loop ~n ~chunk ~cursor ~failure ~on_failure f)
-    | Steal ->
-        if n > range_mask then
-          invalid_arg "Pool.run: Steal supports at most 2^31 - 1 jobs";
-        let deques =
-          Array.init jobs (fun w ->
-              Atomic.make (pack ~lo:(w * n / jobs) ~hi:((w + 1) * n / jobs)))
-        in
-        let remaining = Atomic.make n in
-        spawn_all ~jobs ~failure ~on_failure (fun me ->
-            steal_loop ~deques ~remaining ~failure ~on_failure ~chunk ~me f)
+    let share =
+      match mode with
+      | Static ->
+          let cursor = Atomic.make 0 in
+          fun _me -> static_loop ~n ~chunk ~cursor ~failure ~on_failure f
+      | Steal ->
+          let deques =
+            Array.init workers (fun w ->
+                Atomic.make
+                  (pack ~lo:(w * n / workers) ~hi:((w + 1) * n / workers)))
+          in
+          let remaining = Atomic.make n in
+          fun me ->
+            steal_loop ~deques ~remaining ~failure ~on_failure ~chunk ~me f
+    in
+    (* A worker's share must not raise out of its domain (the caller
+       would wait on [busy] forever); the loops park job exceptions,
+       and this catches one raised by [on_failure] itself. *)
+    let body me = try share me with e -> park ~failure ~on_failure e in
+    t.task <- { workers; body };
+    t.generation <- t.generation + 1;
+    t.busy <- workers - 1;
+    t.running <- true;
+    Condition.broadcast t.wake;
+    Mutex.unlock t.lock;
+    body 0;
+    Mutex.lock t.lock;
+    while t.busy > 0 do
+      Condition.wait t.idle t.lock
+    done;
+    t.running <- false;
+    Mutex.unlock t.lock;
+    match Atomic.get failure with None -> () | Some e -> raise e
+  end
+
+let run ?mode ?chunk ?(on_failure = ignore) ~jobs n f =
+  if jobs < 1 then invalid_arg "Pool.run: jobs must be >= 1";
+  let t =
+    try create ~jobs:(min jobs (max n 1))
+    with e ->
+      on_failure ();
+      raise e
+  in
+  match exec ?mode ?chunk ~on_failure t n f with
+  | () -> shutdown t
+  | exception e ->
+      shutdown t;
+      raise e
 
 let map ?mode ?chunk ?on_failure ~jobs n f =
   if n < 0 then invalid_arg "Pool.map: negative job count";
@@ -188,9 +296,9 @@ let map ?mode ?chunk ?on_failure ~jobs n f =
     (* Slot 0 runs eagerly in the caller: its value seeds the result
        buffer, so no per-element [Some] boxing is needed.  Writes land
        in disjoint slots (and disjoint [filled] bytes — one byte per
-       index, so no cross-domain read-modify-write), and the joins
-       inside [run] publish every slot before the check below reads
-       it. *)
+       index, so no cross-domain read-modify-write), and [exec]'s
+       hand-back under the pool lock publishes every slot before the
+       check below reads it. *)
     let r0 =
       try f 0
       with e ->

@@ -219,7 +219,7 @@ let run ?(seed = 0) ?(max_deliveries = 50_000_000) ?(faults = Transport.no_fault
      domain spawn) raises: node loops block on [live] reaching zero,
      which never happens once an activation dies mid-way, so without
      the flag the surviving loops would spin forever and [Pool.run]
-     could not reach its joins. *)
+     could not return. *)
   Colring_runtime.Pool.run ~jobs:n
     ~on_failure:(fun () -> Atomic.set sh.abort true)
     n

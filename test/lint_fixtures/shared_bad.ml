@@ -13,6 +13,9 @@ let go jobs =
       tally.(i) <- i;
       c.count <- c.count + 1)
 
+(* A call on a long-lived pool is patrolled the same way. *)
+let go_on pool = Pool.exec pool 8 (fun i -> tally.(i) <- i)
+
 (* Reached through the unit call graph, not the literal closure: the
    spawned closure calls [helper], whose [Bytes] write on a parameter
    must still be flagged. *)

@@ -113,6 +113,57 @@ let test_failure_race () =
     checki (Printf.sprintf "round %d reuse" round) 64 (Atomic.get ok)
   done
 
+(* One long-lived pool serves many consecutive calls, small and large,
+   both modes, every fifth one raising: each call runs each index at
+   most once (exactly once when nothing raised), and no index runs
+   while a later call is current — per-call claim state never leaks
+   across calls, and a call returns only after its workers left. *)
+let test_persistent_calls () =
+  List.iter
+    (fun jobs ->
+      let pool = Pool.create ~jobs in
+      let current = Atomic.make (-1) in
+      let stray = Atomic.make 0 in
+      let calls = ref [] in
+      for k = 0 to 119 do
+        let n = [| 0; 1; 2; 1009 |].(k mod 4) in
+        let mode = if k mod 3 = 0 then Pool.Steal else Pool.Static in
+        let chunk = [| 1; 3; 64 |].(k mod 3) in
+        let raising = k mod 5 = 4 && n > 0 in
+        let hits = Array.make n 0 in
+        Atomic.set current k;
+        (match
+           Pool.exec ~mode ~chunk pool n (fun i ->
+               (* Some slow indices, so a worker still busy after its
+                  call returned would finish under the next one. *)
+               if i mod 61 = 0 then
+                 for _ = 1 to 2000 do
+                   Domain.cpu_relax ()
+                 done;
+               hits.(i) <- hits.(i) + 1;
+               if Atomic.get current <> k then Atomic.incr stray;
+               if raising && i = n / 2 then raise Boom)
+         with
+        | () -> if raising then Alcotest.failf "-j%d call %d: swallowed" jobs k
+        | exception Boom -> ());
+        Array.iteri
+          (fun i h ->
+            if h > 1 || ((not raising) && h <> 1) then
+              Alcotest.failf "-j%d call %d: index %d ran %d times" jobs k i h)
+          hits;
+        calls := (k, Array.copy hits, hits) :: !calls
+      done;
+      Atomic.set current (-1);
+      Pool.shutdown pool;
+      checki (Printf.sprintf "-j%d indices run under a later call" jobs) 0
+        (Atomic.get stray);
+      List.iter
+        (fun (k, seen, hits) ->
+          if seen <> hits then
+            Alcotest.failf "-j%d call %d: ran again after returning" jobs k)
+        !calls)
+    jobs_list
+
 (* ------------------------------------------------------------------ *)
 (* Flock batch waves: many elections per wave across domains, with
    per-job journals byte-identical to the sequential run for every
@@ -189,6 +240,8 @@ let () =
           Alcotest.test_case "map under contention" `Quick
             test_map_under_contention;
           Alcotest.test_case "failure race" `Quick test_failure_race;
+          Alcotest.test_case "persistent pool calls" `Quick
+            test_persistent_calls;
         ] );
       ( "batch",
         [ Alcotest.test_case "flock waves byte-identical" `Quick

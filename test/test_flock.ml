@@ -373,6 +373,123 @@ let test_batch_recovers_after_raise () =
     (fun i r -> checkb (Printf.sprintf "next batch ok %d" i) true (Election.ok r))
     o.Batch.reports
 
+(* ------------------------------------------------------------------ *)
+(* The job server loop, driven in process. *)
+
+module Serve = Colring_harness.Serve
+
+(* A [read] that hands out [input] in pieces of at most [piece]
+   bytes, then end of input. *)
+let reader ~piece input =
+  let off = ref 0 in
+  fun buf pos len ->
+    let k = min (min len piece) (String.length input - !off) in
+    Bytes.blit_string input !off buf pos k;
+    off := !off + k;
+    k
+
+(* Serve [chunks] (each one [read] result, cut further into [piece]
+   bytes) on a fresh [jobs]-domain pool: exit code, replies, journal. *)
+let serve ?(sched = sched) ?(piece = max_int) ~jobs chunks =
+  let pool = Pool.create ~jobs in
+  let out = Buffer.create 4096 and journal = Buffer.create 4096 in
+  let pending = ref (List.map (reader ~piece) chunks) in
+  let rec read buf pos len =
+    match !pending with
+    | [] -> 0
+    | r :: rest -> (
+        match r buf pos len with
+        | 0 ->
+            pending := rest;
+            read buf pos len
+        | k -> k)
+  in
+  let code =
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () ->
+        Serve.run ~pool ~journal:(Buffer.add_string journal) ~sched ~read
+          ~write:(Buffer.add_string out) ())
+  in
+  (code, Buffer.contents out, Buffer.contents journal)
+
+(* What serve must answer: each line on its own, through a one-job
+   [Batch.run] — the per-line server this one replaces. *)
+let per_line ?(sched = sched) input =
+  let out = Buffer.create 4096 and journal = Buffer.create 4096 in
+  List.iter
+    (fun line ->
+      match Batch.parse_line line with
+      | Ok None -> ()
+      | Error msg -> Buffer.add_string out ("error: " ^ msg ^ "\n")
+      | Ok (Some s) -> (
+          match
+            Batch.run ~journal:(fun _ c -> Buffer.add_string journal c) ~sched
+              [| s |]
+          with
+          | o ->
+              Buffer.add_string out (Serve.result_line s o.Batch.reports.(0));
+              Buffer.add_char out '\n'
+          | exception e ->
+              Buffer.add_string out
+                ("error: " ^ Printexc.to_string e ^ "\n")))
+    (String.split_on_char '\n' input);
+  (Buffer.contents out, Buffer.contents journal)
+
+let test_serve_byte_identical () =
+  let algos =
+    [ "algo1"; "algo2"; "algo3-doubled"; "algo3-improved"; "resample" ]
+  in
+  let lines =
+    List.concat_map
+      (fun n ->
+        List.mapi
+          (fun k a ->
+            if (n + k) mod 7 = 0 then
+              Printf.sprintf "%s %d %d %d" a n (n + k) (3 * n)
+            else Printf.sprintf "%s %d %d" a n ((n * 31) + k))
+          algos
+        @ (if n mod 4 = 0 then [ "# comment"; ""; "   " ] else [])
+        @ if n mod 5 = 0 then [ "bogus 8 1"; "algo2 1 1"; "algo1 8" ] else [])
+      (List.init 15 (fun i -> i + 2))
+  in
+  (* The last line has no newline: it is served at end of input. *)
+  let input = String.concat "\n" (lines @ [ "algo2 16 99" ]) in
+  let want_out, want_journal = per_line input in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun (piece, how) ->
+          let code, out, journal = serve ~jobs ~piece [ input ] in
+          let what = Printf.sprintf "-j%d, %s" jobs how in
+          Alcotest.(check int) ("exit code, " ^ what) 1 code;
+          checks ("replies, " ^ what) want_out out;
+          checks ("journal, " ^ what) want_journal journal)
+        [ (max_int, "one chunk"); (1, "byte by byte") ])
+    [ 1; 2; 4 ]
+
+(* A job that raises in a multi-line wave: only its line is answered
+   with the error; the rest of the wave and the next wave are served. *)
+let test_serve_raising_job () =
+  let sched seed =
+    if seed = 13 then
+      { Scheduler.fifo with Scheduler.pick = (fun _ -> failwith "boom") }
+    else sched seed
+  in
+  let wave1 = "algo2 8 1\nalgo2 8 13\nalgo2 8 2\nalgo1 6 3\n" in
+  let wave2 = "algo3-improved 8 4\nalgo2 8 13\n" in
+  let want_out, want_journal = per_line ~sched (wave1 ^ wave2) in
+  checkb "the reference answers the raising line" true
+    (List.mem "error: Failure(\"boom\")" (String.split_on_char '\n' want_out));
+  List.iter
+    (fun jobs ->
+      let code, out, journal = serve ~sched ~jobs [ wave1; wave2 ] in
+      let what = Printf.sprintf "-j%d" jobs in
+      Alcotest.(check int) ("exit code, " ^ what) 1 code;
+      checks ("replies, " ^ what) want_out out;
+      checks ("journal, " ^ what) want_journal journal)
+    [ 1; 2; 4 ]
+
 let test_parse_spec_line_numbers () =
   (match Batch.parse_spec "algo2 8 1\n\n# c\nresample 6 2\n" with
   | Ok specs -> Alcotest.(check int) "count" 2 (Array.length specs)
@@ -414,5 +531,12 @@ let () =
             test_parse_spec_line_numbers;
           Alcotest.test_case "batch recovers after a raising job" `Quick
             test_batch_recovers_after_raise;
+        ] );
+      ( "serve",
+        [
+          Alcotest.test_case "byte-identical at any -j, chunking" `Quick
+            test_serve_byte_identical;
+          Alcotest.test_case "a raising job is answered alone" `Quick
+            test_serve_raising_job;
         ] );
     ]

@@ -46,6 +46,52 @@ let test_cli_jobs_default () =
   checkb "None resolves to default_jobs" true
     (Cli.jobs ~flag:"-j" None = Ok (Colring_runtime.Pool.default_jobs ()))
 
+(* --scheduler: every listed name builds a scheduler; an unknown name
+   is refused with the flag and the valid names, not a Failure from
+   deep inside the subcommand. *)
+let test_cli_scheduler () =
+  List.iter
+    (fun (name, _) ->
+      match Cli.scheduler ~flag:"--scheduler" name with
+      | Ok make -> ignore (make 1)
+      | Error msg -> Alcotest.failf "%s refused: %s" name msg)
+    Cli.schedulers;
+  checkb "seven names" true (List.length Cli.schedulers = 7);
+  match Cli.scheduler ~flag:"--scheduler" "bogus" with
+  | Ok _ -> Alcotest.fail "bogus accepted"
+  | Error msg ->
+      checkb "names the flag and value" true
+        (contains_sub msg "--scheduler bogus");
+      List.iter
+        (fun (name, _) ->
+          checkb ("lists " ^ name) true (contains_sub msg name))
+        Cli.schedulers
+
+(* --journal / --journal-dir: a path that cannot be opened is refused
+   with the flag named, before any job runs. *)
+let test_cli_output_paths () =
+  checkb "unopenable journal file" true
+    (is_error ~flag:"--journal /nonexistent/dir/x.jsonl"
+       (Cli.output_file ~flag:"--journal" "/nonexistent/dir/x.jsonl"));
+  checkb "uncreatable journal dir" true
+    (is_error ~flag:"--journal-dir /nonexistent/d"
+       (Cli.output_dir ~flag:"--journal-dir" "/nonexistent/d"));
+  let file = Filename.temp_file "colring" ".jsonl" in
+  checkb "a file is not a journal dir" true
+    (is_error ~flag:"--journal-dir"
+       (Cli.output_dir ~flag:"--journal-dir" file));
+  (match Cli.output_file ~flag:"--journal" file with
+  | Ok oc -> close_out oc
+  | Error msg -> Alcotest.failf "writable file refused: %s" msg);
+  Sys.remove file;
+  let dir = Filename.temp_file "colring" ".d" in
+  Sys.remove dir;
+  checkb "missing dir is created" true
+    (Cli.output_dir ~flag:"--journal-dir" dir = Ok dir && Sys.is_directory dir);
+  checkb "existing dir accepted" true
+    (Cli.output_dir ~flag:"--journal-dir" dir = Ok dir);
+  Sys.rmdir dir
+
 (* colring adversary -n N -k K: the ID space must cover the ring. *)
 let test_cli_adversary_id_space () =
   checkb "k = n accepted" true (Cli.id_space ~flag:"-k" ~n:5 5 = Ok 5);
@@ -338,6 +384,8 @@ let cli_tests =
   [
     Alcotest.test_case "validators" `Quick test_cli_validators;
     Alcotest.test_case "jobs default" `Quick test_cli_jobs_default;
+    Alcotest.test_case "scheduler names" `Quick test_cli_scheduler;
+    Alcotest.test_case "journal output paths" `Quick test_cli_output_paths;
     Alcotest.test_case "topology grammar" `Quick test_topo_parse_round_trip;
     Alcotest.test_case "topology materializer" `Quick test_topo_materialize;
     Alcotest.test_case "topology size cap" `Quick test_topo_size_cap;

@@ -112,7 +112,7 @@ let test_deprecated_arg () =
 (* shared-state *)
 
 let test_shared_state () =
-  checki "array write, field write+read, callee Bytes write" 4
+  checki "array writes (run, exec), field write+read, callee Bytes write" 5
     (count "shared-state"
        (rules_of "shared_bad.ml" ~as_path:"lib/runtime/x.ml"));
   checki "tests are not patrolled" 0

@@ -190,6 +190,38 @@ let test_map_first_slot_failure () =
   | _ -> Alcotest.fail "exception was swallowed");
   checki "on_failure ran exactly once" 1 !calls
 
+(* The long-lived pool: a failed call leaves it serving, small calls
+   stay in the caller, misuse is refused, and shutdown is idempotent. *)
+let test_persistent_pool () =
+  let pool = Pool.create ~jobs:4 in
+  let raises_invalid f =
+    match f () with exception Invalid_argument _ -> true | _ -> false
+  in
+  for round = 1 to 3 do
+    (match Pool.exec pool 64 (fun i -> if i = 37 then failwith "boom") with
+    | exception Failure msg -> Alcotest.(check string) "message" "boom" msg
+    | () -> Alcotest.fail "exception was swallowed");
+    let hits = Array.make 100 0 in
+    Pool.exec ~mode:Pool.Steal pool 100 (fun i -> hits.(i) <- hits.(i) + 1);
+    Array.iteri
+      (fun i h -> checki (Printf.sprintf "round %d index %d" round i) 1 h)
+      hits
+  done;
+  let me = Domain.self () in
+  Pool.exec pool 1 (fun _ ->
+      checkb "n = 1 runs in the caller" true (Domain.self () = me));
+  checkb "nested call refused" true
+    (raises_invalid (fun () ->
+         Pool.exec ~chunk:1 pool 2 (fun _ -> Pool.exec pool 2 ignore)));
+  Pool.exec pool 8 ignore;
+  Pool.shutdown pool;
+  Pool.shutdown pool;
+  checkb "call after shutdown" true
+    (raises_invalid (fun () -> Pool.exec pool 8 ignore));
+  checkb "small call after shutdown" true
+    (raises_invalid (fun () -> Pool.exec pool 0 ignore));
+  checkb "jobs = 0" true (raises_invalid (fun () -> Pool.create ~jobs:0))
+
 let test_default_jobs_env () =
   Unix.putenv "COLRING_JOBS" "3";
   checki "COLRING_JOBS=3" 3 (Pool.default_jobs ());
@@ -264,6 +296,8 @@ let () =
           Alcotest.test_case "map first-slot failure" `Quick
             test_map_first_slot_failure;
           Alcotest.test_case "COLRING_JOBS" `Quick test_default_jobs_env;
+          Alcotest.test_case "persistent pool reuse and shutdown" `Quick
+            test_persistent_pool;
         ] );
       ( "split_at",
         [

@@ -6,8 +6,8 @@
    domains — see [Lint_config.load_shared]):
 
    - [shared-state]: walks every closure handed to [Pool.run] /
-     [Pool.map] / [Domain.spawn] — plus the bodies of same-unit
-     functions those closures call, transitively — and flags any
+     [Pool.map] / [Pool.exec] / [Domain.spawn] — plus the bodies of
+     same-unit functions those closures call, transitively — and flags any
      mutable-field write or read, array/[Bytes] write, or [ref]
      mutation/deref whose target is neither allocated inside the
      walked code nor declared in the manifest's [(state ...)] list.
@@ -72,7 +72,7 @@ let rev_flat lid = List.rev (Longident.flatten lid)
 let is_spawn_lid lid =
   match rev_flat lid with
   | "spawn" :: "Domain" :: _ -> true
-  | ("run" | "map") :: "Pool" :: _ -> true
+  | ("run" | "map" | "exec") :: "Pool" :: _ -> true
   | _ -> false
 
 let expr_to_string e = Format.asprintf "%a" Pprintast.expression e
