@@ -78,4 +78,4 @@ let () =
      experiment raises); without a journal it is the null sink. *)
   match journal with
   | None -> run_selected Sink.null
-  | Some path -> Sink.with_jsonl_channel path run_selected
+  | Some path -> Sink.with_jsonl_channel (open_out path) run_selected

@@ -75,6 +75,11 @@ let sched_arg =
 let trace_arg =
   Arg.(value & flag & info [ "trace" ] ~doc:"Print the full event trace.")
 
+(* An output file a flag names that cannot be opened is a usage error
+   (exit 2, naming the flag), refused before any job runs. *)
+let output_file ~flag path =
+  Harness.Cli.exit_or ~cmd:"colring" (Harness.Cli.output_file ~flag path)
+
 let journal_arg =
   Arg.(
     value
@@ -83,6 +88,10 @@ let journal_arg =
         ~doc:
           "Write a JSONL run journal to $(docv): one self-describing JSON \
            object per event/record (validate with $(b,colring journal)).")
+
+(* Every subcommand that takes --journal opens it first thing, so an
+   unopenable path is refused before anything runs. *)
+let open_journal = Option.map (output_file ~flag:"--journal")
 
 let snapshot_arg =
   Arg.(
@@ -94,18 +103,14 @@ let snapshot_arg =
            deliveries (a final snapshot is always emitted). The cadence means \
            the same thing for every subcommand that accepts it.")
 
-(* Run [f] with a jsonl sink on [path] (the null sink when no journal
-   was asked for).  Sink.with_jsonl_channel flushes on ALL exits, so a
-   run that raises still leaves a valid journal prefix behind. *)
-let with_journal path f =
-  match path with
+(* Run [f] with a jsonl sink on the --journal channel (the null sink
+   when no journal was asked for).  Sink.with_jsonl_channel flushes on
+   ALL exits, so a run that raises still leaves a valid journal prefix
+   behind. *)
+let with_journal journal f =
+  match journal with
   | None -> f Sink.null
-  | Some p -> Sink.with_jsonl_channel p f
-
-(* An output file a flag names that cannot be opened is a usage error
-   (exit 2, naming the flag), refused before any job runs. *)
-let output_file ~flag path =
-  Harness.Cli.exit_or ~cmd:"colring" (Harness.Cli.output_file ~flag path)
+  | Some oc -> Sink.with_jsonl_channel oc f
 
 let diagram_arg =
   Arg.(
@@ -295,6 +300,7 @@ let gelect topo_spec ~n ~seed ~id_max ~sched_of ~journal ~snapshot_every
 
 let elect n seed id_max sched_of algo trace diagram journal snapshot_every
     backend latency jitter max_deliveries topology =
+  let journal = open_journal journal in
   if not (Harness.Topo.is_ring topology) then begin
     if backend <> Backend.Sim || latency <> 0 || jitter <> 0 || trace || diagram
     then begin
@@ -537,6 +543,7 @@ let baseline_arg =
            franklin | itai-rodeh.")
 
 let baseline n seed sched_of algo journal snapshot_every =
+  let journal = open_journal journal in
   let ids = Ids.dense (Rng.create ~seed) ~n in
   let topo = Topology.oriented n in
   let sched = sched_of seed in
@@ -615,16 +622,15 @@ let sweep_topology_arg =
    election (rings included — here they run through the graph engine,
    the walk of a ring being the ring itself). *)
 let gsweep topos seed sched_of csv jobs journal =
-  let journal_oc = Option.map (output_file ~flag:"--journal") journal in
   let ms =
     Harness.Sweep.gelection ~jobs
-      ?journal:(Option.map (fun oc -> output_string oc) journal_oc)
+      ?journal:(Option.map (fun oc -> output_string oc) journal)
       ~topologies:topos
       ~seeds:[ seed; seed + 1; seed + 2 ]
       ~schedulers:[ sched_of ]
       ()
   in
-  Option.iter close_out journal_oc;
+  Option.iter close_out journal;
   if csv then print_string (Harness.Sweep.gelection_to_csv ms)
   else begin
     Printf.printf "%-24s %6s %6s %6s %6s %10s\n" "topology" "n" "walk" "runs"
@@ -657,14 +663,14 @@ let gsweep topos seed sched_of csv jobs journal =
   else 1
 
 let sweep seed sched_of algo csv jobs journal topologies =
+  let journal = open_journal journal in
   if topologies <> [] then
     gsweep topologies seed sched_of csv (resolve_jobs jobs) journal
   else
-  let journal_oc = Option.map (output_file ~flag:"--journal") journal in
   let measurements =
     Harness.Sweep.election
       ~jobs:(resolve_jobs jobs)
-      ?journal:(Option.map (fun oc -> output_string oc) journal_oc)
+      ?journal:(Option.map (fun oc -> output_string oc) journal)
       ~algorithms:[ algo ]
       ~workloads:
         (match algo with
@@ -679,7 +685,7 @@ let sweep seed sched_of algo csv jobs journal topologies =
       ~schedulers:[ sched_of ]
       ()
   in
-  Option.iter close_out journal_oc;
+  Option.iter close_out journal;
   if csv then print_string (Harness.Sweep.to_csv measurements)
   else
     Format.printf "%a@." Harness.Sweep.pp_summary
@@ -895,22 +901,22 @@ let batch_cmd =
       $ slots_arg $ journal_dir_arg $ shards_arg $ events_arg $ topology_arg)
 
 let serve sched jobs journal =
+  let journal = open_journal journal in
   let jobs = resolve_jobs jobs in
-  let journal_oc = Option.map (output_file ~flag:"--journal") journal in
   let pool = Colring_runtime.Pool.create ~jobs in
   let code =
     Fun.protect
       ~finally:(fun () -> Colring_runtime.Pool.shutdown pool)
       (fun () ->
         Harness.Serve.run ~pool
-          ?journal:(Option.map output_string journal_oc)
+          ?journal:(Option.map output_string journal)
           ~sched ~read:(input stdin)
           ~write:(fun replies ->
             print_string replies;
             flush stdout)
           ())
   in
-  Option.iter close_out journal_oc;
+  Option.iter close_out journal;
   code
 
 let serve_cmd =
@@ -1158,6 +1164,7 @@ let within_link_budget ~flag ~value links =
        (Harness.Cli.link_budget ~flag ~value ~max:Mc.max_links links))
 
 let check n seed id_max target jobs max_states journal topology =
+  let journal = open_journal journal in
   let jobs = resolve_jobs jobs in
   if not (Harness.Topo.is_ring topology) then begin
     (* A non-ring topology: exhaustively verify the walk election on

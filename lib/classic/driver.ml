@@ -56,7 +56,9 @@ let run ?(seed = 0) ?max_deliveries ?(sink = Sink.null)
         ("workload", Sink.String "-");
         ("scheduler", Sink.String sched.Scheduler.name);
       ];
-  let net = Network.create ~sink ~seed topo make_program in
+  let net =
+    Network.create_with ~carry:Network.Payloads ~sink ~seed topo make_program
+  in
   let result = Network.run ?max_deliveries ~snapshot_every net sched in
   let outputs = Network.outputs net in
   let leader = unique_leader outputs in

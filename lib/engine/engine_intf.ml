@@ -24,8 +24,9 @@ module type NETWORK = sig
   type 'm api
   type 'm program
 
-  val create :
-    ?sink:Sink.t -> ?seed:int -> topology -> (int -> 'm program) -> 'm t
+  (* The surface starts from a built network: each engine's own
+     constructors also choose what its messages carry
+     ([Network.carry]). *)
 
   val run :
     ?max_deliveries:int ->

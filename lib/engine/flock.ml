@@ -17,10 +17,9 @@ module Rng = Colring_stats.Rng
 type status = Idle | Running | Settled | Exhausted
 
 (* A channel in a pulse network carries no payload, so an envelope is
-   pure metadata: a stride-3 circular buffer of (seq, batch, depth)
-   replaces the generic {!Envq} (which stores and clears a payload
-   slab alongside the metadata).  Same growth rule — capacity 0 or a
-   power of two, doubled on overflow. *)
+   pure metadata: a stride-3 circular buffer of (seq, batch, depth),
+   the same layout as {!Network}'s per-link stamp queues.  Capacity 0
+   or a power of two, doubled on overflow. *)
 type pq = { mutable meta : int array; mutable head : int; mutable len : int }
 
 let pq_create () = { meta = [||]; head = 0; len = 0 }
@@ -73,8 +72,7 @@ type t = {
   nonempty : int array array;
   link_pos : int array;
   (* Per (slot, node, port): mailbox depth.  A pulse mailbox is just a
-     count — {!Network} keeps a [Ring.t] of units here; the flock keeps
-     the integer. *)
+     count, as in a {!Network} pulse network. *)
   mcount : int array;
   (* Per (slot, node). *)
   outputs : Output.t array;

@@ -5,14 +5,9 @@ type t = {
   mutable consumes : int;
   mutable wakes : int;
   mutable post_term : int;
-  ports : int; (* per-node port stride of [delivered]/[consumed] *)
-  sends_by_node : int array;
-  sends_by_link : int array;
-  delivered : int array; (* node * ports + port *)
-  consumed : int array;
 }
 
-let create ?(ports_per_node = 2) ~n_nodes ~n_links () =
+let create () =
   {
     sends = 0;
     sends_cw = 0;
@@ -20,54 +15,16 @@ let create ?(ports_per_node = 2) ~n_nodes ~n_links () =
     consumes = 0;
     wakes = 0;
     post_term = 0;
-    ports = ports_per_node;
-    sends_by_node = Array.make n_nodes 0;
-    sends_by_link = Array.make n_links 0;
-    delivered = Array.make (n_nodes * ports_per_node) 0;
-    consumed = Array.make (n_nodes * ports_per_node) 0;
   }
 
-let on_send t ~link ~node ~cw =
+let on_send t ~cw =
   t.sends <- t.sends + 1;
-  if cw then t.sends_cw <- t.sends_cw + 1;
-  t.sends_by_node.(node) <- t.sends_by_node.(node) + 1;
-  t.sends_by_link.(link) <- t.sends_by_link.(link) + 1
+  if cw then t.sends_cw <- t.sends_cw + 1
 
-let on_deliver t ~node ~port_index =
-  t.deliveries <- t.deliveries + 1;
-  let i = (node * t.ports) + port_index in
-  t.delivered.(i) <- t.delivered.(i) + 1
-
-let on_consume t ~node ~port_index =
-  t.consumes <- t.consumes + 1;
-  let i = (node * t.ports) + port_index in
-  t.consumed.(i) <- t.consumed.(i) + 1
-
+let on_deliver t = t.deliveries <- t.deliveries + 1
+let on_consume t = t.consumes <- t.consumes + 1
 let on_post_termination_delivery t = t.post_term <- t.post_term + 1
 let on_wake t = t.wakes <- t.wakes + 1
-
-(* Exact inverses of the [on_*] updates, called by the engines'
-   [undo_step] for each event recorded in an undo journal — scalars
-   and per-node/per-link arrays stay consistent without snapshotting
-   the whole counter block. *)
-let undo_send t ~link ~node ~cw =
-  t.sends <- t.sends - 1;
-  if cw then t.sends_cw <- t.sends_cw - 1;
-  t.sends_by_node.(node) <- t.sends_by_node.(node) - 1;
-  t.sends_by_link.(link) <- t.sends_by_link.(link) - 1
-
-let undo_deliver t ~node ~port_index =
-  t.deliveries <- t.deliveries - 1;
-  let i = (node * t.ports) + port_index in
-  t.delivered.(i) <- t.delivered.(i) - 1
-
-let undo_consume t ~node ~port_index =
-  t.consumes <- t.consumes - 1;
-  let i = (node * t.ports) + port_index in
-  t.consumed.(i) <- t.consumed.(i) - 1
-
-let undo_post_termination_delivery t = t.post_term <- t.post_term - 1
-let undo_wake t = t.wakes <- t.wakes - 1
 
 let sends t = t.sends
 let sends_cw t = t.sends_cw
@@ -75,10 +32,6 @@ let sends_ccw t = t.sends - t.sends_cw
 let deliveries t = t.deliveries
 let consumes t = t.consumes
 let wakes t = t.wakes
-let sends_by t ~node = t.sends_by_node.(node)
-let sends_on_link t ~link = t.sends_by_link.(link)
-let delivered_to t ~node ~port_index = t.delivered.((node * t.ports) + port_index)
-let consumed_by t ~node ~port_index = t.consumed.((node * t.ports) + port_index)
 let post_termination_deliveries t = t.post_term
 
 (* Stable schema: snake_case keys in alphabetical order (see the .mli;

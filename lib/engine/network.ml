@@ -57,10 +57,127 @@ type 'a prog = {
   p_snap : Engine_intf.snapshot option;
 }
 
+type pulse = unit
+
+type _ carry = Pulses : pulse carry | Payloads : 'm carry
+
+(* A channel's envelopes as stamps only: a stride-3 circular buffer of
+   (seq, batch, depth), capacity 0 or a power of two, doubled on
+   overflow.  Every network keeps one per link; a pulse carries
+   nothing else, so on a pulse network this is the whole channel. *)
+type stamps = {
+  mutable meta : int array;
+  mutable head : int;
+  mutable len : int;
+}
+
+let stamps_create () = { meta = [||]; head = 0; len = 0 }
+
+let stamps_grow q =
+  let cap = Array.length q.meta / 3 in
+  let ncap = if cap = 0 then 8 else cap * 2 in
+  let meta = Array.make (3 * ncap) 0 in
+  for i = 0 to q.len - 1 do
+    let s = 3 * ((q.head + i) land (cap - 1)) in
+    meta.(3 * i) <- q.meta.(s);
+    meta.((3 * i) + 1) <- q.meta.(s + 1);
+    meta.((3 * i) + 2) <- q.meta.(s + 2)
+  done;
+  q.meta <- meta;
+  q.head <- 0
+
+let stamps_push q ~seq ~batch ~depth =
+  if Int.equal (3 * q.len) (Array.length q.meta) then stamps_grow q;
+  let s = 3 * ((q.head + q.len) land ((Array.length q.meta / 3) - 1)) in
+  q.meta.(s) <- seq;
+  q.meta.(s + 1) <- batch;
+  q.meta.(s + 2) <- depth;
+  q.len <- q.len + 1
+
+(* Callers check non-emptiness: the head stamps are read in place at
+   [meta.(3 * head)], [+ 1] and [+ 2] before the pop. *)
+let stamps_pop q =
+  q.head <- (q.head + 1) land ((Array.length q.meta / 3) - 1);
+  q.len <- q.len - 1
+
+(* The deque half exists for incremental undo: [stamps_push_front]
+   re-files a delivered head envelope with its original stamps and
+   [stamps_pop_back] retracts the newest send. *)
+let stamps_push_front q ~seq ~batch ~depth =
+  if Int.equal (3 * q.len) (Array.length q.meta) then stamps_grow q;
+  let cap = Array.length q.meta / 3 in
+  q.head <- (q.head + cap - 1) land (cap - 1);
+  let s = 3 * q.head in
+  q.meta.(s) <- seq;
+  q.meta.(s + 1) <- batch;
+  q.meta.(s + 2) <- depth;
+  q.len <- q.len + 1
+
+let stamps_pop_back q = q.len <- q.len - 1
+
+(* A payload network's payloads, one slab per channel and one per
+   mailbox, moving in lockstep with the stamps and counts.  Popped
+   slots are cleared with the first payload ever pushed (kept in
+   [filler]), so a slab retains at most that one value beyond its live
+   contents and clearing is a plain store. *)
+type 'a slab = {
+  mutable elems : 'a array; (* length is 0 or a power of two *)
+  mutable first : int;
+  mutable size : int;
+  mutable filler : 'a array;
+}
+
+let slab_create () = { elems = [||]; first = 0; size = 0; filler = [||] }
+
+(* [x] doubles as the fill element of the fresh array, so growth works
+   for any payload type without a dummy value. *)
+let slab_grow b x =
+  let cap = Array.length b.elems in
+  let ncap = if cap = 0 then 8 else cap * 2 in
+  let elems = Array.make ncap x in
+  if Array.length b.filler = 0 then b.filler <- Array.make 1 x;
+  for i = 0 to b.size - 1 do
+    elems.(i) <- b.elems.((b.first + i) land (cap - 1))
+  done;
+  b.elems <- elems;
+  b.first <- 0
+
+let slab_push b x =
+  if Int.equal b.size (Array.length b.elems) then slab_grow b x;
+  b.elems.((b.first + b.size) land (Array.length b.elems - 1)) <- x;
+  b.size <- b.size + 1
+
+let slab_pop b =
+  let x = b.elems.(b.first) in
+  b.elems.(b.first) <- b.filler.(0);
+  b.first <- (b.first + 1) land (Array.length b.elems - 1);
+  b.size <- b.size - 1;
+  x
+
+let slab_peek b = b.elems.(b.first)
+
+let slab_push_front b x =
+  if Int.equal b.size (Array.length b.elems) then slab_grow b x;
+  let cap = Array.length b.elems in
+  b.first <- (b.first + cap - 1) land (cap - 1);
+  b.elems.(b.first) <- x;
+  b.size <- b.size + 1
+
+let slab_pop_back b =
+  let s = (b.first + b.size - 1) land (Array.length b.elems - 1) in
+  let x = b.elems.(s) in
+  b.elems.(s) <- b.filler.(0);
+  b.size <- b.size - 1;
+  x
+
+let slab_to_array b =
+  Array.init b.size (fun i ->
+      b.elems.((b.first + i) land (Array.length b.elems - 1)))
+
 (* Per-step journal scratch for [force_step_undo]: the wake's consumed
-   pulses (port + payload) and sent links, in order.  One per network,
-   reused across steps; arrays grow by doubling and are copied out
-   into each undo record. *)
+   ports (and, on a payload network, payloads) and sent links, in
+   order.  One per network, reused across steps; arrays grow by
+   doubling and are copied out into each undo record. *)
 type 'm ulog = {
   mutable cports : int array;
   mutable cpayloads : 'm array;
@@ -82,13 +199,17 @@ let ulog_send g link =
   g.slinks.(g.slen) <- link;
   g.slen <- g.slen + 1
 
-let ulog_consume g port m =
+let ulog_consume g port =
   g.cports <- grow_ints g.cports g.clen;
-  if Int.equal g.clen (Array.length g.cpayloads) then
-    g.cpayloads <- Array.append g.cpayloads (Array.make (max 8 g.clen) m);
   g.cports.(g.clen) <- port;
-  g.cpayloads.(g.clen) <- m;
   g.clen <- g.clen + 1
+
+(* The payload of the consume [ulog_consume] just journalled. *)
+let ulog_payload g m =
+  let i = g.clen - 1 in
+  if i >= Array.length g.cpayloads then
+    g.cpayloads <- Array.append g.cpayloads (Array.make (max 8 (i + 1)) m);
+  g.cpayloads.(i) <- m
 
 (* One engine for rings and graphs alike.  ['api] is the record the
    node programs see (ring {!api} or {!Graph.api}) and ['topo] the
@@ -98,10 +219,16 @@ type ('m, 'api, 'topo) core = {
   topo : 'topo;
   programs : 'api prog array;
   mutable apis : 'api array;
-  channels : 'm Envq.t array; (* by link id *)
+  (* What a pulse carries, fixed at creation.  Every network keeps the
+     stamp queues and mailbox counts below; only [Payloads] networks
+     fill [chan_pl]/[box_pl] (empty arrays otherwise). *)
+  carry : 'm carry;
+  chans : stamps array; (* by link id *)
   (* Node [v]'s port [p] sends on link [first_link.(v) + p] and reads
      mailbox [first_link.(v) + p] (on a ring, [2v + p]). *)
-  mailboxes : 'm Ring.t array;
+  mcount : int array; (* by mailbox id *)
+  chan_pl : 'm slab array;
+  box_pl : 'm slab array;
   (* Per-link tables: the receiving node and port, and the direction
      ([Some cw] on a ring, [None] on a graph, which has no global
      direction); per-node tables: first link id and degree. *)
@@ -114,8 +241,7 @@ type ('m, 'api, 'topo) core = {
   term : bool array;
   mutable term_order_rev : int list;
   (* The engine's own counters, written inline on the delivery path
-     (the same updates {!Sink.counters} makes through [Metrics.on_*]);
-     the per-port stride [metrics.ports] is the maximum degree. *)
+     (the same updates {!Sink.counters} makes through [Metrics.on_*]). *)
   metrics : Metrics.t;
   (* The caller's sink, called directly after the counters move.
      [live] is [not (sink == Sink.null)]: every per-event callback
@@ -165,12 +291,18 @@ type 'm t = ('m, 'm api, Topology.t) core
    so no call into another module is ever inlined; the only indirect
    calls left per delivery are the scheduler's [pick], the program's
    [wake] and its api closures — counters are inline stores, link
-   lookups are table reads, and queue stamps are read in place.  The
-   api constructors live here for the same reason: their closures
-   reach [enqueue] and [take] as calls within this module. *)
+   lookups are table reads, queue stamps are read in place, and the
+   queues themselves are the functions above.  The api constructors
+   live here for the same reason: their closures reach [enqueue] and
+   [take] as calls within this module.  The [carry] match is the one
+   place a payload network differs: a pulse network moves integers
+   only. *)
 
 let port_index p = match p with Port.P0 -> 0 | Port.P1 -> 1
 let is_cw t link = match t.dir.(link) with Some cw -> cw | None -> false
+
+(* The one [Some] a pulse network's [recv] ever returns. *)
+let some_pulse = Some ()
 
 let mark_nonempty t link =
   if t.link_pos.(link) < 0 then begin
@@ -180,7 +312,7 @@ let mark_nonempty t link =
   end
 
 let unmark_if_empty t link =
-  if t.channels.(link).Envq.len = 0 then begin
+  if t.chans.(link).len = 0 then begin
     let pos = t.link_pos.(link) in
     let last = t.nonempty_count - 1 in
     let moved = t.nonempty.(last) in
@@ -195,35 +327,45 @@ let unmark_if_empty t link =
    ([t.next_batch] is bumped at activation boundaries only).  Sink
    callbacks take immediate arguments only — no event value is
    materialised — so the steady-state hot path allocates nothing. *)
-let enqueue t ~link ~node ~port m =
+let enqueue (type m) (t : (m, _, _) core) ~link ~node ~port (m : m) =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   mark_nonempty t link;
-  Envq.push t.channels.(link) m ~seq ~batch:t.next_batch
+  stamps_push t.chans.(link) ~seq ~batch:t.next_batch
     ~depth:(t.local_clock.(node) + 1);
+  (match t.carry with Pulses -> () | Payloads -> slab_push t.chan_pl.(link) m);
   t.in_flight <- t.in_flight + 1;
   let c = t.metrics in
   let cw = is_cw t link in
   c.sends <- c.sends + 1;
   if cw then c.sends_cw <- c.sends_cw + 1;
-  c.sends_by_node.(node) <- c.sends_by_node.(node) + 1;
-  c.sends_by_link.(link) <- c.sends_by_link.(link) + 1;
   if t.logging then ulog_send t.ulog link;
   if t.live then t.sink.Sink.on_send ~node ~port ~seq ~link ~cw
 
-(* The wake's side of a mailbox read: pop the oldest entry of [mb]
-   (node [node]'s mailbox at [port], known non-empty), count it and
+(* The wake's side of a mailbox read: take the oldest entry of mailbox
+   [mb] (node [node]'s, at [port], known non-empty), count it and
    journal it for undo. *)
-let take t ~node ~port mb =
-  let m = Ring.pop mb in
+let take (type m) (t : (m, _, _) core) ~node ~port mb : m =
+  t.mcount.(mb) <- t.mcount.(mb) - 1;
   t.mailbox_backlog <- t.mailbox_backlog - 1;
   let c = t.metrics in
-  let i = (node * c.Metrics.ports) + port in
   c.consumes <- c.consumes + 1;
-  c.consumed.(i) <- c.consumed.(i) + 1;
   if t.live then t.sink.Sink.on_consume ~node ~port;
-  if t.logging then ulog_consume t.ulog port m;
-  m
+  if t.logging then ulog_consume t.ulog port;
+  match t.carry with
+  | Pulses -> ()
+  | Payloads ->
+      let m = slab_pop t.box_pl.(mb) in
+      if t.logging then ulog_payload t.ulog m;
+      m
+
+(* [take] behind a [recv]: [None] on an empty mailbox, and on a pulse
+   network the shared [some_pulse] instead of a fresh [Some ()]. *)
+let recv_at (type m) (t : (m, _, _) core) ~node ~port mb : m option =
+  if t.mcount.(mb) = 0 then None
+  else
+    let m = take t ~node ~port mb in
+    match t.carry with Pulses -> some_pulse | Payloads -> Some m
 
 let decide t v o =
   if not (Output.equal t.outputs.(v) o) then begin
@@ -238,34 +380,35 @@ let halt t v =
     if t.live then t.sink.Sink.on_terminate ~node:v
   end
 
-let ring_api t v rng =
-  (* Mailboxes and outgoing link ids, resolved once per api instead of
-     per call. *)
+let ring_api (type m) (t : (m, m api, _) core) v rng : m api =
+  (* Node [v]'s port [p] is link (and mailbox) [l0 + p]; [l0] is
+     resolved once per api instead of per call. *)
   let l0 = t.first_link.(v) in
-  let mb0 = t.mailboxes.(l0) and mb1 = t.mailboxes.(l0 + 1) in
   let recv p =
-    let mb = match p with Port.P0 -> mb0 | Port.P1 -> mb1 in
-    if mb.Ring.len = 0 then None
-    else Some (take t ~node:v ~port:(port_index p) mb)
+    let port = port_index p in
+    recv_at t ~node:v ~port (l0 + port)
   in
   let recv_pulse p =
-    let mb = match p with Port.P0 -> mb0 | Port.P1 -> mb1 in
-    if mb.Ring.len = 0 then false
+    let port = port_index p in
+    if t.mcount.(l0 + port) = 0 then false
     else begin
-      ignore (take t ~node:v ~port:(port_index p) mb);
+      ignore (take t ~node:v ~port (l0 + port) : m);
       true
     end
   in
-  let peek p =
-    let mb = match p with Port.P0 -> mb0 | Port.P1 -> mb1 in
-    if mb.Ring.len = 0 then None else Some (Ring.peek mb)
+  let peek p : m option =
+    let mb = l0 + port_index p in
+    if t.mcount.(mb) = 0 then None
+    else
+      match t.carry with
+      | Pulses -> some_pulse
+      | Payloads -> Some (slab_peek t.box_pl.(mb))
   in
-  let pending p = Ring.length (match p with Port.P0 -> mb0 | Port.P1 -> mb1) in
+  let pending p = t.mcount.(l0 + port_index p) in
   let send p m =
     if t.term.(v) then failwith "Network: send after terminate";
-    match p with
-    | Port.P0 -> enqueue t ~link:l0 ~node:v ~port:0 m
-    | Port.P1 -> enqueue t ~link:(l0 + 1) ~node:v ~port:1 m
+    let port = port_index p in
+    enqueue t ~link:(l0 + port) ~node:v ~port m
   in
   let set_output o = decide t v o in
   let terminate () = halt t v in
@@ -278,12 +421,11 @@ let graph_api t v rng =
   let degree = t.degree.(v) in
   let recv p =
     if p < 0 || p >= degree then invalid_arg "Gnetwork.recv: bad port";
-    let mb = t.mailboxes.(base + p) in
-    if mb.Ring.len = 0 then None else Some (take t ~node:v ~port:p mb)
+    recv_at t ~node:v ~port:p (base + p)
   in
   let pending p =
     if p < 0 || p >= degree then invalid_arg "Gnetwork.pending: bad port";
-    t.mailboxes.(base + p).Ring.len
+    t.mcount.(base + p)
   in
   let send p m =
     if t.term.(v) then failwith "Gnetwork: send after terminate";
@@ -294,8 +436,13 @@ let graph_api t v rng =
   let terminate () = halt t v in
   { Graph.node = v; degree; recv; pending; send; set_output; terminate; rng }
 
-let make ?(sink = Sink.null) ?(seed = 0) ~api topo ~dst_node ~dst_port ~dir
-    ~first_link ~degree programs =
+let slabs (type m) (carry : m carry) links : m slab array =
+  match carry with
+  | Pulses -> [||]
+  | Payloads -> Array.init links (fun _ -> slab_create ())
+
+let make ~carry ?(sink = Sink.null) ?(seed = 0) ~api topo ~dst_node ~dst_port
+    ~dir ~first_link ~degree programs =
   let n = Array.length first_link in
   let links = Array.length dst_node in
   let undo_ok =
@@ -307,8 +454,11 @@ let make ?(sink = Sink.null) ?(seed = 0) ~api topo ~dst_node ~dst_port ~dir
       topo;
       programs;
       apis = [||];
-      channels = Array.init links (fun _ -> Envq.create ());
-      mailboxes = Array.init links (fun _ -> Ring.create ());
+      carry;
+      chans = Array.init links (fun _ -> stamps_create ());
+      mcount = Array.make links 0;
+      chan_pl = slabs carry links;
+      box_pl = slabs carry links;
       dst_node;
       dst_port;
       dir;
@@ -317,10 +467,7 @@ let make ?(sink = Sink.null) ?(seed = 0) ~api topo ~dst_node ~dst_port ~dir
       outputs = Array.make n Output.empty;
       term = Array.make n false;
       term_order_rev = [];
-      metrics =
-        Metrics.create
-          ~ports_per_node:(Array.fold_left max 1 degree)
-          ~n_nodes:n ~n_links:links ();
+      metrics = Metrics.create ();
       sink;
       live = not (sink == Sink.null);
       observed = sink.Sink.enabled;
@@ -358,12 +505,12 @@ let make ?(sink = Sink.null) ?(seed = 0) ~api topo ~dst_node ~dst_port ~dir
       count = 0;
       head_seq =
         (fun link ->
-          let q = t.channels.(link) in
-          q.Envq.meta.(3 * q.Envq.head));
+          let q = t.chans.(link) in
+          q.meta.(3 * q.head));
       head_batch =
         (fun link ->
-          let q = t.channels.(link) in
-          q.Envq.meta.((3 * q.Envq.head) + 1));
+          let q = t.chans.(link) in
+          q.meta.((3 * q.head) + 1));
       travels_cw = (fun link -> t.dir.(link));
       dst_node = (fun link -> t.dst_node.(link));
       step = 0;
@@ -378,12 +525,12 @@ let make ?(sink = Sink.null) ?(seed = 0) ~api topo ~dst_node ~dst_port ~dir
   done;
   t
 
-let create ?sink ?seed topo make_program =
+let create_with ~carry ?sink ?seed topo make_program =
   Topology.check topo;
   let n = Topology.n topo in
   let links = Topology.num_links topo in
   let dst f = Array.init links (fun l -> f (Topology.link_dst topo l)) in
-  make ?sink ?seed ~api:ring_api topo ~dst_node:(dst fst)
+  make ~carry ?sink ?seed ~api:ring_api topo ~dst_node:(dst fst)
     ~dst_port:(dst (fun (_, p) -> Port.index p))
     ~dir:(Array.init links (fun l -> Some (Topology.link_travels_cw topo l)))
     ~first_link:(Array.init n (fun v -> Topology.link_id topo v Port.P0))
@@ -397,9 +544,12 @@ let create ?sink ?seed topo make_program =
            p_snap = p.snap;
          }))
 
-let create_graph ?sink ?seed topo ~dst_node ~dst_port ~first_link ~degree
-    make_program =
-  make ?sink ?seed ~api:graph_api topo ~dst_node ~dst_port
+let create ?sink ?seed topo make_program =
+  create_with ~carry:Pulses ?sink ?seed topo make_program
+
+let create_graph ~carry ?sink ?seed topo ~dst_node ~dst_port ~first_link
+    ~degree make_program =
+  make ~carry ?sink ?seed ~api:graph_api topo ~dst_node ~dst_port
     ~dir:(Array.make (Array.length dst_node) None)
     ~first_link ~degree
     (Array.init (Array.length first_link) (fun v ->
@@ -417,17 +567,23 @@ let view t =
   v.Scheduler.step <- t.metrics.Metrics.deliveries;
   v
 
-let deliver_from t link =
-  let q = t.channels.(link) in
-  if q.Envq.len = 0 then invalid_arg "Network: delivery from an empty link";
-  let h = 3 * q.Envq.head in
-  let seq = q.Envq.meta.(h) in
-  let depth = q.Envq.meta.(h + 2) in
-  let payload = Envq.pop q in
+let deliver_from (type m) (t : (m, _, _) core) link =
+  let q = t.chans.(link) in
+  if q.len = 0 then invalid_arg "Network: delivery from an empty link";
+  let h = 3 * q.head in
+  let seq = q.meta.(h) in
+  let depth = q.meta.(h + 2) in
+  stamps_pop q;
   unmark_if_empty t link;
   t.in_flight <- t.in_flight - 1;
   let dst = t.dst_node.(link) in
   let port = t.dst_port.(link) in
+  let mb = t.first_link.(dst) + port in
+  (match t.carry with
+  | Pulses -> ()
+  | Payloads ->
+      let m : m = slab_pop t.chan_pl.(link) in
+      if not t.term.(dst) then slab_push t.box_pl.(mb) m);
   let c = t.metrics in
   if t.term.(dst) then begin
     (* Terminated nodes ignore pulses; each such arrival is a
@@ -436,11 +592,9 @@ let deliver_from t link =
     if t.live then t.sink.Sink.on_drop ~node:dst ~port ~seq
   end
   else begin
-    let i = (dst * c.Metrics.ports) + port in
     c.deliveries <- c.deliveries + 1;
-    c.delivered.(i) <- c.delivered.(i) + 1;
     if t.live then t.sink.Sink.on_deliver ~node:dst ~port ~seq;
-    Ring.push t.mailboxes.(t.first_link.(dst) + port) payload;
+    t.mcount.(mb) <- t.mcount.(mb) + 1;
     t.mailbox_backlog <- t.mailbox_backlog + 1;
     if depth > t.local_clock.(dst) then t.local_clock.(dst) <- depth;
     if depth > t.causal_span then t.causal_span <- depth;
@@ -452,11 +606,11 @@ let deliver_from t link =
 
 (* ------------------------------------------------------------------ *)
 (* Incremental undo (Engine_intf.NETWORK contract).  One record per
-   delivery: the popped envelope with its stamps, the destination's
-   pre-wake program snapshot and engine-side scalars, and the wake's
-   journalled consume/send effects.  [undo_step] applies the inverses
-   in reverse order, so a LIFO stack of records walks the network back
-   along any prefix of the forced schedule. *)
+   delivery: the delivered envelope's stamps (and payload), the
+   destination's pre-wake program snapshot and engine-side scalars,
+   and the wake's journalled consume/send effects.  [undo_step]
+   applies the inverses in reverse order, so a LIFO stack of records
+   walks the network back along any prefix of the forced schedule. *)
 
 type 'm undo = {
   u_link : int;
@@ -475,7 +629,7 @@ type 'm undo = {
   u_prev_next_batch : int;
   u_snap : int array; (* destination program state before the wake *)
   u_consumed_ports : int array;
-  u_consumed_payloads : 'm array;
+  u_consumed_payloads : 'm array; (* empty on a pulse network *)
   u_sent_links : int array;
 }
 
@@ -503,28 +657,31 @@ module Core = struct
 
   let active_links t =
     let acc = ref [] in
-    for link = Array.length t.channels - 1 downto 0 do
-      if not (Envq.is_empty t.channels.(link)) then acc := link :: !acc
+    for link = Array.length t.chans - 1 downto 0 do
+      if t.chans.(link).len > 0 then acc := link :: !acc
     done;
     !acc
 
   let force_step t ~link =
-    if Envq.is_empty t.channels.(link) then
-      invalid_arg "Network.force_step: empty link";
+    if t.chans.(link).len = 0 then invalid_arg "Network.force_step: empty link";
     deliver_from t link
 
   let undo_capable t = t.undo_ok
 
-  let force_step_undo t ~link =
-    if Envq.is_empty t.channels.(link) then
-      invalid_arg "Network.force_step_undo: empty link";
+  let force_step_undo (type m) (t : (m, _, _) core) ~link : m undo =
+    let q = t.chans.(link) in
+    if q.len = 0 then invalid_arg "Network.force_step_undo: empty link";
     if not t.undo_ok then
       invalid_arg "Network.force_step_undo: network is not undo-capable";
-    let q = t.channels.(link) in
-    let u_seq = Envq.head_seq q in
-    let u_batch = Envq.head_batch q in
-    let u_depth = Envq.head_depth q in
-    let u_payload = Envq.peek q in
+    let h = 3 * q.head in
+    let u_seq = q.meta.(h) in
+    let u_batch = q.meta.(h + 1) in
+    let u_depth = q.meta.(h + 2) in
+    let u_payload : m =
+      match t.carry with
+      | Pulses -> ()
+      | Payloads -> slab_peek t.chan_pl.(link)
+    in
     let dst = t.dst_node.(link) in
     let dropped = t.term.(dst) in
     let u_snap =
@@ -562,37 +719,52 @@ module Core = struct
       u_prev_next_batch;
       u_snap;
       u_consumed_ports = Array.sub g.cports 0 g.clen;
-      u_consumed_payloads = Array.sub g.cpayloads 0 g.clen;
+      u_consumed_payloads =
+        (match t.carry with
+        | Pulses -> [||]
+        | Payloads -> Array.sub g.cpayloads 0 g.clen);
       u_sent_links = Array.sub g.slinks 0 g.slen;
     }
 
-  let undo_step t u =
+  let undo_step (type m) (t : (m, _, _) core) (u : m undo) =
     let dst = u.u_dst in
-    if u.u_dropped then Metrics.undo_post_termination_delivery t.metrics
+    let c = t.metrics in
+    if u.u_dropped then c.post_term <- c.post_term - 1
     else begin
       (* Retract the wake's sends, newest first. *)
       for i = Array.length u.u_sent_links - 1 downto 0 do
         let l = u.u_sent_links.(i) in
-        ignore (Envq.pop_back t.channels.(l));
+        stamps_pop_back t.chans.(l);
+        (match t.carry with
+        | Pulses -> ()
+        | Payloads -> ignore (slab_pop_back t.chan_pl.(l) : m));
         unmark_if_empty t l;
         t.in_flight <- t.in_flight - 1;
-        Metrics.undo_send t.metrics ~link:l ~node:dst ~cw:(is_cw t l)
+        c.sends <- c.sends - 1;
+        if is_cw t l then c.sends_cw <- c.sends_cw - 1
       done;
       (* Re-file the wake's consumed pulses, newest first: this restores
-         the mailbox to its state just after the delivery pushed the
-         incoming payload at the tail... *)
+         the mailbox to its state just after the delivery added the
+         incoming pulse at the tail... *)
       let base = t.first_link.(dst) in
       for i = Array.length u.u_consumed_ports - 1 downto 0 do
-        let p = u.u_consumed_ports.(i) in
-        Ring.push_front t.mailboxes.(base + p) u.u_consumed_payloads.(i);
+        let mb = base + u.u_consumed_ports.(i) in
+        t.mcount.(mb) <- t.mcount.(mb) + 1;
+        (match t.carry with
+        | Pulses -> ()
+        | Payloads -> slab_push_front t.box_pl.(mb) u.u_consumed_payloads.(i));
         t.mailbox_backlog <- t.mailbox_backlog + 1;
-        Metrics.undo_consume t.metrics ~node:dst ~port_index:p
+        c.consumes <- c.consumes - 1
       done;
-      (* ... so popping that tail element retracts the delivery. *)
-      ignore (Ring.pop_back t.mailboxes.(base + u.u_dst_port));
+      (* ... so removing that tail pulse retracts the delivery. *)
+      let mb = base + u.u_dst_port in
+      t.mcount.(mb) <- t.mcount.(mb) - 1;
+      (match t.carry with
+      | Pulses -> ()
+      | Payloads -> ignore (slab_pop_back t.box_pl.(mb) : m));
       t.mailbox_backlog <- t.mailbox_backlog - 1;
-      Metrics.undo_deliver t.metrics ~node:dst ~port_index:u.u_dst_port;
-      Metrics.undo_wake t.metrics;
+      c.deliveries <- c.deliveries - 1;
+      c.wakes <- c.wakes - 1;
       (match t.programs.(dst).p_snap with
       | Some s -> s.Engine_intf.load u.u_snap
       | None -> assert false);
@@ -608,8 +780,11 @@ module Core = struct
       t.next_batch <- u.u_prev_next_batch
     end;
     (* Put the envelope back at the head of its channel. *)
-    Envq.push_front t.channels.(u.u_link) u.u_payload ~seq:u.u_seq
-      ~batch:u.u_batch ~depth:u.u_depth;
+    stamps_push_front t.chans.(u.u_link) ~seq:u.u_seq ~batch:u.u_batch
+      ~depth:u.u_depth;
+    (match t.carry with
+    | Pulses -> ()
+    | Payloads -> slab_push_front t.chan_pl.(u.u_link) u.u_payload);
     mark_nonempty t u.u_link;
     t.in_flight <- t.in_flight + 1
 
@@ -628,8 +803,12 @@ module Core = struct
       else enabled_scan t link (i + 1) best
 
   let enabled_link t ~after = enabled_scan t after 0 (-1)
-  let channel_length t ~link = Envq.length t.channels.(link)
-  let channel_payloads t ~link = Envq.to_payload_array t.channels.(link)
+  let channel_length t ~link = t.chans.(link).len
+
+  let channel_payloads (type m) (t : (m, _, _) core) ~link : m array =
+    match t.carry with
+    | Pulses -> Array.make t.chans.(link).len ()
+    | Payloads -> slab_to_array t.chan_pl.(link)
 
   let all_terminated t = Array.for_all Fun.id t.term
   let in_flight t = t.in_flight
@@ -690,7 +869,7 @@ module Core = struct
      counters — everything a monitor can see. *)
   let fingerprint t =
     let buf = Buffer.create 128 in
-    for link = 0 to Array.length t.channels - 1 do
+    for link = 0 to Array.length t.chans - 1 do
       Output.add_int buf (channel_length t ~link);
       Buffer.add_char buf ','
     done;
@@ -698,7 +877,7 @@ module Core = struct
     for v = 0 to size t - 1 do
       for p = 0 to t.degree.(v) - 1 do
         if p > 0 then Buffer.add_char buf ':';
-        Output.add_int buf (Ring.length t.mailboxes.(t.first_link.(v) + p))
+        Output.add_int buf t.mcount.(t.first_link.(v) + p)
       done;
       Buffer.add_char buf ';';
       Buffer.add_string buf (if terminated t v then "T" else "t");
@@ -721,11 +900,14 @@ end
 
 include Core
 
-let mailbox t ~node ~port =
-  t.mailboxes.(t.first_link.(node) + port_index port)
+let mailbox_length t ~node ~port =
+  t.mcount.(t.first_link.(node) + port_index port)
 
-let mailbox_length t ~node ~port = Ring.length (mailbox t ~node ~port)
-let mailbox_payloads t ~node ~port = Ring.to_array (mailbox t ~node ~port)
+let mailbox_payloads (type m) (t : m t) ~node ~port : m array =
+  let mb = t.first_link.(node) + port_index port in
+  match t.carry with
+  | Pulses -> Array.make t.mcount.(mb) ()
+  | Payloads -> slab_to_array t.box_pl.(mb)
 
 let inject t ~node ~port m =
   let p = port_index port in
@@ -733,7 +915,5 @@ let inject t ~node ~port m =
 
 let num_links topo = Topology.num_links topo
 let link_dst_node topo link = fst (Topology.link_dst topo link)
-
-type pulse = unit
 
 let pulse = ()

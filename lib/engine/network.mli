@@ -9,10 +9,16 @@
     message moves into a mailbox next; after each delivery the
     receiving node's program is woken and polls its mailboxes.
 
-    The payload type ['m] is [unit] for content-oblivious algorithms
-    (see {!pulse}); the classic baselines instantiate it with real
-    message contents.  Nothing in the simulator lets a scheduler or a
-    program observe anything the model forbids.
+    What a message carries is fixed when the network is created, by a
+    {!carry} witness.  A pulse network ({!create}, payload {!pulse})
+    keeps per link only the envelope stamps (send sequence number,
+    activation batch, causal depth) and per mailbox only a count: in
+    the fully-defective model that is all there is to see.  A payload
+    network ({!create_with} [~carry:Payloads]) keeps the same stamps
+    and counts plus the payload values, for the classic baselines that
+    send real message contents.  Both run the same delivery, undo and
+    run code.  Nothing in the simulator lets a scheduler or a program
+    observe anything the model forbids.
 
     The same simulator runs general graphs: [Colring_graph.Gnetwork]
     is this engine over a [Gtopology.t], whose node programs see
@@ -25,6 +31,22 @@ type ('m, 'api, 'topo) core
 
 type topology = Topology.t
 
+(** {2 Pulses and payloads} *)
+
+type pulse = unit
+(** The content of a message in the fully-defective model: nothing. *)
+
+val pulse : pulse
+
+type _ carry =
+  | Pulses : pulse carry
+      (** Stamps and counts only: the engine moves integers, and a
+          [recv] that succeeds returns one shared [Some pulse]. *)
+  | Payloads : 'm carry
+      (** Stamps and counts plus a payload slab per channel and per
+          mailbox.  Any payload type, [unit] included. *)
+(** What a network's messages carry, chosen once at creation. *)
+
 (** {2 Node programs} *)
 
 type 'm api = {
@@ -35,8 +57,9 @@ type 'm api = {
   recv_pulse : Port.t -> bool;
       (** Like {!field-recv} but discards the payload, returning only
           whether a pulse was consumed.  This is the whole [recv*()]
-          observable for content-oblivious algorithms ([pulse = unit]),
-          and unlike [recv] it allocates nothing. *)
+          observable for content-oblivious algorithms ([pulse = unit]).
+          It never allocates; [recv] allocates a [Some] per message on
+          a payload network only. *)
   peek : Port.t -> 'm option;  (** Look without consuming. *)
   pending : Port.t -> int;  (** Mailbox length. *)
   send : Port.t -> 'm -> unit;
@@ -76,9 +99,10 @@ val silent_program : 'm program
 (** {2 Construction} *)
 
 val create :
-  ?sink:Sink.t -> ?seed:int -> Topology.t -> (int -> 'm program) -> 'm t
-(** [create topo make_program] instantiates [make_program v] for every
-    node [v] and runs each program's [start].  [seed] derives every
+  ?sink:Sink.t -> ?seed:int -> Topology.t -> (int -> pulse program) -> pulse t
+(** [create topo make_program] builds a pulse network: it
+    instantiates [make_program v] for every node [v] and runs each
+    program's [start].  [seed] derives every
     node's private {!Colring_stats.Rng.t} stream (default 0).
 
     [sink] observes every event of the run (default {!Sink.null}).
@@ -92,6 +116,18 @@ val create :
     (The pre-sink [?record_trace] switch was removed on the DESIGN.md
     §6 timeline: pass [~sink:(Sink.memory ())] and read the buffer
     back with {!trace}.) *)
+
+val create_with :
+  carry:'m carry ->
+  ?sink:Sink.t ->
+  ?seed:int ->
+  Topology.t ->
+  (int -> 'm program) ->
+  'm t
+(** {!create} with the carriage made explicit: [create] is
+    [create_with ~carry:Pulses].  The classic baselines, whose
+    messages have contents, use [~carry:Payloads]; so do tests that
+    check a [unit] program behaves the same on either carriage. *)
 
 (** The api and program records of graph node programs: ports are
     integers in [0, degree).  [Colring_graph.Gnetwork] re-exports
@@ -120,6 +156,7 @@ module Graph : sig
 end
 
 val create_graph :
+  carry:'m carry ->
   ?sink:Sink.t ->
   ?seed:int ->
   'topo ->
@@ -204,8 +241,9 @@ module Core : sig
 
   val channel_length : (_, _, _) core -> link:int -> int
   val channel_payloads : ('m, _, _) core -> link:int -> 'm array
-  (** In-flight payloads of one directed link, oldest first.  Allocates;
-      for invariant probes ({!Colring_mc.Inductive}), not the hot path. *)
+  (** In-flight payloads of one directed link, oldest first (on a pulse
+      network, one [pulse] per envelope).  Allocates; for invariant
+      probes ({!Colring_mc.Inductive}), not the hot path. *)
 
   (** {2 Incremental undo}
 
@@ -277,7 +315,8 @@ include module type of Core
 val mailbox_length : 'm t -> node:int -> port:Port.t -> int
 
 val mailbox_payloads : 'm t -> node:int -> port:Port.t -> 'm array
-(** Delivered-but-unconsumed payloads of one mailbox, oldest first. *)
+(** Delivered-but-unconsumed payloads of one mailbox, oldest first (on
+    a pulse network, one [pulse] per pending delivery). *)
 
 val inject : 'm t -> node:int -> port:Port.t -> 'm -> unit
 (** Put a message in flight on [node]'s outgoing channel at [port] as
@@ -297,9 +336,3 @@ val num_links : Topology.t -> int
 val link_dst_node : Topology.t -> int -> int
 (** The destination node of a directed link (the node component of
     {!Topology.link_dst}). *)
-
-(** {2 Pulses} *)
-
-type pulse = unit
-
-val pulse : pulse

@@ -63,14 +63,11 @@ let counters m =
     null with
     name = "counters";
     enabled = true;
-    on_send = (fun ~node ~port:_ ~seq:_ ~link ~cw ->
-      Metrics.on_send m ~link ~node ~cw);
-    on_deliver = (fun ~node ~port ~seq:_ ->
-      Metrics.on_deliver m ~node ~port_index:port);
+    on_send = (fun ~node:_ ~port:_ ~seq:_ ~link:_ ~cw -> Metrics.on_send m ~cw);
+    on_deliver = (fun ~node:_ ~port:_ ~seq:_ -> Metrics.on_deliver m);
     on_drop = (fun ~node:_ ~port:_ ~seq:_ ->
       Metrics.on_post_termination_delivery m);
-    on_consume = (fun ~node ~port ->
-      Metrics.on_consume m ~node ~port_index:port);
+    on_consume = (fun ~node:_ ~port:_ -> Metrics.on_consume m);
     on_wake = (fun ~node:_ -> Metrics.on_wake m);
   }
 
@@ -242,8 +239,7 @@ let jsonl_channel ?events oc =
       Stdlib.flush oc);
   }
 
-let with_jsonl_channel ?events path f =
-  let oc = open_out path in
+let with_jsonl_channel ?events oc f =
   let sink = jsonl_channel ?events oc in
   Fun.protect
     ~finally:(fun () ->

@@ -36,14 +36,18 @@ type run_result = Engine_intf.run_result = {
   termination_order : int list;
 }
 
-let create ?sink ?seed topo make_program =
+let create_with ~carry ?sink ?seed topo make_program =
   let n = Gtopology.n topo in
   let links = Gtopology.num_links topo in
   let dst f = Array.init links (fun l -> f (Gtopology.link_dst topo l)) in
-  Network.create_graph ?sink ?seed topo ~dst_node:(dst fst) ~dst_port:(dst snd)
+  Network.create_graph ~carry ?sink ?seed topo ~dst_node:(dst fst)
+    ~dst_port:(dst snd)
     ~first_link:(Array.init n (Gtopology.first_link topo))
     ~degree:(Array.init n (Gtopology.degree topo))
     make_program
+
+let create ?sink ?seed topo make_program =
+  create_with ~carry:Network.Pulses ?sink ?seed topo make_program
 
 include Network.Core
 

@@ -42,9 +42,11 @@ val create :
   ?sink:Colring_engine.Sink.t ->
   ?seed:int ->
   Gtopology.t ->
-  (int -> 'm program) ->
-  'm t
-(** [sink] observes every event of the run (default
+  (int -> Colring_engine.Network.pulse program) ->
+  Colring_engine.Network.pulse t
+(** A pulse network (see {!Colring_engine.Network.carry}): stamps and
+    mailbox counts only, and [recv] returns one shared [Some ()].
+    [sink] observes every event of the run (default
     {!Colring_engine.Sink.null}).  The engine counts into its own
     {!metrics} inline and then calls [sink] directly, so the counters
     move before the sink sees each event, in the same order as the ring
@@ -54,6 +56,17 @@ val create :
     [false] (no global direction exists).
     {!Colring_engine.Sink.memory} is ring-only — it raises on port
     indices above 1 — so use jsonl or custom sinks here. *)
+
+val create_with :
+  carry:'m Colring_engine.Network.carry ->
+  ?sink:Colring_engine.Sink.t ->
+  ?seed:int ->
+  Gtopology.t ->
+  (int -> 'm program) ->
+  'm t
+(** {!create} with the carriage explicit ([create] is
+    [create_with ~carry:Pulses]); [~carry:Payloads] keeps payload
+    values too. *)
 
 type run_result = Colring_engine.Engine_intf.run_result = {
   sends : int;

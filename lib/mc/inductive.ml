@@ -184,7 +184,7 @@ let chang_roberts ~ids ~seed ~walks ~max_steps =
   let n = Array.length ids in
   let topo = Topology.oriented n in
   let mk () =
-    Network.create topo (fun v ->
+    Network.create_with ~carry:Payloads topo (fun v ->
         Colring_classic.Chang_roberts.program ~id:ids.(v))
   in
   walk_sample ~mk

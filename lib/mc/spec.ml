@@ -279,7 +279,10 @@ let classic name ~ids =
     Packed
       {
         Mc.name;
-        make = (fun () -> Network.create topo (fun v -> program ~id:ids.(v)));
+        make =
+          (fun () ->
+            Network.create_with ~carry:Payloads topo (fun v ->
+                program ~id:ids.(v)));
         monitor = (fun () _ -> None);
         terminal =
           all_of [ check_all_terminated; check_roles ~leader_node ];

@@ -1,5 +1,5 @@
-(* Fires [hot-alloc] when linted as lib/engine/envq.ml (where [push]
-   and [pop] are in the hot.sexp manifest): a tuple, a closure, a
+(* Fires [hot-alloc] when linted as lib/engine/network.ml (where the test
+   manifest lists [push] and [pop]): a tuple, a closure, a
    formatting call, and a partial application of a same-file
    function. *)
 let helper a b c = a + b + c

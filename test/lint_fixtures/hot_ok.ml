@@ -1,4 +1,4 @@
-(* Clean as lib/engine/envq.ml: allocation in a hot function is fine
+(* Clean as lib/engine/network.ml: allocation in a hot function is fine
    behind the live-sink guard, and cold functions may allocate
    freely.  Hot-function parameters are not closures. *)
 type q = { mutable observed : bool }

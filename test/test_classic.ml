@@ -134,7 +134,8 @@ let test_peterson_phase_bound () =
     (fun n ->
       let ids = Ids.dense (Rng.create ~seed:n) ~n in
       let net =
-        Network.create (oriented n) (fun v -> Peterson.program ~id:ids.(v))
+        Network.create_with ~carry:Payloads (oriented n) (fun v ->
+            Peterson.program ~id:ids.(v))
       in
       let result = Network.run net (Scheduler.random (Rng.create ~seed:n)) in
       checkb "terminated" true result.all_terminated;

@@ -356,7 +356,7 @@ let test_universal_simulation () =
   let simulate ~inputs =
     let n = Array.length inputs in
     let net =
-      Network.create (Topology.oriented n) (fun v ->
+      Network.create_with ~carry:Payloads (Topology.oriented n) (fun v ->
           Colring_classic.Hirschberg_sinclair.program ~id:inputs.(v))
     in
     let result =

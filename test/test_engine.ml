@@ -108,7 +108,7 @@ let test_fifo_order_preserved () =
     (fun sched ->
       collected := [];
       let net =
-        Network.create topo (fun v ->
+        Network.create_with ~carry:Payloads topo (fun v ->
             if v = 0 then injector 5 else relay_program ())
       in
       let result = Network.run net sched in
@@ -260,10 +260,10 @@ let test_per_node_rng_streams_differ () =
 (* ------------------------------------------------------------------ *)
 (* Schedulers *)
 
-let mk_two_senders () =
+let mk_two_senders sink =
   (* Node 0 sends CW then CCW in one batch; a fifo scheduler with CW
      priority must deliver the CW pulse first. *)
-  Network.create (Topology.oriented 2) (fun v ->
+  Network.create ~sink (Topology.oriented 2) (fun v ->
       if v = 0 then
         {
           Network.snap = None;
@@ -277,26 +277,37 @@ let mk_two_senders () =
         }
       else Network.silent_program)
 
+(* The deliveries a memory sink saw, as (node, port) in order. *)
+let deliveries_seen sink =
+  List.filter_map
+    (function
+      | Trace.Deliver { node; port; _ } -> Some (node, Port.index port)
+      | _ -> None)
+    (Trace.events (Option.get (Sink.trace sink)))
+
+let check_deliveries what want sink =
+  Alcotest.(check (list (pair int int))) what want (deliveries_seen sink)
+
 let test_fifo_cw_priority () =
-  let net = mk_two_senders () in
-  let m = Network.metrics net in
+  let sink = Sink.memory () in
+  let net = mk_two_senders sink in
   ignore (Network.step net Scheduler.fifo);
-  (* The CW pulse from node 0 arrives at node 1's P0. *)
-  checki "cw delivered first" 1 (Metrics.delivered_to m ~node:1 ~port_index:0);
-  checki "ccw not yet" 0 (Metrics.delivered_to m ~node:1 ~port_index:1)
+  (* The CW pulse from node 0 arrives at node 1's P0, and only it. *)
+  check_deliveries "cw delivered first" [ (1, 0) ] sink
 
 let test_global_fifo_send_order () =
-  let net = mk_two_senders () in
-  let m = Network.metrics net in
+  let sink = Sink.memory () in
+  let net = mk_two_senders sink in
   ignore (Network.step net Scheduler.global_fifo);
   (* Strict send order: the CCW pulse was sent first. *)
-  checki "ccw delivered first" 1 (Metrics.delivered_to m ~node:1 ~port_index:1)
+  check_deliveries "ccw delivered first" [ (1, 1) ] sink
 
 let test_starve_node_delays () =
   (* With two pulses headed to different nodes, starve-node-1 must pick
      the other node's delivery first. *)
+  let sink = Sink.memory () in
   let net =
-    Network.create (Topology.oriented 3) (fun v ->
+    Network.create ~sink (Topology.oriented 3) (fun v ->
         if v = 0 then
           {
             Network.snap = None;
@@ -310,9 +321,8 @@ let test_starve_node_delays () =
           }
         else Network.silent_program)
   in
-  let m = Network.metrics net in
   ignore (Network.step net (Scheduler.starve_node ~node:1));
-  checki "node 2 first" 1 (Metrics.delivered_to m ~node:2 ~port_index:1)
+  check_deliveries "node 2 first" [ (2, 1) ] sink
 
 (* ------------------------------------------------------------------ *)
 (* Blocking layer *)
@@ -631,136 +641,285 @@ let test_inject_batch_stamp () =
   checki "inject stamps current batch" 2 !seen
 
 (* ------------------------------------------------------------------ *)
-(* Ring / Envq backing stores: growth with a wrapped live span, and
-   the pop-retention fix (popped slots must not keep payloads alive) *)
+(* The network's queues: growth with a wrapped live span, stamps in
+   lockstep with payloads, undo's deque operations, and popped payload
+   slots released.  The "ring" cases drive a mailbox (count plus
+   payload slab), the "envq" cases a channel (stamp queue plus payload
+   slab); the names are those of the standalone queue modules these
+   queues replaced. *)
+
+(* Two nodes with silent programs, node 1's api kept so a test can
+   consume from its mailboxes at will.  Node 0's P1 link feeds node
+   1's P0 mailbox; the test fills it with [Network.inject]. *)
+let puppet_pair ~carry =
+  let api1 = ref None in
+  let net =
+    Network.create_with ~carry (Topology.oriented 2) (fun v ->
+        if v = 1 then
+          { Network.silent_program with start = (fun api -> api1 := Some api) }
+        else Network.silent_program)
+  in
+  let link = Topology.link_id (Network.topology net) 0 Port.P1 in
+  checkb "link 0.P1 feeds 1.P0" true
+    (Topology.link_dst (Network.topology net) link = (1, Port.P0));
+  (net, Option.get !api1, link)
 
 let test_ring_grow_mid_wrap () =
-  let r = Ring.create () in
+  let net, api1, link = puppet_pair ~carry:Network.Payloads in
   let model = Queue.create () in
-  (* Fill to the initial power-of-two capacity, drain past the
-     midpoint so [head] is non-zero, then push enough to force [grow]
-     while the live span wraps around the array end. *)
-  for i = 0 to 7 do
-    Ring.push r i;
+  let arrive i =
+    Network.inject net ~node:0 ~port:Port.P1 i;
+    Network.force_step net ~link;
     Queue.push i model
+  in
+  let consume () =
+    checki "fifo" (Queue.pop model) (Option.get (api1.recv Port.P0))
+  in
+  (* Fill the mailbox to the initial power-of-two capacity, drain past
+     the midpoint so its head is non-zero, then deliver enough to force
+     growth while the live span wraps around the array end. *)
+  for i = 0 to 7 do
+    arrive i
   done;
   for _ = 0 to 4 do
-    checki "drain" (Queue.pop model) (Ring.pop r)
+    consume ()
   done;
   for i = 8 to 40 do
-    Ring.push r i;
-    Queue.push i model
+    arrive i
   done;
-  while not (Ring.is_empty r) do
-    checki "fifo across grow" (Queue.pop model) (Ring.pop r)
+  checki "count = slab" (Queue.length model) (api1.pending Port.P0);
+  Alcotest.(check (array int))
+    "payloads across grow"
+    (Array.of_seq (Queue.to_seq model))
+    (Network.mailbox_payloads net ~node:1 ~port:Port.P0);
+  checki "peek is the head" (Queue.peek model)
+    (Option.get (api1.peek Port.P0));
+  while not (Queue.is_empty model) do
+    consume ()
   done;
-  checki "model drained too" 0 (Queue.length model)
+  checkb "drained" true (api1.recv Port.P0 = None);
+  (* A pulse mailbox is the count alone. *)
+  let net, api1, link = puppet_pair ~carry:Network.Pulses in
+  for _ = 1 to 40 do
+    Network.inject net ~node:0 ~port:Port.P1 ();
+    Network.force_step net ~link
+  done;
+  checki "pulse count" 40 (Network.mailbox_length net ~node:1 ~port:Port.P0);
+  checki "pulse payloads" 40
+    (Array.length (Network.mailbox_payloads net ~node:1 ~port:Port.P0));
+  for _ = 1 to 40 do
+    checkb "pulse recv" true (api1.recv Port.P0 = Some Network.pulse)
+  done;
+  checkb "pulse mailbox drained" false (api1.recv_pulse Port.P0)
+
+(* A channel queue model: payload [100 + i] is the [i]th injection, so
+   its send sequence number is [i]; its batch is the activation count
+   at injection time (2 start-ups, then one per delivery to node 1). *)
+type chan_model = {
+  net : int Network.t;
+  api1 : int Network.api;
+  fifo : (int * int) Queue.t; (* seq, batch *)
+  mutable sent : int;
+  mutable batch : int;
+}
+
+let chan_model () =
+  let net, api1, _ = puppet_pair ~carry:Network.Payloads in
+  { net; api1; fifo = Queue.create (); sent = 0; batch = 2 }
+
+let chan_push c =
+  Network.inject c.net ~node:0 ~port:Port.P1 (100 + c.sent);
+  Queue.push (c.sent, c.batch) c.fifo;
+  c.sent <- c.sent + 1
+
+(* Deliver the head envelope; true iff its stamps and payload are the
+   model's head. *)
+let chan_pop_matches c =
+  let seq, batch = Queue.pop c.fifo in
+  let head = ref (-1, -1) in
+  let probe =
+    {
+      Scheduler.name = "probe";
+      pick =
+        (fun v ->
+          let l = v.Scheduler.nonempty.(0) in
+          head := (v.Scheduler.head_seq l, v.Scheduler.head_batch l);
+          l);
+    }
+  in
+  let stepped = Network.step c.net probe in
+  c.batch <- c.batch + 1;
+  stepped && !head = (seq, batch) && c.api1.recv Port.P0 = Some (100 + seq)
 
 let test_envq_grow_mid_wrap_meta () =
-  let q = Envq.create () in
-  let model = Queue.create () in
-  let push i =
-    Envq.push q (100 + i) ~seq:i ~batch:(2 * i) ~depth:(3 * i);
-    Queue.push i model
-  in
-  let pop_and_check () =
-    let i = Queue.pop model in
-    checki "seq" i (Envq.head_seq q);
-    checki "batch" (2 * i) (Envq.head_batch q);
-    checki "depth" (3 * i) (Envq.head_depth q);
-    checki "payload" (100 + i) (Envq.pop q)
-  in
-  for i = 0 to 7 do
-    push i
+  let c = chan_model () in
+  for _ = 0 to 7 do
+    chan_push c
   done;
   for _ = 0 to 4 do
-    pop_and_check ()
+    checkb "head matches" true (chan_pop_matches c)
   done;
-  (* Growth happens with head = 5: payloads and the stride-3 meta
-     array must both be unwrapped consistently. *)
-  for i = 8 to 40 do
-    push i
+  (* Growth happens with the head at slot 5: payloads and the stride-3
+     stamps must both be unwrapped consistently. *)
+  for _ = 8 to 40 do
+    chan_push c
   done;
-  while not (Envq.is_empty q) do
-    pop_and_check ()
-  done
+  let link = Topology.link_id (Network.topology c.net) 0 Port.P1 in
+  Alcotest.(check (array int))
+    "in-flight payloads"
+    (Array.of_seq (Seq.map (fun (s, _) -> 100 + s) (Queue.to_seq c.fifo)))
+    (Network.channel_payloads c.net ~link);
+  while not (Queue.is_empty c.fifo) do
+    checkb "head matches" true (chan_pop_matches c)
+  done;
+  checki "every envelope has depth 1" 1 (Network.causal_span c.net)
 
 (* The probes live in [@inline never] helpers so no caller register
-   keeps the popped payload reachable.  The queues retain at most the
-   FIRST element ever pushed (their clearing filler), so the tracked
-   payload is the second push. *)
-let[@inline never] ring_push_pop_probe r (w : int ref Weak.t) =
-  let filler = ref 0 in
+   keeps the popped payload reachable.  A slab retains at most the
+   FIRST payload ever pushed (its clearing filler), so the tracked
+   payload is the second one. *)
+let[@inline never] push_pop_probe ~consume (w : int ref Weak.t) =
+  let net, api1, link = puppet_pair ~carry:Network.Payloads in
+  if not consume then api1.terminate ();
   let probe = ref 42 in
   Weak.set w 0 (Some probe);
-  Ring.push r filler;
-  Ring.push r probe;
-  ignore (Ring.pop r);
-  ignore (Ring.pop r)
+  Network.inject net ~node:0 ~port:Port.P1 (ref 0);
+  Network.inject net ~node:0 ~port:Port.P1 probe;
+  Network.force_step net ~link;
+  Network.force_step net ~link;
+  if consume then begin
+    ignore (api1.recv Port.P0);
+    ignore (api1.recv Port.P0)
+  end;
+  net
 
+let released ~consume =
+  let w = Weak.create 1 in
+  let net = push_pop_probe ~consume w in
+  Gc.full_major ();
+  Gc.full_major ();
+  let gone = Weak.get w 0 = None in
+  ignore (Sys.opaque_identity net);
+  gone
+
+(* Delivered into the mailbox slab, then consumed. *)
 let test_ring_pop_releases_payload () =
-  let r = Ring.create () in
-  let w = Weak.create 1 in
-  ring_push_pop_probe r w;
-  Gc.full_major ();
-  Gc.full_major ();
-  checkb "popped payload is collectable" true (Weak.get w 0 = None)
+  checkb "consumed payload is collectable" true (released ~consume:true)
 
-let[@inline never] envq_push_pop_probe q (w : int ref Weak.t) =
-  let filler = ref 0 in
-  let probe = ref 42 in
-  Weak.set w 0 (Some probe);
-  Envq.push q filler ~seq:0 ~batch:0 ~depth:0;
-  Envq.push q probe ~seq:1 ~batch:0 ~depth:1;
-  ignore (Envq.pop q);
-  ignore (Envq.pop q)
-
+(* Delivered to a terminated node: only the channel slab held it. *)
 let test_envq_pop_releases_payload () =
-  let q = Envq.create () in
-  let w = Weak.create 1 in
-  envq_push_pop_probe q w;
-  Gc.full_major ();
-  Gc.full_major ();
-  checkb "popped payload is collectable" true (Weak.get w 0 = None)
+  checkb "dropped payload is collectable" true (released ~consume:false)
 
 let prop_envq_meta_survives_growth =
-  (* Model check against Stdlib.Queue: any interleaving of pushes and
-     pops (biased toward pushes so growth triggers) keeps payloads and
-     their seq/batch/depth triples in FIFO lockstep. *)
+  (* Model check against Stdlib.Queue: any interleaving of injections,
+     deliveries and undone deliveries (biased toward injections so
+     growth triggers) keeps payloads and their seq/batch stamps in FIFO
+     lockstep; an undone delivery leaves no trace. *)
   QCheck.Test.make ~name:"envq matches a queue of (payload, meta) triples"
     ~count:300
     QCheck.(list (QCheck.make QCheck.Gen.(int_range 0 5)))
     (fun ops ->
-      let q = Envq.create () in
-      let model = Queue.create () in
-      let counter = ref 0 in
-      let push () =
-        incr counter;
-        let c = !counter in
-        Envq.push q c ~seq:(c * 7) ~batch:(c * 11) ~depth:(c * 13);
-        Queue.push c model
-      in
-      let pop_matches () =
-        let c = Queue.pop model in
-        Envq.head_seq q = c * 7
-        && Envq.head_batch q = c * 11
-        && Envq.head_depth q = c * 13
-        && Envq.pop q = c
+      let c = chan_model () in
+      let link = Topology.link_id (Network.topology c.net) 0 Port.P1 in
+      let undo_leaves_no_trace () =
+        let fp = Network.fingerprint c.net in
+        let pl = Network.channel_payloads c.net ~link in
+        let u = Network.force_step_undo c.net ~link in
+        Network.undo_step c.net u;
+        String.equal fp (Network.fingerprint c.net)
+        && pl = Network.channel_payloads c.net ~link
       in
       List.for_all
         (fun op ->
-          if op = 0 && not (Envq.is_empty q) then pop_matches ()
+          if op = 0 && not (Queue.is_empty c.fifo) then chan_pop_matches c
+          else if op = 1 && not (Queue.is_empty c.fifo) then
+            undo_leaves_no_trace ()
           else begin
-            push ();
+            chan_push c;
             true
           end)
         ops
       &&
       let ok = ref true in
-      while !ok && not (Envq.is_empty q) do
-        ok := pop_matches ()
+      while !ok && not (Queue.is_empty c.fifo) do
+        ok := chan_pop_matches c
       done;
-      !ok && Queue.is_empty model)
+      !ok)
+
+(* A payload program that lets its P0 mailbox back up: odd wakes
+   consume nothing, even wakes forward up to two messages (payload + 1)
+   on P1, so an undone wake must re-file several payloads in order. *)
+let lazy_relay ~first () =
+  let wakes = ref 0 in
+  {
+    Network.start =
+      (fun api ->
+        for k = 0 to first - 1 do
+          api.Network.send Port.P1 (1000 * (k + 1))
+        done);
+    wake =
+      (fun api ->
+        incr wakes;
+        if !wakes mod 2 = 0 then
+          for _ = 1 to 2 do
+            match api.recv Port.P0 with
+            | Some m -> if m mod 1000 < 20 then api.send Port.P1 (m + 1)
+            | None -> ()
+          done);
+    inspect = (fun () -> [ ("wakes", !wakes) ]);
+    snap =
+      Some
+        {
+          Engine_intf.save = (fun () -> [| !wakes |]);
+          load = (fun a -> wakes := a.(0));
+        };
+  }
+
+(* Every payload a payload network holds, channel by channel and
+   mailbox by mailbox, with the fingerprint. *)
+let contents net n =
+  ( Network.fingerprint net,
+    List.init (2 * n) (fun link -> Network.channel_payloads net ~link),
+    List.init n (fun v ->
+        ( Network.mailbox_payloads net ~node:v ~port:Port.P0,
+          Network.mailbox_payloads net ~node:v ~port:Port.P1 )) )
+
+let prop_payload_undo_restores_contents =
+  QCheck.Test.make ~name:"payload undo restores every payload in order"
+    ~count:200
+    QCheck.(
+      triple
+        (QCheck.make QCheck.Gen.(int_range 2 5))
+        (QCheck.make QCheck.Gen.(int_range 0 40))
+        small_nat)
+    (fun (n, plen, seed) ->
+      let net =
+        Network.create_with ~carry:Network.Payloads (Topology.oriented n)
+          (fun v -> lazy_relay ~first:(if v = 0 then 3 else 1) ())
+      in
+      let rng = Rng.create ~seed in
+      let pick () =
+        let k = Rng.int rng (Network.enabled_count net) in
+        let l = ref (Network.enabled_link net ~after:(-1)) in
+        for _ = 1 to k do
+          l := Network.enabled_link net ~after:!l
+        done;
+        !l
+      in
+      let i = ref 0 in
+      while !i < plen && Network.enabled_count net > 0 do
+        Network.force_step net ~link:(pick ());
+        incr i
+      done;
+      let before = contents net n in
+      let undos = ref [] in
+      let j = ref 0 in
+      while !j < 15 && Network.enabled_count net > 0 do
+        undos := Network.force_step_undo net ~link:(pick ()) :: !undos;
+        incr j
+      done;
+      List.iter (Network.undo_step net) !undos;
+      contents net n = before)
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -870,5 +1029,6 @@ let () =
             prop_random_topologies_check;
             prop_conservation;
             prop_envq_meta_survives_growth;
+            prop_payload_undo_restores_contents;
           ] );
     ]

@@ -392,7 +392,7 @@ let test_gnetwork_fifo_and_drop () =
   let g = Gtopology.of_edges ~n:2 [ (0, 1); (0, 1) ] in
   let got = ref [] in
   let net =
-    Gnetwork.create g (fun v ->
+    Gnetwork.create_with ~carry:Payloads g (fun v ->
         if v = 0 then
           {
             Gnetwork.snap = None;
@@ -481,10 +481,52 @@ let first_mismatch ~what ~range a b =
   let rec go i =
     if i >= range then None
     else if a i <> b i then
-      Some (Printf.sprintf "%s %d: engine %d, sink %d" what i (a i) (b i))
+      Some (Printf.sprintf "%s %d: %d against %d" what i (a i) (b i))
     else go (i + 1)
   in
   go 0
+
+(* Per-node, per-link and per-port tallies recorded from the events a
+   user sink sees (the engine keeps whole-run scalars only). *)
+type tallies = {
+  by_node : int array;
+  on_link : int array;
+  arrived : int array; (* deliveries + drops, by destination link id *)
+  delivered : int array; (* by (node, port) slot = mailbox id *)
+  consumed : int array;
+  mutable misrouted : int; (* sends whose link is not the node's port *)
+}
+
+let recorder g =
+  let n = Gtopology.n g and links = Gtopology.num_links g in
+  let tl =
+    {
+      by_node = Array.make n 0;
+      on_link = Array.make links 0;
+      arrived = Array.make links 0;
+      delivered = Array.make links 0;
+      consumed = Array.make links 0;
+      misrouted = 0;
+    }
+  in
+  let slot node port = Gtopology.first_link g node + port in
+  let bump a i = a.(i) <- a.(i) + 1 in
+  let sink =
+    {
+      Sink.null with
+      name = "tallies";
+      on_send =
+        (fun ~node ~port ~seq:_ ~link ~cw:_ ->
+          bump tl.by_node node;
+          bump tl.on_link link;
+          if link <> slot node port then tl.misrouted <- tl.misrouted + 1);
+      on_deliver =
+        (fun ~node ~port ~seq:_ -> bump tl.delivered (slot node port));
+      on_drop = (fun ~node ~port ~seq:_ -> bump tl.arrived (slot node port));
+      on_consume = (fun ~node ~port -> bump tl.consumed (slot node port));
+    }
+  in
+  (tl, sink)
 
 let prop_counting_split =
   QCheck.Test.make ~name:"counters = user Sink.counters" ~count:120
@@ -492,9 +534,6 @@ let prop_counting_split =
     (fun c ->
       let g = Topo.materialize ~default_n:8 c.topo in
       let n = Gtopology.n g in
-      let ports =
-        Array.fold_left max 1 (Array.init n (Gtopology.degree g))
-      in
       let links = Gtopology.num_links g in
       let ids =
         Ids.distinct (Rng.create ~seed:c.seed) ~n ~id_max:(n + c.spread)
@@ -503,37 +542,220 @@ let prop_counting_split =
         if c.sched_ix = 0 then Scheduler.random (Rng.create ~seed:c.seed)
         else List.nth (Scheduler.all_deterministic ()) (c.sched_ix - 1)
       in
-      let m' =
-        Metrics.create ~ports_per_node:ports ~n_nodes:n ~n_links:links ()
-      in
+      let m' = Metrics.create () in
+      let tl, rec_sink = recorder g in
       let r, net =
-        Gelection.run ~seed:c.seed ~sink:(Sink.counters m') (Gelection.plan g)
-          ~ids ~sched
+        Gelection.run ~seed:c.seed
+          ~sink:(Sink.tee (Sink.counters m') rec_sink)
+          (Gelection.plan g) ~ids ~sched
       in
       let m = Gnetwork.metrics net in
-      let port_counter f i = f ~node:(i / ports) ~port_index:(i mod ports) in
+      (* Every pulse sent on link [l] arrives at the mailbox [l] feeds,
+         and a quiescent run leaves every mailbox drained. *)
+      let mailbox_of l =
+        let v, p = Gtopology.link_dst g l in
+        Gtopology.first_link g v + p
+      in
+      let arrivals l =
+        tl.delivered.(mailbox_of l) + tl.arrived.(mailbox_of l)
+      in
+      let node_ports v =
+        let s = ref 0 in
+        for p = 0 to Gtopology.degree g v - 1 do
+          s := !s + tl.on_link.(Gtopology.first_link g v + p)
+        done;
+        !s
+      in
       let mismatch =
         List.find_map Fun.id
           [
             (if Metrics.to_assoc m = Metrics.to_assoc m' then None
              else Some "to_assoc");
-            first_mismatch ~what:"sends_by node" ~range:n
-              (fun v -> Metrics.sends_by m ~node:v)
-              (fun v -> Metrics.sends_by m' ~node:v);
-            first_mismatch ~what:"sends_on_link" ~range:links
-              (fun l -> Metrics.sends_on_link m ~link:l)
-              (fun l -> Metrics.sends_on_link m' ~link:l);
-            first_mismatch ~what:"delivered_to slot" ~range:(n * ports)
-              (port_counter (Metrics.delivered_to m))
-              (port_counter (Metrics.delivered_to m'));
-            first_mismatch ~what:"consumed_by slot" ~range:(n * ports)
-              (port_counter (Metrics.consumed_by m))
-              (port_counter (Metrics.consumed_by m'));
+            (if tl.misrouted = 0 then None else Some "send on a foreign link");
+            (if Array.fold_left ( + ) 0 tl.by_node = Metrics.sends m then None
+             else Some "sends by node do not sum to sends");
+            first_mismatch ~what:"sends by node vs its links" ~range:n
+              (fun v -> tl.by_node.(v))
+              node_ports;
+            first_mismatch ~what:"link sends vs arrivals" ~range:links
+              (fun l -> tl.on_link.(l))
+              arrivals;
+            first_mismatch ~what:"mailbox delivered vs consumed" ~range:links
+              (fun l -> tl.delivered.(l))
+              (fun l -> tl.consumed.(l));
           ]
       in
       match mismatch with
       | Some what -> QCheck.Test.fail_reportf "counters differ: %s" what
       | None -> Gelection.ok r && Metrics.deliveries m > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Carriage differential: pulse networks against payload networks *)
+
+(* A network's messages are either stamps and counts only
+   ([Network.Pulses], what every election runs on) or stamps and
+   counts plus payload slabs ([Network.Payloads], the classic
+   baselines' carriage).  For a [unit] program the two must be
+   indistinguishable: byte-identical [events:true] journals (snapshots
+   included), equal counters, outputs, termination order and causal
+   span, and equal state after every forced and undone delivery. *)
+
+let ring_algorithms =
+  [
+    Election.Algo1;
+    Election.Algo2;
+    Election.Algo3 Algo3.Doubled;
+    Election.Algo3 Algo3.Improved;
+    Election.Algo3_resample;
+  ]
+
+(* Scheduler [i] of the deterministic list plus a seeded random one,
+   built fresh for each run (round-robin is stateful). *)
+let n_scheds = n_deterministic + 1
+
+let nth_sched i ~seed =
+  if i = n_deterministic then Scheduler.random (Rng.create ~seed)
+  else List.nth (Scheduler.all_deterministic ()) i
+
+(* The networks under test: [algo] on an [n]-ring, or the walk
+   election on a [--topology] spec, with ids and topology seeded as
+   [colring elect] seeds them. *)
+let ring_net ~carry ?sink algo ~n ~seed =
+  let ids = Ids.distinct (Rng.create ~seed) ~n ~id_max:(2 * n) in
+  let topo =
+    match algo with
+    | Election.Algo1 | Election.Algo2 -> Topology.oriented n
+    | Election.Algo3 _ | Election.Algo3_resample ->
+        Topology.random_non_oriented (Rng.create ~seed:(seed + 1)) n
+  in
+  Network.create_with ~carry ?sink ~seed topo (fun v ->
+      Election.program_of algo ~id:ids.(v))
+
+let graph_specs = [ "theta:9"; "k4"; "bowtie"; "random2ec:12:3" ]
+
+let graph_net ~carry ?sink spec ~seed =
+  let g = Topo.materialize ~default_n:8 (Result.get_ok (Topo.parse spec)) in
+  let n = Gtopology.n g in
+  let ids = Ids.distinct (Rng.create ~seed) ~n ~id_max:(2 * n) in
+  Gnetwork.create_with ~carry ?sink ~seed g
+    (Gelection.program_of (Gelection.plan g) ~ids)
+
+(* One program set run on both carriages under scheduler [i]: all a
+   run leaves behind that a caller can observe must agree.  The core's
+   functions serve ring and graph networks alike. *)
+let check_same what i ~seed make =
+  let run carry =
+    let buf = Buffer.create 4096 in
+    let net = make ~carry ~sink:(Sink.jsonl_buffer buf) in
+    let r = Network.run ~snapshot_every:7 net (nth_sched i ~seed) in
+    ( Buffer.contents buf,
+      Metrics.to_assoc (Network.metrics net),
+      r,
+      Array.map (Format.asprintf "%a" Output.pp) (Network.outputs net),
+      Network.causal_span net )
+  in
+  let j, m, r, o, c = run Network.Pulses in
+  let j', m', r', o', c' = run Network.Payloads in
+  checkb (what ^ ": journal non-empty") true (String.length j > 0);
+  Alcotest.(check string) (what ^ ": journal") j j';
+  checkb (what ^ ": to_assoc") true (m = m');
+  checkb (what ^ ": run result") true (r = r');
+  Alcotest.(check (array string)) (what ^ ": outputs") o o';
+  checki (what ^ ": causal span") c c'
+
+let test_carriage_rings () =
+  List.iter
+    (fun algo ->
+      for i = 0 to n_scheds - 1 do
+        List.iter
+          (fun (n, seed) ->
+            check_same
+              (Printf.sprintf "%s n=%d seed=%d sched=%d"
+                 (Election.algorithm_name algo) n seed i)
+              i ~seed
+              (fun ~carry ~sink -> ring_net ~carry ~sink algo ~n ~seed))
+          [ (2, 3); (5, 4); (8, 11) ]
+      done)
+    ring_algorithms
+
+let test_carriage_graphs () =
+  List.iter
+    (fun spec ->
+      for i = 0 to n_scheds - 1 do
+        List.iter
+          (fun seed ->
+            check_same
+              (Printf.sprintf "%s seed=%d sched=%d" spec seed i)
+              i ~seed
+              (fun ~carry ~sink -> graph_net ~carry ~sink spec ~seed))
+          [ 4; 9 ]
+      done)
+    graph_specs
+
+(* Drive a pulse network and a payload network of the same programs
+   through one random schedule of forced deliveries, undoing the steps
+   since the last save point now and then: after every step and every
+   undo both print the same fingerprint and counters, and an undo
+   restores the state the undone steps started from. *)
+let state net =
+  (Network.fingerprint net, Metrics.to_assoc (Network.metrics net))
+
+let nth_enabled net k =
+  let l = ref (Network.enabled_link net ~after:(-1)) in
+  for _ = 1 to k do
+    l := Network.enabled_link net ~after:!l
+  done;
+  !l
+
+let lockstep ~what ~seed a b =
+  let rng = Rng.create ~seed in
+  let same tag =
+    checkb (Printf.sprintf "%s: %s" what tag) true (state a = state b)
+  in
+  let stack = ref [] and saved = ref (state a) and steps = ref 0 in
+  same "start";
+  while Network.enabled_count a > 0 && !steps < 400 do
+    incr steps;
+    if Rng.int rng 5 = 0 && !stack <> [] then begin
+      List.iter
+        (fun (ua, ub) ->
+          Network.undo_step a ua;
+          Network.undo_step b ub)
+        !stack;
+      stack := [];
+      same "after undo";
+      checkb (what ^ ": undo restores") true (state a = !saved)
+    end
+    else begin
+      if !stack = [] then saved := state a;
+      let k = Rng.int rng (Network.enabled_count a) in
+      let link = nth_enabled a k in
+      checki (what ^ ": same enabled link") link (nth_enabled b k);
+      let ua = Network.force_step_undo a ~link in
+      let ub = Network.force_step_undo b ~link in
+      stack := (ua, ub) :: !stack;
+      same "after step"
+    end
+  done;
+  checkb (what ^ ": walked") true (!steps > 0)
+
+let test_carriage_undo () =
+  List.iter
+    (fun algo ->
+      List.iter
+        (fun seed ->
+          let a = ring_net ~carry:Network.Pulses algo ~n:5 ~seed in
+          let b = ring_net ~carry:Network.Payloads algo ~n:5 ~seed in
+          checkb "undo-capable" true (Network.undo_capable a);
+          lockstep ~what:(Election.algorithm_name algo) ~seed a b)
+        [ 1; 2; 3 ])
+    [ Election.Algo1; Election.Algo2; Election.Algo3 Algo3.Improved ];
+  List.iter
+    (fun spec ->
+      lockstep ~what:spec ~seed:5
+        (graph_net ~carry:Network.Pulses spec ~seed:5)
+        (graph_net ~carry:Network.Payloads spec ~seed:5))
+    graph_specs
 
 (* A sink that is not [Sink.null] but reports [enabled = false] is
    still a consumer: the engine must hand it every event (only
@@ -781,6 +1003,14 @@ let () =
         [ QCheck_alcotest.to_alcotest prop_ring_walk_is_algo1 ] );
       ( "engine oracle",
         [ Alcotest.test_case "pinned digests" `Quick test_pinned_digests ] );
+      ( "carriage",
+        [
+          Alcotest.test_case "rings: pulses = payloads" `Quick
+            test_carriage_rings;
+          Alcotest.test_case "graphs: pulses = payloads" `Quick
+            test_carriage_graphs;
+          Alcotest.test_case "undo in lockstep" `Quick test_carriage_undo;
+        ] );
       ( "gnetwork",
         [
           Alcotest.test_case "fifo and drop" `Quick test_gnetwork_fifo_and_drop;

@@ -90,7 +90,44 @@ let test_cli_output_paths () =
     (Cli.output_dir ~flag:"--journal-dir" dir = Ok dir && Sys.is_directory dir);
   checkb "existing dir accepted" true
     (Cli.output_dir ~flag:"--journal-dir" dir = Ok dir);
-  Sys.rmdir dir
+  Sys.rmdir dir;
+  (* End to end: every subcommand that takes --journal refuses an
+     unopenable path with exit 2 and the flag's name, before it runs
+     anything (not exit 125 from an uncaught Sys_error). *)
+  let exe =
+    match
+      List.find_opt Sys.file_exists
+        [ "../bin/colring.exe"; "_build/default/bin/colring.exe" ]
+    with
+    | Some exe -> exe
+    | None -> Alcotest.fail "colring.exe not built"
+  in
+  let out = Filename.temp_file "colring" ".out" in
+  List.iter
+    (fun args ->
+      let args = args @ [ "--journal"; "/nonexistent/dir/x.jsonl" ] in
+      let code =
+        Sys.command
+          (Filename.quote_command exe args ~stdin:"/dev/null" ~stdout:out
+             ~stderr:out)
+      in
+      let text = In_channel.with_open_bin out In_channel.input_all in
+      let what = String.concat " " args in
+      checki (what ^ " exits 2") 2 code;
+      (* One line of output, the refusal: nothing ran before it. *)
+      checkb (what ^ " prints only the named error") true
+        (String.starts_with
+           ~prefix:"colring: --journal /nonexistent/dir/x.jsonl" text
+        && List.length (String.split_on_char '\n' (String.trim text)) = 1))
+    [
+      [ "elect"; "-n"; "4" ];
+      [ "elect"; "--topology"; "k4" ];
+      [ "baseline"; "-n"; "4" ];
+      [ "check"; "-n"; "3" ];
+      [ "sweep" ];
+      [ "serve" ];
+    ];
+  Sys.remove out
 
 (* colring adversary -n N -k K: the ID space must cover the ring. *)
 let test_cli_adversary_id_space () =

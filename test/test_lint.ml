@@ -9,9 +9,9 @@ open Colring_lint_core
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
-(* The manifest used by the hot-alloc fixtures: matches the real
-   hot.sexp entry for envq.ml closely enough for the tests. *)
-let hot_manifest = [ ("lib/engine/envq.ml", [ "push"; "pop" ]) ]
+(* The manifest used by the hot-alloc fixtures: a queue's push and
+   pop, as the real hot.sexp entry for network.ml lists its queues'. *)
+let hot_manifest = [ ("lib/engine/network.ml", [ "push"; "pop" ]) ]
 
 (* dune runtest runs with cwd = test/; dune exec from the root. *)
 let fixture_dir =
@@ -75,12 +75,12 @@ let test_poly_compare () =
 (* hot-alloc *)
 
 let test_hot_alloc () =
-  let fired = rules_of "hot_bad.ml" ~as_path:"lib/engine/envq.ml" in
+  let fired = rules_of "hot_bad.ml" ~as_path:"lib/engine/network.ml" in
   checki "tuple, closure, printf, partial app" 4 (count "hot-alloc" fired);
   checki "not hot under another path" 0
     (count "hot-alloc" (rules_of "hot_bad.ml" ~as_path:"lib/engine/other.ml"));
   checki "guarded and cold allocations pass" 0
-    (count "hot-alloc" (rules_of "hot_ok.ml" ~as_path:"lib/engine/envq.ml"))
+    (count "hot-alloc" (rules_of "hot_ok.ml" ~as_path:"lib/engine/network.ml"))
 
 (* ------------------------------------------------------------------ *)
 (* sink-discipline *)
@@ -223,7 +223,7 @@ let test_allowlist () =
 let test_config () =
   let sexps =
     Lint_sexp.parse_string
-      "; comment\n(hot (file lib/engine/envq.ml) (functions push pop))"
+      "; comment\n(hot (file lib/engine/network.ml) (functions push pop))"
   in
   checki "one form" 1 (List.length sexps);
   let tmp = Filename.temp_file "lint" ".sexp" in

@@ -20,9 +20,9 @@ let checks = Alcotest.(check string)
 (* The frozen counter schema. *)
 
 let test_metrics_schema () =
-  let m = Metrics.create ~n_nodes:2 ~n_links:4 () in
-  Metrics.on_send m ~link:0 ~node:0 ~cw:true;
-  Metrics.on_deliver m ~node:1 ~port_index:0;
+  let m = Metrics.create () in
+  Metrics.on_send m ~cw:true;
+  Metrics.on_deliver m;
   Alcotest.(check (list string))
     "to_assoc keys are the documented stable schema"
     [
@@ -69,30 +69,44 @@ let test_null_sink_steady_state_allocates_nothing () =
        "sink adds no per-event allocation (%.3f words over 2000 steps)" dw)
     true (dw < 3_000.0)
 
-(* The pop-retention fix clears each popped slot with a plain store;
-   a pop-heavy steady state (every iteration pops AND pushes on both
-   queue kinds) must stay allocation-free — the clearing must not
-   box, Array.fill, or re-grow. *)
-let test_pop_heavy_queue_churn_allocates_nothing () =
-  let r = Ring.create () in
-  let q = Envq.create () in
-  let x = ref 0 in
-  for i = 1 to 64 do
-    Ring.push r x;
-    Envq.push q x ~seq:i ~batch:i ~depth:i
+(* The pop-retention fix clears each popped payload slot with a plain
+   store; a pop-heavy steady state (every iteration pops a channel, a
+   mailbox, and pushes a channel again) must stay allocation-free on
+   either carriage — the clearing must not box, Array.fill, or
+   re-grow, and a pulse network moves integers only. *)
+let churn_words ~carry x =
+  let api1 = ref None in
+  let net =
+    Network.create_with ~carry (Topology.oriented 2) (fun v ->
+        if v = 1 then
+          { Network.silent_program with start = (fun api -> api1 := Some api) }
+        else Network.silent_program)
+  in
+  let api1 = Option.get !api1 in
+  let link = Topology.link_id (Network.topology net) 0 Port.P1 in
+  for _ = 1 to 64 do
+    Network.inject net ~node:0 ~port:Port.P1 x
   done;
   Gc.full_major ();
   let w0 = Gc.minor_words () in
-  for i = 1 to 50_000 do
-    ignore (Ring.pop r);
-    Ring.push r x;
-    ignore (Envq.pop q);
-    Envq.push q x ~seq:i ~batch:i ~depth:i
+  for _ = 1 to 50_000 do
+    Network.force_step net ~link;
+    ignore (api1.recv_pulse Port.P0);
+    Network.inject net ~node:0 ~port:Port.P1 x
   done;
-  let dw = Gc.minor_words () -. w0 in
-  checkb
-    (Printf.sprintf "pop-heavy churn allocates nothing (%.1f words)" dw)
-    true (dw < 64.0)
+  Gc.minor_words () -. w0
+
+let test_pop_heavy_queue_churn_allocates_nothing () =
+  List.iter
+    (fun (what, dw) ->
+      checkb
+        (Printf.sprintf "%s pop-heavy churn allocates nothing (%.1f words)" what
+           dw)
+        true (dw < 64.0))
+    [
+      ("payload", churn_words ~carry:Network.Payloads (ref 0));
+      ("pulse", churn_words ~carry:Network.Pulses ());
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Memory sinks are the one tracing path ([?record_trace] is gone). *)
@@ -261,7 +275,7 @@ let test_jsonl_flush_on_raise () =
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   checkb "run raises" true
     (match
-       Sink.with_jsonl_channel path (fun sink ->
+       Sink.with_jsonl_channel (open_out path) (fun sink ->
            Fastsim.Driver.run ~sink ~max_deliveries:1 ~ids:[| 3; 7; 2; 5 |] ())
      with
     | exception Invalid_argument _ -> true

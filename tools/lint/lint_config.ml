@@ -10,7 +10,7 @@
    - [hot.sexp]: the manifest of hot functions the allocation rule
      patrols:
 
-       (hot (file lib/engine/envq.ml) (functions push pop head_seq))
+       (hot (file lib/engine/network.ml) (functions push pop head_seq))
 
    - [shared.sexp]: the manifest of state legitimately shared across
      domains, consumed by the domain-safety rules (lint_domain.ml).
