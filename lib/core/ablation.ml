@@ -5,16 +5,6 @@ let cw_in = Port.P0
 let ccw_out = Port.P0
 let ccw_in = Port.P1
 
-let role_code = function
-  | Output.Undecided -> 0
-  | Output.Leader -> 1
-  | Output.Non_leader -> 2
-
-let role_of = function
-  | 1 -> Output.Leader
-  | 2 -> Output.Non_leader
-  | _ -> Output.Undecided
-
 (* Algorithm 2 minus the lag: both instances start at initialization
    and the CCW block is not gated on rho_cw >= id.  Compare Algo2. *)
 let algo2_no_lag ~id =
@@ -84,7 +74,7 @@ let algo2_no_lag ~id =
               !rho_ccw;
               (if !term_initiated then 1 else 0);
               (if !finished then 1 else 0);
-              role_code !role;
+              Output.role_code !role;
             |]);
         load =
           (fun a ->
@@ -92,7 +82,7 @@ let algo2_no_lag ~id =
             rho_ccw := a.(1);
             term_initiated := a.(2) = 1;
             finished := a.(3) = 1;
-            role := role_of a.(4));
+            role := Output.role_of_code a.(4));
       }
   in
   { Network.start; wake; inspect; snap }

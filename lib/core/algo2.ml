@@ -19,22 +19,22 @@ type state = {
   mutable finished : bool;
 }
 
-let send_cw (api : _ Network.api) st =
+let[@inline] send_cw (api : _ Network.api) st =
   api.send cw_out ();
   st.sigma_cw <- st.sigma_cw + 1
 
-let send_ccw (api : _ Network.api) st =
+let[@inline] send_ccw (api : _ Network.api) st =
   api.send ccw_out ();
   st.sigma_ccw <- st.sigma_ccw + 1
 
-let recv_cw (api : _ Network.api) st =
+let[@inline] recv_cw (api : _ Network.api) st =
   api.recv_pulse cw_in
   && begin
        st.rho_cw <- st.rho_cw + 1;
        true
      end
 
-let recv_ccw (api : _ Network.api) st =
+let[@inline] recv_ccw (api : _ Network.api) st =
   api.recv_pulse ccw_in
   && begin
        st.rho_ccw <- st.rho_ccw + 1;
@@ -44,7 +44,7 @@ let recv_ccw (api : _ Network.api) st =
 (* The simulator deduplicates equal outputs, so publishing only on a
    role change is observationally identical to republishing after every
    pulse — it just skips allocating the [Output.t]. *)
-let publish_role (api : _ Network.api) st =
+let[@inline] publish_role (api : _ Network.api) st =
   if st.role <> st.out_role then begin
     st.out_role <- st.role;
     api.set_output (Output.with_role st.role Output.empty)
@@ -141,16 +141,6 @@ let program ~id =
       ("term_initiated", if st.term_initiated then 1 else 0);
     ]
   in
-  let role_code = function
-    | Output.Undecided -> 0
-    | Output.Leader -> 1
-    | Output.Non_leader -> 2
-  in
-  let role_of = function
-    | 1 -> Output.Leader
-    | 2 -> Output.Non_leader
-    | _ -> Output.Undecided
-  in
   let snap =
     Some
       {
@@ -161,8 +151,8 @@ let program ~id =
               st.sigma_cw;
               st.rho_ccw;
               st.sigma_ccw;
-              role_code st.role;
-              role_code st.out_role;
+              Output.role_code st.role;
+              Output.role_code st.out_role;
               (if st.term_initiated then 1 else 0);
               (if st.finished then 1 else 0);
             |]);
@@ -172,8 +162,8 @@ let program ~id =
             st.sigma_cw <- a.(1);
             st.rho_ccw <- a.(2);
             st.sigma_ccw <- a.(3);
-            st.role <- role_of a.(4);
-            st.out_role <- role_of a.(5);
+            st.role <- Output.role_of_code a.(4);
+            st.out_role <- Output.role_of_code a.(5);
             st.term_initiated <- a.(6) = 1;
             st.finished <- a.(7) = 1);
       }

@@ -17,36 +17,42 @@ type state = {
 
 (* ID^(i) governs forwarding *out of* port i (= absorbing pulses that
    arrived on port 1-i), line 2 of Algorithm 3. *)
-let virtual_id st i =
+let[@inline] virtual_id st i =
   match st.scheme with
   | Doubled -> (2 * st.id) - 1 + i
   | Improved -> st.id + i
 
-let send (api : _ Network.api) st i =
-  api.send (Port.of_index i) ();
+(* [Port.of_index] without the cross-module call or its range check. *)
+let[@inline] port i = if i = 0 then Port.P0 else Port.P1
+
+let[@inline] send (api : _ Network.api) st i =
+  api.send (port i) ();
   st.sigma.(i) <- st.sigma.(i) + 1
 
-let recv (api : _ Network.api) st i =
-  api.recv_pulse (Port.of_index i)
+let[@inline] recv (api : _ Network.api) st i =
+  api.recv_pulse (port i)
   && begin
        st.rho.(i) <- st.rho.(i) + 1;
        true
      end
 
-(* Lines 8-16: recompute the (revisable) output from the counters. *)
+(* Lines 8-16: recompute the (revisable) output from the counters.
+   Int comparisons throughout: [Stdlib.max] would be a polymorphic
+   call. *)
 let decide (api : _ Network.api) st =
-  if max st.rho.(0) st.rho.(1) >= virtual_id st 1 then begin
+  let r0 = st.rho.(0) in
+  let r1 = st.rho.(1) in
+  let id1 = virtual_id st 1 in
+  if r0 >= id1 || r1 >= id1 then begin
     let role =
-      if st.rho.(0) = virtual_id st 1 && st.rho.(1) < virtual_id st 1 then
-        Output.Leader
-      else Output.Non_leader
+      if r0 = id1 && r1 < id1 then Output.Leader else Output.Non_leader
     in
     (* More arrivals on a port means the larger-ID direction comes in
        there; clockwise pulses arrive at counterclockwise ports. *)
-    let cw_port = if st.rho.(0) > st.rho.(1) then Port.P1 else Port.P0 in
+    let cw_port = if r0 > r1 then Port.P1 else Port.P0 in
     let changed =
       match st.out_cw_port with
-      | Some p -> st.out_role <> role || not (Port.equal p cw_port)
+      | Some p -> st.out_role <> role || p <> cw_port
       | None -> true
     in
     if changed then begin
@@ -62,15 +68,17 @@ let decide (api : _ Network.api) st =
    direction, and the fresh ID stays below both counters, so the node
    remains a pure relay: pulse dynamics are unchanged. *)
 let maybe_resample (api : _ Network.api) st =
-  let m = min st.rho.(0) st.rho.(1) in
+  let r0 = st.rho.(0) in
+  let r1 = st.rho.(1) in
+  let m = if r0 <= r1 then r0 else r1 in
   if m > st.id then begin
     st.id <- Rng.int_incl api.rng 1 (m - 1);
     st.resamples <- st.resamples + 1
   end
 
 (* Line 6: pulses received at port 1-i are forwarded at port i unless
-   the count matches ID^(i).  Top-level so a wake allocates nothing. *)
-let poll api st ~resample i =
+   the count matches ID^(i). *)
+let[@inline] poll api st ~resample i =
   recv api st (1 - i)
   && begin
        if st.rho.(1 - i) <> virtual_id st i then send api st i;
@@ -78,6 +86,7 @@ let poll api st ~resample i =
        true
      end
 
+(* Top-level so a wake allocates nothing. *)
 let rec wake_loop api st ~resample =
   let progress0 = poll api st ~resample 0 in
   let progress1 = poll api st ~resample 1 in
@@ -115,16 +124,6 @@ let make ~resample ~scheme ~id =
       ("resamples", st.resamples);
     ]
   in
-  let role_code = function
-    | Output.Undecided -> 0
-    | Output.Leader -> 1
-    | Output.Non_leader -> 2
-  in
-  let role_of = function
-    | 1 -> Output.Leader
-    | 2 -> Output.Non_leader
-    | _ -> Output.Undecided
-  in
   let snap =
     Some
       {
@@ -137,7 +136,7 @@ let make ~resample ~scheme ~id =
               st.sigma.(0);
               st.sigma.(1);
               st.resamples;
-              role_code st.out_role;
+              Output.role_code st.out_role;
               (match st.out_cw_port with
               | None -> -1
               | Some p -> Port.index p);
@@ -150,7 +149,7 @@ let make ~resample ~scheme ~id =
             st.sigma.(0) <- a.(3);
             st.sigma.(1) <- a.(4);
             st.resamples <- a.(5);
-            st.out_role <- role_of a.(6);
+            st.out_role <- Output.role_of_code a.(6);
             st.out_cw_port <-
               (if a.(7) < 0 then None else Some (Port.of_index a.(7))));
       }

@@ -17,9 +17,10 @@ module Rng = Colring_stats.Rng
 type status = Idle | Running | Settled | Exhausted
 
 (* A channel in a pulse network carries no payload, so an envelope is
-   pure metadata: a stride-3 circular buffer of (seq, batch, depth),
-   the same layout as {!Network}'s per-link stamp queues.  Capacity 0
-   or a power of two, doubled on overflow. *)
+   pure metadata: a stride-3 circular buffer of (seq, batch, depth)
+   behind a record holding head and length ({!Network}'s per-link stamp
+   queues keep the same stamps in one flat array, head and length in
+   front).  Capacity 0 or a power of two, doubled on overflow. *)
 type pq = { mutable meta : int array; mutable head : int; mutable len : int }
 
 let pq_create () = { meta = [||]; head = 0; len = 0 }

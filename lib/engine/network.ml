@@ -61,59 +61,72 @@ type pulse = unit
 
 type _ carry = Pulses : pulse carry | Payloads : 'm carry
 
-(* A channel's envelopes as stamps only: a stride-3 circular buffer of
-   (seq, batch, depth), capacity 0 or a power of two, doubled on
-   overflow.  Every network keeps one per link; a pulse carries
-   nothing else, so on a pulse network this is the whole channel. *)
-type stamps = {
-  mutable meta : int array;
-  mutable head : int;
-  mutable len : int;
-}
-
-let stamps_create () = { meta = [||]; head = 0; len = 0 }
+(* A channel's envelopes as stamps only, in one flat [int array]:
+   slot 0 is the head index, slot 1 the length, and the stride-3
+   stamps (seq, batch, depth) of a circular buffer follow from slot 2.
+   Capacity (the number of stamp triples) is 0 or a power of two,
+   doubled on overflow; a queue that grows is a fresh array, which
+   [stamps_room] stores back into the channel table.  Every network
+   keeps one per link; a pulse carries nothing else, so on a pulse
+   network this is the whole channel. *)
+let stamps_create () = [| 0; 0 |]
 
 let stamps_grow q =
-  let cap = Array.length q.meta / 3 in
+  let cap = (Array.length q - 2) / 3 in
   let ncap = if cap = 0 then 8 else cap * 2 in
-  let meta = Array.make (3 * ncap) 0 in
-  for i = 0 to q.len - 1 do
-    let s = 3 * ((q.head + i) land (cap - 1)) in
-    meta.(3 * i) <- q.meta.(s);
-    meta.((3 * i) + 1) <- q.meta.(s + 1);
-    meta.((3 * i) + 2) <- q.meta.(s + 2)
+  let g = Array.make (2 + (3 * ncap)) 0 in
+  let head = q.(0) in
+  let len = q.(1) in
+  for i = 0 to len - 1 do
+    let s = 2 + (3 * ((head + i) land (cap - 1))) in
+    let d = 2 + (3 * i) in
+    g.(d) <- q.(s);
+    g.(d + 1) <- q.(s + 1);
+    g.(d + 2) <- q.(s + 2)
   done;
-  q.meta <- meta;
-  q.head <- 0
+  g.(1) <- len;
+  g
 
-let stamps_push q ~seq ~batch ~depth =
-  if Int.equal (3 * q.len) (Array.length q.meta) then stamps_grow q;
-  let s = 3 * ((q.head + q.len) land ((Array.length q.meta / 3) - 1)) in
-  q.meta.(s) <- seq;
-  q.meta.(s + 1) <- batch;
-  q.meta.(s + 2) <- depth;
-  q.len <- q.len + 1
+(* Link [link]'s queue, grown (and replaced in [chans]) if full. *)
+let[@inline] stamps_room chans link =
+  let q = chans.(link) in
+  if Int.equal (2 + (3 * q.(1))) (Array.length q) then begin
+    let g = stamps_grow q in
+    chans.(link) <- g;
+    g
+  end
+  else q
+
+let[@inline] stamps_push chans link ~seq ~batch ~depth =
+  let q = stamps_room chans link in
+  let len = q.(1) in
+  let s = 2 + (3 * ((q.(0) + len) land (((Array.length q - 2) / 3) - 1))) in
+  q.(s) <- seq;
+  q.(s + 1) <- batch;
+  q.(s + 2) <- depth;
+  q.(1) <- len + 1
 
 (* Callers check non-emptiness: the head stamps are read in place at
-   [meta.(3 * head)], [+ 1] and [+ 2] before the pop. *)
-let stamps_pop q =
-  q.head <- (q.head + 1) land ((Array.length q.meta / 3) - 1);
-  q.len <- q.len - 1
+   [q.(2 + 3 * q.(0))], [+ 1] and [+ 2] before the pop. *)
+let[@inline] stamps_pop q =
+  q.(0) <- (q.(0) + 1) land (((Array.length q - 2) / 3) - 1);
+  q.(1) <- q.(1) - 1
 
 (* The deque half exists for incremental undo: [stamps_push_front]
    re-files a delivered head envelope with its original stamps and
    [stamps_pop_back] retracts the newest send. *)
-let stamps_push_front q ~seq ~batch ~depth =
-  if Int.equal (3 * q.len) (Array.length q.meta) then stamps_grow q;
-  let cap = Array.length q.meta / 3 in
-  q.head <- (q.head + cap - 1) land (cap - 1);
-  let s = 3 * q.head in
-  q.meta.(s) <- seq;
-  q.meta.(s + 1) <- batch;
-  q.meta.(s + 2) <- depth;
-  q.len <- q.len + 1
+let stamps_push_front chans link ~seq ~batch ~depth =
+  let q = stamps_room chans link in
+  let cap = (Array.length q - 2) / 3 in
+  let head = (q.(0) + cap - 1) land (cap - 1) in
+  q.(0) <- head;
+  let s = 2 + (3 * head) in
+  q.(s) <- seq;
+  q.(s + 1) <- batch;
+  q.(s + 2) <- depth;
+  q.(1) <- q.(1) + 1
 
-let stamps_pop_back q = q.len <- q.len - 1
+let stamps_pop_back q = q.(1) <- q.(1) - 1
 
 (* A payload network's payloads, one slab per channel and one per
    mailbox, moving in lockstep with the stamps and counts.  Popped
@@ -191,7 +204,7 @@ let ulog_create () =
 
 let grow_ints a len =
   if Int.equal len (Array.length a) then
-    Array.append a (Array.make (max 8 len) 0)
+    Array.append a (Array.make (Int.max 8 len) 0)
   else a
 
 let ulog_send g link =
@@ -208,7 +221,7 @@ let ulog_consume g port =
 let ulog_payload g m =
   let i = g.clen - 1 in
   if i >= Array.length g.cpayloads then
-    g.cpayloads <- Array.append g.cpayloads (Array.make (max 8 (i + 1)) m);
+    g.cpayloads <- Array.append g.cpayloads (Array.make (Int.max 8 (i + 1)) m);
   g.cpayloads.(i) <- m
 
 (* One engine for rings and graphs alike.  ['api] is the record the
@@ -223,18 +236,18 @@ type ('m, 'api, 'topo) core = {
      stamp queues and mailbox counts below; only [Payloads] networks
      fill [chan_pl]/[box_pl] (empty arrays otherwise). *)
   carry : 'm carry;
-  chans : stamps array; (* by link id *)
+  chans : int array array; (* by link id; see [stamps_create] *)
   (* Node [v]'s port [p] sends on link [first_link.(v) + p] and reads
      mailbox [first_link.(v) + p] (on a ring, [2v + p]). *)
   mcount : int array; (* by mailbox id *)
   chan_pl : 'm slab array;
   box_pl : 'm slab array;
   (* Per-link tables: the receiving node and port, and the direction
-     ([Some cw] on a ring, [None] on a graph, which has no global
+     (1 = cw and 0 = ccw on a ring, -1 on a graph, which has no global
      direction); per-node tables: first link id and degree. *)
   dst_node : int array;
   dst_port : int array;
-  dir : bool option array;
+  dir : int array;
   first_link : int array;
   degree : int array;
   outputs : Output.t array;
@@ -288,31 +301,36 @@ type 'm t = ('m, 'm api, Topology.t) core
 (* ------------------------------------------------------------------ *)
 (* Hot path: the per-delivery functions below are registered in
    tools/lint/hot.sexp.  Dune's dev profile compiles with [-opaque],
-   so no call into another module is ever inlined; the only indirect
-   calls left per delivery are the scheduler's [pick], the program's
-   [wake] and its api closures — counters are inline stores, link
-   lookups are table reads, queue stamps are read in place, and the
-   queues themselves are the functions above.  The api constructors
-   live here for the same reason: their closures reach [enqueue] and
-   [take] as calls within this module.  The [carry] match is the one
-   place a payload network differs: a pulse network moves integers
-   only. *)
+   so no call into another module is ever inlined, and ocamlopt
+   without flambda inlines only tiny functions of its own module
+   unless told to: every helper on the delivery path carries
+   [[@inline]], so [deliver_from] and the api closures are straight
+   lines.  The only indirect calls left per delivery are the
+   scheduler's [pick], the program's [wake] and its api closures —
+   counters are inline stores, link lookups are table reads and queue
+   stamps are read in place.  The api constructors live here for the
+   same reason: their closures inline [enqueue] and [take].  The
+   [carry] match is the one place a payload network differs: a pulse
+   network moves integers only. *)
 
-let port_index p = match p with Port.P0 -> 0 | Port.P1 -> 1
-let is_cw t link = match t.dir.(link) with Some cw -> cw | None -> false
+let[@inline] port_index p = match p with Port.P0 -> 0 | Port.P1 -> 1
+let[@inline] is_cw t link = t.dir.(link) = 1
 
-(* The one [Some] a pulse network's [recv] ever returns. *)
+(* The one [Some] a pulse network's [recv] ever returns, and the two a
+   ring's scheduler view reports as directions. *)
 let some_pulse = Some ()
+let some_cw = Some true
+let some_ccw = Some false
 
-let mark_nonempty t link =
+let[@inline] mark_nonempty t link =
   if t.link_pos.(link) < 0 then begin
     t.nonempty.(t.nonempty_count) <- link;
     t.link_pos.(link) <- t.nonempty_count;
     t.nonempty_count <- t.nonempty_count + 1
   end
 
-let unmark_if_empty t link =
-  if t.chans.(link).len = 0 then begin
+let[@inline] unmark_if_empty t link =
+  if t.chans.(link).(1) = 0 then begin
     let pos = t.link_pos.(link) in
     let last = t.nonempty_count - 1 in
     let moved = t.nonempty.(last) in
@@ -327,11 +345,11 @@ let unmark_if_empty t link =
    ([t.next_batch] is bumped at activation boundaries only).  Sink
    callbacks take immediate arguments only — no event value is
    materialised — so the steady-state hot path allocates nothing. *)
-let enqueue (type m) (t : (m, _, _) core) ~link ~node ~port (m : m) =
+let[@inline] enqueue (type m) (t : (m, _, _) core) ~link ~node ~port (m : m) =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   mark_nonempty t link;
-  stamps_push t.chans.(link) ~seq ~batch:t.next_batch
+  stamps_push t.chans link ~seq ~batch:t.next_batch
     ~depth:(t.local_clock.(node) + 1);
   (match t.carry with Pulses -> () | Payloads -> slab_push t.chan_pl.(link) m);
   t.in_flight <- t.in_flight + 1;
@@ -345,7 +363,7 @@ let enqueue (type m) (t : (m, _, _) core) ~link ~node ~port (m : m) =
 (* The wake's side of a mailbox read: take the oldest entry of mailbox
    [mb] (node [node]'s, at [port], known non-empty), count it and
    journal it for undo. *)
-let take (type m) (t : (m, _, _) core) ~node ~port mb : m =
+let[@inline] take (type m) (t : (m, _, _) core) ~node ~port mb : m =
   t.mcount.(mb) <- t.mcount.(mb) - 1;
   t.mailbox_backlog <- t.mailbox_backlog - 1;
   let c = t.metrics in
@@ -361,7 +379,7 @@ let take (type m) (t : (m, _, _) core) ~node ~port mb : m =
 
 (* [take] behind a [recv]: [None] on an empty mailbox, and on a pulse
    network the shared [some_pulse] instead of a fresh [Some ()]. *)
-let recv_at (type m) (t : (m, _, _) core) ~node ~port mb : m option =
+let[@inline] recv_at (type m) (t : (m, _, _) core) ~node ~port mb : m option =
   if t.mcount.(mb) = 0 then None
   else
     let m = take t ~node ~port mb in
@@ -506,12 +524,14 @@ let make ~carry ?(sink = Sink.null) ?(seed = 0) ~api topo ~dst_node ~dst_port
       head_seq =
         (fun link ->
           let q = t.chans.(link) in
-          q.meta.(3 * q.head));
+          q.(2 + (3 * q.(0))));
       head_batch =
         (fun link ->
           let q = t.chans.(link) in
-          q.meta.((3 * q.head) + 1));
-      travels_cw = (fun link -> t.dir.(link));
+          q.(2 + (3 * q.(0)) + 1));
+      travels_cw =
+        (fun link ->
+          match t.dir.(link) with 1 -> some_cw | 0 -> some_ccw | _ -> None);
       dst_node = (fun link -> t.dst_node.(link));
       step = 0;
     };
@@ -532,7 +552,9 @@ let create_with ~carry ?sink ?seed topo make_program =
   let dst f = Array.init links (fun l -> f (Topology.link_dst topo l)) in
   make ~carry ?sink ?seed ~api:ring_api topo ~dst_node:(dst fst)
     ~dst_port:(dst (fun (_, p) -> Port.index p))
-    ~dir:(Array.init links (fun l -> Some (Topology.link_travels_cw topo l)))
+    ~dir:
+      (Array.init links (fun l ->
+           if Topology.link_travels_cw topo l then 1 else 0))
     ~first_link:(Array.init n (fun v -> Topology.link_id topo v Port.P0))
     ~degree:(Array.make n 2)
     (Array.init n (fun v ->
@@ -550,7 +572,7 @@ let create ?sink ?seed topo make_program =
 let create_graph ~carry ?sink ?seed topo ~dst_node ~dst_port ~first_link
     ~degree make_program =
   make ~carry ?sink ?seed ~api:graph_api topo ~dst_node ~dst_port
-    ~dir:(Array.make (Array.length dst_node) None)
+    ~dir:(Array.make (Array.length dst_node) (-1))
     ~first_link ~degree
     (Array.init (Array.length first_link) (fun v ->
          let p : _ Graph.program = make_program v in
@@ -569,10 +591,10 @@ let view t =
 
 let deliver_from (type m) (t : (m, _, _) core) link =
   let q = t.chans.(link) in
-  if q.len = 0 then invalid_arg "Network: delivery from an empty link";
-  let h = 3 * q.head in
-  let seq = q.meta.(h) in
-  let depth = q.meta.(h + 2) in
+  if q.(1) = 0 then invalid_arg "Network: delivery from an empty link";
+  let h = 2 + (3 * q.(0)) in
+  let seq = q.(h) in
+  let depth = q.(h + 2) in
   stamps_pop q;
   unmark_if_empty t link;
   t.in_flight <- t.in_flight - 1;
@@ -658,25 +680,26 @@ module Core = struct
   let active_links t =
     let acc = ref [] in
     for link = Array.length t.chans - 1 downto 0 do
-      if t.chans.(link).len > 0 then acc := link :: !acc
+      if t.chans.(link).(1) > 0 then acc := link :: !acc
     done;
     !acc
 
   let force_step t ~link =
-    if t.chans.(link).len = 0 then invalid_arg "Network.force_step: empty link";
+    if t.chans.(link).(1) = 0 then
+      invalid_arg "Network.force_step: empty link";
     deliver_from t link
 
   let undo_capable t = t.undo_ok
 
   let force_step_undo (type m) (t : (m, _, _) core) ~link : m undo =
     let q = t.chans.(link) in
-    if q.len = 0 then invalid_arg "Network.force_step_undo: empty link";
+    if q.(1) = 0 then invalid_arg "Network.force_step_undo: empty link";
     if not t.undo_ok then
       invalid_arg "Network.force_step_undo: network is not undo-capable";
-    let h = 3 * q.head in
-    let u_seq = q.meta.(h) in
-    let u_batch = q.meta.(h + 1) in
-    let u_depth = q.meta.(h + 2) in
+    let h = 2 + (3 * q.(0)) in
+    let u_seq = q.(h) in
+    let u_batch = q.(h + 1) in
+    let u_depth = q.(h + 2) in
     let u_payload : m =
       match t.carry with
       | Pulses -> ()
@@ -780,7 +803,7 @@ module Core = struct
       t.next_batch <- u.u_prev_next_batch
     end;
     (* Put the envelope back at the head of its channel. *)
-    stamps_push_front t.chans.(u.u_link) ~seq:u.u_seq ~batch:u.u_batch
+    stamps_push_front t.chans u.u_link ~seq:u.u_seq ~batch:u.u_batch
       ~depth:u.u_depth;
     (match t.carry with
     | Pulses -> ()
@@ -803,11 +826,11 @@ module Core = struct
       else enabled_scan t link (i + 1) best
 
   let enabled_link t ~after = enabled_scan t after 0 (-1)
-  let channel_length t ~link = t.chans.(link).len
+  let channel_length t ~link = t.chans.(link).(1)
 
   let channel_payloads (type m) (t : (m, _, _) core) ~link : m array =
     match t.carry with
-    | Pulses -> Array.make t.chans.(link).len ()
+    | Pulses -> Array.make t.chans.(link).(1) ()
     | Payloads -> slab_to_array t.chan_pl.(link)
 
   let all_terminated t = Array.for_all Fun.id t.term

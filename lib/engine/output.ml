@@ -20,6 +20,9 @@ let role_to_string = function
   | Non_leader -> "Non-Leader"
   | Undecided -> "Undecided"
 
+let role_code = function Undecided -> 0 | Leader -> 1 | Non_leader -> 2
+let role_of_code = function 1 -> Leader | 2 -> Non_leader | _ -> Undecided
+
 let equal_role a b =
   match (a, b) with
   | Leader, Leader | Non_leader, Non_leader | Undecided, Undecided -> true

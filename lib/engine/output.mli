@@ -32,6 +32,12 @@ val with_values : int list -> t -> t
 val role_to_string : role -> string
 val equal_role : role -> role -> bool
 
+val role_code : role -> int
+(** [0], [1] or [2], for the int-array snapshots of program state. *)
+
+val role_of_code : int -> role
+(** Inverse of {!role_code}; any other code is [Undecided]. *)
+
 val equal : t -> t -> bool
 (** Structural equality, field by field and monomorphic throughout —
     the engine compares outputs on every [set_output], so this must

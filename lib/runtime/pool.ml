@@ -27,7 +27,7 @@ let rec static_loop ~n ~chunk ~cursor ~failure ~on_failure f =
     let start = Atomic.fetch_and_add cursor chunk in
     if start < n then begin
       (try
-         for i = start to min n (start + chunk) - 1 do
+         for i = start to Int.min n (start + chunk) - 1 do
            f i
          done
        with e -> park ~failure ~on_failure e);

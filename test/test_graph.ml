@@ -275,8 +275,9 @@ let digest_of_sink f =
   f sink;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* [colring elect -n N --seed S --algo A --journal F]. *)
-let ring_journal algo ~n ~seed =
+(* [colring elect -n N --seed S --algo A --journal F], under the random
+   scheduler unless [sched] names another. *)
+let ring_journal ?sched algo ~n ~seed =
   let ids = Ids.distinct (Rng.create ~seed) ~n ~id_max:(2 * n) in
   let topo =
     match algo with
@@ -287,7 +288,10 @@ let ring_journal algo ~n ~seed =
   digest_of_sink (fun sink ->
       ignore
         (Election.run ~seed ~sink ~snapshot_every:10_000 algo ~topo ~ids
-           ~sched:(Scheduler.random (Rng.create ~seed))))
+           ~sched:
+             (match sched with
+             | Some s -> s
+             | None -> Scheduler.random (Rng.create ~seed))))
 
 (* [colring elect --topology T --seed S --journal F]. *)
 let graph_journal spec ~seed =
@@ -333,6 +337,19 @@ let test_pinned_digests () =
   checks "elect -n 5 --seed 4 --algo algo3-improved"
     "ba20609da4ffb952cd40be994cad6ce9"
     (ring_journal (Election.Algo3 Algo3.Improved) ~n:5 ~seed:4);
+  checks "elect -n 6 --seed 4 --algo algo1" "78d62dd78ee829c74c4ca35c555ed236"
+    (ring_journal Election.Algo1 ~n:6 ~seed:4);
+  checks "elect -n 5 --seed 4 --algo algo3-doubled"
+    "0c98c1ef0c677baf0b0d13b3219d3000"
+    (ring_journal (Election.Algo3 Algo3.Doubled) ~n:5 ~seed:4);
+  checks "elect -n 5 --seed 4 --algo resample" "012f1c9d60835f957cb4889c8b6cd4a9"
+    (ring_journal Election.Algo3_resample ~n:5 ~seed:4);
+  checks "elect -n 6 --seed 4 --scheduler fifo (algo2)"
+    "39ad56a0c5c9a63414fd59f6f2b7190b"
+    (ring_journal ~sched:Scheduler.fifo Election.Algo2 ~n:6 ~seed:4);
+  checks "elect -n 6 --seed 4 --scheduler lifo (algo2)"
+    "6447de2669e00bebea512864d3be70f2"
+    (ring_journal ~sched:Scheduler.lifo Election.Algo2 ~n:6 ~seed:4);
   List.iter
     (fun (spec, digest) ->
       checks ("elect --topology " ^ spec ^ " --seed 4") digest

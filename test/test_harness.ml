@@ -417,6 +417,71 @@ let test_gelection_sweep_determinism () =
       checkb (m.g_topology ^ " covered") true (m.g_covered = m.g_n))
     ms1
 
+(* ------------------------------------------------------------------ *)
+(* Robustness: the input parsers never raise *)
+
+(* Spec lines and --topology strings built from the pieces the
+   parsers split on: algorithm and family names, digit runs (some
+   longer than the 19 digits an int holds), the [:], [#], tab and space
+   separators, and stray printable bytes.  A third of the inputs are
+   well-shaped lines ("name sep digits sep digits ...") so the accepting
+   paths are exercised too. *)
+let fuzz_input =
+  let open QCheck.Gen in
+  let digits =
+    frequency [ (3, int_range 1 3); (2, int_range 4 6); (1, int_range 18 30) ]
+    >>= fun len ->
+    string_size ~gen:(char_range '0' '9') (return len)
+  in
+  let name =
+    oneofl
+      [
+        "algo1"; "algo2"; "algo3-doubled"; "algo3-improved"; "resample"; "ring";
+        "theta"; "k4"; "bowtie"; "two-ear"; "random2ec";
+      ]
+  in
+  let sep =
+    frequency
+      [ (3, return " "); (2, return ":"); (1, oneofl [ "#"; "\t"; "  " ]) ]
+  in
+  let token =
+    frequency
+      [
+        (3, name);
+        (4, digits);
+        (3, oneofl [ ":"; "#"; "\t"; " "; "-"; "+"; "0x"; "_" ]);
+        (1, string_size ~gen:printable (int_range 1 3));
+      ]
+  in
+  let soup = list_size (int_range 0 8) token in
+  let shaped =
+    name >>= fun n ->
+    list_size (int_range 0 3) (pair sep digits) >|= fun fields ->
+    n :: List.concat_map (fun (s, d) -> [ s; d ]) fields
+  in
+  QCheck.make ~print:(Printf.sprintf "%S")
+    (map (String.concat "") (frequency [ (2, soup); (1, shaped) ]))
+
+let no_raise what f s =
+  match f s with
+  | _ -> ()
+  | exception e ->
+      QCheck.Test.fail_reportf "%s %S raised %s" what s (Printexc.to_string e)
+
+let prop_parse_line_total =
+  QCheck.Test.make ~name:"Batch.parse_line never raises" ~count:3000
+    fuzz_input (fun s ->
+      no_raise "parse_line" Batch.parse_line s;
+      true)
+
+let prop_topo_parse_total =
+  QCheck.Test.make ~name:"Topo.parse never raises, Ok round-trips"
+    ~count:3000 fuzz_input (fun s ->
+      no_raise "Topo.parse" Topo.parse s;
+      match Topo.parse s with
+      | Error _ -> true
+      | Ok t -> Topo.parse (Topo.to_string t) = Ok t)
+
 let cli_tests =
   [
     Alcotest.test_case "validators" `Quick test_cli_validators;
@@ -457,4 +522,7 @@ let () =
             test_gelection_sweep_determinism;
         ] );
       ("cli", cli_tests);
+      ( "robustness",
+        List.map (fun t -> QCheck_alcotest.to_alcotest t)
+          [ prop_parse_line_total; prop_topo_parse_total ] );
     ]

@@ -62,11 +62,15 @@ let test_determinism_unsafe () =
 (* poly-compare *)
 
 let test_poly_compare () =
-  checki "bad fixture fires" 4
+  checki "bad fixture fires" 5
     (count "poly-compare"
        (rules_of "polycmp_bad.ml" ~as_path:"lib/engine/x.ml"));
   checki "scoped to engine" 0
     (count "poly-compare" (rules_of "polycmp_bad.ml" ~as_path:"lib/core/x.ml"));
+  checki "max in a hot function outside the engine" 1
+    (count "poly-compare"
+       (rules_of "polycmp_bad.ml" ~as_path:"lib/core/x.ml"
+          ~hot:[ ("lib/core/x.ml", [ "m1" ]) ]));
   checki "immediate operands pass" 0
     (count "poly-compare"
        (rules_of "polycmp_ok.ml" ~as_path:"lib/engine/x.ml"))

@@ -10,7 +10,9 @@
                        [Marshal.*] or [Obj.*] anywhere under lib/.
    - [poly-compare]    in lib/engine/: no [Stdlib.compare] or bare
                        [compare]; no [=]/[<>] unless one operand is a
-                       syntactically immediate constant.
+                       syntactically immediate constant.  In
+                       lib/engine/ and inside manifest functions
+                       (hot.sexp): no bare or [Stdlib.] [max]/[min].
    - [hot-alloc]       inside manifest functions (hot.sexp): no
                        closures, tuples, records, arrays, allocating
                        constructors, [ref], [^]/[@], [Printf]/
@@ -104,8 +106,19 @@ let rec syntactically_immediate e =
 
 (* Flags bare [compare] / [Stdlib.compare] anywhere in lib/engine/,
    and first-class [(=)] / [(<>)] (the fully applied binary form is
-   judged by {!check_poly_compare_apply} instead). *)
+   judged by {!check_poly_compare_apply} instead).  [max] / [min] are
+   flagged there and in every hot function: they are polymorphic, so
+   each use is a call ending in [caml_greaterequal] / [caml_lessequal],
+   even at type int. *)
 let check_poly_compare_ident ctx ~loc lid =
+  (match Longident.flatten lid with
+  | [ (("max" | "min") as f) ] | [ "Stdlib"; (("max" | "min") as f) ]
+    when in_engine ctx || Option.is_some ctx.hot ->
+      report ctx ~rule:"poly-compare" ~loc
+        "polymorphic %s in lib/engine/ or a hot function; use Int.%s, or an \
+         inline comparison on the delivery path"
+        f f
+  | _ -> ());
   if in_engine ctx then
     match Longident.flatten lid with
     | [ "compare" ] | [ "Stdlib"; "compare" ] ->
