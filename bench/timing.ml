@@ -428,14 +428,14 @@ let sweep_section ~quick () =
 (* {2 Batched elections (E17)}
 
    Many independent elections per call: a loop of sequential
-   Election.run (what `colring elect` does K times) against the same
-   jobs fanned out over flocks by Harness.Batch (what `colring batch`
-   does).  Reports elections/sec and completion-latency percentiles —
-   the time from batch start until each job finishes, which is the
-   number a job-server client observes.  Flock rows at pool width 1
-   isolate the batching gain itself; wider rows add domain
-   parallelism on machines that have the cores (this container's
-   1-CPU caveat applies, see EXPERIMENTS.md). *)
+   Election.run, each on a fresh network (what `colring elect` does K
+   times), against the same jobs run by Harness.Batch on per-domain
+   warm cores (what `colring batch` does).  Reports elections/sec and
+   completion-latency percentiles — the time from batch start until
+   each job finishes, which is the number a job-server client
+   observes.  Warm rows at pool width 1 isolate the gain of resetting
+   a core instead of creating one; wider rows add domain parallelism
+   on machines that have the cores (see EXPERIMENTS.md). *)
 
 module Batch = Harness.Batch
 
@@ -493,14 +493,14 @@ let measure_individual size =
   let wall = Unix.gettimeofday () -. t0 in
   batch_point ~size ~mode:"individual" ~jobs:1 ~wall lat
 
-let measure_flock ~jobs size =
+let measure_warm ~jobs size =
   let o =
     Batch.run ~jobs ~now:Unix.gettimeofday ~sched:batch_sched
       (batch_specs size)
   in
   Array.iter (fun r -> assert (not r.Election.exhausted)) o.Batch.reports;
   batch_point ~size
-    ~mode:(Printf.sprintf "flock -j%d" jobs)
+    ~mode:(Printf.sprintf "warm -j%d" jobs)
     ~jobs ~wall:o.Batch.elapsed
     (Array.copy o.Batch.latencies)
 
@@ -516,7 +516,7 @@ let batch_section ~quick () =
     List.concat_map
       (fun size ->
         measure_individual size
-        :: List.map (fun jobs -> measure_flock ~jobs size) jobs_ladder)
+        :: List.map (fun jobs -> measure_warm ~jobs size) jobs_ladder)
       (batch_sizes ~quick)
   in
   Printf.printf "%-8s %-12s %10s %14s %10s %10s\n" "batch" "mode" "wall s"
@@ -532,14 +532,14 @@ let batch_section ~quick () =
         let at mode =
           List.find_opt (fun p -> p.bp_size = size && p.bp_mode = mode) points
         in
-        match (at "individual", at "flock -j1") with
-        | Some ind, Some fl -> Some (size, fl.bp_eps /. ind.bp_eps)
+        match (at "individual", at "warm -j1") with
+        | Some ind, Some w -> Some (size, w.bp_eps /. ind.bp_eps)
         | _ -> None)
       (batch_sizes ~quick)
   in
   List.iter
     (fun (size, s) ->
-      Printf.printf "\nflock -j1 vs individual at batch %d: %.2fx" size s)
+      Printf.printf "\nwarm -j1 vs individual at batch %d: %.2fx" size s)
     speedups;
   print_newline ();
   let json_of_point p =
@@ -562,6 +562,8 @@ let batch_section ~quick () =
         Bench_io.List
           (List.map (fun s -> Bench_io.Int s) (batch_sizes ~quick)) );
       ("results", Bench_io.List (List.map json_of_point points));
+      (* The key predates the warm core (it timed the retired
+         multi-slot batch engine); kept for the schema-v6 readers. *)
       ( "speedup_flock_j1_vs_individual",
         Bench_io.List
           (List.map

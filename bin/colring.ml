@@ -701,7 +701,7 @@ let sweep_cmd =
       $ journal_arg $ sweep_topology_arg)
 
 (* ------------------------------------------------------------------ *)
-(* batch / serve: many elections over per-domain flocks *)
+(* batch / serve: many elections over per-domain warm cores *)
 
 let pool_mode_arg =
   Arg.(
@@ -711,16 +711,9 @@ let pool_mode_arg =
         Colring_runtime.Pool.Static
     & info [ "pool" ] ~docv:"MODE"
         ~doc:
-          "How workers claim job waves: $(b,static) (shared cursor) or \
+          "How workers claim jobs: $(b,static) (shared cursor) or \
            $(b,steal) (per-worker deques with work stealing). Results are \
            bit-identical either way.")
-
-let slots_arg =
-  Arg.(
-    value
-    & opt (positive_conv ~flag:"--slots") 256
-    & info [ "slots" ] ~docv:"K"
-        ~doc:"Instances per flock wave (struct-of-arrays batch width).")
 
 let journal_dir_arg =
   Arg.(
@@ -787,16 +780,17 @@ let with_shards dir ~shards ~count f =
       f (fun i chunk ->
           output_string ocs.(if count = 0 then 0 else i * shards / count) chunk))
 
-let print_batch_summary (o : Harness.Batch.outcome) =
-  let count = Array.length o.reports in
-  let ok = Array.fold_left (fun a r -> if Election.ok r then a + 1 else a) 0 o.reports in
-  let lat = Array.copy o.latencies in
+(* The jobs/ok/elapsed/latency block of a batch summary, for rings and
+   graphs alike; [latencies] are completion times in seconds.  [true]
+   when every job was ok. *)
+let print_batch_summary ~count ~ok ~elapsed latencies =
+  let lat = Array.copy latencies in
   Array.sort Float.compare lat;
   Printf.printf "jobs                %d\n" count;
   Printf.printf "ok                  %d\n" ok;
-  Printf.printf "elapsed             %.3f s\n" o.elapsed;
-  if o.elapsed > 0. then
-    Printf.printf "elections/sec       %.0f\n" (float_of_int count /. o.elapsed);
+  Printf.printf "elapsed             %.3f s\n" elapsed;
+  if elapsed > 0. then
+    Printf.printf "elections/sec       %.0f\n" (float_of_int count /. elapsed);
   if Array.length lat > 0 then begin
     Printf.printf "p50 latency         %.3f ms\n"
       (Harness.Batch.percentile lat 0.50 *. 1e3);
@@ -848,26 +842,16 @@ let gbatch topo_spec specs sched_of jobs journal_dir shards events =
   let ok =
     Array.fold_left (fun a (r, _, _) -> if GE.ok r then a + 1 else a) 0 out
   in
-  let lat = Array.map (fun (_, _, l) -> l) out in
-  Array.sort Float.compare lat;
   Printf.printf "topology            %s (%d nodes)\n"
     (Harness.Topo.to_string topo_spec)
     gn;
-  Printf.printf "jobs                %d\n" count;
-  Printf.printf "ok                  %d\n" ok;
-  Printf.printf "elapsed             %.3f s\n" elapsed;
-  if elapsed > 0. then
-    Printf.printf "elections/sec       %.0f\n" (float_of_int count /. elapsed);
-  if Array.length lat > 0 then begin
-    Printf.printf "p50 latency         %.3f ms\n"
-      (Harness.Batch.percentile lat 0.50 *. 1e3);
-    Printf.printf "p99 latency         %.3f ms\n"
-      (Harness.Batch.percentile lat 0.99 *. 1e3)
-  end;
-  if ok = count then 0 else 1
+  if
+    print_batch_summary ~count ~ok ~elapsed
+      (Array.map (fun (_, _, l) -> l) out)
+  then 0
+  else 1
 
-let batch spec_path sched jobs mode slots journal_dir shards events
-    topology =
+let batch spec_path sched jobs mode journal_dir shards events topology =
   match Harness.Batch.parse_spec (read_spec_file spec_path) with
   | Error msg ->
       prerr_endline ("colring batch: " ^ msg);
@@ -878,7 +862,7 @@ let batch spec_path sched jobs mode slots journal_dir shards events
   | Ok specs ->
       let jobs = resolve_jobs jobs in
       let run journal =
-        Harness.Batch.run ~jobs ~mode ~slots ~events ?journal
+        Harness.Batch.run ~jobs ~mode ~events ?journal
           ~now:Unix.gettimeofday ~sched specs
       in
       let outcome =
@@ -888,17 +872,28 @@ let batch spec_path sched jobs mode slots journal_dir shards events
             with_shards dir ~shards ~count:(Array.length specs) (fun emit ->
                 run (Some emit))
       in
-      if print_batch_summary outcome then 0 else 1
+      let reports = outcome.Harness.Batch.reports in
+      let count = Array.length reports in
+      let ok =
+        Array.fold_left
+          (fun a r -> if Election.ok r then a + 1 else a)
+          0 reports
+      in
+      if
+        print_batch_summary ~count ~ok ~elapsed:outcome.Harness.Batch.elapsed
+          outcome.Harness.Batch.latencies
+      then 0
+      else 1
 
 let batch_cmd =
   Cmd.v
     (Cmd.info "batch"
        ~doc:
-         "Run a batch of elections over per-domain multi-instance flocks and \
+         "Run a batch of elections over per-domain warm simulator cores and \
           report throughput and completion-latency percentiles.")
     Term.(
       const batch $ spec_file_arg $ sched_arg $ jobs_arg $ pool_mode_arg
-      $ slots_arg $ journal_dir_arg $ shards_arg $ events_arg $ topology_arg)
+      $ journal_dir_arg $ shards_arg $ events_arg $ topology_arg)
 
 let serve sched jobs journal =
   let journal = open_journal journal in
@@ -927,8 +922,9 @@ let serve_cmd =
           standard input and answer one result line per job, in input \
           order. Input is served in waves: every complete line one read \
           returns. A wave's elections run in parallel on $(b,--jobs) \
-          domains that live as long as the server, one election per warm \
-          single-slot flock, and the wave's replies are written together. \
+          domains that live as long as the server, each election on its \
+          domain's warm simulator core, and the wave's replies are written \
+          together. \
           Replies and journals are byte-identical for every $(b,--jobs) \
           and however the input arrives.")
     Term.(const serve $ sched_arg $ jobs_arg $ journal_arg)

@@ -137,10 +137,7 @@ let report_fields r =
     ("ok", Bool (ok r));
   ]
 
-(* Prologue shared by the single-instance and flock runners:
-   argument validation, then the run_start record — which must be
-   emitted before the network exists, because creating one already
-   emits the start-up activations (wakes and initial sends). *)
+(* Argument validation; the id_max the report needs. *)
 let validate algorithm ~topo ~ids =
   let n = Topology.n topo in
   if Array.length ids <> n then invalid_arg "Election.run: |ids| <> n";
@@ -154,6 +151,9 @@ let validate algorithm ~topo ~ids =
   | Algo3 _ | Algo3_resample -> ());
   Ids.id_max ids
 
+(* The run_start record must be emitted before the network is built
+   or reset, because that already emits the start-up activations
+   (wakes and initial sends). *)
 let emit_run_start ~(sink : Sink.t) ~seed ~workload ~sched_name algorithm ~n
     ~id_max =
   if sink.Sink.enabled then
@@ -167,13 +167,16 @@ let emit_run_start ~(sink : Sink.t) ~seed ~workload ~sched_name algorithm ~n
         ("scheduler", Sink.String sched_name);
       ]
 
-(* Epilogue shared the same way: verdicts and the report from raw
-   measurements, engine-agnostic (the flock runner feeds it its own
-   accessors). *)
-let build_report algorithm ~topo ~ids ~id_max ~sends ~sends_cw ~sends_ccw
-    ~deliveries ~quiescent ~all_terminated ~exhausted ~post_term_deliveries
-    ~causal_span ~termination_order ~outputs ~inspect =
+(* The run body shared by a fresh and a warm core: run [net] (just
+   created or reset for this job) to the end, judge it, and close the
+   journal. *)
+let finish algorithm ~sink ?max_deliveries ~snapshot_every ~ids ~id_max ~sched
+    net =
+  let result = Network.run ?max_deliveries ~snapshot_every net sched in
+  let topo = Network.topology net in
   let n = Topology.n topo in
+  let m = Network.metrics net in
+  let outputs = Network.outputs net in
   let leader = unique_leader outputs in
   let leader_is_max =
     match leader with Some v -> v = Ids.argmax ids | None -> false
@@ -186,72 +189,60 @@ let build_report algorithm ~topo ~ids ~id_max ~sends ~sends_cw ~sends_ccw
   let termination_order_ok =
     match (algorithm, leader) with
     | Algo2, Some l ->
-        Some (termination_order = expected_termination_order topo ~leader:l)
+        Some
+          (result.termination_order = expected_termination_order topo ~leader:l)
     | Algo2, None -> Some false
     | (Algo1 | Algo3 _ | Algo3_resample), _ -> None
   in
   let final_ids =
     Array.init n (fun v ->
-        match List.assoc_opt "id" (inspect v) with
+        match List.assoc_opt "id" (Network.inspect net v) with
         | Some id -> id
         | None -> ids.(v))
   in
-  {
-    algorithm = algorithm_name algorithm;
-    n;
-    id_max;
-    sends;
-    expected_sends = expected_sends algorithm ~n ~id_max;
-    sends_cw;
-    sends_ccw;
-    deliveries;
-    quiescent;
-    all_terminated;
-    exhausted;
-    post_term_deliveries;
-    causal_span;
-    leader;
-    leader_is_max;
-    roles_ok = roles_ok outputs;
-    orientation_ok;
-    termination_order_ok;
-    final_ids;
-  }
-
-let emit_run_end ~(sink : Sink.t) ~metrics_assoc report =
+  let report =
+    {
+      algorithm = algorithm_name algorithm;
+      n;
+      id_max;
+      sends = result.sends;
+      expected_sends = expected_sends algorithm ~n ~id_max;
+      sends_cw = Metrics.sends_cw m;
+      sends_ccw = Metrics.sends_ccw m;
+      deliveries = result.deliveries;
+      quiescent = result.quiescent;
+      all_terminated = result.all_terminated;
+      exhausted = result.exhausted;
+      post_term_deliveries = Metrics.post_termination_deliveries m;
+      causal_span = Network.causal_span net;
+      leader;
+      leader_is_max;
+      roles_ok = roles_ok outputs;
+      orientation_ok;
+      termination_order_ok;
+      final_ids;
+    }
+  in
   if sink.Sink.enabled then begin
     (* A closing snapshot at the final delivery count, so a journal
        always ends with the exact [Metrics.to_assoc] of the run, then
        the report itself. *)
-    sink.Sink.on_snapshot ~step:report.deliveries metrics_assoc;
+    sink.Sink.on_snapshot ~step:report.deliveries (Metrics.to_assoc m);
     sink.Sink.on_run_end (report_fields report);
     sink.Sink.flush ()
-  end
+  end;
+  report
 
 let run ?(seed = 0) ?max_deliveries ?(sink = Sink.null) ?(workload = "-")
     ?(snapshot_every = 10_000) algorithm ~topo ~ids ~sched =
-  let n = Topology.n topo in
   let id_max = validate algorithm ~topo ~ids in
   emit_run_start ~sink ~seed ~workload ~sched_name:sched.Scheduler.name
-    algorithm ~n ~id_max;
+    algorithm ~n:(Topology.n topo) ~id_max;
   let net =
     Network.create ~sink ~seed topo (fun v -> program_of algorithm ~id:ids.(v))
   in
-  let result = Network.run ?max_deliveries ~snapshot_every net sched in
-  let m = Network.metrics net in
-  let report =
-    build_report algorithm ~topo ~ids ~id_max ~sends:result.sends
-      ~sends_cw:(Metrics.sends_cw m) ~sends_ccw:(Metrics.sends_ccw m)
-      ~deliveries:result.deliveries ~quiescent:result.quiescent
-      ~all_terminated:result.all_terminated ~exhausted:result.exhausted
-      ~post_term_deliveries:(Metrics.post_termination_deliveries m)
-      ~causal_span:(Network.causal_span net)
-      ~termination_order:result.termination_order
-      ~outputs:(Network.outputs net)
-      ~inspect:(Network.inspect net)
-  in
-  emit_run_end ~sink ~metrics_assoc:(Metrics.to_assoc m) report;
-  (report, net)
+  (finish algorithm ~sink ?max_deliveries ~snapshot_every ~ids ~id_max ~sched
+     net, net)
 
 let run_report ?seed ?max_deliveries ?sink ?workload ?snapshot_every algorithm
     ~topo ~ids ~sched =
@@ -259,103 +250,22 @@ let run_report ?seed ?max_deliveries ?sink ?workload ?snapshot_every algorithm
     (run ?seed ?max_deliveries ?sink ?workload ?snapshot_every algorithm ~topo
        ~ids ~sched)
 
-(* ------------------------------------------------------------------ *)
-(* Batched runs over a Flock *)
-
-type job = {
-  j_algorithm : algorithm;
-  j_ids : int array;
-  j_seed : int;
-  j_sched : Scheduler.t;
-  j_sink : Sink.t;
-  j_workload : string;
-  j_snapshot_every : int;
-  j_max_deliveries : int;
-}
-
-let job ?(seed = 0) ?(max_deliveries = 50_000_000) ?(sink = Sink.null)
-    ?(workload = "-") ?(snapshot_every = 10_000) algorithm ~ids ~sched =
-  {
-    j_algorithm = algorithm;
-    j_ids = ids;
-    j_seed = seed;
-    j_sched = sched;
-    j_sink = sink;
-    j_workload = workload;
-    j_snapshot_every = snapshot_every;
-    j_max_deliveries = max_deliveries;
-  }
-
-(* Algorithms 1 and 2 never read [api.rng] (they are deterministic
-   relays); skipping their per-node stream splits is most of the
-   per-instance setup cost the flock exists to amortise.  The Algo3
-   family keeps real streams: resampling draws, and the classification
-   is per-algorithm, not per-run, so it cannot go stale silently —
-   adding a draw to Algorithm 1/2 would have to revisit this list. *)
+(* Only resampling reads [api.rng] (Algo3.maybe_resample); every other
+   algorithm is a deterministic relay, so a warm run skips its per-node
+   stream splits.  The classification is per algorithm, not per run,
+   so it cannot go stale silently: a program that starts drawing has
+   to be added here. *)
 let draws_randomness = function
-  | Algo1 | Algo2 -> false
-  | Algo3 _ | Algo3_resample -> true
+  | Algo3_resample -> true
+  | Algo1 | Algo2 | Algo3 _ -> false
 
-let finish_flock_job fl slot j ~id_max ~topo =
-  let report =
-    build_report j.j_algorithm ~topo ~ids:j.j_ids ~id_max
-      ~sends:(Flock.sends fl slot) ~sends_cw:(Flock.sends_cw fl slot)
-      ~sends_ccw:(Flock.sends_ccw fl slot)
-      ~deliveries:(Flock.deliveries fl slot)
-      ~quiescent:(Flock.quiescent fl slot)
-      ~all_terminated:(Flock.all_terminated fl slot)
-      ~exhausted:(Flock.exhausted fl slot)
-      ~post_term_deliveries:(Flock.post_termination_deliveries fl slot)
-      ~causal_span:(Flock.causal_span fl slot)
-      ~termination_order:(Flock.termination_order fl slot)
-      ~outputs:(Flock.outputs fl slot)
-      ~inspect:(fun v -> Flock.inspect fl ~slot ~node:v)
-  in
-  emit_run_end ~sink:j.j_sink ~metrics_assoc:(Flock.metrics_assoc fl slot)
-    report;
-  report
-
-let run_flock ?(slots = 256) ?flock ?on_complete ~topo jobs =
-  let count = Array.length jobs in
-  let fl =
-    match flock with
-    | Some fl ->
-        if Flock.size fl <> Topology.n topo then
-          invalid_arg "Election.run_flock: flock ring size <> |topo|";
-        fl
-    | None -> Flock.create ~slots:(min slots (max count 1)) topo
-  in
-  let k = Flock.slots fl in
-  (* Validate every job before any journal line is written, so a bad
-     job in the middle of a batch cannot leave half the journals
-     behind. *)
-  let id_maxes = Array.map (fun j -> validate j.j_algorithm ~topo ~ids:j.j_ids) jobs in
-  let reports = Array.make count None in
-  let base = ref 0 in
-  while !base < count do
-    let wave = min k (count - !base) in
-    for s = 0 to wave - 1 do
-      let j = jobs.(!base + s) in
-      emit_run_start ~sink:j.j_sink ~seed:j.j_seed ~workload:j.j_workload
-        ~sched_name:j.j_sched.Scheduler.name j.j_algorithm ~n:(Topology.n topo)
-        ~id_max:id_maxes.(!base + s);
-      Flock.load fl ~slot:s ~seed:j.j_seed
-        ~rng:(draws_randomness j.j_algorithm)
-        ~max_deliveries:j.j_max_deliveries
-        ~snapshot_every:j.j_snapshot_every ~sink:j.j_sink ~sched:j.j_sched
-        (fun v -> program_of j.j_algorithm ~id:j.j_ids.(v))
-    done;
-    let wave_base = !base in
-    Flock.drain fl
-      ~on_complete:(fun slot ->
-        let ix = wave_base + slot in
-        let r =
-          finish_flock_job fl slot jobs.(ix) ~id_max:id_maxes.(ix) ~topo
-        in
-        reports.(ix) <- Some r;
-        match on_complete with None -> () | Some f -> f ix r);
-    base := !base + wave
-  done;
-  Array.map
-    (function Some r -> r | None -> assert false (* drain completes slots *))
-    reports
+let run_warm ?(seed = 0) ?max_deliveries ?(sink = Sink.null) ?(workload = "-")
+    ?(snapshot_every = 10_000) net algorithm ~ids ~sched =
+  let topo = Network.topology net in
+  let id_max = validate algorithm ~topo ~ids in
+  emit_run_start ~sink ~seed ~workload ~sched_name:sched.Scheduler.name
+    algorithm ~n:(Topology.n topo) ~id_max;
+  Network.reset ~sink ~seed ~rng:(draws_randomness algorithm) net (fun v ->
+      program_of algorithm ~id:ids.(v));
+  finish algorithm ~sink ?max_deliveries ~snapshot_every ~ids ~id_max ~sched
+    net

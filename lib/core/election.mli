@@ -104,53 +104,26 @@ val run_report :
   report
 (** {!run} without the network. *)
 
-(** {2 Batched runs}
+(** {2 Warm runs} *)
 
-    Many independent elections over one topology shape, executed on a
-    {!Colring_engine.Flock} so per-instance setup is amortised and
-    instances step interleaved with cache locality.  Each job's sink
-    observes an event stream byte-identical to what {!run} would
-    produce for the same job (the determinism tests pin this), because
-    every piece of per-instance state — scheduler, RNG streams, sink,
-    counters, queues — is owned by the job's instance slot. *)
-
-type job
-(** One election: algorithm, IDs, seed, scheduler, sink, and the
-    budget/cadence knobs of {!run}. *)
-
-val job :
+val run_warm :
   ?seed:int ->
   ?max_deliveries:int ->
   ?sink:Colring_engine.Sink.t ->
   ?workload:string ->
   ?snapshot_every:int ->
+  Colring_engine.Network.pulse Colring_engine.Network.t ->
   algorithm ->
   ids:int array ->
   sched:Colring_engine.Scheduler.t ->
-  job
-(** Defaults match {!run}'s.  Stateful schedulers must be private to
-    the job (one per job, as one per run). *)
-
-val run_flock :
-  ?slots:int ->
-  ?flock:Colring_engine.Flock.t ->
-  ?on_complete:(int -> report -> unit) ->
-  topo:Colring_engine.Topology.t ->
-  job array ->
-  report array
-(** [run_flock ~topo jobs] validates every job up front, then runs
-    them in waves of at most [slots] (default 256, capped at the job
-    count) on a flock over [topo], returning reports in job order.
-    Algorithms 1 and 2 are loaded with [~rng:false] (they never read
-    [api.rng]); the Algo3 family gets real per-node streams split
-    from the job seed, exactly as {!run} would.
-
-    [flock] reuses an existing (warm) flock instead of creating one —
-    the job server's steady state; its topology must have the same
-    ring size as [topo] (and should be [topo] itself).  [on_complete]
-    fires once per job, with the job index and its report, as soon as
-    that instance finishes — not in job order; callers that timestamp
-    completions for latency percentiles hook it. *)
+  report
+(** [run_warm net algorithm ~ids ~sched] is {!run_report} on
+    [Network.topology net], run on [net] after a
+    {!Colring_engine.Network.reset} instead of on a fresh network:
+    same arguments and defaults, same report, same sink events, byte
+    for byte.  [net] may hold any earlier run, finished or abandoned
+    by an exception.  Only resampling reads [api.rng], so every other
+    algorithm is reset with [~rng:false]. *)
 
 (** {2 Pieces, exposed for tests and transport backends} *)
 

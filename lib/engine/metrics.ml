@@ -17,6 +17,14 @@ let create () =
     post_term = 0;
   }
 
+let reset t =
+  t.sends <- 0;
+  t.sends_cw <- 0;
+  t.deliveries <- 0;
+  t.consumes <- 0;
+  t.wakes <- 0;
+  t.post_term <- 0
+
 let on_send t ~cw =
   t.sends <- t.sends + 1;
   if cw then t.sends_cw <- t.sends_cw + 1

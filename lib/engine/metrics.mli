@@ -28,6 +28,9 @@ type t = {
 val create : unit -> t
 (** All counters at zero. *)
 
+val reset : t -> unit
+(** Every counter back to zero (a warm {!Network.reset}). *)
+
 val on_send : t -> cw:bool -> unit
 val on_deliver : t -> unit
 val on_consume : t -> unit

@@ -261,10 +261,11 @@ type ('m, 'api, 'topo) core = {
      sits behind it, so the default path makes no sink call at all,
      while a non-null sink sees every event even when it is not
      [enabled].  [observed] is [sink.enabled], the guard for records
-     that must allocate their payload (snapshots). *)
-  sink : Sink.t;
-  live : bool;
-  observed : bool;
+     that must allocate their payload (snapshots).  All three change
+     only at a warm [reset]. *)
+  mutable sink : Sink.t;
+  mutable live : bool;
+  mutable observed : bool;
   mutable next_seq : int;
   mutable next_batch : int;
   mutable in_flight : int;
@@ -288,12 +289,12 @@ type ('m, 'api, 'topo) core = {
   mutable view : Scheduler.view;
   (* Incremental-undo support: [ulog] collects the current step's wake
      effects while [logging] is set (only inside [force_step_undo]);
-     [undo_ok] is fixed at creation — every program must carry a
-     [snap] codec and no user sink may observe the run, since emitted
-     events cannot be unemitted. *)
+     [undo_ok] is fixed per run (at creation or [reset]) — every
+     program must carry a [snap] codec and no user sink may observe the
+     run, since emitted events cannot be unemitted. *)
   ulog : 'm ulog;
   mutable logging : bool;
-  undo_ok : bool;
+  mutable undo_ok : bool;
 }
 
 type 'm t = ('m, 'm api, Topology.t) core
@@ -459,14 +460,24 @@ let slabs (type m) (carry : m carry) links : m slab array =
   | Pulses -> [||]
   | Payloads -> Array.init links (fun _ -> slab_create ())
 
+let undo_ok_for (sink : Sink.t) programs =
+  (not sink.enabled)
+  && Array.for_all (fun p -> Option.is_some p.p_snap) programs
+
+(* The start-up activations, in node order: batch bump, wake, [start]. *)
+let start_all t =
+  for v = 0 to Array.length t.apis - 1 do
+    t.next_batch <- t.next_batch + 1;
+    t.metrics.Metrics.wakes <- t.metrics.Metrics.wakes + 1;
+    if t.live then t.sink.Sink.on_wake ~node:v;
+    t.programs.(v).p_start t.apis.(v)
+  done
+
 let make ~carry ?(sink = Sink.null) ?(seed = 0) ~api topo ~dst_node ~dst_port
     ~dir ~first_link ~degree programs =
   let n = Array.length first_link in
   let links = Array.length dst_node in
-  let undo_ok =
-    (not sink.Sink.enabled)
-    && Array.for_all (fun p -> Option.is_some p.p_snap) programs
-  in
+  let undo_ok = undo_ok_for sink programs in
   let t =
     {
       topo;
@@ -537,13 +548,11 @@ let make ~carry ?(sink = Sink.null) ?(seed = 0) ~api topo ~dst_node ~dst_port
     };
   let root_rng = Rng.create ~seed in
   t.apis <- Array.init n (fun v -> api t v (Rng.split_at root_rng v));
-  for v = 0 to n - 1 do
-    t.next_batch <- t.next_batch + 1;
-    t.metrics.Metrics.wakes <- t.metrics.Metrics.wakes + 1;
-    if t.live then t.sink.Sink.on_wake ~node:v;
-    t.programs.(v).p_start t.apis.(v)
-  done;
+  start_all t;
   t
+
+let ring_prog (p : _ program) =
+  { p_start = p.start; p_wake = p.wake; p_inspect = p.inspect; p_snap = p.snap }
 
 let create_with ~carry ?sink ?seed topo make_program =
   Topology.check topo;
@@ -557,17 +566,60 @@ let create_with ~carry ?sink ?seed topo make_program =
            if Topology.link_travels_cw topo l then 1 else 0))
     ~first_link:(Array.init n (fun v -> Topology.link_id topo v Port.P0))
     ~degree:(Array.make n 2)
-    (Array.init n (fun v ->
-         let p = make_program v in
-         {
-           p_start = p.start;
-           p_wake = p.wake;
-           p_inspect = p.inspect;
-           p_snap = p.snap;
-         }))
+    (Array.init n (fun v -> ring_prog (make_program v)))
 
 let create ?sink ?seed topo make_program =
   create_with ~carry:Pulses ?sink ?seed topo make_program
+
+(* A warm core: every field [make] initialises per run goes back to
+   its initial value — stamp queues and mailboxes empty (buffers keep
+   their capacity), outputs, termination, counters, batch and sequence
+   numbers, clocks, the non-empty-link set and the undo log — then the
+   new programs, sink and streams go in and the start-up activations
+   run as in [make].  The link tables, api closures and scheduler view
+   are kept.  Without [rng] the apis keep whatever streams they had,
+   so the new programs must not read [api.rng]. *)
+let reset ?(sink = Sink.null) ?(seed = 0) ?(rng = true) (t : pulse t)
+    make_program =
+  (match t.carry with
+  | Pulses -> ()
+  | Payloads -> invalid_arg "Network.reset: a payload network");
+  let n = Array.length t.term in
+  Array.iter
+    (fun q ->
+      q.(0) <- 0;
+      q.(1) <- 0)
+    t.chans;
+  Array.fill t.mcount 0 (Array.length t.mcount) 0;
+  Array.fill t.outputs 0 n Output.empty;
+  Array.fill t.term 0 n false;
+  t.term_order_rev <- [];
+  Metrics.reset t.metrics;
+  t.next_seq <- 0;
+  t.next_batch <- 0;
+  t.in_flight <- 0;
+  t.mailbox_backlog <- 0;
+  Array.fill t.local_clock 0 n 0;
+  t.causal_span <- 0;
+  Array.fill t.link_pos 0 (Array.length t.link_pos) (-1);
+  t.nonempty_count <- 0;
+  t.ulog.clen <- 0;
+  t.ulog.slen <- 0;
+  t.logging <- false;
+  t.sink <- sink;
+  t.live <- not (sink == Sink.null);
+  t.observed <- sink.Sink.enabled;
+  for v = 0 to n - 1 do
+    t.programs.(v) <- ring_prog (make_program v)
+  done;
+  t.undo_ok <- undo_ok_for sink t.programs;
+  if rng then begin
+    let root_rng = Rng.create ~seed in
+    Array.iteri
+      (fun v (a : pulse api) -> a.rng <- Rng.split_at root_rng v)
+      t.apis
+  end;
+  start_all t
 
 let create_graph ~carry ?sink ?seed topo ~dst_node ~dst_port ~first_link
     ~degree make_program =

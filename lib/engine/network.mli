@@ -70,10 +70,9 @@ type 'm api = {
       (** Enter the terminating state: all later incoming pulses are
           ignored (and counted as quiescence violations). *)
   mutable rng : Colring_stats.Rng.t;
-      (** Private randomness source.  Mutable so a multi-instance
-          engine ({!Flock}) can rebind a recycled slot's per-node
-          streams without rebuilding the closure record; programs must
-          treat it as read-only. *)
+      (** Private randomness source.  Mutable so that {!reset} can
+          rebind a warm core's per-node streams without rebuilding the
+          closure record; programs must treat it as read-only. *)
 }
 
 type 'm program = {
@@ -128,6 +127,33 @@ val create_with :
     [create_with ~carry:Pulses].  The classic baselines, whose
     messages have contents, use [~carry:Payloads]; so do tests that
     check a [unit] program behaves the same on either carriage. *)
+
+val reset :
+  ?sink:Sink.t ->
+  ?seed:int ->
+  ?rng:bool ->
+  pulse t ->
+  (int -> pulse program) ->
+  unit
+(** [reset t make_program] reuses the pulse network [t] for a new run
+    on the same topology: afterwards [t] is what {!create} would have
+    built with these arguments, and a sink sees the same events from
+    here on.  Raises [Invalid_argument] on a payload network
+    ({!create_with} [~carry:Payloads]).  It puts back every piece of per-run state —
+    channel stamp queues (their buffers keep the capacity they grew
+    to), mailboxes, outputs, termination flags and order, {!metrics},
+    sequence and batch numbers, causal clocks, the non-empty-link set,
+    the undo log — instantiates [make_program v] for every node, then
+    runs the start-up activations in node order, as [create] does.
+    {!undo_capable} is recomputed for the new programs and sink.
+
+    A reset core is clean whatever state the previous run left it in:
+    finished, exhausted, or abandoned mid-run or mid-start because a
+    program or scheduler raised.
+
+    [rng:false] (default [true]) skips the per-node [Rng.split_at]
+    calls, and [seed] is then unused: every api keeps the stream it
+    had.  Pass it only when no program reads [api.rng]. *)
 
 (** The api and program records of graph node programs: ports are
     integers in [0, degree).  [Colring_graph.Gnetwork] re-exports

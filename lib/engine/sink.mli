@@ -14,9 +14,9 @@
     - {!memory}: records events into a {!Trace.t}, exposed via
       {!trace} — the lower-bound machinery's buffer.
     - {!counters}: drives a {!Metrics.t} through the [Metrics.on_*]
-      updates.  The engines ({!Network}, {!Flock} and the graph
-      engine) make the same updates inline and then call the user's
-      sink directly, so every engine keeps one order: counters move,
+      updates.  The engine ({!Network}, whose core also runs the
+      graph simulator) makes the same updates inline and then calls
+      the user's sink directly, always in one order: counters move,
       then the sink sees the event.  Tests pass a [counters] sink as
       the user sink to check the inline counting against it.
     - {!jsonl}: writes one self-describing JSON object per

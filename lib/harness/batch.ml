@@ -23,8 +23,7 @@ let algorithm_of_name = function
    budget of 50M deliveries (it costs n(2·id_max+1) pulses, and
    id_max >= n): a 4096-ring at id_max = n needs 33.6M, an 8192-ring
    134M, and a 2-ring at id_max = 2^24 already 67M.  [max_n] also
-   bounds what one spec line can make a warm flock allocate (a
-   256-slot flock at n = 4096 is about 0.75 GB). *)
+   bounds what one spec line can make a warm core allocate. *)
 let max_n = 4096
 let max_id_max = 1 lsl 24
 
@@ -85,8 +84,8 @@ let oriented_algorithm = function
   | Election.Algo1 | Election.Algo2 -> true
   | Election.Algo3 _ | Election.Algo3_resample -> false
 
-(* All instances in a flock share one topology, so non-oriented jobs
-   of ring size [n] share one scramble drawn from [n] (unlike
+(* Every job of a group runs on the same warm core, so non-oriented
+   jobs of ring size [n] share one scramble drawn from [n] (unlike
    [colring elect], whose scramble is drawn per run from its seed —
    batches are "many elections on the same ring"). *)
 let topology ~oriented ~n =
@@ -99,56 +98,28 @@ type outcome = {
   elapsed : float;
 }
 
-(* One wave: consecutive jobs of one topology group, at most the
-   flock's slot count, all run on whichever domain claims the wave. *)
-type wave = { w_oriented : bool; w_n : int; w_idxs : int array }
-
-let waves_of_specs specs ~slots =
-  let groups = Hashtbl.create 8 in
-  let order = ref [] in
-  Array.iteri
-    (fun i s ->
-      let key = (oriented_algorithm s.algorithm, s.n) in
-      match Hashtbl.find_opt groups key with
-      | Some r -> r := i :: !r
-      | None ->
-          Hashtbl.add groups key (ref [ i ]);
-          order := key :: !order)
-    specs;
-  let waves = ref [] in
-  List.iter
-    (fun ((oriented, n) as key) ->
-      let idxs = Array.of_list (List.rev !(Hashtbl.find groups key)) in
-      let count = Array.length idxs in
-      let w = ref 0 in
-      while !w < count do
-        let len = min slots (count - !w) in
-        waves :=
-          { w_oriented = oriented; w_n = n; w_idxs = Array.sub idxs !w len }
-          :: !waves;
-        w := !w + len
-      done)
-    (List.rev !order);
-  Array.of_list (List.rev !waves)
-
-(* Flocks are single-domain state, so each domain keeps its own cache
-   of one warm flock per (oriented, n, slots) group — the steady state
-   of a long batch, or of a job server whose pool keeps its domains,
-   reloads slots instead of allocating. *)
-let flock_cache : (bool * int * int, Flock.t) Hashtbl.t Domain.DLS.key =
+(* A core is single-domain state, so each domain keeps its own warm
+   core per (oriented, n) group: the steady state of a long batch, or
+   of a job server whose pool keeps its domains, resets a core instead
+   of building one.  A job that raised leaves its core mid-run; the
+   next job's reset cleans it like any other. *)
+let core_cache : (bool * int, Network.pulse Network.t) Hashtbl.t Domain.DLS.key
+    =
   Domain.DLS.new_key (fun () -> Hashtbl.create 4)
 
-let flock_for ~slots ~oriented ~n =
-  let cache = Domain.DLS.get flock_cache in
-  match Hashtbl.find_opt cache (oriented, n, slots) with
-  | Some fl -> fl
+let core_for ~oriented ~n =
+  let cache = Domain.DLS.get core_cache in
+  match Hashtbl.find_opt cache (oriented, n) with
+  | Some net -> net
   | None ->
-      let fl = Flock.create ~slots (topology ~oriented ~n) in
-      Hashtbl.add cache (oriented, n, slots) fl;
-      fl
+      let net =
+        Network.create (topology ~oriented ~n) (fun _ -> Network.silent_program)
+      in
+      Hashtbl.add cache (oriented, n) net;
+      net
 
-let run ?(jobs = 1) ?pool ?(mode = Pool.Static) ?(slots = 256)
-    ?(events = false) ?journal ?now ~sched specs =
+let run ?(jobs = 1) ?pool ?(mode = Pool.Static) ?(events = false) ?journal ?now
+    ~sched specs =
   let count = Array.length specs in
   let t0 = match now with Some f -> f () | None -> 0. in
   let reports = Array.make count None in
@@ -160,52 +131,30 @@ let run ?(jobs = 1) ?pool ?(mode = Pool.Static) ?(slots = 256)
     | Some _ -> Array.init count (fun _ -> Buffer.create 256)
     | None -> [||]
   in
-  let sink_for i =
-    match journal with
-    | Some _ -> Sink.jsonl_buffer ~events buffers.(i)
-    | None -> Sink.null
-  in
-  let waves = waves_of_specs specs ~slots in
-  let run_wave w =
-    let wave = waves.(w) in
-    let fl = flock_for ~slots ~oriented:wave.w_oriented ~n:wave.w_n in
-    let wjobs =
-      Array.map
-        (fun i ->
-          let s = specs.(i) in
-          Election.job ~seed:s.seed ~sink:(sink_for i) s.algorithm
-            ~ids:(ids_of_spec s) ~sched:(sched s.seed))
-        wave.w_idxs
+  let run_job i =
+    let s = specs.(i) in
+    let sink =
+      match journal with
+      | Some _ -> Sink.jsonl_buffer ~events buffers.(i)
+      | None -> Sink.null
     in
-    let on_complete =
-      match now with
-      | None -> None
-      | Some f ->
-          Some (fun local _report -> latencies.(wave.w_idxs.(local)) <- f () -. t0)
-    in
-    let rs =
-      try
-        Election.run_flock ~flock:fl ?on_complete
-          ~topo:(Flock.topology fl) wjobs
-      with e ->
-        (* A job that raised left this flock's slots running: drop it,
-           so the group's next wave starts on a fresh one. *)
-        Hashtbl.remove (Domain.DLS.get flock_cache)
-          (wave.w_oriented, wave.w_n, slots);
-        raise e
-    in
-    Array.iteri (fun local r -> reports.(wave.w_idxs.(local)) <- Some r) rs
+    let net = core_for ~oriented:(oriented_algorithm s.algorithm) ~n:s.n in
+    reports.(i) <-
+      Some
+        (Election.run_warm ~seed:s.seed ~sink net s.algorithm
+           ~ids:(ids_of_spec s) ~sched:(sched s.seed));
+    match now with Some f -> latencies.(i) <- f () -. t0 | None -> ()
   in
   (match pool with
-  | Some pool -> Pool.exec ~mode ~chunk:1 pool (Array.length waves) run_wave
-  | None -> Pool.run ~mode ~chunk:1 ~jobs (Array.length waves) run_wave);
+  | Some pool -> Pool.exec ~mode ~chunk:1 pool count run_job
+  | None -> Pool.run ~mode ~chunk:1 ~jobs count run_job);
   (match journal with
   | None -> ()
   | Some emit -> Array.iteri (fun i b -> emit i (Buffer.contents b)) buffers);
   {
     reports =
       Array.map
-        (function Some r -> r | None -> assert false (* every wave ran *))
+        (function Some r -> r | None -> assert false (* every job ran *))
         reports;
     latencies;
     elapsed = (match now with Some f -> f () -. t0 | None -> 0.);

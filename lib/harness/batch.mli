@@ -1,22 +1,23 @@
 (** Batched election jobs: N independent elections fanned out over
-    per-domain {!Colring_engine.Flock}s, with per-instance journals.
+    per-domain warm {!Colring_engine.Network} cores, with per-instance
+    journals.
 
     A batch is an array of {!spec}s (one election each).  Jobs are
-    grouped by topology — oriented jobs of equal ring size share a
-    flock, and so do non-oriented jobs of equal ring size, whose
-    scramble is drawn from the ring size alone (a batch is "many
-    elections on the same ring"; [colring elect] instead draws a
-    scramble per run from its seed) — then split into waves of at most
-    [slots] instances.  Waves are distributed over domains by
-    {!Colring_runtime.Pool}; each domain keeps one warm flock per
-    group, so a long batch's steady state reloads slots instead of
-    allocating.
+    grouped by topology — oriented jobs of equal ring size share one,
+    and so do non-oriented jobs of equal ring size, whose scramble is
+    drawn from the ring size alone (a batch is "many elections on the
+    same ring"; [colring elect] instead draws a scramble per run from
+    its seed).  Jobs are distributed over domains by
+    {!Colring_runtime.Pool}; each domain keeps one warm core per group
+    and runs each of its jobs with {!Colring_core.Election.run_warm},
+    so a long batch's steady state resets cores instead of allocating
+    them.
 
     Everything a job produces — its report, its journal bytes, its
     slot in the result arrays — is keyed by the job's index in the
-    spec array, never by the domain or wave that ran it, so reports
-    and journals are byte-identical for every [jobs] value and either
-    pool mode. *)
+    spec array, never by the domain that ran it or the core it ran on,
+    so reports and journals are byte-identical for every [jobs] value
+    and either pool mode. *)
 
 type spec = {
   algorithm : Colring_core.Election.algorithm;
@@ -33,8 +34,7 @@ val algorithm_of_name :
 val max_n : int
 (** The largest ring a spec line may ask for: 4096.  Past it not even
     the cheapest Algorithm 2 election (id_max = n) fits the default
-    50M-delivery budget, and a warm flock's per-slot state grows with
-    [n]. *)
+    50M-delivery budget, and a warm core's state grows with [n]. *)
 
 val max_id_max : int
 (** The largest [id_max] a spec line may ask for: 2{^24}.  Past it not
@@ -66,7 +66,6 @@ val run :
   ?jobs:int ->
   ?pool:Colring_runtime.Pool.t ->
   ?mode:Colring_runtime.Pool.mode ->
-  ?slots:int ->
   ?events:bool ->
   ?journal:(int -> string -> unit) ->
   ?now:(unit -> float) ->
@@ -76,13 +75,11 @@ val run :
 (** [run ~sched specs] executes every job and returns reports in spec
     order.  [sched] receives the job's seed (stateful schedulers are
     built fresh per job, as [colring elect] does).  [jobs] (default 1)
-    and [mode] (default [Static]) configure the pool; waves are
-    claimed [~chunk:1] since each is minutes of work relative to a
-    cursor pop.  Given [pool], the waves run on that long-lived pool
-    instead and [jobs] is ignored; its domains keep their warm flocks
-    from call to call.  [slots] (default 256) bounds instances per
-    flock wave; each domain caches one warm flock per (orientation,
-    ring size, [slots]).
+    and [mode] (default [Static]) configure the pool; jobs are
+    claimed [~chunk:1].  Given [pool], the jobs run on that long-lived
+    pool instead and [jobs] is ignored; its domains keep their warm
+    cores from call to call.  Each domain caches one warm core per
+    (orientation, ring size).
 
     [journal] receives each job's JSONL chunk (run_start, snapshots,
     run_end, plus per-event records when [events] — default [false] —
@@ -97,9 +94,9 @@ val run :
     reads).
 
     A job that raises (its scheduler or program, say) aborts the batch
-    with that exception.  The warm flock it ran on is dropped from the
-    domain's cache, so a later batch of the same group — the next
-    [colring serve] line — starts on a fresh one. *)
+    with that exception.  The warm core it ran on stays cached: the
+    next job's reset cleans it, so a later batch of the same group —
+    the next [colring serve] line — is unaffected. *)
 
 val percentile : float array -> float -> float
 (** [percentile sorted p] with [p] in [0, 1]; [sorted] ascending.

@@ -8,8 +8,8 @@ let result_line (s : Batch.spec) (r : Election.report) =
     r.Election.sends r.Election.deliveries
 
 (* Answer one wave of lines into [out], in input order; the number of
-   bad lines.  The wave's jobs run as one batch on the pool, one job
-   per 1-slot flock.  If a job raises, the batch emits no journal, and
+   bad lines.  The wave's jobs run as one batch on the pool, each on
+   its domain's warm core.  If a job raises, the batch emits no journal, and
    the wave is re-run one job at a time in this domain, so only the
    raising line is answered [error: ...] — exactly as if each line had
    been its own batch. *)
@@ -19,7 +19,7 @@ let answer ~pool ~journal ~sched out lines =
     Array.of_list
       (List.filter_map (function Ok (Some s) -> Some s | _ -> None) parsed)
   in
-  let batch ?pool specs = Batch.run ?pool ~slots:1 ?journal ~sched specs in
+  let batch ?pool specs = Batch.run ?pool ?journal ~sched specs in
   let results =
     match batch ~pool specs with
     | o -> Array.map Result.ok o.Batch.reports

@@ -3,8 +3,8 @@
 
     Input is read in waves: a wave is every complete line one [read]
     call returns.  A wave's jobs run as one {!Batch.run} on the
-    server's long-lived pool, one job per 1-slot warm flock — each
-    pool domain keeps its flock cache from wave to wave — and its
+    server's long-lived pool, each job on its domain's warm core — each
+    pool domain keeps its cores from wave to wave — and its
     replies are handed to [write] in one piece.  A job's reply and
     journal chunk depend only on its line, never on the wave it came
     in or the domain that ran it, so output is byte-identical for

@@ -165,9 +165,9 @@ let test_persistent_calls () =
     jobs_list
 
 (* ------------------------------------------------------------------ *)
-(* Flock batch waves: many elections per wave across domains, with
-   per-job journals byte-identical to the sequential run for every
-   pool width and both modes (the bit-identical-for-every--j
+(* Batches on warm per-domain cores: many elections per group across
+   domains, with per-job journals byte-identical to the sequential run
+   for every pool width and both modes (the bit-identical-for-every--j
    contract under load). *)
 
 let test_batch_waves () =
@@ -244,7 +244,7 @@ let () =
             test_persistent_calls;
         ] );
       ( "batch",
-        [ Alcotest.test_case "flock waves byte-identical" `Quick
+        [ Alcotest.test_case "warm cores byte-identical" `Quick
             test_batch_waves ] );
       ( "transport",
         [ Alcotest.test_case "domains backend verified" `Quick
