@@ -82,6 +82,8 @@ let write_file path v =
 
 exception Parse_error of string
 
+let max_depth = 512
+
 let of_string s =
   let pos = ref 0 in
   let len = String.length s in
@@ -174,7 +176,9 @@ let of_string s =
       | Some i -> Int i
       | None -> fail "bad int"
   in
-  let rec parse_value () =
+  (* Nesting is bounded so a hostile line cannot overflow the stack. *)
+  let rec parse_value depth =
+    if depth > max_depth then fail "nesting too deep";
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -189,11 +193,11 @@ let of_string s =
           List []
         end
         else begin
-          let items = ref [ parse_value () ] in
+          let items = ref [ parse_value (depth + 1) ] in
           skip_ws ();
           while peek () = Some ',' do
             advance ();
-            items := parse_value () :: !items;
+            items := parse_value (depth + 1) :: !items;
             skip_ws ()
           done;
           expect ']';
@@ -212,7 +216,7 @@ let of_string s =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            (k, parse_value ())
+            (k, parse_value (depth + 1))
           in
           let fields = ref [ field () ] in
           skip_ws ();
@@ -226,7 +230,7 @@ let of_string s =
         end
     | Some _ -> parse_number ()
   in
-  let v = parse_value () in
+  let v = parse_value 0 in
   skip_ws ();
   if !pos <> len then fail "trailing garbage";
   v
@@ -257,52 +261,51 @@ let get_bool = function Bool b -> Some b | _ -> None
    [colring journal] validator both find it. *)
 
 let check_journal_line json =
-  let has_int k = match member k json with Some (Int _) -> true | _ -> false in
-  let has_str k =
-    match member k json with Some (String _) -> true | _ -> false
+  let int = function Int _ -> true | _ -> false in
+  let str = function String _ -> true | _ -> false in
+  let bool = function Bool _ -> true | _ -> false in
+  let obj = function Obj _ -> true | _ -> false in
+  let counters = function
+    | Obj (_ :: _ as fields) -> List.for_all (fun (_, v) -> int v) fields
+    | _ -> false
   in
-  let has_bool k =
-    match member k json with Some (Bool _) -> true | _ -> false
+  (* [Ok typ], or an error naming the record type and its first
+     missing or mistyped field. *)
+  let require typ fields =
+    match
+      List.find_opt
+        (fun (k, ok) ->
+          match member k json with Some v -> not (ok v) | None -> true)
+        fields
+    with
+    | None -> Ok typ
+    | Some (k, _) ->
+        Error (Printf.sprintf "%s record: missing or mistyped field %S" typ k)
   in
-  let require typ cond =
-    if cond then Ok typ
-    else Error (Printf.sprintf "%s record is missing required fields" typ)
-  in
-  match json with
-  | Obj _ -> (
-      match member "type" json with
-      | Some (String typ) -> (
-          match typ with
-          | "send" ->
-              require typ
-                (has_int "node" && has_int "port" && has_int "seq"
-                && has_int "link" && has_bool "cw")
-          | "deliver" | "drop" ->
-              require typ (has_int "node" && has_int "port" && has_int "seq")
-          | "consume" -> require typ (has_int "node" && has_int "port")
-          | "wake" | "terminate" -> require typ (has_int "node")
-          | "decide" -> require typ (has_int "node" && has_str "role")
-          | "run_start" ->
-              require typ
-                (has_str "algorithm" && has_int "n" && has_int "seed"
-                && has_str "workload")
-          | "snapshot" ->
-              require typ
-                (has_int "step"
-                &&
-                match member "counters" json with
-                | Some (Obj fields) ->
-                    fields <> []
-                    && List.for_all
-                         (fun (_, v) ->
-                           match v with Int _ -> true | _ -> false)
-                         fields
-                | _ -> false)
-          | "run_end" -> require typ (has_str "algorithm" && has_int "deliveries")
-          | "row" ->
-              require typ
-                (has_str "table"
-                && match member "fields" json with Some (Obj _) -> true | _ -> false)
-          | other -> Error (Printf.sprintf "unknown record type %S" other))
-      | _ -> Error "missing or non-string \"type\" field")
-  | _ -> Error "journal line is not a JSON object"
+  match member "type" json with
+  | Some (String typ) -> (
+      match typ with
+      | "send" ->
+          require typ
+            [
+              ("node", int); ("port", int); ("seq", int); ("link", int);
+              ("cw", bool);
+            ]
+      | "deliver" | "drop" ->
+          require typ [ ("node", int); ("port", int); ("seq", int) ]
+      | "consume" -> require typ [ ("node", int); ("port", int) ]
+      | "wake" | "terminate" -> require typ [ ("node", int) ]
+      | "decide" -> require typ [ ("node", int); ("role", str) ]
+      | "run_start" ->
+          require typ
+            [
+              ("algorithm", str); ("n", int); ("seed", int); ("workload", str);
+            ]
+      | "snapshot" -> require typ [ ("step", int); ("counters", counters) ]
+      | "run_end" -> require typ [ ("algorithm", str); ("deliveries", int) ]
+      | "row" -> require typ [ ("table", str); ("fields", obj) ]
+      | other -> Error (Printf.sprintf "unknown record type %S" other))
+  | Some _ | None ->
+      Error
+        (if obj json then "missing or non-string \"type\" field"
+         else "journal line is not a JSON object with a \"type\" field")

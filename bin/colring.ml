@@ -781,109 +781,70 @@ let with_shards dir ~shards ~count f =
           output_string ocs.(if count = 0 then 0 else i * shards / count) chunk))
 
 (* The jobs/ok/elapsed/latency block of a batch summary, for rings and
-   graphs alike; [latencies] are completion times in seconds.  [true]
-   when every job was ok. *)
-let print_batch_summary ~count ~ok ~elapsed latencies =
-  let lat = Array.copy latencies in
+   graphs alike ([ok] judges one report); the exit code, 0 when every
+   job was ok. *)
+let print_batch_summary ok (o : _ Harness.Batch.outcome) =
+  let count = Array.length o.reports in
+  let ok = Array.fold_left (fun a r -> if ok r then a + 1 else a) 0 o.reports in
+  let lat = Array.copy o.latencies in
   Array.sort Float.compare lat;
   Printf.printf "jobs                %d\n" count;
   Printf.printf "ok                  %d\n" ok;
-  Printf.printf "elapsed             %.3f s\n" elapsed;
-  if elapsed > 0. then
-    Printf.printf "elections/sec       %.0f\n" (float_of_int count /. elapsed);
+  Printf.printf "elapsed             %.3f s\n" o.elapsed;
+  if o.elapsed > 0. then
+    Printf.printf "elections/sec       %.0f\n"
+      (float_of_int count /. o.elapsed);
   if Array.length lat > 0 then begin
     Printf.printf "p50 latency         %.3f ms\n"
       (Harness.Batch.percentile lat 0.50 *. 1e3);
     Printf.printf "p99 latency         %.3f ms\n"
       (Harness.Batch.percentile lat 0.99 *. 1e3)
   end;
-  ok = count
+  if ok = count then 0 else 1
 
-(* batch on a non-ring topology: one walk election per spec line on
-   the single materialized graph (the line's seed draws the ids and
-   the adversary; its algorithm and n fields are ring machinery and
-   are ignored), fanned out job-per-job over the domain pool. *)
-let gbatch topo_spec specs sched_of jobs journal_dir shards events =
-  let module GE = Colring_graph.Gelection in
-  let g = Harness.Topo.materialize ~default_n:8 topo_spec in
-  let plan = GE.plan g in
-  let gn = Colring_graph.Gtopology.n g in
-  let count = Array.length specs in
-  let t0 = Unix.gettimeofday () in
-  let run_jobs want_journal =
-    Colring_runtime.Pool.map ~jobs count (fun i ->
-        let s = specs.(i) in
-        let seed = s.Harness.Batch.seed in
-        let ids =
-          Ids.distinct (Rng.create ~seed) ~n:gn
-            ~id_max:(max gn s.Harness.Batch.id_max)
-        in
-        let buf = Buffer.create 512 in
-        let sink =
-          if want_journal then Sink.jsonl_buffer ~events buf else Sink.null
-        in
-        let r =
-          GE.run_report plan ~ids ~sched:(sched_of seed)
-            ~sink ~seed
-            ~workload:(Harness.Topo.to_string topo_spec)
-        in
-        (r, Buffer.contents buf, Unix.gettimeofday () -. t0))
-  in
-  let out =
-    match journal_dir with
-    | None -> run_jobs false
-    | Some dir ->
-        with_shards dir ~shards ~count (fun emit ->
-            let out = run_jobs true in
-            Array.iteri (fun i (_, chunk, _) -> emit i chunk) out;
-            out)
-  in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let ok =
-    Array.fold_left (fun a (r, _, _) -> if GE.ok r then a + 1 else a) 0 out
-  in
-  Printf.printf "topology            %s (%d nodes)\n"
-    (Harness.Topo.to_string topo_spec)
-    gn;
-  if
-    print_batch_summary ~count ~ok ~elapsed
-      (Array.map (fun (_, _, l) -> l) out)
-  then 0
-  else 1
-
+(* On a non-ring topology each spec line is a walk election on the one
+   graph ([Batch.run_graph]).  Ring sizes come from the spec lines. *)
 let batch spec_path sched jobs mode journal_dir shards events topology =
+  (match topology with
+  | Harness.Topo.Ring (Some _) ->
+      Harness.Cli.exit_or ~cmd:"colring"
+        (Error
+           (Printf.sprintf
+              "--topology %s: batch ring sizes come from the spec lines; use \
+               --topology ring"
+              (Harness.Topo.to_string topology)))
+  | _ -> ());
   match Harness.Batch.parse_spec (read_spec_file spec_path) with
   | Error msg ->
       prerr_endline ("colring batch: " ^ msg);
       2
-  | Ok specs when not (Harness.Topo.is_ring topology) ->
-      gbatch topology specs sched (resolve_jobs jobs) journal_dir shards
-        events
   | Ok specs ->
       let jobs = resolve_jobs jobs in
-      let run journal =
-        Harness.Batch.run ~jobs ~mode ~events ?journal
-          ~now:Unix.gettimeofday ~sched specs
-      in
-      let outcome =
+      let journaled run =
         match journal_dir with
         | None -> run None
         | Some dir ->
             with_shards dir ~shards ~count:(Array.length specs) (fun emit ->
                 run (Some emit))
       in
-      let reports = outcome.Harness.Batch.reports in
-      let count = Array.length reports in
-      let ok =
-        Array.fold_left
-          (fun a r -> if Election.ok r then a + 1 else a)
-          0 reports
-      in
-      if
-        print_batch_summary ~count ~ok ~elapsed:outcome.Harness.Batch.elapsed
-          outcome.Harness.Batch.latencies
-      then 0
-      else 1
+      let now = Unix.gettimeofday in
+      if Harness.Topo.is_ring topology then
+        print_batch_summary Election.ok
+          (journaled (fun journal ->
+               Harness.Batch.run ~jobs ~mode ~events ?journal ~now ~sched
+                 specs))
+      else begin
+        let g = Harness.Topo.materialize ~default_n:8 topology in
+        let workload = Harness.Topo.to_string topology in
+        let o =
+          journaled (fun journal ->
+              Harness.Batch.run_graph ~jobs ~mode ~events ?journal ~now
+                ~workload ~sched (Colring_graph.Gelection.plan g) specs)
+        in
+        Printf.printf "topology            %s (%d nodes)\n" workload
+          (Colring_graph.Gtopology.n g);
+        print_batch_summary Colring_graph.Gelection.ok o
+      end
 
 let batch_cmd =
   Cmd.v

@@ -18,7 +18,7 @@ let program ~n ~range =
   let value = ref 0 in
   let new_round (api : msg Network.api) r =
     round := r;
-    value := Rng.int_incl api.rng 1 range;
+    value := Rng.int_incl (api.rng ()) 1 range;
     api.send cw_out (Token { round = r; value = !value; hops = 1; unique = true })
   in
   let start api = new_round api 1 in

@@ -72,7 +72,7 @@ let maybe_resample (api : _ Network.api) st =
   let r1 = st.rho.(1) in
   let m = if r0 <= r1 then r0 else r1 in
   if m > st.id then begin
-    st.id <- Rng.int_incl api.rng 1 (m - 1);
+    st.id <- Rng.int_incl (api.rng ()) 1 (m - 1);
     st.resamples <- st.resamples + 1
   end
 

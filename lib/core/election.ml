@@ -151,11 +151,13 @@ let validate algorithm ~topo ~ids =
   | Algo3 _ | Algo3_resample -> ());
   Ids.id_max ids
 
-(* The run_start record must be emitted before the network is built
-   or reset, because that already emits the start-up activations
-   (wakes and initial sends). *)
-let emit_run_start ~(sink : Sink.t) ~seed ~workload ~sched_name algorithm ~n
-    ~id_max =
+(* The run body shared by a fresh and a warm core.  The run_start
+   record goes out before [load] builds or resets the network, which
+   already runs the start-up activations. *)
+let exec ~seed ?max_deliveries ~(sink : Sink.t) ~workload ~snapshot_every
+    algorithm ~topo ~ids ~sched load =
+  let id_max = validate algorithm ~topo ~ids in
+  let n = Topology.n topo in
   if sink.Sink.enabled then
     sink.Sink.on_run_start
       [
@@ -164,17 +166,10 @@ let emit_run_start ~(sink : Sink.t) ~seed ~workload ~sched_name algorithm ~n
         ("id_max", Sink.Int id_max);
         ("seed", Sink.Int seed);
         ("workload", Sink.String workload);
-        ("scheduler", Sink.String sched_name);
-      ]
-
-(* The run body shared by a fresh and a warm core: run [net] (just
-   created or reset for this job) to the end, judge it, and close the
-   journal. *)
-let finish algorithm ~sink ?max_deliveries ~snapshot_every ~ids ~id_max ~sched
-    net =
+        ("scheduler", Sink.String sched.Scheduler.name);
+      ];
+  let net = load (fun v -> program_of algorithm ~id:ids.(v)) in
   let result = Network.run ?max_deliveries ~snapshot_every net sched in
-  let topo = Network.topology net in
-  let n = Topology.n topo in
   let m = Network.metrics net in
   let outputs = Network.outputs net in
   let leader = unique_leader outputs in
@@ -231,18 +226,12 @@ let finish algorithm ~sink ?max_deliveries ~snapshot_every ~ids ~id_max ~sched
     sink.Sink.on_run_end (report_fields report);
     sink.Sink.flush ()
   end;
-  report
+  (report, net)
 
 let run ?(seed = 0) ?max_deliveries ?(sink = Sink.null) ?(workload = "-")
     ?(snapshot_every = 10_000) algorithm ~topo ~ids ~sched =
-  let id_max = validate algorithm ~topo ~ids in
-  emit_run_start ~sink ~seed ~workload ~sched_name:sched.Scheduler.name
-    algorithm ~n:(Topology.n topo) ~id_max;
-  let net =
-    Network.create ~sink ~seed topo (fun v -> program_of algorithm ~id:ids.(v))
-  in
-  (finish algorithm ~sink ?max_deliveries ~snapshot_every ~ids ~id_max ~sched
-     net, net)
+  exec ~seed ?max_deliveries ~sink ~workload ~snapshot_every algorithm ~topo
+    ~ids ~sched (Network.create ~sink ~seed topo)
 
 let run_report ?seed ?max_deliveries ?sink ?workload ?snapshot_every algorithm
     ~topo ~ids ~sched =
@@ -250,22 +239,10 @@ let run_report ?seed ?max_deliveries ?sink ?workload ?snapshot_every algorithm
     (run ?seed ?max_deliveries ?sink ?workload ?snapshot_every algorithm ~topo
        ~ids ~sched)
 
-(* Only resampling reads [api.rng] (Algo3.maybe_resample); every other
-   algorithm is a deterministic relay, so a warm run skips its per-node
-   stream splits.  The classification is per algorithm, not per run,
-   so it cannot go stale silently: a program that starts drawing has
-   to be added here. *)
-let draws_randomness = function
-  | Algo3_resample -> true
-  | Algo1 | Algo2 | Algo3 _ -> false
-
 let run_warm ?(seed = 0) ?max_deliveries ?(sink = Sink.null) ?(workload = "-")
     ?(snapshot_every = 10_000) net algorithm ~ids ~sched =
-  let topo = Network.topology net in
-  let id_max = validate algorithm ~topo ~ids in
-  emit_run_start ~sink ~seed ~workload ~sched_name:sched.Scheduler.name
-    algorithm ~n:(Topology.n topo) ~id_max;
-  Network.reset ~sink ~seed ~rng:(draws_randomness algorithm) net (fun v ->
-      program_of algorithm ~id:ids.(v));
-  finish algorithm ~sink ?max_deliveries ~snapshot_every ~ids ~id_max ~sched
-    net
+  fst
+    (exec ~seed ?max_deliveries ~sink ~workload ~snapshot_every algorithm
+       ~topo:(Network.topology net) ~ids ~sched (fun programs ->
+         Network.reset ~sink ~seed net programs;
+         net))

@@ -122,8 +122,7 @@ val run_warm :
     {!Colring_engine.Network.reset} instead of on a fresh network:
     same arguments and defaults, same report, same sink events, byte
     for byte.  [net] may hold any earlier run, finished or abandoned
-    by an exception.  Only resampling reads [api.rng], so every other
-    algorithm is reset with [~rng:false]. *)
+    by an exception. *)
 
 (** {2 Pieces, exposed for tests and transport backends} *)
 

@@ -11,15 +11,17 @@ type 'm api = {
   send : Port.t -> 'm -> unit;
   set_output : Output.t -> unit;
   terminate : unit -> unit;
-  mutable rng : Rng.t;
+  rng : unit -> Rng.t;
 }
 
-type 'm program = {
-  start : 'm api -> unit;
-  wake : 'm api -> unit;
+type 'api prog = {
+  start : 'api -> unit;
+  wake : 'api -> unit;
   inspect : unit -> (string * int) list;
   snap : Engine_intf.snapshot option;
 }
+
+type 'm program = 'm api prog
 
 let silent_program =
   {
@@ -38,24 +40,11 @@ module Graph = struct
     send : int -> 'm -> unit;
     set_output : Output.t -> unit;
     terminate : unit -> unit;
-    rng : Rng.t;
+    rng : unit -> Rng.t;
   }
 
-  type 'm program = {
-    start : 'm api -> unit;
-    wake : 'm api -> unit;
-    inspect : unit -> (string * int) list;
-    snap : Engine_intf.snapshot option;
-  }
+  type 'm program = 'm api prog
 end
-
-(* What the engine keeps of a node program, whichever api it sees. *)
-type 'a prog = {
-  p_start : 'a -> unit;
-  p_wake : 'a -> unit;
-  p_inspect : unit -> (string * int) list;
-  p_snap : Engine_intf.snapshot option;
-}
 
 type pulse = unit
 
@@ -253,6 +242,10 @@ type ('m, 'api, 'topo) core = {
   outputs : Output.t array;
   term : bool array;
   mutable term_order_rev : int list;
+  (* The run's seed and node [v]'s private stream, split from it the
+     first time [v]'s program reads [api.rng] ([None] until then). *)
+  mutable seed : int;
+  streams : Rng.t option array;
   (* The engine's own counters, written inline on the delivery path
      (the same updates {!Sink.counters} makes through [Metrics.on_*]). *)
   metrics : Metrics.t;
@@ -399,7 +392,17 @@ let halt t v =
     if t.live then t.sink.Sink.on_terminate ~node:v
   end
 
-let ring_api (type m) (t : (m, m api, _) core) v rng : m api =
+let node_stream ~seed v = Rng.split_at (Rng.create ~seed) v
+
+let node_rng t v =
+  match t.streams.(v) with
+  | Some r -> r
+  | None ->
+      let r = node_stream ~seed:t.seed v in
+      t.streams.(v) <- Some r;
+      r
+
+let ring_api (type m) (t : (m, m api, _) core) v : m api =
   (* Node [v]'s port [p] is link (and mailbox) [l0 + p]; [l0] is
      resolved once per api instead of per call. *)
   let l0 = t.first_link.(v) in
@@ -431,9 +434,10 @@ let ring_api (type m) (t : (m, m api, _) core) v rng : m api =
   in
   let set_output o = decide t v o in
   let terminate () = halt t v in
+  let rng () = node_rng t v in
   { node = v; recv; recv_pulse; peek; pending; send; set_output; terminate; rng }
 
-let graph_api t v rng =
+let graph_api t v =
   (* Ports are range-checked because [base + p] alone would reach
      another node's links. *)
   let base = t.first_link.(v) in
@@ -453,6 +457,7 @@ let graph_api t v rng =
   in
   let set_output o = decide t v o in
   let terminate () = halt t v in
+  let rng () = node_rng t v in
   { Graph.node = v; degree; recv; pending; send; set_output; terminate; rng }
 
 let slabs (type m) (carry : m carry) links : m slab array =
@@ -462,7 +467,7 @@ let slabs (type m) (carry : m carry) links : m slab array =
 
 let undo_ok_for (sink : Sink.t) programs =
   (not sink.enabled)
-  && Array.for_all (fun p -> Option.is_some p.p_snap) programs
+  && Array.for_all (fun p -> Option.is_some p.snap) programs
 
 (* The start-up activations, in node order: batch bump, wake, [start]. *)
 let start_all t =
@@ -470,7 +475,7 @@ let start_all t =
     t.next_batch <- t.next_batch + 1;
     t.metrics.Metrics.wakes <- t.metrics.Metrics.wakes + 1;
     if t.live then t.sink.Sink.on_wake ~node:v;
-    t.programs.(v).p_start t.apis.(v)
+    t.programs.(v).start t.apis.(v)
   done
 
 let make ~carry ?(sink = Sink.null) ?(seed = 0) ~api topo ~dst_node ~dst_port
@@ -496,6 +501,8 @@ let make ~carry ?(sink = Sink.null) ?(seed = 0) ~api topo ~dst_node ~dst_port
       outputs = Array.make n Output.empty;
       term = Array.make n false;
       term_order_rev = [];
+      seed;
+      streams = Array.make n None;
       metrics = Metrics.create ();
       sink;
       live = not (sink == Sink.null);
@@ -546,13 +553,9 @@ let make ~carry ?(sink = Sink.null) ?(seed = 0) ~api topo ~dst_node ~dst_port
       dst_node = (fun link -> t.dst_node.(link));
       step = 0;
     };
-  let root_rng = Rng.create ~seed in
-  t.apis <- Array.init n (fun v -> api t v (Rng.split_at root_rng v));
+  t.apis <- Array.init n (api t);
   start_all t;
   t
-
-let ring_prog (p : _ program) =
-  { p_start = p.start; p_wake = p.wake; p_inspect = p.inspect; p_snap = p.snap }
 
 let create_with ~carry ?sink ?seed topo make_program =
   Topology.check topo;
@@ -566,74 +569,17 @@ let create_with ~carry ?sink ?seed topo make_program =
            if Topology.link_travels_cw topo l then 1 else 0))
     ~first_link:(Array.init n (fun v -> Topology.link_id topo v Port.P0))
     ~degree:(Array.make n 2)
-    (Array.init n (fun v -> ring_prog (make_program v)))
+    (Array.init n make_program)
 
 let create ?sink ?seed topo make_program =
   create_with ~carry:Pulses ?sink ?seed topo make_program
-
-(* A warm core: every field [make] initialises per run goes back to
-   its initial value — stamp queues and mailboxes empty (buffers keep
-   their capacity), outputs, termination, counters, batch and sequence
-   numbers, clocks, the non-empty-link set and the undo log — then the
-   new programs, sink and streams go in and the start-up activations
-   run as in [make].  The link tables, api closures and scheduler view
-   are kept.  Without [rng] the apis keep whatever streams they had,
-   so the new programs must not read [api.rng]. *)
-let reset ?(sink = Sink.null) ?(seed = 0) ?(rng = true) (t : pulse t)
-    make_program =
-  (match t.carry with
-  | Pulses -> ()
-  | Payloads -> invalid_arg "Network.reset: a payload network");
-  let n = Array.length t.term in
-  Array.iter
-    (fun q ->
-      q.(0) <- 0;
-      q.(1) <- 0)
-    t.chans;
-  Array.fill t.mcount 0 (Array.length t.mcount) 0;
-  Array.fill t.outputs 0 n Output.empty;
-  Array.fill t.term 0 n false;
-  t.term_order_rev <- [];
-  Metrics.reset t.metrics;
-  t.next_seq <- 0;
-  t.next_batch <- 0;
-  t.in_flight <- 0;
-  t.mailbox_backlog <- 0;
-  Array.fill t.local_clock 0 n 0;
-  t.causal_span <- 0;
-  Array.fill t.link_pos 0 (Array.length t.link_pos) (-1);
-  t.nonempty_count <- 0;
-  t.ulog.clen <- 0;
-  t.ulog.slen <- 0;
-  t.logging <- false;
-  t.sink <- sink;
-  t.live <- not (sink == Sink.null);
-  t.observed <- sink.Sink.enabled;
-  for v = 0 to n - 1 do
-    t.programs.(v) <- ring_prog (make_program v)
-  done;
-  t.undo_ok <- undo_ok_for sink t.programs;
-  if rng then begin
-    let root_rng = Rng.create ~seed in
-    Array.iteri
-      (fun v (a : pulse api) -> a.rng <- Rng.split_at root_rng v)
-      t.apis
-  end;
-  start_all t
 
 let create_graph ~carry ?sink ?seed topo ~dst_node ~dst_port ~first_link
     ~degree make_program =
   make ~carry ?sink ?seed ~api:graph_api topo ~dst_node ~dst_port
     ~dir:(Array.make (Array.length dst_node) (-1))
     ~first_link ~degree
-    (Array.init (Array.length first_link) (fun v ->
-         let p : _ Graph.program = make_program v in
-         {
-           p_start = p.start;
-           p_wake = p.wake;
-           p_inspect = p.inspect;
-           p_snap = p.snap;
-         }))
+    (Array.init (Array.length first_link) make_program)
 
 let view t =
   let v = t.view in
@@ -675,7 +621,7 @@ let deliver_from (type m) (t : (m, _, _) core) link =
     t.next_batch <- t.next_batch + 1;
     c.wakes <- c.wakes + 1;
     if t.live then t.sink.Sink.on_wake ~node:dst;
-    t.programs.(dst).p_wake t.apis.(dst)
+    t.programs.(dst).wake t.apis.(dst)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -722,6 +668,51 @@ type run_result = Engine_intf.run_result = {
    Colring_graph.Gnetwork includes it as well. *)
 
 module Core = struct
+  (* A warm core: every field [make] initialises per run goes back to
+     its initial value — stamp queues and mailboxes empty (buffers keep
+     their capacity), outputs, termination, counters, batch and sequence
+     numbers, clocks, the non-empty-link set, the undo log and the node
+     streams — then the new programs, sink and seed go in and the
+     start-up activations run as in [make].  The link tables, api
+     closures and scheduler view are kept. *)
+  let reset ?(sink = Sink.null) ?(seed = 0) (t : (pulse, _, _) core)
+      make_program =
+    (match t.carry with
+    | Pulses -> ()
+    | Payloads -> invalid_arg "Network.reset: a payload network");
+    let n = Array.length t.term in
+    Array.iter
+      (fun q ->
+        q.(0) <- 0;
+        q.(1) <- 0)
+      t.chans;
+    Array.fill t.mcount 0 (Array.length t.mcount) 0;
+    Array.fill t.outputs 0 n Output.empty;
+    Array.fill t.term 0 n false;
+    t.term_order_rev <- [];
+    t.seed <- seed;
+    Array.fill t.streams 0 n None;
+    Metrics.reset t.metrics;
+    t.next_seq <- 0;
+    t.next_batch <- 0;
+    t.in_flight <- 0;
+    t.mailbox_backlog <- 0;
+    Array.fill t.local_clock 0 n 0;
+    t.causal_span <- 0;
+    Array.fill t.link_pos 0 (Array.length t.link_pos) (-1);
+    t.nonempty_count <- 0;
+    t.ulog.clen <- 0;
+    t.ulog.slen <- 0;
+    t.logging <- false;
+    t.sink <- sink;
+    t.live <- not (sink == Sink.null);
+    t.observed <- sink.Sink.enabled;
+    for v = 0 to n - 1 do
+      t.programs.(v) <- make_program v
+    done;
+    t.undo_ok <- undo_ok_for sink t.programs;
+    start_all t
+
   let step t (sched : Scheduler.t) =
     if t.in_flight = 0 then false
     else begin
@@ -762,7 +753,7 @@ module Core = struct
     let u_snap =
       if dropped then [||]
       else
-        match t.programs.(dst).p_snap with
+        match t.programs.(dst).snap with
         | Some s -> s.Engine_intf.save ()
         | None -> assert false (* undo_ok *)
     in
@@ -840,7 +831,7 @@ module Core = struct
       t.mailbox_backlog <- t.mailbox_backlog - 1;
       c.deliveries <- c.deliveries - 1;
       c.wakes <- c.wakes - 1;
-      (match t.programs.(dst).p_snap with
+      (match t.programs.(dst).snap with
       | Some s -> s.Engine_intf.load u.u_snap
       | None -> assert false);
       t.outputs.(dst) <- u.u_prev_output;
@@ -928,7 +919,7 @@ module Core = struct
   let outputs t = Array.copy t.outputs
   let terminated t v = t.term.(v)
   let termination_order t = List.rev t.term_order_rev
-  let inspect t v = t.programs.(v).p_inspect ()
+  let inspect t v = t.programs.(v).inspect ()
 
   let inspect_counter t v name =
     match List.assoc_opt name (inspect t v) with

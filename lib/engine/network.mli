@@ -69,15 +69,14 @@ type 'm api = {
   terminate : unit -> unit;
       (** Enter the terminating state: all later incoming pulses are
           ignored (and counted as quiescence violations). *)
-  mutable rng : Colring_stats.Rng.t;
-      (** Private randomness source.  Mutable so that {!reset} can
-          rebind a warm core's per-node streams without rebuilding the
-          closure record; programs must treat it as read-only. *)
+  rng : unit -> Colring_stats.Rng.t;
+      (** This node's {!node_stream} under the run's [seed], split on
+          the program's first read and the same on every later one. *)
 }
 
-type 'm program = {
-  start : 'm api -> unit;  (** The one initial activation. *)
-  wake : 'm api -> unit;
+type 'api prog = {
+  start : 'api -> unit;  (** The one initial activation. *)
+  wake : 'api -> unit;
       (** Called after every delivery to this node; must poll mailboxes
           to a fixpoint and return (never block). *)
   inspect : unit -> (string * int) list;
@@ -88,12 +87,20 @@ type 'm program = {
           [load] restores it exactly.  [None] opts out — the checker
           then falls back to replay-from-prefix for this network. *)
 }
+(** A node program over the api record ['api] its node sees; rings and
+    graphs share the record. *)
+
+type 'm program = 'm api prog
 
 type 'm t = ('m, 'm api, Topology.t) core
 
-val silent_program : 'm program
+val silent_program : 'api prog
 (** A program that never sends, consumes or decides (and has a trivial
     snapshot, since it holds no state). *)
+
+val node_stream : seed:int -> int -> Colring_stats.Rng.t
+(** [node_stream ~seed v], [Rng.split_at (Rng.create ~seed) v], is the
+    {!field-rng} of node [v] in a run of [seed], on every backend. *)
 
 (** {2 Construction} *)
 
@@ -101,8 +108,8 @@ val create :
   ?sink:Sink.t -> ?seed:int -> Topology.t -> (int -> pulse program) -> pulse t
 (** [create topo make_program] builds a pulse network: it
     instantiates [make_program v] for every node [v] and runs each
-    program's [start].  [seed] derives every
-    node's private {!Colring_stats.Rng.t} stream (default 0).
+    program's [start].  [seed] (default 0) derives every node's
+    private {!field-rng} stream, on the node's first read.
 
     [sink] observes every event of the run (default {!Sink.null}).
     The engine counts into its own {!Metrics.t} inline, then calls
@@ -128,33 +135,6 @@ val create_with :
     messages have contents, use [~carry:Payloads]; so do tests that
     check a [unit] program behaves the same on either carriage. *)
 
-val reset :
-  ?sink:Sink.t ->
-  ?seed:int ->
-  ?rng:bool ->
-  pulse t ->
-  (int -> pulse program) ->
-  unit
-(** [reset t make_program] reuses the pulse network [t] for a new run
-    on the same topology: afterwards [t] is what {!create} would have
-    built with these arguments, and a sink sees the same events from
-    here on.  Raises [Invalid_argument] on a payload network
-    ({!create_with} [~carry:Payloads]).  It puts back every piece of per-run state —
-    channel stamp queues (their buffers keep the capacity they grew
-    to), mailboxes, outputs, termination flags and order, {!metrics},
-    sequence and batch numbers, causal clocks, the non-empty-link set,
-    the undo log — instantiates [make_program v] for every node, then
-    runs the start-up activations in node order, as [create] does.
-    {!undo_capable} is recomputed for the new programs and sink.
-
-    A reset core is clean whatever state the previous run left it in:
-    finished, exhausted, or abandoned mid-run or mid-start because a
-    program or scheduler raised.
-
-    [rng:false] (default [true]) skips the per-node [Rng.split_at]
-    calls, and [seed] is then unused: every api keeps the stream it
-    had.  Pass it only when no program reads [api.rng]. *)
-
 (** The api and program records of graph node programs: ports are
     integers in [0, degree).  [Colring_graph.Gnetwork] re-exports
     them. *)
@@ -167,18 +147,12 @@ module Graph : sig
     send : int -> 'm -> unit;
     set_output : Output.t -> unit;
     terminate : unit -> unit;
-    rng : Colring_stats.Rng.t;
+    rng : unit -> Colring_stats.Rng.t;
   }
   (** [recv], [pending] and [send] raise [Invalid_argument] (naming
       [Gnetwork]) on a port outside [0, degree). *)
 
-  type 'm program = {
-    start : 'm api -> unit;
-    wake : 'm api -> unit;
-    inspect : unit -> (string * int) list;
-    snap : Engine_intf.snapshot option;
-  }
-  (** As the ring {!program}, over {!api}. *)
+  type 'm program = 'm api prog
 end
 
 val create_graph :
@@ -221,6 +195,31 @@ type 'm undo
     includes {!Core}.  For rings it is included below. *)
 
 module Core : sig
+  val reset :
+    ?sink:Sink.t ->
+    ?seed:int ->
+    (pulse, 'api, _) core ->
+    (int -> 'api prog) ->
+    unit
+  (** [reset t make_program] reuses the pulse network [t], a ring or a
+      graph, for a new run on the same topology: afterwards [t] is what
+      {!create} (or [Colring_graph.Gnetwork.create]) would have
+      built with these arguments, and a sink sees the same events from
+      here on.  Raises [Invalid_argument] on a payload network
+      ({!create_with} [~carry:Payloads]).  It puts back every piece of
+      per-run state — channel stamp queues (their buffers keep the
+      capacity they grew to), mailboxes, outputs, termination flags and
+      order, {!metrics}, sequence and batch numbers, causal clocks, the
+      non-empty-link set, the undo log, the node streams (split again
+      from the new [seed] on first read) — instantiates [make_program v]
+      for every node, then runs the start-up activations in node order,
+      as [create] does.  {!undo_capable} is recomputed for the new
+      programs and sink.
+
+      A reset core is clean whatever state the previous run left it in:
+      finished, exhausted, or abandoned mid-run or mid-start because a
+      program or scheduler raised. *)
+
   (** {2 Execution} *)
 
   val run :

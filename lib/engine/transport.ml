@@ -164,6 +164,29 @@ let trace_of_net ~backend ~scheduler ~schedule net (r : Network.run_result) =
     termination_order = r.Network.termination_order;
   }
 
+let mailbox_api ~node ~seed ~mailbox ~send ~set_output ~terminate =
+  let rng = lazy (Network.node_stream ~seed node) in
+  let recv_pulse p =
+    let i = Port.index p in
+    if mailbox.(i) = 0 then false
+    else begin
+      mailbox.(i) <- mailbox.(i) - 1;
+      true
+    end
+  in
+  let pulse_if b = if b then Some Network.pulse else None in
+  {
+    Network.node;
+    recv = (fun p -> pulse_if (recv_pulse p));
+    recv_pulse;
+    peek = (fun p -> pulse_if (mailbox.(Port.index p) > 0));
+    pending = (fun p -> mailbox.(Port.index p));
+    send;
+    set_output;
+    terminate;
+    rng = (fun () -> Lazy.force rng);
+  }
+
 let sim ?(sched = Scheduler.fifo) () =
   {
     name = "sim";

@@ -119,6 +119,19 @@ type t = {
           {!no_fault}. *)
 }
 
+val mailbox_api :
+  node:int ->
+  seed:int ->
+  mailbox:int array ->
+  send:(Port.t -> Network.pulse -> unit) ->
+  set_output:(Output.t -> unit) ->
+  terminate:(unit -> unit) ->
+  Network.pulse Network.api
+(** The api of a node a live backend runs outside the simulator: its
+    mailboxes are the pulse counts [mailbox] (by port index, raised by
+    the backend on each arrival, lowered by [recv]); [send], [set_output]
+    and [terminate] are the backend's; [rng] is {!Network.node_stream}. *)
+
 val sim : ?sched:Scheduler.t -> unit -> t
 (** The deterministic simulator as a backend (reference semantics).
     [sched] (default {!Scheduler.fifo}) drives the fault-free case;

@@ -209,11 +209,12 @@ let unique_leader outputs =
     outputs;
   match !leaders with [ v ] -> Some v | [] | _ :: _ -> None
 
-let run ?(seed = 0) ?max_deliveries ?(sink = Sink.null) ?(workload = "-")
-    ?(snapshot_every = 10_000) plan ~ids ~sched =
+(* The run body shared by a fresh and a warm core, as in
+   [Election.exec]. *)
+let exec ~seed ?max_deliveries ~sink ~workload ~snapshot_every plan ~ids
+    ~sched load =
   let id_max = validate plan ~ids in
-  let g = Ears.topo plan.decomp in
-  let n = Gtopology.n g in
+  let n = Gtopology.n (Ears.topo plan.decomp) in
   if sink.Sink.enabled then
     sink.Sink.on_run_start
       [
@@ -224,7 +225,7 @@ let run ?(seed = 0) ?max_deliveries ?(sink = Sink.null) ?(workload = "-")
         ("workload", Sink.String workload);
         ("scheduler", Sink.String sched.Scheduler.name);
       ];
-  let net = Gnetwork.create ~sink ~seed g (program_of plan ~ids) in
+  let net = load (program_of plan ~ids) in
   let result = Gnetwork.run ?max_deliveries ~snapshot_every net sched in
   let outputs = Gnetwork.outputs net in
   let leader = unique_leader outputs in
@@ -257,6 +258,21 @@ let run ?(seed = 0) ?max_deliveries ?(sink = Sink.null) ?(workload = "-")
     sink.Sink.flush ()
   end;
   (report, net)
+
+let run ?(seed = 0) ?max_deliveries ?(sink = Sink.null) ?(workload = "-")
+    ?(snapshot_every = 10_000) plan ~ids ~sched =
+  exec ~seed ?max_deliveries ~sink ~workload ~snapshot_every plan ~ids ~sched
+    (Gnetwork.create ~sink ~seed (Ears.topo plan.decomp))
+
+let run_warm ?(seed = 0) ?max_deliveries ?(sink = Sink.null) ?(workload = "-")
+    ?(snapshot_every = 10_000) net plan ~ids ~sched =
+  if not (Gnetwork.topology net == Ears.topo plan.decomp) then
+    invalid_arg "Gelection.run_warm: the core is not on the plan's graph";
+  fst
+    (exec ~seed ?max_deliveries ~sink ~workload ~snapshot_every plan ~ids
+       ~sched (fun programs ->
+         Gnetwork.reset ~sink ~seed net programs;
+         net))
 
 let run_report ?seed ?max_deliveries ?sink ?workload ?snapshot_every plan ~ids
     ~sched =

@@ -107,3 +107,20 @@ val run_report :
   ids:int array ->
   sched:Scheduler.t ->
   report
+
+val run_warm :
+  ?seed:int ->
+  ?max_deliveries:int ->
+  ?sink:Sink.t ->
+  ?workload:string ->
+  ?snapshot_every:int ->
+  unit Gnetwork.t ->
+  plan ->
+  ids:int array ->
+  sched:Scheduler.t ->
+  report
+(** {!run_report} on [net] after a {!Gnetwork.reset}: the same report
+    and sink events, byte for byte.  [net] must be built on the very
+    [Gtopology.t] of the plan ([Invalid_argument] otherwise) and may
+    hold any earlier run, finished or abandoned.  The plan is only
+    read, so cores in several domains can share it. *)

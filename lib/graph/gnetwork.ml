@@ -14,15 +14,17 @@ type 'm api = 'm Network.Graph.api = {
   send : int -> 'm -> unit;
   set_output : Output.t -> unit;
   terminate : unit -> unit;
-  rng : Colring_stats.Rng.t;
+  rng : unit -> Colring_stats.Rng.t;
 }
 
-type 'm program = 'm Network.Graph.program = {
-  start : 'm api -> unit;
-  wake : 'm api -> unit;
+type 'api prog = 'api Network.prog = {
+  start : 'api -> unit;
+  wake : 'api -> unit;
   inspect : unit -> (string * int) list;
   snap : Engine_intf.snapshot option;
 }
+
+type 'm program = 'm api prog
 
 type 'm t = ('m, 'm api, topology) Network.core
 type 'm undo = 'm Network.undo

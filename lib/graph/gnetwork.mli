@@ -21,20 +21,23 @@ type 'm api = 'm Colring_engine.Network.Graph.api = {
   send : int -> 'm -> unit;
   set_output : Colring_engine.Output.t -> unit;
   terminate : unit -> unit;
-  rng : Colring_stats.Rng.t;
+  rng : unit -> Colring_stats.Rng.t;
 }
 (** A node's handle on the network.  [recv], [pending] and [send] take
     a local port in [0, degree) and raise [Invalid_argument] (naming
-    [Gnetwork]) on any other. *)
+    [Gnetwork]) on any other; [rng] is as the ring
+    {!Colring_engine.Network.api}'s. *)
 
-type 'm program = 'm Colring_engine.Network.Graph.program = {
-  start : 'm api -> unit;
-  wake : 'm api -> unit;
+type 'api prog = 'api Colring_engine.Network.prog = {
+  start : 'api -> unit;
+  wake : 'api -> unit;
   inspect : unit -> (string * int) list;
   snap : Colring_engine.Engine_intf.snapshot option;
       (** Program-state codec for the model checker's incremental undo
           (see {!Colring_engine.Network.program}).  [None] opts out. *)
 }
+
+type 'm program = 'm api prog
 
 type 'm t = ('m, 'm api, topology) Colring_engine.Network.core
 
@@ -82,8 +85,8 @@ type run_result = Colring_engine.Engine_intf.run_result = {
 type 'm undo = 'm Colring_engine.Network.undo
 
 include module type of Colring_engine.Network.Core
-(** Running, stepping, undo and observation: the engine core's
-    functions, shared with rings. *)
+(** Warm reset, running, stepping, undo and observation: the engine
+    core's functions, shared with rings. *)
 
 val num_links : Gtopology.t -> int
 val link_dst_node : Gtopology.t -> int -> int

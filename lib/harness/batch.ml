@@ -1,5 +1,7 @@
 open Colring_engine
 module Election = Colring_core.Election
+module Gelection = Colring_graph.Gelection
+module Gnetwork = Colring_graph.Gnetwork
 module Ids = Colring_core.Ids
 module Pool = Colring_runtime.Pool
 module Rng = Colring_stats.Rng
@@ -92,23 +94,24 @@ let topology ~oriented ~n =
   if oriented then Topology.oriented n
   else Topology.random_non_oriented (Rng.create ~seed:n) n
 
-type outcome = {
-  reports : Election.report array;
+type 'r outcome = {
+  reports : 'r array;
   latencies : float array;
   elapsed : float;
 }
 
 (* A core is single-domain state, so each domain keeps its own warm
-   core per (oriented, n) group: the steady state of a long batch, or
-   of a job server whose pool keeps its domains, resets a core instead
-   of building one.  A job that raised leaves its core mid-run; the
-   next job's reset cleans it like any other. *)
-let core_cache : (bool * int, Network.pulse Network.t) Hashtbl.t Domain.DLS.key
+   cores: the steady state of a long batch, or of a job server whose
+   pool keeps its domains, resets a core instead of building one.  A
+   job that raised leaves its core mid-run; the next job's reset
+   cleans it like any other.  Rings keep one core per (oriented, n)
+   group, graphs one for the last graph a domain ran. *)
+let ring_cores : (bool * int, Network.pulse Network.t) Hashtbl.t Domain.DLS.key
     =
   Domain.DLS.new_key (fun () -> Hashtbl.create 4)
 
-let core_for ~oriented ~n =
-  let cache = Domain.DLS.get core_cache in
+let ring_core ~oriented ~n =
+  let cache = Domain.DLS.get ring_cores in
   match Hashtbl.find_opt cache (oriented, n) with
   | Some net -> net
   | None ->
@@ -118,9 +121,24 @@ let core_for ~oriented ~n =
       Hashtbl.add cache (oriented, n) net;
       net
 
-let run ?(jobs = 1) ?pool ?(mode = Pool.Static) ?(events = false) ?journal ?now
-    ~sched specs =
-  let count = Array.length specs in
+let graph_cores : Network.pulse Gnetwork.t option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let graph_core g =
+  let slot = Domain.DLS.get graph_cores in
+  match !slot with
+  | Some net when Gnetwork.topology net == g -> net
+  | Some _ | None ->
+      let net = Gnetwork.create g (fun _ -> Network.silent_program) in
+      slot := Some net;
+      net
+
+(* The one batch routine, for ring and graph jobs alike: [job i sink]
+   runs job [i] on its domain's warm core against [sink].  Each job
+   journals into a private buffer; the buffers go to [journal] in job
+   order once the pool has drained, so nothing the caller sees depends
+   on which domain ran what. *)
+let dispatch ~jobs ~pool ~mode ~events ~journal ~now count job =
   let t0 = match now with Some f -> f () | None -> 0. in
   let reports = Array.make count None in
   let latencies =
@@ -132,17 +150,12 @@ let run ?(jobs = 1) ?pool ?(mode = Pool.Static) ?(events = false) ?journal ?now
     | None -> [||]
   in
   let run_job i =
-    let s = specs.(i) in
     let sink =
       match journal with
       | Some _ -> Sink.jsonl_buffer ~events buffers.(i)
       | None -> Sink.null
     in
-    let net = core_for ~oriented:(oriented_algorithm s.algorithm) ~n:s.n in
-    reports.(i) <-
-      Some
-        (Election.run_warm ~seed:s.seed ~sink net s.algorithm
-           ~ids:(ids_of_spec s) ~sched:(sched s.seed));
+    reports.(i) <- Some (job i sink);
     match now with Some f -> latencies.(i) <- f () -. t0 | None -> ()
   in
   (match pool with
@@ -159,6 +172,28 @@ let run ?(jobs = 1) ?pool ?(mode = Pool.Static) ?(events = false) ?journal ?now
     latencies;
     elapsed = (match now with Some f -> f () -. t0 | None -> 0.);
   }
+
+let run ?(jobs = 1) ?pool ?(mode = Pool.Static) ?(events = false) ?journal ?now
+    ~sched specs =
+  dispatch ~jobs ~pool ~mode ~events ~journal ~now (Array.length specs)
+    (fun i sink ->
+      let s = specs.(i) in
+      let net = ring_core ~oriented:(oriented_algorithm s.algorithm) ~n:s.n in
+      Election.run_warm ~seed:s.seed ~sink net s.algorithm ~ids:(ids_of_spec s)
+        ~sched:(sched s.seed))
+
+let run_graph ?(jobs = 1) ?(mode = Pool.Static) ?(events = false) ?journal
+    ?now ~workload ~sched plan specs =
+  let g = Colring_graph.Ears.topo (Gelection.decomposition plan) in
+  let n = Colring_graph.Gtopology.n g in
+  dispatch ~jobs ~pool:None ~mode ~events ~journal ~now (Array.length specs)
+    (fun i sink ->
+      let s = specs.(i) in
+      let ids =
+        Ids.distinct (Rng.create ~seed:s.seed) ~n ~id_max:(max n s.id_max)
+      in
+      Gelection.run_warm ~seed:s.seed ~sink ~workload (graph_core g) plan ~ids
+        ~sched:(sched s.seed))
 
 let percentile sorted p =
   let m = Array.length sorted in

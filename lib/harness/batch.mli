@@ -1,17 +1,15 @@
 (** Batched election jobs: N independent elections fanned out over
-    per-domain warm {!Colring_engine.Network} cores, with per-instance
-    journals.
+    per-domain warm simulator cores, with per-instance journals.
 
-    A batch is an array of {!spec}s (one election each).  Jobs are
-    grouped by topology — oriented jobs of equal ring size share one,
-    and so do non-oriented jobs of equal ring size, whose scramble is
-    drawn from the ring size alone (a batch is "many elections on the
-    same ring"; [colring elect] instead draws a scramble per run from
-    its seed).  Jobs are distributed over domains by
-    {!Colring_runtime.Pool}; each domain keeps one warm core per group
-    and runs each of its jobs with {!Colring_core.Election.run_warm},
-    so a long batch's steady state resets cores instead of allocating
-    them.
+    A batch is an array of {!spec}s (one election each), on rings or
+    on one graph ({!run_graph}).  Ring jobs are grouped by topology —
+    oriented jobs of equal ring size share one, and so do non-oriented
+    jobs of equal ring size, whose scramble is drawn from the ring size
+    alone (a batch is "many elections on the same ring"; [colring
+    elect] instead draws a scramble per run from its seed).  Jobs are
+    distributed over domains by {!Colring_runtime.Pool}; each domain
+    keeps one warm core per group and resets it for each of its jobs
+    ([run_warm]) instead of allocating one.
 
     Everything a job produces — its report, its journal bytes, its
     slot in the result arrays — is keyed by the job's index in the
@@ -54,8 +52,8 @@ val ids_of_spec : spec -> int array
 (** The job's input IDs, exactly as [colring elect] draws them:
     [Ids.distinct (Rng.create ~seed) ~n ~id_max]. *)
 
-type outcome = {
-  reports : Colring_core.Election.report array;  (** In spec order. *)
+type 'r outcome = {
+  reports : 'r array;  (** In spec order. *)
   latencies : float array;
       (** Seconds from batch start to each job's completion (spec
           order); [[||]] when [now] was not provided. *)
@@ -71,7 +69,7 @@ val run :
   ?now:(unit -> float) ->
   sched:(int -> Colring_engine.Scheduler.t) ->
   spec array ->
-  outcome
+  Colring_core.Election.report outcome
 (** [run ~sched specs] executes every job and returns reports in spec
     order.  [sched] receives the job's seed (stateful schedulers are
     built fresh per job, as [colring elect] does).  [jobs] (default 1)
@@ -97,6 +95,23 @@ val run :
     with that exception.  The warm core it ran on stays cached: the
     next job's reset cleans it, so a later batch of the same group —
     the next [colring serve] line — is unaffected. *)
+
+val run_graph :
+  ?jobs:int ->
+  ?mode:Colring_runtime.Pool.mode ->
+  ?events:bool ->
+  ?journal:(int -> string -> unit) ->
+  ?now:(unit -> float) ->
+  workload:string ->
+  sched:(int -> Colring_engine.Scheduler.t) ->
+  Colring_graph.Gelection.plan ->
+  spec array ->
+  Colring_graph.Gelection.report outcome
+(** {!run} for the walk election on the plan's graph (of [n] nodes),
+    every domain sharing the read-only plan.  A spec's algorithm and
+    ring size are ignored: its seed draws the ids, as
+    [Ids.distinct (Rng.create ~seed) ~n ~id_max:(max n id_max)], and
+    the scheduler.  [workload] labels the run_start records. *)
 
 val percentile : float array -> float -> float
 (** [percentile sorted p] with [p] in [0, 1]; [sorted] ascending.

@@ -20,7 +20,6 @@
    is handed from channel to activation at take time, so [live = 0]
    really means no activation can ever run again). *)
 
-module Rng = Colring_stats.Rng
 open Colring_engine
 
 type shared = {
@@ -85,7 +84,6 @@ let record_terminate sh ~tag ~node =
 let node_body sh make_program ~seed v =
   let n = Topology.n sh.topo in
   let program = make_program v in
-  let rng = Rng.split_at (Rng.create ~seed) v in
   let mailbox = [| 0; 0 |] in
   (* Incoming link of local port p: the link its peer sends on. *)
   let in_link =
@@ -101,45 +99,22 @@ let node_body sh make_program ~seed v =
   let tag = ref (v - n) in
   let terminated () = Atomic.get sh.term.(v) in
   let api =
-    {
-      Network.node = v;
-      recv =
-        (fun p ->
-          let i = Port.index p in
-          if mailbox.(i) = 0 then None
-          else begin
-            mailbox.(i) <- mailbox.(i) - 1;
-            Some Network.pulse
-          end);
-      recv_pulse =
-        (fun p ->
-          let i = Port.index p in
-          if mailbox.(i) = 0 then false
-          else begin
-            mailbox.(i) <- mailbox.(i) - 1;
-            true
-          end);
-      peek =
-        (fun p -> if mailbox.(Port.index p) = 0 then None else Some Network.pulse);
-      pending = (fun p -> mailbox.(Port.index p));
-      send =
-        (fun p _ ->
-          if terminated () then failwith "Transport.domains: send after terminate";
-          let link = Topology.link_id sh.topo v p in
-          sh.sends.(v) <- sh.sends.(v) + 1;
-          (* The pulse's [live] token: held until the delivery that
-             consumes it finishes processing. *)
-          Atomic.incr sh.live;
-          Atomic.incr sh.chan.(link));
-      set_output = (fun o -> sh.outputs.(v) <- o);
-      terminate =
-        (fun () ->
-          if not (terminated ()) then begin
-            Atomic.set sh.term.(v) true;
-            record_terminate sh ~tag:!tag ~node:v
-          end);
-      rng;
-    }
+    Transport.mailbox_api ~node:v ~seed ~mailbox
+      ~send:(fun p () ->
+        if terminated () then
+          failwith "Transport.domains: send after terminate";
+        let link = Topology.link_id sh.topo v p in
+        sh.sends.(v) <- sh.sends.(v) + 1;
+        (* The pulse's [live] token: held until the delivery that
+           consumes it finishes processing. *)
+        Atomic.incr sh.live;
+        Atomic.incr sh.chan.(link))
+      ~set_output:(fun o -> sh.outputs.(v) <- o)
+      ~terminate:(fun () ->
+        if not (terminated ()) then begin
+          Atomic.set sh.term.(v) true;
+          record_terminate sh ~tag:!tag ~node:v
+        end)
   in
   program.Network.start api;
   (* The start activation's token was pre-charged at pool creation. *)

@@ -34,7 +34,6 @@
    The coordinator never trusts progress: a wall-clock deadline kills
    every child (SIGKILL) and raises [Failure] if the run wedges. *)
 
-module Rng = Colring_stats.Rng
 open Colring_engine
 
 let byte_ack = 0xFA
@@ -142,48 +141,22 @@ let decode_report b =
 let child_main fd ~seed ~v program =
   let exit_code = ref 0 in
   (try
-     let rng = Rng.split_at (Rng.create ~seed) v in
      let mailbox = [| 0; 0 |] in
      let sends = ref 0 in
      let term = ref false in
      let output = ref Output.empty in
      let api =
-       {
-         Network.node = v;
-         recv =
-           (fun p ->
-             let i = Port.index p in
-             if mailbox.(i) = 0 then None
-             else begin
-               mailbox.(i) <- mailbox.(i) - 1;
-               Some Network.pulse
-             end);
-         recv_pulse =
-           (fun p ->
-             let i = Port.index p in
-             if mailbox.(i) = 0 then false
-             else begin
-               mailbox.(i) <- mailbox.(i) - 1;
-               true
-             end);
-         peek =
-           (fun p ->
-             if mailbox.(Port.index p) = 0 then None else Some Network.pulse);
-         pending = (fun p -> mailbox.(Port.index p));
-         send =
-           (fun p _ ->
-             if !term then failwith "Transport.socket: send after terminate";
-             incr sends;
-             write_byte fd (Port.index p));
-         set_output = (fun o -> output := o);
-         terminate =
-           (fun () ->
-             if not !term then begin
-               term := true;
-               write_byte fd byte_term
-             end);
-         rng;
-       }
+       Transport.mailbox_api ~node:v ~seed ~mailbox
+         ~send:(fun p () ->
+           if !term then failwith "Transport.socket: send after terminate";
+           incr sends;
+           write_byte fd (Port.index p))
+         ~set_output:(fun o -> output := o)
+         ~terminate:(fun () ->
+           if not !term then begin
+             term := true;
+             write_byte fd byte_term
+           end)
      in
      program.Network.start api;
      write_byte fd byte_ack;

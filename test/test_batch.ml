@@ -319,9 +319,7 @@ let warm_core_agrees =
       String.equal j_net j_warm)
 
 (* Every ring algorithm under random, fifo and lifo, one after another
-   on the same warm core.  All but resampling are reset with
-   [~rng:false] (no stream splits), so this also pins that none of
-   them reads [api.rng]. *)
+   on the same warm core. *)
 let test_every_algorithm_and_scheduler () =
   let scheds =
     [
@@ -422,6 +420,146 @@ let test_disabled_sink_sees_every_event () =
   in
   checkb "warm report" true (r = wr);
   Alcotest.(check (list int)) "warm core sees the same events" counted (wseen ())
+
+(* ------------------------------------------------------------------ *)
+(* The same oracle on graphs: a warm graph core ({!Gnetwork.reset}
+   through {!Gelection.run_warm}) against a fresh {!Gnetwork}
+   ({!Gelection.run}). *)
+
+module Gelection = Colring_graph.Gelection
+module Gnetwork = Colring_graph.Gnetwork
+module Gtopology = Colring_graph.Gtopology
+
+type gcase = {
+  shape : int; (* 0 = theta, 1 = complete, 2 = cycle with chords *)
+  size : int;
+  gseed : int;
+  spread : int;
+}
+
+let graph_of c =
+  match c.shape with
+  | 0 -> Gtopology.theta (c.size / 3) ((c.size + 1) / 3) ((c.size + 2) / 3)
+  | 1 -> Gtopology.complete (3 + (c.size mod 4))
+  | _ ->
+      Gtopology.cycle_with_chords (Rng.create ~seed:c.gseed) ~n:(c.size + 3)
+        ~chords:(c.gseed mod 4)
+
+let gen_gcase =
+  QCheck.Gen.(
+    let* shape = int_bound 2 in
+    let* size = int_range 3 14 in
+    let* gseed = int_bound 100_000 in
+    let* spread = int_bound 20 in
+    return { shape; size; gseed; spread })
+
+let print_gcase c =
+  Printf.sprintf "shape=%d size=%d seed=%d spread=%d" c.shape c.size c.gseed
+    c.spread
+
+let graph_schedulers =
+  [
+    ("random", fun seed -> sched seed);
+    ("fifo", fun _ -> Scheduler.fifo);
+    ("lifo", fun _ -> Scheduler.lifo);
+  ]
+
+let graph_events run =
+  let b = Buffer.create 4096 in
+  let r = run (Sink.jsonl_buffer ~events:true b) in
+  (r, Buffer.contents b)
+
+let warm_graph_core_agrees =
+  QCheck.Test.make ~name:"warm graph core = fresh Gnetwork" ~count:100
+    (QCheck.make ~print:print_gcase gen_gcase)
+    (fun c ->
+      let g = graph_of c in
+      let plan = Gelection.plan g in
+      let n = Gtopology.n g in
+      let ids seed =
+        Ids.distinct (Rng.create ~seed) ~n ~id_max:(n + c.spread)
+      in
+      let net = Gnetwork.create g (fun _ -> Network.silent_program) in
+      List.for_all
+        (fun (name, mk) ->
+          (* Leave the core mid-run: a job cut off by its budget. *)
+          let cut =
+            Gelection.run_warm ~seed:(c.gseed + 1) ~max_deliveries:n net plan
+              ~ids:(ids (c.gseed + 1)) ~sched:(sched 1)
+          in
+          if not (cut.Gelection.exhausted && Gnetwork.in_flight net > 0) then
+            QCheck.Test.fail_reportf "%s: the dirtying job was not cut off"
+              name;
+          let seed = c.gseed in
+          let fresh_r, fresh_j =
+            graph_events (fun sink ->
+                Gelection.run_report ~seed ~sink plan ~ids:(ids seed)
+                  ~sched:(mk seed))
+          in
+          let warm_r, warm_j =
+            graph_events (fun sink ->
+                Gelection.run_warm ~seed ~sink net plan ~ids:(ids seed)
+                  ~sched:(mk seed))
+          in
+          if fresh_r <> warm_r then
+            QCheck.Test.fail_reportf "%s: reports differ" name;
+          if not (String.equal fresh_j warm_j) then
+            QCheck.Test.fail_reportf "%s: events journals differ" name;
+          Gelection.ok warm_r)
+        graph_schedulers)
+
+let test_run_warm_needs_the_plans_graph () =
+  let plan = Gelection.plan (Gtopology.complete 4) in
+  let other =
+    Gnetwork.create (Gtopology.complete 4) (fun _ -> Network.silent_program)
+  in
+  checkb "a core on another graph is refused" true
+    (match
+       Gelection.run_warm other plan ~ids:[| 1; 2; 3; 4 |] ~sched:(sched 1)
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* A graph batch: journals and reports equal a loop of fresh
+   [Gelection.run]s, for every pool width and mode. *)
+let test_graph_batch_journals () =
+  let g = Gtopology.theta 3 3 4 in
+  let n = Gtopology.n g in
+  let plan = Gelection.plan g in
+  let specs =
+    Array.init 10 (fun i ->
+        spec algorithms.(i mod Array.length algorithms) (4 + i) (i + 1))
+  in
+  let expected =
+    Array.map
+      (fun (s : Batch.spec) ->
+        graph_events (fun sink ->
+            Gelection.run_report ~seed:s.seed ~sink ~workload:"theta"
+              plan
+              ~ids:
+                (Ids.distinct (Rng.create ~seed:s.seed) ~n
+                   ~id_max:(max n s.id_max))
+              ~sched:(sched s.seed)))
+      specs
+  in
+  List.iter
+    (fun (mode, mode_name) ->
+      List.iter
+        (fun jobs ->
+          let chunks = Array.make (Array.length specs) "" in
+          let o =
+            Batch.run_graph ~jobs ~mode ~events:true ~workload:"theta"
+              ~journal:(fun i chunk -> chunks.(i) <- chunk)
+              ~sched plan specs
+          in
+          Array.iteri
+            (fun i (r, j) ->
+              let what = Printf.sprintf "job %d (%s -j%d)" i mode_name jobs in
+              checkb (what ^ " report") true (r = o.Batch.reports.(i));
+              checks (what ^ " journal") j chunks.(i))
+            expected)
+        [ 1; 2; 4 ])
+    [ (Pool.Static, "static"); (Pool.Steal, "steal") ]
 
 (* ------------------------------------------------------------------ *)
 (* Failure paths on a warm core: whatever a job leaves behind — a
@@ -710,6 +848,14 @@ let () =
             test_every_algorithm_and_scheduler;
           Alcotest.test_case "disabled sink sees every event" `Quick
             test_disabled_sink_sees_every_event;
+        ] );
+      ( "graphs",
+        [
+          QCheck_alcotest.to_alcotest warm_graph_core_agrees;
+          Alcotest.test_case "run_warm needs the plan's graph" `Quick
+            test_run_warm_needs_the_plans_graph;
+          Alcotest.test_case "graph batch journals byte-identical" `Quick
+            test_graph_batch_journals;
         ] );
       ( "failure paths",
         [

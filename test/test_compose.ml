@@ -69,7 +69,7 @@ let test_chain_switches_on_terminate () =
     {
       Network.snap = None;
       Network.start =
-        (fun api ->
+        (fun (api : _ Network.api) ->
           api.set_output (Output.with_value 1 Output.empty);
           api.terminate ());
       wake = (fun _ -> ());
@@ -82,7 +82,7 @@ let test_chain_switches_on_terminate () =
     {
       Network.snap = None;
       Network.start =
-        (fun api ->
+        (fun (api : _ Network.api) ->
           api.send Port.P1 ();
           api.set_output (Output.with_value 2 Output.empty));
       wake =

@@ -70,7 +70,7 @@ let relay_program () =
     Network.snap = None;
     Network.start = (fun _ -> ());
     wake =
-      (fun api ->
+      (fun (api : _ Network.api) ->
         let continue = ref true in
         while !continue do
           match api.recv Port.P0 with
@@ -88,7 +88,7 @@ let test_fifo_order_preserved () =
     {
       Network.snap = None;
       Network.start =
-        (fun api ->
+        (fun (api : _ Network.api) ->
           for i = 1 to k do
             api.send Port.P1 i
           done);
@@ -224,7 +224,7 @@ let test_max_deliveries_exhaustion () =
   let forever =
     {
       Network.snap = None;
-      Network.start = (fun api -> api.send Port.P1 ());
+      Network.start = (fun (api : _ Network.api) -> api.send Port.P1 ());
       wake =
         (fun api ->
           let continue = ref true in
@@ -241,21 +241,43 @@ let test_max_deliveries_exhaustion () =
   checkb "exhausted" true result.exhausted;
   checki "stopped at bound" 100 result.deliveries
 
+(* Node [v]'s stream is [Rng.split_at (Rng.create ~seed) v], split on
+   its program's first read; a second read continues the same stream,
+   and a warm reset splits again from the new seed. *)
 let test_per_node_rng_streams_differ () =
   let seen = ref [] in
-  let net =
-    Network.create ~seed:7 (Topology.oriented 4) (fun _ ->
-        {
-          Network.snap = None;
-          Network.start =
-            (fun api -> seen := Rng.int api.rng 1_000_000 :: !seen);
-          wake = (fun _ -> ());
-          inspect = (fun () -> []);
-        })
+  let program v =
+    {
+      Network.snap = None;
+      Network.start =
+        (fun (api : _ Network.api) ->
+          let a = Rng.int (api.rng ()) 1_000_000 in
+          seen := (v, a, Rng.int (api.rng ()) 1_000_000) :: !seen);
+      wake = (fun _ -> ());
+      inspect = (fun () -> []);
+    }
   in
-  ignore (Network.run net Scheduler.fifo);
-  let sorted = List.sort_uniq compare !seen in
-  checki "four distinct draws" 4 (List.length sorted)
+  let expected seed =
+    List.init 4 (fun v ->
+        let r = Rng.split_at (Rng.create ~seed) v in
+        let a = Rng.int r 1_000_000 in
+        (v, a, Rng.int r 1_000_000))
+  in
+  let draws () =
+    let d = List.sort compare !seen in
+    seen := [];
+    d
+  in
+  let check = Alcotest.(check (list (triple int int int))) in
+  let net = Network.create ~seed:7 (Topology.oriented 4) program in
+  check "create" (expected 7) (draws ());
+  Network.reset ~seed:9 net program;
+  check "reset to another seed" (expected 9) (draws ());
+  Network.reset ~seed:7 net program;
+  check "reset back" (expected 7) (draws ());
+  checki "four distinct draws" 4
+    (List.length
+       (List.sort_uniq compare (List.map (fun (_, a, _) -> a) (expected 7))))
 
 (* ------------------------------------------------------------------ *)
 (* Schedulers *)

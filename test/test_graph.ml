@@ -10,6 +10,7 @@ module Rng = Colring_stats.Rng
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
+let checks = Alcotest.(check string)
 
 (* ------------------------------------------------------------------ *)
 (* Topology *)
@@ -331,7 +332,6 @@ let check_row ~name ~n ~id_max (r : Colring_mc.Mc.result) =
 
 let test_pinned_digests () =
   let ids n = Ids.distinct (Rng.create ~seed:1) ~n ~id_max:n in
-  let checks = Alcotest.(check string) in
   checks "elect -n 6 --seed 4 (algo2)" "6378992c45ec39e5e23aea6a1776694e"
     (ring_journal Election.Algo2 ~n:6 ~seed:4);
   checks "elect -n 5 --seed 4 --algo algo3-improved"
@@ -374,6 +374,81 @@ let test_pinned_digests () =
   checks "check --topology k4 -j 1" "8bf21d9bb02771c892f475b5e613c420"
     (check_row ~name:"walk:k4" ~n:4 ~id_max:4
        (Gspec.Gmc.check ~jobs:1 ~max_states:1_000_000 spec))
+
+(* [colring batch SPEC --topology T --events --journal-dir D --shards 2]
+   on a spec mixing algorithm, ring size and seed lines: the two
+   shards' digests and the summary without its timing lines, pinned to
+   what the CLI printed when every graph job ran on a fresh network.
+   The spec's algorithm is ignored on a graph; its n sets the default
+   id_max (2n) and its seed the ids and the adversary. *)
+let test_pinned_graph_batches () =
+  let exe =
+    match
+      List.find_opt Sys.file_exists
+        [ "../bin/colring.exe"; "_build/default/bin/colring.exe" ]
+    with
+    | Some exe -> exe
+    | None -> Alcotest.fail "colring.exe not built"
+  in
+  let spec = Filename.temp_file "colring" ".spec" in
+  Out_channel.with_open_bin spec (fun oc ->
+      output_string oc
+        "algo2 8 1\nalgo1 6 2\n# a comment\nresample 12 3\n\
+         algo3-improved 5 4 40\nalgo2 9 5\nalgo3-doubled 16 6\n");
+  let out = Filename.temp_file "colring" ".out" in
+  let timing l =
+    List.exists
+      (fun p -> String.starts_with ~prefix:p l)
+      [ "elapsed"; "elections/sec"; "p50 latency"; "p99 latency" ]
+  in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let digest f = Digest.to_hex (Digest.string (read f)) in
+  List.iter
+    (fun (topo, nodes, shard0, shard1) ->
+      let dir = Filename.temp_file "colring" ".d" in
+      Sys.remove dir;
+      List.iter
+        (fun pool ->
+          let code =
+            Sys.command
+              (Filename.quote_command exe
+                 [
+                   "batch"; spec; "--topology"; topo; "--events";
+                   "--journal-dir"; dir; "--shards"; "2"; "--pool"; pool;
+                   "-j"; "2";
+                 ]
+                 ~stdout:out)
+          in
+          let what = Printf.sprintf "batch --topology %s --pool %s" topo pool in
+          checki (what ^ " exits 0") 0 code;
+          checks (what ^ " summary")
+            (Printf.sprintf "topology            %s (%d nodes)\n\
+                             jobs                6\n\
+                             ok                  6\n"
+               topo nodes)
+            (String.split_on_char '\n' (read out)
+            |> List.filter (fun l -> l <> "" && not (timing l))
+            |> List.map (fun l -> l ^ "\n")
+            |> String.concat "");
+          checks (what ^ " shard 0") shard0
+            (digest (Filename.concat dir "shard-0000.jsonl"));
+          checks (what ^ " shard 1") shard1
+            (digest (Filename.concat dir "shard-0001.jsonl")))
+        [ "static"; "steal" ];
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    [
+      ( "theta:10", 10, "e466271b224ccdfba84ee94f56448066",
+        "34ed552d9fb901f1dba56417a3ca2567" );
+      ( "k4", 4, "230fa1a9efead27672affbfe469615c1",
+        "ae52c52a1516938b96db3dee0a6a9292" );
+      ( "random2ec:12:3", 12, "31abe5839edc07b46daffec3b3f1ff31",
+        "35ef8cc302962b94d3722844ee48d47d" );
+    ];
+  Sys.remove spec;
+  Sys.remove out
 
 (* ------------------------------------------------------------------ *)
 (* Rings as the degree-2 special case *)
@@ -446,21 +521,43 @@ let test_gnetwork_fifo_and_drop () =
   Alcotest.(check (list int)) "fifo per channel" [ 2; 1 ] !got;
   checki "late message dropped" 1 (Gnetwork.post_termination_deliveries net)
 
+(* As on rings: node [v]'s stream is split from the seed on first read
+   and again, from the new seed, after a warm reset. *)
 let test_gnetwork_per_node_rng () =
-  let g = Gtopology.ring 4 in
+  let g = Gtopology.complete 4 in
   let seen = ref [] in
-  let net =
-    Gnetwork.create ~seed:5 g (fun _ ->
-        {
-          Gnetwork.snap = None;
-          Gnetwork.start =
-            (fun api -> seen := Rng.int api.rng 1_000_000 :: !seen);
-          wake = (fun _ -> ());
-          inspect = (fun () -> []);
-        })
+  let program v =
+    {
+      Gnetwork.snap = None;
+      Gnetwork.start =
+        (fun (api : _ Gnetwork.api) ->
+          let a = Rng.int (api.rng ()) 1_000_000 in
+          seen := (v, a, Rng.int (api.rng ()) 1_000_000) :: !seen);
+      wake = (fun _ -> ());
+      inspect = (fun () -> []);
+    }
   in
-  ignore (Gnetwork.run net Scheduler.fifo);
-  checki "distinct streams" 4 (List.length (List.sort_uniq compare !seen))
+  let expected seed =
+    List.init 4 (fun v ->
+        let r = Rng.split_at (Rng.create ~seed) v in
+        let a = Rng.int r 1_000_000 in
+        (v, a, Rng.int r 1_000_000))
+  in
+  let draws () =
+    let d = List.sort compare !seen in
+    seen := [];
+    d
+  in
+  let check = Alcotest.(check (list (triple int int int))) in
+  let net = Gnetwork.create ~seed:5 g program in
+  check "create" (expected 5) (draws ());
+  Gnetwork.reset ~seed:6 net program;
+  check "reset to another seed" (expected 6) (draws ());
+  Gnetwork.reset ~seed:5 net program;
+  check "reset back" (expected 5) (draws ());
+  checki "distinct streams" 4
+    (List.length
+       (List.sort_uniq compare (List.map (fun (_, a, _) -> a) (expected 5))))
 
 (* The engine counts inline and hands the user's sink the same events,
    so a [Sink.counters] passed as the user sink must end the run with
@@ -1019,7 +1116,11 @@ let () =
       ( "ring special case",
         [ QCheck_alcotest.to_alcotest prop_ring_walk_is_algo1 ] );
       ( "engine oracle",
-        [ Alcotest.test_case "pinned digests" `Quick test_pinned_digests ] );
+        [
+          Alcotest.test_case "pinned digests" `Quick test_pinned_digests;
+          Alcotest.test_case "pinned graph batches" `Quick
+            test_pinned_graph_batches;
+        ] );
       ( "carriage",
         [
           Alcotest.test_case "rings: pulses = payloads" `Quick

@@ -129,6 +129,41 @@ let test_cli_output_paths () =
     ];
   Sys.remove out
 
+(* colring batch takes ring sizes from its spec lines, so
+   [--topology ring:N] is refused by name (exit 2) instead of silently
+   running the spec's sizes; [ring] itself stays accepted. *)
+let test_batch_refuses_sized_ring () =
+  let exe =
+    match
+      List.find_opt Sys.file_exists
+        [ "../bin/colring.exe"; "_build/default/bin/colring.exe" ]
+    with
+    | Some exe -> exe
+    | None -> Alcotest.fail "colring.exe not built"
+  in
+  let spec = Filename.temp_file "colring" ".spec" in
+  Out_channel.with_open_bin spec (fun oc -> output_string oc "algo2 8 1\n");
+  let out = Filename.temp_file "colring" ".out" in
+  let run topo =
+    let code =
+      Sys.command
+        (Filename.quote_command exe
+           [ "batch"; spec; "--topology"; topo ]
+           ~stdout:out ~stderr:out)
+    in
+    (code, In_channel.with_open_bin out In_channel.input_all)
+  in
+  let code, text = run "ring:6" in
+  checki "ring:6 exits 2" 2 code;
+  checkb "the refusal names --topology" true
+    (String.starts_with ~prefix:"colring: --topology ring:6: " text);
+  let code, text = run "ring" in
+  checki "ring runs" 0 code;
+  checkb "and runs the spec's ring" true
+    (contains_sub text "ok                  1");
+  Sys.remove spec;
+  Sys.remove out
+
 (* colring adversary -n N -k K: the ID space must cover the ring. *)
 let test_cli_adversary_id_space () =
   checkb "k = n accepted" true (Cli.id_space ~flag:"-k" ~n:5 5 = Ok 5);
@@ -482,6 +517,71 @@ let prop_topo_parse_total =
       | Error _ -> true
       | Ok t -> Topo.parse (Topo.to_string t) = Ok t)
 
+(* Every [Cli] validator, on any flag and value: [Ok] exactly when the
+   value meets the validator's rule, otherwise an error that leads with
+   the flag and the value ("<flag> <value>: <reason>"). *)
+let prop_cli_validators =
+  let open QCheck.Gen in
+  let int =
+    frequency
+      [
+        (4, int_range (-5) 70);
+        (1, oneofl [ min_int; max_int; -1; 0; 1; 2 ]);
+        (1, int);
+      ]
+  in
+  let name =
+    frequency
+      [
+        (2, oneofl (List.map fst Cli.schedulers));
+        (1, oneofl [ ""; "Random"; "fifo "; "bogus"; "lifo\n" ]);
+        (1, string_size ~gen:printable (int_range 0 6));
+      ]
+  in
+  let flag =
+    oneofl [ "-j"; "-n"; "-k"; "--max-deliveries"; "--topology"; "--latency" ]
+  in
+  let case =
+    quad (int_bound 6) flag (pair int int) (pair (option int) name)
+  in
+  let print (which, flag, (v, w), (o, name)) =
+    Printf.sprintf "validator %d %s v=%d w=%d opt=%s name=%S" which flag v w
+      (match o with Some x -> string_of_int x | None -> "none")
+      name
+  in
+  QCheck.Test.make ~name:"Cli validators: Ok or an error naming the flag"
+    ~count:3000 (QCheck.make ~print case)
+    (fun (which, flag, (v, w), (o, name)) ->
+      let judge ~value accept = function
+        | Ok _ -> accept
+        | Error msg ->
+            (not accept)
+            && String.starts_with ~prefix:(flag ^ " " ^ value ^ ":") msg
+      in
+      (* A numeric validator returns the value it accepts unchanged. *)
+      let number accept r =
+        judge ~value:(string_of_int v) accept r
+        && match r with Ok x -> x = v | Error _ -> true
+      in
+      match which with
+      | 0 -> number (v >= 1) (Cli.positive ~flag v)
+      | 1 -> number (v >= 0) (Cli.non_negative ~flag v)
+      | 2 -> number (v >= 2) (Cli.ring_size ~flag v)
+      | 3 -> number (v >= w) (Cli.id_space ~flag ~n:w v)
+      | 4 ->
+          judge ~value:(string_of_int w) (v <= 60)
+            (Cli.link_budget ~flag ~value:(string_of_int w) ~max:60 v)
+      | 5 -> (
+          match o with
+          | None ->
+              Cli.jobs ~flag None = Ok (Colring_runtime.Pool.default_jobs ())
+          | Some x ->
+              judge ~value:(string_of_int x) (x >= 1) (Cli.jobs ~flag o))
+      | _ ->
+          judge ~value:name
+            (List.mem_assoc name Cli.schedulers)
+            (Cli.scheduler ~flag name))
+
 let cli_tests =
   [
     Alcotest.test_case "validators" `Quick test_cli_validators;
@@ -493,6 +593,8 @@ let cli_tests =
     Alcotest.test_case "topology size cap" `Quick test_topo_size_cap;
     Alcotest.test_case "adversary id space" `Quick test_cli_adversary_id_space;
     Alcotest.test_case "check link budget" `Quick test_cli_check_link_budget;
+    Alcotest.test_case "batch refuses ring:N" `Quick
+      test_batch_refuses_sized_ring;
   ]
 
 let () =
@@ -524,5 +626,6 @@ let () =
       ("cli", cli_tests);
       ( "robustness",
         List.map (fun t -> QCheck_alcotest.to_alcotest t)
-          [ prop_parse_line_total; prop_topo_parse_total ] );
+          [ prop_parse_line_total; prop_topo_parse_total; prop_cli_validators ]
+      );
     ]
