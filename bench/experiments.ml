@@ -903,37 +903,47 @@ let e8 ~sink ~quick =
     (yes_no (r.compose_pulses = (r.tape_symbols * n) + n))
 
 (* E11: bounded model checking — all schedules, not just sampled ones. *)
+module Mc = Colring_mc.Mc
+module Spec = Colring_mc.Spec
+
+(* [spec] checked over its whole schedule space, with the fingerprints
+   of the terminal states it reached (sleep sets and state caching
+   keep every terminal state reachable). *)
+let check_terminals (spec : Network.pulse Mc.spec) =
+  let seen = Hashtbl.create 8 in
+  let r =
+    Mc.check ~max_states:2_000_000
+      {
+        spec with
+        Mc.terminal =
+          (fun net ->
+            Hashtbl.replace seen (Network.fingerprint net) ();
+            spec.Mc.terminal net);
+      }
+  in
+  (r, Hashtbl.length seen)
+
+let violations (r : Mc.result) =
+  if r.Mc.counterexample = None then 0 else 1
+
 let e11 ~sink ~quick =
   section
-    "E11 Exhaustive schedule exploration  --  the adversary tree of small\n\
-     instances is walked completely (with state de-duplication); Theorem 1\n\
-     must hold at EVERY reachable terminal state, and in fact all\n\
-     schedules collapse to a single final state.";
+    "E11 Exhaustive schedule exploration  --  the model checker walks the\n\
+     adversary tree of small instances completely (sleep sets and state\n\
+     caching); Theorem 1 must hold at EVERY reachable state, and in fact\n\
+     all schedules collapse to a single final state.";
   let t =
     Table.create
       [
         ("n", Table.Right);
         ("ids", Table.Left);
-        ("distinct states", Table.Right);
-        ("terminal states", Table.Right);
+        ("states expanded", Table.Right);
+        ("terminal visits", Table.Right);
+        ("distinct terminals", Table.Right);
         ("max depth", Table.Right);
-        ("property failures", Table.Right);
+        ("violations", Table.Right);
         ("complete", Table.Left);
       ]
-  in
-  let check ids net =
-    let n = Array.length ids in
-    Network.is_quiescent net && Network.all_terminated net
-    && Metrics.sends (Network.metrics net)
-       = Formulas.algo2_total ~n ~id_max:(Ids.id_max ids)
-    && Metrics.post_termination_deliveries (Network.metrics net) = 0
-    &&
-    let max_pos = Ids.argmax ids in
-    Array.for_all
-      (fun v ->
-        Output.equal_role (Network.output net v).Output.role
-          (if v = max_pos then Output.Leader else Output.Non_leader))
-      (Array.init n Fun.id)
   in
   let cases =
     if quick then [ [| 1; 2 |]; [| 2; 3; 1 |] ]
@@ -950,30 +960,27 @@ let e11 ~sink ~quick =
   in
   List.iter
     (fun ids ->
-      let n = Array.length ids in
-      let stats =
-        Explore.exhaustive ~max_states:2_000_000
-          ~make:(fun () ->
-            Network.create (Topology.oriented n) (fun v ->
-                Algo2.program ~id:ids.(v)))
-          ~check:(check ids) ()
+      let r, terminals =
+        check_terminals (Spec.election Election.Algo2 ~ids ~topo_seed:0)
       in
+      let s = r.Mc.stats in
       Table.add_row t
         [
-          Table.cell_int n;
+          Table.cell_int (Array.length ids);
           String.concat ","
             (Array.to_list (Array.map string_of_int ids));
-          Table.cell_int stats.Explore.distinct_states;
-          Table.cell_int stats.Explore.terminal_states;
-          Table.cell_int stats.Explore.max_depth;
-          Table.cell_int stats.Explore.failures;
-          yes_no (not stats.Explore.truncated);
+          Table.cell_int s.Mc.states;
+          Table.cell_int s.Mc.schedules;
+          Table.cell_int terminals;
+          Table.cell_int s.Mc.max_depth_seen;
+          Table.cell_int (violations r);
+          yes_no (not s.Mc.truncated);
         ])
     cases;
   print_table ~sink ~name:"e11_algo2" t;
   Printf.printf
-    "A single terminal state means every legal asynchronous schedule ends\n\
-     in literally the same global configuration.\n\n";
+    "A single distinct terminal means every legal asynchronous schedule\n\
+     ends in literally the same global configuration.\n\n";
   (* Algorithm 3: every flip pattern x every schedule. *)
   let t2 =
     Table.create
@@ -985,43 +992,35 @@ let e11 ~sink ~quick =
         ("n", Table.Right);
         ("ids", Table.Left);
         ("flip patterns", Table.Right);
-        ("distinct states (total)", Table.Right);
-        ("failures", Table.Right);
+        ("states expanded (total)", Table.Right);
+        ("violations", Table.Right);
         ("complete", Table.Left);
       ]
-  in
-  let check3 ids topo net =
-    let n = Array.length ids in
-    Network.is_quiescent net
-    && Metrics.sends (Network.metrics net)
-       = Formulas.algo3_improved_total ~n ~id_max:(Ids.id_max ids)
-    && Election.orientation_consistent topo (Network.outputs net)
-    &&
-    let max_pos = Ids.argmax ids in
-    Array.for_all
-      (fun v ->
-        Output.equal_role (Network.output net v).Output.role
-          (if v = max_pos then Output.Leader else Output.Non_leader))
-      (Array.init n Fun.id)
   in
   let cases3 = if quick then [ [| 2; 1 |] ] else [ [| 2; 1 |]; [| 2; 3; 1 |]; [| 1; 4; 2 |] ] in
   List.iter
     (fun ids ->
       let n = Array.length ids in
+      let spec =
+        Spec.election (Election.Algo3 Algo3.Improved) ~ids ~topo_seed:0
+      in
       let states = ref 0 and failures = ref 0 and complete = ref true in
       for mask = 0 to (1 lsl n) - 1 do
         let flips = Array.init n (fun i -> mask land (1 lsl i) <> 0) in
         let topo = Topology.non_oriented ~flips in
-        let stats =
-          Explore.exhaustive ~max_states:2_000_000
-            ~make:(fun () ->
-              Network.create topo (fun v ->
-                  Algo3.program ~scheme:Algo3.Improved ~id:ids.(v)))
-            ~check:(check3 ids topo) ()
+        let r, _ =
+          check_terminals
+            {
+              spec with
+              Mc.make =
+                (fun () ->
+                  Network.create topo (fun v ->
+                      Algo3.program ~scheme:Algo3.Improved ~id:ids.(v)));
+            }
         in
-        states := !states + stats.Explore.distinct_states;
-        failures := !failures + stats.Explore.failures;
-        if stats.Explore.truncated then complete := false
+        states := !states + r.Mc.stats.Mc.states;
+        failures := !failures + violations r;
+        if r.Mc.stats.Mc.truncated then complete := false
       done;
       Table.add_row t2
         [
@@ -1166,16 +1165,15 @@ let e13 ~sink ~jobs ~quick =
     "The content-oblivious spans grow with ID_max (here ID_max = 2n, so\n\
      ~linearly in n on this table); the classic spans stay near 2n.\n"
 
-(* E14: general graphs — the paper's closing open question, explored. *)
-let e14 ~sink ~jobs ~quick =
+(* E14: general graphs — why Section 7's question needed new ideas. *)
+let e14 ~sink =
   section
-    "E14 General 2-edge-connected graphs (Section 7's open question) --\n\
-     exploratory, no claim in the paper and none here.  First the ring\n\
+    "E14 General 2-edge-connected graphs (Section 7's open question)  --\n\
+     settled by Chang-Chen-Zhou's walk election (E18).  First the ring\n\
      algorithms are cross-validated on the independent multi-port graph\n\
-     simulator; then a naive generalization ('rotor': forward on the\n\
-     next port, absorb every ID-th pulse) is observed on non-ring\n\
-     2-edge-connected graphs: it usually reaches quiescence but does\n\
-     NOT elect the max-ID node — new ideas are indeed needed.";
+     simulator; then the model checker refutes the naive generalization\n\
+     ('rotor': forward on the next port, absorb every ID-th pulse) with\n\
+     an exhaustive search and a replay-confirmed counterexample.";
   (* Cross-validation row. *)
   let ids = Ids.distinct (Rng.create ~seed:3) ~n:8 ~id_max:20 in
   let g = Colring_graph.Gtopology.ring 8 in
@@ -1190,85 +1188,33 @@ let e14 ~sink ~jobs ~quick =
     gres.Colring_graph.Gnetwork.sends
     (Formulas.algo3_improved_total ~n:8 ~id_max:20)
     (yes_no gres.Colring_graph.Gnetwork.quiescent);
+  let module Gmc = Colring_mc.Gspec.Gmc in
+  let spec = Colring_mc.Gspec.rotor_ablation () in
+  let r = Gmc.check spec in
   let t =
     Table.create
       [
+        ("target", Table.Left);
         ("graph", Table.Left);
-        ("n", Table.Right);
-        ("deg", Table.Left);
-        ("2-edge-conn", Table.Left);
-        ("runs", Table.Right);
-        ("quiesced", Table.Right);
-        ("exhausted", Table.Right);
-        ("unique max leader", Table.Right);
-        ("mean pulses (quiesced)", Table.Right);
+        ("ids", Table.Left);
+        ("states", Table.Right);
+        ("counterexample", Table.Right);
+        ("violation", Table.Left);
+        ("replayed", Table.Left);
       ]
   in
-  let seeds = if quick then [ 1; 2; 3 ] else [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] in
-  let graphs =
-    [
-      ("ring(8)", Colring_graph.Gtopology.ring 8);
-      ("theta(1,2,3)", Colring_graph.Gtopology.theta 1 2 3);
-      ("theta(0,3,3)", Colring_graph.Gtopology.theta 0 3 3);
-      ("K4", Colring_graph.Gtopology.complete 4);
-      ("K6", Colring_graph.Gtopology.complete 6);
-      ( "cycle8+2chords",
-        Colring_graph.Gtopology.cycle_with_chords (Rng.create ~seed:9) ~n:8
-          ~chords:2 );
-    ]
-  in
-  par_rows ~jobs graphs
-    (fun (name, g) ->
-      let n = Colring_graph.Gtopology.n g in
-      let quiesced = ref 0 and exhausted = ref 0 and elected = ref 0 in
-      let pulses = Summary.create () in
-      List.iter
-        (fun seed ->
-          let ids = Ids.distinct (Rng.create ~seed) ~n ~id_max:(3 * n) in
-          let net =
-            Colring_graph.Gnetwork.create g (fun v ->
-                Colring_graph.Circulate.rotor ~id:ids.(v))
-          in
-          let r =
-            Colring_graph.Gnetwork.run ~max_deliveries:200_000 net
-              (sched_of_seed (seed + 31))
-          in
-          if r.Colring_graph.Gnetwork.quiescent then begin
-            incr quiesced;
-            Summary.add_int pulses r.Colring_graph.Gnetwork.sends;
-            let outs = Colring_graph.Gnetwork.outputs net in
-            let leaders =
-              Array.fold_left
-                (fun acc (o : Output.t) ->
-                  if Output.equal_role o.role Output.Leader then acc + 1
-                  else acc)
-                0 outs
-            in
-            if
-              leaders = 1
-              && Output.equal_role outs.(Ids.argmax ids).Output.role
-                   Output.Leader
-            then incr elected
-          end
-          else incr exhausted)
-        seeds;
-      let degs =
-        List.sort_uniq compare
-          (List.init n (fun v -> Colring_graph.Gtopology.degree g v))
-      in
-      [
-        name;
-        Table.cell_int n;
-        String.concat "/" (List.map string_of_int degs);
-        yes_no (Colring_graph.Gtopology.is_two_edge_connected g);
-        Table.cell_int (List.length seeds);
-        Table.cell_int !quiesced;
-        Table.cell_int !exhausted;
-        Table.cell_int !elected;
-        (if Summary.count pulses = 0 then "-"
-         else Table.cell_float ~decimals:0 (Summary.mean pulses));
-      ])
-  |> List.iter (Table.add_row t);
+  Table.add_row t
+    (spec.Gmc.name :: "theta(0,1,1)" :: "2,4,1,3"
+     :: Table.cell_int r.Mc.stats.Mc.states
+     ::
+     (match r.Mc.counterexample with
+     | None -> [ "none"; "-"; "-" ]
+     | Some ce ->
+         [
+           Printf.sprintf "%d deliveries" (Array.length ce.Mc.schedule);
+           ce.Mc.violation;
+           yes_no (Gmc.confirm spec ce);
+         ]));
   print_table ~sink ~name:"e14" t
 
 (* E15: model checker throughput — lib/mc explores the POR-reduced
@@ -1523,23 +1469,3 @@ let e18 ~sink ~jobs ~quick =
       ])
   |> List.iter (Table.add_row t);
   print_table ~sink ~name:"e18" t
-
-let all ~sink ~jobs ~quick =
-  e16 ~sink ~quick;
-  e1 ~sink ~jobs ~quick;
-  e1_dup ~sink ~jobs ~quick;
-  e2 ~sink ~jobs ~quick;
-  e3_e4 ~sink ~jobs ~quick;
-  e5 ~sink ~jobs ~quick;
-  e6 ~sink ~quick;
-  e6b ~sink ~quick;
-  e7 ~sink ~jobs ~quick;
-  e8 ~sink ~quick;
-  e9 ~sink ~jobs ~quick;
-  e10 ~sink ~quick;
-  e11 ~sink ~quick;
-  e12 ~sink ~jobs ~quick;
-  e13 ~sink ~jobs ~quick;
-  e14 ~sink ~jobs ~quick;
-  e15 ~sink ~jobs ~quick;
-  e18 ~sink ~jobs ~quick

@@ -1,10 +1,9 @@
 (* Bench entry point.
 
    Usage:
-     dune exec bench/main.exe                -- all experiments + timings
+     dune exec bench/main.exe                -- all experiments + throughput
      dune exec bench/main.exe -- quick       -- reduced sweeps
      dune exec bench/main.exe -- e2 e6       -- selected experiments
-     dune exec bench/main.exe -- timing      -- bechamel + engine throughput
      dune exec bench/main.exe -- throughput  -- engine throughput only;
                                                 writes BENCH_engine.json
      dune exec bench/main.exe -- -j 4 e2     -- sweep tables on 4 domains
@@ -45,6 +44,18 @@ let () =
   let jobs = Cli.exit_or ~cmd:"bench" (Cli.jobs ~flag:"-j" jobs_opt) in
   let quick = List.mem "quick" args in
   let selected = List.filter (fun a -> a <> "quick") args in
+  let known =
+    "throughput" :: "e18" :: List.init 16 (fun i -> Printf.sprintf "e%d" (i + 1))
+  in
+  List.iter
+    (fun a ->
+      if not (List.mem a known) then begin
+        prerr_endline
+          ("bench: unknown selection " ^ a ^ ", expected quick, throughput, \
+            e1..e16 or e18");
+        exit 2
+      end)
+    selected;
   let want name = selected = [] || List.mem name selected in
   Printf.printf
     "colring bench — Content-Oblivious Leader Election on Rings\n\
@@ -68,11 +79,10 @@ let () =
     if want "e11" then Experiments.e11 ~sink ~quick;
     if want "e12" then Experiments.e12 ~sink ~jobs ~quick;
     if want "e13" then Experiments.e13 ~sink ~jobs ~quick;
-    if want "e14" then Experiments.e14 ~sink ~jobs ~quick;
+    if want "e14" then Experiments.e14 ~sink;
     if want "e15" then Experiments.e15 ~sink ~jobs ~quick;
     if want "e18" then Experiments.e18 ~sink ~jobs ~quick;
-    if want "timing" then Timing.run ()
-    else if want "throughput" then Timing.throughput ~quick ()
+    if want "throughput" then Timing.throughput ~quick ()
   in
   (* The journal sink flushes on ALL exits (valid prefix even when an
      experiment raises); without a journal it is the null sink. *)

@@ -1,81 +1,19 @@
-(* Wall-clock micro-benchmarks of the simulator and algorithms, one
-   Bechamel test per experiment family.  These measure the harness, not
-   the paper (the paper's metric is message count, reported by
-   Experiments); they are here so performance regressions in the engine
-   are visible. *)
+(* Wall-clock measurements of the simulator and its harness layers.
+   These measure the harness, not the paper (the paper's metric is
+   message count, reported by Experiments); they are here so
+   performance regressions in the engine are visible.  perfbench/
+   measures the same elections in reference time. *)
 
-open Bechamel
-open Toolkit
 open Colring_engine
 open Colring_core
 module Rng = Colring_stats.Rng
 module Classic = Colring_classic
-module Compose = Colring_compose
-
-let run_algo2 n () =
-  let ids = Ids.dense (Rng.create ~seed:n) ~n in
-  let r =
-    Election.run_report Election.Algo2 ~topo:(Topology.oriented n) ~ids
-      ~sched:(Scheduler.random (Rng.create ~seed:n))
-  in
-  assert (not r.exhausted)
-
-let run_algo1 n () =
-  let ids = Ids.dense (Rng.create ~seed:n) ~n in
-  let r =
-    Election.run_report Election.Algo1 ~topo:(Topology.oriented n) ~ids
-      ~sched:Scheduler.fifo
-  in
-  assert (not r.exhausted)
-
-let run_algo3 n () =
-  let rng = Rng.create ~seed:n in
-  let ids = Ids.dense rng ~n in
-  let r =
-    Election.run_report (Election.Algo3 Algo3.Improved)
-      ~topo:(Topology.random_non_oriented rng n)
-      ~ids
-      ~sched:(Scheduler.random (Rng.split rng))
-  in
-  assert (not r.exhausted)
-
-let run_lelann n () =
-  let ids = Ids.dense (Rng.create ~seed:n) ~n in
-  ignore
-    (Classic.Driver.run ~name:"lelann" ~expect_max:ids
-       (fun v -> Classic.Lelann.program ~id:ids.(v))
-       ~topo:(Topology.oriented n) ~sched:Scheduler.fifo)
-
-let run_hs n () =
-  let ids = Ids.dense (Rng.create ~seed:n) ~n in
-  ignore
-    (Classic.Driver.run ~name:"hs" ~expect_max:ids
-       (fun v -> Classic.Hirschberg_sinclair.program ~id:ids.(v))
-       ~topo:(Topology.oriented n) ~sched:Scheduler.fifo)
-
-let run_compose n () =
-  let ids = Ids.dense (Rng.create ~seed:n) ~n in
-  ignore
-    (Compose.Corollary5.run ~app:Compose.Corollary5.app_ring_discovery ~ids
-       Scheduler.fifo)
-
-let tests =
-  [
-    Test.make ~name:"algo1 n=64 (4k pulses)" (Staged.stage (run_algo1 64));
-    Test.make ~name:"algo2 n=32 (2k pulses)" (Staged.stage (run_algo2 32));
-    Test.make ~name:"algo2 n=128 (33k pulses)" (Staged.stage (run_algo2 128));
-    Test.make ~name:"algo3 n=64 (8k pulses)" (Staged.stage (run_algo3 64));
-    Test.make ~name:"lelann n=64 (4k msgs)" (Staged.stage (run_lelann 64));
-    Test.make ~name:"hirschberg-sinclair n=64" (Staged.stage (run_hs 64));
-    Test.make ~name:"corollary5 discovery n=16" (Staged.stage (run_compose 16));
-  ]
 
 (* {2 Engine throughput}
 
-   Bechamel's OLS above answers "ns per whole run"; the section below
-   measures the engine's steady-state delivery rate and allocation
-   behaviour directly, and persists the numbers to [BENCH_engine.json]
-   so any commit's engine can be compared against any other's. *)
+   The engine's steady-state delivery rate and allocation behaviour,
+   persisted to [BENCH_engine.json] so any commit's engine can be
+   compared against any other's. *)
 
 type throughput_case = {
   case_name : string;
@@ -910,32 +848,3 @@ let throughput ?(quick = false) ?(json_path = "BENCH_engine.json") () =
        ]);
   validate_report json_path;
   Printf.printf "\nwrote %s (schema_version 6, shape validated)\n" json_path
-
-let run () =
-  Printf.printf
-    "\n================================================================\n";
-  Printf.printf "Timing (bechamel): wall-clock per full run, ns\n";
-  Printf.printf
-    "================================================================\n\n";
-  let cfg =
-    Benchmark.cfg ~limit:2000
-      ~quota:(Time.second 0.5)
-      ~kde:None ~stabilize:false ()
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analysed = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "%-40s %12.0f ns/run\n" name est
-          | Some _ | None -> Printf.printf "%-40s (no estimate)\n" name)
-        analysed)
-    tests;
-  print_newline ();
-  throughput ()

@@ -1,8 +1,8 @@
 (* colring — command-line driver for the content-oblivious leader
    election reproduction.
 
-   Subcommands: elect, orient, anonymous, solitude, compose, baseline,
-   sweep, batch, serve, adversary, check, fast, graph.
+   Subcommands: elect, anonymous, solitude, compose, baseline, sweep,
+   batch, serve, journal, adversary, check, fast.
    Run `colring <cmd> --help` for details. *)
 
 open Cmdliner
@@ -22,17 +22,18 @@ module Backend = Colring_transport.Backend
    value is a one-line usage error at parse time — the same rules the
    bench runner applies — instead of a backtrace from whatever
    constructor first chokes on it. *)
-let validated_int validate ~flag =
+let validated ~what of_string pp validate ~flag =
   let parse s =
-    match int_of_string_opt s with
-    | None -> Error (`Msg (Printf.sprintf "%s %s: expected an integer" flag s))
+    match of_string s with
+    | None -> Error (`Msg (Printf.sprintf "%s %s: expected %s" flag s what))
     | Some v -> (
         match validate ~flag v with
         | Ok v -> Ok v
         | Error msg -> Error (`Msg msg))
   in
-  Arg.conv (parse, Format.pp_print_int)
+  Arg.conv (parse, pp)
 
+let validated_int = validated ~what:"an integer" int_of_string_opt Format.pp_print_int
 let ring_size_conv = validated_int Harness.Cli.ring_size ~flag:"-n"
 let positive_conv ~flag = validated_int Harness.Cli.positive ~flag
 let non_negative_conv ~flag = validated_int Harness.Cli.non_negative ~flag
@@ -141,8 +142,16 @@ let topology_arg =
     & opt topo_conv (Harness.Topo.Ring None)
     & info [ "topology" ] ~docv:"TOPO" ~doc:topology_doc)
 
+(* --id-max, checked once n is known (it may come from --topology):
+   [n] nodes need at least [n] assignable IDs. *)
+let resolve_id_max ~n ~default = function
+  | None -> default
+  | Some k ->
+      Harness.Cli.exit_or ~cmd:"colring"
+        (Harness.Cli.id_space ~flag:"--id-max" ~n k)
+
 let make_ids ~n ~id_max ~seed =
-  let id_max = Option.value ~default:(2 * n) id_max in
+  let id_max = resolve_id_max ~n ~default:(2 * n) id_max in
   Ids.distinct (Rng.create ~seed) ~n ~id_max
 
 let fmt_ids ids =
@@ -382,42 +391,15 @@ let elect_cmd =
       $ latency_arg $ jitter_arg $ max_deliveries_arg $ topology_arg)
 
 (* ------------------------------------------------------------------ *)
-(* orient *)
-
-let orient n seed id_max sched_of =
-  let ids = make_ids ~n ~id_max ~seed in
-  let topo = Topology.random_non_oriented (Rng.create ~seed:(seed + 1)) n in
-  let sched = sched_of seed in
-  Format.printf "%a@." Topology.pp topo;
-  let report, net =
-    Election.run (Election.Algo3 Algo3.Improved) ~topo ~ids ~sched
-  in
-  print_report report;
-  Array.iteri
-    (fun v (o : Output.t) ->
-      match o.cw_port with
-      | Some p ->
-          Printf.printf "  node %d claims its clockwise port is %s%s\n" v
-            (Port.to_string p)
-            (if Port.equal p (Topology.cw_send_port topo v) then
-               " (matches ground truth)"
-             else " (opposite of construction order — still globally consistent)")
-      | None -> Printf.printf "  node %d: no orientation\n" v)
-    (Network.outputs net);
-  if Election.ok report then 0 else 1
-
-let orient_cmd =
-  Cmd.v
-    (Cmd.info "orient"
-       ~doc:"Orient a non-oriented ring while electing a leader (Theorem 2).")
-    Term.(const orient $ n_arg $ seed_arg $ id_max_arg $ sched_arg)
-
-(* ------------------------------------------------------------------ *)
 (* anonymous *)
 
 let c_arg =
   Arg.(
-    value & opt float 1.0
+    value
+    & opt
+        (validated ~what:"a number" float_of_string_opt Format.pp_print_float
+           Harness.Cli.positive_float ~flag:"-c")
+        1.0
     & info [ "c" ] ~docv:"C" ~doc:"Algorithm 4 confidence parameter (c > 0).")
 
 let anonymous n seed c sched_of =
@@ -427,10 +409,11 @@ let anonymous n seed c sched_of =
     (String.concat "; " (Array.to_list (Array.map string_of_int ids)));
   Printf.printf "unique max: %b\n" (Sampling.max_is_unique ids);
   if Ids.id_max ids > 1_000_000 then begin
+    (* n(2*ID_max+1) may not even fit an int here. *)
     Printf.printf
-      "ID_max is %d — the run would need %d pulses; re-run with another seed\n"
-      (Ids.id_max ids)
-      (Formulas.algo3_improved_total ~n ~id_max:(Ids.id_max ids));
+      "ID_max is %d, past this command's limit of 1000000 (the run would \
+       need n(2*ID_max+1) pulses); re-run with another seed or a smaller -c\n"
+      (Ids.id_max ids);
     1
   end
   else begin
@@ -454,7 +437,10 @@ let anonymous_cmd =
 (* solitude *)
 
 let id_arg =
-  Arg.(value & opt int 8 & info [ "id" ] ~docv:"ID" ~doc:"Node ID.")
+  Arg.(
+    value
+    & opt (positive_conv ~flag:"--id") 8
+    & info [ "id" ] ~docv:"ID" ~doc:"Node ID (at least 1).")
 
 let upto_arg =
   Arg.(
@@ -997,7 +983,9 @@ let target_arg =
            checked under rotation symmetry). Graph targets with fixed tiny \
            instances: \
            walk:theta3, walk:k4, walk:bowtie, ablation:bridge (the walk \
-           election beyond a bridge MUST yield a counterexample); any \
+           election beyond a bridge) and ablation:rotor (the naive rotor \
+           generalization of the ring relay rule), which MUST yield a \
+           counterexample; any \
            non-ring $(b,--topology) instead checks the walk election on \
            that graph.")
 
@@ -1131,7 +1119,7 @@ let check n seed id_max target jobs max_states journal topology =
       ~value:(Harness.Topo.to_string topology)
       (Colring_graph.Gnetwork.num_links g);
     let gn = Colring_graph.Gtopology.n g in
-    let id_max = Option.value ~default:gn id_max in
+    let id_max = resolve_id_max ~n:gn ~default:gn id_max in
     let ids = Ids.distinct (Rng.create ~seed) ~n:gn ~id_max in
     match
       GSpec.walk_election
@@ -1160,7 +1148,7 @@ let check n seed id_max target jobs max_states journal topology =
       | _ -> ("-n", string_of_int n)
     in
     within_link_budget ~flag ~value (Network.num_links (Topology.oriented n));
-    let id_max = Option.value ~default:n id_max in
+    let id_max = resolve_id_max ~n ~default:n id_max in
     let ids = Ids.distinct (Rng.create ~seed) ~n ~id_max in
     match McSpec.of_target target ~ids ~topo_seed:(seed + 1) with
     | exception Invalid_argument msg ->
@@ -1185,7 +1173,7 @@ let check_cmd =
 (* fast: the analytical simulator at scale *)
 
 let fast n seed id_max =
-  let id_max = Option.value ~default:(1_000_000 * n) id_max in
+  let id_max = resolve_id_max ~n ~default:(1_000_000 * n) id_max in
   let ids = Ids.distinct (Rng.create ~seed) ~n ~id_max in
   let rng = Rng.create ~seed:(seed + 1) in
   let flips = Array.init n (fun _ -> Rng.bool rng) in
@@ -1221,54 +1209,6 @@ let fast_cmd =
     Term.(const fast $ n_arg $ seed_arg $ id_max_arg)
 
 (* ------------------------------------------------------------------ *)
-(* graph: the general-graph exploration *)
-
-let graph_arg =
-  Arg.(
-    value & opt string "theta"
-    & info [ "shape" ] ~docv:"SHAPE"
-        ~doc:"theta | k4 | k6 | ring | chords (cycle with 2 chords).")
-
-let graph n seed shape =
-  let module G = Colring_graph.Gtopology in
-  let module GN = Colring_graph.Gnetwork in
-  let g =
-    match shape with
-    | "theta" -> G.theta 1 2 3
-    | "k4" -> G.complete 4
-    | "k6" -> G.complete 6
-    | "ring" -> G.ring (max 2 n)
-    | "chords" -> G.cycle_with_chords (Rng.create ~seed:(seed + 9)) ~n:(max 4 n) ~chords:2
-    | other -> failwith (Printf.sprintf "unknown shape %S" other)
-  in
-  Format.printf "%a@." G.pp g;
-  let n = G.n g in
-  let ids = Ids.distinct (Rng.create ~seed) ~n ~id_max:(3 * n) in
-  let net =
-    GN.create g (fun v -> Colring_graph.Circulate.rotor ~id:ids.(v))
-  in
-  let r =
-    GN.run ~max_deliveries:500_000 net (Scheduler.random (Rng.create ~seed:(seed + 50)))
-  in
-  Printf.printf
-    "rotor circulation (exploratory): pulses=%d quiescent=%b exhausted=%b\n"
-    r.GN.sends r.GN.quiescent r.GN.exhausted;
-  Array.iteri
-    (fun v (o : Output.t) ->
-      Printf.printf "  node %d (id %2d): %s\n" v ids.(v)
-        (Output.role_to_string o.role))
-    (GN.outputs net);
-  0
-
-let graph_cmd =
-  Cmd.v
-    (Cmd.info "graph"
-       ~doc:
-         "Explore pulse circulation on general 2-edge-connected graphs (the \
-          paper's open question; no correctness claim).")
-    Term.(const graph $ n_arg $ seed_arg $ graph_arg)
-
-(* ------------------------------------------------------------------ *)
 
 let main_cmd =
   let doc =
@@ -1278,7 +1218,6 @@ let main_cmd =
   Cmd.group (Cmd.info "colring" ~version:"1.0.0" ~doc)
     [
       elect_cmd;
-      orient_cmd;
       anonymous_cmd;
       solitude_cmd;
       compose_cmd;
@@ -1290,7 +1229,6 @@ let main_cmd =
       adversary_cmd;
       check_cmd;
       fast_cmd;
-      graph_cmd;
     ]
 
 let () = exit (Cmd.eval' main_cmd)

@@ -5,60 +5,55 @@
 
 open Colring_engine
 open Colring_core
+module Mc = Colring_mc.Mc
+module Spec = Colring_mc.Spec
 
 let () =
   let ids = [| 2; 4; 1; 3 |] in
   let n = Array.length ids in
   Printf.printf
-    "Exploring every delivery schedule of Algorithm 2 on ids [%s]...\n\n"
+    "Checking every delivery schedule of Algorithm 2 on ids [%s]...\n\n"
     (String.concat "; " (Array.to_list (Array.map string_of_int ids)));
-  let failures_detail = ref [] in
-  let stats =
-    Explore.exhaustive
-      ~make:(fun () ->
-        Network.create (Topology.oriented n) (fun v ->
-            Algo2.program ~id:ids.(v)))
-      ~check:(fun net ->
-        let ok =
-          Network.is_quiescent net && Network.all_terminated net
-          && Metrics.sends (Network.metrics net)
-             = Formulas.algo2_total ~n ~id_max:(Ids.id_max ids)
-        in
-        if not ok then failures_detail := "bad terminal" :: !failures_detail;
-        ok)
-      ()
+  (* Theorem 1 as a checkable spec: per-step termination order and send
+     bound, exact totals and the max-ID leader at quiescence.  The
+     terminal hook also collects each quiescent state's fingerprint. *)
+  let spec = Spec.election Election.Algo2 ~ids ~topo_seed:0 in
+  let terminals = Hashtbl.create 4 in
+  let r =
+    Mc.check
+      {
+        spec with
+        Mc.terminal =
+          (fun net ->
+            Hashtbl.replace terminals (Network.fingerprint net) ();
+            spec.Mc.terminal net);
+      }
   in
-  Printf.printf "distinct global states reached : %d\n"
-    stats.Explore.distinct_states;
-  Printf.printf "terminal (quiescent) states    : %d\n"
-    stats.Explore.terminal_states;
+  let s = r.Mc.stats in
+  Printf.printf "states expanded                : %d\n" s.Mc.states;
+  Printf.printf "distinct terminal states       : %d\n"
+    (Hashtbl.length terminals);
   Printf.printf "longest schedule               : %d deliveries\n"
-    stats.Explore.max_depth;
-  Printf.printf "property failures              : %d\n" stats.Explore.failures;
-  Printf.printf "search complete (not truncated): %b\n\n"
-    (not stats.Explore.truncated);
+    s.Mc.max_depth_seen;
+  Printf.printf "violations                     : %s\n"
+    (match r.Mc.counterexample with None -> "none" | Some ce -> ce.Mc.violation);
+  Printf.printf "search complete (not truncated): %b\n\n" (not s.Mc.truncated);
   Printf.printf
     "One terminal state means that although the adversary controls every\n\
      delivery, all roads lead to the same final configuration: the max-ID\n\
      node as Leader and exactly n(2*ID_max+1) = %d pulses spent.\n"
     (Formulas.algo2_total ~n ~id_max:(Ids.id_max ids));
-  assert (stats.Explore.failures = 0 && not stats.Explore.truncated);
+  assert (r.Mc.counterexample = None && not s.Mc.truncated);
+  assert (Hashtbl.length terminals = 1);
 
-  (* Contrast: the same exploration applied to the broken no-lag
-     variant finds a bad schedule. *)
-  let bad =
-    Explore.exhaustive
-      ~make:(fun () ->
-        Network.create (Topology.oriented 3) (fun v ->
-            Ablation.algo2_no_lag ~id:[| 3; 1; 2 |].(v)))
-      ~check:(fun net ->
-        Network.is_quiescent net
-        && Metrics.post_termination_deliveries (Network.metrics net) = 0)
-      ()
-  in
-  Printf.printf
-    "\nThe no-lag ablation on ids [3;1;2], same exhaustive search:\n\
-     %d terminal states, %d of them bad — the explorer finds the schedule\n\
-     that the paper's lag mechanism exists to rule out.\n"
-    bad.Explore.terminal_states bad.Explore.failures;
-  assert (bad.Explore.failures > 0)
+  (* Contrast: the same check applied to the broken no-lag variant
+     finds a bad schedule, minimized and replay-confirmed. *)
+  let bad = Mc.check (Spec.ablation Spec.No_lag ~ids:[| 3; 1; 2 |] ~topo_seed:0) in
+  match bad.Mc.counterexample with
+  | None -> assert false
+  | Some ce ->
+      Printf.printf
+        "\nThe no-lag ablation on ids [3;1;2], same exhaustive search, yields a\n\
+         %d-delivery counterexample:\n  %s\n\
+         the kind of schedule the paper's lag mechanism exists to rule out.\n"
+        (Array.length ce.Mc.schedule) ce.Mc.violation

@@ -3,11 +3,13 @@
 
    Run with:  dune exec examples/open_question.exe
 
-   This example does NOT answer it (nobody has).  It (1) checks the
-   2-edge-connectivity precondition on a few graphs, (2) cross-validates
-   the ring algorithms on the independent multi-port simulator, and
-   (3) shows that the naive generalization of the ring relay rule
-   quiesces but fails to elect — evidence that new ideas are needed. *)
+   Chang, Chen and Zhou answered it (arXiv:2507.08348) with a walk
+   election, implemented in Gelection and measured by bench E18.  This
+   example (1) checks the 2-edge-connectivity precondition on a few
+   graphs, (2) cross-validates the ring algorithms on the independent
+   multi-port simulator, and (3) shows with the model checker that the
+   naive generalization of the ring relay rule quiesces but fails to
+   elect — why the answer needed new ideas. *)
 
 open Colring_engine
 open Colring_core
@@ -58,29 +60,20 @@ let () =
 
   Printf.printf
     "\n3. A naive generalization (forward on the next port, absorb every\n\
-    \   ID-th pulse) on theta(1,2,3), ids drawn at random:\n";
-  let g = Gtopology.theta 1 2 3 in
-  let n = Gtopology.n g in
-  for seed = 1 to 5 do
-    let ids = Ids.distinct (Rng.create ~seed) ~n ~id_max:(3 * n) in
-    let net = Gnetwork.create g (fun v -> Circulate.rotor ~id:ids.(v)) in
-    let r =
-      Gnetwork.run ~max_deliveries:200_000 net
-        (Scheduler.random (Rng.create ~seed:(seed + 50)))
-    in
-    let leaders =
-      Array.fold_left
-        (fun acc (o : Output.t) ->
-          if Output.equal_role o.role Output.Leader then acc + 1 else acc)
-        0 (Gnetwork.outputs net)
-    in
-    Printf.printf
-      "   seed %d: quiescent=%-5b pulses=%-6d leaders=%d  max-ID elected=%b\n"
-      seed r.Gnetwork.quiescent r.Gnetwork.sends leaders
-      (Output.equal_role
-         (Gnetwork.output net (Ids.argmax ids)).Output.role
-         Output.Leader)
-  done;
+    \   ID-th pulse) on theta(0,1,1), ids [2;4;1;3], every schedule:\n";
+  let module Gmc = Colring_mc.Gspec.Gmc in
+  let spec = Colring_mc.Gspec.rotor_ablation () in
+  let r = Gmc.check spec in
+  (match r.Colring_mc.Mc.counterexample with
+  | None -> assert false
+  | Some ce ->
+      Printf.printf
+        "   %d states; a %d-delivery schedule quiesces with %s\n\
+        \   (replay-confirmed: %b)\n"
+        r.Colring_mc.Mc.stats.Colring_mc.Mc.states
+        (Array.length ce.Colring_mc.Mc.schedule)
+        ce.Colring_mc.Mc.violation (Gmc.confirm spec ce);
+      assert (Gmc.confirm spec ce));
   Printf.printf
     "\n   Quiescence survives the generalization; the election property\n\
-    \   does not — consistent with the paper leaving this open.\n"
+    \   does not.\n"

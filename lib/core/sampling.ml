@@ -1,9 +1,11 @@
 module Rng = Colring_stats.Rng
 
 let bit_length rng ~c =
-  if c <= 0. then invalid_arg "Sampling.bit_length: c must be positive";
-  let p = 2. ** (-1. /. (c +. 2.)) in
-  min 62 (Rng.geometric rng ~p:(1. -. p))
+  if not (c > 0.) then invalid_arg "Sampling.bit_length: c must be positive";
+  let p = 1. -. (2. ** (-1. /. (c +. 2.))) in
+  (* Past c ~ 2^53 [p] rounds to 0; the law's mean (c+2)/ln 2 is far
+     beyond the cap there, so the draw is the cap. *)
+  if p <= 0. then 62 else min 62 (Rng.geometric rng ~p)
 
 let sample rng ~c = 1 + Rng.bits rng (bit_length rng ~c)
 

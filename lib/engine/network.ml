@@ -929,8 +929,8 @@ module Core = struct
   let metrics t = t.metrics
   let trace t = Sink.trace t.sink
 
-  (* Canonical observable-state string; {!Explore.fingerprint} and the
-     model checker's dedup key delegate here.  Covers channel depths,
+  (* Canonical observable-state string: the model checker's dedup key
+     and the tests' state comparisons.  Covers channel depths,
      per-port mailbox depths, termination flags, outputs and inspect
      counters — everything a monitor can see. *)
   let fingerprint t =

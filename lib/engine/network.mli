@@ -251,7 +251,7 @@ module Core : sig
   val force_step : (_, _, _) core -> link:int -> unit
   (** Deliver the oldest message of one specific link (bypassing any
       scheduler); raises [Invalid_argument] if the link is empty.  Used
-      by the exhaustive explorer and the model checker. *)
+      by the model checker. *)
 
   val enabled_count : (_, _, _) core -> int
   (** Number of links with messages in flight — the branching factor of

@@ -2,7 +2,7 @@
     Algorithm 1 instance, simulated exactly in O(n²) arithmetic
     operations instead of Θ(n·ID_max) event deliveries.
 
-    Why this is sound: the exhaustive explorer (E11) and the theory
+    Why this is sound: the model checker (E11) and the theory
     both show Algorithm 1's final state and totals are independent of
     the delivery schedule, so we may pick a convenient one.  We pick
     "drive one pulse at a time until it is absorbed".  While a single

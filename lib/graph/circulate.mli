@@ -11,9 +11,11 @@
     [(p+1) mod degree] — on degree-2 nodes this degenerates to exactly
     the ring relay rule — and a node absorbs a pulse whenever its
     received count reaches a multiple of its ID, so the [n·degree]
-    start-up pulses can all eventually be deleted.  No correctness
-    claim is made (the paper conjectures nothing here either); bench
-    E14 records what it does. *)
+    start-up pulses can all eventually be deleted.  It is not a leader
+    election: the model checker's [ablation:rotor] target
+    ([Colring_mc.Gspec.rotor_ablation], bench E14) finds a schedule
+    that quiesces with two Leaders.  {!Gelection} is the walk election
+    that does solve the question. *)
 
 val algo3_deg2 :
   scheme:Colring_core.Algo3.id_scheme ->

@@ -2,9 +2,9 @@
 
     The paper works on rings, but its context ([8]) is 2-edge-connected
     graphs, and its closing question asks about general networks; this
-    module provides the graph substrate for the exploratory experiments
-    (bench E14) and for cross-validating the ring algorithms against an
-    independent simulator.
+    module provides the graph substrate for the walk election (bench
+    E18), the rotor counterexample (E14) and for cross-validating the
+    ring algorithms against an independent simulator.
 
     A node of degree d has ports [0..d-1]; each undirected edge
     occupies one port at each endpoint.  Multi-edges are allowed

@@ -13,6 +13,10 @@ let positive ~flag v =
 let non_negative ~flag v =
   if v >= 0 then Ok v else err flag v "must not be negative"
 
+let positive_float ~flag v =
+  if Float.is_finite v && v > 0. then Ok v
+  else Error (Printf.sprintf "%s %g: must be a finite number above 0" flag v)
+
 let ring_size ~flag v =
   if v >= 2 then Ok v else err flag v "ring size must be at least 2"
 

@@ -13,6 +13,10 @@ val positive : flag:string -> int -> (int, string) result
 val non_negative : flag:string -> int -> (int, string) result
 (** [>= 0] — latencies, jitters, anything where zero means "off". *)
 
+val positive_float : flag:string -> float -> (float, string) result
+(** Finite and [> 0] — confidence parameters.  The error prints the
+    value with [%g] (so [nan], [inf]). *)
+
 val ring_size : flag:string -> int -> (int, string) result
 (** [>= 2] — a ring needs two nodes for its links to exist. *)
 

@@ -172,8 +172,47 @@ let bridge_ablation ~ids =
     expect_violation = true;
   }
 
+(* The naive generalization of the ring relay rule ({!Circulate.rotor}:
+   forward on the next port, absorb every ID-th pulse) on the smallest
+   theta graph, against the same whole-graph verdict.  It always
+   quiesces — a node absorbs one of every [id] pulses it receives, so
+   at most [id_max * (links + n)] deliveries happen — but it does not
+   elect, and the checker must exhibit a schedule that shows it. *)
+let check_leader_count net =
+  let leaders =
+    Array.fold_left
+      (fun k (o : Output.t) ->
+        if Output.equal_role o.Output.role Output.Leader then k + 1 else k)
+      0 (Gnetwork.outputs net)
+  in
+  if leaders = 1 then None else Some (Printf.sprintf "%d leaders" leaders)
+
+let rotor_ablation () =
+  let g = Gtopology.theta 0 1 1 in
+  let ids = [| 2; 4; 1; 3 |] in
+  {
+    Gmc.name = "ablation:rotor";
+    make = (fun () -> Gnetwork.create g (fun v -> Circulate.rotor ~id:ids.(v)));
+    monitor = (fun () _ -> None);
+    terminal =
+      all_of
+        [
+          check_quiescent;
+          check_leader_count;
+          check_global_roles ~leader_node:(argmax ids);
+        ];
+    max_depth =
+      Colring_core.Ids.id_max ids * (Gtopology.num_links g + Gtopology.n g);
+    dedup = true;
+    reduction = Mc.Sleep;
+    symmetry = None;
+    expect_violation = true;
+  }
+
 let targets =
-  [ "walk:theta3"; "walk:k4"; "walk:bowtie"; "ablation:bridge" ]
+  [
+    "walk:theta3"; "walk:k4"; "walk:bowtie"; "ablation:bridge"; "ablation:rotor";
+  ]
 
 (* Fixed tiny instances: exhaustiveness matters more than id variety
    here (the qcheck and sweep layers cover id variety). *)
@@ -188,5 +227,6 @@ let of_target = function
       walk_election ~name:"walk:bowtie" (Gtopology.bowtie ())
         ~ids:[| 2; 5; 1; 4; 3 |]
   | "ablation:bridge" -> bridge_ablation ~ids:[| 1; 2; 3; 4; 5; 6 |]
+  | "ablation:rotor" -> rotor_ablation ()
   | other ->
       invalid_arg (Printf.sprintf "Gspec.of_target: unknown target %S" other)

@@ -4,8 +4,8 @@
     ({!Colring_graph.Gnetwork}); the builders here are
     the graph analogue of {!Spec}: exhaustive verdicts for the walk
     election of {!Colring_graph.Gelection} on graphs small enough to
-    explore completely, plus the bridge ablation the checker must
-    refute. *)
+    explore completely, plus the bridge and rotor ablations the checker
+    must refute. *)
 
 open Colring_graph
 
@@ -29,9 +29,16 @@ val bridge_ablation : ids:int array -> unit Gmc.spec
     and the checker exhibits the minimized roles violation
     ([expect_violation = true]). *)
 
+val rotor_ablation : unit -> unit Gmc.spec
+(** {!Colring_graph.Circulate.rotor}, the naive generalization of the
+    ring relay rule, on [theta 0 1 1] with ids [[2; 4; 1; 3]], against
+    the whole-graph election verdict ([expect_violation = true]): some
+    schedule quiesces without a unique Leader at the maximum id. *)
+
 val targets : string list
 (** Graph check targets accepted by the CLI:
-    [walk:theta3], [walk:k4], [walk:bowtie], [ablation:bridge]. *)
+    [walk:theta3], [walk:k4], [walk:bowtie], [ablation:bridge],
+    [ablation:rotor]. *)
 
 val of_target : string -> unit Gmc.spec
 (** Fixed small instance for a named target; raises [Invalid_argument]

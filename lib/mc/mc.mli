@@ -162,7 +162,7 @@ module type S = sig
     ?undo_depth:int ->
     'm spec ->
     result
-  (** Explore the schedule space of [spec].  A sequential BFS expands
+  (** Walk the schedule space of [spec].  A sequential BFS expands
       the root until at least [split] (default 16) frontier subtrees
       exist (or the space is exhausted), then the subtrees drain over
       the {!Colring_runtime.Pool} stealing pool ([jobs], default 1).

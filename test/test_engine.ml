@@ -430,7 +430,7 @@ let test_blocking_immediate_mailbox () =
   Alcotest.(check (list int)) "both recvs ran" [ 2; 1 ] !order
 
 (* ------------------------------------------------------------------ *)
-(* Forced stepping and state accessors (the explorer's toolkit) *)
+(* Forced stepping and state accessors (the model checker's toolkit) *)
 
 let test_force_step_and_accessors () =
   let topo = Topology.oriented 3 in
@@ -482,31 +482,6 @@ let test_diagram_deterministic () =
     | None -> ""
   in
   Alcotest.(check string) "stable" (render ()) (render ())
-
-let test_explore_trivial_instances () =
-  (* A network with no sends at all: one state, one terminal. *)
-  let stats =
-    Explore.exhaustive
-      ~make:(fun () ->
-        Network.create (Topology.oriented 2) (fun _ -> Network.silent_program))
-      ~check:(fun net -> Network.is_quiescent net)
-      ()
-  in
-  checki "one state" 1 stats.Explore.distinct_states;
-  checki "one terminal" 1 stats.Explore.terminal_states;
-  checki "no failures" 0 stats.Explore.failures
-
-let test_explore_respects_max_states () =
-  let stats =
-    Explore.exhaustive ~max_states:5
-      ~make:(fun () ->
-        Network.create (Topology.oriented 3) (fun v ->
-            Colring_core.Algo2.program ~id:(v + 2)))
-      ~check:(fun _ -> true)
-      ()
-  in
-  checkb "truncated" true stats.Explore.truncated;
-  checkb "bounded" true (stats.Explore.distinct_states <= 6)
 
 (* ------------------------------------------------------------------ *)
 (* Round-robin over synthetic views *)
@@ -1030,10 +1005,6 @@ let () =
             test_mailbox_length_tracks_guarded_pulses;
           Alcotest.test_case "diagram deterministic" `Quick
             test_diagram_deterministic;
-          Alcotest.test_case "explore trivial" `Quick
-            test_explore_trivial_instances;
-          Alcotest.test_case "explore max states" `Quick
-            test_explore_respects_max_states;
         ] );
       ( "queues",
         [

@@ -8,6 +8,8 @@ open Colring_core
 module Rng = Colring_stats.Rng
 module Classic = Colring_classic
 module LB = Colring_lowerbound
+module Mc = Colring_mc.Mc
+module Spec = Colring_mc.Spec
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -264,30 +266,34 @@ let test_exhaustive_terminal_equivalence () =
   (* The two Algorithm 2 implementations must have the same *set* of
      reachable terminal states (they do not share intermediate states —
      the blocking one stages mailbox pulses eagerly — but every
-     schedule must end in the same unique configuration). *)
-  let terminals make =
+     schedule must end in the same unique configuration).  Sleep sets
+     and state caching keep every terminal state reachable, so the
+     checker's terminal callback sees the whole set. *)
+  let ids = [| 2; 3; 1 |] in
+  let terminals program =
     let acc = ref [] in
-    let stats =
-      Explore.exhaustive ~make
-        ~check:(fun net ->
-          acc := Explore.fingerprint net :: !acc;
-          true)
-        ()
+    let spec = Spec.election Election.Algo2 ~ids ~topo_seed:0 in
+    let r =
+      Mc.check
+        {
+          spec with
+          Mc.make =
+            (fun () ->
+              Network.create (Topology.oriented 3) (fun v ->
+                  program ~id:ids.(v)));
+          terminal =
+            (fun net ->
+              acc := Network.fingerprint net :: !acc;
+              spec.Mc.terminal net);
+        }
     in
-    checkb "complete" false stats.Explore.truncated;
+    checkb "complete" false r.Mc.stats.Mc.truncated;
+    checkb "clean" true (r.Mc.counterexample = None);
     List.sort_uniq compare !acc
   in
-  let ids = [| 2; 3; 1 |] in
-  let a =
-    terminals (fun () ->
-        Network.create (Topology.oriented 3) (fun v ->
-            Algo2.program ~id:ids.(v)))
-  in
-  let b =
-    terminals (fun () ->
-        Network.create (Topology.oriented 3) (fun v ->
-            Algo2_blocking.program ~id:ids.(v)))
-  in
+  let a = terminals Algo2.program in
+  let b = terminals Algo2_blocking.program in
+  checki "one terminal state" 1 (List.length a);
   Alcotest.(check (list string)) "same terminal fingerprints" a b
 
 (* ------------------------------------------------------------------ *)
@@ -334,121 +340,84 @@ let test_invariants_catch_broken_algorithm () =
        (Invariants.violations checker))
 
 (* ------------------------------------------------------------------ *)
-(* Exhaustive exploration (bounded model checking) *)
+(* Exhaustive exploration (the model checker on small instances) *)
 
-let algo2_terminal_ok ids net =
-  let n = Array.length ids in
-  let max_pos = Ids.argmax ids in
-  Network.is_quiescent net
-  && Network.all_terminated net
-  && Metrics.post_termination_deliveries (Network.metrics net) = 0
-  && Metrics.sends (Network.metrics net)
-     = Formulas.algo2_total ~n ~id_max:(Ids.id_max ids)
-  && Array.for_all
-       (fun v ->
-         Output.equal_role (Network.output net v).Output.role
-           (if v = max_pos then Output.Leader else Output.Non_leader))
-       (Array.init n Fun.id)
+let verified ?(what = "") (r : Mc.result) =
+  checkb (what ^ " complete") false r.Mc.stats.Mc.truncated;
+  (match r.Mc.counterexample with
+  | None -> ()
+  | Some ce -> Alcotest.failf "%s violation: %s" what ce.Mc.violation);
+  checkb (what ^ " reached terminals") true (r.Mc.stats.Mc.schedules >= 1)
 
 let test_explore_algo2_all_schedules_n2 () =
   (* Every ID pair in {1..4}^2, every schedule: Theorem 1 holds in all
      reachable executions. *)
-  let checked = ref 0 in
   for a = 1 to 4 do
     for b = 1 to 4 do
-      if a <> b then begin
-        let ids = [| a; b |] in
-        let stats =
-          Explore.exhaustive
-            ~make:(fun () ->
-              Network.create (Topology.oriented 2) (fun v ->
-                  Algo2.program ~id:ids.(v)))
-            ~check:(algo2_terminal_ok ids) ()
-        in
-        checked := !checked + stats.Explore.terminal_states;
-        checkb
-          (Printf.sprintf "ids (%d,%d) truncation" a b)
-          false stats.Explore.truncated;
-        checki (Printf.sprintf "ids (%d,%d) failures" a b) 0
-          stats.Explore.failures;
-        checkb "reached terminals" true (stats.Explore.terminal_states >= 1)
-      end
+      if a <> b then
+        verified
+          ~what:(Printf.sprintf "ids (%d,%d)" a b)
+          (Mc.check (Spec.election Election.Algo2 ~ids:[| a; b |] ~topo_seed:0))
     done
-  done;
-  checkb "checked some terminals" true (!checked >= 12)
+  done
 
 let test_explore_algo2_all_schedules_n3 () =
-  let ids = [| 2; 3; 1 |] in
-  let stats =
-    Explore.exhaustive
-      ~make:(fun () ->
-        Network.create (Topology.oriented 3) (fun v ->
-            Algo2.program ~id:ids.(v)))
-      ~check:(algo2_terminal_ok ids) ()
-  in
-  checkb "not truncated" false stats.Explore.truncated;
-  checki "no failures" 0 stats.Explore.failures;
-  checkb "explored a real tree" true (stats.Explore.distinct_states > 50)
+  let r = Mc.check (Spec.election Election.Algo2 ~ids:[| 2; 3; 1 |] ~topo_seed:0) in
+  verified r;
+  checkb "explored a real tree" true (r.Mc.stats.Mc.states > 50)
 
 let test_explore_algo1_all_schedules () =
-  let ids = [| 2; 3 |] in
-  let stats =
-    Explore.exhaustive
-      ~make:(fun () ->
-        Network.create (Topology.oriented 2) (fun v ->
-            Algo1.program ~id:ids.(v)))
-      ~check:(fun net ->
-        Network.is_quiescent net
-        && Metrics.sends (Network.metrics net) = 2 * 3
-        && Output.equal_role (Network.output net 1).Output.role Output.Leader
-        && Output.equal_role (Network.output net 0).Output.role
-             Output.Non_leader)
-      ()
-  in
-  checki "no failures" 0 stats.Explore.failures;
-  checkb "not truncated" false stats.Explore.truncated
+  verified (Mc.check (Spec.election Election.Algo1 ~ids:[| 2; 3 |] ~topo_seed:0))
 
 let test_explore_algo1_duplicate_maxima () =
   (* Lemma 16/17 model-checked: with two copies of the maximal ID, every
      schedule ends quiescent with exactly the two max nodes in the
-     Leader state and n*ID_max pulses. *)
+     Leader state and n*ID_max pulses.  [Spec.election] demands a
+     unique leader, so the verdict is spelled out here. *)
   let ids = [| 3; 3; 1 |] in
-  let stats =
-    Explore.exhaustive
-      ~make:(fun () ->
-        Network.create (Topology.oriented 3) (fun v ->
-            Algo1.program ~id:ids.(v)))
-      ~check:(fun net ->
-        Network.is_quiescent net
-        && Metrics.sends (Network.metrics net) = 3 * 3
-        && Array.for_all
-             (fun v ->
-               Output.equal_role (Network.output net v).Output.role
-                 (if ids.(v) = 3 then Output.Leader else Output.Non_leader))
-             (Array.init 3 Fun.id))
-      ()
+  let r =
+    Mc.check
+      {
+        Mc.name = "algo1 duplicate maxima";
+        make =
+          (fun () ->
+            Network.create (Topology.oriented 3) (fun v ->
+                Algo1.program ~id:ids.(v)));
+        monitor = (fun () _ -> None);
+        terminal =
+          (fun net ->
+            if
+              Network.is_quiescent net
+              && Metrics.sends (Network.metrics net) = 3 * 3
+              && Array.for_all
+                   (fun v ->
+                     Output.equal_role (Network.output net v).Output.role
+                       (if ids.(v) = 3 then Output.Leader
+                        else Output.Non_leader))
+                   (Array.init 3 Fun.id)
+            then None
+            else Some "not the Lemma 16/17 outcome");
+        max_depth = (3 * 3) + 1;
+        dedup = true;
+        reduction = Mc.Sleep;
+        symmetry = None;
+        expect_violation = false;
+      }
   in
-  checkb "complete" false stats.Explore.truncated;
-  checki "no failures" 0 stats.Explore.failures
+  verified r
 
 let test_explore_finds_ablation_bugs () =
-  (* The no-lag ablation must have at least one reachable bad terminal
-     state for some instance — exhaustive search will find it if any
-     sampled scheduler could. *)
-  let found = ref false in
-  List.iter
-    (fun ids ->
-      let stats =
-        Explore.exhaustive ~max_states:100_000
-          ~make:(fun () ->
-            Network.create
-              (Topology.oriented (Array.length ids))
-              (fun v -> Ablation.algo2_no_lag ~id:ids.(v)))
-          ~check:(algo2_terminal_ok ids) ()
-      in
-      if stats.Explore.failures > 0 then found := true)
-    [ [| 1; 2 |]; [| 2; 1 |]; [| 3; 1 |]; [| 2; 3; 1 |] ];
-  checkb "exhaustive search exposes the no-lag bug" true !found
+  (* The no-lag ablation must have a reachable violation for some
+     instance — exhaustive search finds it if any sampled scheduler
+     could. *)
+  let found =
+    List.exists
+      (fun ids ->
+        (Mc.check (Spec.ablation Spec.No_lag ~ids ~topo_seed:0))
+          .Mc.counterexample <> None)
+      [ [| 1; 2 |]; [| 2; 1 |]; [| 3; 1 |]; [| 2; 3; 1 |] ]
+  in
+  checkb "exhaustive search exposes the no-lag bug" true found
 
 let test_fingerprint_distinguishes () =
   let mk () =
@@ -456,10 +425,10 @@ let test_fingerprint_distinguishes () =
   in
   let a = mk () and b = mk () in
   checkb "same initial fingerprint" true
-    (Explore.fingerprint a = Explore.fingerprint b);
+    (Network.fingerprint a = Network.fingerprint b);
   ignore (Network.step b Scheduler.fifo);
   checkb "diverges after a delivery" false
-    (Explore.fingerprint a = Explore.fingerprint b)
+    (Network.fingerprint a = Network.fingerprint b)
 
 (* ------------------------------------------------------------------ *)
 (* Diagram *)

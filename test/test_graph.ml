@@ -375,6 +375,14 @@ let test_pinned_digests () =
     (check_row ~name:"walk:k4" ~n:4 ~id_max:4
        (Gspec.Gmc.check ~jobs:1 ~max_states:1_000_000 spec))
 
+let colring_exe () =
+  match
+    List.find_opt Sys.file_exists
+      [ "../bin/colring.exe"; "_build/default/bin/colring.exe" ]
+  with
+  | Some exe -> exe
+  | None -> Alcotest.fail "colring.exe not built"
+
 (* [colring batch SPEC --topology T --events --journal-dir D --shards 2]
    on a spec mixing algorithm, ring size and seed lines: the two
    shards' digests and the summary without its timing lines, pinned to
@@ -382,14 +390,7 @@ let test_pinned_digests () =
    The spec's algorithm is ignored on a graph; its n sets the default
    id_max (2n) and its seed the ids and the adversary. *)
 let test_pinned_graph_batches () =
-  let exe =
-    match
-      List.find_opt Sys.file_exists
-        [ "../bin/colring.exe"; "_build/default/bin/colring.exe" ]
-    with
-    | Some exe -> exe
-    | None -> Alcotest.fail "colring.exe not built"
-  in
+  let exe = colring_exe () in
   let spec = Filename.temp_file "colring" ".spec" in
   Out_channel.with_open_bin spec (fun oc ->
       output_string oc
@@ -1005,45 +1006,7 @@ let test_cross_simulator_counters () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Exploratory rotor: recorded observations, not claims. *)
-
-let rotor_run g ~seed =
-  let n = Gtopology.n g in
-  let ids = Ids.distinct (Rng.create ~seed) ~n ~id_max:(3 * n) in
-  let net = Gnetwork.create g (fun v -> Circulate.rotor ~id:ids.(v)) in
-  let r =
-    Gnetwork.run ~max_deliveries:200_000 net
-      (Scheduler.random (Rng.create ~seed:(seed + 50)))
-  in
-  (r, net, ids)
-
-let test_rotor_observations () =
-  (* Exploratory, so the assertions are deliberately weak: every run
-     either reaches quiescence or exhausts the budget (no crash, no
-     livelock detection needed beyond the cap), and at least one run
-     of each kind exists across the sample — i.e. the naive rotor
-     generalization is NOT a quiescently-stabilizing algorithm on
-     general graphs. *)
-  let quiesced = ref 0 and exhausted = ref 0 in
-  List.iter
-    (fun (name, g) ->
-      List.iter
-        (fun seed ->
-          let r, _, _ = rotor_run g ~seed in
-          checkb
-            (Printf.sprintf "%s seed %d sane" name seed)
-            true
-            (r.Gnetwork.quiescent || r.Gnetwork.exhausted);
-          if r.Gnetwork.quiescent then incr quiesced else incr exhausted)
-        [ 1; 2; 3 ])
-    [
-      ("theta", Gtopology.theta 1 2 3);
-      ("K4", Gtopology.complete 4);
-      ("K5", Gtopology.complete 5);
-      ( "cycle+chords",
-        Gtopology.cycle_with_chords (Rng.create ~seed:9) ~n:8 ~chords:2 );
-    ];
-  checkb "some runs quiesce" true (!quiesced > 0)
+(* The exploratory rotor: a naive generalization that does not elect. *)
 
 let test_gnetwork_budget_reports_exhaustion () =
   (* A run stopped by [max_deliveries] must say so ([exhausted =
@@ -1059,30 +1022,44 @@ let test_gnetwork_budget_reports_exhaustion () =
   checkb "not quiescent" false r.Gnetwork.quiescent
 
 let test_rotor_does_not_solve_election () =
-  (* The naive generalization is NOT a leader election: some run ends
-     without the max-ID node as unique leader — evidence (not proof)
-     that the open question needs new ideas, as the paper suggests. *)
-  let g = Gtopology.theta 1 2 3 in
-  let bad = ref false in
-  for seed = 1 to 6 do
-    let r, net, ids = rotor_run g ~seed in
-    if r.Gnetwork.quiescent then begin
-      let leaders =
-        Array.fold_left
-          (fun acc (o : Output.t) ->
-            if Output.equal_role o.role Output.Leader then acc + 1 else acc)
-          0 (Gnetwork.outputs net)
-      in
-      let max_is_leader =
-        Output.equal_role
-          (Gnetwork.output net (Ids.argmax ids)).Output.role
-          Output.Leader
-      in
-      if leaders <> 1 || not max_is_leader then bad := true
-    end
-    else bad := true
-  done;
-  checkb "rotor fails somewhere" true !bad
+  (* The naive generalization is NOT a leader election: the checker
+     finds a schedule of [Gspec.rotor_ablation] that quiesces with two
+     Leaders, minimizes it and confirms it by replay.  The CLI's
+     [check --target ablation:rotor] reports the same verdict. *)
+  let spec = Colring_mc.Gspec.of_target "ablation:rotor" in
+  let module Gmc = Colring_mc.Gspec.Gmc in
+  checkb "expects a violation" true spec.Gmc.expect_violation;
+  let r = Gmc.check spec in
+  (match r.Colring_mc.Mc.counterexample with
+  | None -> Alcotest.fail "ablation:rotor: no counterexample found"
+  | Some ce ->
+      Alcotest.(check string)
+        "violation" "2 leaders" ce.Colring_mc.Mc.violation;
+      checkb "replays" true
+        (snd (Gmc.replay spec ce.Colring_mc.Mc.schedule)
+        = Some ce.Colring_mc.Mc.violation);
+      checkb "confirmed via of_schedule" true (Gmc.confirm spec ce));
+  checkb "same verdict at -j 2" true (Gmc.check ~jobs:2 spec = r);
+  let exe = colring_exe () in
+  let out = Filename.temp_file "colring" ".out" in
+  let code =
+    Sys.command
+      (Filename.quote_command exe
+         [ "check"; "--target"; "ablation:rotor" ]
+         ~stdout:out)
+  in
+  let lines =
+    String.split_on_char '\n' (In_channel.with_open_bin out In_channel.input_all)
+  in
+  Sys.remove out;
+  checki "check exits 0" 0 code;
+  List.iter
+    (fun line -> checkb line true (List.mem line lines))
+    [
+      "violation           2 leaders";
+      "replay reproduces   true";
+      "verdict             broken as predicted (counterexample found)";
+    ]
 
 let () =
   Alcotest.run "colring-graph"
@@ -1145,7 +1122,6 @@ let () =
         ] );
       ( "rotor (exploratory)",
         [
-          Alcotest.test_case "observations" `Quick test_rotor_observations;
           Alcotest.test_case "budget reports exhaustion" `Quick
             test_gnetwork_budget_reports_exhaustion;
           Alcotest.test_case "does not solve election" `Quick

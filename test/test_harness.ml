@@ -24,6 +24,14 @@ let is_error ~flag = function
   | Error msg -> contains_sub msg flag
   | Ok _ -> false
 
+let colring_exe () =
+  match
+    List.find_opt Sys.file_exists
+      [ "../bin/colring.exe"; "_build/default/bin/colring.exe" ]
+  with
+  | Some exe -> exe
+  | None -> Alcotest.fail "colring.exe not built"
+
 let test_cli_validators () =
   checkb "positive accepts 1" true (Cli.positive ~flag:"-j" 1 = Ok 1);
   checkb "positive rejects 0" true (is_error ~flag:"-j" (Cli.positive ~flag:"-j" 0));
@@ -94,14 +102,7 @@ let test_cli_output_paths () =
   (* End to end: every subcommand that takes --journal refuses an
      unopenable path with exit 2 and the flag's name, before it runs
      anything (not exit 125 from an uncaught Sys_error). *)
-  let exe =
-    match
-      List.find_opt Sys.file_exists
-        [ "../bin/colring.exe"; "_build/default/bin/colring.exe" ]
-    with
-    | Some exe -> exe
-    | None -> Alcotest.fail "colring.exe not built"
-  in
+  let exe = colring_exe () in
   let out = Filename.temp_file "colring" ".out" in
   List.iter
     (fun args ->
@@ -133,14 +134,7 @@ let test_cli_output_paths () =
    [--topology ring:N] is refused by name (exit 2) instead of silently
    running the spec's sizes; [ring] itself stays accepted. *)
 let test_batch_refuses_sized_ring () =
-  let exe =
-    match
-      List.find_opt Sys.file_exists
-        [ "../bin/colring.exe"; "_build/default/bin/colring.exe" ]
-    with
-    | Some exe -> exe
-    | None -> Alcotest.fail "colring.exe not built"
-  in
+  let exe = colring_exe () in
   let spec = Filename.temp_file "colring" ".spec" in
   Out_channel.with_open_bin spec (fun oc -> output_string oc "algo2 8 1\n");
   let out = Filename.temp_file "colring" ".out" in
@@ -162,6 +156,55 @@ let test_batch_refuses_sized_ring () =
   checkb "and runs the spec's ring" true
     (contains_sub text "ok                  1");
   Sys.remove spec;
+  Sys.remove out
+
+(* --id-max below the node count is refused once n is known (from -n
+   or --topology) by every subcommand that takes it: exit 2, one line
+   naming the flag, nothing run before it.  Bad -c and --id values are
+   cmdliner usage errors (124); a -c so large that every sampled ID is
+   past anonymous's limit is a refused run (1).  None is an uncaught
+   exception (125). *)
+let test_cli_value_refusals () =
+  let exe = colring_exe () in
+  let out = Filename.temp_file "colring" ".out" in
+  let run args =
+    let code =
+      Sys.command
+        (Filename.quote_command exe args ~stdin:"/dev/null" ~stdout:out
+           ~stderr:out)
+    in
+    (code, In_channel.with_open_bin out In_channel.input_all)
+  in
+  List.iter
+    (fun (args, k) ->
+      let code, text = run args in
+      let what = String.concat " " args in
+      checki (what ^ " exits 2") 2 code;
+      checkb (what ^ " prints only the named error") true
+        (String.starts_with
+           ~prefix:(Printf.sprintf "colring: --id-max %d: " k)
+           text
+        && List.length (String.split_on_char '\n' (String.trim text)) = 1))
+    [
+      ([ "elect"; "-n"; "4"; "--id-max"; "2" ], 2);
+      ([ "elect"; "--topology"; "k4"; "--id-max"; "3" ], 3);
+      ([ "compose"; "-n"; "6"; "--id-max"; "3" ], 3);
+      ([ "check"; "-n"; "4"; "--id-max"; "2" ], 2);
+      ([ "check"; "--topology"; "theta:6"; "--id-max"; "5" ], 5);
+      ([ "fast"; "--id-max"; "0" ], 0);
+    ];
+  List.iter
+    (fun (args, want, prefix) ->
+      let code, text = run args in
+      let what = String.concat " " args in
+      checki (what ^ " exit code") want code;
+      checkb (what ^ " names the flag") true (contains_sub text prefix))
+    [
+      ([ "anonymous"; "-c"; "0" ], 124, "-c 0: ");
+      ([ "anonymous"; "-c"; "nan" ], 124, "-c nan: ");
+      ([ "anonymous"; "-c"; "1e300" ], 1, "past this command's limit");
+      ([ "solitude"; "--id"; "0" ], 124, "--id 0: ");
+    ];
   Sys.remove out
 
 (* colring adversary -n N -k K: the ID space must cover the ring. *)
@@ -509,6 +552,53 @@ let prop_parse_line_total =
       no_raise "parse_line" Batch.parse_line s;
       true)
 
+(* Whole spec files: mostly valid job lines, with blank lines,
+   comments and fuzzed lines mixed in, so both verdicts occur. *)
+let fuzz_spec_text =
+  let open QCheck.Gen in
+  let valid =
+    map3
+      (fun a n seed -> Printf.sprintf "%s %d %d" a n seed)
+      (oneofl [ "algo1"; "algo2"; "algo3-doubled"; "algo3-improved"; "resample" ])
+      (int_range 2 20) (int_range 0 99)
+  in
+  let line =
+    frequency
+      [
+        (8, valid);
+        (1, oneofl [ ""; "  "; "# note"; "\t# algo2 8 1" ]);
+        (1, QCheck.gen fuzz_input);
+      ]
+  in
+  QCheck.make ~print:(Printf.sprintf "%S")
+    (map (String.concat "\n") (list_size (int_range 0 12) line))
+
+(* [parse_spec] never raises; [Ok] holds exactly the job lines (neither
+   blank nor comment) in input order, and [Error] names the 1-based
+   number of the first bad line. *)
+let prop_parse_spec =
+  QCheck.Test.make
+    ~name:"Batch.parse_spec: the job lines in order, or the first bad line"
+    ~count:2000 fuzz_spec_text (fun text ->
+      no_raise "parse_spec" Batch.parse_spec text;
+      let parsed = List.map Batch.parse_line (String.split_on_char '\n' text) in
+      match Batch.parse_spec text with
+      | Ok specs ->
+          List.for_all Result.is_ok parsed
+          && Array.to_list specs
+             = List.filter_map
+                 (function Ok (Some s) -> Some s | Ok None | Error _ -> None)
+                 parsed
+      | Error msg -> (
+          let rec first k = function
+            | [] -> None
+            | Error _ :: _ -> Some k
+            | Ok _ :: rest -> first (k + 1) rest
+          in
+          match first 1 parsed with
+          | None -> false
+          | Some k -> String.starts_with ~prefix:(Printf.sprintf "line %d: " k) msg))
+
 let prop_topo_parse_total =
   QCheck.Test.make ~name:"Topo.parse never raises, Ok round-trips"
     ~count:3000 fuzz_input (fun s ->
@@ -538,20 +628,33 @@ let prop_cli_validators =
         (1, string_size ~gen:printable (int_range 0 6));
       ]
   in
+  let real =
+    frequency
+      [
+        (3, float_range (-5.) 5.);
+        (1, oneofl [ nan; infinity; neg_infinity; 0.; -0.; 1e-300; 1e300 ]);
+        (1, float);
+      ]
+  in
   let flag =
-    oneofl [ "-j"; "-n"; "-k"; "--max-deliveries"; "--topology"; "--latency" ]
+    oneofl
+      [
+        "-j"; "-n"; "-k"; "-c"; "--id"; "--id-max"; "--max-deliveries";
+        "--topology"; "--latency";
+      ]
   in
   let case =
-    quad (int_bound 6) flag (pair int int) (pair (option int) name)
+    quad (int_bound 7) flag (pair int int) (triple (option int) name real)
   in
-  let print (which, flag, (v, w), (o, name)) =
-    Printf.sprintf "validator %d %s v=%d w=%d opt=%s name=%S" which flag v w
+  let print (which, flag, (v, w), (o, name, x)) =
+    Printf.sprintf "validator %d %s v=%d w=%d opt=%s name=%S x=%h" which flag
+      v w
       (match o with Some x -> string_of_int x | None -> "none")
-      name
+      name x
   in
   QCheck.Test.make ~name:"Cli validators: Ok or an error naming the flag"
     ~count:3000 (QCheck.make ~print case)
-    (fun (which, flag, (v, w), (o, name)) ->
+    (fun (which, flag, (v, w), (o, name, x)) ->
       let judge ~value accept = function
         | Ok _ -> accept
         | Error msg ->
@@ -577,6 +680,10 @@ let prop_cli_validators =
               Cli.jobs ~flag None = Ok (Colring_runtime.Pool.default_jobs ())
           | Some x ->
               judge ~value:(string_of_int x) (x >= 1) (Cli.jobs ~flag o))
+      | 6 -> (
+          let r = Cli.positive_float ~flag x in
+          judge ~value:(Printf.sprintf "%g" x) (Float.is_finite x && x > 0.) r
+          && match r with Ok y -> Float.equal y x | Error _ -> true)
       | _ ->
           judge ~value:name
             (List.mem_assoc name Cli.schedulers)
@@ -592,6 +699,8 @@ let cli_tests =
     Alcotest.test_case "topology materializer" `Quick test_topo_materialize;
     Alcotest.test_case "topology size cap" `Quick test_topo_size_cap;
     Alcotest.test_case "adversary id space" `Quick test_cli_adversary_id_space;
+    Alcotest.test_case "id-max, -c and --id refusals" `Quick
+      test_cli_value_refusals;
     Alcotest.test_case "check link budget" `Quick test_cli_check_link_budget;
     Alcotest.test_case "batch refuses ring:N" `Quick
       test_batch_refuses_sized_ring;
@@ -626,6 +735,11 @@ let () =
       ("cli", cli_tests);
       ( "robustness",
         List.map (fun t -> QCheck_alcotest.to_alcotest t)
-          [ prop_parse_line_total; prop_topo_parse_total; prop_cli_validators ]
+          [
+            prop_parse_line_total;
+            prop_parse_spec;
+            prop_topo_parse_total;
+            prop_cli_validators;
+          ]
       );
     ]

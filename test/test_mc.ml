@@ -236,8 +236,8 @@ let test_of_schedule_matches_force_step_replay () =
   Array.iter (fun _ -> ignore (Network.step via_sched sched)) ce.Mc.schedule;
   Alcotest.(check string)
     "same state either way"
-    (Explore.fingerprint via_replay)
-    (Explore.fingerprint via_sched)
+    (Network.fingerprint via_replay)
+    (Network.fingerprint via_sched)
 
 let test_of_schedule_rejects_empty_link_and_delegates () =
   let make () =
