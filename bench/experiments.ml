@@ -909,7 +909,7 @@ module Spec = Colring_mc.Spec
 (* [spec] checked over its whole schedule space, with the fingerprints
    of the terminal states it reached (sleep sets and state caching
    keep every terminal state reachable). *)
-let check_terminals (spec : Network.pulse Mc.spec) =
+let check_terminals (spec : Network.pulse Network.t Mc.spec) =
   let seen = Hashtbl.create 8 in
   let r =
     Mc.check ~max_states:2_000_000
@@ -1188,9 +1188,8 @@ let e14 ~sink =
     gres.Colring_graph.Gnetwork.sends
     (Formulas.algo3_improved_total ~n:8 ~id_max:20)
     (yes_no gres.Colring_graph.Gnetwork.quiescent);
-  let module Gmc = Colring_mc.Gspec.Gmc in
-  let spec = Colring_mc.Gspec.rotor_ablation () in
-  let r = Gmc.check spec in
+  let spec = Colring_mc.Gspec.rotor_ablation ~ids:[| 2; 4; 1; 3 |] in
+  let r = Mc.check spec in
   let t =
     Table.create
       [
@@ -1204,7 +1203,7 @@ let e14 ~sink =
       ]
   in
   Table.add_row t
-    (spec.Gmc.name :: "theta(0,1,1)" :: "2,4,1,3"
+    (spec.Mc.name :: "theta(0,1,1)" :: "2,4,1,3"
      :: Table.cell_int r.Mc.stats.Mc.states
      ::
      (match r.Mc.counterexample with
@@ -1213,7 +1212,7 @@ let e14 ~sink =
          [
            Printf.sprintf "%d deliveries" (Array.length ce.Mc.schedule);
            ce.Mc.violation;
-           yes_no (Gmc.confirm spec ce);
+           yes_no (Mc.confirm spec ce);
          ]));
   print_table ~sink ~name:"e14" t
 

@@ -46,12 +46,17 @@ let n_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
-let id_max_arg =
+(* [default] says what the command assigns without the flag. *)
+let id_max_arg ~default =
   Arg.(
     value
     & opt (some int) None
     & info [ "id-max" ] ~docv:"MAX"
-        ~doc:"Largest assignable ID (default: 2n). IDs are distinct, MAX is used.")
+        ~doc:
+          (Printf.sprintf
+             "Largest assignable ID (default: %s). IDs are distinct, MAX is \
+              used."
+             default))
 
 (* The --scheduler flag yields the validated factory (seed -> fresh
    scheduler); an unknown name exits 2 naming the flag and the valid
@@ -386,8 +391,8 @@ let elect_cmd =
   Cmd.v
     (Cmd.info "elect" ~doc:"Run a content-oblivious leader election.")
     Term.(
-      const elect $ n_arg $ seed_arg $ id_max_arg $ sched_arg $ algo_arg
-      $ trace_arg $ diagram_arg $ journal_arg $ snapshot_arg $ backend_arg
+      const elect $ n_arg $ seed_arg $ id_max_arg ~default:"2n" $ sched_arg
+      $ algo_arg $ trace_arg $ diagram_arg $ journal_arg $ snapshot_arg $ backend_arg
       $ latency_arg $ jitter_arg $ max_deliveries_arg $ topology_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -472,26 +477,34 @@ let solitude_cmd =
 (* ------------------------------------------------------------------ *)
 (* compose *)
 
-let app_arg =
+(* A flag naming one of [names]: an unknown name is a usage error
+   (exit 124) naming the flag and listing the valid ones. *)
+let names_arg ~long ~docv ~default names =
   Arg.(
-    value & opt string "discovery"
-    & info [ "app" ] ~docv:"APP"
-        ~doc:"discovery | gather | sum | chang-roberts | broadcast.")
+    value
+    & opt (enum (List.map (fun s -> (s, s)) names)) default
+    & info [ long ] ~docv ~doc:(String.concat " | " names ^ "."))
+
+(* The Corollary 5 applications, each built from its node's id. *)
+let apps =
+  [
+    ("discovery", fun _ -> Compose.Corollary5.app_ring_discovery);
+    ("gather", fun id -> Compose.Corollary5.app_gather_ids ~my_id:id);
+    ("sum", fun id -> Compose.Corollary5.app_sync_sum ~my_value:id);
+    ( "chang-roberts",
+      fun id -> Compose.Corollary5.app_sync_chang_roberts ~my_id:id );
+    ( "broadcast",
+      fun _ -> Compose.Corollary5.app_broadcast ~payload:[ 72; 69; 76; 76; 79 ]
+    );
+  ]
+
+let app_arg =
+  names_arg ~long:"app" ~docv:"APP" ~default:"discovery" (List.map fst apps)
 
 let compose n seed id_max sched_of app =
   let ids = make_ids ~n ~id_max ~seed in
   let sched = sched_of seed in
-  let mk_app v =
-    match app with
-    | "discovery" -> Compose.Corollary5.app_ring_discovery
-    | "gather" -> Compose.Corollary5.app_gather_ids ~my_id:ids.(v)
-    | "sum" -> Compose.Corollary5.app_sync_sum ~my_value:ids.(v)
-    | "chang-roberts" ->
-        Compose.Corollary5.app_sync_chang_roberts ~my_id:ids.(v)
-    | "broadcast" ->
-        Compose.Corollary5.app_broadcast ~payload:[ 72; 69; 76; 76; 79 ]
-    | other -> failwith (Printf.sprintf "unknown app %S" other)
-  in
+  let mk_app v = List.assoc app apps ids.(v) in
   let net =
     Network.create ~seed (Topology.oriented n) (fun v ->
         Compose.Corollary5.program ~id:ids.(v) ~app:(mk_app v))
@@ -515,18 +528,23 @@ let compose_cmd =
        ~doc:
          "Corollary 5: elect with Algorithm 2, then run a computation over \
           the fully-defective ring.")
-    Term.(const compose $ n_arg $ seed_arg $ id_max_arg $ sched_arg $ app_arg)
+    Term.(
+      const compose $ n_arg $ seed_arg $ id_max_arg ~default:"2n" $ sched_arg
+      $ app_arg)
 
 (* ------------------------------------------------------------------ *)
 (* baseline *)
 
 let baseline_arg =
-  Arg.(
-    value & opt string "chang-roberts"
-    & info [ "algo" ] ~docv:"ALGO"
-        ~doc:
-          "chang-roberts | lelann | hirschberg-sinclair | peterson | \
-           franklin | itai-rodeh.")
+  names_arg ~long:"algo" ~docv:"ALGO" ~default:"chang-roberts"
+    [
+      "chang-roberts";
+      "lelann";
+      "hirschberg-sinclair";
+      "peterson";
+      "franklin";
+      "itai-rodeh";
+    ]
 
 let baseline n seed sched_of algo journal snapshot_every =
   let journal = open_journal journal in
@@ -535,32 +553,24 @@ let baseline n seed sched_of algo journal snapshot_every =
   let sched = sched_of seed in
   let r =
     with_journal journal (fun sink ->
+        let run program =
+          Classic.Driver.run ~seed ~sink ~snapshot_every ~name:algo
+            ~expect_max:ids program ~topo ~sched
+        in
         match algo with
         | "chang-roberts" ->
-            Classic.Driver.run ~seed ~sink ~snapshot_every ~name:algo ~expect_max:ids
-              (fun v -> Classic.Chang_roberts.program ~id:ids.(v))
-              ~topo ~sched
-        | "lelann" ->
-            Classic.Driver.run ~seed ~sink ~snapshot_every ~name:algo ~expect_max:ids
-              (fun v -> Classic.Lelann.program ~id:ids.(v))
-              ~topo ~sched
+            run (fun v -> Classic.Chang_roberts.program ~id:ids.(v))
+        | "lelann" -> run (fun v -> Classic.Lelann.program ~id:ids.(v))
         | "hirschberg-sinclair" ->
-            Classic.Driver.run ~seed ~sink ~snapshot_every ~name:algo ~expect_max:ids
-              (fun v -> Classic.Hirschberg_sinclair.program ~id:ids.(v))
-              ~topo ~sched
-        | "peterson" ->
-            Classic.Driver.run ~seed ~sink ~snapshot_every ~name:algo ~expect_max:ids
-              (fun v -> Classic.Peterson.program ~id:ids.(v))
-              ~topo ~sched
-        | "franklin" ->
-            Classic.Driver.run ~seed ~sink ~snapshot_every ~name:algo ~expect_max:ids
-              (fun v -> Classic.Franklin.program ~id:ids.(v))
-              ~topo ~sched
-        | "itai-rodeh" ->
+            run (fun v -> Classic.Hirschberg_sinclair.program ~id:ids.(v))
+        | "peterson" -> run (fun v -> Classic.Peterson.program ~id:ids.(v))
+        | "franklin" -> run (fun v -> Classic.Franklin.program ~id:ids.(v))
+        | _ ->
+            (* itai-rodeh, the one name left that [baseline_arg] admits;
+               randomized, so no id to expect. *)
             Classic.Driver.run ~seed ~sink ~snapshot_every ~name:algo
               (fun _ -> Classic.Itai_rodeh.program ~n ~range:8)
-              ~topo ~sched
-        | other -> failwith (Printf.sprintf "unknown baseline %S" other))
+              ~topo ~sched)
   in
   Printf.printf "%s on n=%d: %d messages, leader=%s, terminated=%b, drops=%d\n"
     r.algorithm r.n r.messages
@@ -1004,13 +1014,13 @@ let fmt_schedule schedule =
   Printf.sprintf "[%s]"
     (String.concat "; " (Array.to_list (Array.map string_of_int schedule)))
 
-(* Everything below the [check] call is engine-independent: the
-   result/stats/counterexample types live outside the Mc functor, so
-   the ring and graph checkers share this reporting path.
-   [replay_violates] re-runs a minimized schedule on a fresh instance
-   of whichever engine produced it. *)
-let report_check ~name ~expect_violation ~replay_violates ~ids_str ~n ~seed
-    ~id_max ~jobs ~journal (r : Mc.result) =
+(* The one report path, rings and graphs alike.  [n] and [id_max] are
+   those of the instance checked, so a fixed-instance target journals
+   its own. *)
+let report_check ~ids_str ~n ~seed ~id_max ~jobs ~max_states ~journal
+    (McSpec.Packed spec) =
+  let name = spec.Mc.name in
+  let r = Mc.check ~jobs ~max_states spec in
   Printf.printf
     "model-checking %s on ids %s: every delivery schedule, %d worker%s\n" name
     ids_str jobs
@@ -1034,7 +1044,7 @@ let report_check ~name ~expect_violation ~replay_violates ~ids_str ~n ~seed
         Printf.printf "violation           %s\n" ce.Mc.violation;
         (* Replay the minimized schedule on a fresh instance — the
            counterexample is only reported if it reproduces. *)
-        let again = replay_violates ce.Mc.schedule in
+        let again = snd (Mc.replay spec ce.Mc.schedule) <> None in
         Printf.printf "replay reproduces   %b\n" again;
         again
   in
@@ -1066,7 +1076,7 @@ let report_check ~name ~expect_violation ~replay_violates ~ids_str ~n ~seed
               | Some ce -> ce.Mc.violation) );
         ]);
   let found = r.Mc.counterexample <> None in
-  if expect_violation then begin
+  if spec.Mc.expect_violation then begin
     if found && confirmed then begin
       Printf.printf "verdict             broken as predicted (counterexample found)\n";
       0
@@ -1086,21 +1096,6 @@ let report_check ~name ~expect_violation ~replay_violates ~ids_str ~n ~seed
     1
   end
 
-let check_packed n seed id_max ids jobs max_states journal
-    (McSpec.Packed spec) =
-  report_check ~name:spec.Mc.name ~expect_violation:spec.Mc.expect_violation
-    ~replay_violates:(fun sched -> snd (Mc.replay spec sched) <> None)
-    ~ids_str:(fmt_ids ids) ~n ~seed ~id_max ~jobs ~journal
-    (Mc.check ~jobs ~max_states spec)
-
-let check_gspec n seed id_max ~ids_str jobs max_states journal
-    (spec : unit GSpec.Gmc.spec) =
-  report_check ~name:spec.GSpec.Gmc.name
-    ~expect_violation:spec.GSpec.Gmc.expect_violation
-    ~replay_violates:(fun sched -> snd (GSpec.Gmc.replay spec sched) <> None)
-    ~ids_str ~n ~seed ~id_max ~jobs ~journal
-    (GSpec.Gmc.check ~jobs ~max_states spec)
-
 (* Sleep sets are int masks: refuse a topology past the checker's
    link limit up front, naming the flag that sized it. *)
 let within_link_budget ~flag ~value links =
@@ -1111,51 +1106,46 @@ let within_link_budget ~flag ~value links =
 let check n seed id_max target jobs max_states journal topology =
   let journal = open_journal journal in
   let jobs = resolve_jobs jobs in
-  if not (Harness.Topo.is_ring topology) then begin
-    (* A non-ring topology: exhaustively verify the walk election on
-       the materialized graph (distinct seeded ids, like elect). *)
-    let g = Harness.Topo.materialize ~default_n:n topology in
-    within_link_budget ~flag:"--topology"
-      ~value:(Harness.Topo.to_string topology)
-      (Colring_graph.Gnetwork.num_links g);
-    let gn = Colring_graph.Gtopology.n g in
-    let id_max = resolve_id_max ~n:gn ~default:gn id_max in
-    let ids = Ids.distinct (Rng.create ~seed) ~n:gn ~id_max in
-    match
-      GSpec.walk_election
-        ~name:("walk:" ^ Harness.Topo.to_string topology)
-        g ~ids
-    with
+  let run ~ids_str ~n ~id_max build =
+    match build () with
     | exception Invalid_argument msg ->
         Printf.eprintf "colring check: %s\n" msg;
         1
-    | spec ->
-        check_gspec gn seed id_max ~ids_str:(fmt_ids ids) jobs max_states
-          journal spec
-  end
-  else if List.mem target GSpec.targets then
-    (* The named graph targets carry their own fixed tiny instance. *)
-    check_gspec n seed
-      (Option.value ~default:n id_max)
-      ~ids_str:"(fixed instance)" jobs max_states journal
-      (GSpec.of_target target)
-  else begin
-    let n = Harness.Topo.node_count ~default_n:n topology in
-    let flag, value =
-      match topology with
-      | Harness.Topo.Ring (Some _) ->
-          ("--topology", Harness.Topo.to_string topology)
-      | _ -> ("-n", string_of_int n)
-    in
-    within_link_budget ~flag ~value (Network.num_links (Topology.oriented n));
-    let id_max = resolve_id_max ~n ~default:n id_max in
-    let ids = Ids.distinct (Rng.create ~seed) ~n ~id_max in
-    match McSpec.of_target target ~ids ~topo_seed:(seed + 1) with
-    | exception Invalid_argument msg ->
-        Printf.eprintf "colring check: %s\n" msg;
-        1
-    | packed -> check_packed n seed id_max ids jobs max_states journal packed
-  end
+    | packed ->
+        report_check ~ids_str ~n ~seed ~id_max ~jobs ~max_states ~journal
+          packed
+  in
+  match (Harness.Topo.is_ring topology, McSpec.fixed_ids target) with
+  | false, _ ->
+      (* A non-ring topology: exhaustively verify the walk election on
+         the materialized graph (distinct seeded ids, like elect). *)
+      let g = Harness.Topo.materialize ~default_n:n topology in
+      let name = Harness.Topo.to_string topology in
+      within_link_budget ~flag:"--topology" ~value:name
+        (Colring_graph.Gtopology.num_links g);
+      let n = Colring_graph.Gtopology.n g in
+      let id_max = resolve_id_max ~n ~default:n id_max in
+      let ids = Ids.distinct (Rng.create ~seed) ~n ~id_max in
+      run ~ids_str:(fmt_ids ids) ~n ~id_max (fun () ->
+          McSpec.Packed (GSpec.walk_election ~name:("walk:" ^ name) g ~ids))
+  | true, Some ids ->
+      (* A graph target carries its own fixed tiny instance. *)
+      run ~ids_str:"(fixed instance)" ~n:(Array.length ids)
+        ~id_max:(Ids.id_max ids) (fun () ->
+          McSpec.of_target target ~ids ~topo_seed:(seed + 1))
+  | true, None ->
+      let n = Harness.Topo.node_count ~default_n:n topology in
+      let flag, value =
+        match topology with
+        | Harness.Topo.Ring (Some _) ->
+            ("--topology", Harness.Topo.to_string topology)
+        | _ -> ("-n", string_of_int n)
+      in
+      within_link_budget ~flag ~value (Topology.num_links (Topology.oriented n));
+      let id_max = resolve_id_max ~n ~default:n id_max in
+      let ids = Ids.distinct (Rng.create ~seed) ~n ~id_max in
+      run ~ids_str:(fmt_ids ids) ~n ~id_max (fun () ->
+          McSpec.of_target target ~ids ~topo_seed:(seed + 1))
 
 let check_cmd =
   Cmd.v
@@ -1166,7 +1156,12 @@ let check_cmd =
           paper's invariants at every step, and minimize any counterexample \
           into a replayable delivery sequence.")
     Term.(
-      const check $ n_arg $ seed_arg $ id_max_arg $ target_arg $ jobs_arg
+      const check $ n_arg $ seed_arg
+      $ id_max_arg
+          ~default:
+            "n, or the graph's node count with $(b,--topology); a graph \
+             target checks its fixed ids"
+      $ target_arg $ jobs_arg
       $ max_states_arg $ journal_arg $ topology_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1206,7 +1201,7 @@ let fast_cmd =
        ~doc:
          "Exact analytical simulation at scales (huge ID_max) the event \
           engine cannot reach.")
-    Term.(const fast $ n_arg $ seed_arg $ id_max_arg)
+    Term.(const fast $ n_arg $ seed_arg $ id_max_arg ~default:"1,000,000·n")
 
 (* ------------------------------------------------------------------ *)
 

@@ -35,7 +35,7 @@ let program ~id =
   let snap =
     Some
       {
-        Engine_intf.save = (fun () -> [| (if !done_ then 1 else 0) |]);
+        Network.save = (fun () -> [| (if !done_ then 1 else 0) |]);
         load = (fun a -> done_ := a.(0) = 1);
       }
   in

@@ -85,7 +85,7 @@ let program ~id =
   let snap =
     Some
       {
-        Engine_intf.save =
+        Network.save =
           (fun () ->
             let mode_code =
               match !mode with

@@ -68,7 +68,7 @@ let program ~id =
   let snap =
     Some
       {
-        Engine_intf.save =
+        Network.save =
           (fun () ->
             [|
               !phase;

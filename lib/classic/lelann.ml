@@ -31,7 +31,7 @@ let program ~id =
   let snap =
     Some
       {
-        Engine_intf.save = (fun () -> [| !max_seen |]);
+        Network.save = (fun () -> [| !max_seen |]);
         load = (fun a -> max_seen := a.(0));
       }
   in

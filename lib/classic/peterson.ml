@@ -70,7 +70,7 @@ let program ~id =
   let snap =
     Some
       {
-        Engine_intf.save =
+        Network.save =
           (fun () ->
             let code, payload =
               match !mode with

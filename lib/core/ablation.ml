@@ -67,7 +67,7 @@ let algo2_no_lag ~id =
   let snap =
     Some
       {
-        Engine_intf.save =
+        Network.save =
           (fun () ->
             [|
               !rho_cw;
@@ -122,7 +122,7 @@ let algo3_same_virtual_ids ~id =
   let snap =
     Some
       {
-        Engine_intf.save = (fun () -> [| rho.(0); rho.(1) |]);
+        Network.save = (fun () -> [| rho.(0); rho.(1) |]);
         load =
           (fun a ->
             rho.(0) <- a.(0);
@@ -152,7 +152,7 @@ let algo1_no_absorption ~id =
   let snap =
     Some
       {
-        Engine_intf.save = (fun () -> [| !rho |]);
+        Network.save = (fun () -> [| !rho |]);
         load = (fun a -> rho := a.(0));
       }
   in

@@ -57,7 +57,7 @@ let program ~id =
   let snap =
     Some
       {
-        Engine_intf.save =
+        Network.save =
           (fun () ->
             [| st.rho_cw; st.sigma_cw; Output.role_code st.out_role |]);
         load =

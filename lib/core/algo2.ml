@@ -144,7 +144,7 @@ let program ~id =
   let snap =
     Some
       {
-        Engine_intf.save =
+        Network.save =
           (fun () ->
             [|
               st.rho_cw;

@@ -127,7 +127,7 @@ let make ~resample ~scheme ~id =
   let snap =
     Some
       {
-        Engine_intf.save =
+        Network.save =
           (fun () ->
             [|
               st.id;

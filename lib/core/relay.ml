@@ -25,7 +25,7 @@ let program () =
   let snap =
     Some
       {
-        Engine_intf.save =
+        Network.save =
           (fun () -> [| st.rho; (if st.forwarded then 1 else 0) |]);
         load =
           (fun a ->

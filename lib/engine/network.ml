@@ -14,11 +14,13 @@ type 'm api = {
   rng : unit -> Rng.t;
 }
 
+type snapshot = { save : unit -> int array; load : int array -> unit }
+
 type 'api prog = {
   start : 'api -> unit;
   wake : 'api -> unit;
   inspect : unit -> (string * int) list;
-  snap : Engine_intf.snapshot option;
+  snap : snapshot option;
 }
 
 type 'm program = 'm api prog
@@ -28,7 +30,7 @@ let silent_program =
     start = (fun _ -> ());
     wake = (fun _ -> ());
     inspect = (fun () -> []);
-    snap = Some { Engine_intf.save = (fun () -> [||]); load = (fun _ -> ()) };
+    snap = Some { save = (fun () -> [||]); load = (fun _ -> ()) };
   }
 
 module Graph = struct
@@ -625,7 +627,7 @@ let deliver_from (type m) (t : (m, _, _) core) link =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Incremental undo (Engine_intf.NETWORK contract).  One record per
+(* Incremental undo.  One record per
    delivery: the delivered envelope's stamps (and payload), the
    destination's pre-wake program snapshot and engine-side scalars,
    and the wake's journalled consume/send effects.  [undo_step]
@@ -653,7 +655,7 @@ type 'm undo = {
   u_sent_links : int array;
 }
 
-type run_result = Engine_intf.run_result = {
+type run_result = {
   sends : int;
   deliveries : int;
   quiescent : bool;
@@ -754,7 +756,7 @@ module Core = struct
       if dropped then [||]
       else
         match t.programs.(dst).snap with
-        | Some s -> s.Engine_intf.save ()
+        | Some s -> s.save ()
         | None -> assert false (* undo_ok *)
     in
     let u_prev_output = t.outputs.(dst) in
@@ -832,7 +834,7 @@ module Core = struct
       c.deliveries <- c.deliveries - 1;
       c.wakes <- c.wakes - 1;
       (match t.programs.(dst).snap with
-      | Some s -> s.Engine_intf.load u.u_snap
+      | Some s -> s.load u.u_snap
       | None -> assert false);
       t.outputs.(dst) <- u.u_prev_output;
       if u.u_became_term then begin
@@ -915,6 +917,8 @@ module Core = struct
 
   let topology t = t.topo
   let size t = Array.length t.term
+  let num_links t = Array.length t.dst_node
+  let link_dst_node t link = t.dst_node.(link)
   let output t v = t.outputs.(v)
   let outputs t = Array.copy t.outputs
   let terminated t v = t.term.(v)
@@ -978,8 +982,5 @@ let mailbox_payloads (type m) (t : m t) ~node ~port : m array =
 let inject t ~node ~port m =
   let p = port_index port in
   enqueue t ~link:(t.first_link.(node) + p) ~node ~port:p m
-
-let num_links topo = Topology.num_links topo
-let link_dst_node topo link = fst (Topology.link_dst topo link)
 
 let pulse = ()

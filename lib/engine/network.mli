@@ -74,6 +74,10 @@ type 'm api = {
           the program's first read and the same on every later one. *)
 }
 
+type snapshot = { save : unit -> int array; load : int array -> unit }
+(** A program-state codec: [save] encodes the program's whole mutable
+    state as a flat int array, [load] restores it exactly. *)
+
 type 'api prog = {
   start : 'api -> unit;  (** The one initial activation. *)
   wake : 'api -> unit;
@@ -81,11 +85,10 @@ type 'api prog = {
           to a fixpoint and return (never block). *)
   inspect : unit -> (string * int) list;
       (** Named internal counters (ρ, σ, …) for invariant probes. *)
-  snap : Engine_intf.snapshot option;
-      (** Program-state codec for the model checker's incremental undo:
-          [save] flattens the program's whole mutable state to ints,
-          [load] restores it exactly.  [None] opts out — the checker
-          then falls back to replay-from-prefix for this network. *)
+  snap : snapshot option;
+      (** The codec the model checker's incremental undo needs.  [None]
+          opts out — the checker then falls back to replay-from-prefix
+          for this network. *)
 }
 (** A node program over the api record ['api] its node sees; rings and
     graphs share the record. *)
@@ -173,7 +176,7 @@ val create_graph :
     [Colring_graph.Gnetwork.create] derives the tables from a
     [Gtopology.t]. *)
 
-type run_result = Engine_intf.run_result = {
+type run_result = {
   sends : int;  (** Total pulses sent — the paper's message complexity. *)
   deliveries : int;
   quiescent : bool;
@@ -182,8 +185,7 @@ type run_result = Engine_intf.run_result = {
   exhausted : bool;  (** Stopped by [max_deliveries] instead of quiescence. *)
   termination_order : int list;  (** Chronological. *)
 }
-(** Re-export of {!Engine_intf.run_result}, the outcome record every
-    engine shares. *)
+(** The outcome of {!Core.run}, on a ring or a graph. *)
 
 type 'm undo
 (** A delivery's undo record (see {!Core.force_step_undo}). *)
@@ -272,7 +274,7 @@ module Core : sig
 
   (** {2 Incremental undo}
 
-      The {!Engine_intf.NETWORK} undo contract: [force_step_undo] is
+      The model checker's backtracking: [force_step_undo] is
       {!force_step} plus a record of everything the delivery mutated;
       [undo_step] restores the pre-delivery state exactly, including
       metrics, clocks, mailbox/channel contents and the destination
@@ -295,6 +297,13 @@ module Core : sig
 
   val topology : (_, _, 'topo) core -> 'topo
   val size : (_, _, _) core -> int
+
+  val num_links : (_, _, _) core -> int
+  (** Directed links, from the core's own link tables. *)
+
+  val link_dst_node : (_, _, _) core -> int -> int
+  (** The node a directed link delivers to. *)
+
   val output : (_, _, _) core -> int -> Output.t
   val outputs : (_, _, _) core -> Output.t array
   val terminated : (_, _, _) core -> int -> bool
@@ -307,9 +316,8 @@ module Core : sig
   val metrics : (_, _, _) core -> Metrics.t
 
   val fingerprint : (_, _, _) core -> string
-  (** Canonical observable-state string ({!Engine_intf.NETWORK}'s
-      contract): channel and mailbox depths, termination flags, outputs
-      and inspect counters.  Two states print equal iff no monitor can
+  (** Canonical observable-state string: channel and mailbox depths,
+      termination flags, outputs and inspect counters.  Two states print equal iff no monitor can
       tell them apart. *)
 
   val trace : (_, _, _) core -> Trace.t option
@@ -353,11 +361,3 @@ val inject : 'm t -> node:int -> port:Port.t -> 'm -> unit
     same enqueue path as {!field-send}: they are counted in
     {!Metrics.sends} and stamped with the current batch number, exactly
     as if sent by the most recent activation. *)
-
-val num_links : Topology.t -> int
-(** {!Topology.num_links}, re-exported so the ring engine satisfies
-    {!Engine_intf.NETWORK} verbatim. *)
-
-val link_dst_node : Topology.t -> int -> int
-(** The destination node of a directed link (the node component of
-    {!Topology.link_dst}). *)

@@ -59,7 +59,7 @@ let algo3_deg2 ~scheme ~id =
   let snap =
     Some
       {
-        Engine_intf.save =
+        Network.save =
           (fun () -> [| rho.(0); rho.(1); sigma.(0); sigma.(1) |]);
         load =
           (fun a ->
@@ -108,7 +108,7 @@ let rotor ~id =
   let snap =
     Some
       {
-        Engine_intf.save = (fun () -> [| !rho; !sigma; !absorbed |]);
+        Network.save = (fun () -> [| !rho; !sigma; !absorbed |]);
         load =
           (fun a ->
             rho := a.(0);

@@ -126,7 +126,7 @@ let program_of plan ~ids v =
   let snap =
     Some
       {
-        Engine_intf.save = (fun () -> [| !rho |]);
+        Network.save = (fun () -> [| !rho |]);
         load = (fun a -> rho := a.(0));
       }
   in

@@ -21,7 +21,7 @@ type 'api prog = 'api Network.prog = {
   start : 'api -> unit;
   wake : 'api -> unit;
   inspect : unit -> (string * int) list;
-  snap : Engine_intf.snapshot option;
+  snap : Network.snapshot option;
 }
 
 type 'm program = 'm api prog
@@ -29,7 +29,7 @@ type 'm program = 'm api prog
 type 'm t = ('m, 'm api, topology) Network.core
 type 'm undo = 'm Network.undo
 
-type run_result = Engine_intf.run_result = {
+type run_result = Network.run_result = {
   sends : int;
   deliveries : int;
   quiescent : bool;
@@ -53,8 +53,6 @@ let create ?sink ?seed topo make_program =
 
 include Network.Core
 
-let num_links = Gtopology.num_links
-let link_dst_node topo link = fst (Gtopology.link_dst topo link)
 let sends t = Metrics.sends (metrics t)
 
 let post_termination_deliveries t =

@@ -6,10 +6,11 @@
     every link and direction-biased schedulers fall back to their
     tie-breakers.  A [?sink] observes every event through the same
     {!Colring_engine.Sink.t} surface (general-graph journals pass the
-    same [colring journal] validator), {!metrics} has the same counter
-    schema, and the module satisfies
-    {!Colring_engine.Engine_intf.NETWORK}, which lets the model checker
-    functor explore graph elections. *)
+    same [colring journal] validator) and {!metrics} has the same
+    counter schema.  A graph network is a
+    {!Colring_engine.Network.core}, so the one model checker
+    ([Colring_mc.Mc]) explores graph elections exactly as it explores
+    rings. *)
 
 type topology = Gtopology.t
 
@@ -32,7 +33,7 @@ type 'api prog = 'api Colring_engine.Network.prog = {
   start : 'api -> unit;
   wake : 'api -> unit;
   inspect : unit -> (string * int) list;
-  snap : Colring_engine.Engine_intf.snapshot option;
+  snap : Colring_engine.Network.snapshot option;
       (** Program-state codec for the model checker's incremental undo
           (see {!Colring_engine.Network.program}).  [None] opts out. *)
 }
@@ -71,7 +72,7 @@ val create_with :
     [create_with ~carry:Pulses]); [~carry:Payloads] keeps payload
     values too. *)
 
-type run_result = Colring_engine.Engine_intf.run_result = {
+type run_result = Colring_engine.Network.run_result = {
   sends : int;
   deliveries : int;
   quiescent : bool;
@@ -79,8 +80,7 @@ type run_result = Colring_engine.Engine_intf.run_result = {
   exhausted : bool;
   termination_order : int list;
 }
-(** Re-export of the shared outcome record, so graph and ring results
-    interchange. *)
+(** The core's outcome record, so graph and ring results interchange. *)
 
 type 'm undo = 'm Colring_engine.Network.undo
 
@@ -88,7 +88,5 @@ include module type of Colring_engine.Network.Core
 (** Warm reset, running, stepping, undo and observation: the engine
     core's functions, shared with rings. *)
 
-val num_links : Gtopology.t -> int
-val link_dst_node : Gtopology.t -> int -> int
 val sends : 'm t -> int
 val post_termination_deliveries : 'm t -> int

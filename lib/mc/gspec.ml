@@ -1,12 +1,9 @@
 open Colring_engine
 open Colring_graph
 
-(* The graph-engine instantiation of the checker plus the walk-election
-   spec family verified exhaustively in CI: small 2-edge-connected
-   graphs where the whole schedule space fits, and the bridge ablation
-   whose failure the checker must exhibit. *)
-
-module Gmc = Mc.Make (Gnetwork)
+(* The walk-election spec family verified exhaustively in CI: small
+   2-edge-connected graphs where the whole schedule space fits, and the
+   bridge and rotor ablations whose failure the checker must exhibit. *)
 
 let check_quiescent net =
   if Gnetwork.is_quiescent net then None
@@ -100,7 +97,7 @@ let walk_election ?(name = "walk-election") topo ~ids =
   let bound = Gelection.expected_sends plan ~ids in
   let leader_node = covered_argmax decomp ~ids in
   {
-    Gmc.name;
+    Mc.name;
     make = (fun () -> Gelection.make plan ~ids);
     monitor = sends_bound_monitor ~bound;
     terminal =
@@ -160,7 +157,7 @@ let bridge_ablation ~ids =
   let plan = Gelection.plan ~require_2ec:false (barbell ()) in
   let bound = Gelection.expected_sends plan ~ids in
   {
-    Gmc.name = "ablation:bridge";
+    Mc.name = "ablation:bridge";
     make = (fun () -> Gelection.make plan ~ids);
     monitor = sends_bound_monitor ~bound;
     terminal =
@@ -187,11 +184,10 @@ let check_leader_count net =
   in
   if leaders = 1 then None else Some (Printf.sprintf "%d leaders" leaders)
 
-let rotor_ablation () =
+let rotor_ablation ~ids =
   let g = Gtopology.theta 0 1 1 in
-  let ids = [| 2; 4; 1; 3 |] in
   {
-    Gmc.name = "ablation:rotor";
+    Mc.name = "ablation:rotor";
     make = (fun () -> Gnetwork.create g (fun v -> Circulate.rotor ~id:ids.(v)));
     monitor = (fun () _ -> None);
     terminal =
@@ -208,25 +204,3 @@ let rotor_ablation () =
     symmetry = None;
     expect_violation = true;
   }
-
-let targets =
-  [
-    "walk:theta3"; "walk:k4"; "walk:bowtie"; "ablation:bridge"; "ablation:rotor";
-  ]
-
-(* Fixed tiny instances: exhaustiveness matters more than id variety
-   here (the qcheck and sweep layers cover id variety). *)
-let of_target = function
-  | "walk:theta3" ->
-      walk_election ~name:"walk:theta3" (Gtopology.theta 0 1 1)
-        ~ids:[| 2; 4; 1; 3 |]
-  | "walk:k4" ->
-      walk_election ~name:"walk:k4" (Gtopology.complete 4)
-        ~ids:[| 3; 1; 4; 2 |]
-  | "walk:bowtie" ->
-      walk_election ~name:"walk:bowtie" (Gtopology.bowtie ())
-        ~ids:[| 2; 5; 1; 4; 3 |]
-  | "ablation:bridge" -> bridge_ablation ~ids:[| 1; 2; 3; 4; 5; 6 |]
-  | "ablation:rotor" -> rotor_ablation ()
-  | other ->
-      invalid_arg (Printf.sprintf "Gspec.of_target: unknown target %S" other)

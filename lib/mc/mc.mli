@@ -1,6 +1,6 @@
-(** Stateless model checking over the deterministic engines.
+(** Stateless model checking over the deterministic engine core.
 
-    The engines' only nondeterminism is which non-empty link delivers
+    The engine's only nondeterminism is which non-empty link delivers
     next, and a run is a deterministic function of its choice
     sequence, so a recorded sequence of link ids {e is} a state
     snapshot: any state is rebuilt by replaying its prefix on a fresh
@@ -10,10 +10,10 @@
 
     Backtracking is {b incremental} wherever the engine allows it:
     when every program carries a snapshot codec
-    ({!Colring_engine.Engine_intf.NETWORK.undo_capable}), descending
+    ({!Colring_engine.Network.Core.undo_capable}), descending
     is a [force_step_undo] and backtracking an [undo_step] — O(1) per
     edge instead of replaying the whole prefix.  Nodes deeper than
-    [undo_depth] (and engines without codecs) fall back to
+    [undo_depth] (and networks without codecs) fall back to
     replay-from-prefix; the hybrid is transparent in the results and
     only shifts work between {!stats.replayed_deliveries} and
     {!stats.undone_deliveries}.
@@ -61,17 +61,15 @@
     reporting it — a shrink that fails to reproduce falls back to the
     unminimized schedule.
 
-    The checker is a functor over the unified
-    {!Colring_engine.Engine_intf.NETWORK} surface — {!Make} on any
-    conforming engine yields the same algorithm; the toplevel
-    [Mc.check] and friends are its ring instantiation
-    ([Make (Colring_engine.Network)]), so historical callers compile
-    unchanged, and [Gspec] instantiates it on the graph engine
-    ([Make (Colring_graph.Gnetwork)]). *)
+    The checker works on any {!Colring_engine.Network.core}: a ring's
+    [Network.t] or a graph's [Colring_graph.Gnetwork.t].  A {!type-spec}
+    is parametrised by the network it builds, and the link geometry
+    (how many links, which node each delivers to) comes from the
+    core's own link tables. *)
 
 val max_links : int
 (** 60: the most directed links a checked topology may have, since
-    sleep sets are [int] bit masks over link ids.  {!S.check} raises
+    sleep sets are [int] bit masks over link ids.  {!check} raises
     [Invalid_argument] beyond it. *)
 
 type stats = {
@@ -118,91 +116,82 @@ type sym = {
 val depth_violation : string
 (** The violation reported when a schedule exceeds [max_depth]. *)
 
-(** The checker's interface, shared by every engine instantiation. *)
-module type S = sig
-  type 'm net
-  (** The network type of the underlying engine. *)
+type 'net spec = {
+  name : string;  (** For reports and journals. *)
+  make : unit -> 'net;
+      (** A fresh instance.  Must be deterministic: every call builds
+          the identical initial state (fixed topology, ids, seed). *)
+  monitor : unit -> 'net -> string option;
+      (** [monitor ()] creates one safety monitor per path walk; the
+          returned closure is applied after every delivery (and once
+          to the initial state) and returns a violation description,
+          or [None].  It may keep state across the calls of one walk
+          (e.g. previously seen outputs); with [dedup] it must remain
+          a function of the observed state on violation-free paths. *)
+  terminal : 'net -> string option;
+      (** Checked at every state with nothing in flight. *)
+  max_depth : int;
+      (** Delivery budget per schedule; exceeding it is itself a
+          violation ({!depth_violation}) — the checker's termination
+          invariant. *)
+  dedup : bool;  (** Enable state caching (see above). *)
+  reduction : reduction;
+      (** Partial-order reduction level; see {!reduction}. *)
+  symmetry : ('net -> sym) option;
+      (** Canonicalization hook for symmetric (anonymous) systems;
+          requires [dedup].  The checked properties must be
+          invariant under the declared symmetry group. *)
+  expect_violation : bool;
+      (** Whether a counterexample is the {e desired} outcome — true
+          for the ablation variants, which a checker worth its salt
+          must catch. *)
+}
 
-  type 'm spec = {
-    name : string;  (** For reports and journals. *)
-    make : unit -> 'm net;
-        (** A fresh instance.  Must be deterministic: every call builds
-            the identical initial state (fixed topology, ids, seed). *)
-    monitor : unit -> 'm net -> string option;
-        (** [monitor ()] creates one safety monitor per path walk; the
-            returned closure is applied after every delivery (and once
-            to the initial state) and returns a violation description,
-            or [None].  It may keep state across the calls of one walk
-            (e.g. previously seen outputs); with [dedup] it must remain
-            a function of the observed state on violation-free paths. *)
-    terminal : 'm net -> string option;
-        (** Checked at every state with nothing in flight. *)
-    max_depth : int;
-        (** Delivery budget per schedule; exceeding it is itself a
-            violation ({!depth_violation}) — the checker's termination
-            invariant. *)
-    dedup : bool;  (** Enable state caching (see above). *)
-    reduction : reduction;
-        (** Partial-order reduction level; see {!reduction}. *)
-    symmetry : ('m net -> sym) option;
-        (** Canonicalization hook for symmetric (anonymous) systems;
-            requires [dedup].  The checked properties must be
-            invariant under the declared symmetry group. *)
-    expect_violation : bool;
-        (** Whether a counterexample is the {e desired} outcome — true
-            for the ablation variants, which a checker worth its salt
-            must catch. *)
-  }
+val check :
+  ?jobs:int ->
+  ?max_states:int ->
+  ?minimized:bool ->
+  ?split:int ->
+  ?undo_depth:int ->
+  ('m, 'api, 'topo) Colring_engine.Network.core spec ->
+  result
+(** Walk the schedule space of [spec].  A sequential BFS expands
+    the root until at least [split] (default 16) frontier subtrees
+    exist (or the space is exhausted), then the subtrees drain over
+    the {!Colring_runtime.Pool} stealing pool ([jobs], default 1).
+    Results — verdict, minimized counterexample, every stats field —
+    are bit-identical for every [jobs] value.  [max_states] (default
+    1_000_000) bounds the states expanded {e globally}; exceeding it
+    sets {!stats.truncated}.  [undo_depth] caps how deep incremental
+    undo is used before falling back to replay (default: unlimited).
+    The first counterexample in canonical (BFS-frontier, then DFS)
+    order is returned, minimized and replay-confirmed via
+    {!minimize} unless [minimized:false]. *)
 
-  val check :
-    ?jobs:int ->
-    ?max_states:int ->
-    ?minimized:bool ->
-    ?split:int ->
-    ?undo_depth:int ->
-    'm spec ->
-    result
-  (** Walk the schedule space of [spec].  A sequential BFS expands
-      the root until at least [split] (default 16) frontier subtrees
-      exist (or the space is exhausted), then the subtrees drain over
-      the {!Colring_runtime.Pool} stealing pool ([jobs], default 1).
-      Results — verdict, minimized counterexample, every stats field —
-      are bit-identical for every [jobs] value.  [max_states] (default
-      1_000_000) bounds the states expanded {e globally}; exceeding it
-      sets {!stats.truncated}.  [undo_depth] caps how deep incremental
-      undo is used before falling back to replay (default: unlimited).
-      The first counterexample in canonical (BFS-frontier, then DFS)
-      order is returned, minimized and replay-confirmed via
-      {!minimize} unless [minimized:false]. *)
+val replay :
+  (('m, 'api, 'topo) Colring_engine.Network.core as 'net) spec ->
+  int array ->
+  'net * string option
+(** Replay a schedule on a fresh instance: the resulting network and
+    the first violation observed (monitor during the walk, terminal
+    at the end if quiescent, {!depth_violation} if the schedule
+    reaches [max_depth] without violating otherwise).  Raises
+    [Invalid_argument] if the schedule does not fit the run. *)
 
-  val replay : 'm spec -> int array -> 'm net * string option
-  (** Replay a schedule on a fresh instance: the resulting network and
-      the first violation observed (monitor during the walk, terminal
-      at the end if quiescent, {!depth_violation} if the schedule
-      reaches [max_depth] without violating otherwise).  Raises
-      [Invalid_argument] if the schedule does not fit the run. *)
+val minimize :
+  (_, _, _) Colring_engine.Network.core spec -> counterexample -> counterexample
+(** Greedy shrinking: truncate at the first violating step, then
+    repeatedly try dropping single deliveries (skipping infeasible
+    candidates) until no removal preserves a violation.  The result
+    is 1-minimal — every single-element removal is violation-free —
+    though not necessarily globally minimal.  The shrunk schedule is
+    re-confirmed with {!confirm}; if confirmation fails the original
+    counterexample is returned unchanged. *)
 
-  val minimize : 'm spec -> counterexample -> counterexample
-  (** Greedy shrinking: truncate at the first violating step, then
-      repeatedly try dropping single deliveries (skipping infeasible
-      candidates) until no removal preserves a violation.  The result
-      is 1-minimal — every single-element removal is violation-free —
-      though not necessarily globally minimal.  The shrunk schedule is
-      re-confirmed with {!confirm}; if confirmation fails the original
-      counterexample is returned unchanged. *)
-
-  val confirm : 'm spec -> counterexample -> bool
-  (** Drive the counterexample's schedule through the engine's
-      {e ordinary} run loop ({!Colring_engine.Scheduler.of_schedule} —
-      not the checker's forcing path) on a fresh instance and report
-      whether a violation reproduces.  Guards {!minimize} against
-      shrinker bugs. *)
-end
-
-module Make (N : Colring_engine.Engine_intf.NETWORK) :
-  S with type 'm net = 'm N.t
-(** Instantiate the checker on any unified engine. *)
-
-include S with type 'm net = 'm Colring_engine.Network.t
-(** The historical ring-engine API ([Mc.spec], [Mc.check], …):
-    {!Make} applied to {!Colring_engine.Network}. *)
+val confirm :
+  (_, _, _) Colring_engine.Network.core spec -> counterexample -> bool
+(** Drive the counterexample's schedule through the engine's
+    {e ordinary} run loop ({!Colring_engine.Scheduler.of_schedule} —
+    not the checker's forcing path) on a fresh instance and report
+    whether a violation reproduces.  Guards {!minimize} against
+    shrinker bugs. *)

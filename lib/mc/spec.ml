@@ -2,9 +2,10 @@ open Colring_engine
 open Colring_core
 module Classic = Colring_classic
 module Rng = Colring_stats.Rng
+module Gtopology = Colring_graph.Gtopology
 
 type ablation = No_lag | Same_virtual_ids | No_absorption
-type packed = Packed : 'm Mc.spec -> packed
+type packed = Packed : (_, _, _) Network.core Mc.spec -> packed
 
 (* ------------------------------------------------------------------ *)
 (* Verdict pieces (the terminal predicates are conjunctions of these) *)
@@ -392,6 +393,28 @@ let anon_relay ~n =
     expect_violation = false;
   }
 
+(* ------------------------------------------------------------------ *)
+(* The target table *)
+
+(* The graph targets check one fixed tiny instance each:
+   exhaustiveness matters more than id variety here (the qcheck and
+   sweep layers cover id variety). *)
+let fixed_targets =
+  let walk name g ids = Packed (Gspec.walk_election ~name (g ()) ~ids) in
+  [
+    ( "walk:theta3",
+      [| 2; 4; 1; 3 |],
+      walk "walk:theta3" (fun () -> Gtopology.theta 0 1 1) );
+    ("walk:k4", [| 3; 1; 4; 2 |], walk "walk:k4" (fun () -> Gtopology.complete 4));
+    ("walk:bowtie", [| 2; 5; 1; 4; 3 |], walk "walk:bowtie" Gtopology.bowtie);
+    ( "ablation:bridge",
+      [| 1; 2; 3; 4; 5; 6 |],
+      fun ids -> Packed (Gspec.bridge_ablation ~ids) );
+    ( "ablation:rotor",
+      [| 2; 4; 1; 3 |],
+      fun ids -> Packed (Gspec.rotor_ablation ~ids) );
+  ]
+
 let targets =
   [
     "algo1";
@@ -408,22 +431,34 @@ let targets =
     "peterson";
     "franklin";
   ]
+  @ List.map (fun (name, _, _) -> name) fixed_targets
+
+let fixed_ids target =
+  List.find_map
+    (fun (name, ids, _) -> if String.equal name target then Some ids else None)
+    fixed_targets
 
 let of_target target ~ids ~topo_seed =
-  match target with
-  | "algo1" -> Packed (election Election.Algo1 ~ids ~topo_seed)
-  | "algo2" -> Packed (election Election.Algo2 ~ids ~topo_seed)
-  | "algo3-doubled" ->
-      Packed (election (Election.Algo3 Algo3.Doubled) ~ids ~topo_seed)
-  | "algo3-improved" ->
-      Packed (election (Election.Algo3 Algo3.Improved) ~ids ~topo_seed)
-  | "ablation:no-lag" -> Packed (ablation No_lag ~ids ~topo_seed)
-  | "ablation:same-virtual-ids" ->
-      Packed (ablation Same_virtual_ids ~ids ~topo_seed)
-  | "ablation:no-absorption" -> Packed (ablation No_absorption ~ids ~topo_seed)
-  | "anon:relay" -> Packed (anon_relay ~n:(Array.length ids))
-  | "algo3-resample" ->
-      invalid_arg
-        "Spec.of_target: algo3-resample is randomized; model checking needs a \
-         deterministic system"
-  | other -> classic other ~ids
+  match
+    List.find_opt (fun (name, _, _) -> String.equal name target) fixed_targets
+  with
+  | Some (_, fixed, build) -> build fixed
+  | None -> (
+      match target with
+      | "algo1" -> Packed (election Election.Algo1 ~ids ~topo_seed)
+      | "algo2" -> Packed (election Election.Algo2 ~ids ~topo_seed)
+      | "algo3-doubled" ->
+          Packed (election (Election.Algo3 Algo3.Doubled) ~ids ~topo_seed)
+      | "algo3-improved" ->
+          Packed (election (Election.Algo3 Algo3.Improved) ~ids ~topo_seed)
+      | "ablation:no-lag" -> Packed (ablation No_lag ~ids ~topo_seed)
+      | "ablation:same-virtual-ids" ->
+          Packed (ablation Same_virtual_ids ~ids ~topo_seed)
+      | "ablation:no-absorption" ->
+          Packed (ablation No_absorption ~ids ~topo_seed)
+      | "anon:relay" -> Packed (anon_relay ~n:(Array.length ids))
+      | "algo3-resample" ->
+          invalid_arg
+            "Spec.of_target: algo3-resample is randomized; model checking \
+             needs a deterministic system"
+      | other -> classic other ~ids)

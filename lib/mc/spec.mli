@@ -30,15 +30,15 @@
 
 type ablation = No_lag | Same_virtual_ids | No_absorption
 
-type packed = Packed : 'm Mc.spec -> packed
-    (** Existential wrapper so a CLI can treat pulse protocols and
-        content-carrying classics uniformly. *)
+type packed = Packed : (_, _, _) Colring_engine.Network.core Mc.spec -> packed
+    (** Existential wrapper so a CLI can treat pulse protocols,
+        content-carrying classics and graph elections uniformly. *)
 
 val election :
   Colring_core.Election.algorithm ->
   ids:int array ->
   topo_seed:int ->
-  Colring_engine.Network.pulse Mc.spec
+  Colring_engine.Network.pulse Colring_engine.Network.t Mc.spec
 (** Spec for one of the paper's algorithms on its natural topology:
     oriented for 1 and 2, a seed-derived non-oriented ring for 3.
     IDs must be positive, [Array.length ids] is the ring size.
@@ -48,12 +48,13 @@ val ablation :
   ablation ->
   ids:int array ->
   topo_seed:int ->
-  Colring_engine.Network.pulse Mc.spec
+  Colring_engine.Network.pulse Colring_engine.Network.t Mc.spec
 (** Same shapes with the broken program substituted and
     [expect_violation] set: checking one of these {e must} produce a
     counterexample. *)
 
-val anon_relay : n:int -> Colring_engine.Network.pulse Mc.spec
+val anon_relay :
+  n:int -> Colring_engine.Network.pulse Colring_engine.Network.t Mc.spec
 (** The anonymous {!Colring_core.Relay} protocol on an oriented ring
     of [n] nodes — every node identical, so the spec carries a
     rotation {!Mc.sym} hook and exercises the checker's symmetry
@@ -68,7 +69,17 @@ val classic : string -> ids:int array -> packed
     names and for the randomized [itai-rodeh]. *)
 
 val of_target : string -> ids:int array -> topo_seed:int -> packed
-(** Parse any {!targets} string into its spec. *)
+(** Parse any {!targets} string into its spec.  A ring target is built
+    on [ids] (and, for Algorithm 3's shapes, a ring drawn from
+    [topo_seed]); a graph target ({!fixed_ids}) ignores both and
+    builds its fixed instance. *)
+
+val fixed_ids : string -> int array option
+(** The ids of a graph target's fixed instance — [walk:theta3],
+    [walk:k4], [walk:bowtie] (the {!Gspec.walk_election}),
+    [ablation:bridge] and [ablation:rotor] — whose node count is the
+    array's length; [None] for a ring target. *)
 
 val targets : string list
-(** Every name {!of_target} accepts, in display order. *)
+(** Every name {!of_target} accepts, in display order: the ring
+    targets, then the graph targets. *)

@@ -867,7 +867,7 @@ let lazy_relay ~first () =
     snap =
       Some
         {
-          Engine_intf.save = (fun () -> [| !wakes |]);
+          Network.save = (fun () -> [| !wakes |]);
           load = (fun a -> wakes := a.(0));
         };
   }

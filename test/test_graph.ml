@@ -373,7 +373,7 @@ let test_pinned_digests () =
   in
   checks "check --topology k4 -j 1" "8bf21d9bb02771c892f475b5e613c420"
     (check_row ~name:"walk:k4" ~n:4 ~id_max:4
-       (Gspec.Gmc.check ~jobs:1 ~max_states:1_000_000 spec))
+       (Colring_mc.Mc.check ~jobs:1 ~max_states:1_000_000 spec))
 
 let colring_exe () =
   match
@@ -1026,20 +1026,20 @@ let test_rotor_does_not_solve_election () =
      finds a schedule of [Gspec.rotor_ablation] that quiesces with two
      Leaders, minimizes it and confirms it by replay.  The CLI's
      [check --target ablation:rotor] reports the same verdict. *)
-  let spec = Colring_mc.Gspec.of_target "ablation:rotor" in
-  let module Gmc = Colring_mc.Gspec.Gmc in
-  checkb "expects a violation" true spec.Gmc.expect_violation;
-  let r = Gmc.check spec in
-  (match r.Colring_mc.Mc.counterexample with
+  let module Mc = Colring_mc.Mc in
+  let (Colring_mc.Spec.Packed spec) =
+    Colring_mc.Spec.of_target "ablation:rotor" ~ids:[||] ~topo_seed:0
+  in
+  checkb "expects a violation" true spec.Mc.expect_violation;
+  let r = Mc.check spec in
+  (match r.Mc.counterexample with
   | None -> Alcotest.fail "ablation:rotor: no counterexample found"
   | Some ce ->
-      Alcotest.(check string)
-        "violation" "2 leaders" ce.Colring_mc.Mc.violation;
+      Alcotest.(check string) "violation" "2 leaders" ce.Mc.violation;
       checkb "replays" true
-        (snd (Gmc.replay spec ce.Colring_mc.Mc.schedule)
-        = Some ce.Colring_mc.Mc.violation);
-      checkb "confirmed via of_schedule" true (Gmc.confirm spec ce));
-  checkb "same verdict at -j 2" true (Gmc.check ~jobs:2 spec = r);
+        (snd (Mc.replay spec ce.Mc.schedule) = Some ce.Mc.violation);
+      checkb "confirmed via of_schedule" true (Mc.confirm spec ce));
+  checkb "same verdict at -j 2" true (Mc.check ~jobs:2 spec = r);
   let exe = colring_exe () in
   let out = Filename.temp_file "colring" ".out" in
   let code =

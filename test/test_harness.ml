@@ -204,7 +204,102 @@ let test_cli_value_refusals () =
       ([ "anonymous"; "-c"; "nan" ], 124, "-c nan: ");
       ([ "anonymous"; "-c"; "1e300" ], 1, "past this command's limit");
       ([ "solitude"; "--id"; "0" ], 124, "--id 0: ");
+      ([ "compose"; "--app"; "foo" ], 124, "option '--app': invalid value 'foo'");
+      ( [ "baseline"; "--algo"; "foo" ],
+        124,
+        "option '--algo': invalid value 'foo'" );
     ];
+  (* A name flag lists every name it accepts. *)
+  List.iter
+    (fun (args, names) ->
+      let _, text = run args in
+      List.iter
+        (fun name ->
+          checkb
+            (String.concat " " args ^ " lists " ^ name)
+            true
+            (contains_sub text ("'" ^ name ^ "'")))
+        names)
+    [
+      ( [ "compose"; "--app"; "foo" ],
+        [ "discovery"; "gather"; "sum"; "chang-roberts"; "broadcast" ] );
+      ( [ "baseline"; "--algo"; "foo" ],
+        [
+          "chang-roberts";
+          "lelann";
+          "hirschberg-sinclair";
+          "peterson";
+          "franklin";
+          "itai-rodeh";
+        ] );
+    ];
+  Sys.remove out
+
+(* Each command's --help states the --id-max default it applies. *)
+let test_cli_id_max_help () =
+  let exe = colring_exe () in
+  let out = Filename.temp_file "colring" ".out" in
+  let help cmd =
+    let code =
+      Sys.command
+        (Filename.quote_command exe [ cmd; "--help=plain" ] ~stdout:out)
+    in
+    checki (cmd ^ " --help exits 0") 0 code;
+    (* Undo the help renderer's line wrapping. *)
+    String.concat " "
+      (List.filter (( <> ) "")
+         (String.split_on_char ' '
+            (String.map
+               (fun c -> if c = '\n' then ' ' else c)
+               (In_channel.with_open_bin out In_channel.input_all))))
+  in
+  List.iter
+    (fun (cmd, default) ->
+      checkb
+        (cmd ^ " --id-max default")
+        true
+        (contains_sub (help cmd)
+           ("Largest assignable ID (default: " ^ default ^ ").")))
+    [
+      ("elect", "2n");
+      ("compose", "2n");
+      ( "check",
+        "n, or the graph's node count with --topology; a graph target checks \
+         its fixed ids" );
+      ("fast", "1,000,000·n");
+    ];
+  Sys.remove out
+
+(* colring check on a graph target journals the n and id_max of the
+   fixed instance it checks, whatever -n and --id-max say. *)
+let test_check_fixed_instance_journal () =
+  let exe = colring_exe () in
+  let journal = Filename.temp_file "colring" ".jsonl" in
+  let out = Filename.temp_file "colring" ".out" in
+  List.iter
+    (fun target ->
+      match Colring_mc.Spec.fixed_ids target with
+      | None -> ()
+      | Some ids ->
+          let code =
+            Sys.command
+              (Filename.quote_command exe
+                 [
+                   "check"; "--target"; target; "-n"; "8"; "--id-max"; "1";
+                   "--journal"; journal;
+                 ]
+                 ~stdout:out)
+          in
+          checki (target ^ " exits 0") 0 code;
+          let row = In_channel.with_open_bin journal In_channel.input_all in
+          checkb
+            (target ^ " journals its instance")
+            true
+            (contains_sub row
+               (Printf.sprintf "\"n\":%d,\"id_max\":%d,"
+                  (Array.length ids) (Ids.id_max ids))))
+    Colring_mc.Spec.targets;
+  Sys.remove journal;
   Sys.remove out
 
 (* colring adversary -n N -k K: the ID space must cover the ring. *)
@@ -216,12 +311,12 @@ let test_cli_adversary_id_space () =
 
 (* colring check: a topology past the model checker's link limit is
    refused by the flag that sized it, not by an exception from
-   Mc.check.  Link counts come from each engine's [num_links]. *)
+   Mc.check.  Link counts come from each topology's [num_links]. *)
 let test_cli_check_link_budget () =
   let budget ~flag ~value links =
     Cli.link_budget ~flag ~value ~max:Colring_mc.Mc.max_links links
   in
-  let ring n = Network.num_links (Topology.oriented n) in
+  let ring n = Topology.num_links (Topology.oriented n) in
   checkb "ring n = 30 fits" true
     (budget ~flag:"-n" ~value:"30" (ring 30) = Ok 60);
   let r = budget ~flag:"-n" ~value:"31" (ring 31) in
@@ -229,7 +324,7 @@ let test_cli_check_link_budget () =
   checkb "message gives the count and the limit" true
     (is_error ~flag:"62 directed links" r && is_error ~flag:"at most 60" r);
   let theta =
-    Colring_graph.Gnetwork.num_links
+    Colring_graph.Gtopology.num_links
       (Topo.materialize ~default_n:8 (Topo.Theta 40))
   in
   checkb "theta:40 refused by --topology" true
@@ -701,7 +796,10 @@ let cli_tests =
     Alcotest.test_case "adversary id space" `Quick test_cli_adversary_id_space;
     Alcotest.test_case "id-max, -c and --id refusals" `Quick
       test_cli_value_refusals;
+    Alcotest.test_case "id-max help defaults" `Quick test_cli_id_max_help;
     Alcotest.test_case "check link budget" `Quick test_cli_check_link_budget;
+    Alcotest.test_case "check journals the fixed instance" `Quick
+      test_check_fixed_instance_journal;
     Alcotest.test_case "batch refuses ring:N" `Quick
       test_batch_refuses_sized_ring;
   ]

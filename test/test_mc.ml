@@ -111,17 +111,20 @@ let test_ablations_yield_minimized_counterexamples () =
     ablation_targets
 
 (* ------------------------------------------------------------------ *)
-(* Graph checking: the Mc functor on the graph engine (Gspec.Gmc) *)
+(* Graph checking: the same Mc.check on graph cores, through the same
+   target table (a graph target ignores [ids] and checks its fixed
+   instance) *)
 
 let graph_correct_targets = [ "walk:theta3"; "walk:k4"; "walk:bowtie" ]
+let graph_target target = Spec.of_target target ~ids:[||] ~topo_seed:0
 
 let test_graph_targets_verify_exhaustively () =
   List.iter
     (fun target ->
-      let spec = Gspec.of_target target in
+      let (Spec.Packed spec) = graph_target target in
       checkb (target ^ " does not expect a violation") false
-        spec.Gspec.Gmc.expect_violation;
-      let r = Gspec.Gmc.check ~jobs:2 spec in
+        spec.Mc.expect_violation;
+      let r = Mc.check ~jobs:2 spec in
       checkb (target ^ " explored exhaustively") false r.Mc.stats.Mc.truncated;
       checkb
         (target ^ " reached at least one terminal state")
@@ -131,9 +134,7 @@ let test_graph_targets_verify_exhaustively () =
         (r.Mc.counterexample = None);
       (* The source-set reduction must agree with plain sleep sets on
          the verdict while exploring no more of the space. *)
-      let sleepy =
-        Gspec.Gmc.check ~jobs:2 { spec with Gspec.Gmc.reduction = Mc.Sleep }
-      in
+      let sleepy = Mc.check ~jobs:2 { spec with Mc.reduction = Mc.Sleep } in
       checkb
         (target ^ " sleep-only run is exhaustive")
         false sleepy.Mc.stats.Mc.truncated;
@@ -151,23 +152,18 @@ let test_graph_targets_verify_exhaustively () =
         (r.Mc.stats.Mc.states <= sleepy.Mc.stats.Mc.states))
     graph_correct_targets
 
-let gviolation_of spec schedule =
-  match Gspec.Gmc.replay spec schedule with
-  | _, v -> v
-  | exception Invalid_argument _ -> None
-
 let test_bridge_ablation_minimized_counterexample () =
-  let spec = Gspec.of_target "ablation:bridge" in
-  checkb "expects a violation" true spec.Gspec.Gmc.expect_violation;
-  let r = Gspec.Gmc.check spec in
+  let (Spec.Packed spec) = graph_target "ablation:bridge" in
+  checkb "expects a violation" true spec.Mc.expect_violation;
+  let r = Mc.check spec in
   match r.Mc.counterexample with
   | None -> Alcotest.fail "ablation:bridge: no counterexample found"
   | Some ce ->
       (* Replayable on a fresh instance with the same violation. *)
-      (match Gspec.Gmc.replay spec ce.Mc.schedule with
+      (match Mc.replay spec ce.Mc.schedule with
       | _, Some v -> Alcotest.(check string) "reproduces" ce.Mc.violation v
       | _, None -> Alcotest.fail "counterexample does not replay");
-      checkb "confirmed via of_schedule" true (Gspec.Gmc.confirm spec ce);
+      checkb "confirmed via of_schedule" true (Mc.confirm spec ce);
       (* 1-minimal: quiescence needs every pulse delivered, so the
          minimal schedule is one complete run of the covered walk. *)
       Array.iteri
@@ -175,40 +171,17 @@ let test_bridge_ablation_minimized_counterexample () =
           checkb
             (Printf.sprintf "minimal at %d" i)
             true
-            (gviolation_of spec (drop_one ce.Mc.schedule i) = None))
+            (violation_of spec (drop_one ce.Mc.schedule i) = None))
         ce.Mc.schedule
 
 let test_graph_check_jobs_independence () =
   List.iter
     (fun target ->
-      let spec = Gspec.of_target target in
-      let r1 = Gspec.Gmc.check ~jobs:1 spec in
-      let r4 = Gspec.Gmc.check ~jobs:4 spec in
+      let (Spec.Packed spec) = graph_target target in
+      let r1 = Mc.check ~jobs:1 spec in
+      let r4 = Mc.check ~jobs:4 spec in
       checkb (target ^ " identical for -j 1 and -j 4") true (r1 = r4))
     [ "walk:k4"; "ablation:bridge" ]
-
-(* The functor applied to the ring engine IS the toplevel Mc API: a
-   ring spec checked through an explicit [Mc.Make (Network)]
-   instantiation agrees with [Mc.check] result-for-result. *)
-module Ring_mc = Mc.Make (Network)
-
-let test_ring_instantiation_agrees_with_toplevel () =
-  let spec = Spec.election Election.Algo2 ~ids:(ids 3) ~topo_seed:2 in
-  let via_functor =
-    Ring_mc.check
-      {
-        Ring_mc.name = spec.Mc.name;
-        make = spec.Mc.make;
-        monitor = spec.Mc.monitor;
-        terminal = spec.Mc.terminal;
-        max_depth = spec.Mc.max_depth;
-        dedup = spec.Mc.dedup;
-        reduction = spec.Mc.reduction;
-        symmetry = spec.Mc.symmetry;
-        expect_violation = spec.Mc.expect_violation;
-      }
-  in
-  checkb "same result through Make" true (via_functor = Mc.check spec)
 
 (* ------------------------------------------------------------------ *)
 (* Worker-count independence *)
@@ -396,69 +369,64 @@ let test_relay_symmetry_reduction () =
 (* ------------------------------------------------------------------ *)
 (* Properties: undo = replay, and inductive invariants on samples *)
 
-module Undo_prop (N : Engine_intf.NETWORK) = struct
-  (* Drive [plen] random deliveries, then [slen] more through the
-     incremental-undo path, roll them back, and require the state to
-     match both the pre-suffix fingerprint and a fresh replay of the
-     prefix — the exact contract the checker's backtracker leans on.
-     Then drive both networks through [slen] more equal deliveries:
-     program state the fingerprint does not show (such as the output a
-     program last published) must have been restored too. *)
-  let holds ~make (plen, slen, seed) =
-    let rng = Rng.create ~seed in
-    let net = make () in
-    let prefix = ref [] in
-    let pick net =
-      let count = N.enabled_count net in
-      if count = 0 then None
-      else begin
-        let k = Rng.int rng count in
-        let l = ref (N.enabled_link net ~after:(-1)) in
-        for _ = 1 to k do
-          l := N.enabled_link net ~after:!l
-        done;
-        Some !l
-      end
-    in
-    (try
-       for _ = 1 to plen do
-         match pick net with
-         | None -> raise Exit
-         | Some link ->
-             N.force_step net ~link;
-             prefix := link :: !prefix
-       done
-     with Exit -> ());
-    let fp0 = N.fingerprint net in
-    let undos = ref [] in
-    (try
-       for _ = 1 to slen do
-         match pick net with
-         | None -> raise Exit
-         | Some link -> undos := N.force_step_undo net ~link :: !undos
-       done
-     with Exit -> ());
-    List.iter (fun u -> N.undo_step net u) !undos;
-    let replayed = make () in
-    List.iter (fun link -> N.force_step replayed ~link) (List.rev !prefix);
-    let rec agree k =
-      k = 0
-      ||
-      match pick net with
-      | None -> true
-      | Some link ->
-          N.force_step net ~link;
-          N.force_step replayed ~link;
-          String.equal (N.fingerprint net) (N.fingerprint replayed)
-          && agree (k - 1)
-    in
-    String.equal (N.fingerprint net) fp0
-    && String.equal (N.fingerprint replayed) fp0
-    && agree slen
-end
-
-module Ring_undo = Undo_prop (Network)
-module Graph_undo = Undo_prop (Colring_graph.Gnetwork)
+(* Drive [plen] random deliveries, then [slen] more through the
+   incremental-undo path, roll them back, and require the state to
+   match both the pre-suffix fingerprint and a fresh replay of the
+   prefix — the exact contract the checker's backtracker leans on.
+   Then drive both networks through [slen] more equal deliveries:
+   program state the fingerprint does not show (such as the output a
+   program last published) must have been restored too. *)
+let undo_holds ~make (plen, slen, seed) =
+  let rng = Rng.create ~seed in
+  let net = make () in
+  let prefix = ref [] in
+  let pick net =
+    let count = Network.enabled_count net in
+    if count = 0 then None
+    else begin
+      let k = Rng.int rng count in
+      let l = ref (Network.enabled_link net ~after:(-1)) in
+      for _ = 1 to k do
+        l := Network.enabled_link net ~after:!l
+      done;
+      Some !l
+    end
+  in
+  (try
+     for _ = 1 to plen do
+       match pick net with
+       | None -> raise Exit
+       | Some link ->
+           Network.force_step net ~link;
+           prefix := link :: !prefix
+     done
+   with Exit -> ());
+  let fp0 = Network.fingerprint net in
+  let undos = ref [] in
+  (try
+     for _ = 1 to slen do
+       match pick net with
+       | None -> raise Exit
+       | Some link -> undos := Network.force_step_undo net ~link :: !undos
+     done
+   with Exit -> ());
+  List.iter (fun u -> Network.undo_step net u) !undos;
+  let replayed = make () in
+  List.iter (fun link -> Network.force_step replayed ~link) (List.rev !prefix);
+  let rec agree k =
+    k = 0
+    ||
+    match pick net with
+    | None -> true
+    | Some link ->
+        Network.force_step net ~link;
+        Network.force_step replayed ~link;
+        String.equal (Network.fingerprint net) (Network.fingerprint replayed)
+        && agree (k - 1)
+  in
+  String.equal (Network.fingerprint net) fp0
+  && String.equal (Network.fingerprint replayed) fp0
+  && agree slen
 
 let arb_undo =
   QCheck.make
@@ -475,7 +443,7 @@ let prop_undo_ring =
         | 1 -> Algo2.program ~id
         | _ -> Algo3.program ~scheme:Algo3.Improved ~id
       in
-      Ring_undo.holds
+      undo_holds
         ~make:(fun () ->
           Network.create (Topology.oriented 4) (fun v -> program ~id:(v + 1)))
         inst)
@@ -484,8 +452,8 @@ let prop_undo_graph =
   QCheck.Test.make ~name:"graph undo-after-suffix = replay-from-prefix"
     ~count:100 arb_undo
     (fun inst ->
-      let spec = Gspec.of_target "walk:theta3" in
-      Graph_undo.holds ~make:spec.Gspec.Gmc.make inst)
+      let (Spec.Packed spec) = graph_target "walk:theta3" in
+      undo_holds ~make:spec.Mc.make inst)
 
 let arb_ring_instance =
   QCheck.make
@@ -553,8 +521,6 @@ let () =
             test_bridge_ablation_minimized_counterexample;
           Alcotest.test_case "graph jobs independence" `Quick
             test_graph_check_jobs_independence;
-          Alcotest.test_case "ring functor instantiation" `Quick
-            test_ring_instantiation_agrees_with_toplevel;
         ] );
       ( "determinism",
         [
