@@ -1,5 +1,6 @@
-(* A minimal JSON writer for bench reports — just enough to emit
-   BENCH_engine.json without adding a JSON dependency. *)
+(* A minimal JSON value, writer and reader, without a JSON dependency:
+   [colring journal] reads and validates run journals with it, and the
+   tests read journals back and round-trip values. *)
 
 type t =
   | Bool of bool
@@ -69,16 +70,11 @@ let to_string v =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let write_file path v =
-  let oc = open_out path in
-  output_string oc (to_string v);
-  close_out oc
-
 (* {2 Reading}
 
-   A parser for the subset this writer emits, so the bench can read a
-   report back and validate its shape (and tests can round-trip) —
-   still without a JSON dependency. *)
+   A parser for JSON as the journals and this writer emit it, so
+   [colring journal] can validate a journal line by line and tests can
+   round-trip. *)
 
 exception Parse_error of string
 
@@ -235,21 +231,11 @@ let of_string s =
   if !pos <> len then fail "trailing garbage";
   v
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let contents = really_input_string ic n in
-  close_in ic;
-  of_string contents
-
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
 let get_int = function Int i -> Some i | _ -> None
-let get_float = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None
-let get_list = function List xs -> Some xs | _ -> None
-
 let get_string = function String s -> Some s | _ -> None
 let get_bool = function Bool b -> Some b | _ -> None
 

@@ -1188,7 +1188,7 @@ let e14 ~sink =
     gres.Colring_graph.Gnetwork.sends
     (Formulas.algo3_improved_total ~n:8 ~id_max:20)
     (yes_no gres.Colring_graph.Gnetwork.quiescent);
-  let spec = Colring_mc.Gspec.rotor_ablation ~ids:[| 2; 4; 1; 3 |] in
+  let spec = Colring_mc.Spec.rotor_ablation ~ids:[| 2; 4; 1; 3 |] in
   let r = Mc.check spec in
   let t =
     Table.create
@@ -1216,20 +1216,20 @@ let e14 ~sink =
          ]));
   print_table ~sink ~name:"e14" t
 
-(* E15: model checker throughput — lib/mc explores the POR-reduced
+(* E15: the model checker — lib/mc explores the POR-reduced
    schedule space exhaustively (DESIGN.md section 8).  Not a paper
    claim: reported so regressions in the replay-from-prefix engine are
    visible, and as a standing cross-check that the paper algorithms
    verify while every ablation yields a counterexample.  Rows run
    sequentially; the checker itself fans its root branches out on the
-   domain pool, so -j N parallelizes *inside* each row (the time and
-   states/s columns are wall-clock and vary run to run; every other
-   column is deterministic and jobs-independent). *)
+   domain pool, so -j N parallelizes *inside* each row, and every
+   column is deterministic and jobs-independent.  The checker's speed
+   is perfbench's check-algo3-n5 workload. *)
 let e15 ~sink ~jobs ~quick =
   section
     "E15 Model checker (lib/mc)  --  exhaustive schedule-space exploration\n\
      with incremental undo, sleep-set/source-set POR, state caching and\n\
-     (for anon:relay) rotation symmetry; states/sec is wall-clock.\n\
+     (for anon:relay) rotation symmetry.\n\
      'as expected' = verified for the paper algorithms and baselines,\n\
      counterexample found for every ablation.";
   let t =
@@ -1243,8 +1243,6 @@ let e15 ~sink ~jobs ~quick =
         ("dedup pruned", Table.Right);
         ("replayed", Table.Right);
         ("undone", Table.Right);
-        ("time (s)", Table.Right);
-        ("states/s", Table.Right);
         ("as expected", Table.Left);
       ]
   in
@@ -1253,9 +1251,7 @@ let e15 ~sink ~jobs ~quick =
     let (Colring_mc.Spec.Packed spec) =
       Colring_mc.Spec.of_target target ~ids ~topo_seed:2
     in
-    let t0 = Unix.gettimeofday () in
     let r = Colring_mc.Mc.check ~jobs spec in
-    let dt = Unix.gettimeofday () -. t0 in
     let s = r.Colring_mc.Mc.stats in
     let ok =
       if spec.Colring_mc.Mc.expect_violation then
@@ -1272,9 +1268,6 @@ let e15 ~sink ~jobs ~quick =
         Table.cell_int s.Colring_mc.Mc.dedup_pruned;
         Table.cell_int s.Colring_mc.Mc.replayed_deliveries;
         Table.cell_int s.Colring_mc.Mc.undone_deliveries;
-        Table.cell_float ~decimals:3 dt;
-        Table.cell_float ~decimals:0
-          (float_of_int s.Colring_mc.Mc.states /. Float.max dt 1e-6);
         yes_no ok;
       ]
   in
@@ -1304,8 +1297,10 @@ let e15 ~sink ~jobs ~quick =
   print_table ~sink ~name:"e15" t
 
 (* ------------------------------------------------------------------ *)
-(* E16: transport backends — elections/sec and wall-clock latency
-   percentiles per backend, fault-free and under jitter.  Ordering is
+(* E16: transport backends — seeded Algorithm 2 elections on every
+   backend, fault-free and under jitter, each live run's recorded
+   schedule replayed on the simulator.  Their speed is perfbench's
+   backend-live workload.  Ordering is
    load-bearing twice over: Unix.fork is forbidden for the rest of the
    process once any domain has been spawned (OCaml 5), so bench/main.ml
    runs E16 before every pool-using experiment, and within the table
@@ -1315,10 +1310,10 @@ module Backend = Colring_transport.Backend
 
 let e16 ~sink ~quick =
   section
-    "E16 Transport backends  --  elections/sec and per-election wall-clock\n\
-     latency per backend (sim / domains / socket), fault-free and under\n\
-     deterministic latency+jitter injection.  'verified' counts runs whose\n\
-     recorded schedule replayed byte-identically on the simulator.";
+    "E16 Transport backends  --  seeded elections per backend\n\
+     (sim / domains / socket), fault-free and under deterministic\n\
+     latency+jitter injection.  'verified' counts runs whose recorded\n\
+     schedule replayed byte-identically on the simulator.";
   let n = 8 in
   let trials = if quick then 8 else 32 in
   let topo = Topology.oriented n in
@@ -1328,37 +1323,23 @@ let e16 ~sink ~quick =
         ("backend", Table.Left);
         ("faults", Table.Left);
         ("trials", Table.Right);
-        ("elections/s", Table.Right);
-        ("p50 ms", Table.Right);
-        ("p99 ms", Table.Right);
         ("verified", Table.Right);
         ("ok", Table.Right);
       ]
   in
   let row backend (fault_label, faults) =
-    let times = Array.make trials 0.0 in
     let verified = ref 0 and elected = ref 0 in
     for i = 0 to trials - 1 do
       let ids = Ids.dense (Rng.create ~seed:(50 + i)) ~n in
-      let t0 = Unix.gettimeofday () in
       let r = Backend.elect ~seed:i ~faults backend Election.Algo2 ~topo ~ids in
-      times.(i) <- Unix.gettimeofday () -. t0;
       if r.Backend.verified then incr verified;
       if Election.ok r.Backend.report then incr elected
     done;
-    let total = Array.fold_left ( +. ) 0.0 times in
-    Array.sort Float.compare times;
-    let pct p =
-      times.(min (trials - 1) (int_of_float (p *. float_of_int trials)))
-    in
     Table.add_row t
       [
         Backend.name backend;
         fault_label;
         Table.cell_int trials;
-        Table.cell_float ~decimals:0 (float_of_int trials /. total);
-        Table.cell_float ~decimals:3 (pct 0.50 *. 1e3);
-        Table.cell_float ~decimals:3 (pct 0.99 *. 1e3);
         Table.cell_int !verified;
         Table.cell_int !elected;
       ]
@@ -1387,9 +1368,9 @@ let e16 ~sink ~quick =
    --topology family.  Pulse complexity is exactly walk * ID_max; the
    'overhead' column is walk/n, the factor the spanning-walk
    construction pays over Algorithm 1 on a ring of the same size
-   (where the walk IS the ring, factor 1.00).  elections/s is
-   wall-clock and varies run to run; every other column is
-   deterministic and jobs-independent. *)
+   (where the walk IS the ring, factor 1.00).  Every column is
+   deterministic and jobs-independent; the walk election's speed is
+   perfbench's walk-graph128 workload. *)
 
 module Topo = Colring_harness.Topo
 module Gelection = Colring_graph.Gelection
@@ -1408,7 +1389,7 @@ let e18 ~sink ~jobs ~quick =
     "E18 Walk election on 2-edge-connected graphs  --  Gelection per\n\
      topology family (DESIGN.md section 11).  Pulse complexity is\n\
      walk*ID_max exactly; 'overhead' = walk/n, the spanning-walk cost\n\
-     over Algorithm 1 on a same-size ring.  elections/s is wall-clock.";
+     over Algorithm 1 on a same-size ring.";
   let t =
     Table.create
       [
@@ -1421,7 +1402,6 @@ let e18 ~sink ~jobs ~quick =
         ("ok", Table.Right);
         ("sends=walk*IDmax", Table.Left);
         ("mean sends", Table.Right);
-        ("elections/s", Table.Right);
       ]
   in
   let seeds =
@@ -1438,7 +1418,6 @@ let e18 ~sink ~jobs ~quick =
       in
       let ok = ref 0 and exact = ref 0 in
       let sends = Summary.create () in
-      let t0 = Unix.gettimeofday () in
       List.iter
         (fun seed ->
           let ids =
@@ -1451,7 +1430,6 @@ let e18 ~sink ~jobs ~quick =
           if r.Gelection.sends = r.Gelection.expected_sends then incr exact;
           Summary.add_int sends r.Gelection.sends)
         seeds;
-      let wall = Unix.gettimeofday () -. t0 in
       let runs = List.length seeds in
       [
         Topo.to_string spec;
@@ -1463,8 +1441,6 @@ let e18 ~sink ~jobs ~quick =
         Table.cell_int !ok;
         yes_no (!exact = runs);
         Table.cell_float ~decimals:1 (Summary.mean sends);
-        Table.cell_float ~decimals:0
-          (float_of_int runs /. Float.max wall 1e-9);
       ])
   |> List.iter (Table.add_row t);
   print_table ~sink ~name:"e18" t

@@ -1,20 +1,20 @@
 (* Bench entry point.
 
    Usage:
-     dune exec bench/main.exe                -- all experiments + throughput
+     dune exec bench/main.exe                -- every experiment table
      dune exec bench/main.exe -- quick       -- reduced sweeps
      dune exec bench/main.exe -- e2 e6       -- selected experiments
-     dune exec bench/main.exe -- throughput  -- engine throughput only;
-                                                writes BENCH_engine.json
      dune exec bench/main.exe -- -j 4 e2     -- sweep tables on 4 domains
      dune exec bench/main.exe -- --journal bench.jsonl e2
                                              -- also journal every table row
 
    The experiment tables run their independent rows/trials on the
    lib/runtime domain pool; -j N (or COLRING_JOBS) picks the domain
-   count.  Tables are bit-identical for every N, and so is the
-   --journal file: rows are appended (and journaled) in case order
-   after each parallel batch drains. *)
+   count.  The output is bit-identical for every N apart from the
+   "domains:" header, and so is the --journal file: no table reads a
+   clock, and rows are appended (and journaled) in case order after
+   each parallel batch drains.  Speed is measured by perfbench/, whose
+   runs bench/ledger.py records in BENCH_engine.json. *)
 
 module Sink = Colring_engine.Sink
 module Cli = Colring_harness.Cli
@@ -44,15 +44,12 @@ let () =
   let jobs = Cli.exit_or ~cmd:"bench" (Cli.jobs ~flag:"-j" jobs_opt) in
   let quick = List.mem "quick" args in
   let selected = List.filter (fun a -> a <> "quick") args in
-  let known =
-    "throughput" :: "e18" :: List.init 16 (fun i -> Printf.sprintf "e%d" (i + 1))
-  in
+  let known = "e18" :: List.init 16 (fun i -> Printf.sprintf "e%d" (i + 1)) in
   List.iter
     (fun a ->
       if not (List.mem a known) then begin
         prerr_endline
-          ("bench: unknown selection " ^ a ^ ", expected quick, throughput, \
-            e1..e16 or e18");
+          ("bench: unknown selection " ^ a ^ ", expected quick, e1..e16 or e18");
         exit 2
       end)
     selected;
@@ -81,8 +78,7 @@ let () =
     if want "e13" then Experiments.e13 ~sink ~jobs ~quick;
     if want "e14" then Experiments.e14 ~sink;
     if want "e15" then Experiments.e15 ~sink ~jobs ~quick;
-    if want "e18" then Experiments.e18 ~sink ~jobs ~quick;
-    if want "throughput" then Timing.throughput ~quick ()
+    if want "e18" then Experiments.e18 ~sink ~jobs ~quick
   in
   (* The journal sink flushes on ALL exits (valid prefix even when an
      experiment raises); without a journal it is the null sink. *)

@@ -199,22 +199,19 @@ let maybe_trace net want =
 (* ------------------------------------------------------------------ *)
 (* elect *)
 
-let algo_conv =
-  let parse = function
-    | "algo1" -> Ok Election.Algo1
-    | "algo2" -> Ok Election.Algo2
-    | "algo3-doubled" -> Ok (Election.Algo3 Algo3.Doubled)
-    | "algo3-improved" -> Ok (Election.Algo3 Algo3.Improved)
-    | "resample" -> Ok Election.Algo3_resample
-    | s -> Error (`Msg (Printf.sprintf "unknown algorithm %S" s))
-  in
-  let print ppf a = Format.pp_print_string ppf (Election.algorithm_name a) in
-  Arg.conv (parse, print)
-
 let algo_arg =
   Arg.(
     value
-    & opt algo_conv Election.Algo2
+    & opt
+        (enum
+           [
+             ("algo1", Election.Algo1);
+             ("algo2", Election.Algo2);
+             ("algo3-doubled", Election.Algo3 Algo3.Doubled);
+             ("algo3-improved", Election.Algo3 Algo3.Improved);
+             ("resample", Election.Algo3_resample);
+           ])
+        Election.Algo2
     & info [ "algo" ] ~docv:"ALGO"
         ~doc:
           "algo1 (stabilizing), algo2 (terminating), algo3-doubled, \
@@ -978,7 +975,6 @@ let adversary_cmd =
 
 module Mc = Colring_mc.Mc
 module McSpec = Colring_mc.Spec
-module GSpec = Colring_mc.Gspec
 
 let target_arg =
   Arg.(
@@ -1127,7 +1123,7 @@ let check n seed id_max target jobs max_states journal topology =
       let id_max = resolve_id_max ~n ~default:n id_max in
       let ids = Ids.distinct (Rng.create ~seed) ~n ~id_max in
       run ~ids_str:(fmt_ids ids) ~n ~id_max (fun () ->
-          McSpec.Packed (GSpec.walk_election ~name:("walk:" ^ name) g ~ids))
+          McSpec.Packed (McSpec.walk_election ~name:("walk:" ^ name) g ~ids))
   | true, Some ids ->
       (* A graph target carries its own fixed tiny instance. *)
       run ~ids_str:"(fixed instance)" ~n:(Array.length ids)

@@ -62,7 +62,7 @@ let () =
     "\n3. A naive generalization (forward on the next port, absorb every\n\
     \   ID-th pulse) on theta(0,1,1), ids [2;4;1;3], every schedule:\n";
   let module Mc = Colring_mc.Mc in
-  let spec = Colring_mc.Gspec.rotor_ablation ~ids:[| 2; 4; 1; 3 |] in
+  let spec = Colring_mc.Spec.rotor_ablation ~ids:[| 2; 4; 1; 3 |] in
   let r = Mc.check spec in
   (match r.Mc.counterexample with
   | None -> assert false

@@ -13,7 +13,7 @@
     received count reaches a multiple of its ID, so the [n·degree]
     start-up pulses can all eventually be deleted.  It is not a leader
     election: the model checker's [ablation:rotor] target
-    ([Colring_mc.Gspec.rotor_ablation], bench E14) finds a schedule
+    ([Colring_mc.Spec.rotor_ablation], bench E14) finds a schedule
     that quiesces with two Leaders.  {!Gelection} is the walk election
     that does solve the question. *)
 

@@ -2,7 +2,7 @@ open Colring_engine
 open Colring_core
 module Classic = Colring_classic
 module Rng = Colring_stats.Rng
-module Gtopology = Colring_graph.Gtopology
+open Colring_graph
 
 type ablation = No_lag | Same_virtual_ids | No_absorption
 type packed = Packed : (_, _, _) Network.core Mc.spec -> packed
@@ -25,37 +25,55 @@ let check_all_terminated net =
   if Network.all_terminated net then None
   else Some "quiescent without every node terminated"
 
-let check_sends_exact ~expected net =
+(* [formula] names the closed form the send count answers to: the
+   paper's, or a walk election's [walk_length * id_max]. *)
+let check_sends_exact ~formula ~expected net =
   let sends = Metrics.sends (Network.metrics net) in
   if sends = expected then None
   else
     Some
-      (Printf.sprintf "sends %d at quiescence, the paper's formula says %d"
-         sends expected)
+      (Printf.sprintf "sends %d at quiescence, the %s says %d" sends formula
+         expected)
 
-(* Exactly one Leader, at the max-ID node, and nobody Undecided. *)
-let check_roles ~leader_node net =
+(* Exactly one Leader, at [leader_node], and nobody Undecided.  A walk
+   election decides only the nodes its walk [covered], so an uncovered
+   node must stay Undecided; [max_id] says where the Leader belongs
+   when another node claims it. *)
+let check_roles_in ~covered ~max_id ~leader_node net =
   let outs = Network.outputs net in
   let bad = ref None in
   Array.iteri
     (fun v (o : Output.t) ->
       if !bad = None then
-        match o.role with
-        | Output.Leader when v <> leader_node ->
+        if not (covered v) then begin
+          if not (Output.equal_role o.role Output.Undecided) then
             bad :=
               Some
-                (Printf.sprintf
-                   "node %d elected Leader but the maximal ID is at node %d" v
-                   leader_node)
-        | Output.Undecided ->
-            bad := Some (Printf.sprintf "node %d undecided at quiescence" v)
-        | Output.Leader | Output.Non_leader -> ())
+                (Printf.sprintf "uncovered node %d decided (role %s)" v
+                   (Output.role_to_string o.role))
+        end
+        else
+          match o.role with
+          | Output.Leader when v <> leader_node ->
+              bad :=
+                Some
+                  (Printf.sprintf
+                     "node %d elected Leader but the %s is at node %d" v max_id
+                     leader_node)
+          | Output.Undecided ->
+              bad := Some (Printf.sprintf "node %d undecided at quiescence" v)
+          | Output.Leader | Output.Non_leader -> ())
     outs;
   match !bad with
   | Some _ as b -> b
   | None ->
-      if Election.unique_leader outs = Some leader_node then None
+      if Output.equal_role outs.(leader_node).role Output.Leader then None
       else Some "no leader elected"
+
+let everyone _ = true
+
+let check_roles ~leader_node net =
+  check_roles_in ~covered:everyone ~max_id:"maximal ID" ~leader_node net
 
 let check_orientation net =
   if Election.orientation_consistent (Network.topology net) (Network.outputs net)
@@ -70,10 +88,10 @@ let check_orientation net =
    every intermediate state, not just at quiescence.  Roles are NOT
    checked per step — two transient Leaders are legitimate while the
    counters still climb (that is what stabilizing means). *)
-let sends_bound_monitor ~bound () net =
+let sends_bound_monitor ~limit ~bound () net =
   let sends = Metrics.sends (Network.metrics net) in
   if sends > bound then
-    Some (Printf.sprintf "sends %d exceed the paper bound %d" sends bound)
+    Some (Printf.sprintf "sends %d exceed the %s %d" sends limit bound)
   else None
 
 (* Algorithm 2 runs Algorithm 1 over its clockwise channel, so its
@@ -177,7 +195,7 @@ let algo2_shape ~name ~program ~ids =
         [
           check_quiescent;
           check_all_terminated;
-          check_sends_exact ~expected:bound;
+          check_sends_exact ~formula:"paper's formula" ~expected:bound;
           check_roles ~leader_node;
         ];
     max_depth = bound + 1;
@@ -193,14 +211,17 @@ let algo2_shape ~name ~program ~ids =
 let stabilizing_shape ~name ~program ~topo ~ids ~bound ~orientation ~reduction =
   let leader_node = Ids.argmax ids in
   let terminal_checks =
-    [ check_quiescent; check_sends_exact ~expected:bound ]
+    [
+      check_quiescent;
+      check_sends_exact ~formula:"paper's formula" ~expected:bound;
+    ]
     @ (if orientation then [ check_orientation ] else [])
     @ [ check_roles ~leader_node ]
   in
   {
     Mc.name;
     make = (fun () -> Network.create topo (fun v -> program ~id:ids.(v)));
-    monitor = sends_bound_monitor ~bound;
+    monitor = sends_bound_monitor ~limit:"paper bound" ~bound;
     terminal = all_of terminal_checks;
     max_depth = bound + 1;
     dedup = true;
@@ -383,14 +404,129 @@ let anon_relay ~n =
   {
     Mc.name = "anon:relay";
     make = (fun () -> Network.create topo (fun _ -> Relay.program ()));
-    monitor = sends_bound_monitor ~bound;
+    monitor = sends_bound_monitor ~limit:"paper bound" ~bound;
     terminal =
-      all_of [ check_quiescent; check_sends_exact ~expected:bound; check_rho ];
+      all_of
+        [
+          check_quiescent;
+          check_sends_exact ~formula:"paper's formula" ~expected:bound;
+          check_rho;
+        ];
     max_depth = bound + 1;
     dedup = true;
     reduction = Mc.Sleep;
     symmetry = Some (relay_symmetry topo);
     expect_violation = false;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Walk elections on 2-edge-connected graphs, and the two graph ablations *)
+
+let covered_argmax decomp ~ids =
+  let best = ref (-1) in
+  Array.iteri
+    (fun v id ->
+      if Ears.covered decomp v && (!best < 0 || id > ids.(!best)) then
+        best := v)
+    ids;
+  !best
+
+(* Pulses travel only along the closed spanning walk, so the live mask
+   for source-set reduction is exactly the walk's links; the monitor
+   is a monotone counter bound and everything else is asserted at
+   quiescence, both preserved by the reduction. *)
+let walk_reduction plan =
+  let live =
+    Array.fold_left
+      (fun m l -> m lor (1 lsl l))
+      0
+      (Ears.walk (Gelection.decomposition plan))
+  in
+  Mc.Source { live }
+
+(* On a 2-edge-connected graph the walk covers every node, and the
+   roles check is the full election verdict. *)
+let walk_election ?(name = "walk-election") topo ~ids =
+  let plan = Gelection.plan topo in
+  let decomp = Gelection.decomposition plan in
+  let bound = Gelection.expected_sends plan ~ids in
+  {
+    Mc.name;
+    make = (fun () -> Gelection.make plan ~ids);
+    monitor = sends_bound_monitor ~limit:"walk bound" ~bound;
+    terminal =
+      all_of
+        [
+          check_quiescent;
+          check_sends_exact ~formula:"walk formula" ~expected:bound;
+          check_roles_in ~covered:(Ears.covered decomp)
+            ~max_id:"covered maximum id"
+            ~leader_node:(covered_argmax decomp ~ids);
+        ];
+    max_depth = bound + 1;
+    dedup = true;
+    reduction = walk_reduction plan;
+    symmetry = None;
+    expect_violation = false;
+  }
+
+let barbell () =
+  Gtopology.of_edges ~n:6
+    [ (0, 1); (1, 2); (2, 0); (2, 3); (3, 4); (4, 5); (5, 3) ]
+
+(* What a whole-graph election owes: every node decided, the unique
+   Leader at the global maximum id.  The walk election only meets this
+   on 2-edge-connected graphs. *)
+let check_global_roles ~ids net =
+  check_roles_in ~covered:everyone ~max_id:"maximum id"
+    ~leader_node:(Ids.argmax ids) net
+
+(* On the barbell the walk covers only the root's triangle and nodes
+   3-5 stay Undecided forever: the verdict fails at every quiescent
+   state, which is the point. *)
+let bridge_ablation ~ids =
+  let plan = Gelection.plan ~require_2ec:false (barbell ()) in
+  let bound = Gelection.expected_sends plan ~ids in
+  {
+    Mc.name = "ablation:bridge";
+    make = (fun () -> Gelection.make plan ~ids);
+    monitor = sends_bound_monitor ~limit:"walk bound" ~bound;
+    terminal = all_of [ check_quiescent; check_global_roles ~ids ];
+    max_depth = bound + 1;
+    dedup = true;
+    reduction = walk_reduction plan;
+    symmetry = None;
+    expect_violation = true;
+  }
+
+let check_leader_count net =
+  let leaders =
+    Array.fold_left
+      (fun k (o : Output.t) ->
+        if Output.equal_role o.Output.role Output.Leader then k + 1 else k)
+      0 (Network.outputs net)
+  in
+  if leaders = 1 then None else Some (Printf.sprintf "%d leaders" leaders)
+
+(* The naive generalization of the ring relay rule ({!Circulate.rotor}:
+   forward on the next port, absorb every ID-th pulse) on the smallest
+   theta graph, against the whole-graph verdict.  It always quiesces —
+   a node absorbs one of every [id] pulses it receives, so at most
+   [id_max * (links + n)] deliveries happen — but it does not elect,
+   and the checker must exhibit a schedule that shows it. *)
+let rotor_ablation ~ids =
+  let g = Gtopology.theta 0 1 1 in
+  {
+    Mc.name = "ablation:rotor";
+    make = (fun () -> Gnetwork.create g (fun v -> Circulate.rotor ~id:ids.(v)));
+    monitor = (fun () _ -> None);
+    terminal =
+      all_of [ check_quiescent; check_leader_count; check_global_roles ~ids ];
+    max_depth = Ids.id_max ids * (Gtopology.num_links g + Gtopology.n g);
+    dedup = true;
+    reduction = Mc.Sleep;
+    symmetry = None;
+    expect_violation = true;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -400,7 +536,7 @@ let anon_relay ~n =
    exhaustiveness matters more than id variety here (the qcheck and
    sweep layers cover id variety). *)
 let fixed_targets =
-  let walk name g ids = Packed (Gspec.walk_election ~name (g ()) ~ids) in
+  let walk name g ids = Packed (walk_election ~name (g ()) ~ids) in
   [
     ( "walk:theta3",
       [| 2; 4; 1; 3 |],
@@ -409,10 +545,10 @@ let fixed_targets =
     ("walk:bowtie", [| 2; 5; 1; 4; 3 |], walk "walk:bowtie" Gtopology.bowtie);
     ( "ablation:bridge",
       [| 1; 2; 3; 4; 5; 6 |],
-      fun ids -> Packed (Gspec.bridge_ablation ~ids) );
+      fun ids -> Packed (bridge_ablation ~ids) );
     ( "ablation:rotor",
       [| 2; 4; 1; 3 |],
-      fun ids -> Packed (Gspec.rotor_ablation ~ids) );
+      fun ids -> Packed (rotor_ablation ~ids) );
   ]
 
 let targets =

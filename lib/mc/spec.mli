@@ -1,6 +1,10 @@
 (** Checkable system specifications for the paper's algorithms, their
-    deliberately broken {!Colring_core.Ablation} variants, and the
-    classic content-carrying baselines.
+    deliberately broken {!Colring_core.Ablation} variants, the classic
+    content-carrying baselines, and the walk election on small
+    2-edge-connected graphs with its bridge and rotor ablations.  Ring
+    and graph networks are both a {!Colring_engine.Network.core}, so
+    every spec runs through the same {!Mc.check} and is judged by one
+    set of verdict pieces.
 
     Each builder fixes one concrete instance (topology, IDs) and pairs
     it with the strongest sound property split for its algorithm:
@@ -62,6 +66,35 @@ val anon_relay :
     monitored as a bound per step and exactly at quiescence) and that
     every node quiesces having received exactly two pulses. *)
 
+val walk_election :
+  ?name:string ->
+  Colring_graph.Gtopology.t ->
+  ids:int array ->
+  unit Colring_graph.Gnetwork.t Mc.spec
+(** The walk election of {!Colring_graph.Gelection} on a
+    2-edge-connected graph small enough to explore completely: per-step
+    send bound [walk_length * covered_id_max], and at quiescence exact
+    sends with every node decided and the unique Leader at the maximum
+    id. *)
+
+val barbell : unit -> Colring_graph.Gtopology.t
+(** Two triangles joined by a bridge (n = 6): the canonical
+    not-2-edge-connected instance. *)
+
+val bridge_ablation : ids:int array -> unit Colring_graph.Gnetwork.t Mc.spec
+(** The walk election on {!barbell} (decomposed with
+    [require_2ec:false]) against the {e whole-graph} election verdict:
+    nodes beyond the bridge stay Undecided at every quiescent state,
+    and the checker exhibits the minimized roles violation
+    ([expect_violation = true]). *)
+
+val rotor_ablation : ids:int array -> unit Colring_graph.Gnetwork.t Mc.spec
+(** {!Colring_graph.Circulate.rotor}, the naive generalization of the
+    ring relay rule, on [theta 0 1 1] (four nodes), against the
+    whole-graph election verdict ([expect_violation = true]): with ids
+    [[2; 4; 1; 3]], the [ablation:rotor] target, some schedule
+    quiesces without a unique Leader at the maximum id. *)
+
 val classic : string -> ids:int array -> packed
 (** Baseline spec by name ([chang-roberts], [lelann],
     [hirschberg-sinclair], [peterson], [franklin]); oriented ring,
@@ -76,7 +109,7 @@ val of_target : string -> ids:int array -> topo_seed:int -> packed
 
 val fixed_ids : string -> int array option
 (** The ids of a graph target's fixed instance — [walk:theta3],
-    [walk:k4], [walk:bowtie] (the {!Gspec.walk_election}),
+    [walk:k4], [walk:bowtie] (the {!walk_election}),
     [ablation:bridge] and [ablation:rotor] — whose node count is the
     array's length; [None] for a ring target. *)
 

@@ -1,3 +1,3 @@
-(* Fires [determinism] (twice) outside bench/timing.ml; clean there. *)
+(* Fires [determinism] (twice), wherever it is linted as. *)
 let now () = Unix.gettimeofday ()
 let cpu () = Sys.time ()

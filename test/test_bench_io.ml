@@ -1,6 +1,7 @@
-(* Tests for the bench report reader/writer: values round-trip through
-   to_string/of_string, and the accessors used by the schema validation
-   behave on the shapes BENCH_engine.json contains. *)
+(* Tests for the JSON reader/writer behind [colring journal]: values
+   round-trip through to_string/of_string, the accessors behave on
+   nested objects, and the reader and the journal-line validator
+   survive fuzzed input. *)
 
 let checkb = Alcotest.(check bool)
 
@@ -36,14 +37,12 @@ let test_accessors () =
     (Option.bind (member "schema_version" sample) get_int = Some 2);
   checkb "missing member" true (member "absent" sample = None);
   let sweep = Option.get (member "sweep" sample) in
-  checkb "float field" true
-    (Option.bind (member "speedup_4_vs_1" sweep) get_float = Some 0.5);
-  checkb "int promotes to float" true
-    (get_float (Int 7) = Some 7.0);
-  checkb "list field" true
-    (match Option.bind (member "ints" sweep) get_list with
-    | Some [ Int 1; Int (-2); Int 3 ] -> true
-    | _ -> false)
+  checkb "nested member" true (member "whole" sweep = Some (Float 3.0));
+  checkb "string field" true
+    (Option.bind (member "note" sample) get_string
+    = Some "quote \" backslash \\ newline \n tab \t done");
+  checkb "mistyped field" true (get_int (Float 0.5) = None);
+  checkb "bool" true (get_bool (Bool false) = Some false)
 
 let test_parse_errors () =
   let fails s =

@@ -367,9 +367,9 @@ let test_pinned_digests () =
       checks "check -n 4 --algo algo2 -j 1" "17c4a53ded792e98f944389636adf26f"
         (check_row ~name:"algo2" ~n:4 ~id_max:4
            (Colring_mc.Mc.check ~jobs:1 ~max_states:1_000_000 spec)));
-  let module Gspec = Colring_mc.Gspec in
   let spec =
-    Gspec.walk_election ~name:"walk:k4" (Gtopology.complete 4) ~ids:(ids 4)
+    Colring_mc.Spec.walk_election ~name:"walk:k4" (Gtopology.complete 4)
+      ~ids:(ids 4)
   in
   checks "check --topology k4 -j 1" "8bf21d9bb02771c892f475b5e613c420"
     (check_row ~name:"walk:k4" ~n:4 ~id_max:4
@@ -1023,7 +1023,7 @@ let test_gnetwork_budget_reports_exhaustion () =
 
 let test_rotor_does_not_solve_election () =
   (* The naive generalization is NOT a leader election: the checker
-     finds a schedule of [Gspec.rotor_ablation] that quiesces with two
+     finds a schedule of [Spec.rotor_ablation] that quiesces with two
      Leaders, minimizes it and confirms it by replay.  The CLI's
      [check --target ablation:rotor] reports the same verdict. *)
   let module Mc = Colring_mc.Mc in

@@ -208,6 +208,7 @@ let test_cli_value_refusals () =
       ( [ "baseline"; "--algo"; "foo" ],
         124,
         "option '--algo': invalid value 'foo'" );
+      ([ "elect"; "--algo"; "foo" ], 124, "option '--algo': invalid value 'foo'");
     ];
   (* A name flag lists every name it accepts. *)
   List.iter
@@ -232,6 +233,8 @@ let test_cli_value_refusals () =
           "franklin";
           "itai-rodeh";
         ] );
+      ( [ "elect"; "--algo"; "foo" ],
+        [ "algo1"; "algo2"; "algo3-doubled"; "algo3-improved"; "resample" ] );
     ];
   Sys.remove out
 

@@ -49,8 +49,8 @@ let test_determinism_random () =
 let test_determinism_clock () =
   checki "fires in lib" 2
     (count "determinism" (rules_of "det_clock.ml" ~as_path:"lib/core/x.ml"));
-  checki "timing.ml exempt" 0
-    (count "determinism" (rules_of "det_clock.ml" ~as_path:"bench/timing.ml"))
+  checki "fires in bench too" 2
+    (count "determinism" (rules_of "det_clock.ml" ~as_path:"bench/x.ml"))
 
 let test_determinism_unsafe () =
   checki "fires in lib" 3

@@ -110,6 +110,59 @@ let test_ablations_yield_minimized_counterexamples () =
               ce.Mc.schedule)
     ablation_targets
 
+(* Ring and graph specs share one set of verdict pieces; each names the
+   closed form it holds a run to (the paper's, or the walk's), and the
+   violation texts are what `colring check` prints and journals. *)
+let test_violation_wording () =
+  let violation spec =
+    match (Mc.check spec).Mc.counterexample with
+    | Some ce -> ce.Mc.violation
+    | None -> "no counterexample"
+  in
+  List.iter
+    (fun (target, ids, want) ->
+      let (Spec.Packed spec) = Spec.of_target target ~ids ~topo_seed:2 in
+      Alcotest.(check string) target want (violation spec))
+    [
+      ( "ablation:no-lag",
+        ids 3,
+        "node 2 terminated before node 0, out of the Theorem 1 order" );
+      ("ablation:no-absorption", ids 3, "sends 10 exceed the paper bound 9");
+      ( "ablation:same-virtual-ids",
+        ids 3,
+        "sends 18 at quiescence, the paper's formula says 33" );
+      ( "ablation:bridge",
+        [||],
+        "node 2 elected Leader but the maximum id is at node 5" );
+      ("ablation:rotor", [||], "2 leaders");
+    ];
+  (* A walk spec run on other ids than it was built for: more pulses
+     break the walk bound, fewer miss the walk formula, and the same
+     ids moved elsewhere elect the wrong node. *)
+  let module Gelection = Colring_graph.Gelection in
+  let g = Colring_graph.Gtopology.theta 0 1 1 in
+  let plan = Gelection.plan g in
+  let ids = [| 2; 4; 1; 3 |] in
+  let run_on other =
+    violation
+      {
+        (Spec.walk_election g ~ids) with
+        Mc.make = (fun () -> Gelection.make plan ~ids:other);
+      }
+  in
+  let bound = Gelection.expected_sends plan ~ids in
+  Alcotest.(check string) "walk bound"
+    (Printf.sprintf "sends %d exceed the walk bound %d" (bound + 1) bound)
+    (run_on [| 2; 5; 1; 3 |]);
+  Alcotest.(check string) "walk formula"
+    (Printf.sprintf "sends %d at quiescence, the walk formula says %d"
+       (Gelection.expected_sends plan ~ids:[| 2; 3; 1; 2 |])
+       bound)
+    (run_on [| 2; 3; 1; 2 |]);
+  Alcotest.(check string) "covered maximum id"
+    "node 0 elected Leader but the covered maximum id is at node 1"
+    (run_on [| 4; 2; 1; 3 |])
+
 (* ------------------------------------------------------------------ *)
 (* Graph checking: the same Mc.check on graph cores, through the same
    target table (a graph target ignores [ids] and checks its fixed
@@ -512,6 +565,7 @@ let () =
         [
           Alcotest.test_case "minimized counterexamples" `Quick
             test_ablations_yield_minimized_counterexamples;
+          Alcotest.test_case "violation wording" `Quick test_violation_wording;
         ] );
       ( "graphs",
         [
