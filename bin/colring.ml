@@ -696,18 +696,6 @@ let sweep_cmd =
 (* ------------------------------------------------------------------ *)
 (* batch / serve: many elections over per-domain warm cores *)
 
-let pool_mode_arg =
-  Arg.(
-    value
-    & opt (enum [ ("static", Colring_runtime.Pool.Static);
-                  ("steal", Colring_runtime.Pool.Steal) ])
-        Colring_runtime.Pool.Static
-    & info [ "pool" ] ~docv:"MODE"
-        ~doc:
-          "How workers claim jobs: $(b,static) (shared cursor) or \
-           $(b,steal) (per-worker deques with work stealing). Results are \
-           bit-identical either way.")
-
 let journal_dir_arg =
   Arg.(
     value
@@ -724,8 +712,7 @@ let shards_arg =
     & info [ "shards" ] ~docv:"S"
         ~doc:
           "Number of journal shard files; instance $(i,i) of $(i,N) lands in \
-           shard $(i,i*S/N), so shard contents are independent of --jobs and \
-           --pool.")
+           shard $(i,i*S/N), so shard contents are independent of --jobs.")
 
 let events_arg =
   Arg.(
@@ -756,7 +743,7 @@ let read_spec_file path =
 
 (* Shard [count] jobs over [shards] files in contiguous index blocks:
    job [i] lands in shard [i * shards / count], so shard contents
-   depend only on the spec order — never on --jobs or --pool. *)
+   depend only on the spec order — never on --jobs. *)
 let with_shards dir ~shards ~count f =
   let flag = "--journal-dir" in
   let dir =
@@ -797,7 +784,7 @@ let print_batch_summary ok (o : _ Harness.Batch.outcome) =
 
 (* On a non-ring topology each spec line is a walk election on the one
    graph ([Batch.run_graph]).  Ring sizes come from the spec lines. *)
-let batch spec_path sched jobs mode journal_dir shards events topology =
+let batch spec_path sched jobs journal_dir shards events topology =
   (match topology with
   | Harness.Topo.Ring (Some _) ->
       Harness.Cli.exit_or ~cmd:"colring"
@@ -824,14 +811,14 @@ let batch spec_path sched jobs mode journal_dir shards events topology =
       if Harness.Topo.is_ring topology then
         print_batch_summary Election.ok
           (journaled (fun journal ->
-               Harness.Batch.run ~jobs ~mode ~events ?journal ~now ~sched
+               Harness.Batch.run ~jobs ~events ?journal ~now ~sched
                  specs))
       else begin
         let g = Harness.Topo.materialize ~default_n:8 topology in
         let workload = Harness.Topo.to_string topology in
         let o =
           journaled (fun journal ->
-              Harness.Batch.run_graph ~jobs ~mode ~events ?journal ~now
+              Harness.Batch.run_graph ~jobs ~events ?journal ~now
                 ~workload ~sched (Colring_graph.Gelection.plan g) specs)
         in
         Printf.printf "topology            %s (%d nodes)\n" workload
@@ -846,8 +833,8 @@ let batch_cmd =
          "Run a batch of elections over per-domain warm simulator cores and \
           report throughput and completion-latency percentiles.")
     Term.(
-      const batch $ spec_file_arg $ sched_arg $ jobs_arg $ pool_mode_arg
-      $ journal_dir_arg $ shards_arg $ events_arg $ topology_arg)
+      const batch $ spec_file_arg $ sched_arg $ jobs_arg $ journal_dir_arg
+      $ shards_arg $ events_arg $ topology_arg)
 
 let serve sched jobs journal =
   let journal = open_journal journal in

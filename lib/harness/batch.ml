@@ -133,12 +133,12 @@ let graph_core g =
       slot := Some net;
       net
 
-(* The one batch routine, for ring and graph jobs alike: [job i sink]
-   runs job [i] on its domain's warm core against [sink].  Each job
-   journals into a private buffer; the buffers go to [journal] in job
-   order once the pool has drained, so nothing the caller sees depends
-   on which domain ran what. *)
-let dispatch ~jobs ~pool ~mode ~events ~journal ~now count job =
+(* The one job runner, for batch, serve and both sweeps: [job i sink]
+   runs job [i] against [sink].  Each job journals into a private
+   buffer; the buffers go to [journal] in job order once the pool has
+   drained, so nothing the caller sees depends on which domain ran
+   what. *)
+let dispatch ?(jobs = 1) ?pool ?(events = false) ?journal ?now count job =
   let t0 = match now with Some f -> f () | None -> 0. in
   let reports = Array.make count None in
   let latencies =
@@ -159,8 +159,8 @@ let dispatch ~jobs ~pool ~mode ~events ~journal ~now count job =
     match now with Some f -> latencies.(i) <- f () -. t0 | None -> ()
   in
   (match pool with
-  | Some pool -> Pool.exec ~mode ~chunk:1 pool count run_job
-  | None -> Pool.run ~mode ~chunk:1 ~jobs count run_job);
+  | Some pool -> Pool.exec ~chunk:1 pool count run_job
+  | None -> Pool.run ~chunk:1 ~jobs count run_job);
   (match journal with
   | None -> ()
   | Some emit -> Array.iteri (fun i b -> emit i (Buffer.contents b)) buffers);
@@ -173,21 +173,18 @@ let dispatch ~jobs ~pool ~mode ~events ~journal ~now count job =
     elapsed = (match now with Some f -> f () -. t0 | None -> 0.);
   }
 
-let run ?(jobs = 1) ?pool ?(mode = Pool.Static) ?(events = false) ?journal ?now
-    ~sched specs =
-  dispatch ~jobs ~pool ~mode ~events ~journal ~now (Array.length specs)
+let run ?jobs ?pool ?events ?journal ?now ~sched specs =
+  dispatch ?jobs ?pool ?events ?journal ?now (Array.length specs)
     (fun i sink ->
       let s = specs.(i) in
       let net = ring_core ~oriented:(oriented_algorithm s.algorithm) ~n:s.n in
       Election.run_warm ~seed:s.seed ~sink net s.algorithm ~ids:(ids_of_spec s)
         ~sched:(sched s.seed))
 
-let run_graph ?(jobs = 1) ?(mode = Pool.Static) ?(events = false) ?journal
-    ?now ~workload ~sched plan specs =
+let run_graph ?jobs ?events ?journal ?now ~workload ~sched plan specs =
   let g = Colring_graph.Ears.topo (Gelection.decomposition plan) in
   let n = Colring_graph.Gtopology.n g in
-  dispatch ~jobs ~pool:None ~mode ~events ~journal ~now (Array.length specs)
-    (fun i sink ->
+  dispatch ?jobs ?events ?journal ?now (Array.length specs) (fun i sink ->
       let s = specs.(i) in
       let ids =
         Ids.distinct (Rng.create ~seed:s.seed) ~n ~id_max:(max n s.id_max)

@@ -6,16 +6,16 @@
     oriented jobs of equal ring size share one, and so do non-oriented
     jobs of equal ring size, whose scramble is drawn from the ring size
     alone (a batch is "many elections on the same ring"; [colring
-    elect] instead draws a scramble per run from its seed).  Jobs are
-    distributed over domains by {!Colring_runtime.Pool}; each domain
-    keeps one warm core per group and resets it for each of its jobs
-    ([run_warm]) instead of allocating one.
+    elect] instead draws a scramble per run from its seed).  Jobs run
+    on {!dispatch}, the one job runner (the sweeps of {!Sweep} use it
+    too); each domain keeps one warm core per group and resets it for
+    each of its jobs ([run_warm]) instead of allocating one.
 
     Everything a job produces — its report, its journal bytes, its
     slot in the result arrays — is keyed by the job's index in the
     spec array, never by the domain that ran it or the core it ran on,
-    so reports and journals are byte-identical for every [jobs] value
-    and either pool mode. *)
+    so reports and journals are byte-identical for every [jobs]
+    value. *)
 
 type spec = {
   algorithm : Colring_core.Election.algorithm;
@@ -60,31 +60,49 @@ type 'r outcome = {
   elapsed : float;  (** Wall-clock for the whole batch; [0.] without [now]. *)
 }
 
+val dispatch :
+  ?jobs:int ->
+  ?pool:Colring_runtime.Pool.t ->
+  ?events:bool ->
+  ?journal:(int -> string -> unit) ->
+  ?now:(unit -> float) ->
+  int ->
+  (int -> Colring_engine.Sink.t -> 'r) ->
+  'r outcome
+(** [dispatch count job] runs [job i sink] once for every
+    [0 <= i < count] and returns the results in index order.  Jobs are
+    claimed one at a time ([~chunk:1]) on a pool of [jobs] domains
+    (default 1) created for the call, or on [pool] (then [jobs] is
+    ignored).  [job i] must depend only on [i] for the outcome to be
+    the same at every [jobs].
+
+    [sink] is the null sink unless [journal] is given; then it is a
+    private JSONL buffer ([events], default [false], adds the
+    per-event records), and [journal i chunk] receives job [i]'s bytes
+    in index order after the pool drains.  [now] timestamps each
+    completion for [latencies] and the whole run for [elapsed].  The
+    first exception a job raises aborts the run and is re-raised. *)
+
 val run :
   ?jobs:int ->
   ?pool:Colring_runtime.Pool.t ->
-  ?mode:Colring_runtime.Pool.mode ->
   ?events:bool ->
   ?journal:(int -> string -> unit) ->
   ?now:(unit -> float) ->
   sched:(int -> Colring_engine.Scheduler.t) ->
   spec array ->
   Colring_core.Election.report outcome
-(** [run ~sched specs] executes every job and returns reports in spec
-    order.  [sched] receives the job's seed (stateful schedulers are
-    built fresh per job, as [colring elect] does).  [jobs] (default 1)
-    and [mode] (default [Static]) configure the pool; jobs are
-    claimed [~chunk:1].  Given [pool], the jobs run on that long-lived
-    pool instead and [jobs] is ignored; its domains keep their warm
+(** [run ~sched specs] executes every job on {!dispatch} and returns
+    reports in spec order.  [sched] receives the job's seed (stateful
+    schedulers are built fresh per job, as [colring elect] does).
+    Given [pool], the domains of that long-lived pool keep their warm
     cores from call to call.  Each domain caches one warm core per
     (orientation, ring size).
 
     [journal] receives each job's JSONL chunk (run_start, snapshots,
-    run_end, plus per-event records when [events] — default [false] —
-    is set), called in job order after the pool drains; jobs buffer
-    privately, so chunks are byte-identical for every [jobs]/[mode].
-    When [journal] is absent jobs run against the null sink and pay no
-    telemetry cost.
+    run_end, plus per-event records when [events] is set), in job
+    order, byte-identical for every [jobs].  When [journal] is absent
+    jobs run against the null sink and pay no telemetry cost.
 
     [now] (e.g. [Unix.gettimeofday]) timestamps completions for the
     latency percentiles; the harness takes it as a parameter so the
@@ -98,7 +116,6 @@ val run :
 
 val run_graph :
   ?jobs:int ->
-  ?mode:Colring_runtime.Pool.mode ->
   ?events:bool ->
   ?journal:(int -> string -> unit) ->
   ?now:(unit -> float) ->

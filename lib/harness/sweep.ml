@@ -2,7 +2,6 @@ open Colring_engine
 open Colring_core
 module Rng = Colring_stats.Rng
 module Summary = Colring_stats.Summary
-module Pool = Colring_runtime.Pool
 
 type measurement = {
   algorithm : string;
@@ -34,19 +33,18 @@ type cell = {
   c_sched_ix : int;
 }
 
-(* A cell returns its measurement plus its journal chunk (empty when
-   no journal was requested or the cell was skipped).  Each cell owns
-   a private buffered sink, so domains never share a writer; the
-   caller concatenates chunks in cell-index order, which makes the
-   merged journal byte-identical for every [jobs] value. *)
-let run_cell ~id_max_cap ~shared_adversary ~schedulers ~journal cell =
+(* A cell's measurement, [None] when it was skipped.  [sink] is the
+   private one {!Batch.dispatch} hands the cell, so a skipped cell
+   journals nothing.  Each cell builds a fresh network: a non-oriented
+   cell's workload draws its own port flips. *)
+let run_cell ~id_max_cap ~shared_adversary ~schedulers ~sink cell =
   let { c_algorithm; c_workload; c_n = n; c_seed = seed; c_algo_ix; c_sched_ix }
       =
     cell
   in
   let rng = Rng.create ~seed:(seed + (n * 65_537)) in
   let ids, topo = c_workload.generate rng ~n in
-  if Ids.id_max ids > id_max_cap then (None, "")
+  if Ids.id_max ids > id_max_cap then None
   else begin
     let sched_seed =
       if shared_adversary then seed
@@ -62,34 +60,23 @@ let run_cell ~id_max_cap ~shared_adversary ~schedulers ~journal cell =
           62
     in
     let sched = schedulers.(c_sched_ix) sched_seed in
-    let buf = if journal then Some (Buffer.create 512) else None in
-    let sink =
-      match buf with
-      | None -> Sink.null
-      | Some b ->
-          (* Lifecycle records only: a sweep journal is one
-             run_start/snapshots/run_end block per cell, not the
-             Θ(n·ID_max) event stream of every cell. *)
-          Sink.jsonl_buffer ~events:false b
-    in
     let r =
       Election.run_report c_algorithm ~topo ~ids ~sched ~sink ~seed
         ~workload:c_workload.name
     in
-    ( Some
-        {
-          algorithm = Election.algorithm_name c_algorithm;
-          workload = c_workload.name;
-          n;
-          id_max = r.id_max;
-          seed;
-          scheduler = sched.Scheduler.name;
-          sends = r.sends;
-          expected = r.expected_sends;
-          deliveries = r.deliveries;
-          ok = Election.ok r;
-        },
-      match buf with None -> "" | Some b -> Buffer.contents b )
+    Some
+      {
+        algorithm = Election.algorithm_name c_algorithm;
+        workload = c_workload.name;
+        n;
+        id_max = r.id_max;
+        seed;
+        scheduler = sched.Scheduler.name;
+        sends = r.sends;
+        expected = r.expected_sends;
+        deliveries = r.deliveries;
+        ok = Election.ok r;
+      }
   end
 
 let election ?(id_max_cap = 100_000) ?(jobs = 1) ?(shared_adversary = false)
@@ -127,16 +114,14 @@ let election ?(id_max_cap = 100_000) ?(jobs = 1) ?(shared_adversary = false)
         workloads)
     algorithms;
   let cells = Array.of_list (List.rev !cells) in
-  let out =
-    Pool.map ~jobs (Array.length cells) (fun i ->
-        run_cell ~id_max_cap ~shared_adversary ~schedulers
-          ~journal:(journal <> None) cells.(i))
-  in
-  (match journal with
-  | None -> ()
-  | Some write ->
-      Array.iter (fun (_, chunk) -> if chunk <> "" then write chunk) out);
-  List.filter_map (fun (m, _) -> m) (Array.to_list out)
+  (* Lifecycle records only: a sweep journal is one
+     run_start/snapshots/run_end block per cell, not the Θ(n·ID_max)
+     event stream of every cell. *)
+  (Batch.dispatch ~jobs ?journal:(Option.map (fun w _ -> w) journal)
+     (Array.length cells) (fun i sink ->
+       run_cell ~id_max_cap ~shared_adversary ~schedulers ~sink cells.(i)))
+    .reports
+  |> Array.to_list |> List.filter_map Fun.id
 
 (* ------------------------------------------------------------------ *)
 (* The graph sweep: walk election over topology families *)
@@ -158,63 +143,55 @@ type gmeasurement = {
 (* One walk-election cell, self-contained like its ring counterpart:
    ids regenerate from the (topology, seed) stream and the scheduler
    seed folds in the scheduler index via [split_at], so the grid is
-   bit-identical for every [jobs] value. *)
-let run_gcell ~schedulers ~journal (topo_spec, seed, sched_ix) =
-  let g = Topo.materialize ~default_n:8 topo_spec in
-  let module G = Colring_graph.Gtopology in
-  let n = G.n g in
+   bit-identical for every [jobs] value.  [plan] is built once per
+   topology and shared read-only by its cells. *)
+let run_gcell ~schedulers ~sink ((name, n, plan), seed, sched_ix) =
   let rng = Rng.create ~seed:(seed + (n * 65_537)) in
   let ids = Ids.distinct rng ~n ~id_max:(2 * n) in
   let sched_seed = Rng.bits (Rng.split_at rng sched_ix) 62 in
   let sched = (schedulers : _ array).(sched_ix) sched_seed in
-  let buf = if journal then Some (Buffer.create 512) else None in
-  let sink =
-    match buf with
-    | None -> Sink.null
-    | Some b -> Sink.jsonl_buffer ~events:false b
-  in
-  let plan = Colring_graph.Gelection.plan g in
   let r =
     Colring_graph.Gelection.run_report plan ~ids ~sched ~sink ~seed
-      ~workload:(Topo.to_string topo_spec)
+      ~workload:name
   in
-  ( {
-      g_topology = Topo.to_string topo_spec;
-      g_n = n;
-      g_covered = r.Colring_graph.Gelection.covered;
-      g_walk_len = r.walk_len;
-      g_id_max = r.id_max;
-      g_seed = seed;
-      g_scheduler = sched.Scheduler.name;
-      g_sends = r.sends;
-      g_expected = r.expected_sends;
-      g_deliveries = r.deliveries;
-      g_ok = Colring_graph.Gelection.ok r;
-    },
-    match buf with None -> "" | Some b -> Buffer.contents b )
+  {
+    g_topology = name;
+    g_n = n;
+    g_covered = r.Colring_graph.Gelection.covered;
+    g_walk_len = r.walk_len;
+    g_id_max = r.id_max;
+    g_seed = seed;
+    g_scheduler = sched.Scheduler.name;
+    g_sends = r.sends;
+    g_expected = r.expected_sends;
+    g_deliveries = r.deliveries;
+    g_ok = Colring_graph.Gelection.ok r;
+  }
 
 let gelection ?(jobs = 1) ?journal ~topologies ~seeds ~schedulers () =
   let schedulers = Array.of_list schedulers in
   let cells = ref [] in
   List.iter
     (fun topo_spec ->
+      let g = Topo.materialize ~default_n:8 topo_spec in
+      let topo =
+        ( Topo.to_string topo_spec,
+          Colring_graph.Gtopology.n g,
+          Colring_graph.Gelection.plan g )
+      in
       List.iter
         (fun seed ->
           for sched_ix = 0 to Array.length schedulers - 1 do
-            cells := (topo_spec, seed, sched_ix) :: !cells
+            cells := (topo, seed, sched_ix) :: !cells
           done)
         seeds)
     topologies;
   let cells = Array.of_list (List.rev !cells) in
-  let out =
-    Pool.map ~jobs (Array.length cells) (fun i ->
-        run_gcell ~schedulers ~journal:(journal <> None) cells.(i))
-  in
-  (match journal with
-  | None -> ()
-  | Some write ->
-      Array.iter (fun (_, chunk) -> if chunk <> "" then write chunk) out);
-  List.map fst (Array.to_list out)
+  (Batch.dispatch ~jobs ?journal:(Option.map (fun w _ -> w) journal)
+     (Array.length cells) (fun i sink ->
+       run_gcell ~schedulers ~sink cells.(i)))
+    .reports
+  |> Array.to_list
 
 let gelection_to_csv ms =
   let buf = Buffer.create 1024 in

@@ -49,13 +49,13 @@ val election :
     adversaries" comparison of bench E2.  [id_max_cap] (default
     100_000) skips over-sized instances.
 
-    [journal] receives the sweep's JSONL journal: one
+    Each cell is one job on {!Batch.dispatch} and builds a fresh
+    network.  [journal] receives the sweep's JSONL journal: one
     run_start/snapshots/run_end block per executed cell (lifecycle
     records only — per-event lines would dwarf the sweep itself),
-    written as per-cell chunks.  Every cell buffers into a private
-    {!Colring_engine.Sink.t}, and chunks are handed to [journal] in
-    cell-index order after the pool drains, so the journal — like the
-    measurement list — is byte-identical for every [jobs] value. *)
+    written as per-cell chunks in cell-index order after the pool
+    drains, so the journal — like the measurement list — is
+    byte-identical for every [jobs] value. *)
 
 val to_csv : measurement list -> string
 (** Header plus one line per measurement. *)
@@ -83,9 +83,10 @@ val gelection :
   unit ->
   gmeasurement list
 (** The graph analogue of {!election}: run the walk election over a
-    topology × seed × scheduler grid.  Each cell materializes its
-    topology, draws distinct ids with [id_max = 2n] from the
-    (topology, seed) stream, and derives its scheduler seed via
+    topology × seed × scheduler grid, on {!Batch.dispatch}.  Each
+    topology is materialized and planned once, and its cells share the
+    plan read-only.  A cell draws distinct ids with [id_max = 2n] from
+    the (topology, seed) stream and derives its scheduler seed via
     {!Colring_stats.Rng.split_at} — so the measurement list and the
     optional JSONL [journal] (per-cell lifecycle chunks, concatenated
     in cell order) are bit-identical for every [jobs] value. *)

@@ -608,10 +608,11 @@ let check ?(jobs = 1) ?(max_states = 1_000_000) ?(minimized = true)
              ticket counter is ONLY a throttle that stops the fleet
              doing much more than [max_states] of work in total.
              Units the throttle touched are nondeterministic and get
-             recomputed below. *)
+             recomputed below.  Subtree costs are skewed, so units
+             are claimed one at a time. *)
           let tickets = Atomic.make seed.seed_acc.states in
           let units =
-            Pool.map ~mode:Pool.Steal ~jobs k (fun i ->
+            Pool.map ~chunk:1 ~jobs k (fun i ->
                 let prefix, sleep = seed.frontier.(i) in
                 run_unit ctx ~budget:max_states ~tickets:(Some tickets)
                   ~ticket_cap:max_states ~undo_depth ~prefix

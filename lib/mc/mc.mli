@@ -18,10 +18,10 @@
     only shifts work between {!stats.replayed_deliveries} and
     {!stats.undone_deliveries}.
 
-    Exploration is {b work-stealing parallel}: a bounded sequential
+    Exploration is {b parallel over subtrees}: a bounded sequential
     BFS carves the tree into a frontier of independent subtree tasks,
-    which a stealing domain pool ({!Colring_runtime.Pool.Steal})
-    drains.  Each task owns its network, monitor and seen-table, so
+    which the domain pool ({!Colring_runtime.Pool}) drains one task
+    per claim.  Each task owns its network, monitor and seen-table, so
     verdicts, minimized counterexamples {e and the full stats block}
     are bit-identical for every [jobs] value.  [max_states] is one
     {e global} budget: a shared ticket counter throttles the fleet,
@@ -158,7 +158,7 @@ val check :
 (** Walk the schedule space of [spec].  A sequential BFS expands
     the root until at least [split] (default 16) frontier subtrees
     exist (or the space is exhausted), then the subtrees drain over
-    the {!Colring_runtime.Pool} stealing pool ([jobs], default 1).
+    the {!Colring_runtime.Pool} domain pool ([jobs], default 1).
     Results — verdict, minimized counterexample, every stats field —
     are bit-identical for every [jobs] value.  [max_states] (default
     1_000_000) bounds the states expanded {e globally}; exceeding it

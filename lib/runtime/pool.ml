@@ -8,8 +8,6 @@ let default_jobs () =
           invalid_arg
             (Printf.sprintf "COLRING_JOBS must be a positive integer, got %S" s))
 
-type mode = Static | Steal
-
 (* A failed job parks its exception in [failure] (first writer wins,
    which also fires the caller's [on_failure] hook exactly once) and
    makes every worker stop claiming, so all of them leave the call
@@ -17,12 +15,9 @@ type mode = Static | Steal
 let park ~failure ~on_failure e =
   if Atomic.compare_and_set failure None (Some e) then on_failure ()
 
-(* ---------------------------------------------------------------- *)
-(* Static mode: one shared cursor hands out [chunk]-sized index
-   ranges.  One worker body shared by every domain (the caller
-   included). *)
-
-let rec static_loop ~n ~chunk ~cursor ~failure ~on_failure f =
+(* One shared cursor hands out [chunk]-sized index ranges in order.
+   One worker body shared by every domain (the caller included). *)
+let rec claim_loop ~n ~chunk ~cursor ~failure ~on_failure f =
   if Atomic.get failure = None then begin
     let start = Atomic.fetch_and_add cursor chunk in
     if start < n then begin
@@ -31,110 +26,21 @@ let rec static_loop ~n ~chunk ~cursor ~failure ~on_failure f =
            f i
          done
        with e -> park ~failure ~on_failure e);
-      static_loop ~n ~chunk ~cursor ~failure ~on_failure f
+      claim_loop ~n ~chunk ~cursor ~failure ~on_failure f
     end
   end
-
-(* ---------------------------------------------------------------- *)
-(* Steal mode: the index space is pre-partitioned into one contiguous
-   range per worker, each held in a single atomic as the packed pair
-   [(lo lsl 31) lor hi] for the half-open [lo, hi) (so [n] must fit in
-   31 bits).  Owners claim [chunk] indices off the front with a CAS;
-   an idle worker steals the upper half of a victim's range with a
-   CAS and installs the loot in its own (empty) slot.  The packed
-   representation is ABA-free: a slot can never hold the same pair
-   twice, because a pair recurs only if its front index [lo] comes
-   back unexecuted to the same slot, and every transition away from
-   the pair either executes [lo] or keeps it in the slot with a
-   strictly smaller [hi] — ranges split and shrink, they never
-   merge. *)
-
-let range_mask = 0x7FFF_FFFF
-let pack ~lo ~hi = (lo lsl 31) lor hi
-
-(* Claim up to [chunk] indices off the front of [deque]; the packed
-   claimed range, or -1 when the deque is empty. *)
-let rec pop_own deque ~chunk =
-  let r = Atomic.get deque in
-  let lo = r lsr 31 and hi = r land range_mask in
-  if lo >= hi then -1
-  else
-    let c = if hi - lo < chunk then hi - lo else chunk in
-    if Atomic.compare_and_set deque r (pack ~lo:(lo + c) ~hi) then
-      pack ~lo ~hi:(lo + c)
-    else begin
-      (* A failed CAS means a thief owns the cache line right now;
-         yield it before re-spinning. *)
-      Domain.cpu_relax ();
-      pop_own deque ~chunk
-    end
-
-(* Steal the upper half (rounded up) of [deque]; the packed stolen
-   range, or -1 when the deque is empty or the CAS lost a race (the
-   scan just moves to the next victim rather than hammering one
-   slot). *)
-let try_steal deque =
-  let r = Atomic.get deque in
-  let lo = r lsr 31 and hi = r land range_mask in
-  if lo >= hi then -1
-  else
-    let mid = lo + ((hi - lo) / 2) in
-    if Atomic.compare_and_set deque r (pack ~lo ~hi:mid) then pack ~lo:mid ~hi
-    else -1
-
-(* Execute an already-claimed range; every completed index is debited
-   from [remaining] (the termination signal: deques may all look empty
-   while their contents are still being executed). *)
-let rec run_range ~remaining ~failure ~on_failure f lo hi =
-  if lo < hi && Atomic.get failure = None then begin
-    (try f lo with e -> park ~failure ~on_failure e);
-    Atomic.decr remaining;
-    run_range ~remaining ~failure ~on_failure f (lo + 1) hi
-  end
-
-(* One round-robin pass over the victims, starting after [me]; on a
-   hit, park the loot in my own slot (empty while I scan — thieves
-   only ever remove) minus a first chunk executed right away. *)
-let rec steal_scan ~deques ~remaining ~failure ~on_failure ~chunk ~me f i =
-  let jobs = Array.length deques in
-  if i < jobs then begin
-    let r = try_steal deques.((me + i) mod jobs) in
-    if r < 0 then
-      steal_scan ~deques ~remaining ~failure ~on_failure ~chunk ~me f (i + 1)
-    else begin
-      let lo = r lsr 31 and hi = r land range_mask in
-      let c = if hi - lo < chunk then hi - lo else chunk in
-      Atomic.set deques.(me) (pack ~lo:(lo + c) ~hi);
-      run_range ~remaining ~failure ~on_failure f lo (lo + c)
-    end
-  end
-
-let rec steal_loop ~deques ~remaining ~failure ~on_failure ~chunk ~me f =
-  if Atomic.get failure = None && Atomic.get remaining > 0 then begin
-    let r = pop_own deques.(me) ~chunk in
-    if r >= 0 then
-      run_range ~remaining ~failure ~on_failure f (r lsr 31)
-        (r land range_mask)
-    else begin
-      steal_scan ~deques ~remaining ~failure ~on_failure ~chunk ~me f 1;
-      if Atomic.get remaining > 0 && Atomic.get failure = None then
-        Domain.cpu_relax ()
-    end;
-    steal_loop ~deques ~remaining ~failure ~on_failure ~chunk ~me f
-  end
-
 
 (* ---------------------------------------------------------------- *)
 (* The pool: [size - 1] worker domains parked on [wake] between calls.
    A call publishes a fresh [task] under [lock] and bumps [generation];
-   every per-call cell (cursor or deques, [remaining], [failure]) lives
-   in the task's closure, so nothing a call claims from can leak into
-   the next one.  Workers [1 .. task.workers - 1] run the task's body
-   and decrement [busy] on the way out; the caller runs worker 0's
-   share and returns only once [busy] is back to zero, i.e. after
-   every worker has left the task. *)
+   every per-call cell ([cursor], [failure]) lives in the task's
+   closure, so nothing a call claims from can leak into the next one.
+   Workers [1 .. task.workers - 1] run the task's body and decrement
+   [busy] on the way out; the caller runs it too and returns only once
+   [busy] is back to zero, i.e. after every worker has left the
+   task. *)
 
-type task = { workers : int; body : int -> unit }
+type task = { workers : int; body : unit -> unit }
 
 type t = {
   size : int;
@@ -161,7 +67,7 @@ let rec worker t me seen =
   Mutex.unlock t.lock;
   if generation <> seen then begin
     if me < task.workers then begin
-      task.body me;
+      task.body ();
       Mutex.lock t.lock;
       t.busy <- t.busy - 1;
       if t.busy = 0 then Condition.signal t.idle;
@@ -206,7 +112,7 @@ let create ~jobs =
      raise e);
   t
 
-let exec ?(mode = Static) ?chunk ?(on_failure = ignore) t n f =
+let exec ?chunk ?(on_failure = ignore) t n f =
   (match chunk with
   | Some c when c < 1 -> invalid_arg "Pool: chunk must be >= 1"
   | _ -> ());
@@ -218,8 +124,6 @@ let exec ?(mode = Static) ?chunk ?(on_failure = ignore) t n f =
   let chunk =
     match chunk with Some c -> c | None -> max 1 (n / (workers * 8))
   in
-  if mode = Steal && n > range_mask then
-    invalid_arg "Pool: Steal supports at most 2^31 - 1 jobs";
   Mutex.lock t.lock;
   let closed = t.closed and running = t.running in
   if closed || running then begin
@@ -240,32 +144,21 @@ let exec ?(mode = Static) ?chunk ?(on_failure = ignore) t n f =
   end
   else begin
     let failure = Atomic.make None in
-    let share =
-      match mode with
-      | Static ->
-          let cursor = Atomic.make 0 in
-          fun _me -> static_loop ~n ~chunk ~cursor ~failure ~on_failure f
-      | Steal ->
-          let deques =
-            Array.init workers (fun w ->
-                Atomic.make
-                  (pack ~lo:(w * n / workers) ~hi:((w + 1) * n / workers)))
-          in
-          let remaining = Atomic.make n in
-          fun me ->
-            steal_loop ~deques ~remaining ~failure ~on_failure ~chunk ~me f
-    in
+    let cursor = Atomic.make 0 in
     (* A worker's share must not raise out of its domain (the caller
-       would wait on [busy] forever); the loops park job exceptions,
+       would wait on [busy] forever); the loop parks job exceptions,
        and this catches one raised by [on_failure] itself. *)
-    let body me = try share me with e -> park ~failure ~on_failure e in
+    let body () =
+      try claim_loop ~n ~chunk ~cursor ~failure ~on_failure f
+      with e -> park ~failure ~on_failure e
+    in
     t.task <- { workers; body };
     t.generation <- t.generation + 1;
     t.busy <- workers - 1;
     t.running <- true;
     Condition.broadcast t.wake;
     Mutex.unlock t.lock;
-    body 0;
+    body ();
     Mutex.lock t.lock;
     while t.busy > 0 do
       Condition.wait t.idle t.lock
@@ -275,7 +168,7 @@ let exec ?(mode = Static) ?chunk ?(on_failure = ignore) t n f =
     match Atomic.get failure with None -> () | Some e -> raise e
   end
 
-let run ?mode ?chunk ?(on_failure = ignore) ~jobs n f =
+let run ?chunk ?(on_failure = ignore) ~jobs n f =
   if jobs < 1 then invalid_arg "Pool.run: jobs must be >= 1";
   let t =
     try create ~jobs:(min jobs (max n 1))
@@ -283,13 +176,13 @@ let run ?mode ?chunk ?(on_failure = ignore) ~jobs n f =
       on_failure ();
       raise e
   in
-  match exec ?mode ?chunk ~on_failure t n f with
+  match exec ?chunk ~on_failure t n f with
   | () -> shutdown t
   | exception e ->
       shutdown t;
       raise e
 
-let map ?mode ?chunk ?on_failure ~jobs n f =
+let map ?chunk ?on_failure ~jobs n f =
   if n < 0 then invalid_arg "Pool.map: negative job count";
   if n = 0 then [||]
   else begin
@@ -308,7 +201,7 @@ let map ?mode ?chunk ?on_failure ~jobs n f =
     let out = Array.make n r0 in
     let filled = Bytes.make n '\000' in
     Bytes.set filled 0 '\001';
-    run ?mode ?chunk ?on_failure ~jobs (n - 1) (fun i ->
+    run ?chunk ?on_failure ~jobs (n - 1) (fun i ->
         out.(i + 1) <- f (i + 1);
         Bytes.set filled (i + 1) '\001');
     for i = 0 to n - 1 do

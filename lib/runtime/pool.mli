@@ -1,18 +1,20 @@
 (** A minimal domain pool for embarrassingly-parallel index ranges.
 
     Jobs are identified by their index in [0, n); workers claim
-    indices from a shared structure, so the *assignment* of jobs to
-    domains is nondeterministic but nothing else is: callers that make
-    job [i] depend only on [i] (and write only to slot [i] of a result
-    array) get bit-identical results for every [jobs] value and either
-    {!mode}, including [jobs = 1], which runs the plain sequential
-    loop in the calling domain without spawning anything.
+    [chunk]-sized index ranges, in order, from one shared atomic
+    cursor, so the *assignment* of jobs to domains is nondeterministic
+    but nothing else is: callers that make job [i] depend only on [i]
+    (and write only to slot [i] of a result array) get bit-identical
+    results for every [jobs] value, including [jobs = 1], which runs
+    the plain sequential loop in the calling domain without spawning
+    anything.  With [~chunk:1] every idle domain takes the next
+    unclaimed job, so one long job strands no others behind it.
 
     A pool ({!create}) is [jobs - 1] worker domains parked on a
     condition variable — they do not spin while idle — plus the
     calling domain, which takes part in every call.  Each {!exec}
-    publishes a fresh per-call task (its own cursor or deques and
-    failure cell) and returns only after every worker has left it, so
+    publishes a fresh per-call task (its own cursor and failure
+    cell) and returns only after every worker has left it, so
     consecutive calls never share claim state.  {!run} and {!map} are
     "create, one call, shut down" on the same machinery.
 
@@ -29,18 +31,6 @@ val default_jobs : unit -> int
     positive integer — [Invalid_argument] otherwise), else
     {!Domain.recommended_domain_count}. *)
 
-(** How workers claim indices.  [Static] (the default): one shared
-    atomic cursor hands out [chunk]-sized ranges in order — lowest
-    contention, but a worker stuck on a long job strands nothing for
-    others to take only if chunks are small.  [Steal]: the index space
-    is pre-partitioned into one contiguous per-worker range; owners
-    pop [chunk] indices off their own front, and an idle worker steals
-    the upper half of a victim's remaining range (Chase–Lev-style
-    splitting on a single packed atomic per worker), which keeps tails
-    balanced when job durations are skewed.  [Steal] is limited to
-    [n < 2{^31}] jobs. *)
-type mode = Static | Steal
-
 type t
 (** A long-lived pool.  Calls on one pool must not overlap: an {!exec}
     that would wake the workers while another call has them — from
@@ -52,7 +42,6 @@ val create : jobs:int -> t
     [Invalid_argument] if [jobs < 1]. *)
 
 val exec :
-  ?mode:mode ->
   ?chunk:int ->
   ?on_failure:(unit -> unit) ->
   t ->
@@ -69,7 +58,6 @@ val shutdown : t -> unit
 (** Wake and join every worker.  Idempotent. *)
 
 val run :
-  ?mode:mode ->
   ?chunk:int ->
   ?on_failure:(unit -> unit) ->
   jobs:int ->
@@ -89,11 +77,9 @@ val run :
     [Domain.spawn] raises — jobs whose bodies block on shared state
     (e.g. a transport backend's per-node loops) use it to flip their
     own abort flag so every body unblocks and the call can return.
-    [Invalid_argument] if [jobs < 1], [chunk < 1], [n < 0], or
-    [n >= 2{^31}] in [Steal] mode. *)
+    [Invalid_argument] if [jobs < 1], [chunk < 1] or [n < 0]. *)
 
 val map :
-  ?mode:mode ->
   ?chunk:int ->
   ?on_failure:(unit -> unit) ->
   jobs:int ->

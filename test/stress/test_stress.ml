@@ -30,10 +30,9 @@ let jobs_list = [ 2; 4; 8 ]
 let chunks_list = [ 1; 3; 64; 4096 ]
 
 (* ------------------------------------------------------------------ *)
-(* Pool: every index claimed exactly once under every chunking, both
-   modes. *)
+(* Pool: every index claimed exactly once under every chunking. *)
 
-let exactly_once mode mode_name () =
+let test_exactly_once () =
   let n = 1009 in
   List.iter
     (fun jobs ->
@@ -41,34 +40,31 @@ let exactly_once mode mode_name () =
         (fun chunk ->
           let hits = Array.make n 0 in
           let total = Atomic.make 0 in
-          Pool.run ~mode ~chunk ~jobs n (fun i ->
+          Pool.run ~chunk ~jobs n (fun i ->
               hits.(i) <- hits.(i) + 1;
               Atomic.incr total);
           checki
-            (Printf.sprintf "%s -j%d chunk=%d total" mode_name jobs chunk)
+            (Printf.sprintf "-j%d chunk=%d total" jobs chunk)
             n (Atomic.get total);
           Array.iteri
             (fun i h ->
               if h <> 1 then
-                Alcotest.failf "%s -j%d chunk=%d: index %d ran %d times"
-                  mode_name jobs chunk i h)
+                Alcotest.failf "-j%d chunk=%d: index %d ran %d times" jobs
+                  chunk i h)
             hits)
         chunks_list)
     jobs_list
 
-let test_static_exactly_once = exactly_once Pool.Static "static"
-let test_steal_exactly_once = exactly_once Pool.Steal "steal"
-
-(* Skewed workloads force real steals: sparse indices are ~1000x the
-   rest, so eager domains drain their own deques and raid the slow
-   one's while it is still popping. *)
-let test_steal_skewed () =
+(* Skewed workloads claimed one index at a time: sparse indices are
+   ~1000x the rest, so the other domains keep taking cheap indices off
+   the cursor while one is stuck on a slow one. *)
+let test_skewed () =
   let n = 257 in
   let sink = Array.make n 0 in
   List.iter
     (fun jobs ->
       Array.fill sink 0 n 0;
-      Pool.run ~mode:Pool.Steal ~chunk:1 ~jobs n (fun i ->
+      Pool.run ~chunk:1 ~jobs n (fun i ->
           let rounds = if i mod 17 = 0 then 20_000 else 20 in
           let acc = ref 0 in
           for k = 1 to rounds do
@@ -83,17 +79,13 @@ let test_steal_skewed () =
 
 let test_map_under_contention () =
   List.iter
-    (fun (mode, mode_name) ->
-      List.iter
-        (fun jobs ->
-          let out = Pool.map ~mode ~chunk:3 ~jobs 2048 (fun i -> i * i) in
-          Array.iteri
-            (fun i v ->
-              if v <> i * i then
-                Alcotest.failf "%s -j%d: slot %d holds %d" mode_name jobs i v)
-            out)
-        jobs_list)
-    [ (Pool.Static, "static"); (Pool.Steal, "steal") ]
+    (fun jobs ->
+      let out = Pool.map ~chunk:3 ~jobs 2048 (fun i -> i * i) in
+      Array.iteri
+        (fun i v ->
+          if v <> i * i then Alcotest.failf "-j%d: slot %d holds %d" jobs i v)
+        out)
+    jobs_list
 
 (* Exception propagation under contention: a mid-run failure races
    against completing workers on every round, must reach the caller
@@ -104,7 +96,7 @@ exception Boom
 let test_failure_race () =
   for round = 1 to 20 do
     (try
-       Pool.run ~mode:Pool.Steal ~chunk:1 ~jobs:4 64 (fun i ->
+       Pool.run ~chunk:1 ~jobs:4 64 (fun i ->
            if i = 17 then raise Boom);
        Alcotest.fail "exception was swallowed"
      with Boom -> ());
@@ -114,7 +106,7 @@ let test_failure_race () =
   done
 
 (* One long-lived pool serves many consecutive calls, small and large,
-   both modes, every fifth one raising: each call runs each index at
+   every fifth one raising: each call runs each index at
    most once (exactly once when nothing raised), and no index runs
    while a later call is current — per-call claim state never leaks
    across calls, and a call returns only after its workers left. *)
@@ -127,13 +119,12 @@ let test_persistent_calls () =
       let calls = ref [] in
       for k = 0 to 119 do
         let n = [| 0; 1; 2; 1009 |].(k mod 4) in
-        let mode = if k mod 3 = 0 then Pool.Steal else Pool.Static in
         let chunk = [| 1; 3; 64 |].(k mod 3) in
         let raising = k mod 5 = 4 && n > 0 in
         let hits = Array.make n 0 in
         Atomic.set current k;
         (match
-           Pool.exec ~mode ~chunk pool n (fun i ->
+           Pool.exec ~chunk pool n (fun i ->
                (* Some slow indices, so a worker still busy after its
                   call returned would finish under the next one. *)
                if i mod 61 = 0 then
@@ -167,8 +158,8 @@ let test_persistent_calls () =
 (* ------------------------------------------------------------------ *)
 (* Batches on warm per-domain cores: many elections per group across
    domains, with per-job journals byte-identical to the sequential run
-   for every pool width and both modes (the bit-identical-for-every--j
-   contract under load). *)
+   for every pool width (the bit-identical-for-every--j contract under
+   load). *)
 
 let test_batch_waves () =
   let specs =
@@ -176,10 +167,10 @@ let test_batch_waves () =
         let n = 4 + (k mod 5) in
         { Batch.algorithm = Election.Algo2; n; seed = k + 1; id_max = 2 * n })
   in
-  let journals ~jobs ~mode =
+  let journals ~jobs =
     let chunks = Array.make (Array.length specs) "" in
     let outcome =
-      Batch.run ~jobs ~mode
+      Batch.run ~jobs
         ~journal:(fun i chunk -> chunks.(i) <- chunk)
         ~sched specs
     in
@@ -188,20 +179,14 @@ let test_batch_waves () =
       outcome.Batch.reports;
     chunks
   in
-  let expected = journals ~jobs:1 ~mode:Pool.Static in
+  let expected = journals ~jobs:1 in
   List.iter
-    (fun (mode, mode_name) ->
-      List.iter
-        (fun jobs ->
-          let got = journals ~jobs ~mode in
-          Array.iteri
-            (fun i chunk ->
-              checks
-                (Printf.sprintf "%s -j%d job %d" mode_name jobs i)
-                expected.(i) chunk)
-            got)
-        [ 2; 4 ])
-    [ (Pool.Static, "static"); (Pool.Steal, "steal") ]
+    (fun jobs ->
+      Array.iteri
+        (fun i chunk ->
+          checks (Printf.sprintf "-j%d job %d" jobs i) expected.(i) chunk)
+        (journals ~jobs))
+    [ 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Domains transport: one OCaml domain per node over atomic pulse
@@ -232,11 +217,8 @@ let () =
     [
       ( "pool",
         [
-          Alcotest.test_case "static exactly-once" `Quick
-            test_static_exactly_once;
-          Alcotest.test_case "steal exactly-once" `Quick
-            test_steal_exactly_once;
-          Alcotest.test_case "steal skewed" `Quick test_steal_skewed;
+          Alcotest.test_case "static exactly-once" `Quick test_exactly_once;
+          Alcotest.test_case "skewed, chunk 1" `Quick test_skewed;
           Alcotest.test_case "map under contention" `Quick
             test_map_under_contention;
           Alcotest.test_case "failure race" `Quick test_failure_race;

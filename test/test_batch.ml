@@ -1,7 +1,7 @@
 (* Batched-determinism tests: a batch job's journal and report, run on
    a warm (reset) core, are byte-identical to what a sequential
    Election.run on a fresh network produces for the same inputs — for
-   every pool width and both pool modes.  This is the contract that
+   every pool width.  This is the contract that
    makes `colring batch` a drop-in for a loop of `colring elect`
    calls. *)
 
@@ -37,10 +37,10 @@ let sequential_journal ?(events = false) (s : Batch.spec) =
        ~sched:(sched s.seed));
   Buffer.contents b
 
-let batch_journals ?(jobs = 1) ?(mode = Pool.Static) ?events specs =
+let batch_journals ?(jobs = 1) ?events specs =
   let chunks = Array.make (Array.length specs) "" in
   ignore
-    (Batch.run ~jobs ~mode ?events
+    (Batch.run ~jobs ?events
        ~journal:(fun i chunk -> chunks.(i) <- chunk)
        ~sched specs);
   chunks
@@ -50,18 +50,12 @@ let spec algorithm n seed = { Batch.algorithm; n; seed; id_max = 2 * n }
 let check_byte_identical specs =
   let expected = Array.map (fun s -> sequential_journal s) specs in
   List.iter
-    (fun (mode, mode_name) ->
-      List.iter
-        (fun jobs ->
-          let got = batch_journals ~jobs ~mode specs in
-          Array.iteri
-            (fun i chunk ->
-              checks
-                (Printf.sprintf "job %d (%s -j%d)" i mode_name jobs)
-                expected.(i) chunk)
-            got)
-        [ 1; 2; 4 ])
-    [ (Pool.Static, "static"); (Pool.Steal, "steal") ]
+    (fun jobs ->
+      Array.iteri
+        (fun i chunk ->
+          checks (Printf.sprintf "job %d (-j%d)" i jobs) expected.(i) chunk)
+        (batch_journals ~jobs specs))
+    [ 1; 2; 4 ]
 
 let test_oriented_journals () =
   check_byte_identical
@@ -77,9 +71,7 @@ let test_event_journals () =
   (* Full per-event records, not just snapshots. *)
   let specs = Array.init 4 (fun i -> spec Election.Algo2 5 (i + 11)) in
   let expected = Array.map (sequential_journal ~events:true) specs in
-  let got =
-    batch_journals ~jobs:2 ~mode:Pool.Steal ~events:true specs
-  in
+  let got = batch_journals ~jobs:2 ~events:true specs in
   Array.iteri
     (fun i chunk -> checks (Printf.sprintf "job %d" i) expected.(i) chunk)
     got
@@ -521,7 +513,7 @@ let test_run_warm_needs_the_plans_graph () =
     | exception Invalid_argument _ -> true)
 
 (* A graph batch: journals and reports equal a loop of fresh
-   [Gelection.run]s, for every pool width and mode. *)
+   [Gelection.run]s, for every pool width. *)
 let test_graph_batch_journals () =
   let g = Gtopology.theta 3 3 4 in
   let n = Gtopology.n g in
@@ -543,23 +535,20 @@ let test_graph_batch_journals () =
       specs
   in
   List.iter
-    (fun (mode, mode_name) ->
-      List.iter
-        (fun jobs ->
-          let chunks = Array.make (Array.length specs) "" in
-          let o =
-            Batch.run_graph ~jobs ~mode ~events:true ~workload:"theta"
-              ~journal:(fun i chunk -> chunks.(i) <- chunk)
-              ~sched plan specs
-          in
-          Array.iteri
-            (fun i (r, j) ->
-              let what = Printf.sprintf "job %d (%s -j%d)" i mode_name jobs in
-              checkb (what ^ " report") true (r = o.Batch.reports.(i));
-              checks (what ^ " journal") j chunks.(i))
-            expected)
-        [ 1; 2; 4 ])
-    [ (Pool.Static, "static"); (Pool.Steal, "steal") ]
+    (fun jobs ->
+      let chunks = Array.make (Array.length specs) "" in
+      let o =
+        Batch.run_graph ~jobs ~events:true ~workload:"theta"
+          ~journal:(fun i chunk -> chunks.(i) <- chunk)
+          ~sched plan specs
+      in
+      Array.iteri
+        (fun i (r, j) ->
+          let what = Printf.sprintf "job %d (-j%d)" i jobs in
+          checkb (what ^ " report") true (r = o.Batch.reports.(i));
+          checks (what ^ " journal") j chunks.(i))
+        expected)
+    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Failure paths on a warm core: whatever a job leaves behind — a

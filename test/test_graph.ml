@@ -408,34 +408,30 @@ let test_pinned_graph_batches () =
     (fun (topo, nodes, shard0, shard1) ->
       let dir = Filename.temp_file "colring" ".d" in
       Sys.remove dir;
-      List.iter
-        (fun pool ->
-          let code =
-            Sys.command
-              (Filename.quote_command exe
-                 [
-                   "batch"; spec; "--topology"; topo; "--events";
-                   "--journal-dir"; dir; "--shards"; "2"; "--pool"; pool;
-                   "-j"; "2";
-                 ]
-                 ~stdout:out)
-          in
-          let what = Printf.sprintf "batch --topology %s --pool %s" topo pool in
-          checki (what ^ " exits 0") 0 code;
-          checks (what ^ " summary")
-            (Printf.sprintf "topology            %s (%d nodes)\n\
-                             jobs                6\n\
-                             ok                  6\n"
-               topo nodes)
-            (String.split_on_char '\n' (read out)
-            |> List.filter (fun l -> l <> "" && not (timing l))
-            |> List.map (fun l -> l ^ "\n")
-            |> String.concat "");
-          checks (what ^ " shard 0") shard0
-            (digest (Filename.concat dir "shard-0000.jsonl"));
-          checks (what ^ " shard 1") shard1
-            (digest (Filename.concat dir "shard-0001.jsonl")))
-        [ "static"; "steal" ];
+      let code =
+        Sys.command
+          (Filename.quote_command exe
+             [
+               "batch"; spec; "--topology"; topo; "--events"; "--journal-dir";
+               dir; "--shards"; "2"; "-j"; "2";
+             ]
+             ~stdout:out)
+      in
+      let what = Printf.sprintf "batch --topology %s" topo in
+      checki (what ^ " exits 0") 0 code;
+      checks (what ^ " summary")
+        (Printf.sprintf "topology            %s (%d nodes)\n\
+                         jobs                6\n\
+                         ok                  6\n"
+           topo nodes)
+        (String.split_on_char '\n' (read out)
+        |> List.filter (fun l -> l <> "" && not (timing l))
+        |> List.map (fun l -> l ^ "\n")
+        |> String.concat "");
+      checks (what ^ " shard 0") shard0
+        (digest (Filename.concat dir "shard-0000.jsonl"));
+      checks (what ^ " shard 1") shard1
+        (digest (Filename.concat dir "shard-0001.jsonl"));
       Array.iter
         (fun f -> Sys.remove (Filename.concat dir f))
         (Sys.readdir dir);

@@ -161,9 +161,9 @@ let test_batch_refuses_sized_ring () =
 (* --id-max below the node count is refused once n is known (from -n
    or --topology) by every subcommand that takes it: exit 2, one line
    naming the flag, nothing run before it.  Bad -c and --id values are
-   cmdliner usage errors (124); a -c so large that every sampled ID is
-   past anonymous's limit is a refused run (1).  None is an uncaught
-   exception (125). *)
+   cmdliner usage errors (124), and so is the removed [batch --pool]; a
+   -c so large that every sampled ID is past anonymous's limit is a
+   refused run (1).  None is an uncaught exception (125). *)
 let test_cli_value_refusals () =
   let exe = colring_exe () in
   let out = Filename.temp_file "colring" ".out" in
@@ -209,6 +209,9 @@ let test_cli_value_refusals () =
         124,
         "option '--algo': invalid value 'foo'" );
       ([ "elect"; "--algo"; "foo" ], 124, "option '--algo': invalid value 'foo'");
+      (* The pool has one claim strategy; the flag that picked one is
+         gone. *)
+      ([ "batch"; "--pool"; "steal" ], 124, "unknown option '--pool'");
     ];
   (* A name flag lists every name it accepts. *)
   List.iter

@@ -222,6 +222,34 @@ let test_allowlist () =
   checki "absent file reported" 1 (List.length r.missing)
 
 (* ------------------------------------------------------------------ *)
+(* manifest names *)
+
+(* --check-allow's name check: a manifest name its file does not bind
+   (left behind by a rename or a deletion) is reported, one per name;
+   functions, let-bound atomics and declared or filled record labels
+   all count as bound. *)
+let test_manifest_names () =
+  let file = fixture "manifest_names.ml" in
+  Alcotest.(check (list (triple string string string)))
+    "stale names"
+    [
+      ("hot.sexp", file, "retired");
+      ("shared.sexp", file, "deques");
+      ("shared.sexp", file, "filled");
+    ]
+    (Lint_driver.unbound_manifest_names
+       ~hot_manifest:[ (file, [ "claim"; "retired" ]) ]
+       ~shared_manifest:
+         (shared_entry ~file
+            ~atomics:[ "cursor"; "remaining"; "deques" ]
+            ~state:[ "busy"; "filled" ] ()));
+  checki "a missing file is not a name problem" 0
+    (List.length
+       (Lint_driver.unbound_manifest_names
+          ~hot_manifest:[ ("no/such/file.ml", [ "f" ]) ]
+          ~shared_manifest:[]))
+
+(* ------------------------------------------------------------------ *)
 (* config parsing *)
 
 let test_config () =
@@ -270,5 +298,6 @@ let () =
         [
           Alcotest.test_case "allowlist" `Quick test_allowlist;
           Alcotest.test_case "config" `Quick test_config;
+          Alcotest.test_case "manifest names" `Quick test_manifest_names;
         ] );
     ]

@@ -117,34 +117,6 @@ let test_on_failure_sequential_path () =
   | () -> Alcotest.fail "exception was swallowed");
   checki "on_failure ran exactly once" 1 !calls
 
-let test_steal_matches_sequential () =
-  let f i = (i * 5) - (i * i) in
-  let expected = Array.init 211 f in
-  List.iter
-    (fun jobs ->
-      List.iter
-        (fun chunk ->
-          Alcotest.(check (array int))
-            (Printf.sprintf "steal jobs=%d chunk=%d" jobs chunk)
-            expected
-            (Pool.map ~mode:Pool.Steal ~chunk ~jobs 211 f))
-        [ 1; 4; 64 ])
-    [ 1; 2; 4; 9 ]
-
-let test_steal_covers_each_index_once () =
-  List.iter
-    (fun jobs ->
-      let n = 143 in
-      let hits = Array.make n 0 in
-      Pool.run ~mode:Pool.Steal ~jobs ~chunk:3 n (fun i ->
-          hits.(i) <- hits.(i) + 1);
-      Array.iteri (fun i h -> checki (Printf.sprintf "index %d" i) 1 h) hits;
-      (* Auto-tuned chunk covers the same set. *)
-      let hits = Array.make n 0 in
-      Pool.run ~mode:Pool.Steal ~jobs n (fun i -> hits.(i) <- hits.(i) + 1);
-      Array.iteri (fun i h -> checki (Printf.sprintf "auto %d" i) 1 h) hits)
-    [ 1; 2; 4 ]
-
 let test_auto_chunk_covers () =
   (* No explicit chunk: the auto-tuned size must still cover every
      index exactly once, including when it rounds to 0-remainder
@@ -157,24 +129,6 @@ let test_auto_chunk_covers () =
         checki (Printf.sprintf "jobs=%d n=%d i=%d" jobs n i) 1 hits.(i)
       done)
     [ (1, 10_000); (4, 10_000); (4, 7); (3, 1); (4, 0) ]
-
-let test_steal_exception_propagates () =
-  List.iter
-    (fun jobs ->
-      (match
-         Pool.run ~mode:Pool.Steal ~jobs 64 (fun i ->
-             if i = 11 then failwith "steal-boom")
-       with
-      | exception Failure msg ->
-          Alcotest.(check string)
-            (Printf.sprintf "message at jobs=%d" jobs)
-            "steal-boom" msg
-      | () -> Alcotest.fail "exception was swallowed");
-      Alcotest.(check (array int))
-        (Printf.sprintf "reusable at jobs=%d" jobs)
-        [| 0; 1; 2; 3 |]
-        (Pool.map ~mode:Pool.Steal ~jobs 4 (fun i -> i)))
-    [ 1; 4 ]
 
 let test_map_first_slot_failure () =
   (* [f 0] runs eagerly in the caller; its failure must still fire
@@ -202,7 +156,7 @@ let test_persistent_pool () =
     | exception Failure msg -> Alcotest.(check string) "message" "boom" msg
     | () -> Alcotest.fail "exception was swallowed");
     let hits = Array.make 100 0 in
-    Pool.exec ~mode:Pool.Steal pool 100 (fun i -> hits.(i) <- hits.(i) + 1);
+    Pool.exec pool 100 (fun i -> hits.(i) <- hits.(i) + 1);
     Array.iteri
       (fun i h -> checki (Printf.sprintf "round %d index %d" round i) 1 h)
       hits
@@ -286,13 +240,7 @@ let () =
             test_on_failure_sequential_path;
           Alcotest.test_case "exception propagates" `Quick
             test_exception_propagates_and_pool_survives;
-          Alcotest.test_case "steal matches sequential" `Quick
-            test_steal_matches_sequential;
-          Alcotest.test_case "steal covers each index once" `Quick
-            test_steal_covers_each_index_once;
           Alcotest.test_case "auto chunk covers" `Quick test_auto_chunk_covers;
-          Alcotest.test_case "steal exception propagates" `Quick
-            test_steal_exception_propagates;
           Alcotest.test_case "map first-slot failure" `Quick
             test_map_first_slot_failure;
           Alcotest.test_case "COLRING_JOBS" `Quick test_default_jobs_env;

@@ -16,9 +16,11 @@
    counts) — the CI artifact that makes rule hits diffable across PRs.
    Exit codes are unchanged.
 
-   --check-allow only validates the manifests (every allow.sexp and
-   shared.sexp entry must name an existing file) — the CI guard that
-   keeps the escape hatches honest without a full tree walk. *)
+   --check-allow only validates the manifests — every allow.sexp,
+   hot.sexp and shared.sexp entry must name an existing file, and every
+   hot function and shared atomic or state name must be bound in its
+   file — the CI guard that keeps the escape hatches honest without a
+   full tree walk. *)
 
 open Colring_lint_core
 
@@ -78,8 +80,17 @@ let () =
         (fun (e : Lint_config.allow_entry) -> not (Sys.file_exists e.file))
         allow
     in
-    let missing_shared =
-      List.filter (fun (f, _) -> not (Sys.file_exists f)) shared_manifest
+    let missing_files manifest entries =
+      List.filter_map
+        (fun (f, _) -> if Sys.file_exists f then None else Some (manifest, f))
+        entries
+    in
+    let missing =
+      missing_files "hot.sexp" hot_manifest
+      @ missing_files "shared.sexp" shared_manifest
+    in
+    let unbound =
+      Lint_driver.unbound_manifest_names ~hot_manifest ~shared_manifest
     in
     List.iter
       (fun (e : Lint_config.allow_entry) ->
@@ -88,15 +99,20 @@ let () =
           e.rule e.file)
       missing_allow;
     List.iter
-      (fun (f, _) ->
-        Printf.eprintf "colring-lint: shared.sexp entry names missing file %s\n"
-          f)
-      missing_shared;
-    if missing_allow = [] && missing_shared = [] then (
+      (fun (manifest, f) ->
+        Printf.eprintf "colring-lint: %s entry names missing file %s\n"
+          manifest f)
+      missing;
+    List.iter
+      (fun (manifest, f, name) ->
+        Printf.eprintf "colring-lint: %s names %s, which %s does not bind\n"
+          manifest name f)
+      unbound;
+    if missing_allow = [] && missing = [] && unbound = [] then (
       Printf.printf
-        "colring-lint: %d allow entries and %d shared entries, all files \
-         present\n"
-        (List.length allow)
+        "colring-lint: %d allow, %d hot and %d shared entries, all files \
+         present and all names bound\n"
+        (List.length allow) (List.length hot_manifest)
         (List.length shared_manifest);
       exit 0)
     else exit 1);

@@ -131,3 +131,59 @@ let lint_tree ~hot_manifest ?(shared_manifest = []) ~allow roots =
     @ Lint_rules.mli_coverage ~ml_files ~mli_files
   in
   apply_allowlist allow (List.sort_uniq Lint_diag.compare diags)
+
+(* ------------------------------------------------------------------ *)
+(* Manifest names *)
+
+(* The names [path] binds: pattern variables at any depth (let, fun,
+   match), record labels it declares, and record labels it fills — what
+   hot-alloc, shared-state and atomics-discipline can match a manifest
+   name against. *)
+let bound_names path =
+  let names = Hashtbl.create 64 in
+  let add name = Hashtbl.replace names name () in
+  let pat it p =
+    (match p.Parsetree.ppat_desc with
+    | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) -> add txt
+    | _ -> ());
+    Ast_iterator.default_iterator.pat it p
+  in
+  let label_declaration it (ld : Parsetree.label_declaration) =
+    add ld.pld_name.txt;
+    Ast_iterator.default_iterator.label_declaration it ld
+  in
+  let expr it e =
+    (match e.Parsetree.pexp_desc with
+    | Pexp_record (fields, _) ->
+        List.iter (fun (lid, _) -> add (Longident.last lid.Asttypes.txt)) fields
+    | _ -> ());
+    Ast_iterator.default_iterator.expr it e
+  in
+  let it =
+    { Ast_iterator.default_iterator with pat; label_declaration; expr }
+  in
+  let src = In_channel.with_open_bin path In_channel.input_all in
+  it.structure it (Parse.implementation (Lexing.from_string src));
+  names
+
+(* Every hot.sexp function and shared.sexp atomic or state name that
+   its (existing) file does not bind, as (manifest, file, name): an
+   entry left behind by a rename or a deletion patrols nothing. *)
+let unbound_manifest_names ~hot_manifest ~shared_manifest =
+  let entries =
+    List.map (fun (file, fns) -> ("hot.sexp", file, fns)) hot_manifest
+    @ List.map
+        (fun (file, (e : Lint_config.shared_entry)) ->
+          ("shared.sexp", file, e.atomics @ e.state))
+        shared_manifest
+  in
+  List.concat_map
+    (fun (manifest, file, names) ->
+      if not (Sys.file_exists file) then []
+      else
+        let bound = bound_names file in
+        List.filter_map
+          (fun name ->
+            if Hashtbl.mem bound name then None else Some (manifest, file, name))
+          names)
+    entries
