@@ -5,6 +5,10 @@ let cw_in = Port.P0
 let ccw_out = Port.P0
 let ccw_in = Port.P1
 
+(* Consume a pulse at [p] if [api.mailbox] shows one waiting. *)
+let polled (api : _ Network.api) p =
+  api.mailbox.(Port.index p) > 0 && api.recv_pulse p
+
 (* Algorithm 2 minus the lag: both instances start at initialization
    and the CCW block is not gated on rho_cw >= id.  Compare Algo2. *)
 let algo2_no_lag ~id =
@@ -26,31 +30,29 @@ let algo2_no_lag ~id =
     let continue = ref true in
     while !continue && not !finished do
       if !term_initiated then begin
-        match api.recv ccw_in with
-        | Some () ->
-            incr rho_ccw;
-            finish api
-        | None -> continue := false
+        if polled api ccw_in then begin
+          incr rho_ccw;
+          finish api
+        end
+        else continue := false
       end
       else begin
         let progress = ref false in
-        (match api.recv cw_in with
-        | Some () ->
-            progress := true;
-            incr rho_cw;
-            if !rho_cw = id then role := Output.Leader
-            else begin
-              role := Output.Non_leader;
-              api.send cw_out ()
-            end
-        | None -> ());
+        if polled api cw_in then begin
+          progress := true;
+          incr rho_cw;
+          if !rho_cw = id then role := Output.Leader
+          else begin
+            role := Output.Non_leader;
+            api.send cw_out ()
+          end
+        end;
         (* No rho_cw >= id guard here: the broken part. *)
-        (match api.recv ccw_in with
-        | Some () ->
-            progress := true;
-            incr rho_ccw;
-            if !rho_ccw <> id then api.send ccw_out ()
-        | None -> ());
+        if polled api ccw_in then begin
+          progress := true;
+          incr rho_ccw;
+          if !rho_ccw <> id then api.send ccw_out ()
+        end;
         if (not !term_initiated) && !rho_cw = id && !rho_ccw = id then begin
           api.send ccw_out ();
           term_initiated := true;
@@ -100,12 +102,11 @@ let algo3_same_virtual_ids ~id =
     while !progress do
       progress := false;
       for i = 0 to 1 do
-        match api.recv (Port.of_index (1 - i)) with
-        | Some () ->
-            progress := true;
-            rho.(1 - i) <- rho.(1 - i) + 1;
-            if rho.(1 - i) <> id then api.send (Port.of_index i) ()
-        | None -> ()
+        if polled api (Port.of_index (1 - i)) then begin
+          progress := true;
+          rho.(1 - i) <- rho.(1 - i) + 1;
+          if rho.(1 - i) <> id then api.send (Port.of_index i) ()
+        end
       done;
       if max rho.(0) rho.(1) >= id then begin
         let role =
@@ -139,13 +140,12 @@ let algo1_no_absorption ~id =
   let wake (api : _ Network.api) =
     let continue = ref true in
     while !continue do
-      match api.recv cw_in with
-      | Some () ->
-          incr rho;
-          api.set_output
-            (if !rho = id then Output.leader else Output.non_leader);
-          api.send cw_out () (* always relays: never absorbs *)
-      | None -> continue := false
+      if polled api cw_in then begin
+        incr rho;
+        api.set_output (if !rho = id then Output.leader else Output.non_leader);
+        api.send cw_out () (* always relays: never absorbs *)
+      end
+      else continue := false
     done
   in
   let inspect () = [ ("id", id); ("rho_cw", !rho) ] in

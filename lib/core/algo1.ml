@@ -16,8 +16,10 @@ let[@inline] send_cw (api : _ Network.api) st =
   api.send cw_out ();
   st.sigma_cw <- st.sigma_cw + 1
 
+(* [api.mailbox.(0)] ([cw_in]) shows an empty port without a call. *)
 let[@inline] recv_cw (api : _ Network.api) st =
-  api.recv_pulse cw_in
+  api.mailbox.(0) > 0
+  && api.recv_pulse cw_in
   && begin
        st.rho_cw <- st.rho_cw + 1;
        true

@@ -27,15 +27,18 @@ let[@inline] send_ccw (api : _ Network.api) st =
   api.send ccw_out ();
   st.sigma_ccw <- st.sigma_ccw + 1
 
+(* [api.mailbox] (0 is [cw_in]) shows an empty port without a call. *)
 let[@inline] recv_cw (api : _ Network.api) st =
-  api.recv_pulse cw_in
+  api.mailbox.(0) > 0
+  && api.recv_pulse cw_in
   && begin
        st.rho_cw <- st.rho_cw + 1;
        true
      end
 
 let[@inline] recv_ccw (api : _ Network.api) st =
-  api.recv_pulse ccw_in
+  api.mailbox.(1) > 0
+  && api.recv_pulse ccw_in
   && begin
        st.rho_ccw <- st.rho_ccw + 1;
        true

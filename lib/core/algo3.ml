@@ -29,8 +29,10 @@ let[@inline] send (api : _ Network.api) st i =
   api.send (port i) ();
   st.sigma.(i) <- st.sigma.(i) + 1
 
+(* [api.mailbox] shows an empty port without a call. *)
 let[@inline] recv (api : _ Network.api) st i =
-  api.recv_pulse (port i)
+  api.mailbox.(i) > 0
+  && api.recv_pulse (port i)
   && begin
        st.rho.(i) <- st.rho.(i) + 1;
        true
@@ -86,12 +88,15 @@ let[@inline] poll api st ~resample i =
        true
      end
 
-(* Top-level so a wake allocates nothing. *)
+(* Top-level so a wake allocates nothing.  After a round that consumed
+   nothing, [decide] would see the ρ and ID it last saw: it is skipped. *)
 let rec wake_loop api st ~resample =
   let progress0 = poll api st ~resample 0 in
   let progress1 = poll api st ~resample 1 in
-  decide api st;
-  if progress0 || progress1 then wake_loop api st ~resample
+  if progress0 || progress1 then begin
+    decide api st;
+    wake_loop api st ~resample
+  end
 
 let make ~resample ~scheme ~id =
   if id < 1 then invalid_arg "Algo3.program: id must be positive";

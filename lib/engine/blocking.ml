@@ -11,8 +11,8 @@ type waiting =
   | Finished
 
 let first_available (api : Network.pulse Network.api) =
-  if api.pending Port.P0 > 0 then Some Port.P0
-  else if api.pending Port.P1 > 0 then Some Port.P1
+  if api.mailbox.(0) > 0 then Some Port.P0
+  else if api.mailbox.(1) > 0 then Some Port.P1
   else None
 
 let make ?(inspect = fun () -> []) body =

@@ -7,7 +7,7 @@ type 'm api = {
   recv : Port.t -> 'm option;
   recv_pulse : Port.t -> bool;
   peek : Port.t -> 'm option;
-  pending : Port.t -> int;
+  mailbox : int array;
   send : Port.t -> 'm -> unit;
   set_output : Output.t -> unit;
   terminate : unit -> unit;
@@ -38,7 +38,7 @@ module Graph = struct
     node : int;
     degree : int;
     recv : int -> 'm option;
-    pending : int -> int;
+    mailbox : int array;
     send : int -> 'm -> unit;
     set_output : Output.t -> unit;
     terminate : unit -> unit;
@@ -228,19 +228,19 @@ type ('m, 'api, 'topo) core = {
      fill [chan_pl]/[box_pl] (empty arrays otherwise). *)
   carry : 'm carry;
   chans : int array array; (* by link id; see [stamps_create] *)
-  (* Node [v]'s port [p] sends on link [first_link.(v) + p] and reads
-     mailbox [first_link.(v) + p] (on a ring, [2v + p]). *)
-  mcount : int array; (* by mailbox id *)
+  (* Node [v]'s mailbox counts by port, its api's [mailbox].  Its port
+     [p] sends on link [first_link.(v) + p] (on a ring, [2v + p]), which
+     also indexes that mailbox's payload slab in [box_pl]. *)
+  boxes : int array array; (* by node *)
   chan_pl : 'm slab array;
   box_pl : 'm slab array;
   (* Per-link tables: the receiving node and port, and the direction
      (1 = cw and 0 = ccw on a ring, -1 on a graph, which has no global
-     direction); per-node tables: first link id and degree. *)
+     direction); per node: the first link id. *)
   dst_node : int array;
   dst_port : int array;
   dir : int array;
   first_link : int array;
-  degree : int array;
   outputs : Output.t array;
   term : bool array;
   mutable term_order_rev : int list;
@@ -302,9 +302,10 @@ type 'm t = ('m, 'm api, Topology.t) core
    unless told to: every helper on the delivery path carries
    [[@inline]], so [deliver_from] and the api closures are straight
    lines.  The only indirect calls left per delivery are the
-   scheduler's [pick], the program's [wake] and its api closures —
-   counters are inline stores, link lookups are table reads and queue
-   stamps are read in place.  The api constructors live here for the
+   scheduler's [pick], the program's [wake] and the api closures it
+   calls (a poll of an empty port reads [api.mailbox] and calls
+   nothing); counters are inline stores, link lookups are table reads
+   and queue stamps are read in place.  The api constructors live here for the
    same reason: their closures inline [enqueue] and [take].  The
    [carry] match is the one place a payload network differs: a pulse
    network moves integers only. *)
@@ -356,11 +357,11 @@ let[@inline] enqueue (type m) (t : (m, _, _) core) ~link ~node ~port (m : m) =
   if t.logging then ulog_send t.ulog link;
   if t.live then t.sink.Sink.on_send ~node ~port ~seq ~link ~cw
 
-(* The wake's side of a mailbox read: take the oldest entry of mailbox
-   [mb] (node [node]'s, at [port], known non-empty), count it and
-   journal it for undo. *)
-let[@inline] take (type m) (t : (m, _, _) core) ~node ~port mb : m =
-  t.mcount.(mb) <- t.mcount.(mb) - 1;
+(* The wake's side of a mailbox read: take the oldest entry of node
+   [node]'s mailbox at [port] (counts [box], known non-empty), count it
+   and journal it for undo. *)
+let[@inline] take (type m) (t : (m, _, _) core) ~node ~port box : m =
+  box.(port) <- box.(port) - 1;
   t.mailbox_backlog <- t.mailbox_backlog - 1;
   let c = t.metrics in
   c.consumes <- c.consumes + 1;
@@ -369,16 +370,17 @@ let[@inline] take (type m) (t : (m, _, _) core) ~node ~port mb : m =
   match t.carry with
   | Pulses -> ()
   | Payloads ->
-      let m = slab_pop t.box_pl.(mb) in
+      let m = slab_pop t.box_pl.(t.first_link.(node) + port) in
       if t.logging then ulog_payload t.ulog m;
       m
 
 (* [take] behind a [recv]: [None] on an empty mailbox, and on a pulse
    network the shared [some_pulse] instead of a fresh [Some ()]. *)
-let[@inline] recv_at (type m) (t : (m, _, _) core) ~node ~port mb : m option =
-  if t.mcount.(mb) = 0 then None
+let[@inline] recv_at (type m) (t : (m, _, _) core) ~node ~port box :
+    m option =
+  if box.(port) = 0 then None
   else
-    let m = take t ~node ~port mb in
+    let m = take t ~node ~port box in
     match t.carry with Pulses -> some_pulse | Payloads -> Some m
 
 let decide t v o =
@@ -405,30 +407,27 @@ let node_rng t v =
       r
 
 let ring_api (type m) (t : (m, m api, _) core) v : m api =
-  (* Node [v]'s port [p] is link (and mailbox) [l0 + p]; [l0] is
-     resolved once per api instead of per call. *)
+  (* [l0] and the node's counts are resolved once per api, not per
+     call; payload slabs, off the pulse path, index from [first_link]. *)
   let l0 = t.first_link.(v) in
-  let recv p =
-    let port = port_index p in
-    recv_at t ~node:v ~port (l0 + port)
-  in
+  let mailbox = t.boxes.(v) in
+  let recv p = recv_at t ~node:v ~port:(port_index p) mailbox in
   let recv_pulse p =
     let port = port_index p in
-    if t.mcount.(l0 + port) = 0 then false
+    if mailbox.(port) = 0 then false
     else begin
-      ignore (take t ~node:v ~port (l0 + port) : m);
+      ignore (take t ~node:v ~port mailbox : m);
       true
     end
   in
   let peek p : m option =
-    let mb = l0 + port_index p in
-    if t.mcount.(mb) = 0 then None
+    let port = port_index p in
+    if mailbox.(port) = 0 then None
     else
       match t.carry with
       | Pulses -> some_pulse
-      | Payloads -> Some (slab_peek t.box_pl.(mb))
+      | Payloads -> Some (slab_peek t.box_pl.(t.first_link.(v) + port))
   in
-  let pending p = t.mcount.(l0 + port_index p) in
   let send p m =
     if t.term.(v) then failwith "Network: send after terminate";
     let port = port_index p in
@@ -437,20 +436,17 @@ let ring_api (type m) (t : (m, m api, _) core) v : m api =
   let set_output o = decide t v o in
   let terminate () = halt t v in
   let rng () = node_rng t v in
-  { node = v; recv; recv_pulse; peek; pending; send; set_output; terminate; rng }
+  { node = v; recv; recv_pulse; peek; mailbox; send; set_output; terminate; rng }
 
 let graph_api t v =
   (* Ports are range-checked because [base + p] alone would reach
      another node's links. *)
   let base = t.first_link.(v) in
-  let degree = t.degree.(v) in
+  let mailbox = t.boxes.(v) in
+  let degree = Array.length mailbox in
   let recv p =
     if p < 0 || p >= degree then invalid_arg "Gnetwork.recv: bad port";
-    recv_at t ~node:v ~port:p (base + p)
-  in
-  let pending p =
-    if p < 0 || p >= degree then invalid_arg "Gnetwork.pending: bad port";
-    t.mcount.(base + p)
+    recv_at t ~node:v ~port:p mailbox
   in
   let send p m =
     if t.term.(v) then failwith "Gnetwork: send after terminate";
@@ -460,7 +456,7 @@ let graph_api t v =
   let set_output o = decide t v o in
   let terminate () = halt t v in
   let rng () = node_rng t v in
-  { Graph.node = v; degree; recv; pending; send; set_output; terminate; rng }
+  { Graph.node = v; degree; recv; mailbox; send; set_output; terminate; rng }
 
 let slabs (type m) (carry : m carry) links : m slab array =
   match carry with
@@ -492,14 +488,13 @@ let make ~carry ?(sink = Sink.null) ?(seed = 0) ~api topo ~dst_node ~dst_port
       apis = [||];
       carry;
       chans = Array.init links (fun _ -> stamps_create ());
-      mcount = Array.make links 0;
+      boxes = Array.map (fun d -> Array.make d 0) degree;
       chan_pl = slabs carry links;
       box_pl = slabs carry links;
       dst_node;
       dst_port;
       dir;
       first_link;
-      degree;
       outputs = Array.make n Output.empty;
       term = Array.make n false;
       term_order_rev = [];
@@ -600,12 +595,12 @@ let deliver_from (type m) (t : (m, _, _) core) link =
   t.in_flight <- t.in_flight - 1;
   let dst = t.dst_node.(link) in
   let port = t.dst_port.(link) in
-  let mb = t.first_link.(dst) + port in
   (match t.carry with
   | Pulses -> ()
   | Payloads ->
       let m : m = slab_pop t.chan_pl.(link) in
-      if not t.term.(dst) then slab_push t.box_pl.(mb) m);
+      if not t.term.(dst) then
+        slab_push t.box_pl.(t.first_link.(dst) + port) m);
   let c = t.metrics in
   if t.term.(dst) then begin
     (* Terminated nodes ignore pulses; each such arrival is a
@@ -616,7 +611,8 @@ let deliver_from (type m) (t : (m, _, _) core) link =
   else begin
     c.deliveries <- c.deliveries + 1;
     if t.live then t.sink.Sink.on_deliver ~node:dst ~port ~seq;
-    t.mcount.(mb) <- t.mcount.(mb) + 1;
+    let box = t.boxes.(dst) in
+    box.(port) <- box.(port) + 1;
     t.mailbox_backlog <- t.mailbox_backlog + 1;
     if depth > t.local_clock.(dst) then t.local_clock.(dst) <- depth;
     if depth > t.causal_span then t.causal_span <- depth;
@@ -688,7 +684,7 @@ module Core = struct
         q.(0) <- 0;
         q.(1) <- 0)
       t.chans;
-    Array.fill t.mcount 0 (Array.length t.mcount) 0;
+    Array.iter (fun box -> Array.fill box 0 (Array.length box) 0) t.boxes;
     Array.fill t.outputs 0 n Output.empty;
     Array.fill t.term 0 n false;
     t.term_order_rev <- [];
@@ -815,21 +811,23 @@ module Core = struct
          the mailbox to its state just after the delivery added the
          incoming pulse at the tail... *)
       let base = t.first_link.(dst) in
+      let box = t.boxes.(dst) in
       for i = Array.length u.u_consumed_ports - 1 downto 0 do
-        let mb = base + u.u_consumed_ports.(i) in
-        t.mcount.(mb) <- t.mcount.(mb) + 1;
+        let port = u.u_consumed_ports.(i) in
+        box.(port) <- box.(port) + 1;
         (match t.carry with
         | Pulses -> ()
-        | Payloads -> slab_push_front t.box_pl.(mb) u.u_consumed_payloads.(i));
+        | Payloads ->
+            slab_push_front t.box_pl.(base + port) u.u_consumed_payloads.(i));
         t.mailbox_backlog <- t.mailbox_backlog + 1;
         c.consumes <- c.consumes - 1
       done;
       (* ... so removing that tail pulse retracts the delivery. *)
-      let mb = base + u.u_dst_port in
-      t.mcount.(mb) <- t.mcount.(mb) - 1;
+      let port = u.u_dst_port in
+      box.(port) <- box.(port) - 1;
       (match t.carry with
       | Pulses -> ()
-      | Payloads -> ignore (slab_pop_back t.box_pl.(mb) : m));
+      | Payloads -> ignore (slab_pop_back t.box_pl.(base + port) : m));
       t.mailbox_backlog <- t.mailbox_backlog - 1;
       c.deliveries <- c.deliveries - 1;
       c.wakes <- c.wakes - 1;
@@ -945,9 +943,10 @@ module Core = struct
     done;
     Buffer.add_char buf '|';
     for v = 0 to size t - 1 do
-      for p = 0 to t.degree.(v) - 1 do
+      let box = t.boxes.(v) in
+      for p = 0 to Array.length box - 1 do
         if p > 0 then Buffer.add_char buf ':';
-        Output.add_int buf t.mcount.(t.first_link.(v) + p)
+        Output.add_int buf box.(p)
       done;
       Buffer.add_char buf ';';
       Buffer.add_string buf (if terminated t v then "T" else "t");
@@ -970,14 +969,12 @@ end
 
 include Core
 
-let mailbox_length t ~node ~port =
-  t.mcount.(t.first_link.(node) + port_index port)
+let mailbox_length t ~node ~port = t.boxes.(node).(port_index port)
 
 let mailbox_payloads (type m) (t : m t) ~node ~port : m array =
-  let mb = t.first_link.(node) + port_index port in
   match t.carry with
-  | Pulses -> Array.make t.mcount.(mb) ()
-  | Payloads -> slab_to_array t.box_pl.(mb)
+  | Pulses -> Array.make (mailbox_length t ~node ~port) ()
+  | Payloads -> slab_to_array t.box_pl.(t.first_link.(node) + port_index port)
 
 let inject t ~node ~port m =
   let p = port_index port in

@@ -61,7 +61,11 @@ type 'm api = {
           It never allocates; [recv] allocates a [Some] per message on
           a payload network only. *)
   peek : Port.t -> 'm option;  (** Look without consuming. *)
-  pending : Port.t -> int;  (** Mailbox length. *)
+  mailbox : int array;
+      (** This node's own mailbox lengths by [Port.index]: the engine's
+          (or live backend's) counts, read-only for programs (lint rule
+          [mailbox-write]).  Check [api.mailbox.(i) > 0] before a
+          [recv], and a poll of an empty port makes no call. *)
   send : Port.t -> 'm -> unit;
       (** Emit through a local port.  Raises after {!field-terminate}. *)
   set_output : Output.t -> unit;
@@ -146,14 +150,15 @@ module Graph : sig
     node : int;
     degree : int;
     recv : int -> 'm option;  (** Consume from a port's mailbox. *)
-    pending : int -> int;
+    mailbox : int array;
+        (** By port, length [degree]; as the ring api's [mailbox]. *)
     send : int -> 'm -> unit;
     set_output : Output.t -> unit;
     terminate : unit -> unit;
     rng : unit -> Colring_stats.Rng.t;
   }
-  (** [recv], [pending] and [send] raise [Invalid_argument] (naming
-      [Gnetwork]) on a port outside [0, degree). *)
+  (** [recv] and [send] raise [Invalid_argument] (naming [Gnetwork]) on
+      a port outside [0, degree). *)
 
   type 'm program = 'm api prog
 end

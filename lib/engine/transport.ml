@@ -180,7 +180,7 @@ let mailbox_api ~node ~seed ~mailbox ~send ~set_output ~terminate =
     recv = (fun p -> pulse_if (recv_pulse p));
     recv_pulse;
     peek = (fun p -> pulse_if (mailbox.(Port.index p) > 0));
-    pending = (fun p -> mailbox.(Port.index p));
+    mailbox;
     send;
     set_output;
     terminate;

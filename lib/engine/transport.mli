@@ -129,7 +129,8 @@ val mailbox_api :
   Network.pulse Network.api
 (** The api of a node a live backend runs outside the simulator: its
     mailboxes are the pulse counts [mailbox] (by port index, raised by
-    the backend on each arrival, lowered by [recv]); [send], [set_output]
+    the backend on each arrival, lowered by [recv]), handed to the
+    program as the api's own [mailbox] field, as the simulator does; [send], [set_output]
     and [terminate] are the backend's; [rng] is {!Network.node_stream}. *)
 
 val sim : ?sched:Scheduler.t -> unit -> t

@@ -34,7 +34,7 @@ let algo3_deg2 ~scheme ~id =
     while !progress do
       progress := false;
       for i = 0 to 1 do
-        match api.recv (1 - i) with
+        match if api.mailbox.(1 - i) > 0 then api.recv (1 - i) else None with
         | Some () ->
             progress := true;
             rho.(1 - i) <- rho.(1 - i) + 1;
@@ -85,7 +85,7 @@ let rotor ~id =
     while !progress do
       progress := false;
       for p = 0 to api.degree - 1 do
-        match api.recv p with
+        match if api.mailbox.(p) > 0 then api.recv p else None with
         | Some () ->
             progress := true;
             incr rho;

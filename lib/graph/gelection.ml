@@ -85,31 +85,33 @@ let validate plan ~ids =
 
 (* One full drain of walk port [p]: the per-delivery hot path
    (registered in hot.sexp), so it recurses instead of looping over a
-   heap-allocated [continue] ref — the body must not allocate. *)
+   heap-allocated [continue] ref — the body must not allocate.
+   [api.mailbox] shows an empty port without a call. *)
 let rec walk_step plan ~v ~id rho (api : unit Gnetwork.api) p =
-  match api.Gnetwork.recv p with
-  | None -> ()
-  | Some () ->
-      let out = plan.out_port.(v).(p) in
-      (if out < 0 then () (* off-walk pulse: impossible by design *)
-       else if p = plan.active_port.(v) then begin
-         incr rho;
-         if !rho = id then
-           (* Absorb: the pulse that completes this node's count is
-              not relayed; the node (transiently) claims leadership
-              and keeps it iff no later pulse comes. *)
-           api.Gnetwork.set_output Output.leader
-         else begin
-           (* The output is a function of rho: undecided at 0, leader at
-              [id], non-leader otherwise, so it only changes to
-              non-leader when rho reaches 1 or passes [id]. *)
-           if !rho = 1 || !rho = id + 1 then
-             api.Gnetwork.set_output Output.non_leader;
-           api.Gnetwork.send out ()
+  if api.Gnetwork.mailbox.(p) > 0 then
+    match api.Gnetwork.recv p with
+    | None -> ()
+    | Some () ->
+        let out = plan.out_port.(v).(p) in
+        (if out < 0 then () (* off-walk pulse: impossible by design *)
+         else if p = plan.active_port.(v) then begin
+           incr rho;
+           if !rho = id then
+             (* Absorb: the pulse that completes this node's count is
+                not relayed; the node (transiently) claims leadership
+                and keeps it iff no later pulse comes. *)
+             api.Gnetwork.set_output Output.leader
+           else begin
+             (* The output is a function of rho: undecided at 0, leader at
+                [id], non-leader otherwise, so it only changes to
+                non-leader when rho reaches 1 or passes [id]. *)
+             if !rho = 1 || !rho = id + 1 then
+               api.Gnetwork.set_output Output.non_leader;
+             api.Gnetwork.send out ()
+           end
          end
-       end
-       else api.Gnetwork.send out ());
-      walk_step plan ~v ~id rho api p
+         else api.Gnetwork.send out ());
+        walk_step plan ~v ~id rho api p
 
 let program_of plan ~ids v =
   let rho = ref 0 in

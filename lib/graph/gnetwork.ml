@@ -10,7 +10,7 @@ type 'm api = 'm Network.Graph.api = {
   node : int;
   degree : int;
   recv : int -> 'm option;
-  pending : int -> int;
+  mailbox : int array;
   send : int -> 'm -> unit;
   set_output : Output.t -> unit;
   terminate : unit -> unit;

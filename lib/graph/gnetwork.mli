@@ -18,14 +18,16 @@ type 'm api = 'm Colring_engine.Network.Graph.api = {
   node : int;
   degree : int;
   recv : int -> 'm option;  (** Consume from a port's mailbox. *)
-  pending : int -> int;
+  mailbox : int array;
+      (** This node's mailbox lengths by port, read-only: check
+          [api.mailbox.(p) > 0] before a [recv]. *)
   send : int -> 'm -> unit;
   set_output : Colring_engine.Output.t -> unit;
   terminate : unit -> unit;
   rng : unit -> Colring_stats.Rng.t;
 }
-(** A node's handle on the network.  [recv], [pending] and [send] take
-    a local port in [0, degree) and raise [Invalid_argument] (naming
+(** A node's handle on the network.  [recv] and [send] take a local
+    port in [0, degree) and raise [Invalid_argument] (naming
     [Gnetwork]) on any other; [rng] is as the ring
     {!Colring_engine.Network.api}'s. *)
 

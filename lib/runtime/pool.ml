@@ -184,28 +184,9 @@ let run ?chunk ?(on_failure = ignore) ~jobs n f =
 
 let map ?chunk ?on_failure ~jobs n f =
   if n < 0 then invalid_arg "Pool.map: negative job count";
-  if n = 0 then [||]
-  else begin
-    (* Slot 0 runs eagerly in the caller: its value seeds the result
-       buffer, so no per-element [Some] boxing is needed.  Writes land
-       in disjoint slots (and disjoint [filled] bytes — one byte per
-       index, so no cross-domain read-modify-write), and [exec]'s
-       hand-back under the pool lock publishes every slot before the
-       check below reads it. *)
-    let r0 =
-      try f 0
-      with e ->
-        (match on_failure with Some g -> g () | None -> ());
-        raise e
-    in
-    let out = Array.make n r0 in
-    let filled = Bytes.make n '\000' in
-    Bytes.set filled 0 '\001';
-    run ?chunk ?on_failure ~jobs (n - 1) (fun i ->
-        out.(i + 1) <- f (i + 1);
-        Bytes.set filled (i + 1) '\001');
-    for i = 0 to n - 1 do
-      assert (Bytes.get filled i = '\001')
-    done;
-    out
-  end
+  (* Every index, slot 0 included, runs on the pool.  Writes land in
+     disjoint slots, and [exec]'s hand-back under the pool lock
+     publishes every slot before they are read below. *)
+  let out = Array.make n None in
+  run ?chunk ?on_failure ~jobs n (fun i -> out.(i) <- Some (f i));
+  Array.map (function Some x -> x | None -> assert false) out

@@ -87,7 +87,5 @@ val map :
   (int -> 'a) ->
   'a array
 (** [map ~jobs n f] is [[| f 0; ...; f (n-1) |]] computed as {!run}
-    does; slot [i] holds [f i] regardless of which domain ran it.
-    [f 0] is evaluated first, in the caller (its value seeds the
-    result buffer — no per-element boxing); the remaining indices are
-    distributed as in {!run}. *)
+    does: every index, [0] included, is claimed from the pool like the
+    rest, and slot [i] holds [f i] regardless of which domain ran it. *)

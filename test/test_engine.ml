@@ -684,7 +684,7 @@ let test_ring_grow_mid_wrap () =
   for i = 8 to 40 do
     arrive i
   done;
-  checki "count = slab" (Queue.length model) (api1.pending Port.P0);
+  checki "count = slab" (Queue.length model) api1.mailbox.(0);
   Alcotest.(check (array int))
     "payloads across grow"
     (Array.of_seq (Queue.to_seq model))

@@ -910,14 +910,21 @@ let test_disabled_sink_sees_every_event () =
 
 (* Ports are range-checked by the api closures themselves: a port
    outside [0, degree) raises [Invalid_argument] naming the engine and
-   leaves no trace in the network. *)
+   leaves no trace in the network.  The node's [mailbox] array is its
+   own, so reading it at a bad port raises the array's bounds check. *)
 let test_gnetwork_bad_port () =
   let g = Gtopology.theta 1 1 1 in
   let errors = ref [] in
+  let bounds = ref 0 in
   let attempt f =
     match f () with
     | () -> errors := "no exception" :: !errors
     | exception Invalid_argument msg -> errors := msg :: !errors
+  in
+  let read_mailbox (api : unit Gnetwork.api) p =
+    match api.mailbox.(p) with
+    | _ -> ()
+    | exception Invalid_argument _ -> incr bounds
   in
   let net =
     Gnetwork.create g (fun v ->
@@ -930,13 +937,14 @@ let test_gnetwork_bad_port () =
                   (fun p ->
                     attempt (fun () -> api.send p ());
                     attempt (fun () -> ignore (api.recv p));
-                    attempt (fun () -> ignore (api.pending p)))
+                    read_mailbox api p)
                   [ -1; api.degree; max_int; min_int ]);
           wake = (fun _ -> ());
           inspect = (fun () -> []);
         })
   in
-  checki "every bad port rejected" 12 (List.length !errors);
+  checki "every bad port rejected" 8 (List.length !errors);
+  checki "every bad mailbox read rejected" 4 !bounds;
   List.iter
     (fun msg ->
       checkb (msg ^ " names Gnetwork") true
@@ -945,6 +953,206 @@ let test_gnetwork_bad_port () =
   checki "nothing sent" 0 (Gnetwork.sends net);
   checki "nothing in flight" 0 (Gnetwork.in_flight net);
   checki "nothing consumed" 0 (Metrics.consumes (Gnetwork.metrics net))
+
+(* ------------------------------------------------------------------ *)
+(* The mailbox view *)
+
+(* [api.mailbox] is the engine's (or the live backend's) own count
+   array, handed to the program.  A probe wraps a node program and
+   checks [box], that array, at every wake against two oracles: a
+   model the probe keeps itself (one arrival since the node's last
+   activation, minus what its [recv]s took), and [engine], the
+   engine's count for a (node, port), when there is an engine to ask.
+   The wrapped api is a record copy, so it holds the very same
+   [mailbox] array, as perfbench's traced wrappers do. *)
+let probe_wake ~fail ~engine ~node box model wake =
+  let check what p got want =
+    if got <> want then
+      fail
+        (Printf.sprintf "node %d port %d %s: mailbox %d, want %d" node p what
+           got want)
+  in
+  let agree what =
+    Option.iter
+      (fun count ->
+        Array.iteri (fun p m -> check what p m (count ~node ~port:p)) box)
+      engine
+  in
+  let arrived = ref 0 in
+  Array.iteri
+    (fun p m ->
+      if box.(p) = m + 1 then incr arrived else check "at wake" p box.(p) m)
+    model;
+  if !arrived <> 1 then
+    fail (Printf.sprintf "node %d: %d ports gained a pulse" node !arrived);
+  agree "at wake, engine";
+  Array.blit box 0 model 0 (Array.length model);
+  wake ();
+  Array.iteri (fun p m -> check "after wake" p box.(p) m) model;
+  agree "after wake, engine"
+
+let probe_failures () =
+  let failures = ref [] in
+  (failures, fun s -> failures := s :: !failures)
+
+let probe_ring ~fail ~engine v (p : Network.pulse Network.program) =
+  let model = [| 0; 0 |] in
+  let took port ok =
+    if ok then model.(Port.index port) <- model.(Port.index port) - 1;
+    ok
+  in
+  let wrap (api : Network.pulse Network.api) =
+    {
+      api with
+      Network.recv_pulse = (fun port -> took port (api.recv_pulse port));
+      recv =
+        (fun port ->
+          let r = api.recv port in
+          ignore (took port (Option.is_some r));
+          r);
+    }
+  in
+  {
+    p with
+    Network.start = (fun api -> p.Network.start (wrap api));
+    wake =
+      (fun api ->
+        probe_wake ~fail ~engine:(engine ()) ~node:v api.Network.mailbox model
+          (fun () -> p.Network.wake (wrap api)));
+  }
+
+let view_scheds seed =
+  [ Scheduler.random (Rng.create ~seed); Scheduler.fifo; Scheduler.lifo ]
+
+let test_mailbox_view_ring () =
+  List.iter
+    (fun (algo, n, seed) ->
+      let rng = Rng.create ~seed in
+      let ids = Ids.distinct rng ~n ~id_max:(n + 5) in
+      let topo =
+        match algo with
+        | Election.Algo1 | Election.Algo2 -> Topology.oriented n
+        | _ -> Topology.random_non_oriented rng n
+      in
+      List.iter
+        (fun (sched : Scheduler.t) ->
+          let failures, fail = probe_failures () in
+          let net = ref None in
+          let engine () =
+            Option.map
+              (fun net ~node ~port ->
+                Network.mailbox_length net ~node ~port:(Port.of_index port))
+              !net
+          in
+          let r =
+            Network.create topo (fun v ->
+                probe_ring ~fail ~engine v
+                  (Election.program_of algo ~id:ids.(v)))
+          in
+          net := Some r;
+          let res = Network.run r sched in
+          let label = sched.Scheduler.name in
+          checkb (label ^ " quiescent") true res.Network.quiescent;
+          checkb (label ^ " woke") true (Metrics.wakes (Network.metrics r) > n);
+          Alcotest.(check (list string)) label [] (List.rev !failures))
+        (view_scheds seed))
+    [
+      (Election.Algo1, 7, 1);
+      (Election.Algo2, 8, 2);
+      (Election.Algo3 Algo3.Doubled, 6, 3);
+      (Election.Algo3 Algo3.Improved, 9, 4);
+    ]
+
+(* A graph core's counts, from the engine's own deliver and consume
+   events. *)
+let event_counts g =
+  let counts =
+    Array.init (Gtopology.n g) (fun v -> Array.make (Gtopology.degree g v) 0)
+  in
+  let bump node port d = counts.(node).(port) <- counts.(node).(port) + d in
+  ( {
+      Sink.null with
+      name = "mailbox counts";
+      on_deliver = (fun ~node ~port ~seq:_ -> bump node port 1);
+      on_consume = (fun ~node ~port -> bump node port (-1));
+    },
+    fun ~node ~port -> counts.(node).(port) )
+
+let probe_graph ~fail ~engine g v (p : unit Gnetwork.program) =
+  let model = Array.make (Gtopology.degree g v) 0 in
+  let wrap (api : unit Gnetwork.api) =
+    {
+      api with
+      Gnetwork.recv =
+        (fun port ->
+          let r = api.recv port in
+          if Option.is_some r then model.(port) <- model.(port) - 1;
+          r);
+    }
+  in
+  {
+    p with
+    Gnetwork.start = (fun api -> p.Gnetwork.start (wrap api));
+    wake =
+      (fun api ->
+        probe_wake ~fail ~engine:(Some engine) ~node:v api.Gnetwork.mailbox
+          model
+          (fun () -> p.Gnetwork.wake (wrap api)));
+  }
+
+let test_mailbox_view_graph () =
+  List.iter
+    (fun (g, seed) ->
+      let n = Gtopology.n g in
+      let rng = Rng.create ~seed in
+      let ids = Ids.distinct rng ~n ~id_max:(n + 5) in
+      let plan = Gelection.plan g in
+      List.iter
+        (fun (sched : Scheduler.t) ->
+          let failures, fail = probe_failures () in
+          let sink, counts = event_counts g in
+          let net =
+            Gnetwork.create ~sink g (fun v ->
+                probe_graph ~fail ~engine:counts g v
+                  (Gelection.program_of plan ~ids v))
+          in
+          let res = Gnetwork.run net sched in
+          checkb "quiescent" true res.Gnetwork.quiescent;
+          Alcotest.(check (list string))
+            sched.Scheduler.name [] (List.rev !failures))
+        (view_scheds seed))
+    [
+      (Gtopology.theta 1 2 3, 1);
+      (Gtopology.complete 4, 2);
+      (Gtopology.bowtie (), 3);
+      (Gtopology.cycle_with_chords (Rng.create ~seed:9) ~n:12 ~chords:3, 4);
+    ]
+
+(* The domains backend hands each node [Transport.mailbox_api] over the
+   backend's own count array; no engine to ask, so the probe's model
+   is the oracle.  Each node's probe state is touched by its own domain
+   only; failures are collected under a lock. *)
+let test_mailbox_view_domains () =
+  let lock = Mutex.create () in
+  List.iter
+    (fun (algo, n, seed) ->
+      let rng = Rng.create ~seed in
+      let ids = Ids.distinct rng ~n ~id_max:(n + 3) in
+      let topo =
+        match algo with
+        | Election.Algo2 -> Topology.oriented n
+        | _ -> Topology.random_non_oriented rng n
+      in
+      let failures, fail0 = probe_failures () in
+      let fail s = Mutex.protect lock (fun () -> fail0 s) in
+      let trace =
+        Colring_transport.Domains.run ~seed topo (fun v ->
+            probe_ring ~fail ~engine:(fun () -> None) v
+              (Election.program_of algo ~id:ids.(v)))
+      in
+      checkb "quiescent" true trace.Transport.quiescent;
+      Alcotest.(check (list string)) "domains" [] (List.rev !failures))
+    [ (Election.Algo2, 5, 1); (Election.Algo3 Algo3.Improved, 4, 2) ]
 
 (* ------------------------------------------------------------------ *)
 (* Cross-validation: the ring algorithms on the graph simulator *)
@@ -1110,6 +1318,15 @@ let () =
           QCheck_alcotest.to_alcotest prop_counting_split;
           Alcotest.test_case "disabled sink sees every event" `Quick
             test_disabled_sink_sees_every_event;
+        ] );
+      ( "mailbox view",
+        [
+          Alcotest.test_case "ring = engine counts" `Quick
+            test_mailbox_view_ring;
+          Alcotest.test_case "graph = engine counts" `Quick
+            test_mailbox_view_graph;
+          Alcotest.test_case "domains backend" `Quick
+            test_mailbox_view_domains;
         ] );
       ( "cross-validation",
         [

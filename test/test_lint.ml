@@ -113,6 +113,22 @@ let test_deprecated_arg () =
        (rules_of "depr_arg.ml" ~as_path:"lib/engine/network.ml"))
 
 (* ------------------------------------------------------------------ *)
+(* mailbox-write *)
+
+let test_mailbox_write () =
+  checki "writes into .mailbox fire in a program" 4
+    (count "mailbox-write"
+       (rules_of "mailbox_bad.ml" ~as_path:"lib/core/algo3.ml"));
+  checki "and in a test" 4
+    (count "mailbox-write" (rules_of "mailbox_bad.ml" ~as_path:"test/x.ml"));
+  checki "the engine owns the counts" 0
+    (count "mailbox-write"
+       (rules_of "mailbox_bad.ml" ~as_path:"lib/engine/transport.ml"));
+  checki "and so do the live backends" 0
+    (count "mailbox-write"
+       (rules_of "mailbox_bad.ml" ~as_path:"lib/transport/domains.ml"))
+
+(* ------------------------------------------------------------------ *)
 (* shared-state *)
 
 let test_shared_state () =
@@ -286,6 +302,7 @@ let () =
           Alcotest.test_case "hot-alloc" `Quick test_hot_alloc;
           Alcotest.test_case "sink-discipline" `Quick test_sink_discipline;
           Alcotest.test_case "deprecated-arg" `Quick test_deprecated_arg;
+          Alcotest.test_case "mailbox-write" `Quick test_mailbox_write;
           Alcotest.test_case "shared-state" `Quick test_shared_state;
           Alcotest.test_case "atomics-discipline" `Quick
             test_atomics_discipline;

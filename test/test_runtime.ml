@@ -131,8 +131,8 @@ let test_auto_chunk_covers () =
     [ (1, 10_000); (4, 10_000); (4, 7); (3, 1); (4, 0) ]
 
 let test_map_first_slot_failure () =
-  (* [f 0] runs eagerly in the caller; its failure must still fire
-     [on_failure] exactly once and propagate. *)
+  (* Slot 0 runs on the pool like every other index; its failure must
+     fire [on_failure] exactly once and propagate. *)
   let calls = ref 0 in
   (match
      Pool.map ~jobs:4

@@ -26,6 +26,11 @@
    - [deprecated-arg]  no [~record_trace]/[?record_trace] anywhere —
                        the argument was removed; the rule guards
                        against reintroduction.
+   - [mailbox-write]   outside lib/engine/ and lib/transport/, no write
+                       through a [.mailbox] field: no [e.mailbox.(i) <-]
+                       and no [Array.set]/[unsafe_set]/[fill]/[blit]
+                       into one.  The api's [mailbox] is the engine's
+                       own count array, read-only for programs.
    - [mli-coverage]    every lib/**/*.ml has a matching .mli
                        (checked over file lists, see {!mli_coverage}).
 
@@ -183,6 +188,41 @@ let check_deprecated_label ctx ~loc label =
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* mailbox-write *)
+
+(* The array an [Array] call writes into, if [lid] names one of the
+   writers: the first argument of [set]/[unsafe_set]/[fill] (which
+   [e.(i) <- v] desugars to), the third of [blit]. *)
+let written_array lid args =
+  let lid =
+    match Longident.flatten lid with "Stdlib" :: rest -> rest | l -> l
+  in
+  match (lid, List.map snd args) with
+  | [ "Array"; ("set" | "unsafe_set" | "fill") ], a :: _ -> Some a
+  | [ "Array"; "blit" ], _ :: _ :: a :: _ -> Some a
+  | _ -> None
+
+let is_mailbox_field e =
+  match e.pexp_desc with
+  | Pexp_field (_, { txt; _ }) -> (
+      match List.rev (Longident.flatten txt) with
+      | "mailbox" :: _ -> true
+      | _ -> false)
+  | _ -> false
+
+let check_mailbox_write ctx ~loc lid args =
+  if
+    (not (in_engine ctx))
+    && (not (starts_with "lib/transport/" ctx.path))
+    && Option.fold ~none:false ~some:is_mailbox_field (written_array lid args)
+  then
+    report ctx ~rule:"mailbox-write" ~loc
+      "%s into a [.mailbox] field: an api's mailbox is the engine's own \
+       count array (written only under lib/engine/ and lib/transport/); \
+       programs may only read it"
+      (dotted lid)
+
+(* ------------------------------------------------------------------ *)
 (* hot-alloc *)
 
 let hot_report ctx ~loc what =
@@ -298,6 +338,7 @@ let make_iterator ctx =
                      (List.length args) arity)
             | _ -> ())
         | _ -> ());
+        check_mailbox_write ctx ~loc txt args;
         List.iter (fun (label, _) -> check_deprecated_label ctx ~loc label) args
     | Pexp_apply (_, args) ->
         List.iter (fun (label, _) -> check_deprecated_label ctx ~loc label) args
