@@ -446,8 +446,10 @@ let id_arg =
 
 let upto_arg =
   Arg.(
-    value & opt (some int) None
-    & info [ "upto" ] ~docv:"K" ~doc:"Print patterns for all IDs 1..K.")
+    value
+    & opt (some (positive_conv ~flag:"--upto")) None
+    & info [ "upto" ] ~docv:"K"
+        ~doc:"Print patterns for all IDs 1..K (at least 1).")
 
 let solitude id upto =
   let factory ~id = Algo2.program ~id in
@@ -963,9 +965,12 @@ let adversary_cmd =
 module Mc = Colring_mc.Mc
 module McSpec = Colring_mc.Spec
 
+(* An unknown target is a usage error (exit 124) listing the valid
+   names. *)
 let target_arg =
   Arg.(
-    value & opt string "algo2"
+    value
+    & opt (enum (List.map (fun t -> (t, t)) McSpec.targets)) "algo2"
     & info [ "algo"; "target" ] ~docv:"TARGET"
         ~doc:
           "What to check: algo1, algo2, algo3-doubled, algo3-improved, an \

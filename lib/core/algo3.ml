@@ -9,11 +9,24 @@ type state = {
   rho : int array; (* received per local port *)
   sigma : int array; (* sent per local port *)
   mutable resamples : int;
-  (* Output last published via set_output, so [decide] only allocates a
-     fresh [Output.t] when the decision actually changed. *)
-  mutable out_role : Output.role;
-  mutable out_cw_port : Port.t option;
+  mutable out : Output.t;
+      (* Output last published via set_output: [Output.empty], then
+         one of the four [decided] outputs. *)
 }
+
+(* The four outputs [decide] publishes, built once so a change of
+   role or clockwise port allocates nothing; [decided] picks one. *)
+let leader_p0 = Output.with_cw_port Port.P0 Output.leader
+let leader_p1 = Output.with_cw_port Port.P1 Output.leader
+let non_leader_p0 = Output.with_cw_port Port.P0 Output.non_leader
+let non_leader_p1 = Output.with_cw_port Port.P1 Output.non_leader
+
+let decided ~leader cw_port =
+  match (leader, cw_port) with
+  | true, Port.P0 -> leader_p0
+  | true, Port.P1 -> leader_p1
+  | false, Port.P0 -> non_leader_p0
+  | false, Port.P1 -> non_leader_p1
 
 (* ID^(i) governs forwarding *out of* port i (= absorbing pulses that
    arrived on port 1-i), line 2 of Algorithm 3. *)
@@ -46,22 +59,16 @@ let decide (api : _ Network.api) st =
   let r1 = st.rho.(1) in
   let id1 = virtual_id st 1 in
   if r0 >= id1 || r1 >= id1 then begin
-    let role =
-      if r0 = id1 && r1 < id1 then Output.Leader else Output.Non_leader
-    in
     (* More arrivals on a port means the larger-ID direction comes in
        there; clockwise pulses arrive at counterclockwise ports. *)
-    let cw_port = if r0 > r1 then Port.P1 else Port.P0 in
-    let changed =
-      match st.out_cw_port with
-      | Some p -> st.out_role <> role || p <> cw_port
-      | None -> true
+    let o =
+      decided
+        ~leader:(r0 = id1 && r1 < id1)
+        (if r0 > r1 then Port.P1 else Port.P0)
     in
-    if changed then begin
-      st.out_role <- role;
-      st.out_cw_port <- Some cw_port;
-      api.set_output
-        (Output.with_cw_port cw_port (Output.with_role role Output.empty))
+    if o != st.out then begin
+      st.out <- o;
+      api.set_output o
     end
   end
 
@@ -107,8 +114,7 @@ let make ~resample ~scheme ~id =
       rho = [| 0; 0 |];
       sigma = [| 0; 0 |];
       resamples = 0;
-      out_role = Output.Undecided;
-      out_cw_port = None;
+      out = Output.empty;
     }
   in
   let start api =
@@ -141,8 +147,8 @@ let make ~resample ~scheme ~id =
               st.sigma.(0);
               st.sigma.(1);
               st.resamples;
-              Output.role_code st.out_role;
-              (match st.out_cw_port with
+              Output.role_code st.out.role;
+              (match st.out.cw_port with
               | None -> -1
               | Some p -> Port.index p);
             |]);
@@ -154,9 +160,12 @@ let make ~resample ~scheme ~id =
             st.sigma.(0) <- a.(3);
             st.sigma.(1) <- a.(4);
             st.resamples <- a.(5);
-            st.out_role <- Output.role_of_code a.(6);
-            st.out_cw_port <-
-              (if a.(7) < 0 then None else Some (Port.of_index a.(7))));
+            st.out <-
+              (if a.(7) < 0 then Output.empty
+               else
+                 decided
+                   ~leader:(a.(6) = Output.role_code Output.Leader)
+                   (Port.of_index a.(7))));
       }
   in
   { Network.start; wake; inspect; snap }

@@ -20,9 +20,17 @@ let positive_float ~flag v =
 let ring_size ~flag v =
   if v >= 2 then Ok v else err flag v "ring size must be at least 2"
 
+(* The largest closed form, Algorithm 3's doubled total
+   n(4*ID_max-1), must stay below [max_int], which leaves the model
+   checker's depth budget (one more delivery) room too. *)
 let id_space ~flag ~n v =
-  if v >= n then Ok v
-  else err flag v (Printf.sprintf "needs at least n = %d assignable IDs" n)
+  if v < n then
+    err flag v (Printf.sprintf "needs at least n = %d assignable IDs" n)
+  else if n >= 1 && v > (((max_int - 1) / n) + 1) / 4 then
+    err flag v
+      (Printf.sprintf
+         "the pulse total n(4*ID_max-1) with n = %d overflows an int" n)
+  else Ok v
 
 let link_budget ~flag ~value ~max links =
   if links <= max then Ok links

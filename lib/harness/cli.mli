@@ -22,7 +22,8 @@ val ring_size : flag:string -> int -> (int, string) result
 
 val id_space : flag:string -> n:int -> int -> (int, string) result
 (** [>= n] — an ID space of [k] values gives [n] nodes distinct IDs
-    only when [k >= n]. *)
+    only when [k >= n] — and small enough that the largest pulse
+    total, [n(4k-1)], is below [max_int]. *)
 
 val link_budget :
   flag:string -> value:string -> max:int -> int -> (int, string) result

@@ -234,16 +234,79 @@ let branch_links ctx links =
       find 0
 
 (* ---------------------------------------------------------------- *)
-(* One unit of exploration: replay a frontier prefix, then DFS the
-   whole subtree.  Backtracking uses per-delivery incremental undo
-   ([Network.force_step_undo]/[Network.undo_step]) when the network
-   supports it and the node sits above [undo_depth]; deeper nodes (and
-   networks without snapshot codecs) fall back to replay-from-prefix,
-   taking care to restore the entry state on exit so enclosing undo
-   records stay applicable. *)
+(* The one exploration step, shared by the seed BFS and the subtree
+   DFS *)
 
-let run_unit ctx ~budget ~tickets ~ticket_cap ~undo_depth ~prefix
-    ~init_sleep =
+let running st = Option.is_none st.ce && not st.stopped
+
+let fail st path depth violation =
+  st.ce <- Some { schedule = Array.sub path 0 depth; violation }
+
+(* Visit the state [path.(0..depth-1)] leads to, with sleep set
+   [sleep]: dedup, the ticket throttle and the strict budget, the
+   state count, then the terminal and depth checks.  Returns the
+   branch set of a state to expand, [[||]] for one that is not.
+   [tickets] is the parallel phase's shared throttle, whose cap is
+   the same [budget]. *)
+let visit ctx st seen net ~tickets ~budget ~path ~depth ~sleep =
+  let spec = ctx.spec in
+  if depth > st.max_depth_seen then st.max_depth_seen <- depth;
+  if dedup_prune ctx seen net sleep st then [||]
+  else begin
+    (match tickets with
+    | Some a ->
+        if Atomic.fetch_and_add a 1 >= budget then begin
+          st.aborted <- true;
+          st.stopped <- true
+        end
+    | None -> ());
+    (* Strict budget: a state the budget cannot pay for is never
+       expanded (nor counted), so the repaired global total is capped
+       at exactly [max_states]. *)
+    if (not st.stopped) && st.states >= budget then begin
+      st.truncated <- true;
+      st.stopped <- true
+    end;
+    if st.stopped then [||]
+    else begin
+      st.states <- st.states + 1;
+      if Network.enabled_count net = 0 then begin
+        st.schedules <- st.schedules + 1;
+        Option.iter (fail st path depth) (spec.terminal net);
+        [||]
+      end
+      else if depth >= spec.max_depth then begin
+        fail st path depth depth_violation;
+        [||]
+      end
+      else branch_links ctx (enabled_links net)
+    end
+  end
+
+(* The sleep-set child loop: [child l sleep'] for every branch [l]
+   not asleep, [sleep'] being the sleep set [l]'s subtree starts
+   from; each explored branch then sleeps in its later siblings. *)
+let iter_children ctx st links sleep child =
+  let sleep_now = ref sleep in
+  Array.iter
+    (fun l ->
+      if running st then
+        if !sleep_now land bit l <> 0 then
+          st.sleep_pruned <- st.sleep_pruned + 1
+        else begin
+          child l (!sleep_now land ctx.indep.(l));
+          sleep_now := !sleep_now lor bit l
+        end)
+    links
+
+(* One unit of exploration: replay a frontier prefix, then DFS the
+   whole subtree.  A network that supports it
+   ([Network.undo_capable]) descends with [Network.force_step_undo]
+   and backtracks with [Network.undo_step]; any other descends by
+   consuming the live network, and each later sibling rebuilds the
+   parent by replaying the recorded prefix (the engine is
+   deterministic, so the choice sequence IS the snapshot). *)
+let run_unit ctx ~budget ~tickets ~prefix ~init_sleep =
   let spec = ctx.spec in
   let st = fresh_acc () in
   let seen = Hashtbl.create 1024 in
@@ -252,116 +315,42 @@ let run_unit ctx ~budget ~tickets ~ticket_cap ~undo_depth ~prefix
   Array.blit prefix 0 path 0 plen;
   let net = ref (spec.make ()) in
   let mon = ref (spec.monitor ()) in
-  let fail depth violation =
-    st.ce <- Some { schedule = Array.sub path 0 depth; violation }
-  in
-  let rebuild depth =
-    net := spec.make ();
-    mon := spec.monitor ();
-    (match replay_prefix !net !mon path depth with
-    | Some _ ->
-        (* The prefix was monitored when first walked. *)
-        assert false
-    | None -> ());
-    st.replayed <- st.replayed + depth
-  in
   let undo_ok = Network.undo_capable !net in
-  let running () = Option.is_none st.ce && not st.stopped in
   let rec expand depth sleep =
-    if running () then begin
-      if depth > st.max_depth_seen then st.max_depth_seen <- depth;
-      if not (dedup_prune ctx seen !net sleep st) then begin
-        (match tickets with
-        | Some a ->
-            if Atomic.fetch_and_add a 1 >= ticket_cap then begin
-              st.aborted <- true;
-              st.stopped <- true
-            end
-        | None -> ());
-        (* Strict budget: a state the budget cannot pay for is never
-           expanded (nor counted), so the repaired global total is
-           capped at exactly [max_states]. *)
-        if (not st.stopped) && st.states >= budget then begin
-          st.truncated <- true;
-          st.stopped <- true
-        end;
-        if st.stopped then ()
+    let links = visit ctx st seen !net ~tickets ~budget ~path ~depth ~sleep in
+    let live = ref true in
+    iter_children ctx st links sleep (fun l sleep' ->
+        path.(depth) <- l;
+        if undo_ok then begin
+          let u = Network.force_step_undo !net ~link:l in
+          descend depth sleep';
+          (* Once the unit stops (counterexample or budget) the
+             network is abandoned wholesale. *)
+          if running st then begin
+            Network.undo_step !net u;
+            st.undone <- st.undone + 1
+          end
+        end
         else begin
-          st.states <- st.states + 1;
-          if Network.enabled_count !net = 0 then begin
-            st.schedules <- st.schedules + 1;
-            match spec.terminal !net with
-            | Some v -> fail depth v
-            | None -> ()
-          end
-          else if depth >= spec.max_depth then fail depth depth_violation
-          else begin
-          let links = branch_links ctx (enabled_links !net) in
-          if undo_ok && depth < undo_depth then begin
-            let sleep_now = ref sleep in
-            Array.iter
-              (fun l ->
-                if running () then
-                  if !sleep_now land bit l <> 0 then
-                    st.sleep_pruned <- st.sleep_pruned + 1
-                  else begin
-                    path.(depth) <- l;
-                    let u = Network.force_step_undo !net ~link:l in
-                    (match !mon !net with
-                    | Some v -> fail (depth + 1) v
-                    | None -> expand (depth + 1) (!sleep_now land ctx.indep.(l)));
-                    (* Once the unit stops (counterexample or budget)
-                       the network is abandoned wholesale; undoing a
-                       record against a state some replay-mode
-                       descendant left behind would be wrong. *)
-                    if running () then begin
-                      Network.undo_step !net u;
-                      st.undone <- st.undone + 1
-                    end;
-                    sleep_now := !sleep_now lor bit l
-                  end)
-              links
-          end
-          else begin
-            (* Replay-mode node: descending consumes the live
-               network; each later sibling rebuilds the parent by
-               replaying the recorded prefix (the engine is
-               deterministic, so the choice sequence IS the
-               snapshot). *)
-            let sleep_now = ref sleep in
-            let live = ref true in
-            Array.iter
-              (fun l ->
-                if running () then
-                  if !sleep_now land bit l <> 0 then
-                    st.sleep_pruned <- st.sleep_pruned + 1
-                  else begin
-                    if not !live then rebuild depth;
-                    live := false;
-                    path.(depth) <- l;
-                    Network.force_step !net ~link:l;
-                    (match !mon !net with
-                    | Some v -> fail (depth + 1) v
-                    | None -> expand (depth + 1) (!sleep_now land ctx.indep.(l)));
-                    sleep_now := !sleep_now lor bit l
-                  end)
-              links;
-            (* Undo records held by shallower frames apply to any
-               state-identical network, but only at THIS state: the
-               boundary node (the topmost replay-mode frame, sitting
-               directly under undo-mode frames) restores it before
-               returning into undo territory.  Deeper replay frames
-               skip the restore — their parent rebuilds on demand. *)
-            if undo_ok && depth = undo_depth && running () && not !live then
-              rebuild depth
-          end
-        end
-        end
-      end
-    end
+          if not !live then begin
+            net := spec.make ();
+            mon := spec.monitor ();
+            match replay_prefix !net !mon path depth with
+            | Some _ -> assert false (* monitored when first walked *)
+            | None -> st.replayed <- st.replayed + depth
+          end;
+          live := false;
+          Network.force_step !net ~link:l;
+          descend depth sleep'
+        end)
+  (* Check the delivery just made into [path.(depth)], then go on. *)
+  and descend depth sleep =
+    match !mon !net with
+    | Some v -> fail st path (depth + 1) v
+    | None -> expand (depth + 1) sleep
   in
   (match replay_prefix !net !mon path plen with
-  | Some (len, v) -> fail len v
+  | Some (len, v) -> fail st path len v
   | None -> expand plen init_sleep);
   st.replayed <- st.replayed + plen;
   st
@@ -369,28 +358,20 @@ let run_unit ctx ~budget ~tickets ~ticket_cap ~undo_depth ~prefix
 (* ---------------------------------------------------------------- *)
 (* Replay and minimization *)
 
-exception Infeasible
-
 (* Longest prefix of [sched] up to and including the first
    violation: [Some (len, v)] when one occurs (including a
    terminal-state violation after the last step), [None] when the
    schedule is violation-free or does not fit the run. *)
 let first_violation spec sched =
   let net = spec.make () in
-  let mon = spec.monitor () in
   let len = Array.length sched in
-  let rec go i =
-    if i >= len then
+  match replay_prefix net (spec.monitor ()) sched len with
+  | exception Invalid_argument _ -> None
+  | Some _ as v -> v
+  | None ->
       if Network.enabled_count net = 0 then
-        match spec.terminal net with Some v -> Some (len, v) | None -> None
+        Option.map (fun v -> (len, v)) (spec.terminal net)
       else None
-    else begin
-      (try Network.force_step net ~link:sched.(i)
-       with Invalid_argument _ -> raise Infeasible);
-      match mon net with Some v -> Some (i + 1, v) | None -> go (i + 1)
-    end
-  in
-  match go 0 with x -> x | exception Infeasible -> None
 
 let replay spec schedule =
   let net = spec.make () in
@@ -476,87 +457,47 @@ let minimize spec ce =
 (* The checker *)
 
 (* Task-frontier construction: a bounded sequential BFS from the
-   root.  Expanded states are accounted exactly like DFS states
-   (same dedup, same reductions, same budget); unexpanded frontier
-   entries become the parallel tasks.  The frontier — and hence
-   every downstream number — is a pure function of the spec and
-   [split], never of [jobs]. *)
+   root, visiting states exactly like the DFS (same dedup, same
+   reductions, same budget); unexpanded frontier entries become the
+   parallel tasks.  The frontier — and hence every downstream number
+   — is a pure function of the spec, never of [jobs]. *)
+
+(* The seed BFS stops once this many frontier subtrees wait. *)
+let split = 16
 
 type seed_outcome = {
   seed_acc : acc;
   frontier : (int array * int) array;  (* (prefix, sleep) in order *)
 }
 
-let seed_explore ctx ~split ~max_states =
+let seed_explore ctx ~max_states =
   let spec = ctx.spec in
   let st = fresh_acc () in
   let seen = Hashtbl.create 1024 in
   let q = Queue.create () in
   Queue.add ([||], 0) q;
-  let fail prefix len v =
-    st.ce <- Some { schedule = Array.sub prefix 0 len; violation = v }
-  in
-  while
-    Option.is_none st.ce && (not st.stopped)
-    && Queue.length q > 0
-    && Queue.length q < split
-  do
+  while running st && Queue.length q > 0 && Queue.length q < split do
     let prefix, sleep = Queue.pop q in
-    let plen = Array.length prefix in
+    let depth = Array.length prefix in
     let net = spec.make () in
-    let mon = spec.monitor () in
-    (match replay_prefix net mon prefix plen with
-    | Some (len, v) -> fail prefix len v
+    match replay_prefix net (spec.monitor ()) prefix depth with
+    | Some (len, v) -> fail st prefix len v
     | None ->
-        st.replayed <- st.replayed + plen;
-        if plen > st.max_depth_seen then st.max_depth_seen <- plen;
-        if not (dedup_prune ctx seen net sleep st) then begin
-          (* Strict budget, as in [run_unit]: an unpayable state is
-             neither counted nor expanded. *)
-          if st.states >= max_states then begin
-            st.truncated <- true;
-            st.stopped <- true
-          end
-          else begin
-          st.states <- st.states + 1;
-          if Network.enabled_count net = 0 then begin
-            st.schedules <- st.schedules + 1;
-            match spec.terminal net with
-            | Some v -> fail prefix plen v
-            | None -> ()
-          end
-          else if plen >= spec.max_depth then
-            fail prefix plen depth_violation
-          else begin
-            let links = branch_links ctx (enabled_links net) in
-            let sleep_now = ref sleep in
-            Array.iter
-              (fun l ->
-                if !sleep_now land bit l <> 0 then
-                  st.sleep_pruned <- st.sleep_pruned + 1
-                else begin
-                  let child = Array.make (plen + 1) 0 in
-                  Array.blit prefix 0 child 0 plen;
-                  child.(plen) <- l;
-                  Queue.add (child, !sleep_now land ctx.indep.(l)) q;
-                  sleep_now := !sleep_now lor bit l
-                end)
-              links
-          end
-          end
-        end);
-    ()
+        st.replayed <- st.replayed + depth;
+        let links =
+          visit ctx st seen net ~tickets:None ~budget:max_states ~path:prefix
+            ~depth ~sleep
+        in
+        iter_children ctx st links sleep (fun l sleep' ->
+            Queue.add (Array.append prefix [| l |], sleep') q)
   done;
   let frontier =
-    if Option.is_some st.ce || st.stopped then [||]
-    else Array.of_seq (Queue.to_seq q)
+    if running st then Array.of_seq (Queue.to_seq q) else [||]
   in
   { seed_acc = st; frontier }
 
-let check ?(jobs = 1) ?(max_states = 1_000_000) ?(minimized = true)
-    ?(split = 16) ?(undo_depth = max_int) spec =
+let check ?(jobs = 1) ?(max_states = 1_000_000) ?(minimized = true) spec =
   if spec.max_depth < 1 then invalid_arg "Mc.check: max_depth < 1";
-  if split < 1 then invalid_arg "Mc.check: split < 1";
   let probe = spec.make () in
   let num_links = Network.num_links probe in
   if num_links > max_links then
@@ -598,7 +539,7 @@ let check ?(jobs = 1) ?(max_states = 1_000_000) ?(minimized = true)
   | Some v ->
       finish zero_stats (Some { schedule = [||]; violation = v })
   | None -> (
-      let seed = seed_explore ctx ~split ~max_states in
+      let seed = seed_explore ctx ~max_states in
       let stats0 = add_stats zero_stats seed.seed_acc in
       match Array.length seed.frontier with
       | 0 -> finish stats0 seed.seed_acc.ce
@@ -615,8 +556,7 @@ let check ?(jobs = 1) ?(max_states = 1_000_000) ?(minimized = true)
             Pool.map ~chunk:1 ~jobs k (fun i ->
                 let prefix, sleep = seed.frontier.(i) in
                 run_unit ctx ~budget:max_states ~tickets:(Some tickets)
-                  ~ticket_cap:max_states ~undo_depth ~prefix
-                  ~init_sleep:sleep)
+                  ~prefix ~init_sleep:sleep)
           in
           (* Canonical repair pass: fold the units in frontier order
              against the ONE global budget, exactly as a sequential
@@ -642,8 +582,7 @@ let check ?(jobs = 1) ?(max_states = 1_000_000) ?(minimized = true)
                 if (not u.aborted) && u.states <= remaining then u
                 else begin
                   let prefix, sleep = seed.frontier.(!i) in
-                  run_unit ctx ~budget:remaining ~tickets:None
-                    ~ticket_cap:max_states ~undo_depth ~prefix
+                  run_unit ctx ~budget:remaining ~tickets:None ~prefix
                     ~init_sleep:sleep
                 end
               in

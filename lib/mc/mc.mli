@@ -10,24 +10,26 @@
 
     Backtracking is {b incremental} wherever the engine allows it:
     when every program carries a snapshot codec
-    ({!Colring_engine.Network.Core.undo_capable}), descending
-    is a [force_step_undo] and backtracking an [undo_step] — O(1) per
-    edge instead of replaying the whole prefix.  Nodes deeper than
-    [undo_depth] (and networks without codecs) fall back to
-    replay-from-prefix; the hybrid is transparent in the results and
-    only shifts work between {!stats.replayed_deliveries} and
+    ({!Colring_engine.Network.Core.undo_capable}), descending is a
+    [force_step_undo] and backtracking an [undo_step] — O(1) per edge
+    instead of replaying the whole prefix.  A network without codecs
+    rebuilds each later sibling by replaying its prefix.  The mode
+    shows only in {!stats.replayed_deliveries} and
     {!stats.undone_deliveries}.
 
     Exploration is {b parallel over subtrees}: a bounded sequential
-    BFS carves the tree into a frontier of independent subtree tasks,
-    which the domain pool ({!Colring_runtime.Pool}) drains one task
-    per claim.  Each task owns its network, monitor and seen-table, so
-    verdicts, minimized counterexamples {e and the full stats block}
-    are bit-identical for every [jobs] value.  [max_states] is one
-    {e global} budget: a shared ticket counter throttles the fleet,
-    and a canonical repair pass re-folds the tasks in frontier order
-    against the exact remaining budget, reproducing sequential budget
-    semantics independent of scheduling.
+    BFS carves the tree into a frontier of 16 or more independent
+    subtree tasks, which the domain pool ({!Colring_runtime.Pool})
+    drains one task per claim.  The BFS and the subtree DFS visit a
+    state with the same step (dedup, budget, terminal and depth
+    checks, branch set).  Each task owns its network, monitor and
+    seen-table, so verdicts, minimized counterexamples {e and the full
+    stats block} are bit-identical for every [jobs] value.
+    [max_states] is one {e global} budget: a shared ticket counter
+    throttles the fleet, and a canonical repair pass re-folds the
+    tasks in frontier order against the exact remaining budget,
+    reproducing sequential budget semantics independent of
+    scheduling.
 
     Three reductions keep the tree tractable (DESIGN.md section 8 has
     the soundness arguments):
@@ -151,22 +153,18 @@ val check :
   ?jobs:int ->
   ?max_states:int ->
   ?minimized:bool ->
-  ?split:int ->
-  ?undo_depth:int ->
   ('m, 'api, 'topo) Colring_engine.Network.core spec ->
   result
 (** Walk the schedule space of [spec].  A sequential BFS expands
-    the root until at least [split] (default 16) frontier subtrees
-    exist (or the space is exhausted), then the subtrees drain over
-    the {!Colring_runtime.Pool} domain pool ([jobs], default 1).
+    the root until at least 16 frontier subtrees exist (or the space
+    is exhausted), then the subtrees drain over the
+    {!Colring_runtime.Pool} domain pool ([jobs], default 1).
     Results — verdict, minimized counterexample, every stats field —
     are bit-identical for every [jobs] value.  [max_states] (default
     1_000_000) bounds the states expanded {e globally}; exceeding it
-    sets {!stats.truncated}.  [undo_depth] caps how deep incremental
-    undo is used before falling back to replay (default: unlimited).
-    The first counterexample in canonical (BFS-frontier, then DFS)
-    order is returned, minimized and replay-confirmed via
-    {!minimize} unless [minimized:false]. *)
+    sets {!stats.truncated}.  The first counterexample in canonical
+    (BFS-frontier, then DFS) order is returned, minimized and
+    replay-confirmed via {!minimize} unless [minimized:false]. *)
 
 val replay :
   (('m, 'api, 'topo) Colring_engine.Network.core as 'net) spec ->

@@ -158,10 +158,12 @@ let test_batch_refuses_sized_ring () =
   Sys.remove spec;
   Sys.remove out
 
-(* --id-max below the node count is refused once n is known (from -n
-   or --topology) by every subcommand that takes it: exit 2, one line
-   naming the flag, nothing run before it.  Bad -c and --id values are
-   cmdliner usage errors (124), and so is the removed [batch --pool]; a
+(* --id-max below the node count, or so large that a pulse total
+   overflows, is refused once n is known (from -n or --topology) by
+   every subcommand that takes it: exit 2, one line naming the flag,
+   nothing run before it.  Bad -c, --id and --upto values and unknown
+   check targets are cmdliner usage errors (124), and so is the
+   removed [batch --pool]; a
    -c so large that every sampled ID is past anonymous's limit is a
    refused run (1).  None is an uncaught exception (125). *)
 let test_cli_value_refusals () =
@@ -192,6 +194,11 @@ let test_cli_value_refusals () =
       ([ "check"; "-n"; "4"; "--id-max"; "2" ], 2);
       ([ "check"; "--topology"; "theta:6"; "--id-max"; "5" ], 5);
       ([ "fast"; "--id-max"; "0" ], 0);
+      (* n(4*ID_max-1), the largest pulse total, overflows an int. *)
+      ([ "check"; "-n"; "3"; "--id-max"; "4000000000000000000" ],
+        4000000000000000000);
+      ([ "fast"; "-n"; "4"; "--id-max"; "4000000000000000000" ],
+        4000000000000000000);
     ];
   List.iter
     (fun (args, want, prefix) ->
@@ -204,6 +211,11 @@ let test_cli_value_refusals () =
       ([ "anonymous"; "-c"; "nan" ], 124, "-c nan: ");
       ([ "anonymous"; "-c"; "1e300" ], 1, "past this command's limit");
       ([ "solitude"; "--id"; "0" ], 124, "--id 0: ");
+      ([ "solitude"; "--upto=-3" ], 124, "--upto -3: ");
+      ([ "solitude"; "--upto=0" ], 124, "--upto 0: ");
+      ( [ "check"; "--target"; "nope" ],
+        124,
+        "option '--target': invalid value 'nope'" );
       ([ "compose"; "--app"; "foo" ], 124, "option '--app': invalid value 'foo'");
       ( [ "baseline"; "--algo"; "foo" ],
         124,
@@ -238,6 +250,7 @@ let test_cli_value_refusals () =
         ] );
       ( [ "elect"; "--algo"; "foo" ],
         [ "algo1"; "algo2"; "algo3-doubled"; "algo3-improved"; "resample" ] );
+      ([ "check"; "--target"; "nope" ], Colring_mc.Spec.targets);
     ];
   Sys.remove out
 
@@ -313,7 +326,15 @@ let test_cli_adversary_id_space () =
   checkb "k = n accepted" true (Cli.id_space ~flag:"-k" ~n:5 5 = Ok 5);
   checkb "k > n accepted" true (Cli.id_space ~flag:"-k" ~n:5 256 = Ok 256);
   checkb "k < n names -k" true
-    (is_error ~flag:"-k 3" (Cli.id_space ~flag:"-k" ~n:5 3))
+    (is_error ~flag:"-k 3" (Cli.id_space ~flag:"-k" ~n:5 3));
+  (* The largest k whose n(4k-1) stays below max_int, and one more. *)
+  let k = (((max_int - 1) / 4) + 1) / 4 in
+  checkb "largest k accepted at n = 4" true
+    (Cli.id_space ~flag:"-k" ~n:4 k = Ok k);
+  checkb "k + 1 refused at n = 4" true
+    (is_error
+       ~flag:(Printf.sprintf "-k %d" (k + 1))
+       (Cli.id_space ~flag:"-k" ~n:4 (k + 1)))
 
 (* colring check: a topology past the model checker's link limit is
    refused by the flag that sized it, not by an exception from
@@ -771,7 +792,17 @@ let prop_cli_validators =
       | 0 -> number (v >= 1) (Cli.positive ~flag v)
       | 1 -> number (v >= 0) (Cli.non_negative ~flag v)
       | 2 -> number (v >= 2) (Cli.ring_size ~flag v)
-      | 3 -> number (v >= w) (Cli.id_space ~flag ~n:w v)
+      | 3 ->
+          (* n(4v-1) < max_int, tested by dividing the product back. *)
+          let fits =
+            w < 1
+            || v <= max_int / 4
+               &&
+               let m = (4 * v) - 1 in
+               let p = w * m in
+               p / w = m && p < max_int
+          in
+          number (v >= w && fits) (Cli.id_space ~flag ~n:w v)
       | 4 ->
           judge ~value:(string_of_int w) (v <= 60)
             (Cli.link_budget ~flag ~value:(string_of_int w) ~max:60 v)

@@ -352,36 +352,44 @@ let test_max_states_budget_is_global () =
   let r4 = Mc.check ~jobs:4 ~max_states:budget spec in
   checkb "truncation identical across jobs" true (r1 = r4)
 
-let test_undo_depth_hybrid_equivalence () =
-  (* The hybrid backtracker — incremental undo above [undo_depth],
-     replay below — must be invisible in the results, for any depth
-     (0 = pure replay, the pre-scale-up engine). *)
+let test_replay_mode_equivalence () =
+  (* The same spec on programs without snapshot codecs backtracks by
+     prefix replay instead of undo.  The mode must be invisible in the
+     results: only the two backtracking counters may differ.  n=4 is
+     big enough for exploration to reach the parallel units (n=3 fits
+     inside the seed BFS, which always replays). *)
+  let ids = ids 4 in
+  let topo = Topology.oriented 4 in
+  let backtracking_free (r : Mc.result) =
+    {
+      r with
+      Mc.stats =
+        { r.Mc.stats with Mc.undone_deliveries = 0; replayed_deliveries = 0 };
+    }
+  in
   List.iter
-    (fun target ->
-      (* n=4: big enough that exploration reaches the parallel units
-         (n=3 fits inside the seed BFS, which always replays). *)
-      let (Spec.Packed spec) = Spec.of_target target ~ids:(ids 4) ~topo_seed:2 in
-      let full = Mc.check spec in
-      (* Ablations can die inside the seed BFS (which always replays),
-         so only the exhaustive target must show undo activity. *)
-      if String.equal target "algo2" then
-        checkb (target ^ " uses undo by default") true
-          (full.Mc.stats.Mc.undone_deliveries > 0);
-      List.iter
-        (fun undo_depth ->
-          let r = Mc.check ~undo_depth spec in
-          checkb
-            (Printf.sprintf "%s identical at undo_depth %d" target undo_depth)
-            true
-            ({ r with Mc.stats = full.Mc.stats } = full
-            && { r.Mc.stats with Mc.undone_deliveries = 0; replayed_deliveries = 0 }
-               = {
-                   full.Mc.stats with
-                   Mc.undone_deliveries = 0;
-                   replayed_deliveries = 0;
-                 }))
-        [ 0; 1; 3 ])
-    [ "algo2"; "ablation:no-absorption" ]
+    (fun (name, spec, program) ->
+      let undo = Mc.check spec in
+      let no_codec v = { (program ~id:ids.(v)) with Network.snap = None } in
+      let replay =
+        Mc.check
+          { spec with Mc.make = (fun () -> Network.create topo no_codec) }
+      in
+      checkb (name ^ ": replay mode undoes nothing") true
+        (replay.Mc.stats.Mc.undone_deliveries = 0);
+      checkb (name ^ ": same result in both modes") true
+        (backtracking_free replay = backtracking_free undo))
+    [
+      ("algo2", Spec.election Election.Algo2 ~ids ~topo_seed:2, Algo2.program);
+      ( "ablation:no-absorption",
+        Spec.ablation Spec.No_absorption ~ids ~topo_seed:2,
+        Ablation.algo1_no_absorption );
+    ];
+  (* Ablations can die inside the seed BFS, so only the exhaustive
+     target must show undo activity. *)
+  let spec = Spec.election Election.Algo2 ~ids ~topo_seed:2 in
+  checkb "algo2 uses undo by default" true
+    ((Mc.check spec).Mc.stats.Mc.undone_deliveries > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Scale: n=5 and n=6 exhaustive verification *)
@@ -580,8 +588,8 @@ let () =
         [
           Alcotest.test_case "jobs independence" `Quick
             test_results_independent_of_jobs;
-          Alcotest.test_case "undo-depth hybrid equivalence" `Quick
-            test_undo_depth_hybrid_equivalence;
+          Alcotest.test_case "replay mode equivalence" `Quick
+            test_replay_mode_equivalence;
         ] );
       ( "replay",
         [
