@@ -928,6 +928,9 @@ module Core = struct
     | Some x -> x
     | None -> raise Not_found
 
+  let registers t v =
+    Option.map (fun s -> s.save ()) t.programs.(v).snap
+
   let metrics t = t.metrics
   let trace t = Sink.trace t.sink
 

@@ -318,6 +318,10 @@ module Core : sig
   val inspect_counter : (_, _, _) core -> int -> string -> int
   (** Raises [Not_found] for an unknown counter name. *)
 
+  val registers : (_, _, _) core -> int -> int array option
+  (** A copy of node [v]'s whole saved program state, what
+      {!undo_step} puts back; [None] for a replay-only program. *)
+
   val metrics : (_, _, _) core -> Metrics.t
 
   val fingerprint : (_, _, _) core -> string

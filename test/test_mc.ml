@@ -391,6 +391,70 @@ let test_replay_mode_equivalence () =
   checkb "algo2 uses undo by default" true
     ((Mc.check spec).Mc.stats.Mc.undone_deliveries > 0)
 
+(* Every state reachable within the spec's depth budget, visited by
+   force_step_undo/undo_step and keyed as the checker keys a state
+   (progress counters, then the fingerprint).  States that share a key
+   must hold the same registers on every node: the key reads only each
+   program's view, so this is what makes merging states on it sound.
+   Returns the number of distinct keys and of conflicting revisits. *)
+let key_conflicts (Spec.Packed spec) =
+  let net = spec.Mc.make () in
+  checkb (spec.Mc.name ^ " is undo-capable") true (Network.undo_capable net);
+  let key () =
+    let m = Network.metrics net in
+    Printf.sprintf "%d/%d/%d#%s" (Metrics.sends m) (Metrics.deliveries m)
+      (Metrics.post_termination_deliveries m)
+      (Network.fingerprint net)
+  in
+  let seen = Hashtbl.create 4096 in
+  let conflicts = ref 0 in
+  let rec visit depth =
+    let k = key () in
+    let regs = Array.init (Network.size net) (Network.registers net) in
+    match Hashtbl.find_opt seen k with
+    | Some r -> if r <> regs then incr conflicts
+    | None ->
+        Hashtbl.add seen k regs;
+        if depth < spec.Mc.max_depth then begin
+          let rec each after =
+            let link = Network.enabled_link net ~after in
+            if link >= 0 then begin
+              let u = Network.force_step_undo net ~link in
+              visit (depth + 1);
+              Network.undo_step net u;
+              each link
+            end
+          in
+          each (-1)
+        end
+  in
+  visit 0;
+  (Hashtbl.length seen, !conflicts)
+
+let test_key_determines_registers () =
+  let case target n =
+    let (Spec.Packed spec as packed) =
+      Spec.of_target target ~ids:(ids n) ~topo_seed:2
+    in
+    if spec.Mc.dedup then begin
+      let states, conflicts = key_conflicts packed in
+      let name = Printf.sprintf "%s n=%d" target n in
+      checkb (name ^ " explored past the root") true (states > 1);
+      checki (name ^ " key conflicts") 0 conflicts;
+      1
+    end
+    else 0
+  in
+  let cases =
+    List.fold_left
+      (fun k target ->
+        match Spec.fixed_ids target with
+        | Some ids -> k + case target (Array.length ids)
+        | None -> k + case target 3 + case target 4)
+      0 Spec.targets
+  in
+  checki "cases" 21 cases
+
 (* ------------------------------------------------------------------ *)
 (* Scale: n=5 and n=6 exhaustive verification *)
 
@@ -590,6 +654,8 @@ let () =
             test_results_independent_of_jobs;
           Alcotest.test_case "replay mode equivalence" `Quick
             test_replay_mode_equivalence;
+          Alcotest.test_case "key determines every register" `Quick
+            test_key_determines_registers;
         ] );
       ( "replay",
         [
