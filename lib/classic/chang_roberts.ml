@@ -7,11 +7,12 @@ let cw_in = Port.P0
 
 let program ~id =
   if id < 1 then invalid_arg "Chang_roberts.program: id must be positive";
-  let done_ = ref false in
+  (* One hidden cell and no view: the done flag. *)
+  let c = [| 0 |] in
   let start (api : msg Network.api) = api.send cw_out (Candidate id) in
   let wake (api : msg Network.api) =
     let continue = ref true in
-    while !continue && not !done_ do
+    while !continue && c.(0) = 0 do
       match api.recv cw_in with
       | None -> continue := false
       | Some (Candidate c) ->
@@ -23,7 +24,7 @@ let program ~id =
           end
           (* c < id: swallowed. *)
       | Some (Announce e) ->
-          done_ := true;
+          c.(0) <- 1;
           if e = id then api.terminate () (* announcement returned *)
           else begin
             api.set_output Output.non_leader;
@@ -32,13 +33,6 @@ let program ~id =
           end
     done
   in
-  let snap =
-    Some
-      {
-        Network.save = (fun () -> [| (if !done_ then 1 else 0) |]);
-        load = (fun a -> done_ := a.(0) = 1);
-      }
-  in
-  { Network.start; wake; inspect = (fun () -> []); snap }
+  { Network.start; wake; state = Regs { names = [||]; cells = c } }
 
 let worst_case_messages ~n = (n * (n + 1) / 2) + n

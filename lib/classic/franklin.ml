@@ -2,15 +2,40 @@ open Colring_engine
 
 type msg = Value of int | Announce of int
 
-type mode = Active | Relay | Announcer | Done
+(* The register file: the view [rounds], then the mode, then one
+   round buffer per incoming port, each a length and two slots (FIFO
+   order = round order; only used while active).  Two slots are the
+   most ever observed — on every schedule of [colring check -n 5
+   --target franklin] (test/golden/check-n5-franklin.txt) and in
+   random, fifo and lifo runs up to n = 48 — and a third value fails
+   loudly. *)
+let rounds = 0
+let mode = 1
+let[@inline] buffer p = 2 + (3 * Port.index p)
+
+let active = 0
+let relay = 1
+let announcer = 2
+let done_ = 3
+
+let push c p v =
+  let b = buffer p in
+  let len = c.(b) in
+  if len = 2 then failwith "Franklin: a third buffered round value";
+  c.(b + 1 + len) <- v;
+  c.(b) <- len + 1
+
+let take c p =
+  let b = buffer p in
+  let v = c.(b + 1) in
+  c.(b + 1) <- c.(b + 2);
+  c.(b + 2) <- 0;
+  c.(b) <- c.(b) - 1;
+  v
 
 let program ~id =
   if id < 1 then invalid_arg "Franklin.program: id must be positive";
-  let mode = ref Active in
-  let rounds = ref 0 in
-  (* Buffered round values per incoming direction (FIFO order = round
-     order); only used while active. *)
-  let from_p0 = Queue.create () and from_p1 = Queue.create () in
+  let c = [| 0; active; 0; 0; 0; 0; 0; 0 |] in
   let send_both (api : msg Network.api) =
     api.send Port.P0 (Value id);
     api.send Port.P1 (Value id)
@@ -18,60 +43,56 @@ let program ~id =
   let drain_buffers (api : msg Network.api) =
     (* On turning relay, everything buffered was in transit to a
        further active node: forward it in its direction of travel. *)
-    Queue.iter (fun v -> api.send Port.P1 (Value v)) from_p0;
-    Queue.iter (fun v -> api.send Port.P0 (Value v)) from_p1;
-    Queue.clear from_p0;
-    Queue.clear from_p1
+    while c.(buffer Port.P0) > 0 do
+      api.send Port.P1 (Value (take c Port.P0))
+    done;
+    while c.(buffer Port.P1) > 0 do
+      api.send Port.P0 (Value (take c Port.P1))
+    done
   in
   let process_round (api : msg Network.api) =
-    if
-      !mode = Active
-      && (not (Queue.is_empty from_p0))
-      && not (Queue.is_empty from_p1)
+    if c.(mode) = active && c.(buffer Port.P0) > 0 && c.(buffer Port.P1) > 0
     then begin
-      let a = Queue.take from_p0 and b = Queue.take from_p1 in
+      let a = take c Port.P0 in
+      let b = take c Port.P1 in
       if a = id || b = id then begin
         (* Own ID came back around: sole survivor. *)
-        mode := Announcer;
+        c.(mode) <- announcer;
         api.set_output Output.leader;
         api.send Port.P1 (Announce id);
         drain_buffers api
       end
       else if max a b < id then begin
-        incr rounds;
+        c.(rounds) <- c.(rounds) + 1;
         send_both api
       end
       else begin
-        mode := Relay;
+        c.(mode) <- relay;
         drain_buffers api
       end
     end
   in
-  let start api =
-    send_both api
-  in
   let handle (api : msg Network.api) from m =
-    match (m, !mode) with
-    | Value v, Active ->
-        (match from with
-        | Port.P0 -> Queue.add v from_p0
-        | Port.P1 -> Queue.add v from_p1);
+    let md = c.(mode) in
+    match m with
+    | Value v when md = active ->
+        push c from v;
         process_round api
-    | Value v, Relay -> api.send (Port.opposite from) (Value v)
-    | Value _, (Announcer | Done) -> () (* stragglers of decided rounds *)
-    | Announce e, (Active | Relay) ->
+    | Value v when md = relay -> api.send (Port.opposite from) (Value v)
+    | Value _ -> () (* announcer or done: stragglers of decided rounds *)
+    | Announce e when md = active || md = relay ->
         api.set_output (if e = id then Output.leader else Output.non_leader);
-        mode := Done;
+        c.(mode) <- done_;
         api.send Port.P1 (Announce e);
         api.terminate ()
-    | Announce _, Announcer ->
-        mode := Done;
+    | Announce _ when md = announcer ->
+        c.(mode) <- done_;
         api.terminate ()
-    | Announce _, Done -> ()
+    | Announce _ -> ()
   in
   let wake (api : msg Network.api) =
     let continue = ref true in
-    while !continue && !mode <> Done do
+    while !continue && c.(mode) <> done_ do
       match api.recv Port.P0 with
       | Some m -> handle api Port.P0 m
       | None -> (
@@ -80,56 +101,8 @@ let program ~id =
           | None -> continue := false)
     done
   in
-  let inspect () = [ ("rounds", !rounds) ] in
-  (* The two round buffers are length-prefixed in the flat encoding. *)
-  let snap =
-    Some
-      {
-        Network.save =
-          (fun () ->
-            let mode_code =
-              match !mode with
-              | Active -> 0
-              | Relay -> 1
-              | Announcer -> 2
-              | Done -> 3
-            in
-            let a =
-              Array.make (4 + Queue.length from_p0 + Queue.length from_p1) 0
-            in
-            a.(0) <- mode_code;
-            a.(1) <- !rounds;
-            a.(2) <- Queue.length from_p0;
-            a.(3) <- Queue.length from_p1;
-            let i = ref 4 in
-            Queue.iter
-              (fun v ->
-                a.(!i) <- v;
-                incr i)
-              from_p0;
-            Queue.iter
-              (fun v ->
-                a.(!i) <- v;
-                incr i)
-              from_p1;
-            a);
-        load =
-          (fun a ->
-            (mode :=
-               match a.(0) with
-               | 0 -> Active
-               | 1 -> Relay
-               | 2 -> Announcer
-               | _ -> Done);
-            rounds := a.(1);
-            Queue.clear from_p0;
-            Queue.clear from_p1;
-            for i = 0 to a.(2) - 1 do
-              Queue.add a.(4 + i) from_p0
-            done;
-            for i = 0 to a.(3) - 1 do
-              Queue.add a.(4 + a.(2) + i) from_p1
-            done);
-      }
-  in
-  { Network.start; wake; inspect; snap }
+  {
+    Network.start = send_both;
+    wake;
+    state = Regs { names = [| "rounds" |]; cells = c };
+  }

@@ -7,14 +7,14 @@ type msg =
 
 let program ~id =
   if id < 1 then invalid_arg "Hirschberg_sinclair.program: id must be positive";
-  (* [replies] counts replies received for the current phase; a node
-     stops being a candidate implicitly by never completing a phase. *)
-  let phase = ref 0 in
-  let replies = ref 0 in
-  let elected = ref false in
-  let done_ = ref false in
+  (* The register file: the view [phase] and [replies] (replies
+     received for the current phase; a node stops being a candidate
+     implicitly by never completing a phase), then the hidden elected
+     and done flags. *)
+  let c = [| 0; 0; 0; 0 |] in
+  let phase = 0 and replies = 1 and elected = 2 and done_ = 3 in
   let send_probes (api : msg Network.api) =
-    let m = Probe { id; phase = !phase; hops = 1 } in
+    let m = Probe { id; phase = c.(phase); hops = 1 } in
     api.send Port.P0 m;
     api.send Port.P1 m
   in
@@ -28,25 +28,25 @@ let program ~id =
             api.send onward (Probe { p with hops = p.hops + 1 })
           else api.send back (Reply { id = p.id; phase = p.phase })
         end
-        else if p.id = id && not !elected then begin
+        else if p.id = id && c.(elected) = 0 then begin
           (* Own probe went all the way around: elected. *)
-          elected := true;
+          c.(elected) <- 1;
           api.set_output Output.leader;
           api.send Port.P1 (Announce id)
         end
         (* p.id < id, or duplicate round-trip of our own probe: swallow. *)
     | Reply r ->
         if r.id <> id then api.send onward (Reply r)
-        else if r.phase = !phase then begin
-          incr replies;
-          if !replies = 2 then begin
-            incr phase;
-            replies := 0;
+        else if r.phase = c.(phase) then begin
+          c.(replies) <- c.(replies) + 1;
+          if c.(replies) = 2 then begin
+            c.(phase) <- c.(phase) + 1;
+            c.(replies) <- 0;
             send_probes api
           end
         end
     | Announce e ->
-        done_ := true;
+        c.(done_) <- 1;
         if e = id then api.terminate ()
         else begin
           api.set_output Output.non_leader;
@@ -56,7 +56,7 @@ let program ~id =
   in
   let wake (api : msg Network.api) =
     let continue = ref true in
-    while !continue && not !done_ do
+    while !continue && c.(done_) = 0 do
       match api.recv Port.P0 with
       | Some m -> handle api Port.P0 m
       | None -> (
@@ -65,30 +65,10 @@ let program ~id =
           | None -> continue := false)
     done
   in
-  let snap =
-    Some
-      {
-        Network.save =
-          (fun () ->
-            [|
-              !phase;
-              !replies;
-              (if !elected then 1 else 0);
-              (if !done_ then 1 else 0);
-            |]);
-        load =
-          (fun a ->
-            phase := a.(0);
-            replies := a.(1);
-            elected := a.(2) = 1;
-            done_ := a.(3) = 1);
-      }
-  in
   {
     Network.start;
     wake;
-    inspect = (fun () -> [ ("phase", !phase); ("replies", !replies) ]);
-    snap;
+    state = Regs { names = [| "phase"; "replies" |]; cells = c };
   }
 
 let message_bound ~n =

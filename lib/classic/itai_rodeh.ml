@@ -68,6 +68,6 @@ let program ~n ~range =
     done
   in
   let inspect () = [ ("round", !round); ("value", !value) ] in
-  (* No codec: the program draws fresh randomness on every new round,
+  (* Opaque: the program draws fresh randomness on every new round,
      and [rng] streams are not rolled back by the undo machinery. *)
-  { Network.start; wake; inspect; snap = None }
+  { Network.start; wake; state = Opaque inspect }

@@ -7,7 +7,8 @@ let cw_in = Port.P0
 
 let program ~id =
   if id < 1 then invalid_arg "Lelann.program: id must be positive";
-  let max_seen = ref id in
+  (* The register file, all of it the view: the largest ID seen. *)
+  let c = [| id |] in
   let start (api : msg Network.api) = api.send cw_out (Id id) in
   let wake (api : msg Network.api) =
     let continue = ref true in
@@ -19,22 +20,15 @@ let program ~id =
             (* All n IDs have passed through by now (FIFO order). *)
             continue := false;
             api.set_output
-              (if !max_seen = id then Output.leader else Output.non_leader);
+              (if c.(0) = id then Output.leader else Output.non_leader);
             api.terminate ()
           end
           else begin
-            if j > !max_seen then max_seen := j;
+            if j > c.(0) then c.(0) <- j;
             api.send cw_out (Id j)
           end
     done
   in
-  let snap =
-    Some
-      {
-        Network.save = (fun () -> [| !max_seen |]);
-        load = (fun a -> max_seen := a.(0));
-      }
-  in
-  { Network.start; wake; inspect = (fun () -> [ ("max_seen", !max_seen) ]); snap }
+  { Network.start; wake; state = Regs { names = [| "max_seen" |]; cells = c } }
 
 let messages ~n = n * n

@@ -5,93 +5,73 @@ type msg = Value of int | Announce of int
 let cw_out = Port.P1
 let cw_in = Port.P0
 
-type mode =
-  | Wait_first  (** Active, phase started, awaiting the first value. *)
-  | Wait_second of int  (** Active, holding the first received value. *)
-  | Relay
-  | Announcer
-  | Done
+(* The register file: the view [tid] and [phases], then the mode and,
+   in [wait_second], the first received value. *)
+let names = [| "tid"; "phases" |]
+let tid = 0
+let phases = 1
+let mode = 2
+let first = 3
+
+(* Modes: active with a phase started, awaiting the first value;
+   active holding it in [first]; relay; announcer; done. *)
+let wait_first = 0
+let wait_second = 1
+let relay = 2
+let announcer = 3
+let done_ = 4
 
 let program ~id =
   if id < 1 then invalid_arg "Peterson.program: id must be positive";
-  let tid = ref id in
-  let mode = ref Wait_first in
-  let phases = ref 0 in
-  let start (api : msg Network.api) = api.send cw_out (Value !tid) in
+  let c = [| id; 0; wait_first; 0 |] in
+  let start (api : msg Network.api) = api.send cw_out (Value c.(tid)) in
   let handle (api : msg Network.api) m =
-    match (m, !mode) with
-    | Value v, Wait_first ->
-        if v = !tid then begin
+    let md = c.(mode) in
+    match m with
+    | Value v when md = wait_first ->
+        if v = c.(tid) then begin
           (* Sole survivor: own value completed the circle. *)
-          mode := Announcer;
-          api.send cw_out (Announce !tid)
+          c.(mode) <- announcer;
+          api.send cw_out (Announce c.(tid))
         end
         else begin
           api.send cw_out (Value v);
-          mode := Wait_second v
+          c.(mode) <- wait_second;
+          c.(first) <- v
         end
-    | Value v2, Wait_second v1 ->
-        if v1 > !tid && v1 > v2 then begin
-          tid := v1;
-          incr phases;
-          mode := Wait_first;
-          api.send cw_out (Value !tid)
+    | Value v2 when md = wait_second ->
+        let v1 = c.(first) in
+        c.(first) <- 0;
+        if v1 > c.(tid) && v1 > v2 then begin
+          c.(tid) <- v1;
+          c.(phases) <- c.(phases) + 1;
+          c.(mode) <- wait_first;
+          api.send cw_out (Value c.(tid))
         end
-        else mode := Relay
-    | Value v, Relay -> api.send cw_out (Value v)
-    | Value _, (Announcer | Done) -> () (* stray of a finished phase *)
-    | Announce e, Announcer ->
+        else c.(mode) <- relay
+    | Value v when md = relay -> api.send cw_out (Value v)
+    | Value _ -> () (* announcer or done: stray of a finished phase *)
+    | Announce e when md = announcer ->
         (* Announcement returned; the announcer itself is the leader
            only if the surviving value is its own original ID. *)
         api.set_output (if e = id then Output.leader else Output.non_leader);
-        mode := Done;
+        c.(mode) <- done_;
         api.terminate ()
-    | Announce e, (Wait_first | Wait_second _ | Relay) ->
+    | Announce e when md <> done_ ->
         (* The node whose original ID equals the surviving value is the
            elected leader. *)
         api.set_output (if e = id then Output.leader else Output.non_leader);
-        mode := Done;
+        c.(mode) <- done_;
         api.send cw_out (Announce e);
         api.terminate ()
-    | Announce _, Done -> ()
+    | Announce _ -> ()
   in
   let wake (api : msg Network.api) =
     let continue = ref true in
-    while !continue && !mode <> Done do
+    while !continue && c.(mode) <> done_ do
       match api.recv cw_in with
       | Some m -> handle api m
       | None -> continue := false
     done
   in
-  let inspect () =
-    [ ("tid", !tid); ("phases", !phases) ]
-  in
-  (* Wait_second's payload rides in the fourth slot. *)
-  let snap =
-    Some
-      {
-        Network.save =
-          (fun () ->
-            let code, payload =
-              match !mode with
-              | Wait_first -> (0, 0)
-              | Relay -> (1, 0)
-              | Announcer -> (2, 0)
-              | Done -> (3, 0)
-              | Wait_second v -> (4, v)
-            in
-            [| !tid; !phases; code; payload |]);
-        load =
-          (fun a ->
-            tid := a.(0);
-            phases := a.(1);
-            mode :=
-              (match a.(2) with
-              | 0 -> Wait_first
-              | 1 -> Relay
-              | 2 -> Announcer
-              | 3 -> Done
-              | _ -> Wait_second a.(3)));
-      }
-  in
-  { Network.start; wake; inspect; snap }
+  { Network.start; wake; state = Regs { names; cells = c } }

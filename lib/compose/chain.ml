@@ -41,11 +41,11 @@ let chain first second =
     let second_counters =
       match !phase with
       | First -> []
-      | Second prog -> tag "b." (prog.Network.inspect ())
+      | Second prog -> tag "b." (Network.counters prog.Network.state)
     in
-    tag "a." (first.Network.inspect ()) @ second_counters
+    tag "a." (Network.counters first.Network.state) @ second_counters
   in
-  (* No codec: the second-phase program is constructed dynamically from
+  (* Opaque: the second-phase program is constructed dynamically from
      the first phase's output, so the chain's state is not a fixed set
      of ints. *)
-  { Network.start; wake; inspect; snap = None }
+  { Network.start; wake; state = Opaque inspect }

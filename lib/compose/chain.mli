@@ -19,5 +19,5 @@ val chain :
 (** The second program is constructed at switch time from the output
     the first program decided on.  The first program's [terminate] is
     intercepted; the second program's [terminate] really terminates the
-    node.  [inspect] concatenates both programs' counters (prefixed
-    with [a.] / [b.]). *)
+    node.  The chain's state is [Opaque] (replay-only): its view
+    concatenates both programs' counters (prefixed with [a.] / [b.]). *)

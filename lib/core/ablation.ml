@@ -9,27 +9,36 @@ let ccw_in = Port.P1
 let polled (api : _ Network.api) p =
   api.mailbox.(Port.index p) > 0 && api.recv_pulse p
 
+(* A fresh register file: cell 0 holds [id], the rest start at 0. *)
+let cells ~id k =
+  let c = Array.make k 0 in
+  c.(0) <- id;
+  c
+
 (* Algorithm 2 minus the lag: both instances start at initialization
-   and the CCW block is not gated on rho_cw >= id.  Compare Algo2. *)
+   and the CCW block is not gated on rho_cw >= id.  Compare Algo2.
+   Cells: the view [id], [rho_cw], [rho_ccw], then the hidden
+   term-initiated and finished flags and the role code. *)
 let algo2_no_lag ~id =
   if id < 1 then invalid_arg "Ablation.algo2_no_lag: id must be positive";
-  let rho_cw = ref 0 and rho_ccw = ref 0 in
-  let term_initiated = ref false in
-  let finished = ref false in
-  let role = ref Output.Undecided in
+  let c = cells ~id 6 in
+  let rho_cw = 1 and rho_ccw = 2 and term_initiated = 3 and finished = 4 in
+  let role = 5 in
+  let incr i = c.(i) <- c.(i) + 1 in
   let start (api : _ Network.api) =
     api.send cw_out ();
     api.send ccw_out () (* no lag: CCW launches immediately *)
   in
   let finish (api : _ Network.api) =
-    finished := true;
-    api.set_output (Output.with_role !role Output.empty);
+    c.(finished) <- 1;
+    api.set_output
+      (Output.with_role (Output.role_of_code c.(role)) Output.empty);
     api.terminate ()
   in
   let wake (api : _ Network.api) =
     let continue = ref true in
-    while !continue && not !finished do
-      if !term_initiated then begin
+    while !continue && c.(finished) = 0 do
+      if c.(term_initiated) = 1 then begin
         if polled api ccw_in then begin
           incr rho_ccw;
           finish api
@@ -41,9 +50,9 @@ let algo2_no_lag ~id =
         if polled api cw_in then begin
           progress := true;
           incr rho_cw;
-          if !rho_cw = id then role := Output.Leader
+          if c.(rho_cw) = id then c.(role) <- Output.role_code Output.Leader
           else begin
-            role := Output.Non_leader;
+            c.(role) <- Output.role_code Output.Non_leader;
             api.send cw_out ()
           end
         end;
@@ -51,48 +60,28 @@ let algo2_no_lag ~id =
         if polled api ccw_in then begin
           progress := true;
           incr rho_ccw;
-          if !rho_ccw <> id then api.send ccw_out ()
+          if c.(rho_ccw) <> id then api.send ccw_out ()
         end;
-        if (not !term_initiated) && !rho_cw = id && !rho_ccw = id then begin
+        if c.(term_initiated) = 0 && c.(rho_cw) = id && c.(rho_ccw) = id
+        then begin
           api.send ccw_out ();
-          term_initiated := true;
+          c.(term_initiated) <- 1;
           progress := true
         end;
-        if !rho_ccw > !rho_cw then finish api
+        if c.(rho_ccw) > c.(rho_cw) then finish api
         else if not !progress then continue := false
       end
     done
   in
-  let inspect () =
-    [ ("id", id); ("rho_cw", !rho_cw); ("rho_ccw", !rho_ccw) ]
-  in
-  let snap =
-    Some
-      {
-        Network.save =
-          (fun () ->
-            [|
-              !rho_cw;
-              !rho_ccw;
-              (if !term_initiated then 1 else 0);
-              (if !finished then 1 else 0);
-              Output.role_code !role;
-            |]);
-        load =
-          (fun a ->
-            rho_cw := a.(0);
-            rho_ccw := a.(1);
-            term_initiated := a.(2) = 1;
-            finished := a.(3) = 1;
-            role := Output.role_of_code a.(4));
-      }
-  in
-  { Network.start; wake; inspect; snap }
+  let names = [| "id"; "rho_cw"; "rho_ccw" |] in
+  { Network.start; wake; state = Regs { names; cells = c } }
 
-(* Algorithm 3 with identical virtual IDs per direction. *)
+(* Algorithm 3 with identical virtual IDs per direction.  Cells: [id],
+   then the received counts per local port. *)
 let algo3_same_virtual_ids ~id =
   if id < 1 then invalid_arg "Ablation.algo3_same_virtual_ids: id > 0";
-  let rho = [| 0; 0 |] in
+  let c = cells ~id 3 in
+  let rho i = c.(1 + i) in
   let start (api : _ Network.api) =
     api.send Port.P0 ();
     api.send Port.P1 ()
@@ -104,59 +93,41 @@ let algo3_same_virtual_ids ~id =
       for i = 0 to 1 do
         if polled api (Port.of_index (1 - i)) then begin
           progress := true;
-          rho.(1 - i) <- rho.(1 - i) + 1;
-          if rho.(1 - i) <> id then api.send (Port.of_index i) ()
+          c.(2 - i) <- c.(2 - i) + 1;
+          if rho (1 - i) <> id then api.send (Port.of_index i) ()
         end
       done;
-      if max rho.(0) rho.(1) >= id then begin
+      if max (rho 0) (rho 1) >= id then begin
         let role =
-          if rho.(0) = id && rho.(1) < id then Output.Leader
-          else Output.Non_leader
+          if rho 0 = id && rho 1 < id then Output.Leader else Output.Non_leader
         in
-        let cw_port = if rho.(0) > rho.(1) then Port.P1 else Port.P0 in
+        let cw_port = if rho 0 > rho 1 then Port.P1 else Port.P0 in
         api.set_output
           (Output.with_cw_port cw_port (Output.with_role role Output.empty))
       end
     done
   in
-  let inspect () = [ ("id", id); ("rho0", rho.(0)); ("rho1", rho.(1)) ] in
-  let snap =
-    Some
-      {
-        Network.save = (fun () -> [| rho.(0); rho.(1) |]);
-        load =
-          (fun a ->
-            rho.(0) <- a.(0);
-            rho.(1) <- a.(1));
-      }
-  in
-  { Network.start; wake; inspect; snap }
+  let names = [| "id"; "rho0"; "rho1" |] in
+  { Network.start; wake; state = Regs { names; cells = c } }
 
-(* Algorithm 1 without the absorption case. *)
+(* Algorithm 1 without the absorption case.  Cells: [id], [rho_cw]. *)
 let algo1_no_absorption ~id =
   if id < 1 then invalid_arg "Ablation.algo1_no_absorption: id > 0";
-  let rho = ref 0 in
+  let c = cells ~id 2 in
   let start (api : _ Network.api) = api.send cw_out () in
   let wake (api : _ Network.api) =
     let continue = ref true in
     while !continue do
       if polled api cw_in then begin
-        incr rho;
-        api.set_output (if !rho = id then Output.leader else Output.non_leader);
+        c.(1) <- c.(1) + 1;
+        api.set_output (if c.(1) = id then Output.leader else Output.non_leader);
         api.send cw_out () (* always relays: never absorbs *)
       end
       else continue := false
     done
   in
-  let inspect () = [ ("id", id); ("rho_cw", !rho) ] in
-  let snap =
-    Some
-      {
-        Network.save = (fun () -> [| !rho |]);
-        load = (fun a -> rho := a.(0));
-      }
-  in
-  { Network.start; wake; inspect; snap }
+  let names = [| "id"; "rho_cw" |] in
+  { Network.start; wake; state = Regs { names; cells = c } }
 
 type failure = {
   wrong_leader : bool;

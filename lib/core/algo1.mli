@@ -10,8 +10,8 @@
     the unique node of maximal ID in the Leader state.  Nodes never
     terminate.
 
-    Counter names exposed through [inspect]: ["id"], ["rho_cw"],
-    ["sigma_cw"]. *)
+    The register file's view, in order: ["id"], ["rho_cw"],
+    ["sigma_cw"]; one hidden cell holds the role last published. *)
 
 val program : id:int -> Colring_engine.Network.pulse Colring_engine.Network.program
 (** The per-node program; run it on an {!Colring_engine.Topology.oriented}

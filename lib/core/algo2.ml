@@ -7,93 +7,99 @@ let cw_in = Port.P0
 let ccw_out = Port.P0
 let ccw_in = Port.P1
 
-type state = {
-  id : int;
-  mutable rho_cw : int;
-  mutable sigma_cw : int;
-  mutable rho_ccw : int;
-  mutable sigma_ccw : int;
-  mutable role : Output.role;
-  mutable out_role : Output.role; (* role last published via set_output *)
-  mutable term_initiated : bool;
-  mutable finished : bool;
-}
+(* The register file: the named view, then three hidden cells — the
+   current role and the role last published via set_output (as
+   [Output.role_code]s) and the finished flag. *)
+let names =
+  [| "id"; "rho_cw"; "sigma_cw"; "rho_ccw"; "sigma_ccw"; "term_initiated" |]
 
-let[@inline] send_cw (api : _ Network.api) st =
+let id = 0
+let rho_cw = 1
+let sigma_cw = 2
+let rho_ccw = 3
+let sigma_ccw = 4
+let term_initiated = 5
+let role = 6
+let out_role = 7
+let finished = 8
+let leader = Output.role_code Output.Leader
+let non_leader = Output.role_code Output.Non_leader
+
+let[@inline] send_cw (api : _ Network.api) c =
   api.send cw_out ();
-  st.sigma_cw <- st.sigma_cw + 1
+  c.(sigma_cw) <- c.(sigma_cw) + 1
 
-let[@inline] send_ccw (api : _ Network.api) st =
+let[@inline] send_ccw (api : _ Network.api) c =
   api.send ccw_out ();
-  st.sigma_ccw <- st.sigma_ccw + 1
+  c.(sigma_ccw) <- c.(sigma_ccw) + 1
 
 (* [api.mailbox] (0 is [cw_in]) shows an empty port without a call. *)
-let[@inline] recv_cw (api : _ Network.api) st =
+let[@inline] recv_cw (api : _ Network.api) c =
   api.mailbox.(0) > 0
   && api.recv_pulse cw_in
   && begin
-       st.rho_cw <- st.rho_cw + 1;
+       c.(rho_cw) <- c.(rho_cw) + 1;
        true
      end
 
-let[@inline] recv_ccw (api : _ Network.api) st =
+let[@inline] recv_ccw (api : _ Network.api) c =
   api.mailbox.(1) > 0
   && api.recv_pulse ccw_in
   && begin
-       st.rho_ccw <- st.rho_ccw + 1;
+       c.(rho_ccw) <- c.(rho_ccw) + 1;
        true
      end
 
 (* The simulator deduplicates equal outputs, so publishing only on a
    role change is observationally identical to republishing after every
    pulse — it just skips allocating the [Output.t]. *)
-let[@inline] publish_role (api : _ Network.api) st =
-  if st.role <> st.out_role then begin
-    st.out_role <- st.role;
-    api.set_output (Output.with_role st.role Output.empty)
+let[@inline] publish_role (api : _ Network.api) c =
+  if c.(role) <> c.(out_role) then begin
+    c.(out_role) <- c.(role);
+    api.set_output (Output.with_role (Output.role_of_code c.(role)) Output.empty)
   end
 
-let finish (api : _ Network.api) st =
-  st.finished <- true;
-  publish_role api st;
+let finish (api : _ Network.api) c =
+  c.(finished) <- 1;
+  publish_role api c;
   api.terminate ()
 
 (* One call re-runs the repeat-loop body (lines 3-18) to a fixpoint,
    mirroring the paper's continuously polling loop.  A top-level tail
    recursion over immediate booleans, so a wake allocates nothing. *)
-let rec wake_loop (api : _ Network.api) st =
-  if st.finished then ()
-  else if st.term_initiated then begin
+let rec wake_loop (api : _ Network.api) c =
+  if c.(finished) = 1 then ()
+  else if c.(term_initiated) = 1 then begin
     (* Line 16: busy-wait for the returning termination pulse; it is
        consumed here (not by line 11) and hence never forwarded. *)
-    if recv_ccw api st then finish api st
+    if recv_ccw api c then finish api c
   end
   else begin
     (* Lines 3-8: Algorithm 1 over the CW channel. *)
-    let progress_cw = recv_cw api st in
+    let progress_cw = recv_cw api c in
     if progress_cw then begin
-      if st.rho_cw = st.id then st.role <- Output.Leader
+      if c.(rho_cw) = c.(id) then c.(role) <- leader
       else begin
-        st.role <- Output.Non_leader;
-        send_cw api st
+        c.(role) <- non_leader;
+        send_cw api c
       end;
-      publish_role api st
+      publish_role api c
     end;
     (* Lines 9-13: Algorithm 1 over the CCW channel, lagging. *)
     let progress_ccw =
-      st.rho_cw >= st.id
+      c.(rho_cw) >= c.(id)
       && begin
            let initiated =
-             st.sigma_ccw = 0
+             c.(sigma_ccw) = 0
              && begin
-                  send_ccw api st;
+                  send_ccw api c;
                   true
                 end
            in
            let received =
-             recv_ccw api st
+             recv_ccw api c
              && begin
-                  if st.rho_ccw <> st.id then send_ccw api st;
+                  if c.(rho_ccw) <> c.(id) then send_ccw api c;
                   true
                 end
            in
@@ -103,74 +109,30 @@ let rec wake_loop (api : _ Network.api) st =
     (* Lines 14-15: the election-complete event, unique to the
        node of maximal ID. *)
     let progress_term =
-      (not st.term_initiated)
-      && st.rho_cw = st.id
-      && st.rho_ccw = st.id
+      c.(term_initiated) = 0
+      && c.(rho_cw) = c.(id)
+      && c.(rho_ccw) = c.(id)
       && begin
-           send_ccw api st;
-           st.term_initiated <- true;
+           send_ccw api c;
+           c.(term_initiated) <- 1;
            true
          end
     in
     (* Line 18: the exit condition. *)
-    if st.rho_ccw > st.rho_cw then finish api st
-    else if progress_cw || progress_ccw || progress_term then wake_loop api st
+    if c.(rho_ccw) > c.(rho_cw) then finish api c
+    else if progress_cw || progress_ccw || progress_term then wake_loop api c
   end
 
-let program ~id =
-  if id < 1 then invalid_arg "Algo2.program: id must be positive";
-  let st =
-    {
-      id;
-      rho_cw = 0;
-      sigma_cw = 0;
-      rho_ccw = 0;
-      sigma_ccw = 0;
-      role = Output.Undecided;
-      out_role = Output.Undecided;
-      term_initiated = false;
-      finished = false;
-    }
-  in
-  let start api = send_cw api st in
-  let wake api = wake_loop api st in
-  let inspect () =
-    [
-      ("id", st.id);
-      ("rho_cw", st.rho_cw);
-      ("sigma_cw", st.sigma_cw);
-      ("rho_ccw", st.rho_ccw);
-      ("sigma_ccw", st.sigma_ccw);
-      ("term_initiated", if st.term_initiated then 1 else 0);
-    ]
-  in
-  let snap =
-    Some
-      {
-        Network.save =
-          (fun () ->
-            [|
-              st.rho_cw;
-              st.sigma_cw;
-              st.rho_ccw;
-              st.sigma_ccw;
-              Output.role_code st.role;
-              Output.role_code st.out_role;
-              (if st.term_initiated then 1 else 0);
-              (if st.finished then 1 else 0);
-            |]);
-        load =
-          (fun a ->
-            st.rho_cw <- a.(0);
-            st.sigma_cw <- a.(1);
-            st.rho_ccw <- a.(2);
-            st.sigma_ccw <- a.(3);
-            st.role <- Output.role_of_code a.(4);
-            st.out_role <- Output.role_of_code a.(5);
-            st.term_initiated <- a.(6) = 1;
-            st.finished <- a.(7) = 1);
-      }
-  in
-  { Network.start; wake; inspect; snap }
+let program ~id:v =
+  if v < 1 then invalid_arg "Algo2.program: id must be positive";
+  let c = Array.make 9 0 in
+  c.(id) <- v;
+  c.(role) <- Output.role_code Output.Undecided;
+  c.(out_role) <- Output.role_code Output.Undecided;
+  {
+    Network.start = (fun api -> send_cw api c);
+    wake = (fun api -> wake_loop api c);
+    state = Regs { names; cells = c };
+  }
 
 let total_pulses = Formulas.algo2_total

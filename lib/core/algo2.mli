@@ -14,8 +14,10 @@
     Total pulses sent, on every schedule: [n * (2 * ID_max + 1)]
     ([n * ID_max] clockwise, [n * (ID_max + 1)] counterclockwise).
 
-    Counter names exposed through [inspect]: ["id"], ["rho_cw"],
-    ["sigma_cw"], ["rho_ccw"], ["sigma_ccw"], ["term_initiated"]. *)
+    The register file's view, in order: ["id"], ["rho_cw"],
+    ["sigma_cw"], ["rho_ccw"], ["sigma_ccw"], ["term_initiated"]
+    (0 or 1); three hidden cells hold the current role, the role last
+    published and the finished flag. *)
 
 val program : id:int -> Colring_engine.Network.pulse Colring_engine.Network.program
 (** The per-node program; run it on an oriented ring.  [id] must be

@@ -11,7 +11,7 @@
     It exists for differential testing: {!Algo2} (event-driven, wake
     to fixpoint) and this module must produce identical leaders, role
     vectors, exact pulse totals and splits, and termination orders on
-    every instance and schedule.  Counter names in [inspect] match
-    {!Algo2}. *)
+    every instance and schedule.  Its state is [Opaque] (a suspended
+    continuation), and its counter names match {!Algo2}'s view. *)
 
 val program : id:int -> Colring_engine.Network.pulse Colring_engine.Network.program

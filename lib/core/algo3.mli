@@ -13,8 +13,10 @@
     The algorithm reaches quiescence but never terminates (the paper
     conjectures termination is impossible here).
 
-    Counter names exposed through [inspect]: ["id"], ["id0"], ["id1"],
-    ["rho0"], ["rho1"], ["sigma0"], ["sigma1"], ["resamples"]. *)
+    The register file's view, in order: ["id"], ["id0"], ["id1"] (the
+    virtual IDs, written at creation and on resampling), ["rho0"],
+    ["rho1"], ["sigma0"], ["sigma1"], ["resamples"]; one hidden cell
+    holds the output last published. *)
 
 type id_scheme =
   | Doubled

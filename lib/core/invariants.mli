@@ -19,7 +19,8 @@ val attach :
   ids:int array ->
   checker
 (** Build a checker for a network running Algorithm 1 or Algorithm 2
-    (it reads the standard counter names from [inspect]). *)
+    (it reads the standard counter names of the programs' views through
+    [Network.inspect]). *)
 
 val probe : checker -> step:int -> unit
 (** Pass as the [~probe] of {!Colring_engine.Network.run}. *)

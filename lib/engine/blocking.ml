@@ -59,6 +59,6 @@ let make ?(inspect = fun () -> []) body =
             else assert false
         | None -> ())
   in
-  (* No codec: the blocked state is a pending effect continuation,
-     which cannot be flattened to ints (or resumed twice). *)
-  { Network.start; wake; inspect; snap = None }
+  (* Opaque: the blocked state is a pending effect continuation, which
+     cannot be flattened to ints (or resumed twice). *)
+  { Network.start; wake; state = Opaque inspect }

@@ -78,32 +78,41 @@ type 'm api = {
           the program's first read and the same on every later one. *)
 }
 
-type snapshot = { save : unit -> int array; load : int array -> unit }
-(** A program-state codec: [save] encodes the program's whole mutable
-    state as a flat int array, [load] restores it exactly. *)
+type state =
+  | Regs of { names : string array; cells : int array }
+      (** A register file: [cells] holds the program's whole mutable
+          state as ints, and the program reads and writes it in place.
+          The first [Array.length names] cells are the program's view,
+          named in order ({!Core.inspect}, {!Core.fingerprint}); any
+          later cells are saved and restored by undo but not shown. *)
+  | Opaque of (unit -> (string * int) list)
+      (** State that is not ints (effect continuations, a phase built at
+          run time, random draws), seen only through these named
+          counters.  Such a program is replay-only: a network holding
+          one is not {!Core.undo_capable}. *)
+(** What a node program exposes of its state. *)
 
 type 'api prog = {
   start : 'api -> unit;  (** The one initial activation. *)
   wake : 'api -> unit;
       (** Called after every delivery to this node; must poll mailboxes
           to a fixpoint and return (never block). *)
-  inspect : unit -> (string * int) list;
-      (** Named internal counters (ρ, σ, …) for invariant probes. *)
-  snap : snapshot option;
-      (** The codec the model checker's incremental undo needs.  [None]
-          opts out — the checker then falls back to replay-from-prefix
-          for this network. *)
+  state : state;
 }
 (** A node program over the api record ['api] its node sees; rings and
     graphs share the record. *)
+
+val counters : state -> (string * int) list
+(** The named view: [Regs] pairs [names] with the first cells, [Opaque]
+    calls its function. *)
 
 type 'm program = 'm api prog
 
 type 'm t = ('m, 'm api, Topology.t) core
 
 val silent_program : 'api prog
-(** A program that never sends, consumes or decides (and has a trivial
-    snapshot, since it holds no state). *)
+(** A program that never sends, consumes or decides (an empty register
+    file, since it holds no state). *)
 
 val node_stream : seed:int -> int -> Colring_stats.Rng.t
 (** [node_stream ~seed v], [Rng.split_at (Rng.create ~seed) v], is the
@@ -283,9 +292,10 @@ module Core : sig
       {!force_step} plus a record of everything the delivery mutated;
       [undo_step] restores the pre-delivery state exactly, including
       metrics, clocks, mailbox/channel contents and the destination
-      program's state (via its [snap] codec).  Records must be undone in
-      LIFO order.  Only legal on an {!undo_capable} network: every
-      program carries a [snap] codec and no user sink observes the run
+      program's state (a copy of its [Regs] cells, blitted back).
+      Records must be undone in LIFO order.  Only legal on an
+      {!undo_capable} network: every program is [Regs] and no user sink
+      observes the run
       (events cannot be unemitted); programs must also not consume
       [rng] randomness, which is not rolled back — the model checker
       requires deterministic programs anyway. *)
@@ -315,19 +325,22 @@ module Core : sig
   val all_terminated : (_, _, _) core -> bool
   val termination_order : (_, _, _) core -> int list
   val inspect : (_, _, _) core -> int -> (string * int) list
+  (** Node [v]'s named view ({!counters} of its program's state). *)
+
   val inspect_counter : (_, _, _) core -> int -> string -> int
   (** Raises [Not_found] for an unknown counter name. *)
 
   val registers : (_, _, _) core -> int -> int array option
-  (** A copy of node [v]'s whole saved program state, what
-      {!undo_step} puts back; [None] for a replay-only program. *)
+  (** A copy of node [v]'s cells, view and hidden, what {!undo_step}
+      puts back; [None] for an [Opaque] program. *)
 
   val metrics : (_, _, _) core -> Metrics.t
 
   val fingerprint : (_, _, _) core -> string
   (** Canonical observable-state string: channel and mailbox depths,
-      termination flags, outputs and inspect counters.  Two states print equal iff no monitor can
-      tell them apart. *)
+      termination flags, outputs and each program's view (never a
+      [Regs] program's hidden cells).  Two states print equal iff no
+      monitor can tell them apart. *)
 
   val trace : (_, _, _) core -> Trace.t option
   (** The buffer of the memory sink attached to this network via [?sink],

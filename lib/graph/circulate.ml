@@ -1,10 +1,12 @@
 open Colring_engine
 module Algo3 = Colring_core.Algo3
 
+(* Cells: [id], then received and sent counts per port. *)
 let algo3_deg2 ~scheme ~id =
   if id < 1 then invalid_arg "Circulate.algo3_deg2: id must be positive";
-  let rho = [| 0; 0 |] in
-  let sigma = [| 0; 0 |] in
+  let c = [| id; 0; 0; 0; 0 |] in
+  let rho i = c.(1 + i) in
+  let sent i = c.(3 + i) <- c.(3 + i) + 1 in
   let virtual_id i =
     match scheme with
     | Algo3.Doubled -> (2 * id) - 1 + i
@@ -15,16 +17,16 @@ let algo3_deg2 ~scheme ~id =
       invalid_arg "Circulate.algo3_deg2: needs a 2-regular topology";
     for i = 0 to 1 do
       api.send i ();
-      sigma.(i) <- sigma.(i) + 1
+      sent i
     done
   in
   let decide (api : _ Gnetwork.api) =
-    if max rho.(0) rho.(1) >= virtual_id 1 then begin
+    if max (rho 0) (rho 1) >= virtual_id 1 then begin
       let role =
-        if rho.(0) = virtual_id 1 && rho.(1) < virtual_id 1 then Output.Leader
+        if rho 0 = virtual_id 1 && rho 1 < virtual_id 1 then Output.Leader
         else Output.Non_leader
       in
-      let cw_port = if rho.(0) > rho.(1) then Port.P1 else Port.P0 in
+      let cw_port = if rho 0 > rho 1 then Port.P1 else Port.P0 in
       api.set_output
         (Output.with_cw_port cw_port (Output.with_role role Output.empty))
     end
@@ -37,43 +39,25 @@ let algo3_deg2 ~scheme ~id =
         match if api.mailbox.(1 - i) > 0 then api.recv (1 - i) else None with
         | Some () ->
             progress := true;
-            rho.(1 - i) <- rho.(1 - i) + 1;
-            if rho.(1 - i) <> virtual_id i then begin
+            c.(2 - i) <- c.(2 - i) + 1;
+            if rho (1 - i) <> virtual_id i then begin
               api.send i ();
-              sigma.(i) <- sigma.(i) + 1
+              sent i
             end
         | None -> ()
       done;
       decide api
     done
   in
-  let inspect () =
-    [
-      ("id", id);
-      ("rho0", rho.(0));
-      ("rho1", rho.(1));
-      ("sigma0", sigma.(0));
-      ("sigma1", sigma.(1));
-    ]
-  in
-  let snap =
-    Some
-      {
-        Network.save =
-          (fun () -> [| rho.(0); rho.(1); sigma.(0); sigma.(1) |]);
-        load =
-          (fun a ->
-            rho.(0) <- a.(0);
-            rho.(1) <- a.(1);
-            sigma.(0) <- a.(2);
-            sigma.(1) <- a.(3));
-      }
-  in
-  { Gnetwork.start; wake; inspect; snap }
+  let names = [| "id"; "rho0"; "rho1"; "sigma0"; "sigma1" |] in
+  { Gnetwork.start; wake; state = Regs { names; cells = c } }
 
+(* Cells: [id], [rho], [sigma], [absorbed]. *)
 let rotor ~id =
   if id < 1 then invalid_arg "Circulate.rotor: id must be positive";
-  let rho = ref 0 and sigma = ref 0 and absorbed = ref 0 in
+  let c = [| id; 0; 0; 0 |] in
+  let incr i = c.(i) <- c.(i) + 1 in
+  let rho = 1 and sigma = 2 and absorbed = 3 in
   let start (api : _ Gnetwork.api) =
     for p = 0 to api.degree - 1 do
       api.send p ();
@@ -89,7 +73,7 @@ let rotor ~id =
         | Some () ->
             progress := true;
             incr rho;
-            if !rho mod id = 0 then begin
+            if c.(rho) mod id = 0 then begin
               incr absorbed;
               api.set_output Output.leader
             end
@@ -102,18 +86,5 @@ let rotor ~id =
       done
     done
   in
-  let inspect () =
-    [ ("id", id); ("rho", !rho); ("sigma", !sigma); ("absorbed", !absorbed) ]
-  in
-  let snap =
-    Some
-      {
-        Network.save = (fun () -> [| !rho; !sigma; !absorbed |]);
-        load =
-          (fun a ->
-            rho := a.(0);
-            sigma := a.(1);
-            absorbed := a.(2));
-      }
-  in
-  { Gnetwork.start; wake; inspect; snap }
+  let names = [| "id"; "rho"; "sigma"; "absorbed" |] in
+  { Gnetwork.start; wake; state = Regs { names; cells = c } }

@@ -86,8 +86,9 @@ let validate plan ~ids =
 (* One full drain of walk port [p]: the per-delivery hot path
    (registered in hot.sexp), so it recurses instead of looping over a
    heap-allocated [continue] ref — the body must not allocate.
-   [api.mailbox] shows an empty port without a call. *)
-let rec walk_step plan ~v ~id rho (api : unit Gnetwork.api) p =
+   [api.mailbox] shows an empty port without a call.  [c] is the
+   node's register file: [c.(0)] its id, [c.(1)] its ρ. *)
+let rec walk_step plan ~v ~id c (api : unit Gnetwork.api) p =
   if api.Gnetwork.mailbox.(p) > 0 then
     match api.Gnetwork.recv p with
     | None -> ()
@@ -95,8 +96,8 @@ let rec walk_step plan ~v ~id rho (api : unit Gnetwork.api) p =
         let out = plan.out_port.(v).(p) in
         (if out < 0 then () (* off-walk pulse: impossible by design *)
          else if p = plan.active_port.(v) then begin
-           incr rho;
-           if !rho = id then
+           c.(1) <- c.(1) + 1;
+           if c.(1) = id then
              (* Absorb: the pulse that completes this node's count is
                 not relayed; the node (transiently) claims leadership
                 and keeps it iff no later pulse comes. *)
@@ -105,34 +106,28 @@ let rec walk_step plan ~v ~id rho (api : unit Gnetwork.api) p =
              (* The output is a function of rho: undecided at 0, leader at
                 [id], non-leader otherwise, so it only changes to
                 non-leader when rho reaches 1 or passes [id]. *)
-             if !rho = 1 || !rho = id + 1 then
+             if c.(1) = 1 || c.(1) = id + 1 then
                api.Gnetwork.set_output Output.non_leader;
              api.Gnetwork.send out ()
            end
          end
          else api.Gnetwork.send out ());
-        walk_step plan ~v ~id rho api p
+        walk_step plan ~v ~id c api p
+
+let names = [| "id"; "rho" |]
 
 let program_of plan ~ids v =
-  let rho = ref 0 in
   let id = ids.(v) in
+  let c = [| id; 0 |] in
   let start (api : _ Gnetwork.api) =
     if plan.start_port.(v) >= 0 then api.Gnetwork.send plan.start_port.(v) ()
   in
   let wake (api : _ Gnetwork.api) =
     for p = 0 to api.Gnetwork.degree - 1 do
-      walk_step plan ~v ~id rho api p
+      walk_step plan ~v ~id c api p
     done
   in
-  let inspect () = [ ("id", id); ("rho", !rho) ] in
-  let snap =
-    Some
-      {
-        Network.save = (fun () -> [| !rho |]);
-        load = (fun a -> rho := a.(0));
-      }
-  in
-  { Gnetwork.start; wake; inspect; snap }
+  { Gnetwork.start; wake; state = Regs { names; cells = c } }
 
 let make ?sink ?seed plan ~ids =
   ignore (validate plan ~ids);

@@ -17,11 +17,14 @@ type 'm api = 'm Network.Graph.api = {
   rng : unit -> Colring_stats.Rng.t;
 }
 
+type state = Network.state =
+  | Regs of { names : string array; cells : int array }
+  | Opaque of (unit -> (string * int) list)
+
 type 'api prog = 'api Network.prog = {
   start : 'api -> unit;
   wake : 'api -> unit;
-  inspect : unit -> (string * int) list;
-  snap : Network.snapshot option;
+  state : state;
 }
 
 type 'm program = 'm api prog

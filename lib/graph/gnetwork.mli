@@ -31,13 +31,19 @@ type 'm api = 'm Colring_engine.Network.Graph.api = {
     [Gnetwork]) on any other; [rng] is as the ring
     {!Colring_engine.Network.api}'s. *)
 
+type state = Colring_engine.Network.state =
+  | Regs of { names : string array; cells : int array }
+      (** The program's whole state as int cells; the first
+          [Array.length names] are its named view, the rest are saved
+          by undo but not shown (see {!Colring_engine.Network.state}). *)
+  | Opaque of (unit -> (string * int) list)
+      (** Named counters only: the program is replay-only, and a
+          network holding one is not {!undo_capable}. *)
+
 type 'api prog = 'api Colring_engine.Network.prog = {
   start : 'api -> unit;
   wake : 'api -> unit;
-  inspect : unit -> (string * int) list;
-  snap : Colring_engine.Network.snapshot option;
-      (** Program-state codec for the model checker's incremental undo
-          (see {!Colring_engine.Network.program}).  [None] opts out. *)
+  state : state;
 }
 
 type 'm program = 'm api prog

@@ -9,11 +9,11 @@
     predicate at every quiescent state.
 
     Backtracking is {b incremental} wherever the engine allows it:
-    when every program carries a snapshot codec
+    when every program keeps its state in a register file
     ({!Colring_engine.Network.Core.undo_capable}), descending is a
     [force_step_undo] and backtracking an [undo_step] — O(1) per edge
-    instead of replaying the whole prefix.  A network without codecs
-    rebuilds each later sibling by replaying its prefix.  The mode
+    instead of replaying the whole prefix.  A network with an [Opaque]
+    program rebuilds each later sibling by replaying its prefix.  The mode
     shows only in {!stats.replayed_deliveries} and
     {!stats.undone_deliveries}.
 

@@ -67,20 +67,19 @@ let test_chain_switches_on_terminate () =
      pulse and terminate for real. *)
   let first =
     {
-      Network.snap = None;
+      Network.state = Opaque (fun () -> [ ("a", 1) ]);
       Network.start =
         (fun (api : _ Network.api) ->
           api.set_output (Output.with_value 1 Output.empty);
           api.terminate ());
       wake = (fun _ -> ());
-      inspect = (fun () -> [ ("a", 1) ]);
     }
   in
   let second (out : Output.t) =
     checki "first output visible" (Some 1 |> Option.get)
       (Option.get out.value);
     {
-      Network.snap = None;
+      Network.state = Opaque (fun () -> [ ("b", 2) ]);
       Network.start =
         (fun (api : _ Network.api) ->
           api.send Port.P1 ();
@@ -90,7 +89,6 @@ let test_chain_switches_on_terminate () =
           match api.recv Port.P0 with
           | Some () -> api.terminate ()
           | None -> ());
-      inspect = (fun () -> [ ("b", 2) ]);
     }
   in
   let net =

@@ -67,7 +67,7 @@ let test_link_direction () =
 (* A relay that forwards everything from P0 to P1 with payloads. *)
 let relay_program () =
   {
-    Network.snap = None;
+    Network.state = Opaque (fun () -> []);
     Network.start = (fun _ -> ());
     wake =
       (fun (api : _ Network.api) ->
@@ -77,7 +77,6 @@ let relay_program () =
           | Some m -> api.send Port.P1 m
           | None -> continue := false
         done);
-    inspect = (fun () -> []);
   }
 
 (* Node 0 injects [k] numbered messages, everyone forwards, node 0
@@ -86,7 +85,7 @@ let test_fifo_order_preserved () =
   let collected = ref [] in
   let injector k =
     {
-      Network.snap = None;
+      Network.state = Opaque (fun () -> []);
       Network.start =
         (fun (api : _ Network.api) ->
           for i = 1 to k do
@@ -100,7 +99,6 @@ let test_fifo_order_preserved () =
             | Some m -> collected := m :: !collected
             | None -> continue := false
           done);
-      inspect = (fun () -> []);
     }
   in
   let topo = Topology.oriented 4 in
@@ -125,10 +123,9 @@ let test_send_counts_and_metrics () =
     Network.create topo (fun v ->
         if v = 0 then
           {
-            Network.snap = None;
+            Network.state = Opaque (fun () -> []);
             Network.start = (fun api -> api.send Port.P1 ());
             wake = (fun _ -> ());
-            inspect = (fun () -> []);
           }
         else Network.silent_program)
   in
@@ -146,24 +143,22 @@ let test_terminated_nodes_drop_pulses () =
     Network.create topo (fun v ->
         if v = 0 then
           {
-            Network.snap = None;
+            Network.state = Opaque (fun () -> []);
             Network.start =
               (fun api ->
                 api.send Port.P1 ();
                 api.send Port.P1 ());
             wake = (fun _ -> ());
-            inspect = (fun () -> []);
           }
         else
           {
-            Network.snap = None;
+            Network.state = Opaque (fun () -> []);
             Network.start = (fun _ -> ());
             wake =
               (fun api ->
                 match api.recv Port.P0 with
                 | Some () -> api.terminate ()
                 | None -> ());
-            inspect = (fun () -> []);
           })
   in
   let result = Network.run net Scheduler.fifo in
@@ -179,13 +174,12 @@ let test_send_after_terminate_rejected () =
       ignore
         (Network.create topo (fun _ ->
              {
-               Network.snap = None;
+               Network.state = Opaque (fun () -> []);
                Network.start =
                  (fun api ->
                    api.terminate ();
                    api.send Port.P1 ());
                wake = (fun _ -> ());
-               inspect = (fun () -> []);
              })))
 
 let test_scheduler_determinism () =
@@ -223,7 +217,7 @@ let test_max_deliveries_exhaustion () =
      flag exhaustion. *)
   let forever =
     {
-      Network.snap = None;
+      Network.state = Opaque (fun () -> []);
       Network.start = (fun (api : _ Network.api) -> api.send Port.P1 ());
       wake =
         (fun api ->
@@ -233,7 +227,6 @@ let test_max_deliveries_exhaustion () =
             | Some () -> api.send Port.P1 ()
             | None -> continue := false
           done);
-      inspect = (fun () -> []);
     }
   in
   let net = Network.create (Topology.oriented 2) (fun _ -> forever) in
@@ -248,13 +241,12 @@ let test_per_node_rng_streams_differ () =
   let seen = ref [] in
   let program v =
     {
-      Network.snap = None;
+      Network.state = Opaque (fun () -> []);
       Network.start =
         (fun (api : _ Network.api) ->
           let a = Rng.int (api.rng ()) 1_000_000 in
           seen := (v, a, Rng.int (api.rng ()) 1_000_000) :: !seen);
       wake = (fun _ -> ());
-      inspect = (fun () -> []);
     }
   in
   let expected seed =
@@ -288,14 +280,13 @@ let mk_two_senders sink =
   Network.create ~sink (Topology.oriented 2) (fun v ->
       if v = 0 then
         {
-          Network.snap = None;
+          Network.state = Opaque (fun () -> []);
           Network.start =
             (fun api ->
               api.send Port.P0 ();
               (* CCW, sent first *)
               api.send Port.P1 () (* CW, sent second *));
           wake = (fun _ -> ());
-          inspect = (fun () -> []);
         }
       else Network.silent_program)
 
@@ -332,14 +323,13 @@ let test_starve_node_delays () =
     Network.create ~sink (Topology.oriented 3) (fun v ->
         if v = 0 then
           {
-            Network.snap = None;
+            Network.state = Opaque (fun () -> []);
             Network.start =
               (fun api ->
                 api.send Port.P1 ();
                 (* to node 1 *)
                 api.send Port.P0 () (* to node 2 *));
             wake = (fun _ -> ());
-            inspect = (fun () -> []);
           }
         else Network.silent_program)
   in
@@ -388,13 +378,12 @@ let test_blocking_recv_any () =
     Network.create (Topology.oriented 2) (fun v ->
         if v = 0 then
           {
-            Network.snap = None;
+            Network.state = Opaque (fun () -> []);
             Network.start =
               (fun api ->
                 api.send Port.P1 ();
                 api.send Port.P0 ());
             wake = (fun _ -> ());
-            inspect = (fun () -> []);
           }
         else Blocking.make one)
   in
@@ -415,13 +404,12 @@ let test_blocking_immediate_mailbox () =
     Network.create (Topology.oriented 2) (fun v ->
         if v = 0 then
           {
-            Network.snap = None;
+            Network.state = Opaque (fun () -> []);
             Network.start =
               (fun api ->
                 api.send Port.P1 ();
                 api.send Port.P1 ());
             wake = (fun _ -> ());
-            inspect = (fun () -> []);
           }
         else Blocking.make one)
   in
@@ -454,13 +442,12 @@ let test_mailbox_length_tracks_guarded_pulses () =
     Network.create (Topology.oriented 2) (fun v ->
         if v = 0 then
           {
-            Network.snap = None;
+            Network.state = Opaque (fun () -> []);
             Network.start =
               (fun api ->
                 api.send Port.P1 ();
                 api.send Port.P1 ());
             wake = (fun _ -> ());
-            inspect = (fun () -> []);
           }
         else Network.silent_program)
   in
@@ -847,7 +834,7 @@ let prop_envq_meta_survives_growth =
    consume nothing, even wakes forward up to two messages (payload + 1)
    on P1, so an undone wake must re-file several payloads in order. *)
 let lazy_relay ~first () =
-  let wakes = ref 0 in
+  let wakes = [| 0 |] in
   {
     Network.start =
       (fun api ->
@@ -856,20 +843,14 @@ let lazy_relay ~first () =
         done);
     wake =
       (fun api ->
-        incr wakes;
-        if !wakes mod 2 = 0 then
+        wakes.(0) <- wakes.(0) + 1;
+        if wakes.(0) mod 2 = 0 then
           for _ = 1 to 2 do
             match api.recv Port.P0 with
             | Some m -> if m mod 1000 < 20 then api.send Port.P1 (m + 1)
             | None -> ()
           done);
-    inspect = (fun () -> [ ("wakes", !wakes) ]);
-    snap =
-      Some
-        {
-          Network.save = (fun () -> [| !wakes |]);
-          load = (fun a -> wakes := a.(0));
-        };
+    state = Regs { names = [| "wakes" |]; cells = wakes };
   }
 
 (* Every payload a payload network holds, channel by channel and

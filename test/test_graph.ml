@@ -484,18 +484,17 @@ let test_gnetwork_fifo_and_drop () =
     Gnetwork.create_with ~carry:Payloads g (fun v ->
         if v = 0 then
           {
-            Gnetwork.snap = None;
+            Gnetwork.state = Opaque (fun () -> []);
             Gnetwork.start =
               (fun api ->
                 api.send 0 1;
                 api.send 0 2;
                 api.send 1 3);
             wake = (fun _ -> ());
-            inspect = (fun () -> []);
           }
         else
           {
-            Gnetwork.snap = None;
+            Gnetwork.state = Opaque (fun () -> []);
             Gnetwork.start = (fun _ -> ());
             wake =
               (fun api ->
@@ -510,7 +509,6 @@ let test_gnetwork_fifo_and_drop () =
                       | Some m -> got := m :: !got
                       | None -> continue := false)
                 done);
-            inspect = (fun () -> []);
           })
   in
   let r = Gnetwork.run net Scheduler.global_fifo in
@@ -525,13 +523,12 @@ let test_gnetwork_per_node_rng () =
   let seen = ref [] in
   let program v =
     {
-      Gnetwork.snap = None;
+      Gnetwork.state = Opaque (fun () -> []);
       Gnetwork.start =
         (fun (api : _ Gnetwork.api) ->
           let a = Rng.int (api.rng ()) 1_000_000 in
           seen := (v, a, Rng.int (api.rng ()) 1_000_000) :: !seen);
       wake = (fun _ -> ());
-      inspect = (fun () -> []);
     }
   in
   let expected seed =
@@ -929,7 +926,7 @@ let test_gnetwork_bad_port () =
   let net =
     Gnetwork.create g (fun v ->
         {
-          Gnetwork.snap = None;
+          Gnetwork.state = Opaque (fun () -> []);
           start =
             (fun api ->
               if v = 0 then
@@ -940,7 +937,6 @@ let test_gnetwork_bad_port () =
                     read_mailbox api p)
                   [ -1; api.degree; max_int; min_int ]);
           wake = (fun _ -> ());
-          inspect = (fun () -> []);
         })
   in
   checki "every bad port rejected" 8 (List.length !errors);

@@ -353,7 +353,7 @@ let test_max_states_budget_is_global () =
   checkb "truncation identical across jobs" true (r1 = r4)
 
 let test_replay_mode_equivalence () =
-  (* The same spec on programs without snapshot codecs backtracks by
+  (* The same spec on the same programs made [Opaque] backtracks by
      prefix replay instead of undo.  The mode must be invisible in the
      results: only the two backtracking counters may differ.  n=4 is
      big enough for exploration to reach the parallel units (n=3 fits
@@ -370,10 +370,14 @@ let test_replay_mode_equivalence () =
   List.iter
     (fun (name, spec, program) ->
       let undo = Mc.check spec in
-      let no_codec v = { (program ~id:ids.(v)) with Network.snap = None } in
+      let opaque v =
+        let p = program ~id:ids.(v) in
+        let view () = Network.counters p.Network.state in
+        { p with Network.state = Opaque view }
+      in
       let replay =
         Mc.check
-          { spec with Mc.make = (fun () -> Network.create topo no_codec) }
+          { spec with Mc.make = (fun () -> Network.create topo opaque) }
       in
       checkb (name ^ ": replay mode undoes nothing") true
         (replay.Mc.stats.Mc.undone_deliveries = 0);

@@ -257,10 +257,9 @@ exception Boom
 
 let raising_program =
   {
-    Network.snap = None;
+    Network.state = Opaque (fun () -> []);
     Network.start = (fun _ -> raise Boom);
     wake = (fun _ -> ());
-    inspect = (fun () -> []);
   }
 
 let test_domains_raise_then_reuse () =
