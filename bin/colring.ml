@@ -147,6 +147,28 @@ let topology_arg =
     & opt topo_conv (Harness.Topo.Ring None)
     & info [ "topology" ] ~docv:"TOPO" ~doc:topology_doc)
 
+(* [--topology] where whether it was given matters ([check]). *)
+let topology_given_arg =
+  Arg.(
+    value
+    & opt (some topo_conv) None
+    & info [ "topology" ] ~absent:"ring" ~docv:"TOPO" ~doc:topology_doc)
+
+(* Two given flags of which one would silently override the other:
+   refused with one line naming both, exit 2. *)
+let conflict ~cmd fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "colring %s: %s; give one of them\n" cmd msg;
+      2)
+    fmt
+
+(* A non-ring [--topology] runs the walk election instead of [flag]. *)
+let overridden ~cmd ~flag ~value topology =
+  conflict ~cmd "--topology %s runs the walk election and overrides %s %s"
+    (Harness.Topo.to_string topology)
+    flag value
+
 (* --id-max, checked once n is known (it may come from --topology):
    [n] nodes need at least [n] assignable IDs. *)
 let resolve_id_max ~n ~default = function
@@ -199,20 +221,22 @@ let maybe_trace net want =
 (* ------------------------------------------------------------------ *)
 (* elect *)
 
+let algos =
+  [
+    ("algo1", Election.Algo1);
+    ("algo2", Election.Algo2);
+    ("algo3-doubled", Election.Algo3 Algo3.Doubled);
+    ("algo3-improved", Election.Algo3 Algo3.Improved);
+    ("resample", Election.Algo3_resample);
+  ]
+
+(* [None] when not given: the default is Algorithm 2, and a non-ring
+   [--topology] refuses an explicit choice. *)
 let algo_arg =
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("algo1", Election.Algo1);
-             ("algo2", Election.Algo2);
-             ("algo3-doubled", Election.Algo3 Algo3.Doubled);
-             ("algo3-improved", Election.Algo3 Algo3.Improved);
-             ("resample", Election.Algo3_resample);
-           ])
-        Election.Algo2
-    & info [ "algo" ] ~docv:"ALGO"
+    & opt (some (enum algos)) None
+    & info [ "algo" ] ~absent:"algo2" ~docv:"ALGO"
         ~doc:
           "algo1 (stabilizing), algo2 (terminating), algo3-doubled, \
            algo3-improved (non-oriented), resample (Prop. 19).")
@@ -309,8 +333,15 @@ let gelect topo_spec ~n ~seed ~id_max ~sched_of ~journal ~snapshot_every
   print_output_array (Colring_graph.Gnetwork.outputs net);
   if Colring_graph.Gelection.ok report then 0 else 1
 
+let algo_name a = fst (List.find (fun (_, x) -> x = a) algos)
+
 let elect n seed id_max sched_of algo trace diagram journal snapshot_every
     backend latency jitter max_deliveries topology =
+  match algo with
+  | Some a when not (Harness.Topo.is_ring topology) ->
+      overridden ~cmd:"elect" ~flag:"--algo" ~value:(algo_name a) topology
+  | _ ->
+  let algo = Option.value algo ~default:Election.Algo2 in
   let journal = open_journal journal in
   if not (Harness.Topo.is_ring topology) then begin
     if backend <> Backend.Sim || latency <> 0 || jitter <> 0 || trace || diagram
@@ -658,6 +689,11 @@ let gsweep topos seed sched_of csv jobs journal =
   else 1
 
 let sweep seed sched_of algo csv jobs journal topologies =
+  match (algo, topologies) with
+  | Some a, topology :: _ ->
+      overridden ~cmd:"sweep" ~flag:"--algo" ~value:(algo_name a) topology
+  | _ ->
+  let algo = Option.value algo ~default:Election.Algo2 in
   let journal = open_journal journal in
   if topologies <> [] then
     gsweep topologies seed sched_of csv (resolve_jobs jobs) journal
@@ -970,8 +1006,8 @@ module McSpec = Colring_mc.Spec
 let target_arg =
   Arg.(
     value
-    & opt (enum (List.map (fun t -> (t, t)) McSpec.targets)) "algo2"
-    & info [ "algo"; "target" ] ~docv:"TARGET"
+    & opt (some (enum (List.map (fun t -> (t, t)) McSpec.targets))) None
+    & info [ "algo"; "target" ] ~absent:"algo2" ~docv:"TARGET"
         ~doc:
           "What to check: algo1, algo2, algo3-doubled, algo3-improved, an \
            ablation (ablation:no-lag, ablation:same-virtual-ids, \
@@ -985,7 +1021,8 @@ let target_arg =
            generalization of the ring relay rule), which MUST yield a \
            counterexample; any \
            non-ring $(b,--topology) instead checks the walk election on \
-           that graph.")
+           that graph, and is refused together with an explicit \
+           $(b,--target).")
 
 let max_states_arg =
   Arg.(
@@ -1092,6 +1129,16 @@ let within_link_budget ~flag ~value links =
        (Harness.Cli.link_budget ~flag ~value ~max:Mc.max_links links))
 
 let check n seed id_max target jobs max_states journal topology =
+  match (target, topology) with
+  | Some t, Some topo when not (Harness.Topo.is_ring topo) ->
+      overridden ~cmd:"check" ~flag:"--target" ~value:t topo
+  | Some t, Some topo when McSpec.fixed_ids t <> None ->
+      conflict ~cmd:"check"
+        "--target %s checks its fixed instance and ignores --topology %s" t
+        (Harness.Topo.to_string topo)
+  | _ ->
+  let target = Option.value target ~default:"algo2" in
+  let topology = Option.value topology ~default:(Harness.Topo.Ring None) in
   let journal = open_journal journal in
   let jobs = resolve_jobs jobs in
   let run ~ids_str ~n ~id_max build =
@@ -1150,7 +1197,7 @@ let check_cmd =
             "n, or the graph's node count with $(b,--topology); a graph \
              target checks its fixed ids"
       $ target_arg $ jobs_arg
-      $ max_states_arg $ journal_arg $ topology_arg)
+      $ max_states_arg $ journal_arg $ topology_given_arg)
 
 (* ------------------------------------------------------------------ *)
 (* fast: the analytical simulator at scale *)

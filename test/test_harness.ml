@@ -158,6 +158,54 @@ let test_batch_refuses_sized_ring () =
   Sys.remove spec;
   Sys.remove out
 
+(* A non-ring --topology runs the walk election, and a graph check
+   target its fixed instance: an explicitly given --target/--algo (or,
+   for a graph target, --topology) that the other flag would silently
+   override is refused with exit 2 and one line naming both flags,
+   before anything runs.  Either flag alone keeps working. *)
+let test_cli_topology_overrides () =
+  let exe = colring_exe () in
+  let out = Filename.temp_file "colring" ".out" in
+  let run args =
+    let code =
+      Sys.command
+        (Filename.quote_command exe args ~stdin:"/dev/null" ~stdout:out
+           ~stderr:out)
+    in
+    (code, In_channel.with_open_bin out In_channel.input_all)
+  in
+  List.iter
+    (fun (args, flags) ->
+      let what = String.concat " " args in
+      let code, text = run args in
+      checki (what ^ " exits 2") 2 code;
+      checkb (what ^ " prints one line") true
+        (List.length (String.split_on_char '\n' (String.trim text)) = 1);
+      List.iter
+        (fun flag -> checkb (what ^ " names " ^ flag) true (contains_sub text flag))
+        flags)
+    [
+      ( [ "check"; "--target"; "ablation:no-lag"; "--topology"; "bowtie" ],
+        [ "--target ablation:no-lag"; "--topology bowtie" ] );
+      ( [ "check"; "--target"; "walk:theta3"; "--topology"; "ring:4" ],
+        [ "--target walk:theta3"; "--topology ring:4" ] );
+      ( [ "elect"; "--algo"; "algo1"; "--topology"; "k4" ],
+        [ "--algo algo1"; "--topology k4" ] );
+      ( [ "sweep"; "--algo"; "algo1"; "--topology"; "k4" ],
+        [ "--algo algo1"; "--topology k4" ] );
+    ];
+  List.iter
+    (fun args ->
+      let code, _ = run args in
+      checki (String.concat " " args ^ " runs") 0 code)
+    [
+      [ "check"; "--topology"; "k4"; "-j"; "1" ];
+      [ "check"; "--target"; "walk:k4"; "-j"; "1" ];
+      [ "check"; "--target"; "algo1"; "--topology"; "ring:3"; "-j"; "1" ];
+      [ "elect"; "--topology"; "k4" ];
+    ];
+  Sys.remove out
+
 (* --id-max below the node count, or so large that a pulse total
    overflows, is refused once n is known (from -n or --topology) by
    every subcommand that takes it: exit 2, one line naming the flag,
@@ -837,6 +885,8 @@ let cli_tests =
     Alcotest.test_case "check link budget" `Quick test_cli_check_link_budget;
     Alcotest.test_case "check journals the fixed instance" `Quick
       test_check_fixed_instance_journal;
+    Alcotest.test_case "topology overrides refused" `Quick
+      test_cli_topology_overrides;
     Alcotest.test_case "batch refuses ring:N" `Quick
       test_batch_refuses_sized_ring;
   ]
