@@ -6,6 +6,7 @@ let algo3_deg2 ~scheme ~id =
   if id < 1 then invalid_arg "Circulate.algo3_deg2: id must be positive";
   let c = [| id; 0; 0; 0; 0 |] in
   let rho i = c.(1 + i) in
+  let received i = c.(1 + i) <- c.(1 + i) + 1 in
   let sent i = c.(3 + i) <- c.(3 + i) + 1 in
   let virtual_id i =
     match scheme with
@@ -39,7 +40,7 @@ let algo3_deg2 ~scheme ~id =
         match if api.mailbox.(1 - i) > 0 then api.recv (1 - i) else None with
         | Some () ->
             progress := true;
-            c.(2 - i) <- c.(2 - i) + 1;
+            received (1 - i);
             if rho (1 - i) <> virtual_id i then begin
               api.send i ();
               sent i

@@ -400,8 +400,10 @@ let test_replay_mode_equivalence () =
    (progress counters, then the fingerprint).  States that share a key
    must hold the same registers on every node: the key reads only each
    program's view, so this is what makes merging states on it sound.
-   Returns the number of distinct keys and of conflicting revisits. *)
-let key_conflicts (Spec.Packed spec) =
+   Returns the number of distinct keys and of conflicting revisits;
+   fails past [budget] keys (the largest case has about 26k), so a
+   broken undo ends the test instead of exploring for minutes. *)
+let key_conflicts ?(budget = 200_000) (Spec.Packed spec) =
   let net = spec.Mc.make () in
   checkb (spec.Mc.name ^ " is undo-capable") true (Network.undo_capable net);
   let key () =
@@ -419,6 +421,8 @@ let key_conflicts (Spec.Packed spec) =
     | Some r -> if r <> regs then incr conflicts
     | None ->
         Hashtbl.add seen k regs;
+        if Hashtbl.length seen > budget then
+          Alcotest.failf "%s: more than %d states" spec.Mc.name budget;
         if depth < spec.Mc.max_depth then begin
           let rec each after =
             let link = Network.enabled_link net ~after in

@@ -79,6 +79,31 @@ let test_jittered_deterministic () =
      in
      not (Array.for_all2 Int.equal plain.Transport.schedule a.Transport.schedule))
 
+(* [equivalent] must see every outcome field it claims to compare: a
+   trace that differs from a real one in any single field is not
+   equivalent to it. *)
+let test_equivalent_sees_each_field () =
+  let a =
+    (Transport.sim ()).Transport.run ~seed:2 (Topology.oriented 4) (fun v ->
+        Election.program_of Election.Algo2 ~id:(v + 1))
+  in
+  checkb "reflexive" true (Transport.equivalent a a);
+  let open Transport in
+  List.iter
+    (fun (field, b) -> checkb field false (Transport.equivalent a b))
+    [
+      ("n", { a with n = a.n + 1 });
+      ("outputs", { a with outputs = Array.sub a.outputs 1 (a.n - 1) });
+      ("sends", { a with sends = a.sends + 1 });
+      ("deliveries", { a with deliveries = a.deliveries + 1 });
+      ("drops", { a with drops = a.drops + 1 });
+      ("quiescent", { a with quiescent = not a.quiescent });
+      ("all_terminated", { a with all_terminated = not a.all_terminated });
+      ( "termination_order",
+        { a with termination_order = List.rev a.termination_order } );
+      ("schedule", { a with schedule = Array.append a.schedule [| 0 |] });
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Replay fidelity on the simulator *)
 
@@ -310,6 +335,8 @@ let () =
             test_delay_us_bounds;
           Alcotest.test_case "jittered scheduler deterministic" `Quick
             test_jittered_deterministic;
+          Alcotest.test_case "equivalent sees each field" `Quick
+            test_equivalent_sees_each_field;
         ] );
       ( "replay",
         [
