@@ -4,11 +4,20 @@ type msg = Value of int | Announce of int
 
 (* The register file: the view [rounds], then the mode, then one
    round buffer per incoming port, each a length and two slots (FIFO
-   order = round order; only used while active).  Two slots are the
-   most ever observed — on every schedule of [colring check -n 5
-   --target franklin] (test/golden/check-n5-franklin.txt) and in
-   random, fifo and lifo runs up to n = 48 — and a third value fails
-   loudly. *)
+   order = round order; only used while active).
+
+   Two slots suffice.  An active node in round r has consumed every
+   earlier value, so its buffer on one side holds rounds >= r.  A
+   round r+2 value from that side was sent by a node that finished
+   round r+1.  Between this node and its nearest active neighbour u
+   on that side there are only relays, so the sender is u, or lies
+   beyond u and reaches this node only once u has turned relay.
+   Both u finishing round r+1 and a node beyond u finishing round
+   r+1 with u already a relay need this node's round r+1 value,
+   which it sends only on leaving round r.  So a side holds at most
+   rounds r and r+1; a third value fails loudly.  The exhaustive
+   check -n 5 golden (test/golden/check-n5-franklin.txt) reaches the
+   bound. *)
 let rounds = 0
 let mode = 1
 let[@inline] buffer p = 2 + (3 * Port.index p)

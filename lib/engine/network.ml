@@ -925,18 +925,9 @@ module Core = struct
   let inspect t v = counters t.programs.(v).state
 
   let inspect_counter t v name =
-    match t.programs.(v).state with
-    | Regs { names; cells } ->
-        let rec find i =
-          if i >= Array.length names then raise Not_found
-          else if String.equal names.(i) name then cells.(i)
-          else find (i + 1)
-        in
-        find 0
-    | Opaque f -> (
-        match List.assoc_opt name (f ()) with
-        | Some x -> x
-        | None -> raise Not_found)
+    match List.assoc_opt name (inspect t v) with
+    | Some x -> x
+    | None -> raise Not_found
 
   let registers t v =
     match t.programs.(v).state with

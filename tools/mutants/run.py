@@ -20,10 +20,10 @@ as recorded, 1 otherwise, 2 when the unmutated copy already fails.
 
 Run from anywhere:
 
-    python3 tools/mutants/run.py [--work DIR] [--jobs N] [NAME ...]
+    python3 tools/mutants/run.py [NAME ...]
 
-NAME restricts the run to those rows.  --work keeps the scratch copy
-in DIR (default: a fresh temporary directory, removed afterwards).
+NAME restricts the run to those rows.  The scratch copy lives in a
+fresh temporary directory that the script removes afterwards.
 """
 
 import argparse
@@ -46,6 +46,7 @@ RUN_TIMEOUT_S = 1800
 # seconds; under the cap it dies with Out_of_memory, which fails its
 # test, instead of exhausting the machine's memory.
 MEMORY_CAP_BYTES = 2 << 30
+DUNE_JOBS = 2
 ANSI = re.compile(r"\x1b\[[0-9;]*m")
 SOURCE = re.compile(r'^File "[^"]+\.mli?", line \d+')
 GOLDEN = re.compile(r'^File "((?:test|bench)/[^"]+)", line \d+')
@@ -64,7 +65,7 @@ def load_rows(names):
     return rows
 
 
-def dune_runtest(work, jobs):
+def dune_runtest(work):
     """Run the suite in [work]; (exit code, output without colours)."""
     env = dict(os.environ, DUNE_CACHE="disabled")
 
@@ -74,7 +75,7 @@ def dune_runtest(work, jobs):
 
     try:
         done = subprocess.run(
-            ["dune", "build", "--root", ".", "-j", str(jobs), "@runtest"],
+            ["dune", "build", "--root", ".", "-j", str(DUNE_JOBS), "@runtest"],
             cwd=work, env=env, preexec_fn=cap_memory, stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -116,8 +117,6 @@ def does_not_compile(out):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--work", help="scratch copy directory (kept)")
-    ap.add_argument("--jobs", type=int, default=2, help="dune -j (default 2)")
     ap.add_argument("names", nargs="*", help="rows to run (default: all)")
     args = ap.parse_args()
     rows = load_rows(args.names)
@@ -134,14 +133,13 @@ def main():
             print("STALE  " + p)
         return 1
 
-    work = args.work or tempfile.mkdtemp(prefix="colring-mutants-")
+    scratch = tempfile.mkdtemp(prefix="colring-mutants-")
+    work = os.path.join(scratch, "repo")
     try:
-        if os.path.exists(work):
-            shutil.rmtree(work)
         shutil.copytree(ROOT, work, ignore=shutil.ignore_patterns(
             "_build", ".git", "__pycache__", "_opam"))
         t0 = time.time()
-        code, out = dune_runtest(work, args.jobs)
+        code, out = dune_runtest(work)
         print("baseline: %s in %.0f s" % (
             "passes" if code == 0 else "FAILS", time.time() - t0), flush=True)
         if code != 0:
@@ -155,7 +153,7 @@ def main():
             with open(path, "w") as f:
                 f.write(original.replace(r["text"], r["replacement"], 1))
             t = time.time()
-            code, out = dune_runtest(work, args.jobs)
+            code, out = dune_runtest(work)
             with open(path, "w") as f:
                 f.write(original)
             took = "%.0f s" % (time.time() - t)
@@ -184,8 +182,7 @@ def main():
               % (len(rows), len(rows) - bad, time.time() - t0))
         return 1 if bad else 0
     finally:
-        if not args.work:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 if __name__ == "__main__":
