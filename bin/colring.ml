@@ -483,6 +483,11 @@ let upto_arg =
         ~doc:"Print patterns for all IDs 1..K (at least 1).")
 
 let solitude id upto =
+  let valid flag v =
+    Harness.Cli.exit_or ~cmd:"colring solitude"
+      (Harness.Cli.solitude_id ~flag v)
+  in
+  let id = valid "--id" id and upto = Option.map (valid "--upto") upto in
   let factory ~id = Algo2.program ~id in
   (match upto with
   | None ->
@@ -970,7 +975,9 @@ let k_arg =
 let adversary n k =
   let k =
     Harness.Cli.exit_or ~cmd:"colring adversary"
-      (Harness.Cli.id_space ~flag:"-k" ~n k)
+      (Result.bind
+         (Harness.Cli.id_space ~flag:"-k" ~n k)
+         (Harness.Cli.solitude_id ~flag:"-k"))
   in
   let r = LB.Adversary.replay ~k ~n (fun ~id -> Algo2.program ~id) in
   Printf.printf

@@ -2,7 +2,10 @@ let legend =
   "legend: > clockwise pulse delivered, < counterclockwise pulse delivered,\n\
   \        L decided Leader, l decided Non-Leader, X terminated"
 
-let render ?(max_rows = 500) trace ~n =
+(* Event rows printed before the rest are elided. *)
+let max_rows = 500
+
+let render trace ~n =
   let buf = Buffer.create 1024 in
   let header = Buffer.create 64 in
   Buffer.add_string header "  step |";

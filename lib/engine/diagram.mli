@@ -8,8 +8,8 @@
     how Algorithm 2's two instances chase each other; the CLI's
     [elect --diagram] prints one. *)
 
-val render : ?max_rows:int -> Trace.t -> n:int -> string
-(** [render trace ~n] with at most [max_rows] (default 500) event
-    rows; a trailing line reports elision. *)
+val render : Trace.t -> n:int -> string
+(** [render trace ~n] with at most 500 event rows; a trailing line
+    reports how many more were elided. *)
 
 val legend : string

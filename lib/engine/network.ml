@@ -6,7 +6,6 @@ type 'm api = {
   node : int;
   recv : Port.t -> 'm option;
   recv_pulse : Port.t -> bool;
-  peek : Port.t -> 'm option;
   mailbox : int array;
   send : Port.t -> 'm -> unit;
   set_output : Output.t -> unit;
@@ -420,14 +419,6 @@ let ring_api (type m) (t : (m, m api, _) core) v : m api =
       true
     end
   in
-  let peek p : m option =
-    let port = port_index p in
-    if mailbox.(port) = 0 then None
-    else
-      match t.carry with
-      | Pulses -> some_pulse
-      | Payloads -> Some (slab_peek t.box_pl.(t.first_link.(v) + port))
-  in
   let send p m =
     if t.term.(v) then failwith "Network: send after terminate";
     let port = port_index p in
@@ -436,7 +427,7 @@ let ring_api (type m) (t : (m, m api, _) core) v : m api =
   let set_output o = decide t v o in
   let terminate () = halt t v in
   let rng () = node_rng t v in
-  { node = v; recv; recv_pulse; peek; mailbox; send; set_output; terminate; rng }
+  { node = v; recv; recv_pulse; mailbox; send; set_output; terminate; rng }
 
 let graph_api t v =
   (* Ports are range-checked because [base + p] alone would reach
@@ -719,13 +710,6 @@ module Core = struct
       deliver_from t (sched.pick (view t));
       true
     end
-
-  let active_links t =
-    let acc = ref [] in
-    for link = Array.length t.chans - 1 downto 0 do
-      if t.chans.(link).(1) > 0 then acc := link :: !acc
-    done;
-    !acc
 
   let force_step t ~link =
     if t.chans.(link).(1) = 0 then

@@ -60,7 +60,6 @@ type 'm api = {
           observable for content-oblivious algorithms ([pulse = unit]).
           It never allocates; [recv] allocates a [Some] per message on
           a payload network only. *)
-  peek : Port.t -> 'm option;  (** Look without consuming. *)
   mailbox : int array;
       (** This node's own mailbox lengths by [Port.index]: the engine's
           (or live backend's) counts, read-only for programs (lint rule
@@ -247,11 +246,9 @@ module Core : sig
     run_result
   (** Deliver until no message is in flight (or [max_deliveries] is hit,
       default [50_000_000]).  An exceeded budget is reported as
-      {!run_result.exhausted}, never raised; only
-      [Colring_fastsim.Driver.run] intentionally deviates, raising
-      [Invalid_argument] because its closed-form resolution cannot stop
-      mid-pulse.  [probe] runs after every delivery-and-wake,
-      letting tests assert invariants at each reachable configuration.
+      {!run_result.exhausted}, never raised.  [probe] runs after every
+      delivery-and-wake, letting tests assert invariants at each
+      reachable configuration.
       [snapshot_every] (default 0 = off) emits a {!Sink.t.on_snapshot}
       counter record every that many deliveries — only when a live sink
       was passed at {!create}, so the default path never allocates the
@@ -259,10 +256,6 @@ module Core : sig
 
   val step : (_, _, _) core -> Scheduler.t -> bool
   (** Deliver exactly one message; [false] when nothing was in flight. *)
-
-  val active_links : (_, _, _) core -> int list
-  (** Directed links that currently hold in-flight messages, ascending —
-      the choice points of the asynchronous adversary. *)
 
   val force_step : (_, _, _) core -> link:int -> unit
   (** Deliver the oldest message of one specific link (bypassing any

@@ -121,19 +121,18 @@ let rec mem_scan v l i =
   else if Int.equal v.nonempty.(i) l then true
   else mem_scan v l (i + 1)
 
-let of_schedule ?name ?(after = fifo) schedule =
+let of_schedule ?name schedule =
   let cursor = ref 0 in
   {
     name =
       (match name with
       | Some n -> n
       | None ->
-          Printf.sprintf "schedule-%d-then-%s" (Array.length schedule)
-            after.name);
+          Printf.sprintf "schedule-%d-then-fifo" (Array.length schedule));
     pick =
       (fun v ->
         let c = !cursor in
-        if c >= Array.length schedule then after.pick v
+        if c >= Array.length schedule then fifo.pick v
         else begin
           cursor := c + 1;
           let l = schedule.(c) in

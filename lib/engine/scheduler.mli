@@ -77,18 +77,18 @@ val starve_link : link:int -> t
 (** Withholds one directed link as long as possible — the
     slow-channel adversary. *)
 
-val of_schedule : ?name:string -> ?after:t -> int array -> t
+val of_schedule : ?name:string -> int array -> t
 (** [of_schedule schedule] replays an explicit link sequence: the k-th
     pick returns [schedule.(k)], raising [Invalid_argument] if that
     link holds no message at that point (the schedule does not fit the
-    run).  Once the schedule is exhausted, picks delegate to [after]
-    (default {!fifo}).  This is how the model checker's recorded
-    choice sequences — in particular minimized counterexamples — are
-    replayed through the ordinary {!Colring_engine.Network.run} loop,
-    and how {!Transport} backends replay a real-network delivery trace
-    on the simulator.  [name] overrides the scheduler's display name
-    (the default spells out the schedule length and fallback) — replay
-    journals use it to carry the originating backend's name, so a
+    run).  Once the schedule is exhausted, picks delegate to {!fifo}.
+    This is how the model checker's recorded choice sequences — in
+    particular minimized counterexamples — are replayed through the
+    ordinary {!Colring_engine.Network.run} loop, and how {!Transport}
+    backends replay a real-network delivery trace on the simulator.
+    [name] overrides the scheduler's display name (the default is
+    [schedule-N-then-fifo], N the schedule length) — replay journals
+    use it to carry the originating backend's name, so a
     replayed run's [run_start] record is byte-identical to the
     original's.  Stateful (an internal cursor): create one per run. *)
 

@@ -219,14 +219,14 @@ let jsonl_buffer ?events out =
       Buffer.add_string out line;
       Buffer.add_char out '\n')
 
-let jsonl_channel ?events oc =
+let jsonl_channel oc =
   let pending = Buffer.create 65536 in
   let flush_pending () =
     Buffer.output_buffer oc pending;
     Buffer.clear pending
   in
   let s =
-    jsonl ?events ()
+    jsonl ()
       ~emit:(fun line ->
         Buffer.add_string pending line;
         Buffer.add_char pending '\n';
@@ -239,13 +239,13 @@ let jsonl_channel ?events oc =
       Stdlib.flush oc);
   }
 
-let with_jsonl_channel ?events oc f =
-  let sink = jsonl_channel ?events oc in
+let with_jsonl_channel oc f =
+  let sink = jsonl_channel oc in
   Fun.protect
     ~finally:(fun () ->
       (* Flush even when [f] raises: a journal whose run died mid-way
          must still hold every record emitted before the failure (the
-         valid-prefix guarantee fastsim's over-budget exception and the
+         valid-prefix guarantee a raising node program and the
          engine's own invariant failures rely on). *)
       sink.flush ();
       close_out oc)

@@ -114,19 +114,20 @@ val jsonl : ?events:bool -> emit:(string -> unit) -> unit -> t
 val jsonl_buffer : ?events:bool -> Buffer.t -> t
 (** {!jsonl} appending ["line\n"] to a buffer. *)
 
-val jsonl_channel : ?events:bool -> out_channel -> t
-(** {!jsonl} writing through an internal buffer to a channel; lines
-    reach the channel in 64 KiB batches and on {!field-flush}. *)
+val jsonl_channel : out_channel -> t
+(** {!jsonl} with every event line, writing through an internal
+    buffer to a channel; lines reach the channel in 64 KiB batches and
+    on {!field-flush}. *)
 
-val with_jsonl_channel : ?events:bool -> out_channel -> (t -> 'a) -> 'a
+val with_jsonl_channel : out_channel -> (t -> 'a) -> 'a
 (** [with_jsonl_channel oc f] runs [f] with a {!jsonl_channel} sink
     over [oc] and — whether [f] returns or raises — flushes the sink's
     internal buffer and closes [oc] before propagating the outcome.
     Opening the file is the caller's, so that an unopenable path can
     be refused under the name of the flag that gave it
     ([Colring_harness.Cli.output_file]).  This is the only safe way to
-    journal a run that may raise (e.g. [Colring_fastsim.Driver.run]
-    past its delivery budget): the buffered tail of the journal
+    journal a run that may raise (e.g. one whose node program
+    raises): the buffered tail of the journal
     survives the exception, so the file is always a valid, parseable
     prefix of the full journal. *)
 

@@ -6,40 +6,16 @@
    engine library.  Everything here is deterministic and
    dependency-free. *)
 
-type fault = { latency : int; jitter : int }
+type faults = { fseed : int; latency : int; jitter : int }
 
-type faults = {
-  fseed : int;
-  default : fault;
-  per_link : (int * fault) list;
-}
+let no_fault = { fseed = 0; latency = 0; jitter = 0 }
 
-let zero_fault = { latency = 0; jitter = 0 }
-let no_fault = { fseed = 0; default = zero_fault; per_link = [] }
+let faults ?(seed = 0) ~latency ~jitter () =
+  if latency < 0 then invalid_arg "Transport.faults: negative latency";
+  if jitter < 0 then invalid_arg "Transport.faults: negative jitter";
+  { fseed = seed; latency; jitter }
 
-let check_fault what f =
-  if f.latency < 0 then invalid_arg ("Transport.faults: negative " ^ what ^ " latency");
-  if f.jitter < 0 then invalid_arg ("Transport.faults: negative " ^ what ^ " jitter")
-
-let faults ?(seed = 0) ?(per_link = []) ~latency ~jitter () =
-  let t = { fseed = seed; default = { latency; jitter }; per_link } in
-  check_fault "default" t.default;
-  List.iter (fun (_, f) -> check_fault "per-link" f) per_link;
-  t
-
-let is_pure t =
-  let zero f = f.latency = 0 && f.jitter = 0 in
-  zero t.default && List.for_all (fun (_, f) -> zero f) t.per_link
-
-(* Per-link fault lookup without [List.assoc] (no option allocation on
-   the miss path, monomorphic comparison). *)
-let rec fault_scan per_link link default =
-  match per_link with
-  | [] -> default
-  | (l, f) :: rest ->
-      if Int.equal l link then f else fault_scan rest link default
-
-let fault_of t ~link = fault_scan t.per_link link t.default
+let is_pure t = t.latency = 0 && t.jitter = 0
 
 (* SplitMix-style avalanche mixer on native ints (constants fit 63
    bits; multiplication wraps, which is exactly what a finalizer
@@ -54,15 +30,14 @@ let mix z =
    of its arguments, so every backend — and a replay — draws the same
    delay for the same pulse. *)
 let delay_us t ~link ~k =
-  let f = fault_scan t.per_link link t.default in
-  if f.jitter = 0 then f.latency
+  if t.jitter = 0 then t.latency
   else
-    f.latency
-    + mix (t.fseed + (link * 0x9E3779B9) + (k * 0x85EBCA77)) mod (f.jitter + 1)
+    t.latency
+    + mix (t.fseed + (link * 0x9E3779B9) + (k * 0x85EBCA77)) mod (t.jitter + 1)
 
 (* The jittered adversary: each pulse's virtual arrival time is its
    global send sequence number (one abstract time unit per send) plus
-   its per-link delay draw; earliest arrival is delivered first, ties
+   its delay draw; earliest arrival is delivered first, ties
    broken by send order.  On the simulator the fault layer is *this
    scheduler* — delays never touch the engine. *)
 let rec jit_scan t v i best bkey bseq =
@@ -79,8 +54,8 @@ let rec jit_scan t v i best bkey bseq =
 let jittered t =
   {
     Scheduler.name =
-      Printf.sprintf "jittered(seed=%d,lat=%d,jit=%d)" t.fseed
-        t.default.latency t.default.jitter;
+      Printf.sprintf "jittered(seed=%d,lat=%d,jit=%d)" t.fseed t.latency
+        t.jitter;
     pick =
       (fun v ->
         let l0 = v.Scheduler.nonempty.(0) in
@@ -179,7 +154,6 @@ let mailbox_api ~node ~seed ~mailbox ~send ~set_output ~terminate =
     Network.node;
     recv = (fun p -> pulse_if (recv_pulse p));
     recv_pulse;
-    peek = (fun p -> pulse_if (mailbox.(Port.index p) > 0));
     mailbox;
     send;
     set_output;

@@ -23,37 +23,32 @@
 
 (** {2 Fault injection}
 
-    Per-link latency/jitter.  On real backends the unit is
-    microseconds of wall-clock sleep; on the simulator it is abstract
-    time units (one unit = one send).  The jitter draw for the [k]-th
-    pulse of a link is a pure hash of (seed, link, k) — {!delay_us} —
-    so the fault pattern is reproducible on every backend and under
-    replay. *)
-
-type fault = { latency : int; jitter : int }
-(** Base delay plus a uniform draw in [\[0, jitter\]], both [>= 0]. *)
+    One latency and one jitter for every link.  On real backends the
+    unit is microseconds of wall-clock sleep; on the simulator it is
+    abstract time units (one unit = one send).  The jitter draw for
+    the [k]-th pulse of a link is a pure hash of (seed, link, k) —
+    {!delay_us} — so the fault pattern is reproducible on every
+    backend and under replay. *)
 
 type faults = {
   fseed : int;  (** Seed of the jitter hash (independent of run seed). *)
-  default : fault;  (** Applied to links without an override. *)
-  per_link : (int * fault) list;  (** Overrides by link id. *)
+  latency : int;  (** Base delay of every pulse, [>= 0]. *)
+  jitter : int;
+      (** Upper end of the uniform extra draw in [\[0, jitter\]],
+          [>= 0]. *)
 }
 
 val no_fault : faults
 (** Zero latency, zero jitter everywhere — the identity fault model. *)
 
-val faults :
-  ?seed:int -> ?per_link:(int * fault) list -> latency:int -> jitter:int ->
-  unit -> faults
-(** Raises [Invalid_argument] on any negative latency or jitter. *)
+val faults : ?seed:int -> latency:int -> jitter:int -> unit -> faults
+(** Raises [Invalid_argument] on a negative latency or jitter. *)
 
 val is_pure : faults -> bool
 (** No link delays anything: backends may skip the fault layer. *)
 
-val fault_of : faults -> link:int -> fault
-
 val delay_us : faults -> link:int -> k:int -> int
-(** Delay of the [k]-th pulse consumed from [link]: the link's latency
+(** Delay of the [k]-th pulse consumed from [link]: the latency
     plus [hash(seed, link, k) mod (jitter + 1)].  Pure, allocation-free
     (native-int mixing; listed in [tools/lint/hot.sexp]). *)
 

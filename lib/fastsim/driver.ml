@@ -1,6 +1,3 @@
-module Rng = Colring_stats.Rng
-module Sink = Colring_engine.Sink
-
 type result = {
   receives : int array;
   deliveries : int;
@@ -37,72 +34,21 @@ let drive ~ids ~rho ~start =
   done;
   (!absorber, t + 1)
 
-let run ?seed ?max_deliveries ?(sink = Sink.null) ~ids () =
+let run ~ids =
   let n = Array.length ids in
   if n = 0 then invalid_arg "Driver.run: empty ring";
   Array.iter
     (fun id -> if id < 1 then invalid_arg "Driver.run: ids must be positive")
     ids;
-  let seed_val = Option.value ~default:0 seed in
-  let id_max = Array.fold_left max 1 ids in
-  if sink.Sink.enabled then
-    sink.Sink.on_run_start
-      [
-        ("algorithm", Sink.String "fastsim-instance");
-        ("n", Sink.Int n);
-        ("id_max", Sink.Int id_max);
-        ("seed", Sink.Int seed_val);
-        ("workload", Sink.String "-");
-        ("scheduler", Sink.String "analytic");
-      ];
   let rho = Array.make n 0 in
   let deliveries = ref 0 in
   let order = ref [] in
   (* Initially node v's start-up pulse sits in the channel towards
-     v+1.  Resolving the n initial pulses one at a time, in any order,
-     is a legal schedule; [seed] permutes that order (the default is
-     the canonical 0..n-1 enumeration).  Totals are
-     schedule-independent (Corollary 13), so only [absorb_order] can
-     vary with the seed. *)
-  let starts = Array.init n (fun j -> (j + 1) mod n) in
-  (match seed with
-  | None -> ()
-  | Some s -> Rng.shuffle (Rng.create ~seed:s) starts);
-  Array.iter
-    (fun start ->
-      let absorber, hops = drive ~ids ~rho ~start in
-      deliveries := !deliveries + hops;
-      (match max_deliveries with
-      | Some cap when !deliveries > cap ->
-          (* The analytical schedule cannot stop early: each pulse is
-             resolved to absorption in one closed-form step, so a
-             budget below the exact total is a contract violation, not
-             an exhausted run. *)
-          invalid_arg
-            (Printf.sprintf
-               "Driver.run: exact pulse total exceeds max_deliveries \
-                (reached %d > %d); the analytical simulator cannot stop \
-                early — raise the budget or use the event engine"
-               !deliveries cap)
-      | _ -> ());
-      order := absorber :: !order)
-    starts;
-  let result =
-    { receives = rho; deliveries = !deliveries; absorb_order = List.rev !order }
-  in
-  if sink.Sink.enabled then begin
-    sink.Sink.on_run_end
-      [
-        ("algorithm", Sink.String "fastsim-instance");
-        ("n", Sink.Int n);
-        ("deliveries", Sink.Int !deliveries);
-        ("receives_uniform",
-         Sink.Bool (Array.for_all (fun r -> r = id_max) rho));
-        ("last_absorber",
-         match !order with
-         | last :: _ -> Sink.Int last
-         | [] -> Sink.String "none");
-      ];
-    sink.Sink.flush ()
-  end;
-  result
+     v+1.  Resolving the n initial pulses one at a time, in the
+     canonical 0..n-1 order, is a legal schedule. *)
+  for j = 0 to n - 1 do
+    let absorber, hops = drive ~ids ~rho ~start:((j + 1) mod n) in
+    deliveries := !deliveries + hops;
+    order := absorber :: !order
+  done;
+  { receives = rho; deliveries = !deliveries; absorb_order = List.rev !order }

@@ -27,34 +27,13 @@ type result = {
           schedule; the last entry is a max-ID node (Lemma 7/17). *)
 }
 
-val run :
-  ?seed:int ->
-  ?max_deliveries:int ->
-  ?sink:Colring_engine.Sink.t ->
-  ids:int array ->
-  unit ->
-  result
+val run : ids:int array -> result
 (** Simulate one clockwise instance on nodes [0..n-1] (node [v] sends
     to [v+1 mod n]).  For a counterclockwise instance, pass the ID
     array reversed and map node indices accordingly (the wrappers do
-    this).
-
-    The knobs match {!Colring_core.Election.run}, with the analytical
-    caveats spelled out:
-
-    - [seed] permutes the (legal) order in which the n initial pulses
-      are resolved.  Omitting it keeps the canonical deterministic
-      order; no global state is consulted either way.  Totals
-      ({!result.receives}, {!result.deliveries}) are
-      schedule-independent, so the seed can only permute
-      {!result.absorb_order} — whose last entry is a max-ID node under
-      every seed (Lemma 7/17).
-    - [max_deliveries] raises [Invalid_argument] if the instance's
-      exact pulse total exceeds it: the closed-form resolution cannot
-      stop mid-pulse, so a too-small budget is a contract violation
-      here, never a truncated ("exhausted") run as in the event
-      engine.
-    - [sink] receives run_start and run_end records only.  Per-pulse
-      events are never emitted — not simulating the Θ(n·ID_max)
-      deliveries is the point of this module — so an event-level
-      journal requires the event engine. *)
+    this).  The n initial pulses are resolved in the canonical order
+    of their senders, 0..n-1.  Totals ({!result.receives},
+    {!result.deliveries}) are schedule-independent, and the last entry
+    of {!result.absorb_order} is a max-ID node (Lemma 7/17).  No
+    delivery budget applies and no journal is written: not simulating
+    the Θ(n·ID_max) deliveries is the point of this module. *)

@@ -11,7 +11,7 @@ type algo1_report = {
 }
 
 let algo1 ~ids =
-  let r = Driver.run ~ids () in
+  let r = Driver.run ~ids in
   let id_max = Ids.id_max ids in
   let leaders = ref [] in
   for v = Array.length ids - 1 downto 0 do
@@ -52,8 +52,8 @@ let algo2 ~ids =
     if sorted.(i) = sorted.(i + 1) then
       invalid_arg "Fast.algo2: ids must be unique"
   done;
-  let cw = (Driver.run ~ids ()).Driver.deliveries in
-  let ccw_instance = (Driver.run ~ids:(reversed_ids ids) ()).Driver.deliveries in
+  let cw = (Driver.run ~ids).Driver.deliveries in
+  let ccw_instance = (Driver.run ~ids:(reversed_ids ids)).Driver.deliveries in
   let leader = Ids.argmax ids in
   let termination_order =
     List.init n (fun i -> (leader - 1 - i + (2 * n)) mod n)
@@ -90,8 +90,8 @@ let algo3 ~scheme ~ids ~flips =
   let ccw_ids_by_node =
     Array.init n (fun v -> virtual_id scheme ids.(v) (1 - i_cw v))
   in
-  let cw_run = Driver.run ~ids:cw_ids () in
-  let ccw_run = Driver.run ~ids:(reversed_ids ccw_ids_by_node) () in
+  let cw_run = Driver.run ~ids:cw_ids in
+  let ccw_run = Driver.run ~ids:(reversed_ids ccw_ids_by_node) in
   let max_cw = Ids.id_max cw_ids and max_ccw = Ids.id_max ccw_ids_by_node in
   (* At quiescence node v received max_cw pulses on the port where the
      clockwise direction comes in (opposite its cw-out port) and

@@ -32,6 +32,19 @@ let id_space ~flag ~n v =
          "the pulse total n(4*ID_max-1) with n = %d overflows an int" n)
   else Ok v
 
+(* Algorithm 2's solitude run for [id] takes 2*id+1 deliveries, which
+   must fit one extraction's budget. *)
+let solitude_id ~flag v =
+  let budget = Colring_lowerbound.Solitude.max_deliveries in
+  let max_id = (budget - 1) / 2 in
+  if v <= max_id then Ok v
+  else
+    err flag v
+      (Printf.sprintf
+         "Algorithm 2's solitude run takes 2*id+1 deliveries, more than \
+          the %d-delivery budget (largest id %d)"
+         budget max_id)
+
 let link_budget ~flag ~value ~max links =
   if links <= max then Ok links
   else

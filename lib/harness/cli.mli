@@ -25,6 +25,11 @@ val id_space : flag:string -> n:int -> int -> (int, string) result
     only when [k >= n] — and small enough that the largest pulse
     total, [n(4k-1)], is below [max_int]. *)
 
+val solitude_id : flag:string -> int -> (int, string) result
+(** At most 499_999 — the largest id whose Algorithm 2 solitude run,
+    2·id+1 deliveries, fits one extraction's budget
+    ({!Colring_lowerbound.Solitude.max_deliveries}). *)
+
 val link_budget :
   flag:string -> value:string -> max:int -> int -> (int, string) result
 (** [link_budget ~flag ~value ~max links] accepts a topology of at

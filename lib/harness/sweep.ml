@@ -33,11 +33,15 @@ type cell = {
   c_sched_ix : int;
 }
 
+(* Cells whose instance has a larger ID_max are skipped: anonymous
+   workloads can sample enormous ids, and a run costs Θ(n·ID_max). *)
+let id_max_cap = 100_000
+
 (* A cell's measurement, [None] when it was skipped.  [sink] is the
    private one {!Batch.dispatch} hands the cell, so a skipped cell
    journals nothing.  Each cell builds a fresh network: a non-oriented
    cell's workload draws its own port flips. *)
-let run_cell ~id_max_cap ~shared_adversary ~schedulers ~sink cell =
+let run_cell ~schedulers ~sink cell =
   let { c_algorithm; c_workload; c_n = n; c_seed = seed; c_algo_ix; c_sched_ix }
       =
     cell
@@ -46,18 +50,13 @@ let run_cell ~id_max_cap ~shared_adversary ~schedulers ~sink cell =
   let ids, topo = c_workload.generate rng ~n in
   if Ids.id_max ids > id_max_cap then None
   else begin
+    (* After [generate] the stream state encodes (workload, n, seed);
+       folding the (algorithm, scheduler) coordinates in via [split_at]
+       gives every cell its own adversary stream. *)
     let sched_seed =
-      if shared_adversary then seed
-      else
-        (* After [generate] the stream state encodes (workload, n,
-           seed); folding the (algorithm, scheduler) coordinates in via
-           [split_at] gives every cell its own adversary stream — a
-           random scheduler no longer replays one delivery sequence
-           across the whole grid (the trial seed alone used to decide
-           it). *)
-        Rng.bits
-          (Rng.split_at rng ((c_algo_ix * Array.length schedulers) + c_sched_ix))
-          62
+      Rng.bits
+        (Rng.split_at rng ((c_algo_ix * Array.length schedulers) + c_sched_ix))
+        62
     in
     let sched = schedulers.(c_sched_ix) sched_seed in
     let r =
@@ -79,8 +78,8 @@ let run_cell ~id_max_cap ~shared_adversary ~schedulers ~sink cell =
       }
   end
 
-let election ?(id_max_cap = 100_000) ?(jobs = 1) ?(shared_adversary = false)
-    ?journal ~algorithms ~workloads ~ns ~seeds ~schedulers () =
+let election ?(jobs = 1) ?journal ~algorithms ~workloads ~ns ~seeds ~schedulers
+    () =
   let schedulers = Array.of_list schedulers in
   let n_sched = Array.length schedulers in
   (* Materialize the grid in the canonical nested order; the result
@@ -119,7 +118,7 @@ let election ?(id_max_cap = 100_000) ?(jobs = 1) ?(shared_adversary = false)
      event stream of every cell. *)
   (Batch.dispatch ~jobs ?journal:(Option.map (fun w _ -> w) journal)
      (Array.length cells) (fun i sink ->
-       run_cell ~id_max_cap ~shared_adversary ~schedulers ~sink cells.(i)))
+       run_cell ~schedulers ~sink cells.(i)))
     .reports
   |> Array.to_list |> List.filter_map Fun.id
 

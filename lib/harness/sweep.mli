@@ -3,9 +3,9 @@
     summarize them.
 
     The sweep silently skips incompatible cells (an oriented-only
-    algorithm on a scrambled workload) and instances whose pulse budget
-    would be excessive (anonymous workloads can sample enormous IDs;
-    the cost is Θ(n·ID_max)). *)
+    algorithm on a scrambled workload) and instances with
+    ID_max > 100_000, whose pulse budget would be excessive (anonymous
+    workloads can sample enormous IDs; the cost is Θ(n·ID_max)). *)
 
 type measurement = {
   algorithm : string;
@@ -21,9 +21,7 @@ type measurement = {
 }
 
 val election :
-  ?id_max_cap:int ->
   ?jobs:int ->
-  ?shared_adversary:bool ->
   ?journal:(string -> unit) ->
   algorithms:Colring_core.Election.algorithm list ->
   workloads:Workload.t list ->
@@ -42,12 +40,8 @@ val election :
     convention) only chooses how many domains sweep the grid.
 
     [schedulers] receive the per-cell scheduler seed (stateful ones are
-    built fresh per cell).  [shared_adversary] (default [false])
-    instead passes every cell its raw trial seed, making a seeded
-    random scheduler replay the identical delivery sequence across
-    cells that share a trial seed — the "same instance, many
-    adversaries" comparison of bench E2.  [id_max_cap] (default
-    100_000) skips over-sized instances.
+    built fresh per cell).  A cell whose instance has ID_max above
+    100_000 is skipped.
 
     Each cell is one job on {!Batch.dispatch} and builds a fresh
     network.  [journal] receives the sweep's JSONL journal: one

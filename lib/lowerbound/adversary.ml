@@ -20,15 +20,15 @@ let observed_sequence trace ~node =
     ports;
   Bytes.to_string buf
 
-let replay ?max_deliveries ~k ~n factory =
+let replay ~k ~n factory =
   if n < 1 || k < n then invalid_arg "Adversary.replay: need k >= n >= 1";
-  let tagged = Solitude.extract_range ?max_deliveries factory ~lo:1 ~hi:k in
+  let tagged = Solitude.extract_range factory ~lo:1 ~hi:k in
   let chosen, shared_prefix = Analysis.best_group tagged ~group:n in
   let ids = Array.of_list chosen in
   let topo = Topology.oriented n in
   let sink = Sink.memory () in
   let net = Network.create ~sink topo (fun v -> factory ~id:ids.(v)) in
-  let result = Network.run ?max_deliveries net Scheduler.global_fifo in
+  let result = Network.run net Scheduler.global_fifo in
   let trace = Option.get (Sink.trace sink) in
   let pattern_of = Hashtbl.create 16 in
   List.iter (fun (id, p) -> Hashtbl.replace pattern_of id p) tagged;

@@ -32,10 +32,11 @@ type report = {
 }
 
 val replay :
-  ?max_deliveries:int ->
   k:int ->
   n:int ->
   (id:int -> Colring_engine.Network.pulse Colring_engine.Network.program) ->
   report
 (** Requires [k >= n >= 1].  The factory must terminate or stabilize on
-    every instance (Algorithm 2 does). *)
+    every instance (Algorithm 2 does): each solitude run within
+    {!Solitude.max_deliveries}, the ring run within the engine's
+    default delivery budget. *)

@@ -2,7 +2,9 @@ open Colring_engine
 
 type pattern = string
 
-let extract ?(max_deliveries = 1_000_000) factory ~id =
+let max_deliveries = 1_000_000
+
+let extract factory ~id =
   let topo = Topology.oriented 1 in
   let sink = Sink.memory () in
   let net = Network.create ~sink topo (fun _ -> factory ~id) in
@@ -24,10 +26,10 @@ let extract ?(max_deliveries = 1_000_000) factory ~id =
         ports;
       Bytes.to_string buf
 
-let extract_range ?max_deliveries factory ~lo ~hi =
+let extract_range factory ~lo ~hi =
   List.init (hi - lo + 1) (fun i ->
       let id = lo + i in
-      (id, extract ?max_deliveries factory ~id))
+      (id, extract factory ~id))
 
 let length = String.length
 

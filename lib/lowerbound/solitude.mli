@@ -16,17 +16,19 @@
 type pattern = string
 (** Chronological; ['0'] is a clockwise pulse, ['1'] counterclockwise. *)
 
+val max_deliveries : int
+(** 1_000_000: the delivery budget of one extraction. *)
+
 val extract :
-  ?max_deliveries:int ->
   (id:int -> Colring_engine.Network.pulse Colring_engine.Network.program) ->
   id:int ->
   pattern
 (** Run the given per-ID program on the one-node ring under the
-    Definition 21 scheduler until quiescence (or [max_deliveries],
-    default 1_000_000) and return the node's observation sequence. *)
+    Definition 21 scheduler until quiescence and return the node's
+    observation sequence.  Raises [Failure] if the run does not
+    quiesce within {!max_deliveries}. *)
 
 val extract_range :
-  ?max_deliveries:int ->
   (id:int -> Colring_engine.Network.pulse Colring_engine.Network.program) ->
   lo:int ->
   hi:int ->

@@ -496,7 +496,7 @@ let seed_explore ctx ~max_states =
   in
   { seed_acc = st; frontier }
 
-let check ?(jobs = 1) ?(max_states = 1_000_000) ?(minimized = true) spec =
+let check ?(jobs = 1) ?(max_states = 1_000_000) spec =
   if spec.max_depth < 1 then invalid_arg "Mc.check: max_depth < 1";
   let probe = spec.make () in
   let num_links = Network.num_links probe in
@@ -529,11 +529,7 @@ let check ?(jobs = 1) ?(max_states = 1_000_000) ?(minimized = true) spec =
       done);
   let ctx = { spec; indep; live_in; n_nodes } in
   let finish stats counterexample =
-    let counterexample =
-      if minimized then Option.map (minimize spec) counterexample
-      else counterexample
-    in
-    { stats; counterexample }
+    { stats; counterexample = Option.map (minimize spec) counterexample }
   in
   match (spec.monitor ()) probe with
   | Some v ->

@@ -152,7 +152,6 @@ type 'net spec = {
 val check :
   ?jobs:int ->
   ?max_states:int ->
-  ?minimized:bool ->
   ('m, 'api, 'topo) Colring_engine.Network.core spec ->
   result
 (** Walk the schedule space of [spec].  A sequential BFS expands
@@ -164,7 +163,7 @@ val check :
     1_000_000) bounds the states expanded {e globally}; exceeding it
     sets {!stats.truncated}.  The first counterexample in canonical
     (BFS-frontier, then DFS) order is returned, minimized and
-    replay-confirmed via {!minimize} unless [minimized:false]. *)
+    replay-confirmed via {!minimize}. *)
 
 val replay :
   (('m, 'api, 'topo) Colring_engine.Network.core as 'net) spec ->

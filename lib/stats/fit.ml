@@ -40,6 +40,3 @@ let max_rel_err pairs =
       let scale = Float.max 1. (Float.abs expected) in
       Float.max acc (Float.abs (actual -. expected) /. scale))
     0. pairs
-
-let pp_line ppf { slope; intercept; r2 } =
-  Format.fprintf ppf "y = %.4f x %+.2f (r2=%.5f)" slope intercept r2

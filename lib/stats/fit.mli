@@ -22,5 +22,3 @@ val loglog_slope : (float * float) list -> float
 val max_rel_err : (float * float) list -> float
 (** [max_rel_err pairs] where each pair is [(expected, actual)]:
     the largest [|actual - expected| / max 1 |expected|]. *)
-
-val pp_line : Format.formatter -> line -> unit

@@ -43,7 +43,7 @@ type elect_result = {
 }
 
 let elect ?(seed = 0) ?max_deliveries ?(faults = Transport.no_fault)
-    ?(sink = Sink.null) ?workload ?snapshot_every ?sched spec algorithm ~topo
+    ?(sink = Sink.null) ?snapshot_every ?sched spec algorithm ~topo
     ~ids =
   let make_program v = Election.program_of algorithm ~id:ids.(v) in
   let t = transport ?sched spec in
@@ -59,7 +59,7 @@ let elect ?(seed = 0) ?max_deliveries ?(faults = Transport.no_fault)
          live.Transport.schedule)
   in
   let report, net =
-    Election.run ~seed ?max_deliveries ~sink ?workload ?snapshot_every
+    Election.run ~seed ?max_deliveries ~sink ?snapshot_every
       algorithm ~topo ~ids ~sched:replay_sched
   in
   let replayed =

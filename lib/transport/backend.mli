@@ -38,7 +38,6 @@ val elect :
   ?max_deliveries:int ->
   ?faults:Colring_engine.Transport.faults ->
   ?sink:Colring_engine.Sink.t ->
-  ?workload:string ->
   ?snapshot_every:int ->
   ?sched:Colring_engine.Scheduler.t ->
   spec ->
@@ -48,7 +47,7 @@ val elect :
   elect_result
 (** Runs the election live on the chosen backend, then replays the
     recorded schedule through {!Colring_core.Election.run} (which
-    emits the journal to [sink] and computes the report).  With
-    [spec = Sim] and no faults this is the ordinary simulator run,
-    journaled identically to the direct path — plus the verification
-    pass. *)
+    emits the journal to [sink], workload ["-"], and computes the
+    report).  With [spec = Sim] and no faults this is the ordinary
+    simulator run, journaled identically to the direct path — plus
+    the verification pass. *)

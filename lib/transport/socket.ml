@@ -14,7 +14,8 @@
                             0xFB       this node just terminated
                             0xFC       arrival while terminated (drop
                                        ack, in place of 0xFA)
-                            0xFE       node program raised
+                            0xFE       node program raised (the
+                                       child then waits to be killed)
 
    Every activation (the start, and each forwarded pulse) is answered
    by exactly one ack after the activation's sends, so the byte stream
@@ -179,9 +180,18 @@ let child_main fd ~seed ~v program =
        | b ->
            failwith (Printf.sprintf "Transport.socket: bad opcode %#x" b)
      done
-   with _ ->
+   with _ -> (
      exit_code := 1;
-     (try write_byte fd byte_err with _ -> ()));
+     (* Report the error, then read until the coordinator closes: a
+        child that exited with bytes unread would reset its socket,
+        and the coordinator could see that before the error byte. *)
+     try
+       write_byte fd byte_err;
+       let b = Bytes.create 256 in
+       while Unix.read fd b 0 256 > 0 do
+         ()
+       done
+     with _ -> ()));
   Unix._exit !exit_code
 
 (* ------------------------------------------------------------------ *)
@@ -319,9 +329,10 @@ let spawn_ring ~tcp ~seed ~n make_program =
        raise e)
   end
 
-let run ?(seed = 0) ?(max_deliveries = 50_000_000)
-    ?(faults = Transport.no_fault) ?(tcp = false) ?(deadline_s = 120.) topo
-    make_program =
+(* Wall-clock bound on a whole run: past it the children are killed. *)
+let deadline_s = 120.
+
+let run_ring ~seed ~max_deliveries ~faults ~tcp topo make_program =
   Topology.check topo;
   let n = Topology.n topo in
   (* Anything buffered on inherited channels would be duplicated by
@@ -349,6 +360,13 @@ let run ?(seed = 0) ?(max_deliveries = 50_000_000)
     kill_children children;
     failwith ("Transport.socket: " ^ msg)
   in
+  (* A child that died mid-run shows up as end of file, or as a reset
+     or broken pipe on its socket. *)
+  let exited u = fail (Printf.sprintf "node %d exited early" u) in
+  let to_child u b =
+    try write_byte children.(u).fd b
+    with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> exited u
+  in
   let forward f =
     if (not !exhausted) && sched.Transport.len >= max_deliveries then
       exhausted := true;
@@ -359,7 +377,7 @@ let run ?(seed = 0) ?(max_deliveries = 50_000_000)
       Transport.record sched f.link;
       Queue.push idx children.(dst).pending;
       incr outstanding;
-      write_byte children.(dst).fd (Port.index dst_port)
+      to_child dst (Port.index dst_port)
     end
   in
   let on_send u pi =
@@ -400,8 +418,11 @@ let run ?(seed = 0) ?(max_deliveries = 50_000_000)
           let rec find i = if children.(i).fd == fd then i else find (i + 1) in
           find 0
         in
-        let r = Unix.read fd buf 0 (Bytes.length buf) in
-        if r = 0 then fail (Printf.sprintf "node %d exited early" u);
+        let r =
+          try Unix.read fd buf 0 (Bytes.length buf)
+          with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> 0
+        in
+        if r = 0 then exited u;
         for i = 0 to r - 1 do
           on_child_byte u (Char.code (Bytes.get buf i))
         done)
@@ -443,7 +464,7 @@ let run ?(seed = 0) ?(max_deliveries = 50_000_000)
        read_ready 0.05
      done);
   (* Stop everyone and collect reports. *)
-  Array.iter (fun c -> write_byte c.fd byte_stop) children;
+  Array.iteri (fun u _ -> to_child u byte_stop) children;
   Array.iter
     (fun c ->
       let b = Bytes.create report_len in
@@ -500,6 +521,15 @@ let run ?(seed = 0) ?(max_deliveries = 50_000_000)
     exhausted = !exhausted;
     termination_order = List.map snd terms;
   }
+
+(* A write to a child that has died raises EPIPE instead of killing
+   the coordinator's process with SIGPIPE. *)
+let run ?(seed = 0) ?(max_deliveries = 50_000_000)
+    ?(faults = Transport.no_fault) ?(tcp = false) topo make_program =
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () -> Sys.set_signal Sys.sigpipe sigpipe)
+    (fun () -> run_ring ~seed ~max_deliveries ~faults ~tcp topo make_program)
 
 let transport ?(tcp = false) () =
   {

@@ -23,17 +23,18 @@ val run :
   ?max_deliveries:int ->
   ?faults:Colring_engine.Transport.faults ->
   ?tcp:bool ->
-  ?deadline_s:float ->
   Colring_engine.Topology.t ->
   (int -> Colring_engine.Network.pulse Colring_engine.Network.program) ->
   Colring_engine.Transport.trace
 (** [tcp:false] (default) wires each child over an [AF_UNIX]
     socketpair; [tcp:true] runs the ring over loopback TCP
     ([127.0.0.1], [TCP_NODELAY]) with an id-byte handshake.
-    [deadline_s] (default 120) bounds the whole run in wall-clock
-    seconds; past it the children are killed and [Failure] is raised.
+    A run that takes longer than 120 s of wall-clock time has its
+    children killed and raises [Failure].
     Node programs that raise are reported by an error opcode and
-    surface as [Failure] here, with every child reaped.  The transport
+    surface as [Failure "… a node program raised"]; a child that dies
+    mid-run surfaces as [Failure "… node v exited early"]; either way
+    every child is reaped first.  The transport
     serves the election algorithms: [Output.values] lists are not
     carried by the final report. *)
 

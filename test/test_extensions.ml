@@ -273,8 +273,9 @@ let test_exhaustive_terminal_equivalence () =
   let terminals program =
     let acc = ref [] in
     let spec = Spec.election Election.Algo2 ~ids ~topo_seed:0 in
+    (* 61 states. *)
     let r =
-      Mc.check
+      Mc.check ~max_states:610
         {
           spec with
           Mc.make =
@@ -357,17 +358,26 @@ let test_explore_algo2_all_schedules_n2 () =
       if a <> b then
         verified
           ~what:(Printf.sprintf "ids (%d,%d)" a b)
-          (Mc.check (Spec.election Election.Algo2 ~ids:[| a; b |] ~topo_seed:0))
+          (* At most 28 states. *)
+          (Mc.check ~max_states:280
+             (Spec.election Election.Algo2 ~ids:[| a; b |] ~topo_seed:0))
     done
   done
 
 let test_explore_algo2_all_schedules_n3 () =
-  let r = Mc.check (Spec.election Election.Algo2 ~ids:[| 2; 3; 1 |] ~topo_seed:0) in
+  (* 61 states. *)
+  let r =
+    Mc.check ~max_states:610
+      (Spec.election Election.Algo2 ~ids:[| 2; 3; 1 |] ~topo_seed:0)
+  in
   verified r;
   checkb "explored a real tree" true (r.Mc.stats.Mc.states > 50)
 
 let test_explore_algo1_all_schedules () =
-  verified (Mc.check (Spec.election Election.Algo1 ~ids:[| 2; 3 |] ~topo_seed:0))
+  (* 7 states. *)
+  verified
+    (Mc.check ~max_states:70
+       (Spec.election Election.Algo1 ~ids:[| 2; 3 |] ~topo_seed:0))
 
 let test_explore_algo1_duplicate_maxima () =
   (* Lemma 16/17 model-checked: with two copies of the maximal ID, every
@@ -375,8 +385,9 @@ let test_explore_algo1_duplicate_maxima () =
      Leader state and n*ID_max pulses.  [Spec.election] demands a
      unique leader, so the verdict is spelled out here. *)
   let ids = [| 3; 3; 1 |] in
+  (* 21 states. *)
   let r =
-    Mc.check
+    Mc.check ~max_states:210
       {
         Mc.name = "algo1 duplicate maxima";
         make =
@@ -413,7 +424,8 @@ let test_explore_finds_ablation_bugs () =
   let found =
     List.exists
       (fun ids ->
-        (Mc.check (Spec.ablation Spec.No_lag ~ids ~topo_seed:0))
+        (* One state: the violation is at the first delivery. *)
+        (Mc.check ~max_states:10 (Spec.ablation Spec.No_lag ~ids ~topo_seed:0))
           .Mc.counterexample <> None)
       [ [| 1; 2 |]; [| 2; 1 |]; [| 3; 1 |]; [| 2; 3; 1 |] ]
   in
@@ -433,8 +445,7 @@ let test_fingerprint_distinguishes () =
 (* ------------------------------------------------------------------ *)
 (* Diagram *)
 
-let test_diagram_renders () =
-  let ids = [| 2; 3 |] in
+let diagram_lines ids =
   let net =
     Network.create ~sink:(Sink.memory ()) (Topology.oriented 2) (fun v ->
         Algo2.program ~id:ids.(v))
@@ -443,13 +454,24 @@ let test_diagram_renders () =
   match Network.trace net with
   | None -> Alcotest.fail "no trace"
   | Some tr ->
-      let s = Diagram.render tr ~n:2 in
-      checkb "has arrows" true
-        (String.exists (fun c -> c = '>') s && String.exists (fun c -> c = '<') s);
-      checkb "has termination marks" true (String.exists (fun c -> c = 'X') s);
-      let s' = Diagram.render ~max_rows:3 tr ~n:2 in
-      checkb "elision note" true
-        (String.length s' < String.length s)
+      String.split_on_char '\n' (Diagram.render tr ~n:2)
+      |> List.filter (fun l -> l <> "")
+
+let test_diagram_renders () =
+  let lines = diagram_lines [| 2; 3 |] in
+  let s = String.concat "\n" lines in
+  checkb "has arrows" true
+    (String.exists (fun c -> c = '>') s && String.exists (fun c -> c = '<') s);
+  checkb "has termination marks" true (String.exists (fun c -> c = 'X') s);
+  checkb "short run: no elision note" false
+    (List.exists (String.starts_with ~prefix:"...") lines);
+  (* n(2*ID_max+1) = 1202 deliveries alone exceed the 500-row cap:
+     header, rule, 500 rows and the elision note. *)
+  let lines = diagram_lines [| 300; 200 |] in
+  checki "rows capped at 500" 503 (List.length lines);
+  checkb "elision note last" true
+    (String.starts_with ~prefix:"... (" (List.nth lines 502)
+    && String.ends_with ~suffix:" rows elided)" (List.nth lines 502))
 
 let () =
   Alcotest.run "colring-extensions"

@@ -150,7 +150,7 @@ let test_large_scale_algo3 () =
     ]
 
 let test_driver_single_node () =
-  let r = Driver.run ~ids:[| 42 |] () in
+  let r = Driver.run ~ids:[| 42 |] in
   checki "deliveries" 42 r.Driver.deliveries;
   checki "receives" 42 r.Driver.receives.(0);
   Alcotest.(check (list int)) "order" [ 0 ] r.Driver.absorb_order
@@ -158,7 +158,7 @@ let test_driver_single_node () =
 let test_driver_rejects_bad_ids () =
   Alcotest.check_raises "zero id"
     (Invalid_argument "Driver.run: ids must be positive") (fun () ->
-      ignore (Driver.run ~ids:[| 1; 0 |] ()))
+      ignore (Driver.run ~ids:[| 1; 0 |]))
 
 let () =
   Alcotest.run "colring-fastsim"

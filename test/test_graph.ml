@@ -1,7 +1,9 @@
 (* Tests for the general-graph substrate: topology builders, bridge
    finding / 2-edge-connectivity, cross-validation of the ring
    algorithms on the independent graph simulator, and regression
-   observations for the exploratory rotor circulation. *)
+   observations for the exploratory rotor circulation.  The engine
+   oracle (fixed-seed journals, check rows and batch shards) is a set
+   of golden files under test/golden/. *)
 
 open Colring_engine
 open Colring_core
@@ -10,7 +12,6 @@ module Rng = Colring_stats.Rng
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
-let checks = Alcotest.(check string)
 
 (* ------------------------------------------------------------------ *)
 (* Topology *)
@@ -259,122 +260,6 @@ let prop_gelection_random2ec =
       in
       gelection_ok_on g ~seed)
 
-(* ------------------------------------------------------------------ *)
-(* A cross-commit engine oracle *)
-
-(* MD5 digests of fixed-seed journals and
-   model-checker rows, pinned to what the CLI printed before the ring
-   and graph engines were folded into one core.  Each output is built
-   exactly as the CLI builds it (same ids, scheduler, sink and row
-   fields), so e.g. [colring elect -n 6 --seed 4 --journal F] followed
-   by [md5sum F] reproduces the first digest.  Any behaviour change in
-   either engine's delivery, stamping or counting shows up here. *)
-
-let digest_of_sink f =
-  let buf = Buffer.create 4096 in
-  let sink = Sink.jsonl_buffer buf in
-  f sink;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-(* [colring elect -n N --seed S --algo A --journal F], under the random
-   scheduler unless [sched] names another. *)
-let ring_journal ?sched algo ~n ~seed =
-  let ids = Ids.distinct (Rng.create ~seed) ~n ~id_max:(2 * n) in
-  let topo =
-    match algo with
-    | Election.Algo1 | Election.Algo2 -> Topology.oriented n
-    | Election.Algo3 _ | Election.Algo3_resample ->
-        Topology.random_non_oriented (Rng.create ~seed:(seed + 1)) n
-  in
-  digest_of_sink (fun sink ->
-      ignore
-        (Election.run ~seed ~sink ~snapshot_every:10_000 algo ~topo ~ids
-           ~sched:
-             (match sched with
-             | Some s -> s
-             | None -> Scheduler.random (Rng.create ~seed))))
-
-(* [colring elect --topology T --seed S --journal F]. *)
-let graph_journal spec ~seed =
-  let t = Result.get_ok (Colring_harness.Topo.parse spec) in
-  let g = Colring_harness.Topo.materialize ~default_n:8 t in
-  let n = Gtopology.n g in
-  let ids = Ids.distinct (Rng.create ~seed) ~n ~id_max:(2 * n) in
-  digest_of_sink (fun sink ->
-      ignore
-        (Gelection.run ~seed ~sink ~snapshot_every:10_000
-           ~workload:(Colring_harness.Topo.to_string t) (Gelection.plan g)
-           ~ids ~sched:(Scheduler.random (Rng.create ~seed))))
-
-(* The row [colring check ... -j 1 --journal F] writes (seed 1). *)
-let check_row ~name ~n ~id_max (r : Colring_mc.Mc.result) =
-  let module Mc = Colring_mc.Mc in
-  let s = r.Mc.stats in
-  digest_of_sink (fun sink ->
-      sink.Sink.on_row ~table:"check"
-        [
-          ("target", Sink.String name);
-          ("n", Sink.Int n);
-          ("id_max", Sink.Int id_max);
-          ("seed", Sink.Int 1);
-          ("jobs", Sink.Int 1);
-          ("states", Sink.Int s.Mc.states);
-          ("schedules", Sink.Int s.Mc.schedules);
-          ("replayed_deliveries", Sink.Int s.Mc.replayed_deliveries);
-          ("undone_deliveries", Sink.Int s.Mc.undone_deliveries);
-          ("sleep_pruned", Sink.Int s.Mc.sleep_pruned);
-          ("dedup_pruned", Sink.Int s.Mc.dedup_pruned);
-          ("max_depth", Sink.Int s.Mc.max_depth_seen);
-          ("exhaustive", Sink.Bool (not s.Mc.truncated));
-          ("counterexample", Sink.String "-");
-          ("violation", Sink.String "-");
-        ])
-
-let test_pinned_digests () =
-  let ids n = Ids.distinct (Rng.create ~seed:1) ~n ~id_max:n in
-  checks "elect -n 6 --seed 4 (algo2)" "6378992c45ec39e5e23aea6a1776694e"
-    (ring_journal Election.Algo2 ~n:6 ~seed:4);
-  checks "elect -n 5 --seed 4 --algo algo3-improved"
-    "ba20609da4ffb952cd40be994cad6ce9"
-    (ring_journal (Election.Algo3 Algo3.Improved) ~n:5 ~seed:4);
-  checks "elect -n 6 --seed 4 --algo algo1" "78d62dd78ee829c74c4ca35c555ed236"
-    (ring_journal Election.Algo1 ~n:6 ~seed:4);
-  checks "elect -n 5 --seed 4 --algo algo3-doubled"
-    "0c98c1ef0c677baf0b0d13b3219d3000"
-    (ring_journal (Election.Algo3 Algo3.Doubled) ~n:5 ~seed:4);
-  checks "elect -n 5 --seed 4 --algo resample" "012f1c9d60835f957cb4889c8b6cd4a9"
-    (ring_journal Election.Algo3_resample ~n:5 ~seed:4);
-  checks "elect -n 6 --seed 4 --scheduler fifo (algo2)"
-    "39ad56a0c5c9a63414fd59f6f2b7190b"
-    (ring_journal ~sched:Scheduler.fifo Election.Algo2 ~n:6 ~seed:4);
-  checks "elect -n 6 --seed 4 --scheduler lifo (algo2)"
-    "6447de2669e00bebea512864d3be70f2"
-    (ring_journal ~sched:Scheduler.lifo Election.Algo2 ~n:6 ~seed:4);
-  List.iter
-    (fun (spec, digest) ->
-      checks ("elect --topology " ^ spec ^ " --seed 4") digest
-        (graph_journal spec ~seed:4))
-    [
-      ("theta:9", "370a91e5dd1bd920857937000015bbec");
-      ("k4", "b8955bc157116a96cc429c4c4f83b0c8");
-      ("bowtie", "d23c5860fac638cd949dd21108d817e8");
-      ("random2ec:12:3", "99fccb06801e24c36300f704b4674f17");
-    ];
-  (match
-     Colring_mc.Spec.of_target "algo2" ~ids:(ids 4) ~topo_seed:2
-   with
-  | Colring_mc.Spec.Packed spec ->
-      checks "check -n 4 --algo algo2 -j 1" "17c4a53ded792e98f944389636adf26f"
-        (check_row ~name:"algo2" ~n:4 ~id_max:4
-           (Colring_mc.Mc.check ~jobs:1 ~max_states:1_000_000 spec)));
-  let spec =
-    Colring_mc.Spec.walk_election ~name:"walk:k4" (Gtopology.complete 4)
-      ~ids:(ids 4)
-  in
-  checks "check --topology k4 -j 1" "8bf21d9bb02771c892f475b5e613c420"
-    (check_row ~name:"walk:k4" ~n:4 ~id_max:4
-       (Colring_mc.Mc.check ~jobs:1 ~max_states:1_000_000 spec))
-
 let colring_exe () =
   match
     List.find_opt Sys.file_exists
@@ -382,70 +267,6 @@ let colring_exe () =
   with
   | Some exe -> exe
   | None -> Alcotest.fail "colring.exe not built"
-
-(* [colring batch SPEC --topology T --events --journal-dir D --shards 2]
-   on a spec mixing algorithm, ring size and seed lines: the two
-   shards' digests and the summary without its timing lines, pinned to
-   what the CLI printed when every graph job ran on a fresh network.
-   The spec's algorithm is ignored on a graph; its n sets the default
-   id_max (2n) and its seed the ids and the adversary. *)
-let test_pinned_graph_batches () =
-  let exe = colring_exe () in
-  let spec = Filename.temp_file "colring" ".spec" in
-  Out_channel.with_open_bin spec (fun oc ->
-      output_string oc
-        "algo2 8 1\nalgo1 6 2\n# a comment\nresample 12 3\n\
-         algo3-improved 5 4 40\nalgo2 9 5\nalgo3-doubled 16 6\n");
-  let out = Filename.temp_file "colring" ".out" in
-  let timing l =
-    List.exists
-      (fun p -> String.starts_with ~prefix:p l)
-      [ "elapsed"; "elections/sec"; "p50 latency"; "p99 latency" ]
-  in
-  let read f = In_channel.with_open_bin f In_channel.input_all in
-  let digest f = Digest.to_hex (Digest.string (read f)) in
-  List.iter
-    (fun (topo, nodes, shard0, shard1) ->
-      let dir = Filename.temp_file "colring" ".d" in
-      Sys.remove dir;
-      let code =
-        Sys.command
-          (Filename.quote_command exe
-             [
-               "batch"; spec; "--topology"; topo; "--events"; "--journal-dir";
-               dir; "--shards"; "2"; "-j"; "2";
-             ]
-             ~stdout:out)
-      in
-      let what = Printf.sprintf "batch --topology %s" topo in
-      checki (what ^ " exits 0") 0 code;
-      checks (what ^ " summary")
-        (Printf.sprintf "topology            %s (%d nodes)\n\
-                         jobs                6\n\
-                         ok                  6\n"
-           topo nodes)
-        (String.split_on_char '\n' (read out)
-        |> List.filter (fun l -> l <> "" && not (timing l))
-        |> List.map (fun l -> l ^ "\n")
-        |> String.concat "");
-      checks (what ^ " shard 0") shard0
-        (digest (Filename.concat dir "shard-0000.jsonl"));
-      checks (what ^ " shard 1") shard1
-        (digest (Filename.concat dir "shard-0001.jsonl"));
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-      Sys.rmdir dir)
-    [
-      ( "theta:10", 10, "e466271b224ccdfba84ee94f56448066",
-        "34ed552d9fb901f1dba56417a3ca2567" );
-      ( "k4", 4, "230fa1a9efead27672affbfe469615c1",
-        "ae52c52a1516938b96db3dee0a6a9292" );
-      ( "random2ec:12:3", 12, "31abe5839edc07b46daffec3b3f1ff31",
-        "35ef8cc302962b94d3722844ee48d47d" );
-    ];
-  Sys.remove spec;
-  Sys.remove out
 
 (* ------------------------------------------------------------------ *)
 (* Rings as the degree-2 special case *)
@@ -1231,7 +1052,8 @@ let test_rotor_does_not_solve_election () =
     Colring_mc.Spec.of_target "ablation:rotor" ~ids:[||] ~topo_seed:0
   in
   checkb "expects a violation" true spec.Mc.expect_violation;
-  let r = Mc.check spec in
+  (* 21 states. *)
+  let r = Mc.check ~max_states:210 spec in
   (match r.Mc.counterexample with
   | None -> Alcotest.fail "ablation:rotor: no counterexample found"
   | Some ce ->
@@ -1239,7 +1061,8 @@ let test_rotor_does_not_solve_election () =
       checkb "replays" true
         (snd (Mc.replay spec ce.Mc.schedule) = Some ce.Mc.violation);
       checkb "confirmed via of_schedule" true (Mc.confirm spec ce));
-  checkb "same verdict at -j 2" true (Mc.check ~jobs:2 spec = r);
+  checkb "same verdict at -j 2" true
+    (Mc.check ~jobs:2 ~max_states:210 spec = r);
   let exe = colring_exe () in
   let out = Filename.temp_file "colring" ".out" in
   let code =
@@ -1292,12 +1115,6 @@ let () =
         ] );
       ( "ring special case",
         [ QCheck_alcotest.to_alcotest prop_ring_walk_is_algo1 ] );
-      ( "engine oracle",
-        [
-          Alcotest.test_case "pinned digests" `Quick test_pinned_digests;
-          Alcotest.test_case "pinned graph batches" `Quick
-            test_pinned_graph_batches;
-        ] );
       ( "carriage",
         [
           Alcotest.test_case "rings: pulses = payloads" `Quick

@@ -209,7 +209,8 @@ let test_cli_topology_overrides () =
 (* --id-max below the node count, or so large that a pulse total
    overflows, is refused once n is known (from -n or --topology) by
    every subcommand that takes it: exit 2, one line naming the flag,
-   nothing run before it.  Bad -c, --id and --upto values and unknown
+   nothing run before it; so are solitude and adversary ids past the
+   extraction budget.  Bad -c, --id and --upto values and unknown
    check targets are cmdliner usage errors (124), and so is the
    removed [batch --pool]; a
    -c so large that every sampled ID is past anonymous's limit is a
@@ -273,6 +274,26 @@ let test_cli_value_refusals () =
          gone. *)
       ([ "batch"; "--pool"; "steal" ], 124, "unknown option '--pool'");
     ];
+  (* An id whose Algorithm 2 solitude run (2*id+1 deliveries) exceeds
+     the extraction budget is refused before anything runs: exit 2,
+     one line naming the flag.  The largest id that fits still runs. *)
+  List.iter
+    (fun (args, prefix) ->
+      let code, text = run args in
+      let what = String.concat " " args in
+      checki (what ^ " exits 2") 2 code;
+      checkb (what ^ " prints only the named error") true
+        (String.starts_with ~prefix text
+        && List.length (String.split_on_char '\n' (String.trim text)) = 1))
+    [
+      ([ "solitude"; "--id"; "500000" ], "colring solitude: --id 500000: ");
+      ([ "solitude"; "--upto"; "500000" ], "colring solitude: --upto 500000: ");
+      ([ "adversary"; "-k"; "500000" ], "colring adversary: -k 500000: ");
+    ];
+  let code, text = run [ "solitude"; "--id"; "499999" ] in
+  checki "solitude --id 499999 runs" 0 code;
+  checkb "solitude --id 499999 prints its pattern" true
+    (contains_sub text "id 499999 (999999 pulses)");
   (* A name flag lists every name it accepts. *)
   List.iter
     (fun (args, names) ->
@@ -382,7 +403,13 @@ let test_cli_adversary_id_space () =
   checkb "k + 1 refused at n = 4" true
     (is_error
        ~flag:(Printf.sprintf "-k %d" (k + 1))
-       (Cli.id_space ~flag:"-k" ~n:4 (k + 1)))
+       (Cli.id_space ~flag:"-k" ~n:4 (k + 1)));
+  (* Every id up to k runs a solitude extraction of 2*id+1 deliveries
+     within its 1_000_000 budget. *)
+  checkb "largest solitude id accepted" true
+    (Cli.solitude_id ~flag:"-k" 499_999 = Ok 499_999);
+  checkb "one more refused" true
+    (is_error ~flag:"-k 500000" (Cli.solitude_id ~flag:"-k" 500_000))
 
 (* colring check: a topology past the model checker's link limit is
    refused by the flag that sized it, not by an exception from
@@ -472,16 +499,28 @@ let test_sweep_skips_incompatible () =
   in
   checki "skipped" 0 (List.length ms)
 
+(* The sweep runs an instance with ID_max = 100_000 and skips one
+   with ID_max = 100_001. *)
 let test_sweep_id_cap () =
+  let top id_max : Workload.t =
+    {
+      name = Printf.sprintf "top-%d" id_max;
+      oriented = true;
+      generate =
+        (fun _ ~n -> (Array.init n (fun v -> id_max - v), Topology.oriented n));
+    }
+  in
   let ms =
-    Sweep.election ~id_max_cap:10
+    Sweep.election
       ~algorithms:[ Election.Algo2 ]
-      ~workloads:[ Workload.sparse ~factor:100 ]
-      ~ns:[ 4 ] ~seeds:[ 1 ]
+      ~workloads:[ top 100_000; top 100_001 ]
+      ~ns:[ 2 ] ~seeds:[ 1 ]
       ~schedulers:[ (fun _ -> Scheduler.fifo) ]
       ()
   in
-  checki "capped out" 0 (List.length ms)
+  Alcotest.(check (list string))
+    "only the instance at the cap runs" [ "top-100000" ]
+    (List.map (fun m -> m.Sweep.workload) ms)
 
 let test_csv_shape () =
   let ms = small_grid () in
@@ -527,33 +566,25 @@ let test_sweep_parallel_determinism () =
 
 (* The scheduler constructor receives a per-cell seed derived from the
    cell's own stream, so a random adversary is decorrelated across
-   cells — except under ~shared_adversary, where every cell gets the
-   raw trial seed (E2's "same instance, many adversaries" mode). *)
+   cells. *)
 let test_sweep_scheduler_seeds () =
-  let record seen s =
+  let seen = ref [] in
+  let record s =
     seen := s :: !seen;
     Scheduler.fifo
   in
-  let run ~shared_adversary seen =
-    ignore
-      (Sweep.election ~shared_adversary
-         ~algorithms:[ Election.Algo2 ]
-         ~workloads:[ Workload.dense ]
-         ~ns:[ 2; 4; 8 ] ~seeds:[ 5; 6 ]
-         ~schedulers:[ record seen ]
-         ())
-  in
-  let seen = ref [] in
-  run ~shared_adversary:false seen;
+  ignore
+    (Sweep.election
+       ~algorithms:[ Election.Algo2 ]
+       ~workloads:[ Workload.dense ]
+       ~ns:[ 2; 4; 8 ] ~seeds:[ 5; 6 ]
+       ~schedulers:[ record ]
+       ());
   checki "one seed per cell" 6 (List.length !seen);
   checki "seeds distinct across cells" 6
     (List.length (List.sort_uniq compare !seen));
   checkb "seeds are not the trial seeds" true
-    (List.for_all (fun s -> s <> 5 && s <> 6) !seen);
-  let seen = ref [] in
-  run ~shared_adversary:true seen;
-  checkb "shared adversary passes trial seeds" true
-    (List.sort_uniq compare !seen = [ 5; 6 ])
+    (List.for_all (fun s -> s <> 5 && s <> 6) !seen)
 
 let test_summary_groups () =
   let ms = small_grid () in
@@ -814,7 +845,7 @@ let prop_cli_validators =
       ]
   in
   let case =
-    quad (int_bound 7) flag (pair int int) (triple (option int) name real)
+    quad (int_bound 8) flag (pair int int) (triple (option int) name real)
   in
   let print (which, flag, (v, w), (o, name, x)) =
     Printf.sprintf "validator %d %s v=%d w=%d opt=%s name=%S x=%h" which flag
@@ -864,6 +895,7 @@ let prop_cli_validators =
           let r = Cli.positive_float ~flag x in
           judge ~value:(Printf.sprintf "%g" x) (Float.is_finite x && x > 0.) r
           && match r with Ok y -> Float.equal y x | Error _ -> true)
+      | 7 -> number (v <= 499_999) (Cli.solitude_id ~flag v)
       | _ ->
           judge ~value:name
             (List.mem_assoc name Cli.schedulers)

@@ -32,6 +32,35 @@ let correct_targets =
 let ablation_targets =
   [ "ablation:no-lag"; "ablation:same-virtual-ids"; "ablation:no-absorption" ]
 
+(* States each target expands: ring targets at n = 3 (ids 3,
+   topo_seed 2), graph targets on their fixed instance.  Every check
+   in this file runs under an explicit [max_states] of at least ten
+   times its real count, so a correct run never truncates, and a fault
+   that makes states look new (a broken undo) fails in seconds instead
+   of exploring until memory runs out. *)
+let real_states =
+  [
+    ("algo1", 10);
+    ("algo2", 68);
+    ("algo3-doubled", 10_464);
+    ("algo3-improved", 3_602);
+    ("chang-roberts", 10);
+    ("lelann", 10);
+    ("hirschberg-sinclair", 41_456);
+    ("peterson", 13);
+    ("franklin", 973);
+    ("ablation:no-lag", 1);
+    ("ablation:same-virtual-ids", 29);
+    ("ablation:no-absorption", 7);
+    ("walk:theta3", 43);
+    ("walk:k4", 41);
+    ("walk:bowtie", 89);
+    ("ablation:bridge", 10);
+    ("ablation:rotor", 21);
+  ]
+
+let max_states target = 10 * List.assoc target real_states
+
 (* ------------------------------------------------------------------ *)
 (* Exhaustive verification of everything that should be correct *)
 
@@ -41,7 +70,7 @@ let test_correct_targets_verify_at_n3 () =
       let (Spec.Packed spec) = Spec.of_target target ~ids:(ids 3) ~topo_seed:2 in
       checkb (target ^ " does not expect a violation") false
         spec.Mc.expect_violation;
-      let r = Mc.check spec in
+      let r = Mc.check ~max_states:(max_states target) spec in
       checkb (target ^ " explored exhaustively") false r.Mc.stats.Mc.truncated;
       checkb
         (target ^ " reached at least one terminal state")
@@ -53,7 +82,8 @@ let test_correct_targets_verify_at_n3 () =
 
 let test_algo2_exhaustive_at_n4 () =
   let spec = Spec.election Election.Algo2 ~ids:(ids 4) ~topo_seed:2 in
-  let r = Mc.check spec in
+  (* 644 states. *)
+  let r = Mc.check ~max_states:6_440 spec in
   checkb "exhaustive" false r.Mc.stats.Mc.truncated;
   checkb "verified" true (r.Mc.counterexample = None);
   (* Every full schedule runs the exact pulse total: n(2*ID_max+1). *)
@@ -83,7 +113,7 @@ let test_ablations_yield_minimized_counterexamples () =
     (fun target ->
       let (Spec.Packed spec) = Spec.of_target target ~ids:(ids 3) ~topo_seed:2 in
       checkb (target ^ " expects a violation") true spec.Mc.expect_violation;
-      let r = Mc.check spec in
+      let r = Mc.check ~max_states:(max_states target) spec in
       match r.Mc.counterexample with
       | None -> Alcotest.failf "%s: no counterexample found" target
       | Some ce ->
@@ -114,15 +144,17 @@ let test_ablations_yield_minimized_counterexamples () =
    closed form it holds a run to (the paper's, or the walk's), and the
    violation texts are what `colring check` prints and journals. *)
 let test_violation_wording () =
-  let violation spec =
-    match (Mc.check spec).Mc.counterexample with
+  (* The walk specs below expand at most 42 states. *)
+  let violation ?(max_states = 420) spec =
+    match (Mc.check ~max_states spec).Mc.counterexample with
     | Some ce -> ce.Mc.violation
     | None -> "no counterexample"
   in
   List.iter
     (fun (target, ids, want) ->
       let (Spec.Packed spec) = Spec.of_target target ~ids ~topo_seed:2 in
-      Alcotest.(check string) target want (violation spec))
+      Alcotest.(check string) target want
+        (violation ~max_states:(max_states target) spec))
     [
       ( "ablation:no-lag",
         ids 3,
@@ -177,7 +209,7 @@ let test_graph_targets_verify_exhaustively () =
       let (Spec.Packed spec) = graph_target target in
       checkb (target ^ " does not expect a violation") false
         spec.Mc.expect_violation;
-      let r = Mc.check ~jobs:2 spec in
+      let r = Mc.check ~jobs:2 ~max_states:(max_states target) spec in
       checkb (target ^ " explored exhaustively") false r.Mc.stats.Mc.truncated;
       checkb
         (target ^ " reached at least one terminal state")
@@ -187,7 +219,12 @@ let test_graph_targets_verify_exhaustively () =
         (r.Mc.counterexample = None);
       (* The source-set reduction must agree with plain sleep sets on
          the verdict while exploring no more of the space. *)
-      let sleepy = Mc.check ~jobs:2 { spec with Mc.reduction = Mc.Sleep } in
+      (* Sleep sets alone expand 166 (walk:k4) to 658 (walk:bowtie)
+         states. *)
+      let sleepy =
+        Mc.check ~jobs:2 ~max_states:6_580
+          { spec with Mc.reduction = Mc.Sleep }
+      in
       checkb
         (target ^ " sleep-only run is exhaustive")
         false sleepy.Mc.stats.Mc.truncated;
@@ -208,7 +245,7 @@ let test_graph_targets_verify_exhaustively () =
 let test_bridge_ablation_minimized_counterexample () =
   let (Spec.Packed spec) = graph_target "ablation:bridge" in
   checkb "expects a violation" true spec.Mc.expect_violation;
-  let r = Mc.check spec in
+  let r = Mc.check ~max_states:(max_states "ablation:bridge") spec in
   match r.Mc.counterexample with
   | None -> Alcotest.fail "ablation:bridge: no counterexample found"
   | Some ce ->
@@ -231,8 +268,9 @@ let test_graph_check_jobs_independence () =
   List.iter
     (fun target ->
       let (Spec.Packed spec) = graph_target target in
-      let r1 = Mc.check ~jobs:1 spec in
-      let r4 = Mc.check ~jobs:4 spec in
+      let max_states = max_states target in
+      let r1 = Mc.check ~jobs:1 ~max_states spec in
+      let r4 = Mc.check ~jobs:4 ~max_states spec in
       checkb (target ^ " identical for -j 1 and -j 4") true (r1 = r4))
     [ "walk:k4"; "ablation:bridge" ]
 
@@ -243,8 +281,9 @@ let test_results_independent_of_jobs () =
   List.iter
     (fun target ->
       let (Spec.Packed spec) = Spec.of_target target ~ids:(ids 3) ~topo_seed:2 in
-      let r1 = Mc.check ~jobs:1 spec in
-      let r4 = Mc.check ~jobs:4 spec in
+      let max_states = max_states target in
+      let r1 = Mc.check ~jobs:1 ~max_states spec in
+      let r4 = Mc.check ~jobs:4 ~max_states spec in
       checkb (target ^ " identical for -j 1 and -j 4") true (r1 = r4))
     [ "algo2"; "algo3-improved"; "ablation:no-lag"; "franklin" ]
 
@@ -254,7 +293,7 @@ let test_results_independent_of_jobs () =
 
 let test_of_schedule_matches_force_step_replay () =
   let spec = Spec.ablation Spec.No_lag ~ids:(ids 3) ~topo_seed:2 in
-  let r = Mc.check spec in
+  let r = Mc.check ~max_states:(max_states "ablation:no-lag") spec in
   let ce = Option.get r.Mc.counterexample in
   let via_replay, _ = Mc.replay spec ce.Mc.schedule in
   let via_sched = spec.Mc.make () in
@@ -273,7 +312,7 @@ let test_of_schedule_rejects_empty_link_and_delegates () =
   let net = make () in
   let l0 = Network.enabled_link net ~after:(-1) in
   let result =
-    Network.run net (Scheduler.of_schedule ~after:Scheduler.fifo [| l0 |])
+    Network.run net (Scheduler.of_schedule [| l0 |])
   in
   checkb "run completed under the hybrid scheduler" true result.quiescent;
   (* Scheduling a drained link is a contract violation, not a skip. *)
@@ -307,7 +346,9 @@ let test_depth_budget_is_a_violation () =
   (* Algorithm 1 on ids {1,2} needs 4 deliveries; a budget of 2 makes
      every schedule a depth violation, reported (not raised) and left
      unshrunk (every proper subsequence is below the budget). *)
-  let r = Mc.check (toy ~max_depth:2 ~monitor:(fun () _ -> None)) in
+  let r =
+    Mc.check ~max_states:40 (toy ~max_depth:2 ~monitor:(fun () _ -> None))
+  in
   match r.Mc.counterexample with
   | Some ce ->
       Alcotest.(check string) "depth violation" Mc.depth_violation ce.Mc.violation;
@@ -316,7 +357,8 @@ let test_depth_budget_is_a_violation () =
 
 let test_initial_state_violation_is_empty_schedule () =
   let r =
-    Mc.check (toy ~max_depth:8 ~monitor:(fun () _ -> Some "broken at birth"))
+    Mc.check ~max_states:10
+      (toy ~max_depth:8 ~monitor:(fun () _ -> Some "broken at birth"))
   in
   match r.Mc.counterexample with
   | Some ce ->
@@ -333,7 +375,7 @@ let test_link_mask_guard () =
   (* 31 nodes = 62 directed links: beyond the int sleep-set masks. *)
   let spec = Spec.election Election.Algo1 ~ids:(ids 31) ~topo_seed:2 in
   checkb "guarded" true
-    (match Mc.check spec with
+    (match Mc.check ~max_states:10 spec with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
@@ -367,16 +409,18 @@ let test_replay_mode_equivalence () =
         { r.Mc.stats with Mc.undone_deliveries = 0; replayed_deliveries = 0 };
     }
   in
+  (* At most 644 states (algo2). *)
+  let max_states = 6_440 in
   List.iter
     (fun (name, spec, program) ->
-      let undo = Mc.check spec in
+      let undo = Mc.check ~max_states spec in
       let opaque v =
         let p = program ~id:ids.(v) in
         let view () = Network.counters p.Network.state in
         { p with Network.state = Opaque view }
       in
       let replay =
-        Mc.check
+        Mc.check ~max_states
           { spec with Mc.make = (fun () -> Network.create topo opaque) }
       in
       checkb (name ^ ": replay mode undoes nothing") true
@@ -393,7 +437,7 @@ let test_replay_mode_equivalence () =
      target must show undo activity. *)
   let spec = Spec.election Election.Algo2 ~ids ~topo_seed:2 in
   checkb "algo2 uses undo by default" true
-    ((Mc.check spec).Mc.stats.Mc.undone_deliveries > 0)
+    ((Mc.check ~max_states spec).Mc.stats.Mc.undone_deliveries > 0)
 
 (* Every state reachable within the spec's depth budget, visited by
    force_step_undo/undo_step and keyed as the checker keys a state
@@ -467,9 +511,9 @@ let test_key_determines_registers () =
 (* Scale: n=5 and n=6 exhaustive verification *)
 
 let test_verification_scale_n5_n6 () =
-  let verify target n =
+  let verify target n ~states =
     let (Spec.Packed spec) = Spec.of_target target ~ids:(ids n) ~topo_seed:2 in
-    let r = Mc.check spec in
+    let r = Mc.check ~max_states:(10 * states) spec in
     checkb (Printf.sprintf "%s n=%d exhaustive" target n) false
       r.Mc.stats.Mc.truncated;
     checkb (Printf.sprintf "%s n=%d verified" target n) true
@@ -479,21 +523,26 @@ let test_verification_scale_n5_n6 () =
       true
       (r.Mc.stats.Mc.schedules >= 1)
   in
-  List.iter (fun t -> verify t 5) [ "algo1"; "algo2"; "chang-roberts" ];
-  List.iter (fun t -> verify t 6) [ "algo1"; "algo2" ]
+  List.iter
+    (fun (t, states) -> verify t 5 ~states)
+    [ ("algo1", 26); ("algo2", 1_125); ("chang-roberts", 16) ];
+  List.iter
+    (fun (t, states) -> verify t 6 ~states)
+    [ ("algo1", 37); ("algo2", 6_357) ]
 
 (* ------------------------------------------------------------------ *)
 (* Symmetry reduction: the anonymous relay ring *)
 
 let test_relay_symmetry_reduction () =
   let spec = Spec.anon_relay ~n:5 in
-  let r = Mc.check spec in
+  (* 77 states, 123 without the symmetry reduction. *)
+  let r = Mc.check ~max_states:770 spec in
   checkb "exhaustive" false r.Mc.stats.Mc.truncated;
   checkb "verified" true (r.Mc.counterexample = None);
   checkb "reached a terminal state" true (r.Mc.stats.Mc.schedules >= 1);
   (* Dropping the rotation canonicalization must not change the
      verdict, only enlarge the explored quotient. *)
-  let plain = Mc.check { spec with Mc.symmetry = None } in
+  let plain = Mc.check ~max_states:1_230 { spec with Mc.symmetry = None } in
   checkb "plain run exhaustive" false plain.Mc.stats.Mc.truncated;
   checkb "plain run agrees" true (plain.Mc.counterexample = None);
   checkb "symmetry shrinks the space" true

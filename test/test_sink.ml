@@ -1,16 +1,15 @@
 (* Tests for the telemetry sink layer: the frozen Metrics schema, the
    allocation guarantee of the null sink, memory-sink tracing (the one
    event-buffer path since [?record_trace] was removed), jsonl
-   journals (shape-checked and replayed back into counters), sweep
-   journal determinism across domain counts, and the fast simulator's
-   lifecycle records. *)
+   journals (shape-checked and replayed back into counters, a valid
+   prefix after a raise), and sweep journal determinism across domain
+   counts. *)
 
 open Colring_engine
 open Colring_core
 module Rng = Colring_stats.Rng
 module Sweep = Colring_harness.Sweep
 module Workload = Colring_harness.Workload
-module Fastsim = Colring_fastsim
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -269,16 +268,24 @@ let test_jsonl_events_off_keeps_lifecycle_only () =
 (* A raising run must not lose the journal's buffered tail:
    with_jsonl_channel flushes on the exception path too, so the file
    is a valid prefix (at least the run_start record — well under the
-   channel's 64KiB buffer, so an unflushed close would lose it all). *)
+   channel's 64KiB buffer, so an unflushed close would lose it all).
+   Node 2 raises on its first wake, after run_start and the start-up
+   sends are journaled. *)
 let test_jsonl_flush_on_raise () =
   let path = Filename.temp_file "colring_sink" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let ids = [| 3; 7; 2; 5 |] in
+  let program v : _ Network.program =
+    let p = Algo2.program ~id:ids.(v) in
+    if v <> 2 then p else { p with wake = (fun _ -> failwith "node 2") }
+  in
   checkb "run raises" true
     (match
        Sink.with_jsonl_channel (open_out path) (fun sink ->
-           Fastsim.Driver.run ~sink ~max_deliveries:1 ~ids:[| 3; 7; 2; 5 |] ())
+           Colring_classic.Driver.run ~sink ~name:"raise" program
+             ~topo:(Topology.oriented 4) ~sched:Scheduler.fifo)
      with
-    | exception Invalid_argument _ -> true
+    | exception Failure _ -> true
     | _ -> false);
   let ic = open_in path in
   let lines = ref [] in
@@ -328,45 +335,6 @@ let test_sweep_journal_deterministic_across_jobs () =
          | Ok _ -> ()
          | Error e -> Alcotest.fail ("invalid sweep journal line: " ^ e))
 
-(* ------------------------------------------------------------------ *)
-(* Fast simulator: explicit seed, budget contract, lifecycle records. *)
-
-let test_fastsim_seed_permutes_only_the_order () =
-  let ids = [| 3; 7; 2; 5 |] in
-  let base = Fastsim.Driver.run ~ids () in
-  List.iter
-    (fun seed ->
-      let r = Fastsim.Driver.run ~seed ~ids () in
-      checki "total is schedule-independent" base.Fastsim.Driver.deliveries
-        r.Fastsim.Driver.deliveries;
-      checkb "receives uniform" true
-        (r.Fastsim.Driver.receives = base.Fastsim.Driver.receives);
-      checki "last absorber holds the max"
-        ids.(List.nth r.Fastsim.Driver.absorb_order
-               (List.length r.Fastsim.Driver.absorb_order - 1))
-        (Ids.id_max ids))
-    [ 1; 2; 3; 17 ]
-
-let test_fastsim_budget_is_a_contract () =
-  let ids = [| 3; 7; 2; 5 |] in
-  let total = (Fastsim.Driver.run ~ids ()).Fastsim.Driver.deliveries in
-  checkb "raises below the exact total" true
-    (match Fastsim.Driver.run ~max_deliveries:(total - 1) ~ids () with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  checki "exact budget is fine" total
-    (Fastsim.Driver.run ~max_deliveries:total ~ids ()).Fastsim.Driver
-      .deliveries
-
-let test_fastsim_sink_lifecycle_only () =
-  let buf = Buffer.create 256 in
-  let _ = Fastsim.Driver.run ~sink:(Sink.jsonl_buffer buf) ~ids:[| 2; 4 |] () in
-  match List.map line_type (journal_lines buf) with
-  | [ "run_start"; "run_end" ] -> ()
-  | types ->
-      Alcotest.fail
-        ("expected run_start;run_end, got " ^ String.concat ";" types)
-
 let () =
   Alcotest.run "colring-sink"
     [
@@ -398,14 +366,5 @@ let () =
         [
           Alcotest.test_case "journal identical across jobs" `Quick
             test_sweep_journal_deterministic_across_jobs;
-        ] );
-      ( "fastsim",
-        [
-          Alcotest.test_case "seed permutes only order" `Quick
-            test_fastsim_seed_permutes_only_the_order;
-          Alcotest.test_case "budget contract" `Quick
-            test_fastsim_budget_is_a_contract;
-          Alcotest.test_case "lifecycle-only sink" `Quick
-            test_fastsim_sink_lifecycle_only;
         ] );
     ]

@@ -90,22 +90,6 @@ let test_table_arity_checked () =
   Alcotest.check_raises "arity" (Invalid_argument "Table.add_row: wrong number of cells")
     (fun () -> Table.add_row t [ "x"; "y" ])
 
-let test_histogram () =
-  let h = Histogram.create () in
-  List.iter (Histogram.add h) [ 1; 1; 2; 8; 8; 8 ];
-  checki "count 8" 3 (Histogram.count h 8);
-  checki "total" 6 (Histogram.total h);
-  checki "distinct" 3 (Histogram.distinct h);
-  (match Histogram.mode h with
-  | Some (v, c) ->
-      checki "mode value" 8 v;
-      checki "mode count" 3 c
-  | None -> Alcotest.fail "no mode");
-  Alcotest.(check (list (pair int int)))
-    "log2 bins"
-    [ (0, 2); (1, 1); (3, 3) ]
-    (Histogram.log2_bins h)
-
 let prop_quantile_monotone =
   QCheck.Test.make ~name:"quantiles monotone" ~count:100
     QCheck.(list_of_size Gen.(int_range 2 50) (float_bound_exclusive 1000.))
@@ -151,7 +135,6 @@ let () =
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "arity" `Quick test_table_arity_checked;
         ] );
-      ("histogram", [ Alcotest.test_case "basics" `Quick test_histogram ]);
       ( "properties",
         List.map (fun t -> QCheck_alcotest.to_alcotest t)
           [ prop_quantile_monotone; prop_geometric_nonneg ] );

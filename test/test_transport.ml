@@ -3,8 +3,9 @@
    equivalence matrix — every backend's recorded schedule must replay
    on the simulator byte-identically (journals included), fault
    injection and all.  Plus the error paths: raising node programs
-   must leave the domains pool reusable, and budget exhaustion must
-   not wedge any backend. *)
+   must leave the domains pool reusable, a raising program, a child
+   that dies mid-run and an exhausted budget must leave no socket
+   child behind, and budget exhaustion must not wedge any backend. *)
 
 open Colring_engine
 module Election = Colring_core.Election
@@ -32,19 +33,12 @@ let topo_for algo n =
 (* Fault model *)
 
 let test_delay_us_bounds () =
-  let f =
-    Transport.faults ~seed:5 ~latency:100 ~jitter:40
-      ~per_link:[ (3, { Transport.latency = 7; jitter = 0 }) ]
-      ()
-  in
+  let f = Transport.faults ~seed:5 ~latency:100 ~jitter:40 () in
   for link = 0 to 5 do
     for k = 0 to 50 do
       let d = Transport.delay_us f ~link ~k in
-      if link = 3 then checki "override" 7 d
-      else begin
-        checkb "lower" true (d >= 100);
-        checkb "upper" true (d <= 140)
-      end
+      checkb "lower" true (d >= 100);
+      checkb "upper" true (d <= 140)
     done
   done;
   (* Pure hash: same draw for the same coordinates, different seeds
@@ -58,6 +52,19 @@ let test_delay_us_bounds () =
       differs := true
   done;
   checkb "seed matters" true !differs;
+  (* The draw covers the whole range: every delay from latency to
+     latency + jitter occurs, and jitter 0 means the latency alone. *)
+  let h = Transport.faults ~seed:7 ~latency:10 ~jitter:3 () in
+  let seen = Array.make 4 false in
+  for k = 0 to 199 do
+    let d = Transport.delay_us h ~link:2 ~k in
+    checkb "in range" true (d >= 10 && d <= 13);
+    seen.(d - 10) <- true
+  done;
+  checkb "every delay in [10, 13] drawn" true (Array.for_all Fun.id seen);
+  checki "jitter 0" 10
+    (Transport.delay_us (Transport.faults ~latency:10 ~jitter:0 ()) ~link:2
+       ~k:5);
   checkb "invalid rejected" true
     (match Transport.faults ~latency:(-1) ~jitter:0 () with
     | exception Invalid_argument _ -> true
@@ -276,6 +283,98 @@ let test_socket_tcp_smoke () =
   checks "tcp backend name" "socket-tcp" r.Backend.live.Transport.backend
 
 (* ------------------------------------------------------------------ *)
+(* Socket failure paths, on both socket variants: a node program that
+   raises, a child that dies mid-run, an exhausted budget.  Each case
+   runs under a timeout guard; afterwards the coordinator must have
+   reaped every child (waitpid finds none) and a following election
+   on the same variant must succeed.  The 120 s deadline path is left
+   untested: exercising it takes 120 s. *)
+
+exception Timed_out
+
+let with_timeout ~seconds f =
+  let old =
+    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Timed_out))
+  in
+  ignore (Unix.alarm seconds);
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      Sys.set_signal Sys.sigalrm old)
+    f
+
+let socket_variants =
+  [ Backend.Socket { tcp = false }; Backend.Socket { tcp = true } ]
+
+let algo2_program v = Election.program_of Election.Algo2 ~id:(v + 1)
+
+(* Algorithm 2 on four nodes, except that node 2 runs [on_wake] at its
+   first wake, after the start-up pulses are in flight. *)
+let with_node2 on_wake v =
+  let p = algo2_program v in
+  if v <> 2 then p
+  else
+    {
+      p with
+      Network.wake =
+        (fun api ->
+          on_wake ();
+          p.Network.wake api);
+    }
+
+let socket_case spec what run check =
+  let label = Backend.name spec ^ " " ^ what in
+  with_timeout ~seconds:60 (fun () -> check label (run ()));
+  checkb (label ^ ": no child left") true
+    (match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+    | _ -> false);
+  let n = 4 in
+  let r =
+    with_timeout ~seconds:60 (fun () ->
+        Backend.elect spec Election.Algo2 ~topo:(Topology.oriented n)
+          ~ids:(Ids.dense (Rng.create ~seed:3) ~n))
+  in
+  checkb (label ^ ": next election verified") true r.Backend.verified;
+  checkb (label ^ ": next election ok") true (Election.ok r.Backend.report)
+
+let fails_with label ~suffix = function
+  | Ok _ -> Alcotest.failf "%s: the run returned" label
+  | Error msg ->
+      checkb
+        (Printf.sprintf "%s: %S ends with %S" label msg suffix)
+        true
+        (String.ends_with ~suffix msg)
+
+let live spec ?max_deliveries make_program () =
+  let t = Backend.transport spec in
+  match t.Transport.run ?max_deliveries (Topology.oriented 4) make_program with
+  | trace -> Ok trace
+  | exception Failure msg -> Error msg
+
+let test_socket_failure_paths () =
+  List.iter
+    (fun spec ->
+      socket_case spec "raising program"
+        (live spec (with_node2 (fun () -> failwith "node 2")))
+        (fails_with ~suffix:"a node program raised");
+      socket_case spec "child killed mid-run"
+        (live spec
+           (with_node2 (fun () -> Unix.kill (Unix.getpid ()) Sys.sigkill)))
+        (fails_with ~suffix:"node 2 exited early");
+      socket_case spec "exhausted budget"
+        (live spec ~max_deliveries:5 algo2_program)
+        (fun label -> function
+          | Error msg -> Alcotest.failf "%s: %s" label msg
+          | Ok trace ->
+              checkb (label ^ ": exhausted") true trace.Transport.exhausted;
+              checkb (label ^ ": not quiescent") false
+                trace.Transport.quiescent;
+              checkb (label ^ ": budget respected") true
+                (trace.Transport.deliveries <= 5)))
+    socket_variants
+
+(* ------------------------------------------------------------------ *)
 (* Error paths *)
 
 exception Boom
@@ -351,6 +450,8 @@ let () =
           Alcotest.test_case "socket matrix cells under jitter" `Slow
             test_socket_matrix_jitter;
           Alcotest.test_case "socket tcp smoke" `Slow test_socket_tcp_smoke;
+          Alcotest.test_case "socket failure paths" `Slow
+            test_socket_failure_paths;
         ] );
       ( "matrix",
         [
