@@ -657,7 +657,7 @@ let e10 ~sink ~quick =
   for _ = 1 to 12 do
     ignore (Network.step net Scheduler.fifo)
   done;
-  Network.inject net ~node:0 ~port:Port.P1 ();
+  Network.inject net ~node:0 ~port:1 ();
   let result = Network.run ~max_deliveries:100_000 net Scheduler.fifo in
   let leaders =
     Array.fold_left

@@ -335,12 +335,29 @@ let gelect topo_spec ~n ~seed ~id_max ~sched_of ~journal ~snapshot_every
 
 let algo_name a = fst (List.find (fun (_, x) -> x = a) algos)
 
+(* The flag and value that sized an [n]-node ring, for refusals. *)
+let ring_sized_by ~n = function
+  | Harness.Topo.Ring (Some _) as topology ->
+      ("--topology", Harness.Topo.to_string topology)
+  | _ -> ("-n", string_of_int n)
+
+(* Refuse a ring past a live backend's cap before anything starts. *)
+let within_live_cap ~n backend topology =
+  if backend <> Backend.Sim && Harness.Topo.is_ring topology then
+    let n = Harness.Topo.node_count ~default_n:n topology in
+    let flag, value = ring_sized_by ~n topology in
+    let backend = Backend.name backend in
+    ignore
+      (Harness.Cli.exit_or ~cmd:"colring elect"
+         (Harness.Cli.live_nodes ~flag ~value ~backend n))
+
 let elect n seed id_max sched_of algo trace diagram journal snapshot_every
     backend latency jitter max_deliveries topology =
   match algo with
   | Some a when not (Harness.Topo.is_ring topology) ->
       overridden ~cmd:"elect" ~flag:"--algo" ~value:(algo_name a) topology
   | _ ->
+  within_live_cap ~n backend topology;
   let algo = Option.value algo ~default:Election.Algo2 in
   let journal = open_journal journal in
   if not (Harness.Topo.is_ring topology) then begin
@@ -1177,12 +1194,7 @@ let check n seed id_max target jobs max_states journal topology =
           McSpec.of_target target ~ids ~topo_seed:(seed + 1))
   | true, None ->
       let n = Harness.Topo.node_count ~default_n:n topology in
-      let flag, value =
-        match topology with
-        | Harness.Topo.Ring (Some _) ->
-            ("--topology", Harness.Topo.to_string topology)
-        | _ -> ("-n", string_of_int n)
-      in
+      let flag, value = ring_sized_by ~n topology in
       within_link_budget ~flag ~value (Topology.num_links (Topology.oriented n));
       let id_max = resolve_id_max ~n ~default:n id_max in
       let ids = Ids.distinct (Rng.create ~seed) ~n ~id_max in

@@ -2,8 +2,8 @@ open Colring_engine
 
 type msg = Candidate of int | Announce of int
 
-let cw_out = Port.P1
-let cw_in = Port.P0
+let cw_out = 1
+let cw_in = 0
 
 let program ~id =
   if id < 1 then invalid_arg "Chang_roberts.program: id must be positive";

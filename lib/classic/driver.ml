@@ -15,14 +15,6 @@ type report = {
   causal_span : int;
 }
 
-let unique_leader outputs =
-  let leaders = ref [] in
-  Array.iteri
-    (fun v (o : Output.t) ->
-      if Output.equal_role o.role Output.Leader then leaders := v :: !leaders)
-    outputs;
-  match !leaders with [ v ] -> Some v | [] | _ :: _ -> None
-
 let ok r =
   r.leader <> None && r.leader_is_max && r.roles_ok && r.all_terminated
   && r.quiescent && not r.exhausted
@@ -61,7 +53,7 @@ let run ?(seed = 0) ?max_deliveries ?(sink = Sink.null)
   in
   let result = Network.run ?max_deliveries ~snapshot_every net sched in
   let outputs = Network.outputs net in
-  let leader = unique_leader outputs in
+  let leader = Output.unique_leader outputs in
   let leader_is_max =
     match (leader, expect_max) with
     | Some v, Some ids ->

@@ -20,7 +20,7 @@ type msg = Value of int | Announce of int
    bound. *)
 let rounds = 0
 let mode = 1
-let[@inline] buffer p = 2 + (3 * Port.index p)
+let[@inline] buffer p = 2 + (3 * p)
 
 let active = 0
 let relay = 1
@@ -46,29 +46,29 @@ let program ~id =
   if id < 1 then invalid_arg "Franklin.program: id must be positive";
   let c = [| 0; active; 0; 0; 0; 0; 0; 0 |] in
   let send_both (api : msg Network.api) =
-    api.send Port.P0 (Value id);
-    api.send Port.P1 (Value id)
+    api.send 0 (Value id);
+    api.send 1 (Value id)
   in
   let drain_buffers (api : msg Network.api) =
     (* On turning relay, everything buffered was in transit to a
        further active node: forward it in its direction of travel. *)
-    while c.(buffer Port.P0) > 0 do
-      api.send Port.P1 (Value (take c Port.P0))
+    while c.(buffer 0) > 0 do
+      api.send 1 (Value (take c 0))
     done;
-    while c.(buffer Port.P1) > 0 do
-      api.send Port.P0 (Value (take c Port.P1))
+    while c.(buffer 1) > 0 do
+      api.send 0 (Value (take c 1))
     done
   in
   let process_round (api : msg Network.api) =
-    if c.(mode) = active && c.(buffer Port.P0) > 0 && c.(buffer Port.P1) > 0
+    if c.(mode) = active && c.(buffer 0) > 0 && c.(buffer 1) > 0
     then begin
-      let a = take c Port.P0 in
-      let b = take c Port.P1 in
+      let a = take c 0 in
+      let b = take c 1 in
       if a = id || b = id then begin
         (* Own ID came back around: sole survivor. *)
         c.(mode) <- announcer;
         api.set_output Output.leader;
-        api.send Port.P1 (Announce id);
+        api.send 1 (Announce id);
         drain_buffers api
       end
       else if max a b < id then begin
@@ -87,12 +87,12 @@ let program ~id =
     | Value v when md = active ->
         push c from v;
         process_round api
-    | Value v when md = relay -> api.send (Port.opposite from) (Value v)
+    | Value v when md = relay -> api.send (1 - from) (Value v)
     | Value _ -> () (* announcer or done: stragglers of decided rounds *)
     | Announce e when md = active || md = relay ->
         api.set_output (if e = id then Output.leader else Output.non_leader);
         c.(mode) <- done_;
-        api.send Port.P1 (Announce e);
+        api.send 1 (Announce e);
         api.terminate ()
     | Announce _ when md = announcer ->
         c.(mode) <- done_;
@@ -102,11 +102,11 @@ let program ~id =
   let wake (api : msg Network.api) =
     let continue = ref true in
     while !continue && c.(mode) <> done_ do
-      match api.recv Port.P0 with
-      | Some m -> handle api Port.P0 m
+      match api.recv 0 with
+      | Some m -> handle api 0 m
       | None -> (
-          match api.recv Port.P1 with
-          | Some m -> handle api Port.P1 m
+          match api.recv 1 with
+          | Some m -> handle api 1 m
           | None -> continue := false)
     done
   in

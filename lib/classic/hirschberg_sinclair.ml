@@ -15,12 +15,12 @@ let program ~id =
   let phase = 0 and replies = 1 and elected = 2 and done_ = 3 in
   let send_probes (api : msg Network.api) =
     let m = Probe { id; phase = c.(phase); hops = 1 } in
-    api.send Port.P0 m;
-    api.send Port.P1 m
+    api.send 0 m;
+    api.send 1 m
   in
   let start api = send_probes api in
   let handle (api : msg Network.api) from m =
-    let back = from and onward = Port.opposite from in
+    let back = from and onward = 1 - from in
     match m with
     | Probe p ->
         if p.id > id then begin
@@ -32,7 +32,7 @@ let program ~id =
           (* Own probe went all the way around: elected. *)
           c.(elected) <- 1;
           api.set_output Output.leader;
-          api.send Port.P1 (Announce id)
+          api.send 1 (Announce id)
         end
         (* p.id < id, or duplicate round-trip of our own probe: swallow. *)
     | Reply r ->
@@ -50,18 +50,18 @@ let program ~id =
         if e = id then api.terminate ()
         else begin
           api.set_output Output.non_leader;
-          api.send Port.P1 (Announce e);
+          api.send 1 (Announce e);
           api.terminate ()
         end
   in
   let wake (api : msg Network.api) =
     let continue = ref true in
     while !continue && c.(done_) = 0 do
-      match api.recv Port.P0 with
-      | Some m -> handle api Port.P0 m
+      match api.recv 0 with
+      | Some m -> handle api 0 m
       | None -> (
-          match api.recv Port.P1 with
-          | Some m -> handle api Port.P1 m
+          match api.recv 1 with
+          | Some m -> handle api 1 m
           | None -> continue := false)
     done
   in

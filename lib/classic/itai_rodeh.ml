@@ -5,8 +5,8 @@ type msg =
   | Token of { round : int; value : int; hops : int; unique : bool }
   | Announce of { hops : int }
 
-let cw_out = Port.P1
-let cw_in = Port.P0
+let cw_out = 1
+let cw_in = 0
 
 type mode = Active | Passive | Announcer | Done
 

@@ -2,8 +2,8 @@ open Colring_engine
 
 type msg = Id of int
 
-let cw_out = Port.P1
-let cw_in = Port.P0
+let cw_out = 1
+let cw_in = 0
 
 let program ~id =
   if id < 1 then invalid_arg "Lelann.program: id must be positive";

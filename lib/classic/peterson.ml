@@ -2,8 +2,8 @@ open Colring_engine
 
 type msg = Value of int | Announce of int
 
-let cw_out = Port.P1
-let cw_in = Port.P0
+let cw_out = 1
+let cw_in = 0
 
 (* The register file: the view [tid] and [phases], then the mode and,
    in [wait_second], the first received value. *)

@@ -1,6 +1,7 @@
 open Colring_engine
 
-(* Clockwise pulses leave via P1 and arrive on P0 (oriented rings). *)
+(* Clockwise pulses leave via port 1 and arrive on port 0 (oriented
+   rings). *)
 
 type session = {
   api : Network.pulse Network.api;
@@ -23,31 +24,31 @@ let write_symbol s bit =
   if not (my_turn s) then failwith "Tape.write_symbol: not this node's turn";
   s.symbols <- s.symbols + 1;
   if bit then begin
-    (* 1 = counterclockwise circle: out P0, back on P1. *)
-    s.api.send Port.P0 ();
-    Blocking.recv Port.P1
+    (* 1 = counterclockwise circle: out port 0, back on port 1. *)
+    s.api.send 0 ();
+    Blocking.recv 1
   end
   else begin
-    s.api.send Port.P1 ();
-    Blocking.recv Port.P0
+    s.api.send 1 ();
+    Blocking.recv 0
   end
 
 let read_symbol s =
   s.symbols <- s.symbols + 1;
   match Blocking.recv_any () with
-  | Port.P0 ->
+  | 0 ->
       (* Clockwise pulse: relay onward clockwise; symbol 0. *)
-      s.api.send Port.P1 ();
+      s.api.send 1 ();
       false
-  | Port.P1 ->
-      s.api.send Port.P0 ();
+  | _ ->
+      s.api.send 0 ();
       true
 
 let pass_turn s =
   s.batons <- s.batons + 1;
   let next = (s.turn + 1) mod s.n in
-  if s.dist = s.turn then s.api.send Port.P1 () (* hand the baton CW *)
-  else if s.dist = next then Blocking.recv Port.P0 (* absorb the baton *);
+  if s.dist = s.turn then s.api.send 1 () (* hand the baton CW *)
+  else if s.dist = next then Blocking.recv 0 (* absorb the baton *);
   s.turn <- next
 
 let write_value s v =
@@ -92,19 +93,19 @@ let batons_seen s = s.batons
 (* Enumeration (see the .mli header for the protocol). *)
 
 let establish_root s =
-  s.api.send Port.P1 ();
+  s.api.send 1 ();
   (* the baton starts its tour *)
   s.batons <- s.batons + 1;
   let ann = ref 0 in
   let rec loop () =
     match Blocking.recv_any () with
-    | Port.P1 ->
+    | 1 ->
         (* An announcement passing through: relay counterclockwise. *)
         incr ann;
         s.symbols <- s.symbols + 1;
-        s.api.send Port.P0 ();
+        s.api.send 0 ();
         loop ()
-    | Port.P0 -> s.batons <- s.batons + 1 (* the baton came home *)
+    | _ -> s.batons <- s.batons + 1 (* the baton came home *)
   in
   loop ();
   s.n <- !ann + 1;
@@ -120,34 +121,34 @@ let establish_other s =
   (* Pre-baton: relay announcements of the nodes before us. *)
   let rec pre () =
     match Blocking.recv_any () with
-    | Port.P1 ->
+    | 1 ->
         incr ann;
         s.symbols <- s.symbols + 1;
-        s.api.send Port.P0 ();
+        s.api.send 0 ();
         pre ()
-    | Port.P0 -> s.batons <- s.batons + 1 (* the baton: absorbed *)
+    | _ -> s.batons <- s.batons + 1 (* the baton: absorbed *)
   in
   pre ();
   s.dist <- !ann + 1;
   (* Announce ourselves with one counterclockwise circle. *)
   s.symbols <- s.symbols + 1;
-  s.api.send Port.P0 ();
-  Blocking.recv Port.P1;
+  s.api.send 0 ();
+  Blocking.recv 1;
   (* Pass the baton clockwise. *)
   s.batons <- s.batons + 1;
-  s.api.send Port.P1 ();
+  s.api.send 1 ();
   (* Post-baton: later announcements, then the root's gamma(n+1), whose
      first symbol is the first clockwise pulse we see. *)
   let rec skip_announcements () =
     match Blocking.recv_any () with
-    | Port.P1 ->
+    | 1 ->
         s.symbols <- s.symbols + 1;
-        s.api.send Port.P0 ();
+        s.api.send 0 ();
         skip_announcements ()
-    | Port.P0 ->
+    | _ ->
         (* First zero of gamma(n+1): relay it. *)
         s.symbols <- s.symbols + 1;
-        s.api.send Port.P1 ()
+        s.api.send 1 ()
   in
   skip_announcements ();
   let rec zeros z = if read_symbol s then z else zeros (z + 1) in

@@ -1,13 +1,13 @@
 open Colring_engine
 
-let cw_out = Port.P1
-let cw_in = Port.P0
-let ccw_out = Port.P0
-let ccw_in = Port.P1
+let cw_out = 1
+let cw_in = 0
+let ccw_out = 0
+let ccw_in = 1
 
 (* Consume a pulse at [p] if [api.mailbox] shows one waiting. *)
 let polled (api : _ Network.api) p =
-  api.mailbox.(Port.index p) > 0 && api.recv_pulse p
+  api.mailbox.(p) > 0 && api.recv_pulse p
 
 (* A fresh register file: cell 0 holds [id], the rest start at 0. *)
 let cells ~id k =
@@ -83,18 +83,18 @@ let algo3_same_virtual_ids ~id =
   let c = cells ~id 3 in
   let rho i = c.(1 + i) in
   let start (api : _ Network.api) =
-    api.send Port.P0 ();
-    api.send Port.P1 ()
+    api.send 0 ();
+    api.send 1 ()
   in
   let wake (api : _ Network.api) =
     let progress = ref true in
     while !progress do
       progress := false;
       for i = 0 to 1 do
-        if polled api (Port.of_index (1 - i)) then begin
+        if polled api (1 - i) then begin
           progress := true;
           c.(2 - i) <- c.(2 - i) + 1;
-          if rho (1 - i) <> id then api.send (Port.of_index i) ()
+          if rho (1 - i) <> id then api.send i ()
         end
       done;
       if max (rho 0) (rho 1) >= id then begin

@@ -2,8 +2,8 @@ open Colring_engine
 
 (* On an oriented ring, clockwise pulses are sent from Port_1 and
    received on Port_0 (the paper's convention, Section 2). *)
-let cw_out = Port.P1
-let cw_in = Port.P0
+let cw_out = 1
+let cw_in = 0
 
 (* The register file: the named view [id], [rho_cw], [sigma_cw], then
    the role last published via set_output, as an [Output.role_code]. *)

@@ -2,10 +2,10 @@ open Colring_engine
 
 (* Clockwise pulses leave via Port_1 and arrive on Port_0;
    counterclockwise pulses leave via Port_0 and arrive on Port_1. *)
-let cw_out = Port.P1
-let cw_in = Port.P0
-let ccw_out = Port.P0
-let ccw_in = Port.P1
+let cw_out = 1
+let cw_in = 0
+let ccw_out = 0
+let ccw_in = 1
 
 (* The register file: the named view, then three hidden cells — the
    current role and the role last published via set_output (as

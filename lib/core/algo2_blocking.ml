@@ -1,9 +1,9 @@
 open Colring_engine
 
-let cw_out = Port.P1
-let cw_in = Port.P0
-let ccw_out = Port.P0
-let ccw_in = Port.P1
+let cw_out = 1
+let cw_in = 0
+let ccw_out = 0
+let ccw_in = 1
 
 type state = {
   id : int;
@@ -23,7 +23,7 @@ let drain (api : _ Network.api) st =
   let rec go port =
     match api.recv port with
     | Some () ->
-        if Port.equal port cw_in then st.queue_cw <- st.queue_cw + 1
+        if port = cw_in then st.queue_cw <- st.queue_cw + 1
         else st.queue_ccw <- st.queue_ccw + 1;
         go port
     | None -> ()
@@ -34,7 +34,7 @@ let drain (api : _ Network.api) st =
 (* Block until at least one more pulse is queued, then stage it. *)
 let await_more (api : _ Network.api) st =
   let port = Blocking.recv_any () in
-  if Port.equal port cw_in then st.queue_cw <- st.queue_cw + 1
+  if port = cw_in then st.queue_cw <- st.queue_cw + 1
   else st.queue_ccw <- st.queue_ccw + 1;
   drain api st
 

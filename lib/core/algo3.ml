@@ -40,17 +40,14 @@ let set_id c scheme v =
   c.(id0) <- base;
   c.(id0 + 1) <- base + 1
 
-(* [Port.of_index] without the cross-module call or its range check. *)
-let[@inline] port i = if i = 0 then Port.P0 else Port.P1
-
 let[@inline] send (api : _ Network.api) c i =
-  api.send (port i) ();
+  api.send i ();
   c.(sigma0 + i) <- c.(sigma0 + i) + 1
 
 (* [api.mailbox] shows an empty port without a call. *)
 let[@inline] recv (api : _ Network.api) c i =
   api.mailbox.(i) > 0
-  && api.recv_pulse (port i)
+  && api.recv_pulse i
   && begin
        c.(rho0 + i) <- c.(rho0 + i) + 1;
        true

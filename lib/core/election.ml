@@ -31,12 +31,7 @@ type report = {
   final_ids : int array;
 }
 
-let unique_leader outputs =
-  let leaders = ref [] in
-  Array.iteri
-    (fun v (o : Output.t) -> if o.role = Output.Leader then leaders := v :: !leaders)
-    outputs;
-  match !leaders with [ v ] -> Some v | [] | _ :: _ -> None
+let unique_leader = Output.unique_leader
 
 let roles_ok outputs =
   match unique_leader outputs with

@@ -136,6 +136,7 @@ val program_of :
     process). *)
 
 val unique_leader : Colring_engine.Output.t array -> int option
+(** {!Colring_engine.Output.unique_leader}. *)
 
 val orientation_consistent :
   Colring_engine.Topology.t -> Colring_engine.Output.t array -> bool

@@ -18,13 +18,14 @@
     {!Sink.t} passed to {!Network.create} sees a blocking program
     exactly as it sees an event-driven one. *)
 
-val recv : Port.t -> unit
-(** Block until one pulse can be consumed from the given local port,
-    then consume it.  Must be called from inside a {!make} body. *)
+val recv : int -> unit
+(** Block until one pulse can be consumed from the given local port
+    (in [0, degree), as {!Network.api} numbers them), then consume
+    it.  Must be called from inside a {!make} body. *)
 
-val recv_any : unit -> Port.t
+val recv_any : unit -> int
 (** Block until any port has a pulse; consume it and return the port
-    it came from.  When both ports have pulses, [P0] wins. *)
+    it came from.  When several ports have pulses, the lowest wins. *)
 
 val make :
   ?inspect:(unit -> (string * int) list) ->

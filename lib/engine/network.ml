@@ -4,10 +4,11 @@ type topology = Topology.t
 
 type 'm api = {
   node : int;
-  recv : Port.t -> 'm option;
-  recv_pulse : Port.t -> bool;
+  degree : int;
+  recv : int -> 'm option;
+  recv_pulse : int -> bool;
   mailbox : int array;
-  send : Port.t -> 'm -> unit;
+  send : int -> 'm -> unit;
   set_output : Output.t -> unit;
   terminate : unit -> unit;
   rng : unit -> Rng.t;
@@ -17,8 +18,11 @@ type state =
   | Regs of { names : string array; cells : int array }
   | Opaque of (unit -> (string * int) list)
 
-type 'api prog = { start : 'api -> unit; wake : 'api -> unit; state : state }
-type 'm program = 'm api prog
+type 'm program = {
+  start : 'm api -> unit;
+  wake : 'm api -> unit;
+  state : state;
+}
 
 let counters = function
   | Regs { names; cells } ->
@@ -31,21 +35,6 @@ let silent_program =
     wake = (fun _ -> ());
     state = Regs { names = [||]; cells = [||] };
   }
-
-module Graph = struct
-  type 'm api = {
-    node : int;
-    degree : int;
-    recv : int -> 'm option;
-    mailbox : int array;
-    send : int -> 'm -> unit;
-    set_output : Output.t -> unit;
-    terminate : unit -> unit;
-    rng : unit -> Rng.t;
-  }
-
-  type 'm program = 'm api prog
-end
 
 type pulse = unit
 
@@ -214,14 +203,13 @@ let ulog_payload g m =
     g.cpayloads <- Array.append g.cpayloads (Array.make (Int.max 8 (i + 1)) m);
   g.cpayloads.(i) <- m
 
-(* One engine for rings and graphs alike.  ['api] is the record the
-   node programs see (ring {!api} or {!Graph.api}) and ['topo] the
-   topology the caller passed in; the engine itself only reads the
-   flat link tables [create] derives from it. *)
-type ('m, 'api, 'topo) core = {
+(* One engine for rings and graphs alike.  ['topo] is the topology the
+   caller passed in; the engine itself only reads the flat link tables
+   [create] derives from it. *)
+type ('m, 'topo) core = {
   topo : 'topo;
-  programs : 'api prog array;
-  mutable apis : 'api array;
+  programs : 'm program array;
+  mutable apis : 'm api array;
   (* What a pulse carries, fixed at creation.  Every network keeps the
      stamp queues and mailbox counts below; only [Payloads] networks
      fill [chan_pl]/[box_pl] (empty arrays otherwise). *)
@@ -291,7 +279,7 @@ type ('m, 'api, 'topo) core = {
   mutable undo_ok : bool;
 }
 
-type 'm t = ('m, 'm api, Topology.t) core
+type 'm t = ('m, Topology.t) core
 
 (* ------------------------------------------------------------------ *)
 (* Hot path: the per-delivery functions below are registered in
@@ -304,12 +292,11 @@ type 'm t = ('m, 'm api, Topology.t) core
    scheduler's [pick], the program's [wake] and the api closures it
    calls (a poll of an empty port reads [api.mailbox] and calls
    nothing); counters are inline stores, link lookups are table reads
-   and queue stamps are read in place.  The api constructors live here for the
-   same reason: their closures inline [enqueue] and [take].  The
-   [carry] match is the one place a payload network differs: a pulse
-   network moves integers only. *)
+   and queue stamps are read in place.  The api constructor lives here
+   for the same reason: its closures inline [check_port], [enqueue]
+   and [take].  The [carry] match is the one place a payload network
+   differs: a pulse network moves integers only. *)
 
-let[@inline] port_index p = match p with Port.P0 -> 0 | Port.P1 -> 1
 let[@inline] is_cw t link = t.dir.(link) = 1
 
 (* The one [Some] a pulse network's [recv] ever returns, and the two a
@@ -341,7 +328,7 @@ let[@inline] unmark_if_empty t link =
    ([t.next_batch] is bumped at activation boundaries only).  Sink
    callbacks take immediate arguments only — no event value is
    materialised — so the steady-state hot path allocates nothing. *)
-let[@inline] enqueue (type m) (t : (m, _, _) core) ~link ~node ~port (m : m) =
+let[@inline] enqueue (type m) (t : (m, _) core) ~link ~node ~port (m : m) =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   mark_nonempty t link;
@@ -359,7 +346,7 @@ let[@inline] enqueue (type m) (t : (m, _, _) core) ~link ~node ~port (m : m) =
 (* The wake's side of a mailbox read: take the oldest entry of node
    [node]'s mailbox at [port] (counts [box], known non-empty), count it
    and journal it for undo. *)
-let[@inline] take (type m) (t : (m, _, _) core) ~node ~port box : m =
+let[@inline] take (type m) (t : (m, _) core) ~node ~port box : m =
   box.(port) <- box.(port) - 1;
   t.mailbox_backlog <- t.mailbox_backlog - 1;
   let c = t.metrics in
@@ -375,7 +362,7 @@ let[@inline] take (type m) (t : (m, _, _) core) ~node ~port box : m =
 
 (* [take] behind a [recv]: [None] on an empty mailbox, and on a pulse
    network the shared [some_pulse] instead of a fresh [Some ()]. *)
-let[@inline] recv_at (type m) (t : (m, _, _) core) ~node ~port box :
+let[@inline] recv_at (type m) (t : (m, _) core) ~node ~port box :
     m option =
   if box.(port) = 0 then None
   else
@@ -405,49 +392,45 @@ let node_rng t v =
       t.streams.(v) <- Some r;
       r
 
-let ring_api (type m) (t : (m, m api, _) core) v : m api =
+(* The one port check of every api record, the live backends' too: a
+   port outside [0, degree) would index another node's links from
+   [first_link.(v) + p].  The inlined check ends in [raise] (as does
+   [send]'s terminated check), so no value of the caller stays live
+   across the cold call and the hot path spills nothing for it. *)
+let bad_port fn ~node ~degree p =
+  Invalid_argument
+    (Printf.sprintf "%s: node %d has no port %d (degree %d)" fn node p degree)
+
+let[@inline] check_port fn ~node ~degree p =
+  if p < 0 || p >= degree then raise (bad_port fn ~node ~degree p)
+
+let api (type m) (t : (m, _) core) node : m api =
   (* [l0] and the node's counts are resolved once per api, not per
      call; payload slabs, off the pulse path, index from [first_link]. *)
-  let l0 = t.first_link.(v) in
-  let mailbox = t.boxes.(v) in
-  let recv p = recv_at t ~node:v ~port:(port_index p) mailbox in
+  let l0 = t.first_link.(node) in
+  let mailbox = t.boxes.(node) in
+  let degree = Array.length mailbox in
+  let recv p =
+    check_port "Network.recv" ~node ~degree p;
+    recv_at t ~node ~port:p mailbox
+  in
   let recv_pulse p =
-    let port = port_index p in
-    if mailbox.(port) = 0 then false
+    check_port "Network.recv_pulse" ~node ~degree p;
+    if mailbox.(p) = 0 then false
     else begin
-      ignore (take t ~node:v ~port mailbox : m);
+      ignore (take t ~node ~port:p mailbox : m);
       true
     end
   in
   let send p m =
-    if t.term.(v) then failwith "Network: send after terminate";
-    let port = port_index p in
-    enqueue t ~link:(l0 + port) ~node:v ~port m
+    if t.term.(node) then raise (Failure "Network: send after terminate");
+    check_port "Network.send" ~node ~degree p;
+    enqueue t ~link:(l0 + p) ~node ~port:p m
   in
-  let set_output o = decide t v o in
-  let terminate () = halt t v in
-  let rng () = node_rng t v in
-  { node = v; recv; recv_pulse; mailbox; send; set_output; terminate; rng }
-
-let graph_api t v =
-  (* Ports are range-checked because [base + p] alone would reach
-     another node's links. *)
-  let base = t.first_link.(v) in
-  let mailbox = t.boxes.(v) in
-  let degree = Array.length mailbox in
-  let recv p =
-    if p < 0 || p >= degree then invalid_arg "Gnetwork.recv: bad port";
-    recv_at t ~node:v ~port:p mailbox
-  in
-  let send p m =
-    if t.term.(v) then failwith "Gnetwork: send after terminate";
-    if p < 0 || p >= degree then invalid_arg "Gnetwork.send: bad port";
-    enqueue t ~link:(base + p) ~node:v ~port:p m
-  in
-  let set_output o = decide t v o in
-  let terminate () = halt t v in
-  let rng () = node_rng t v in
-  { Graph.node = v; degree; recv; mailbox; send; set_output; terminate; rng }
+  let set_output o = decide t node o in
+  let terminate () = halt t node in
+  let rng () = node_rng t node in
+  { node; degree; recv; recv_pulse; mailbox; send; set_output; terminate; rng }
 
 let slabs (type m) (carry : m carry) links : m slab array =
   match carry with
@@ -469,7 +452,7 @@ let start_all t =
     t.programs.(v).start t.apis.(v)
   done
 
-let make ~carry ?(sink = Sink.null) ?(seed = 0) ~api topo ~dst_node ~dst_port
+let make ~carry ?(sink = Sink.null) ?(seed = 0) topo ~dst_node ~dst_port
     ~dir ~first_link ~degree programs =
   let n = Array.length first_link in
   let links = Array.length dst_node in
@@ -552,7 +535,7 @@ let create_with ~carry ?sink ?seed topo make_program =
   let n = Topology.n topo in
   let links = Topology.num_links topo in
   let dst f = Array.init links (fun l -> f (Topology.link_dst topo l)) in
-  make ~carry ?sink ?seed ~api:ring_api topo ~dst_node:(dst fst)
+  make ~carry ?sink ?seed topo ~dst_node:(dst fst)
     ~dst_port:(dst (fun (_, p) -> Port.index p))
     ~dir:
       (Array.init links (fun l ->
@@ -566,7 +549,7 @@ let create ?sink ?seed topo make_program =
 
 let create_graph ~carry ?sink ?seed topo ~dst_node ~dst_port ~first_link
     ~degree make_program =
-  make ~carry ?sink ?seed ~api:graph_api topo ~dst_node ~dst_port
+  make ~carry ?sink ?seed topo ~dst_node ~dst_port
     ~dir:(Array.make (Array.length dst_node) (-1))
     ~first_link ~degree
     (Array.init (Array.length first_link) make_program)
@@ -577,7 +560,7 @@ let view t =
   v.Scheduler.step <- t.metrics.Metrics.deliveries;
   v
 
-let deliver_from (type m) (t : (m, _, _) core) link =
+let deliver_from (type m) (t : (m, _) core) link =
   let q = t.chans.(link) in
   if q.(1) = 0 then invalid_arg "Network: delivery from an empty link";
   let h = 2 + (3 * q.(0)) in
@@ -666,7 +649,7 @@ module Core = struct
      streams — then the new programs, sink and seed go in and the
      start-up activations run as in [make].  The link tables, api
      closures and scheduler view are kept. *)
-  let reset ?(sink = Sink.null) ?(seed = 0) (t : (pulse, _, _) core)
+  let reset ?(sink = Sink.null) ?(seed = 0) (t : (pulse, _) core)
       make_program =
     (match t.carry with
     | Pulses -> ()
@@ -718,7 +701,7 @@ module Core = struct
 
   let undo_capable t = t.undo_ok
 
-  let force_step_undo (type m) (t : (m, _, _) core) ~link : m undo =
+  let force_step_undo (type m) (t : (m, _) core) ~link : m undo =
     let q = t.chans.(link) in
     if q.(1) = 0 then invalid_arg "Network.force_step_undo: empty link";
     if not t.undo_ok then
@@ -775,7 +758,7 @@ module Core = struct
       u_sent_links = Array.sub g.slinks 0 g.slen;
     }
 
-  let undo_step (type m) (t : (m, _, _) core) (u : m undo) =
+  let undo_step (type m) (t : (m, _) core) (u : m undo) =
     let dst = u.u_dst in
     let c = t.metrics in
     if u.u_dropped then c.post_term <- c.post_term - 1
@@ -856,7 +839,7 @@ module Core = struct
   let enabled_link t ~after = enabled_scan t after 0 (-1)
   let channel_length t ~link = t.chans.(link).(1)
 
-  let channel_payloads (type m) (t : (m, _, _) core) ~link : m array =
+  let channel_payloads (type m) (t : (m, _) core) ~link : m array =
     match t.carry with
     | Pulses -> Array.make t.chans.(link).(1) ()
     | Payloads -> slab_to_array t.chan_pl.(link)
@@ -962,19 +945,21 @@ module Core = struct
       Buffer.add_char buf '|'
     done;
     Buffer.contents buf
+
+  let mailbox_length t ~node ~port = t.boxes.(node).(port)
+
+  let mailbox_payloads (type m) (t : (m, _) core) ~node ~port : m array =
+    check_port "Network.mailbox_payloads" ~node
+      ~degree:(Array.length t.boxes.(node)) port;
+    match t.carry with
+    | Pulses -> Array.make (mailbox_length t ~node ~port) ()
+    | Payloads -> slab_to_array t.box_pl.(t.first_link.(node) + port)
+
+  let inject t ~node ~port m =
+    check_port "Network.inject" ~node ~degree:(Array.length t.boxes.(node)) port;
+    enqueue t ~link:(t.first_link.(node) + port) ~node ~port m
 end
 
 include Core
-
-let mailbox_length t ~node ~port = t.boxes.(node).(port_index port)
-
-let mailbox_payloads (type m) (t : m t) ~node ~port : m array =
-  match t.carry with
-  | Pulses -> Array.make (mailbox_length t ~node ~port) ()
-  | Payloads -> slab_to_array t.box_pl.(t.first_link.(node) + port_index port)
-
-let inject t ~node ~port m =
-  let p = port_index port in
-  enqueue t ~link:(t.first_link.(node) + p) ~node ~port:p m
 
 let pulse = ()

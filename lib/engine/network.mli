@@ -21,13 +21,13 @@
     observe anything the model forbids.
 
     The same simulator runs general graphs: [Colring_graph.Gnetwork]
-    is this engine over a [Gtopology.t], whose node programs see
-    {!Graph.api} instead of {!api}.  A ring is the degree-2 case, so
-    every function in {!Core} works on either. *)
+    is this engine over a [Gtopology.t].  A ring is the degree-2 case:
+    every node program, on a ring or a graph, sees the one {!api}
+    record, whose ports are the integers [0, degree), and every
+    function in {!Core} works on either. *)
 
-type ('m, 'api, 'topo) core
-(** A network with payload ['m], whose programs see ['api], built from
-    a ['topo]. *)
+type ('m, 'topo) core
+(** A network with payload ['m], built from a ['topo]. *)
 
 type topology = Topology.t
 
@@ -51,21 +51,24 @@ type _ carry =
 
 type 'm api = {
   node : int;  (** This node's index; programs must not use it as an ID. *)
-  recv : Port.t -> 'm option;
+  degree : int;
+      (** The number of local ports; a ring node's two are the paper's
+          [Port_0] and [Port_1], numbered 0 and 1. *)
+  recv : int -> 'm option;
       (** Consume the oldest mailbox entry of a local port, if any —
           the paper's [recv*()] (returns 0/1 there). *)
-  recv_pulse : Port.t -> bool;
+  recv_pulse : int -> bool;
       (** Like {!field-recv} but discards the payload, returning only
           whether a pulse was consumed.  This is the whole [recv*()]
           observable for content-oblivious algorithms ([pulse = unit]).
           It never allocates; [recv] allocates a [Some] per message on
           a payload network only. *)
   mailbox : int array;
-      (** This node's own mailbox lengths by [Port.index]: the engine's
-          (or live backend's) counts, read-only for programs (lint rule
-          [mailbox-write]).  Check [api.mailbox.(i) > 0] before a
-          [recv], and a poll of an empty port makes no call. *)
-  send : Port.t -> 'm -> unit;
+      (** This node's own mailbox lengths by port, length [degree]: the
+          engine's (or live backend's) counts, read-only for programs
+          (lint rule [mailbox-write]).  Check [api.mailbox.(p) > 0]
+          before a [recv], and a poll of an empty port makes no call. *)
+  send : int -> 'm -> unit;
       (** Emit through a local port.  Raises after {!field-terminate}. *)
   set_output : Output.t -> unit;
       (** Revise this node's output (allowed until termination). *)
@@ -76,6 +79,10 @@ type 'm api = {
       (** This node's {!node_stream} under the run's [seed], split on
           the program's first read and the same on every later one. *)
 }
+(** A node's handle on the network, on a ring, a graph or a live
+    backend.  [send], [recv] and [recv_pulse] raise [Invalid_argument]
+    naming the call, the node and the port on a port outside
+    [0, degree) ({!check_port}), and leave the network unchanged. *)
 
 type state =
   | Regs of { names : string array; cells : int array }
@@ -91,27 +98,29 @@ type state =
           one is not {!Core.undo_capable}. *)
 (** What a node program exposes of its state. *)
 
-type 'api prog = {
-  start : 'api -> unit;  (** The one initial activation. *)
-  wake : 'api -> unit;
+type 'm program = {
+  start : 'm api -> unit;  (** The one initial activation. *)
+  wake : 'm api -> unit;
       (** Called after every delivery to this node; must poll mailboxes
           to a fixpoint and return (never block). *)
   state : state;
 }
-(** A node program over the api record ['api] its node sees; rings and
-    graphs share the record. *)
+(** A node program; rings and graphs share the record. *)
 
 val counters : state -> (string * int) list
 (** The named view: [Regs] pairs [names] with the first cells, [Opaque]
     calls its function. *)
 
-type 'm program = 'm api prog
+type 'm t = ('m, Topology.t) core
 
-type 'm t = ('m, 'm api, Topology.t) core
-
-val silent_program : 'api prog
+val silent_program : 'm program
 (** A program that never sends, consumes or decides (an empty register
     file, since it holds no state). *)
+
+val check_port : string -> node:int -> degree:int -> int -> unit
+(** [check_port fn ~node ~degree p] raises [Invalid_argument] naming
+    [fn], [node] and [p] unless [0 <= p < degree]: the one port check
+    of every api record, the engine's and the live backends'. *)
 
 val node_stream : seed:int -> int -> Colring_stats.Rng.t
 (** [node_stream ~seed v], [Rng.split_at (Rng.create ~seed) v], is the
@@ -133,10 +142,7 @@ val create :
     every event, even one whose [enabled] is [false]; [enabled] gates
     only counter snapshots (and makes the network not
     {!undo_capable}).  With the default null sink the delivery path
-    makes no sink call and allocates nothing.
-    (The pre-sink [?record_trace] switch was removed on the DESIGN.md
-    §6 timeline: pass [~sink:(Sink.memory ())] and read the buffer
-    back with {!trace}.) *)
+    makes no sink call and allocates nothing. *)
 
 val create_with :
   carry:'m carry ->
@@ -150,27 +156,6 @@ val create_with :
     messages have contents, use [~carry:Payloads]; so do tests that
     check a [unit] program behaves the same on either carriage. *)
 
-(** The api and program records of graph node programs: ports are
-    integers in [0, degree).  [Colring_graph.Gnetwork] re-exports
-    them. *)
-module Graph : sig
-  type 'm api = {
-    node : int;
-    degree : int;
-    recv : int -> 'm option;  (** Consume from a port's mailbox. *)
-    mailbox : int array;
-        (** By port, length [degree]; as the ring api's [mailbox]. *)
-    send : int -> 'm -> unit;
-    set_output : Output.t -> unit;
-    terminate : unit -> unit;
-    rng : unit -> Colring_stats.Rng.t;
-  }
-  (** [recv] and [send] raise [Invalid_argument] (naming [Gnetwork]) on
-      a port outside [0, degree). *)
-
-  type 'm program = 'm api prog
-end
-
 val create_graph :
   carry:'m carry ->
   ?sink:Sink.t ->
@@ -180,8 +165,8 @@ val create_graph :
   dst_port:int array ->
   first_link:int array ->
   degree:int array ->
-  (int -> 'm Graph.program) ->
-  ('m, 'm Graph.api, 'topo) core
+  (int -> 'm program) ->
+  ('m, 'topo) core
 (** {!create} for a general graph given by its link tables: link [l]
     arrives at port [dst_port.(l)] of node [dst_node.(l)], and node
     [v]'s port [p] (for [p < degree.(v)]) sends on link
@@ -213,8 +198,8 @@ module Core : sig
   val reset :
     ?sink:Sink.t ->
     ?seed:int ->
-    (pulse, 'api, _) core ->
-    (int -> 'api prog) ->
+    (pulse, _) core ->
+    (int -> pulse program) ->
     unit
   (** [reset t make_program] reuses the pulse network [t], a ring or a
       graph, for a new run on the same topology: afterwards [t] is what
@@ -241,7 +226,7 @@ module Core : sig
     ?max_deliveries:int ->
     ?snapshot_every:int ->
     ?probe:(step:int -> unit) ->
-    (_, _, _) core ->
+    (_, _) core ->
     Scheduler.t ->
     run_result
   (** Deliver until no message is in flight (or [max_deliveries] is hit,
@@ -254,27 +239,27 @@ module Core : sig
       was passed at {!create}, so the default path never allocates the
       counter list. *)
 
-  val step : (_, _, _) core -> Scheduler.t -> bool
+  val step : (_, _) core -> Scheduler.t -> bool
   (** Deliver exactly one message; [false] when nothing was in flight. *)
 
-  val force_step : (_, _, _) core -> link:int -> unit
+  val force_step : (_, _) core -> link:int -> unit
   (** Deliver the oldest message of one specific link (bypassing any
       scheduler); raises [Invalid_argument] if the link is empty.  Used
       by the model checker. *)
 
-  val enabled_count : (_, _, _) core -> int
+  val enabled_count : (_, _) core -> int
   (** Number of links with messages in flight — the branching factor of
       the asynchronous adversary at the current state.  O(1). *)
 
-  val enabled_link : (_, _, _) core -> after:int -> int
+  val enabled_link : (_, _) core -> after:int -> int
   (** [enabled_link t ~after] is the smallest non-empty link strictly
       greater than [after], or [-1] when none; start with [~after:(-1)]
       and feed each result back to enumerate the enabled set in
       ascending link order without allocating.  O({!enabled_count}) per
       call. *)
 
-  val channel_length : (_, _, _) core -> link:int -> int
-  val channel_payloads : ('m, _, _) core -> link:int -> 'm array
+  val channel_length : (_, _) core -> link:int -> int
+  val channel_payloads : ('m, _) core -> link:int -> 'm array
   (** In-flight payloads of one directed link, oldest first (on a pulse
       network, one [pulse] per envelope).  Allocates; for invariant
       probes ({!Colring_mc.Inductive}), not the hot path. *)
@@ -293,86 +278,86 @@ module Core : sig
       [rng] randomness, which is not rolled back — the model checker
       requires deterministic programs anyway. *)
 
-  val undo_capable : (_, _, _) core -> bool
+  val undo_capable : (_, _) core -> bool
 
-  val force_step_undo : ('m, _, _) core -> link:int -> 'm undo
+  val force_step_undo : ('m, _) core -> link:int -> 'm undo
   (** Raises [Invalid_argument] when the link is empty or the network is
       not undo-capable. *)
 
-  val undo_step : ('m, _, _) core -> 'm undo -> unit
+  val undo_step : ('m, _) core -> 'm undo -> unit
 
   (** {2 Observation} *)
 
-  val topology : (_, _, 'topo) core -> 'topo
-  val size : (_, _, _) core -> int
+  val topology : (_, 'topo) core -> 'topo
+  val size : (_, _) core -> int
 
-  val num_links : (_, _, _) core -> int
+  val num_links : (_, _) core -> int
   (** Directed links, from the core's own link tables. *)
 
-  val link_dst_node : (_, _, _) core -> int -> int
+  val link_dst_node : (_, _) core -> int -> int
   (** The node a directed link delivers to. *)
 
-  val output : (_, _, _) core -> int -> Output.t
-  val outputs : (_, _, _) core -> Output.t array
-  val terminated : (_, _, _) core -> int -> bool
-  val all_terminated : (_, _, _) core -> bool
-  val termination_order : (_, _, _) core -> int list
-  val inspect : (_, _, _) core -> int -> (string * int) list
+  val output : (_, _) core -> int -> Output.t
+  val outputs : (_, _) core -> Output.t array
+  val terminated : (_, _) core -> int -> bool
+  val all_terminated : (_, _) core -> bool
+  val termination_order : (_, _) core -> int list
+  val inspect : (_, _) core -> int -> (string * int) list
   (** Node [v]'s named view ({!counters} of its program's state). *)
 
-  val inspect_counter : (_, _, _) core -> int -> string -> int
+  val inspect_counter : (_, _) core -> int -> string -> int
   (** Raises [Not_found] for an unknown counter name. *)
 
-  val registers : (_, _, _) core -> int -> int array option
+  val registers : (_, _) core -> int -> int array option
   (** A copy of node [v]'s cells, view and hidden, what {!undo_step}
       puts back; [None] for an [Opaque] program. *)
 
-  val metrics : (_, _, _) core -> Metrics.t
+  val metrics : (_, _) core -> Metrics.t
 
-  val fingerprint : (_, _, _) core -> string
+  val fingerprint : (_, _) core -> string
   (** Canonical observable-state string: channel and mailbox depths,
       termination flags, outputs and each program's view (never a
       [Regs] program's hidden cells).  Two states print equal iff no
       monitor can tell them apart. *)
 
-  val trace : (_, _, _) core -> Trace.t option
+  val trace : (_, _) core -> Trace.t option
   (** The buffer of the memory sink attached to this network via [?sink],
       if any. *)
 
-  val in_flight : (_, _, _) core -> int
+  val in_flight : (_, _) core -> int
   (** Messages in channels (sent, not yet delivered). *)
 
-  val mailbox_backlog : (_, _, _) core -> int
+  val mailbox_backlog : (_, _) core -> int
   (** Messages delivered but not yet consumed, over all nodes. *)
 
-  val is_quiescent : (_, _, _) core -> bool
+  val is_quiescent : (_, _) core -> bool
   (** [in_flight = 0] and [mailbox_backlog = 0]. *)
 
-  val causal_span : (_, _, _) core -> int
+  val causal_span : (_, _) core -> int
   (** The asynchronous time of the run so far: the longest chain of
       causally dependent deliveries, counting each message as one time
       unit (a pulse sent by an activation carries depth one more than the
       deepest pulse its node has received).  The paper analyses message
       complexity only; this exposes the orthogonal time dimension. *)
+
+  (** {2 Mailboxes and injection} *)
+
+  val mailbox_length : (_, _) core -> node:int -> port:int -> int
+
+  val mailbox_payloads : ('m, _) core -> node:int -> port:int -> 'm array
+  (** Delivered-but-unconsumed payloads of one mailbox, oldest first (on
+      a pulse network, one [pulse] per pending delivery). *)
+
+  val inject : ('m, _) core -> node:int -> port:int -> 'm -> unit
+  (** Put a message in flight on [node]'s outgoing channel at [port] as
+      if the node had sent it — a deliberate *violation* of the model
+      (Section 2: "pulses cannot be dropped or injected by the channel").
+      Exists only so tests and benches can demonstrate that the
+      no-injection assumption is load-bearing: a single spurious pulse
+      breaks Algorithm 2's counting.  Injected messages go through the
+      same enqueue path as {!field-send}: they are counted in
+      {!Metrics.sends} and stamped with the current batch number, exactly
+      as if sent by the most recent activation. *)
 end
 
 include module type of Core
-
-(** {2 Ring-only} *)
-
-val mailbox_length : 'm t -> node:int -> port:Port.t -> int
-
-val mailbox_payloads : 'm t -> node:int -> port:Port.t -> 'm array
-(** Delivered-but-unconsumed payloads of one mailbox, oldest first (on
-    a pulse network, one [pulse] per pending delivery). *)
-
-val inject : 'm t -> node:int -> port:Port.t -> 'm -> unit
-(** Put a message in flight on [node]'s outgoing channel at [port] as
-    if the node had sent it — a deliberate *violation* of the model
-    (Section 2: "pulses cannot be dropped or injected by the channel").
-    Exists only so tests and benches can demonstrate that the
-    no-injection assumption is load-bearing: a single spurious pulse
-    breaks Algorithm 2's counting.  Injected messages go through the
-    same enqueue path as {!field-send}: they are counted in
-    {!Metrics.sends} and stamped with the current batch number, exactly
-    as if sent by the most recent activation. *)

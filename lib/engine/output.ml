@@ -28,6 +28,13 @@ let equal_role a b =
   | Leader, Leader | Non_leader, Non_leader | Undecided, Undecided -> true
   | (Leader | Non_leader | Undecided), _ -> false
 
+let unique_leader outputs =
+  let leaders = ref [] in
+  Array.iteri
+    (fun v o -> if equal_role o.role Leader then leaders := v :: !leaders)
+    outputs;
+  match !leaders with [ v ] -> Some v | [] | _ :: _ -> None
+
 let equal a b =
   equal_role a.role b.role
   && Option.equal Port.equal a.cw_port b.cw_port

@@ -32,6 +32,9 @@ val with_values : int list -> t -> t
 val role_to_string : role -> string
 val equal_role : role -> role -> bool
 
+val unique_leader : t array -> int option
+(** The one node whose role is [Leader], if exactly one is. *)
+
 val role_code : role -> int
 (** [0], [1] or [2], for the int-array snapshots of program state. *)
 

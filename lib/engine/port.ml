@@ -8,8 +8,6 @@ let of_index = function
   | 1 -> P1
   | i -> invalid_arg (Printf.sprintf "Port.of_index: %d" i)
 
-let all = [ P0; P1 ]
 let equal a b = Int.equal (index a) (index b)
-let compare a b = Int.compare (index a) (index b)
 let to_string = function P0 -> "Port0" | P1 -> "Port1"
 let pp ppf p = Format.pp_print_string ppf (to_string p)

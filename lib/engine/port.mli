@@ -2,7 +2,11 @@
 
     A node only ever sees its local port names [Port_0] and [Port_1];
     whether a port leads clockwise is a global property the node cannot
-    observe on a non-oriented ring. *)
+    observe on a non-oriented ring.  Node programs name them by
+    {!index}, as the ports [0] and [1] of {!Network.api}; this type
+    names them in the ring's geometry ({!Topology.peer},
+    {!Topology.link_id}), in {!Output.t}'s [cw_port] and in
+    {!Trace}. *)
 
 type t = P0 | P1
 
@@ -15,9 +19,6 @@ val index : t -> int
 val of_index : int -> t
 (** Inverse of {!index}; raises [Invalid_argument] outside [{0,1}]. *)
 
-val all : t list
-
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -47,9 +47,8 @@ type t = {
           consult it: the engines skip them for {!null} itself
           (physical equality) and call them on every other sink. *)
   on_send : node:int -> port:int -> seq:int -> link:int -> cw:bool -> unit;
-      (** [node] emitted pulse [seq] from its local port (as an
-          integer index — ring engines pass [Port.index], general
-          graphs their native port number) onto directed link [link];
+      (** [node] emitted pulse [seq] from its local port (the api's
+          port number, in [0, degree)) onto directed link [link];
           [cw] is the ground-truth direction when the topology defines
           one ([false] on general graphs, which have none). *)
   on_deliver : node:int -> port:int -> seq:int -> unit;

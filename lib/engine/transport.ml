@@ -141,18 +141,25 @@ let trace_of_net ~backend ~scheduler ~schedule net (r : Network.run_result) =
 
 let mailbox_api ~node ~seed ~mailbox ~send ~set_output ~terminate =
   let rng = lazy (Network.node_stream ~seed node) in
-  let recv_pulse p =
-    let i = Port.index p in
-    if mailbox.(i) = 0 then false
-    else begin
-      mailbox.(i) <- mailbox.(i) - 1;
-      true
-    end
+  let degree = Array.length mailbox in
+  let take fn p =
+    Network.check_port fn ~node ~degree p;
+    mailbox.(p) > 0
+    && begin
+         mailbox.(p) <- mailbox.(p) - 1;
+         true
+       end
   in
-  let pulse_if b = if b then Some Network.pulse else None in
+  let recv_pulse p = take "Transport.recv_pulse" p in
+  let recv p = if take "Transport.recv" p then Some Network.pulse else None in
+  let send p m =
+    Network.check_port "Transport.send" ~node ~degree p;
+    send p m
+  in
   {
     Network.node;
-    recv = (fun p -> pulse_if (recv_pulse p));
+    degree;
+    recv;
     recv_pulse;
     mailbox;
     send;

@@ -118,15 +118,16 @@ val mailbox_api :
   node:int ->
   seed:int ->
   mailbox:int array ->
-  send:(Port.t -> Network.pulse -> unit) ->
+  send:(int -> Network.pulse -> unit) ->
   set_output:(Output.t -> unit) ->
   terminate:(unit -> unit) ->
   Network.pulse Network.api
 (** The api of a node a live backend runs outside the simulator: its
-    mailboxes are the pulse counts [mailbox] (by port index, raised by
-    the backend on each arrival, lowered by [recv]), handed to the
-    program as the api's own [mailbox] field, as the simulator does; [send], [set_output]
-    and [terminate] are the backend's; [rng] is {!Network.node_stream}. *)
+    mailboxes are the pulse counts [mailbox] (by port, raised by the
+    backend on each arrival, lowered by [recv]), and its degree is
+    their number.  [send], [set_output] and [terminate] are the
+    backend's; the api makes {!Network.check_port} before [send],
+    [recv] and [recv_pulse].  [rng] is {!Network.node_stream}. *)
 
 val sim : ?sched:Scheduler.t -> unit -> t
 (** The deterministic simulator as a backend (reference semantics).

@@ -197,15 +197,6 @@ let report_fields r =
     ("ok", Bool (ok r));
   ]
 
-let unique_leader outputs =
-  let leaders = ref [] in
-  Array.iteri
-    (fun v (o : Output.t) ->
-      if Output.equal_role o.Output.role Output.Leader then
-        leaders := v :: !leaders)
-    outputs;
-  match !leaders with [ v ] -> Some v | [] | _ :: _ -> None
-
 (* The run body shared by a fresh and a warm core, as in
    [Election.exec]. *)
 let exec ~seed ?max_deliveries ~sink ~workload ~snapshot_every plan ~ids
@@ -225,7 +216,7 @@ let exec ~seed ?max_deliveries ~sink ~workload ~snapshot_every plan ~ids
   let net = load (program_of plan ~ids) in
   let result = Gnetwork.run ?max_deliveries ~snapshot_every net sched in
   let outputs = Gnetwork.outputs net in
-  let leader = unique_leader outputs in
+  let leader = Output.unique_leader outputs in
   let report =
     {
       algorithm = "walk-election";

@@ -6,10 +6,11 @@ open Colring_engine
 
 type topology = Gtopology.t
 
-type 'm api = 'm Network.Graph.api = {
+type 'm api = 'm Network.api = {
   node : int;
   degree : int;
   recv : int -> 'm option;
+  recv_pulse : int -> bool;
   mailbox : int array;
   send : int -> 'm -> unit;
   set_output : Output.t -> unit;
@@ -17,20 +18,13 @@ type 'm api = 'm Network.Graph.api = {
   rng : unit -> Colring_stats.Rng.t;
 }
 
-type state = Network.state =
-  | Regs of { names : string array; cells : int array }
-  | Opaque of (unit -> (string * int) list)
-
-type 'api prog = 'api Network.prog = {
-  start : 'api -> unit;
-  wake : 'api -> unit;
-  state : state;
+type 'm program = 'm Network.program = {
+  start : 'm api -> unit;
+  wake : 'm api -> unit;
+  state : Network.state;
 }
 
-type 'm program = 'm api prog
-
-type 'm t = ('m, 'm api, topology) Network.core
-type 'm undo = 'm Network.undo
+type 'm t = ('m, topology) Network.core
 
 type run_result = Network.run_result = {
   sends : int;

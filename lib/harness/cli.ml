@@ -53,6 +53,18 @@ let link_budget ~flag ~value ~max links =
          "%s %s: %d directed links, but the model checker handles at most %d"
          flag value links max)
 
+(* OCaml 5.1's Max_domains (caml/domain.h). *)
+let max_live_nodes = 128
+
+let live_nodes ~flag ~value ~backend n =
+  if n <= max_live_nodes then Ok n
+  else
+    Error
+      (Printf.sprintf
+         "%s %s: --backend %s runs each node in its own domain or process, \
+          for at most %d nodes"
+         flag value backend max_live_nodes)
+
 let jobs ~flag = function
   | None -> Ok (Colring_runtime.Pool.default_jobs ())
   | Some v -> positive ~flag v

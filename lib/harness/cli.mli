@@ -37,6 +37,15 @@ val link_budget :
     names the flag and value that sized the topology, e.g.
     ["-n 31: 62 directed links, …"]. *)
 
+val max_live_nodes : int
+(** 128: a live backend runs a domain or process per node, and OCaml
+    5.1 allows 128 domains. *)
+
+val live_nodes :
+  flag:string -> value:string -> backend:string -> int -> (int, string) result
+(** At most {!max_live_nodes} nodes on the live backend [backend]; the
+    error names [flag], [value] and [--backend]. *)
+
 val jobs : flag:string -> int option -> (int, string) result
 (** [None] resolves to {!Colring_runtime.Pool.default_jobs};
     [Some v] must be positive. *)

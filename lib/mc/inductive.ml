@@ -176,7 +176,7 @@ let btw_violation ~ids ~topo net =
             (fun msg ->
               if Option.is_none !result then result := check_msg ~w msg)
             (Network.mailbox_payloads net ~node:w ~port))
-        [ Port.P0; Port.P1 ]
+        [ 0; 1 ]
   done;
   !result
 

@@ -152,7 +152,7 @@ type 'net spec = {
 val check :
   ?jobs:int ->
   ?max_states:int ->
-  ('m, 'api, 'topo) Colring_engine.Network.core spec ->
+  ('m, 'topo) Colring_engine.Network.core spec ->
   result
 (** Walk the schedule space of [spec].  A sequential BFS expands
     the root until at least 16 frontier subtrees exist (or the space
@@ -166,7 +166,7 @@ val check :
     replay-confirmed via {!minimize}. *)
 
 val replay :
-  (('m, 'api, 'topo) Colring_engine.Network.core as 'net) spec ->
+  (('m, 'topo) Colring_engine.Network.core as 'net) spec ->
   int array ->
   'net * string option
 (** Replay a schedule on a fresh instance: the resulting network and
@@ -176,7 +176,7 @@ val replay :
     [Invalid_argument] if the schedule does not fit the run. *)
 
 val minimize :
-  (_, _, _) Colring_engine.Network.core spec -> counterexample -> counterexample
+  (_, _) Colring_engine.Network.core spec -> counterexample -> counterexample
 (** Greedy shrinking: truncate at the first violating step, then
     repeatedly try dropping single deliveries (skipping infeasible
     candidates) until no removal preserves a violation.  The result
@@ -186,7 +186,7 @@ val minimize :
     counterexample is returned unchanged. *)
 
 val confirm :
-  (_, _, _) Colring_engine.Network.core spec -> counterexample -> bool
+  (_, _) Colring_engine.Network.core spec -> counterexample -> bool
 (** Drive the counterexample's schedule through the engine's
     {e ordinary} run loop ({!Colring_engine.Scheduler.of_schedule} —
     not the checker's forcing path) on a fresh instance and report

@@ -5,7 +5,7 @@ module Rng = Colring_stats.Rng
 open Colring_graph
 
 type ablation = No_lag | Same_virtual_ids | No_absorption
-type packed = Packed : (_, _, _) Network.core Mc.spec -> packed
+type packed = Packed : (_, _) Network.core Mc.spec -> packed
 
 (* ------------------------------------------------------------------ *)
 (* Verdict pieces (the terminal predicates are conjunctions of these) *)
@@ -364,8 +364,8 @@ let relay_symmetry topo =
           (Printf.sprintf "|%d,%d,%d,%d;"
              (Network.channel_length net ~link:(Topology.link_id topo v Port.P0))
              (Network.channel_length net ~link:(Topology.link_id topo v Port.P1))
-             (Network.mailbox_length net ~node:v ~port:Port.P0)
-             (Network.mailbox_length net ~node:v ~port:Port.P1))
+             (Network.mailbox_length net ~node:v ~port:0)
+             (Network.mailbox_length net ~node:v ~port:1))
       done;
       Buffer.contents buf
     in

@@ -34,7 +34,7 @@
 
 type ablation = No_lag | Same_virtual_ids | No_absorption
 
-type packed = Packed : (_, _, _) Colring_engine.Network.core Mc.spec -> packed
+type packed = Packed : (_, _) Colring_engine.Network.core Mc.spec -> packed
     (** Existential wrapper so a CLI can treat pulse protocols,
         content-carrying classics and graph elections uniformly. *)
 

@@ -85,11 +85,14 @@ let node_body sh make_program ~seed v =
   let n = Topology.n sh.topo in
   let program = make_program v in
   let mailbox = [| 0; 0 |] in
-  (* Incoming link of local port p: the link its peer sends on. *)
+  (* Outgoing and incoming link of local port p: the link it sends on
+     and the link its peer sends on. *)
+  let out_link =
+    Array.init 2 (fun p -> Topology.link_id sh.topo v (Port.of_index p))
+  in
   let in_link =
-    Array.init 2 (fun pi ->
-        let p = Port.of_index pi in
-        let u, q = Topology.peer sh.topo v p in
+    Array.init 2 (fun p ->
+        let u, q = Topology.peer sh.topo v (Port.of_index p) in
         Topology.link_id sh.topo u q)
   in
   let consumed = [| 0; 0 |] in
@@ -103,7 +106,7 @@ let node_body sh make_program ~seed v =
       ~send:(fun p () ->
         if terminated () then
           failwith "Transport.domains: send after terminate";
-        let link = Topology.link_id sh.topo v p in
+        let link = out_link.(p) in
         sh.sends.(v) <- sh.sends.(v) + 1;
         (* The pulse's [live] token: held until the delivery that
            consumes it finishes processing. *)

@@ -151,7 +151,7 @@ let child_main fd ~seed ~v program =
          ~send:(fun p () ->
            if !term then failwith "Transport.socket: send after terminate";
            incr sends;
-           write_byte fd (Port.index p))
+           write_byte fd p)
          ~set_output:(fun o -> output := o)
          ~terminate:(fun () ->
            if not !term then begin

@@ -82,11 +82,11 @@ let test_chain_switches_on_terminate () =
       Network.state = Opaque (fun () -> [ ("b", 2) ]);
       Network.start =
         (fun (api : _ Network.api) ->
-          api.send Port.P1 ();
+          api.send 1 ();
           api.set_output (Output.with_value 2 Output.empty));
       wake =
         (fun api ->
-          match api.recv Port.P0 with
+          match api.recv 0 with
           | Some () -> api.terminate ()
           | None -> ());
     }

@@ -73,8 +73,8 @@ let relay_program () =
       (fun (api : _ Network.api) ->
         let continue = ref true in
         while !continue do
-          match api.recv Port.P0 with
-          | Some m -> api.send Port.P1 m
+          match api.recv 0 with
+          | Some m -> api.send 1 m
           | None -> continue := false
         done);
   }
@@ -89,13 +89,13 @@ let test_fifo_order_preserved () =
       Network.start =
         (fun (api : _ Network.api) ->
           for i = 1 to k do
-            api.send Port.P1 i
+            api.send 1 i
           done);
       wake =
         (fun api ->
           let continue = ref true in
           while !continue do
-            match api.recv Port.P0 with
+            match api.recv 0 with
             | Some m -> collected := m :: !collected
             | None -> continue := false
           done);
@@ -124,7 +124,7 @@ let test_send_counts_and_metrics () =
         if v = 0 then
           {
             Network.state = Opaque (fun () -> []);
-            Network.start = (fun api -> api.send Port.P1 ());
+            Network.start = (fun api -> api.send 1 ());
             wake = (fun _ -> ());
           }
         else Network.silent_program)
@@ -146,8 +146,8 @@ let test_terminated_nodes_drop_pulses () =
             Network.state = Opaque (fun () -> []);
             Network.start =
               (fun api ->
-                api.send Port.P1 ();
-                api.send Port.P1 ());
+                api.send 1 ();
+                api.send 1 ());
             wake = (fun _ -> ());
           }
         else
@@ -156,7 +156,7 @@ let test_terminated_nodes_drop_pulses () =
             Network.start = (fun _ -> ());
             wake =
               (fun api ->
-                match api.recv Port.P0 with
+                match api.recv 0 with
                 | Some () -> api.terminate ()
                 | None -> ());
           })
@@ -178,7 +178,7 @@ let test_send_after_terminate_rejected () =
                Network.start =
                  (fun api ->
                    api.terminate ();
-                   api.send Port.P1 ());
+                   api.send 1 ());
                wake = (fun _ -> ());
              })))
 
@@ -218,13 +218,13 @@ let test_max_deliveries_exhaustion () =
   let forever =
     {
       Network.state = Opaque (fun () -> []);
-      Network.start = (fun (api : _ Network.api) -> api.send Port.P1 ());
+      Network.start = (fun (api : _ Network.api) -> api.send 1 ());
       wake =
         (fun api ->
           let continue = ref true in
           while !continue do
-            match api.recv Port.P0 with
-            | Some () -> api.send Port.P1 ()
+            match api.recv 0 with
+            | Some () -> api.send 1 ()
             | None -> continue := false
           done);
     }
@@ -283,9 +283,9 @@ let mk_two_senders sink =
           Network.state = Opaque (fun () -> []);
           Network.start =
             (fun api ->
-              api.send Port.P0 ();
+              api.send 0 ();
               (* CCW, sent first *)
-              api.send Port.P1 () (* CW, sent second *));
+              api.send 1 () (* CW, sent second *));
           wake = (fun _ -> ());
         }
       else Network.silent_program)
@@ -326,9 +326,9 @@ let test_starve_node_delays () =
             Network.state = Opaque (fun () -> []);
             Network.start =
               (fun api ->
-                api.send Port.P1 ();
+                api.send 1 ();
                 (* to node 1 *)
-                api.send Port.P0 () (* to node 2 *));
+                api.send 0 () (* to node 2 *));
             wake = (fun _ -> ());
           }
         else Network.silent_program)
@@ -343,14 +343,14 @@ let test_blocking_ping_pong () =
   (* Node 0: send CW, await reply CCW, terminate.  Node 1: await CW,
      reply CCW, terminate.  Written in direct style. *)
   let zero api =
-    api.Network.send Port.P1 ();
-    Blocking.recv Port.P1;
+    api.Network.send 1 ();
+    Blocking.recv 1;
     api.set_output (Output.with_value 1 Output.empty);
     api.terminate ()
   in
   let one api =
-    Blocking.recv Port.P0;
-    api.Network.send Port.P0 ();
+    Blocking.recv 0;
+    api.Network.send 0 ();
     api.set_output (Output.with_value 2 Output.empty);
     api.terminate ()
   in
@@ -381,8 +381,8 @@ let test_blocking_recv_any () =
             Network.state = Opaque (fun () -> []);
             Network.start =
               (fun api ->
-                api.send Port.P1 ();
-                api.send Port.P0 ());
+                api.send 1 ();
+                api.send 0 ());
             wake = (fun _ -> ());
           }
         else Blocking.make one)
@@ -395,9 +395,9 @@ let test_blocking_immediate_mailbox () =
   (* A blocking recv must consume a pulse that is already waiting. *)
   let order = ref [] in
   let one _api =
-    Blocking.recv Port.P0;
+    Blocking.recv 0;
     order := 1 :: !order;
-    Blocking.recv Port.P0;
+    Blocking.recv 0;
     order := 2 :: !order
   in
   let net =
@@ -407,8 +407,8 @@ let test_blocking_immediate_mailbox () =
             Network.state = Opaque (fun () -> []);
             Network.start =
               (fun api ->
-                api.send Port.P1 ();
-                api.send Port.P1 ());
+                api.send 1 ();
+                api.send 1 ());
             wake = (fun _ -> ());
           }
         else Blocking.make one)
@@ -445,15 +445,15 @@ let test_mailbox_length_tracks_guarded_pulses () =
             Network.state = Opaque (fun () -> []);
             Network.start =
               (fun api ->
-                api.send Port.P1 ();
-                api.send Port.P1 ());
+                api.send 1 ();
+                api.send 1 ());
             wake = (fun _ -> ());
           }
         else Network.silent_program)
   in
   let _ = Network.run net Scheduler.fifo in
   checki "mailbox holds both" 2
-    (Network.mailbox_length net ~node:1 ~port:Port.P0);
+    (Network.mailbox_length net ~node:1 ~port:0);
   checki "backlog" 2 (Network.mailbox_backlog net);
   checkb "not quiescent" false (Network.is_quiescent net)
 
@@ -609,7 +609,7 @@ let test_inject_batch_stamp () =
   (* Two start activations have run, so the current batch is 2; an
      injected pulse must be stamped with it, exactly as a send from the
      most recent activation would be. *)
-  Network.inject net ~node:0 ~port:Port.P1 ();
+  Network.inject net ~node:0 ~port:1 ();
   let seen = ref (-1) in
   let probe =
     {
@@ -652,12 +652,12 @@ let test_ring_grow_mid_wrap () =
   let net, api1, link = puppet_pair ~carry:Network.Payloads in
   let model = Queue.create () in
   let arrive i =
-    Network.inject net ~node:0 ~port:Port.P1 i;
+    Network.inject net ~node:0 ~port:1 i;
     Network.force_step net ~link;
     Queue.push i model
   in
   let consume () =
-    checki "fifo" (Queue.pop model) (Option.get (api1.recv Port.P0))
+    checki "fifo" (Queue.pop model) (Option.get (api1.recv 0))
   in
   (* Fill the mailbox to the initial power-of-two capacity, drain past
      the midpoint so its head is non-zero, then deliver enough to force
@@ -675,24 +675,24 @@ let test_ring_grow_mid_wrap () =
   Alcotest.(check (array int))
     "payloads across grow"
     (Array.of_seq (Queue.to_seq model))
-    (Network.mailbox_payloads net ~node:1 ~port:Port.P0);
+    (Network.mailbox_payloads net ~node:1 ~port:0);
   while not (Queue.is_empty model) do
     consume ()
   done;
-  checkb "drained" true (api1.recv Port.P0 = None);
+  checkb "drained" true (api1.recv 0 = None);
   (* A pulse mailbox is the count alone. *)
   let net, api1, link = puppet_pair ~carry:Network.Pulses in
   for _ = 1 to 40 do
-    Network.inject net ~node:0 ~port:Port.P1 ();
+    Network.inject net ~node:0 ~port:1 ();
     Network.force_step net ~link
   done;
-  checki "pulse count" 40 (Network.mailbox_length net ~node:1 ~port:Port.P0);
+  checki "pulse count" 40 (Network.mailbox_length net ~node:1 ~port:0);
   checki "pulse payloads" 40
-    (Array.length (Network.mailbox_payloads net ~node:1 ~port:Port.P0));
+    (Array.length (Network.mailbox_payloads net ~node:1 ~port:0));
   for _ = 1 to 40 do
-    checkb "pulse recv" true (api1.recv Port.P0 = Some Network.pulse)
+    checkb "pulse recv" true (api1.recv 0 = Some Network.pulse)
   done;
-  checkb "pulse mailbox drained" false (api1.recv_pulse Port.P0)
+  checkb "pulse mailbox drained" false (api1.recv_pulse 0)
 
 (* A channel queue model: payload [100 + i] is the [i]th injection, so
    its send sequence number is [i]; its batch is the activation count
@@ -710,7 +710,7 @@ let chan_model () =
   { net; api1; fifo = Queue.create (); sent = 0; batch = 2 }
 
 let chan_push c =
-  Network.inject c.net ~node:0 ~port:Port.P1 (100 + c.sent);
+  Network.inject c.net ~node:0 ~port:1 (100 + c.sent);
   Queue.push (c.sent, c.batch) c.fifo;
   c.sent <- c.sent + 1
 
@@ -731,7 +731,7 @@ let chan_pop_matches c =
   in
   let stepped = Network.step c.net probe in
   c.batch <- c.batch + 1;
-  stepped && !head = (seq, batch) && c.api1.recv Port.P0 = Some (100 + seq)
+  stepped && !head = (seq, batch) && c.api1.recv 0 = Some (100 + seq)
 
 let test_envq_grow_mid_wrap_meta () =
   let c = chan_model () in
@@ -765,13 +765,13 @@ let[@inline never] push_pop_probe ~consume (w : int ref Weak.t) =
   if not consume then api1.terminate ();
   let probe = ref 42 in
   Weak.set w 0 (Some probe);
-  Network.inject net ~node:0 ~port:Port.P1 (ref 0);
-  Network.inject net ~node:0 ~port:Port.P1 probe;
+  Network.inject net ~node:0 ~port:1 (ref 0);
+  Network.inject net ~node:0 ~port:1 probe;
   Network.force_step net ~link;
   Network.force_step net ~link;
   if consume then begin
-    ignore (api1.recv Port.P0);
-    ignore (api1.recv Port.P0)
+    ignore (api1.recv 0);
+    ignore (api1.recv 0)
   end;
   net
 
@@ -837,15 +837,15 @@ let lazy_relay ~first () =
     Network.start =
       (fun api ->
         for k = 0 to first - 1 do
-          api.Network.send Port.P1 (1000 * (k + 1))
+          api.Network.send 1 (1000 * (k + 1))
         done);
     wake =
       (fun api ->
         wakes.(0) <- wakes.(0) + 1;
         if wakes.(0) mod 2 = 0 then
           for _ = 1 to 2 do
-            match api.recv Port.P0 with
-            | Some m -> if m mod 1000 < 20 then api.send Port.P1 (m + 1)
+            match api.recv 0 with
+            | Some m -> if m mod 1000 < 20 then api.send 1 (m + 1)
             | None -> ()
           done);
     state = Regs { names = [| "wakes" |]; cells = wakes };
@@ -857,8 +857,8 @@ let contents net n =
   ( Network.fingerprint net,
     List.init (2 * n) (fun link -> Network.channel_payloads net ~link),
     List.init n (fun v ->
-        ( Network.mailbox_payloads net ~node:v ~port:Port.P0,
-          Network.mailbox_payloads net ~node:v ~port:Port.P1 )) )
+        ( Network.mailbox_payloads net ~node:v ~port:0,
+          Network.mailbox_payloads net ~node:v ~port:1 )) )
 
 let prop_payload_undo_restores_contents =
   QCheck.Test.make ~name:"payload undo restores every payload in order"

@@ -164,7 +164,7 @@ let test_injection_breaks_algo2 () =
   for _ = 1 to 10 do
     ignore (Network.step net Scheduler.fifo)
   done;
-  Network.inject net ~node:0 ~port:Port.P1 ();
+  Network.inject net ~node:0 ~port:1 ();
   let result = Network.run ~max_deliveries:100_000 net Scheduler.fifo in
   let outputs = Network.outputs net in
   let leaders =
@@ -185,7 +185,7 @@ let test_injection_counted () =
   let net =
     Network.create (Topology.oriented 2) (fun _ -> Network.silent_program)
   in
-  Network.inject net ~node:0 ~port:Port.P1 ();
+  Network.inject net ~node:0 ~port:1 ();
   checki "in flight" 1 (Network.in_flight net);
   checki "counted as send" 1 (Metrics.sends (Network.metrics net))
 

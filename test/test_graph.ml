@@ -726,50 +726,146 @@ let test_disabled_sink_sees_every_event () =
      leadership at least once. *)
   checkb "decisions seen" true (!decides > n)
 
-(* Ports are range-checked by the api closures themselves: a port
-   outside [0, degree) raises [Invalid_argument] naming the engine and
-   leaves no trace in the network.  The node's [mailbox] array is its
+(* The one port check (Network.check_port), on each api constructor:
+   the engine's on a ring and on a graph, and [Transport.mailbox_api]
+   of the live backends.  Each bad port, on each of [send], [recv] and
+   [recv_pulse], must raise [Invalid_argument] naming the call and the
+   port, and leave [observe] (metrics, in-flight and mailbox counts)
+   as it was.  [api] is called with a pulse waiting at port 0, so a
+   refused [recv] could consume it.  The node's [mailbox] array is its
    own, so reading it at a bad port raises the array's bounds check. *)
+let refuse_bad_ports ~prefix ~observe (api : unit Network.api) =
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  let before = observe () in
+  let calls =
+    [
+      ("send", fun p -> api.send p ());
+      ("recv", fun p -> ignore (api.recv p));
+      ("recv_pulse", fun p -> ignore (api.recv_pulse p));
+    ]
+  in
+  let refusals = ref 0 and bounds = ref 0 in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (call, f) ->
+          match f p with
+          | () -> Alcotest.failf "%s %d: no exception" call p
+          | exception Invalid_argument msg ->
+              checkb (msg ^ ": names the call") true
+                (String.starts_with ~prefix:(prefix ^ "." ^ call ^ ":") msg);
+              checkb (msg ^ ": names the port") true
+                (contains msg (Printf.sprintf " port %d " p));
+              incr refusals)
+        calls;
+      match api.mailbox.(p) with
+      | _ -> ()
+      | exception Invalid_argument _ -> incr bounds)
+    [ -1; api.degree; max_int; min_int ];
+  checki "every bad port refused" 12 !refusals;
+  checki "every bad mailbox read refused" 4 !bounds;
+  Alcotest.(check (list (pair string int)))
+    "nothing changed" before (observe ())
+
+(* The engine's side of a refusal: its counters and every mailbox. *)
+let observe_core metrics ~in_flight ~backlog ~boxes () =
+  [ ("in_flight", in_flight ()); ("backlog", backlog ()) ]
+  @ Metrics.to_assoc (metrics ())
+  @ List.mapi (fun i c -> (Printf.sprintf "box %d" i, c)) (boxes ())
+
+(* A core whose node 0 sends one pulse to node [dst], whose wake runs
+   [refuse] on its api once (checked by [refused]). *)
+let sender_and_refuser ~dst ~port refuse refused v =
+  {
+    Network.state = Opaque (fun () -> []);
+    start = (fun api -> if v = 0 then api.send port ());
+    wake =
+      (fun api ->
+        if v = dst && not !refused then begin
+          refused := true;
+          refuse api
+        end);
+  }
+
+let test_port_check_ring () =
+  let net = ref None in
+  let refused = ref false in
+  let get () = Option.get !net in
+  let observe =
+    observe_core
+      (fun () -> Network.metrics (get ()))
+      ~in_flight:(fun () -> Network.in_flight (get ()))
+      ~backlog:(fun () -> Network.mailbox_backlog (get ()))
+      ~boxes:(fun () ->
+        List.concat_map
+          (fun node ->
+            List.map
+              (fun port -> Network.mailbox_length (get ()) ~node ~port)
+              [ 0; 1 ])
+          [ 0; 1; 2 ])
+  in
+  (* Node 0's port 1 leads clockwise, to node 1's port 0. *)
+  let t =
+    Network.create (Topology.oriented 3)
+      (sender_and_refuser ~dst:1 ~port:1
+         (refuse_bad_ports ~prefix:"Network" ~observe)
+         refused)
+  in
+  net := Some t;
+  ignore (Network.run t Scheduler.fifo);
+  checkb "refusals ran" true !refused;
+  checki "the pulse is still waiting" 1
+    (Network.mailbox_length t ~node:1 ~port:0)
+
 let test_gnetwork_bad_port () =
   let g = Gtopology.theta 1 1 1 in
-  let errors = ref [] in
-  let bounds = ref 0 in
-  let attempt f =
-    match f () with
-    | () -> errors := "no exception" :: !errors
-    | exception Invalid_argument msg -> errors := msg :: !errors
+  let net = ref None in
+  let refused = ref false in
+  let get () = Option.get !net in
+  let observe =
+    observe_core
+      (fun () -> Gnetwork.metrics (get ()))
+      ~in_flight:(fun () -> Gnetwork.in_flight (get ()))
+      ~backlog:(fun () -> Gnetwork.mailbox_backlog (get ()))
+      ~boxes:(fun () ->
+        List.concat
+          (List.init (Gtopology.n g) (fun node ->
+               List.init (Gtopology.degree g node) (fun port ->
+                   Gnetwork.mailbox_length (get ()) ~node ~port))))
   in
-  let read_mailbox (api : unit Gnetwork.api) p =
-    match api.mailbox.(p) with
-    | _ -> ()
-    | exception Invalid_argument _ -> incr bounds
+  let dst, port = Gtopology.link_dst g (Gtopology.first_link g 0) in
+  let t =
+    Gnetwork.create g
+      (sender_and_refuser ~dst ~port:0
+         (fun api ->
+           checki "the pulse waits at port 0" 0 port;
+           refuse_bad_ports ~prefix:"Network" ~observe api)
+         refused)
   in
-  let net =
-    Gnetwork.create g (fun v ->
-        {
-          Gnetwork.state = Opaque (fun () -> []);
-          start =
-            (fun api ->
-              if v = 0 then
-                List.iter
-                  (fun p ->
-                    attempt (fun () -> api.send p ());
-                    attempt (fun () -> ignore (api.recv p));
-                    read_mailbox api p)
-                  [ -1; api.degree; max_int; min_int ]);
-          wake = (fun _ -> ());
-        })
+  net := Some t;
+  ignore (Gnetwork.run t Scheduler.fifo);
+  checkb "refusals ran" true !refused;
+  checki "nothing else sent" 1 (Gnetwork.sends t)
+
+let test_port_check_live () =
+  let mailbox = [| 1; 0 |] in
+  let sent = ref 0 in
+  let api =
+    Transport.mailbox_api ~node:4 ~seed:0 ~mailbox
+      ~send:(fun _ () -> incr sent)
+      ~set_output:ignore ~terminate:ignore
   in
-  checki "every bad port rejected" 8 (List.length !errors);
-  checki "every bad mailbox read rejected" 4 !bounds;
-  List.iter
-    (fun msg ->
-      checkb (msg ^ " names Gnetwork") true
-        (String.starts_with ~prefix:"Gnetwork" msg))
-    !errors;
-  checki "nothing sent" 0 (Gnetwork.sends net);
-  checki "nothing in flight" 0 (Gnetwork.in_flight net);
-  checki "nothing consumed" 0 (Metrics.consumes (Gnetwork.metrics net))
+  let observe () =
+    [ ("sent", !sent); ("box 0", mailbox.(0)); ("box 1", mailbox.(1)) ]
+  in
+  refuse_bad_ports ~prefix:"Transport" ~observe api;
+  checkb "a good port still works" true (api.recv_pulse 0)
 
 (* ------------------------------------------------------------------ *)
 (* The mailbox view *)
@@ -815,7 +911,7 @@ let probe_failures () =
 let probe_ring ~fail ~engine v (p : Network.pulse Network.program) =
   let model = [| 0; 0 |] in
   let took port ok =
-    if ok then model.(Port.index port) <- model.(Port.index port) - 1;
+    if ok then model.(port) <- model.(port) - 1;
     ok
   in
   let wrap (api : Network.pulse Network.api) =
@@ -858,7 +954,7 @@ let test_mailbox_view_ring () =
           let engine () =
             Option.map
               (fun net ~node ~port ->
-                Network.mailbox_length net ~node ~port:(Port.of_index port))
+                Network.mailbox_length net ~node ~port)
               !net
           in
           let r =
@@ -1131,6 +1227,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_counting_split;
           Alcotest.test_case "disabled sink sees every event" `Quick
             test_disabled_sink_sees_every_event;
+        ] );
+      ( "port check",
+        [
+          Alcotest.test_case "ring api" `Quick test_port_check_ring;
+          Alcotest.test_case "live api" `Quick test_port_check_live;
         ] );
       ( "mailbox view",
         [

@@ -433,6 +433,39 @@ let test_cli_check_link_budget () =
     (is_error ~flag:"--topology theta:40"
        (budget ~flag:"--topology" ~value:"theta:40" theta))
 
+(* A live backend past its node cap is refused before anything starts:
+   exit 2 and one line naming the flag that sized the ring and
+   --backend, with no "ids:" line (nothing ran).  Only refusals run
+   here; no live backend is started. *)
+let test_cli_live_cap () =
+  checki "the cap" 128 Cli.max_live_nodes;
+  let exe = colring_exe () in
+  let out = Filename.temp_file "colring" ".out" in
+  List.iter
+    (fun (args, named) ->
+      let code =
+        Sys.command
+          (Filename.quote_command exe ("elect" :: args) ~stdin:"/dev/null"
+             ~stdout:out ~stderr:out)
+      in
+      let text = In_channel.with_open_bin out In_channel.input_all in
+      let what = String.concat " " args in
+      checki (what ^ " exits 2") 2 code;
+      checkb (what ^ " prints one line") true
+        (List.length (String.split_on_char '\n' (String.trim text)) = 1);
+      List.iter
+        (fun s -> checkb (what ^ " names " ^ s) true (contains_sub text s))
+        named)
+    [
+      ( [ "--backend"; "domains"; "-n"; "129" ],
+        [ "-n 129: "; "--backend domains " ] );
+      ( [ "--backend"; "socket"; "-n"; "129" ],
+        [ "-n 129: "; "--backend socket " ] );
+      ( [ "--backend"; "socket-tcp"; "--topology"; "ring:129" ],
+        [ "--topology ring:129: "; "--backend socket-tcp " ] );
+    ];
+  Sys.remove out
+
 let test_workload_shapes () =
   List.iter
     (fun (w : Workload.t) ->
@@ -845,7 +878,7 @@ let prop_cli_validators =
       ]
   in
   let case =
-    quad (int_bound 8) flag (pair int int) (triple (option int) name real)
+    quad (int_bound 9) flag (pair int int) (triple (option int) name real)
   in
   let print (which, flag, (v, w), (o, name, x)) =
     Printf.sprintf "validator %d %s v=%d w=%d opt=%s name=%S x=%h" which flag
@@ -896,6 +929,9 @@ let prop_cli_validators =
           judge ~value:(Printf.sprintf "%g" x) (Float.is_finite x && x > 0.) r
           && match r with Ok y -> Float.equal y x | Error _ -> true)
       | 7 -> number (v <= 499_999) (Cli.solitude_id ~flag v)
+      | 8 ->
+          judge ~value:(string_of_int w) (v <= Cli.max_live_nodes)
+            (Cli.live_nodes ~flag ~value:(string_of_int w) ~backend:"socket" v)
       | _ ->
           judge ~value:name
             (List.mem_assoc name Cli.schedulers)
@@ -915,6 +951,7 @@ let cli_tests =
       test_cli_value_refusals;
     Alcotest.test_case "id-max help defaults" `Quick test_cli_id_max_help;
     Alcotest.test_case "check link budget" `Quick test_cli_check_link_budget;
+    Alcotest.test_case "live backend node cap" `Quick test_cli_live_cap;
     Alcotest.test_case "check journals the fixed instance" `Quick
       test_check_fixed_instance_journal;
     Alcotest.test_case "topology overrides refused" `Quick

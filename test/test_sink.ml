@@ -84,14 +84,14 @@ let churn_words ~carry x =
   let api1 = Option.get !api1 in
   let link = Topology.link_id (Network.topology net) 0 Port.P1 in
   for _ = 1 to 64 do
-    Network.inject net ~node:0 ~port:Port.P1 x
+    Network.inject net ~node:0 ~port:1 x
   done;
   Gc.full_major ();
   let w0 = Gc.minor_words () in
   for _ = 1 to 50_000 do
     Network.force_step net ~link;
-    ignore (api1.recv_pulse Port.P0);
-    Network.inject net ~node:0 ~port:Port.P1 x
+    ignore (api1.recv_pulse 0);
+    Network.inject net ~node:0 ~port:1 x
   done;
   Gc.minor_words () -. w0
 
